@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +39,6 @@ __all__ = [
     "ScenarioConfig",
     "RunArtifacts",
     "parse_config",
-    "serialize_config",
     "build_runtime",
     "run_scenario",
 ]
@@ -362,12 +362,12 @@ def parse_config(text: str) -> ScenarioConfig:
         run = {}
     ctx.check_keys("$.run", run, _RUN_KEYS)
     dt = run.get("dt")
-    if not isinstance(dt, (int, float)) or dt <= 0:
-        ctx.err("$.run.dt", "must be a number > 0")
+    if not isinstance(dt, (int, float)) or not math.isfinite(dt) or dt <= 0:
+        ctx.err("$.run.dt", "must be a finite number > 0")
         dt = 1e-3
     t_final = run.get("t_final")
-    if not isinstance(t_final, (int, float)) or t_final < dt:
-        ctx.err("$.run.t_final", "must be a number >= dt")
+    if not isinstance(t_final, (int, float)) or not math.isfinite(t_final) or t_final < dt:
+        ctx.err("$.run.t_final", "must be a finite number >= dt")
         t_final = float(dt)
     n_traj = run.get("n_traj", 1000)
     if not isinstance(n_traj, int) or n_traj < 1:
@@ -385,6 +385,14 @@ def parse_config(text: str) -> ScenarioConfig:
     if threads is not None and (not isinstance(threads, int) or threads < 1):
         ctx.err("$.run.threads", "must be null or an integer >= 1")
         threads = 1
+    block_size = run.get("block_size", 1024)
+    if not isinstance(block_size, int) or block_size < 1:
+        ctx.err("$.run.block_size", "must be an integer >= 1")
+        block_size = 1024
+    validate_every = run.get("validate_every", 50)
+    if not isinstance(validate_every, int) or validate_every < 0:
+        ctx.err("$.run.validate_every", "must be an integer >= 0 (0 disables the checks)")
+        validate_every = 50
     norm["run"] = {
         "dt": float(dt),
         "t_final": float(t_final),
@@ -392,8 +400,8 @@ def parse_config(text: str) -> ScenarioConfig:
         "seed": seed,
         "noise": noise,
         "threads": threads,
-        "block_size": int(run.get("block_size", 1024)),
-        "validate_every": int(run.get("validate_every", 50)),
+        "block_size": block_size,
+        "validate_every": validate_every,
         "track_min_eigenvalue": bool(run.get("track_min_eigenvalue", False)),
         "store_states": bool(run.get("store_states", False)),
     }
@@ -451,6 +459,7 @@ def _cross_rules(norm, ctx):
     ukind = norm["unravelling"]["kind"]
     fkind = norm["feedback"]["kind"]
     if kind == "gaussian":
+        _gaussian_label_rules(norm, ctx)
         if ukind in ("jump", "heterodyne"):
             ctx.err(
                 "$.unravelling.kind",
@@ -529,8 +538,44 @@ def _cross_rules(norm, ctx):
         ctx.err("$.model.channels", "an unravelling needs at least one collapse channel")
 
 
-def serialize_config(config: ScenarioConfig) -> str:
-    return config.to_json()
+def _gaussian_model(model_cfg: dict) -> GaussianModel:
+    if "opo" in model_cfg:
+        opo = model_cfg["opo"]
+        return opo_model(opo["chi"], opo["kappa"], opo["eta"])
+    mats = model_cfg["matrices"]
+    return GaussianModel(mats["A"], mats["D"], mats["B"], mats["E"])
+
+
+def _gaussian_label_rules(norm, ctx):
+    """Build the Gaussian model and check that its quadrature labels resolve
+    every observable the run records (the ensemble always records q and p)."""
+    if any(e.startswith("$.model") for e in ctx.errors):
+        return  # the model block itself is already rejected
+    try:
+        gmodel = _gaussian_model(norm["model"])
+    except ValueError as exc:
+        ctx.err("$.model.matrices", str(exc))
+        return
+    n_modes = norm["system"]["n_modes"]
+    if gmodel.n_modes != n_modes:
+        ctx.err(
+            "$.model",
+            f"rule gaussian_mode_count: the model has {gmodel.n_modes} mode(s), "
+            f"system.n_modes is {n_modes}",
+        )
+    needed = {
+        name.removeprefix("cond_var_").removeprefix("unc_var_")
+        for name in norm["output"]["observables"]
+    }
+    if norm["unravelling"]["kind"] != "none":
+        needed |= {"q", "p"}
+    missing = sorted(needed - set(gmodel.labels))
+    if missing:
+        ctx.err(
+            "$.output.observables",
+            f"rule gaussian_observable_labels: no model quadrature labelled "
+            f"{', '.join(missing)} (labels: {', '.join(gmodel.labels)})",
+        )
 
 
 # --------------------------------------------------------------------------
@@ -704,12 +749,7 @@ def build_runtime(
     n_steps_grid = np.arange(int(round(run["t_final"] / run["dt"])) + 1) * run["dt"]
 
     if system["kind"] == "gaussian":
-        if "opo" in model_cfg:
-            opo = model_cfg["opo"]
-            gmodel = opo_model(opo["chi"], opo["kappa"], opo["eta"])
-        else:
-            mats = model_cfg["matrices"]
-            gmodel = GaussianModel(mats["A"], mats["D"], mats["B"], mats["E"])
+        gmodel = _gaussian_model(model_cfg)
         if ukind == "none":
             return RuntimeJob(
                 "gaussian_unconditional", config,

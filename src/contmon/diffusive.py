@@ -8,6 +8,11 @@ feedback paths can reuse the same increments.  The local-oscillator phase
 enters once, through c -> c e^{i theta} at the stepper boundary; internals
 assume theta = 0.  States broadcast over leading batch axes; ``dw`` may be a
 scalar or a matching batch vector.  Per-model operator products are cached.
+
+Every product of a constant operator with the state batch goes through
+``core_ops.left_mul``/``right_mul`` (one GEMM over the whole batch at small
+dimensions), keeping the association order of the written formula, so that
+c rho c^dag is ``right_mul(left_mul(c, rho), c^dag)``.
 """
 
 from __future__ import annotations
@@ -82,6 +87,8 @@ def _ctx(model: OpenSystemModel) -> dict:
             "ceff_d": ceff_d,
             "herm": ceff + ceff_d,
             "herm_i": 1j * ceff + dagger(1j * ceff),
+            "ceff_i": 1j * ceff,
+            "ceff_i_d": -1j * ceff_d,
             "root": np.sqrt(model.efficiency * kappa),
             "h": h,
             "h_zero": not np.any(h),
@@ -105,12 +112,26 @@ def _bc(x):
     return np.asarray(x)[..., None, None]
 
 
+def _lr(op, rho, op_r):
+    """op rho + rho op_r."""
+    return left_mul(op, rho) + right_mul(rho, op_r)
+
+
+def _comm(op, rho):
+    """[op, rho]."""
+    return left_mul(op, rho) - right_mul(rho, op)
+
+
+def _dissipate(a, ad, ada, rho):
+    """a rho a^dag - (ada rho + rho ada)/2 for cached a^dag and ada = a^dag a."""
+    return right_mul(left_mul(a, rho), ad) - 0.5 * _lr(ada, rho, ada)
+
+
 def _vacuum_drift(ctx, rho):
     """-i[H, rho] + kappa D[c] rho with cached products (H term skipped if zero)."""
-    c, cd, cdc, kappa, h = ctx["c"], ctx["cd"], ctx["cdc"], ctx["kappa"], ctx["h"]
-    drift = kappa * (c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc))
+    drift = ctx["kappa"] * _dissipate(ctx["c"], ctx["cd"], ctx["cdc"], rho)
     if not ctx["h_zero"]:
-        drift = drift + (-1j) * (h @ rho - rho @ h)
+        drift = drift + (-1j) * _comm(ctx["h"], rho)
     return drift
 
 
@@ -125,9 +146,9 @@ def homodyne_sme_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw):
     ctx = _ctx(model)
     if not model.bath.is_vacuum:
         raise ValueError("vacuum-bath stepper; use generalized_bath_homodyne_step")
-    ceff, ceff_d, root = ctx["ceff"], ctx["ceff_d"], ctx["root"]
+    root = ctx["root"]
     sig = _expect(rho, ctx["herm"])
-    sto = ceff @ rho + rho @ ceff_d - _bc(sig) * rho
+    sto = _lr(ctx["ceff"], rho, ctx["ceff_d"]) - _bc(sig) * rho
     rho2 = rho + _vacuum_drift(ctx, rho) * dt + root * sto * _bc(dw)
     dy = root * sig * dt + dw
     return _renorm(rho2), dy
@@ -196,12 +217,11 @@ def heterodyne_sme_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw1,
     ctx = _ctx(model)
     if not model.bath.is_vacuum:
         raise ValueError("vacuum-bath stepper; use generalized_bath_homodyne_step")
-    ceff, ceff_d = ctx["ceff"], ctx["ceff_d"]
     root = np.sqrt(model.efficiency * ctx["kappa"] / 2.0)
     sig1 = _expect(rho, ctx["herm"])
     sig2 = _expect(rho, ctx["herm_i"])
-    s1 = ceff @ rho + rho @ ceff_d - _bc(sig1) * rho
-    s2 = (1j * ceff) @ rho + rho @ (-1j * ceff_d) - _bc(sig2) * rho
+    s1 = _lr(ctx["ceff"], rho, ctx["ceff_d"]) - _bc(sig1) * rho
+    s2 = _lr(ctx["ceff_i"], rho, ctx["ceff_i_d"]) - _bc(sig2) * rho
     rho2 = rho + _vacuum_drift(ctx, rho) * dt + root * (s1 * _bc(dw1) + s2 * _bc(dw2))
     dy1 = root * sig1 * dt + dw1
     dy2 = root * sig2 * dt + dw2
@@ -228,7 +248,7 @@ def linear_homodyne_step(
         raise ValueError("linear trajectories are defined for vacuum baths")
     kappa, ceff, ceff_d = ctx["kappa"], ctx["ceff"], ctx["ceff_d"]
     rb = np.asarray(state.rho_bar, dtype=complex)
-    meas = ceff @ rb + rb @ ceff_d
+    meas = _lr(ceff, rb, ceff_d)
     if mu != 0.0:
         meas = meas - mu * rb
     rb2 = rb + _vacuum_drift(ctx, rb) * dt + np.sqrt(kappa) * meas * _bc(
@@ -281,17 +301,17 @@ def homodyne_feedback_step(
     kappa, ceff, ceff_d, root = ctx["kappa"], ctx["ceff"], ctx["ceff_d"], ctx["root"]
     eta = model.efficiency
 
-    u = ceff @ rho + rho @ ceff_d
+    u = _lr(ceff, rho, ceff_d)
     f2 = fctx.get("f2")
     if f2 is None:
         f2 = fctx["f2"] = f @ f
     drift = (
         _vacuum_drift(ctx, rho)
-        - 1j * np.sqrt(kappa) * (f @ u - u @ f)
-        + (1.0 / eta) * (f @ rho @ f - 0.5 * (f2 @ rho + rho @ f2))
+        - 1j * np.sqrt(kappa) * _comm(f, u)
+        + (1.0 / eta) * _dissipate(f, f, f2, rho)
     )
     sig = _expect(rho, ctx["herm"])
-    sto = root * (u - _bc(sig) * rho) - 1j * (f @ rho - rho @ f)
+    sto = root * (u - _bc(sig) * rho) - 1j * _comm(f, rho)
     rho2 = rho + drift * dt + sto * _bc(dw)
     dy = root * sig * dt + dw
     return _renorm(rho2), dy
@@ -386,13 +406,14 @@ def _generalized_drift(model, rho):
     ctx = _generalized_ctx(model)
     drift = None
     for coeff, a, ad, ada in ctx["terms"]:
-        term = coeff * (a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada))
+        term = coeff * _dissipate(a, ad, ada, rho)
         drift = term if drift is None else drift + term
     for coeff, a, a2 in ctx["dterms"]:
-        drift = drift + coeff * (a2 @ rho - 2.0 * (a @ rho @ a) + rho @ a2)
+        drift = drift + coeff * (
+            left_mul(a2, rho) - 2.0 * right_mul(left_mul(a, rho), a) + right_mul(rho, a2)
+        )
     if not ctx["h_zero"]:
-        h = ctx["h_eff"]
-        drift = drift + (-1j) * (h @ rho - rho @ h)
+        drift = drift + (-1j) * _comm(ctx["h_eff"], rho)
     return drift
 
 
@@ -438,7 +459,7 @@ def generalized_bath_homodyne_step(
             }
             gen["homodyne"] = sub
         sig_op = _expect(rho, sub["herm"])
-        sto = sub["op"] @ rho + rho @ sub["opd"] - _bc(sig_op) * rho
+        sto = _lr(sub["op"], rho, sub["opd"]) - _bc(sig_op) * rho
         rho2 = rho + drift * dt + sub["scale"] * sto * _bc(dw)
         dy = np.sqrt(kappa) * _expect(rho, ctx["herm"]) * dt + sub["root_l"] * dw
         return _renorm(rho2), dy
@@ -469,8 +490,8 @@ def generalized_bath_homodyne_step(
             gen["heterodyne"] = sub
         sig1 = _expect(rho, sub["herm1"])
         sig2 = _expect(rho, sub["herm2"])
-        s1 = sub["op1"] @ rho + rho @ sub["op1d"] - _bc(sig1) * rho
-        s2 = sub["op2"] @ rho + rho @ sub["op2d"] - _bc(sig2) * rho
+        s1 = _lr(sub["op1"], rho, sub["op1d"]) - _bc(sig1) * rho
+        s2 = _lr(sub["op2"], rho, sub["op2d"]) - _bc(sig2) * rho
         pref = sub["pref"]
         rho2 = rho + drift * dt + pref * (s1 * _bc(dw[..., 0]) + s2 * _bc(dw[..., 1]))
         dy1 = np.sqrt(kappa) * _expect(rho, ctx["herm"]) * dt + sub["scale"] * dw[..., 0]

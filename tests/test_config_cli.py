@@ -234,3 +234,57 @@ def test_me_preset_matches_analytic(tmp_path):
     data = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
     np.testing.assert_allclose(data[:, 1], np.exp(-data[:, 0]), atol=1e-9)
     np.testing.assert_array_equal(data[:, 2], 0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("block_size", "abc"),
+    ("block_size", 0),
+    ("dt", float("nan")),
+    ("validate_every", -1),
+])
+def test_cli_rejects_bad_run_block(tmp_path, capsys, field, value):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["run"][field] = value
+    doc["output"]["directory"] = str(tmp_path / "out")
+    config_path = tmp_path / "bad_run.json"
+    config_path.write_text(json.dumps(doc))  # NaN is written as the JSON literal NaN
+    assert main(["validate", str(config_path)]) == 2
+    assert main(["run", str(config_path)]) == 2
+    assert f"$.run.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+TWO_MODE_GAUSSIAN = {
+    "schema_version": 1,
+    "system": {"kind": "gaussian", "n_modes": 2},
+    "model": {"matrices": {
+        "A": (-0.5 * np.eye(4)).tolist(),
+        "D": np.eye(4).tolist(),
+        "B": np.eye(4)[:, :1].tolist(),
+        "E": np.zeros((4, 1)).tolist(),
+    }},
+    "unravelling": {"kind": "homodyne"},
+    "run": {"dt": 1e-2, "t_final": 0.1, "n_traj": 8, "seed": 3},
+}
+
+
+@pytest.mark.parametrize("unravelling", ["homodyne", "none"])
+def test_cli_rejects_unresolvable_gaussian_observables(tmp_path, capsys, unravelling):
+    # the labels of a two-mode model are q1, p1, q2, p2: the q/p observables
+    # (and the q, p the ensemble records) resolve to none of them
+    doc = json.loads(json.dumps(TWO_MODE_GAUSSIAN))
+    doc["unravelling"]["kind"] = unravelling
+    doc["output"] = {"directory": str(tmp_path / "out")}
+    config_path = tmp_path / "two_mode.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["validate", str(config_path)]) == 2
+    assert main(["run", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "gaussian_observable_labels" in err and "q1, p1, q2, p2" in err
+
+
+def test_gaussian_mode_count_must_match_matrices():
+    doc = json.loads(json.dumps(TWO_MODE_GAUSSIAN))
+    doc["system"]["n_modes"] = 1
+    with pytest.raises(ConfigError, match="gaussian_mode_count"):
+        parse_config(json.dumps(doc))

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from contmon import BathSpec, OpenSystemModel, WeightedState, generalized_bath_me_rhs
+from contmon import (
+    BathSpec,
+    OpenSystemModel,
+    WeightedState,
+    build_standard_ops,
+    generalized_bath_me_rhs,
+)
 from contmon.core_ops import dagger, hermitize, trace
 from contmon.diffusive import (
     feedback_me_rhs,
@@ -17,7 +23,7 @@ from contmon.diffusive import (
     squeezed_vacuum_jump_operator,
 )
 from contmon.ensemble import trajectory_rng
-from contmon.master_equation import liouvillian_apply
+from contmon.master_equation import coherent_drive_hamiltonian, liouvillian_apply
 
 from conftest import random_density_matrix, random_hermitian
 
@@ -510,3 +516,181 @@ def test_generalized_requires_unit_efficiency(qubit_ops, excited):
     )
     with pytest.raises(ValueError, match="unit efficiency"):
         generalized_bath_homodyne_step(excited, model, 1e-3, 0.0)
+
+
+# ---------------------------------------------------------------- Euler oracles
+# Every Euler stepper against its SME written out with literal products
+# (a @ rho @ dagger(a), nested commutators), on shared noise for a batch of
+# trajectories over 10^3 steps.  At d = 2 the steppers run one GEMM per
+# constant operator over the batch; the d = 12 case takes the stacked branch.
+
+
+def _lit_expect(rho, op):
+    return np.einsum("bij,ji->b", rho, op).real
+
+
+def _lit_dissipator(a, rho):
+    ad = dagger(a)
+    return a @ rho @ ad - 0.5 * (ad @ a @ rho + rho @ ad @ a)
+
+
+def _lit_meas(a, rho):
+    """H[a] rho = a rho + rho a^dag - <a + a^dag> rho."""
+    sig = _lit_expect(rho, a + dagger(a))
+    return a @ rho + rho @ dagger(a) - sig[:, None, None] * rho
+
+
+def _lit_comm(a, rho):
+    return a @ rho - rho @ a
+
+
+def _lit_renorm(rho):
+    rho = hermitize(rho)
+    return rho / trace(rho).real[:, None, None]
+
+
+def _euler_case(name, qubit_ops):
+    """(model, n_draws, step(rho, dw) -> (rho', dy), literal(rho, dw) -> (rho', dy))."""
+    sm, sx, sy = qubit_ops["sigma_minus"], qubit_ops["sigma_x"], qubit_ops["sigma_y"]
+    h2 = 0.3 * sx + 0.2 * qubit_ops["sigma_z"]
+    dt = 1e-3
+
+    if name in ("homodyne", "heterodyne", "linear_homodyne"):
+        eta = 1.0 if name == "linear_homodyne" else 0.8
+        model = OpenSystemModel(h2, [(1.0, sm)], efficiency=eta, homodyne_phase=0.4)
+    elif name.startswith("feedback"):
+        if name == "feedback_d12":
+            ops = build_standard_ops("boson", 12)
+            a, h, f = ops["a"], 0.3 * ops["q"] + 0.1 * ops["n"], 0.4 * ops["p"]
+        else:
+            a, h, f = sm, h2, 0.5 * sy
+        model = OpenSystemModel(h, [(1.0, a)], efficiency=0.8, homodyne_phase=0.4)
+    else:
+        bath = {
+            "thermal_homodyne": BathSpec(n_thermal=1.0, drive=0.2),
+            "squeezed_homodyne": BathSpec(n_thermal=1.0, squeezing=0.5),
+            "thermal_heterodyne": BathSpec(n_thermal=1.0),
+        }[name]
+        model = OpenSystemModel(h2, [(1.0, sm)], bath=bath)
+    kappa, c = model.single_channel()
+    h = model.constant_hamiltonian()
+    eta = model.efficiency
+    ceff = c * np.exp(1j * model.homodyne_phase)
+    root = np.sqrt(eta * kappa)
+
+    def vacuum_drift(rho):
+        return -1j * _lit_comm(h, rho) + kappa * _lit_dissipator(c, rho)
+
+    if name == "homodyne":
+        def step(rho, dw):
+            return homodyne_sme_step(rho, model, dt, dw[:, 0])
+
+        def literal(rho, dw):
+            dy = root * _lit_expect(rho, ceff + dagger(ceff)) * dt + dw[:, 0]
+            sto = root * _lit_meas(ceff, rho) * dw[:, :1, None]
+            return _lit_renorm(rho + vacuum_drift(rho) * dt + sto), dy
+        return model, 1, step, literal
+
+    if name == "heterodyne":
+        root = np.sqrt(eta * kappa / 2.0)
+
+        def step(rho, dw):
+            rho, dy1, dy2 = heterodyne_sme_step(rho, model, dt, dw[:, 0], dw[:, 1])
+            return rho, np.stack([dy1, dy2], axis=-1)
+
+        def literal(rho, dw):
+            chans = (ceff, 1j * ceff)
+            dy = np.stack([root * _lit_expect(rho, a + dagger(a)) * dt for a in chans],
+                          axis=-1) + dw
+            sto = sum(root * _lit_meas(a, rho) * dw[:, k, None, None]
+                      for k, a in enumerate(chans))
+            return _lit_renorm(rho + vacuum_drift(rho) * dt + sto), dy
+        return model, 2, step, literal
+
+    if name == "linear_homodyne":
+        mu = 0.3
+
+        def step(rho, dw):
+            dy = dw[:, 0] + np.sqrt(kappa) * mu * dt
+            return linear_homodyne_step(WeightedState(rho), model, dt, dy, mu=mu).rho_bar, dy
+
+        def literal(rho, dw):
+            dy = dw[:, 0] + np.sqrt(kappa) * mu * dt
+            meas = ceff @ rho + rho @ dagger(ceff) - mu * rho
+            innov = (dy - np.sqrt(kappa) * mu * dt)[:, None, None]
+            return hermitize(rho + vacuum_drift(rho) * dt + np.sqrt(kappa) * meas * innov), dy
+        return model, 1, step, literal
+
+    if name.startswith("feedback"):
+        def step(rho, dw):
+            return homodyne_feedback_step(rho, model, f, dt, dw[:, 0])
+
+        def literal(rho, dw):
+            u = ceff @ rho + rho @ dagger(ceff)
+            drift = (vacuum_drift(rho) - 1j * np.sqrt(kappa) * _lit_comm(f, u)
+                     + (1.0 / eta) * _lit_dissipator(f, rho))
+            sig = _lit_expect(rho, ceff + dagger(ceff))
+            sto = root * (u - sig[:, None, None] * rho) - 1j * _lit_comm(f, rho)
+            dy = root * sig * dt + dw[:, 0]
+            return _lit_renorm(rho + drift * dt + sto * dw[:, :1, None]), dy
+        return model, 1, step, literal
+
+    # generalized baths: kappa (N+1) D[c] + kappa N D[c^dag]
+    # + (kappa M / 2) [c^dag, [c^dag, .]] + (kappa M* / 2) [c, [c, .]] - i[H + H_drive, .]
+    n, m = model.bath.n_thermal, complex(model.bath.squeezing)
+    cd = dagger(c)
+    h_eff = h + coherent_drive_hamiltonian(c, kappa, model.bath.drive)
+
+    def drift(rho):
+        out = (kappa * (n + 1.0) * _lit_dissipator(c, rho) + kappa * n * _lit_dissipator(cd, rho)
+               - 1j * _lit_comm(h_eff, rho))
+        if m != 0:
+            out = out + (kappa * m / 2.0) * _lit_comm(cd, _lit_comm(cd, rho))
+            out = out + (kappa * np.conj(m) / 2.0) * _lit_comm(c, _lit_comm(c, rho))
+        return out
+
+    if name.endswith("homodyne"):
+        big_l = 2.0 * n + 1.0 + 2.0 * m.real
+        op = (n + m.real + 1.0) * c - (n + m.real) * cd
+
+        def step(rho, dw):
+            return generalized_bath_homodyne_step(rho, model, dt, dw[:, 0])
+
+        def literal(rho, dw):
+            dy = np.sqrt(kappa) * _lit_expect(rho, c + cd) * dt + np.sqrt(big_l) * dw[:, 0]
+            sto = np.sqrt(kappa / big_l) * _lit_meas(op, rho) * dw[:, :1, None]
+            return _lit_renorm(rho + drift(rho) * dt + sto), dy
+        return model, 1, step, literal
+
+    ops = ((n + 1.0) * c - n * cd, 1j * ((n + 1.0) * c + n * cd))
+    scale = np.sqrt(2.0 * (n + 1.0))
+
+    def step(rho, dw):
+        return generalized_bath_homodyne_step(rho, model, dt, dw, mode="heterodyne")
+
+    def literal(rho, dw):
+        dy = np.stack([np.sqrt(kappa) * _lit_expect(rho, a + dagger(a)) * dt
+                       for a in (c, 1j * c)], axis=-1) + scale * dw
+        sto = sum((np.sqrt(kappa) / scale) * _lit_meas(a, rho) * dw[:, k, None, None]
+                  for k, a in enumerate(ops))
+        return _lit_renorm(rho + drift(rho) * dt + sto), dy
+    return model, 2, step, literal
+
+
+@pytest.mark.parametrize("name", [
+    "homodyne", "heterodyne", "linear_homodyne", "feedback", "feedback_d12",
+    "thermal_homodyne", "squeezed_homodyne", "thermal_heterodyne",
+])
+def test_euler_steps_match_literal_sme(qubit_ops, name):
+    model, n_draws, step, literal = _euler_case(name, qubit_ops)
+    dt, n_traj = 1e-3, 8
+    rho0 = random_density_matrix(np.random.default_rng(4), model.dim)
+    rho = rho_ref = np.broadcast_to(rho0, (n_traj, model.dim, model.dim)).copy()
+    rng = trajectory_rng(20261018, 0)
+    gap = 0.0
+    for _ in range(1000):
+        dw = rng.standard_normal((n_traj, n_draws)) * np.sqrt(dt)
+        rho, dy = step(rho, dw)
+        rho_ref, dy_ref = literal(rho_ref, dw)
+        gap = max(gap, np.max(np.abs(rho - rho_ref)), np.max(np.abs(dy - dy_ref)))
+    assert gap <= 1e-12
