@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core_ops import build_standard_ops
+from .core_ops import build_standard_ops, rk4_step
 from .ensemble import EnsembleSpec, Scenario, run_ensemble
 from .gaussian import (
     GaussianModel,
@@ -87,11 +87,20 @@ class _Collector:
         return True
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, path, ctx):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
+        _is_number(v) for v in value
     ):
         return complex(value[0], value[1])
     ctx.err(path, "expected a number or a [re, im] pair")
@@ -164,13 +173,13 @@ def parse_config(text: str) -> ScenarioConfig:
     norm_system = {"kind": kind}
     if kind == "boson":
         dim = system.get("dim")
-        if not isinstance(dim, int) or dim < 2:
+        if not _is_int(dim) or dim < 2:
             ctx.err("$.system.dim", "boson systems need integer dim >= 2")
             dim = 2
         norm_system["dim"] = dim
     if kind == "gaussian":
         n_modes = system.get("n_modes", 1)
-        if not isinstance(n_modes, int) or n_modes < 1:
+        if not _is_int(n_modes) or n_modes < 1:
             ctx.err("$.system.n_modes", "must be a positive integer")
             n_modes = 1
         norm_system["n_modes"] = n_modes
@@ -243,7 +252,7 @@ def parse_config(text: str) -> ScenarioConfig:
             if not ctx.check_keys(path, chan, {"rate", "op"}):
                 continue
             rate = chan.get("rate")
-            if not isinstance(rate, (int, float)) or rate < 0:
+            if not _is_number(rate) or rate < 0:
                 ctx.err(f"{path}.rate", "must be a number >= 0")
                 rate = 0.0
             opname = chan.get("op")
@@ -256,7 +265,7 @@ def parse_config(text: str) -> ScenarioConfig:
         bath = model.get("bath", {})
         ctx.check_keys("$.model.bath", bath, _BATH_KEYS)
         n_th = bath.get("n_thermal", 0.0)
-        if not isinstance(n_th, (int, float)) or n_th < 0:
+        if not _is_number(n_th) or n_th < 0:
             ctx.err("$.model.bath.n_thermal", "must be a number >= 0")
             n_th = 0.0
         sq = bath.get("squeezing", 0.0)
@@ -276,12 +285,12 @@ def parse_config(text: str) -> ScenarioConfig:
             "drive": bath.get("drive", 0.0),
         }
         eta = model.get("efficiency", 1.0)
-        if not isinstance(eta, (int, float)) or not 0.0 <= eta <= 1.0:
+        if not _is_number(eta) or not 0.0 <= eta <= 1.0:
             ctx.err("$.model.efficiency", "efficiency out of [0, 1]")
             eta = 1.0
         norm_model["efficiency"] = float(eta)
         theta = model.get("homodyne_phase", 0.0)
-        if not isinstance(theta, (int, float)):
+        if not _is_number(theta):
             ctx.err("$.model.homodyne_phase", "must be a number (radians)")
             theta = 0.0
         norm_model["homodyne_phase"] = float(theta)
@@ -309,13 +318,13 @@ def parse_config(text: str) -> ScenarioConfig:
         "kind": ukind,
         "stepper": stepper,
         "linear": linear,
-        "mu": float(mu) if isinstance(mu, (int, float)) else 0.0,
-        "beta": float(beta) if isinstance(beta, (int, float)) else 1.0,
+        "mu": float(mu) if _is_number(mu) else 0.0,
+        "beta": float(beta) if _is_number(beta) else 1.0,
         "bath_mode": bath_mode,
     }
-    if not isinstance(mu, (int, float)):
+    if not _is_number(mu):
         ctx.err("$.unravelling.mu", "must be a number")
-    if not isinstance(beta, (int, float)) or beta <= 0:
+    if not _is_number(beta) or beta <= 0:
         ctx.err("$.unravelling.beta", "rule ostensible_rate_positive: beta must be > 0")
 
     # ---- feedback ----
@@ -362,19 +371,19 @@ def parse_config(text: str) -> ScenarioConfig:
         run = {}
     ctx.check_keys("$.run", run, _RUN_KEYS)
     dt = run.get("dt")
-    if not isinstance(dt, (int, float)) or not math.isfinite(dt) or dt <= 0:
+    if not _is_number(dt) or not math.isfinite(dt) or dt <= 0:
         ctx.err("$.run.dt", "must be a finite number > 0")
         dt = 1e-3
     t_final = run.get("t_final")
-    if not isinstance(t_final, (int, float)) or not math.isfinite(t_final) or t_final < dt:
+    if not _is_number(t_final) or not math.isfinite(t_final) or t_final < dt:
         ctx.err("$.run.t_final", "must be a finite number >= dt")
         t_final = float(dt)
     n_traj = run.get("n_traj", 1000)
-    if not isinstance(n_traj, int) or n_traj < 1:
+    if not _is_int(n_traj) or n_traj < 1:
         ctx.err("$.run.n_traj", "must be an integer >= 1")
         n_traj = 1
     seed = run.get("seed", 1234)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         ctx.err("$.run.seed", "must be a non-negative integer")
         seed = 1234
     noise = run.get("noise", "gaussian")
@@ -382,15 +391,15 @@ def parse_config(text: str) -> ScenarioConfig:
         ctx.err("$.run.noise", "must be 'gaussian' or 'two_point'")
         noise = "gaussian"
     threads = run.get("threads", 1)
-    if threads is not None and (not isinstance(threads, int) or threads < 1):
+    if threads is not None and (not _is_int(threads) or threads < 1):
         ctx.err("$.run.threads", "must be null or an integer >= 1")
         threads = 1
     block_size = run.get("block_size", 1024)
-    if not isinstance(block_size, int) or block_size < 1:
+    if not _is_int(block_size) or block_size < 1:
         ctx.err("$.run.block_size", "must be an integer >= 1")
         block_size = 1024
     validate_every = run.get("validate_every", 50)
-    if not isinstance(validate_every, int) or validate_every < 0:
+    if not _is_int(validate_every) or validate_every < 0:
         ctx.err("$.run.validate_every", "must be an integer >= 0 (0 disables the checks)")
         validate_every = 50
     norm["run"] = {
@@ -680,24 +689,24 @@ class RuntimeJob:
             model: GaussianModel = self.payload["model"]
             state = GaussianState.vacuum(model.n_modes)
             dtg = float(grid[1] - grid[0])
-            means = np.empty((grid.size, model.dim))
-            covs = np.empty((grid.size, model.dim, model.dim))
+            n = model.dim
+            means = np.empty((grid.size, n))
+            covs = np.empty((grid.size, n, n))
             means[0], covs[0] = state.mean, state.cov
-            mean, cov = state.mean, state.cov
 
-            def rhs(mn, cv):
-                st = GaussianState(mn, cv)
-                return unconditional_moment_rhs(model, st)
+            def rhs(y):
+                # y packs the mean and the row-major covariance
+                drdt, dsdt = unconditional_moment_rhs(
+                    model, GaussianState(y[:n], y[n:].reshape(n, n))
+                )
+                return np.concatenate([drdt, dsdt.reshape(-1)])
 
+            y = np.concatenate([state.mean, state.cov.reshape(-1)])
             for k in range(grid.size - 1):
-                k1m, k1c = rhs(mean, cov)
-                k2m, k2c = rhs(mean + 0.5 * dtg * k1m, cov + 0.5 * dtg * k1c)
-                k3m, k3c = rhs(mean + 0.5 * dtg * k2m, cov + 0.5 * dtg * k2c)
-                k4m, k4c = rhs(mean + dtg * k3m, cov + dtg * k3c)
-                mean = mean + (dtg / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
-                cov = cov + (dtg / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-                cov = 0.5 * (cov + cov.T)
-                means[k + 1], covs[k + 1] = mean, cov
+                y = rk4_step(rhs, y, dtg)
+                cov = y[n:].reshape(n, n)
+                y[n:] = (0.5 * (cov + cov.T)).reshape(-1)
+                means[k + 1], covs[k + 1] = y[:n], y[n:].reshape(n, n)
             zeros = np.zeros(grid.size)
             available = {
                 "q": means[:, 0],

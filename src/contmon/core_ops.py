@@ -39,6 +39,7 @@ __all__ = [
     "is_hermitian",
     "hermitize",
     "min_eigenvalue",
+    "rk4_step",
 ]
 
 
@@ -308,3 +309,12 @@ def ensure_density_matrix(
 def is_hermitian(op: np.ndarray, tol: float = DEFAULT_TOLERANCES.hermiticity) -> bool:
     op = np.asarray(op, dtype=complex)
     return bool(np.max(np.abs(op - dagger(op))) <= tol)
+
+
+def rk4_step(f, y, dt: float):
+    """One classical Runge-Kutta step of y' = f(y); f is called 4 times."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

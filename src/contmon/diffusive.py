@@ -7,7 +7,8 @@ Steppers never own randomness: Wiener increments are generated by the caller
 feedback paths can reuse the same increments.  The local-oscillator phase
 enters once, through c -> c e^{i theta} at the stepper boundary; internals
 assume theta = 0.  States broadcast over leading batch axes; ``dw`` may be a
-scalar or a matching batch vector.  Per-model operator products are cached.
+scalar or a matching batch vector.  Per-model operator products come from the
+cache shared with :mod:`contmon.jump`.
 
 Every product of a constant operator with the state batch goes through
 ``core_ops.left_mul``/``right_mul`` (one GEMM over the whole batch at small
@@ -17,7 +18,6 @@ c rho c^dag is ``right_mul(left_mul(c, rho), c^dag)``.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +29,8 @@ from .core_ops import (
     is_hermitian,
     left_mul,
     right_mul,
-    trace,
 )
-from .jump import WeightedState
+from .jump import WeightedState, _ctx, _expect, _no_click_kraus, _renormalize
 from .master_equation import OpenSystemModel, coherent_drive_hamiltonian
 
 __all__ = [
@@ -64,47 +63,6 @@ class DiffusiveRecord:
     @property
     def n_channels(self) -> int:
         return 1 if self.grid_dy.ndim == 1 else self.grid_dy.shape[-1]
-
-
-_CTX: "weakref.WeakKeyDictionary[OpenSystemModel, dict]" = weakref.WeakKeyDictionary()
-
-
-def _ctx(model: OpenSystemModel) -> dict:
-    ctx = _CTX.get(model)
-    if ctx is None:
-        kappa, c = model.single_channel()
-        h = model.constant_hamiltonian()
-        theta = model.homodyne_phase
-        ceff = c if theta == 0.0 else c * np.exp(1j * theta)
-        cd = np.ascontiguousarray(dagger(c))
-        ceff_d = np.ascontiguousarray(dagger(ceff))
-        ctx = {
-            "kappa": kappa,
-            "c": c,
-            "cd": cd,
-            "cdc": cd @ c,
-            "ceff": ceff,
-            "ceff_d": ceff_d,
-            "herm": ceff + ceff_d,
-            "herm_i": 1j * ceff + dagger(1j * ceff),
-            "ceff_i": 1j * ceff,
-            "ceff_i_d": -1j * ceff_d,
-            "root": np.sqrt(model.efficiency * kappa),
-            "h": h,
-            "h_zero": not np.any(h),
-            "eye": np.eye(model.dim, dtype=complex),
-        }
-        _CTX[model] = ctx
-    return ctx
-
-
-def _expect(rho: np.ndarray, op: np.ndarray):
-    return np.einsum("...ij,ji->...", rho, op).real
-
-
-def _renorm(rho: np.ndarray) -> np.ndarray:
-    rho = hermitize(rho)
-    return rho / np.asarray(trace(rho).real)[..., None, None]
 
 
 def _bc(x):
@@ -151,24 +109,13 @@ def homodyne_sme_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw):
     sto = _lr(ctx["ceff"], rho, ctx["ceff_d"]) - _bc(sig) * rho
     rho2 = rho + _vacuum_drift(ctx, rho) * dt + root * sto * _bc(dw)
     dy = root * sig * dt + dw
-    return _renorm(rho2), dy
-
-
-def _kraus_base(ctx, dt: float):
-    """Cached constant part base = 1 - iH dt - (kappa/2) c^dag c dt of the Kraus
-    operator, and base^dag."""
-    key = ("kraus_base", dt)
-    pair = ctx.get(key)
-    if pair is None:
-        base = ctx["eye"] - 1j * ctx["h"] * dt - (ctx["kappa"] / 2.0) * ctx["cdc"] * dt
-        pair = ctx[key] = (base, np.ascontiguousarray(dagger(base)))
-    return pair
+    return _renormalize(rho2), dy
 
 
 def homodyne_kraus_operator(model: OpenSystemModel, dt: float, dy) -> np.ndarray:
     """Kraus operator M = 1 - iH dt - (kappa/2) c^dag c dt + sqrt(eta kappa) c dy."""
     ctx = _ctx(model)
-    return _kraus_base(ctx, dt)[0] + (ctx["root"] * _bc(dy)) * ctx["ceff"]
+    return _no_click_kraus(ctx, dt)[0] + (ctx["root"] * _bc(dy)) * ctx["ceff"]
 
 
 def _kraus_map(ctx, model: OpenSystemModel, rho: np.ndarray, dt: float, dy, finish):
@@ -189,7 +136,7 @@ def _kraus_map(ctx, model: OpenSystemModel, rho: np.ndarray, dt: float, dy, fini
         m = homodyne_kraus_operator(model, dt, dy)
         numer = m @ rho @ dagger(m)
     else:
-        base, base_d = _kraus_base(ctx, dt)
+        base, base_d = _no_click_kraus(ctx, dt)
         s = _bc(ctx["root"] * np.asarray(dy))
         rho_md = right_mul(rho, base_d) + s * right_mul(rho, ctx["ceff_d"])
         numer = left_mul(base, rho_md) + s * left_mul(ctx["ceff"], rho_md)
@@ -208,7 +155,7 @@ def homodyne_kraus_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw):
     if not model.bath.is_vacuum:
         raise ValueError("vacuum-bath stepper; use generalized_bath_homodyne_step")
     dy = ctx["root"] * _expect(rho, ctx["herm"]) * dt + dw
-    return _kraus_map(ctx, model, rho, dt, dy, _renorm), dy
+    return _kraus_map(ctx, model, rho, dt, dy, _renormalize), dy
 
 
 def heterodyne_sme_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw1, dw2):
@@ -225,7 +172,7 @@ def heterodyne_sme_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw1,
     rho2 = rho + _vacuum_drift(ctx, rho) * dt + root * (s1 * _bc(dw1) + s2 * _bc(dw2))
     dy1 = root * sig1 * dt + dw1
     dy2 = root * sig2 * dt + dw2
-    return _renorm(rho2), dy1, dy2
+    return _renormalize(rho2), dy1, dy2
 
 
 def linear_homodyne_step(
@@ -314,7 +261,7 @@ def homodyne_feedback_step(
     sto = root * (u - _bc(sig) * rho) - 1j * _comm(f, rho)
     rho2 = rho + drift * dt + sto * _bc(dw)
     dy = root * sig * dt + dw
-    return _renorm(rho2), dy
+    return _renormalize(rho2), dy
 
 
 def feedback_me_rhs(rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray) -> np.ndarray:
@@ -462,7 +409,7 @@ def generalized_bath_homodyne_step(
         sto = _lr(sub["op"], rho, sub["opd"]) - _bc(sig_op) * rho
         rho2 = rho + drift * dt + sub["scale"] * sto * _bc(dw)
         dy = np.sqrt(kappa) * _expect(rho, ctx["herm"]) * dt + sub["root_l"] * dw
-        return _renorm(rho2), dy
+        return _renormalize(rho2), dy
 
     if mode == "heterodyne":
         if m != 0:
@@ -496,7 +443,7 @@ def generalized_bath_homodyne_step(
         rho2 = rho + drift * dt + pref * (s1 * _bc(dw[..., 0]) + s2 * _bc(dw[..., 1]))
         dy1 = np.sqrt(kappa) * _expect(rho, ctx["herm"]) * dt + sub["scale"] * dw[..., 0]
         dy2 = np.sqrt(kappa) * _expect(rho, ctx["herm_i"]) * dt + sub["scale"] * dw[..., 1]
-        return _renorm(rho2), np.stack([dy1, dy2], axis=-1)
+        return _renormalize(rho2), np.stack([dy1, dy2], axis=-1)
 
     raise ValueError(f"unknown mode {mode!r} (use 'homodyne' or 'heterodyne')")
 

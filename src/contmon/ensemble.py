@@ -2,24 +2,13 @@
 
 Reproducibility contract: every trajectory owns a counter-based Philox
 substream keyed by (master_seed, trajectory_index) and consumes a fixed number
-of variates per step (documented per scenario kind below), so results are
+of variates per step (see below), so results are
 bit-identical for any worker count.  Blocks of trajectories are stepped in
 vectorized form; block partials are reduced in index order.
 
-Variates drawn per step and trajectory:
-
-=====================  =========================================
-scenario kind          draws per step
-=====================  =========================================
-jump / jump_kraus /
-jump_feedback /
-jump_sse               1 uniform (click decision)
-linear_jump            1 uniform (ostensible click decision)
-homodyne family        1 normal, or 1 uniform in two-point mode
-heterodyne family      2 normals (or 2 uniforms)
-linear_homodyne        1 normal (ostensible current)
-gaussian               one normal per monitored current
-=====================  =========================================
+Variates drawn per step and trajectory: ``KINDS[kind].draws`` for each
+Hilbert-space kind (uniforms for click kinds and in two-point mode, normals
+otherwise), and one normal per monitored current for Gaussian runs.
 """
 
 from __future__ import annotations
@@ -27,43 +16,27 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import diffusive, jump
-from .core_ops import dagger, min_eigenvalue, trace
-from .gaussian import GaussianModel, GaussianState, conditional_cov_rhs
+from .core_ops import dagger, min_eigenvalue, rk4_step, trace
+from .gaussian import GaussianModel, _sym, conditional_cov_rhs
 from .jump import WeightedState
-from .master_equation import OpenSystemModel, StepSizeError
+from .master_equation import OpenSystemModel
 
 __all__ = [
     "EnsembleSpec",
     "Scenario",
     "EnsembleStats",
+    "KINDS",
     "ComparisonReport",
     "PhysicalityError",
     "trajectory_rng",
     "run_ensemble",
     "compare_to_me",
 ]
-
-HILBERT_KINDS = {
-    "jump",
-    "jump_sse",
-    "jump_kraus",
-    "jump_feedback",
-    "linear_jump",
-    "homodyne",
-    "homodyne_kraus",
-    "heterodyne",
-    "homodyne_feedback",
-    "generalized_homodyne",
-    "generalized_heterodyne",
-    "linear_homodyne",
-}
-LINEAR_KINDS = {"linear_jump", "linear_homodyne"}
-JUMP_KINDS = {"jump", "jump_sse", "jump_kraus", "jump_feedback", "linear_jump"}
-TWO_NOISE_KINDS = {"heterodyne", "generalized_heterodyne"}
 
 MIN_EIG_THRESHOLD = -1e-12
 ESS_WARN_FRACTION = 0.01
@@ -138,8 +111,7 @@ class Scenario:
     beta_ost: float = 1.0
 
     def __post_init__(self):
-        known = HILBERT_KINDS | {"gaussian"}
-        if self.kind not in known:
+        if self.kind not in KINDS and self.kind != "gaussian":
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.kind == "jump_feedback" and isinstance(self.model, OpenSystemModel):
             if self.model.efficiency != 1.0:
@@ -173,22 +145,6 @@ def _noise_matrix(master_seed, lo, hi, count, law):
     return out
 
 
-def _noise_law(spec: EnsembleSpec, kind: str) -> str:
-    if kind in JUMP_KINDS:
-        return "uniform"
-    if spec.noise == "two_point":
-        return "uniform"
-    return "normal"
-
-
-def _draws_per_step(scenario: Scenario) -> int:
-    if scenario.kind in TWO_NOISE_KINDS:
-        return 2
-    if scenario.kind == "gaussian":
-        return scenario.model.n_currents
-    return 1
-
-
 def _to_wiener(spec: EnsembleSpec, z: np.ndarray) -> np.ndarray:
     """Map raw variates to Wiener increments for diffusive kinds."""
     root = np.sqrt(spec.dt)
@@ -198,12 +154,12 @@ def _to_wiener(spec: EnsembleSpec, z: np.ndarray) -> np.ndarray:
 
 
 def _hilbert_observables(kind, state, observables):
-    if kind == "jump_sse":
+    if kind.pure:
         psi = state
         return [
             np.einsum("bi,ij,bj->b", np.conj(psi), op, psi).real for _, op in observables
         ], None
-    if kind in LINEAR_KINDS:
+    if kind.linear:
         # weighted traces tr(rho_bar A) = w * <A>; no division, so zero-weight
         # paths (ostensible clicks from a dark state) stay harmless
         rho_bar = state
@@ -219,12 +175,12 @@ def _check_physical(kind, state, step):
     arr = np.asarray(state)
     if not np.all(np.isfinite(arr)):
         raise PhysicalityError(step, "non-finite state entries")
-    if kind == "jump_sse" or arr.ndim < 3:
+    if kind.pure or arr.ndim < 3:
         return
     herm = float(np.max(np.abs(arr - dagger(arr))))
     if herm > 1e-8:
         raise PhysicalityError(step, f"hermiticity defect {herm:.3e}")
-    if kind not in LINEAR_KINDS:
+    if not kind.linear:
         tr_defect = float(np.max(np.abs(trace(arr) - 1.0)))
         if tr_defect > 1e-8:
             raise PhysicalityError(step, f"trace defect {tr_defect:.3e}")
@@ -233,107 +189,119 @@ def _check_physical(kind, state, step):
             raise PhysicalityError(step, f"state collapsed, min eigenvalue {w_min:.3e}")
 
 
-def _advance_hilbert(spec: EnsembleSpec, scenario: Scenario, state, z):
-    """One vectorized step; returns (state', record_row or None)."""
-    kind, model, dt = scenario.kind, scenario.model, spec.dt
-    if kind == "jump":
-        p = jump.jump_probability(state, model, dt)
-        _sanity(p)
-        dn = z[:, 0] < p
-        return jump.jump_sme_apply(state, model, dt, dn), dn
-    if kind == "jump_kraus":
-        p = jump.jump_probability(state, model, dt)
-        _sanity(p)
-        dn = z[:, 0] < p
-        return jump.jump_kraus_apply(state, model, dt, dn), dn
-    if kind == "jump_feedback":
-        p = jump.jump_probability(state, model, dt)
-        _sanity(p)
-        dn = z[:, 0] < p
-        return jump.jump_feedback_apply(state, model, scenario.feedback_operator, dt, dn), dn
-    if kind == "jump_sse":
-        kappa, c = model.single_channel()
-        cdc = dagger(c) @ c
-        ex = np.einsum("bi,ij,bj->b", np.conj(state), cdc, state).real
-        p = model.efficiency * kappa * ex * dt
-        _sanity(p)
-        dn = z[:, 0] < p
-        return jump.jump_sse_apply(state, model, dt, dn), dn
-    if kind == "linear_jump":
-        kappa, _ = model.single_channel()
-        p_ost = model.efficiency * kappa * scenario.beta_ost * dt
-        dn = z[:, 0] < p_ost
-        new = jump.linear_jump_step(WeightedState(state), model, dt, dn, scenario.beta_ost)
-        return new.rho_bar, dn
-    if kind == "homodyne":
-        dw = _to_wiener(spec, z[:, 0])
-        rho, dy = diffusive.homodyne_sme_step(state, model, dt, dw)
-        return rho, dy
-    if kind == "homodyne_kraus":
-        dw = _to_wiener(spec, z[:, 0])
-        rho, dy = diffusive.homodyne_kraus_step(state, model, dt, dw)
-        return rho, dy
-    if kind == "homodyne_feedback":
-        dw = _to_wiener(spec, z[:, 0])
-        rho, dy = diffusive.homodyne_feedback_step(
-            state, model, scenario.feedback_operator, dt, dw
-        )
-        return rho, dy
-    if kind == "heterodyne":
-        dw = _to_wiener(spec, z)
-        rho, dy1, dy2 = diffusive.heterodyne_sme_step(state, model, dt, dw[:, 0], dw[:, 1])
-        return rho, np.stack([dy1, dy2], axis=-1)
-    if kind == "generalized_homodyne":
-        dw = _to_wiener(spec, z[:, 0])
-        rho, dy = diffusive.generalized_bath_homodyne_step(state, model, dt, dw)
-        return rho, dy
-    if kind == "generalized_heterodyne":
-        dw = _to_wiener(spec, z)
-        rho, dy = diffusive.generalized_bath_homodyne_step(state, model, dt, dw, mode="heterodyne")
-        return rho, dy
-    if kind == "linear_homodyne":
-        kappa, _ = model.single_channel()
-        dw = _to_wiener(spec, z[:, 0])
-        dy = np.sqrt(kappa) * scenario.mu * dt + dw
-        new = diffusive.linear_homodyne_step(
-            WeightedState(state), model, dt, dy, scenario.mu
-        )
-        return new.rho_bar, dy
-    raise ValueError(f"unhandled kind {kind!r}")
+@dataclass(frozen=True)
+class Kind:
+    """What the ensemble layer needs to know about one Hilbert-space kind.
+
+    ``step(scenario, state, dt, x)`` advances the block and returns
+    (state', record row); ``x`` is the step's uniform variates for click
+    kinds and its Wiener increments otherwise, one column per draw (a vector
+    when ``draws`` is 1).  Click kinds record ``uint8`` outcomes; ``linear``
+    kinds carry unnormalized states with weighted statistics; ``pure`` kinds
+    step state vectors and skip the positivity checks.
+    """
+
+    step: Callable
+    draws: int = 1
+    clicks: bool = False
+    linear: bool = False
+    pure: bool = False
 
 
-def _sanity(p):
-    pmax = float(np.max(p))
-    if pmax >= jump.JUMP_PROBABILITY_LIMIT:
-        raise StepSizeError(
-            f"jump probability per step {pmax:.3g} >= {jump.JUMP_PROBABILITY_LIMIT}"
+# The steppers are looked up through the module attributes ``jump`` and
+# ``diffusive`` at call time, so a stand-in module set there sees every call.
+
+
+def _jump(sc, rho, dt, u):
+    dn = jump.click_outcomes(jump.jump_probability(rho, sc.model, dt), u)
+    return jump.jump_sme_apply(rho, sc.model, dt, dn), dn
+
+
+def _jump_kraus(sc, rho, dt, u):
+    dn = jump.click_outcomes(jump.jump_probability(rho, sc.model, dt), u)
+    return jump.jump_kraus_apply(rho, sc.model, dt, dn), dn
+
+
+def _jump_feedback(sc, rho, dt, u):
+    dn = jump.click_outcomes(jump.jump_probability(rho, sc.model, dt), u)
+    return jump.jump_feedback_apply(rho, sc.model, sc.feedback_operator, dt, dn), dn
+
+
+def _jump_sse(sc, psi, dt, u):
+    dn = jump.click_outcomes(jump.sse_jump_probability(psi, sc.model, dt), u)
+    return jump.jump_sse_apply(psi, sc.model, dt, dn), dn
+
+
+def _linear_jump(sc, rho_bar, dt, u):
+    kappa, _ = sc.model.single_channel()
+    dn = u < sc.model.efficiency * kappa * sc.beta_ost * dt
+    new = jump.linear_jump_step(WeightedState(rho_bar), sc.model, dt, dn, sc.beta_ost)
+    return new.rho_bar, dn
+
+
+def _heterodyne(sc, rho, dt, dw):
+    rho, dy1, dy2 = diffusive.heterodyne_sme_step(rho, sc.model, dt, dw[:, 0], dw[:, 1])
+    return rho, np.stack([dy1, dy2], axis=-1)
+
+
+def _linear_homodyne(sc, rho_bar, dt, dw):
+    kappa, _ = sc.model.single_channel()
+    dy = np.sqrt(kappa) * sc.mu * dt + dw
+    new = diffusive.linear_homodyne_step(WeightedState(rho_bar), sc.model, dt, dy, sc.mu)
+    return new.rho_bar, dy
+
+
+KINDS = {
+    "jump": Kind(_jump, clicks=True),
+    "jump_kraus": Kind(_jump_kraus, clicks=True),
+    "jump_feedback": Kind(_jump_feedback, clicks=True),
+    "jump_sse": Kind(_jump_sse, clicks=True, pure=True),
+    "linear_jump": Kind(_linear_jump, clicks=True, linear=True),
+    "homodyne": Kind(
+        lambda sc, rho, dt, dw: diffusive.homodyne_sme_step(rho, sc.model, dt, dw)
+    ),
+    "homodyne_kraus": Kind(
+        lambda sc, rho, dt, dw: diffusive.homodyne_kraus_step(rho, sc.model, dt, dw)
+    ),
+    "heterodyne": Kind(_heterodyne, draws=2),
+    "homodyne_feedback": Kind(
+        lambda sc, rho, dt, dw: diffusive.homodyne_feedback_step(
+            rho, sc.model, sc.feedback_operator, dt, dw
         )
+    ),
+    "generalized_homodyne": Kind(
+        lambda sc, rho, dt, dw: diffusive.generalized_bath_homodyne_step(rho, sc.model, dt, dw)
+    ),
+    "generalized_heterodyne": Kind(
+        lambda sc, rho, dt, dw: diffusive.generalized_bath_homodyne_step(
+            rho, sc.model, dt, dw, mode="heterodyne"
+        ),
+        draws=2,
+    ),
+    "linear_homodyne": Kind(_linear_homodyne, linear=True),
+}
 
 
 def _gaussian_paths(spec: EnsembleSpec, scenario: Scenario):
-    """Deterministic covariance path shared by all trajectories, plus the
-    per-step mean-update matrices."""
+    """Deterministic conditional covariance path shared by all trajectories."""
     model: GaussianModel = scenario.model
-    state0: GaussianState = scenario.initial_state
-    n_steps, dt = spec.n_steps, spec.dt
-    cov = state0.cov.copy()
-    covs = np.empty((n_steps + 1,) + cov.shape)
+    cov = scenario.initial_state.cov.copy()
+    covs = np.empty((spec.n_steps + 1,) + cov.shape)
     covs[0] = cov
-    for k in range(n_steps):
-        k1 = conditional_cov_rhs(model, cov)
-        k2 = conditional_cov_rhs(model, cov + 0.5 * dt * k1)
-        k3 = conditional_cov_rhs(model, cov + 0.5 * dt * k2)
-        k4 = conditional_cov_rhs(model, cov + dt * k3)
-        cov = cov + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        cov = 0.5 * (cov + cov.T)
+    for k in range(spec.n_steps):
+        cov = _sym(rk4_step(lambda c: conditional_cov_rhs(model, c), cov, spec.dt))
         covs[k + 1] = cov
     return covs
 
 
 def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     n_steps = spec.n_steps
-    per_step = _draws_per_step(scenario)
-    law = _noise_law(spec, scenario.kind) if scenario.kind != "gaussian" else "normal"
+    if scenario.kind == "gaussian":
+        per_step, law = scenario.model.n_currents, "normal"
+    else:
+        kind = KINDS[scenario.kind]
+        per_step = kind.draws
+        law = "uniform" if kind.clicks or spec.noise == "two_point" else "normal"
     noise = _noise_matrix(spec.master_seed, lo, hi, n_steps * per_step, law)
     nblk = hi - lo
     n_obs = len(spec.observables)
@@ -347,7 +315,6 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     w2x2 = np.zeros((n_steps + 1, n_obs))
     min_eig = np.inf
     violations = 0
-    linear = scenario.kind in LINEAR_KINDS
     states_out = None
     records = None
 
@@ -405,16 +372,14 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
         states_out = np.empty((nblk, n_steps + 1) + state0.shape, dtype=complex)
         states_out[:, 0] = state
     if spec.store_records:
-        rec_width = per_step if scenario.kind in TWO_NOISE_KINDS else 1
-        rec_dtype = np.uint8 if scenario.kind in JUMP_KINDS else float
         records = np.empty(
-            (nblk, n_steps, rec_width) if rec_width > 1 else (nblk, n_steps),
-            dtype=rec_dtype,
+            (nblk, n_steps) + ((per_step,) if per_step > 1 else ()),
+            dtype=np.uint8 if kind.clicks else float,
         )
 
     def record_stats(k):
-        vals, w = _hilbert_observables(scenario.kind, state, spec.observables)
-        if linear:
+        vals, w = _hilbert_observables(kind, state, spec.observables)
+        if kind.linear:
             # vals[j] holds the weighted traces w * x
             wsum[k] += w.sum()
             w2sum[k] += (w * w).sum()
@@ -430,11 +395,12 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     record_stats(0)
     for k in range(n_steps):
         z = noise[:, k * per_step : (k + 1) * per_step]
-        state, rec_row = _advance_hilbert(spec, scenario, state, z)
-        if records is not None and rec_row is not None:
+        x = z if kind.clicks else _to_wiener(spec, z)
+        state, rec_row = kind.step(scenario, state, spec.dt, x if per_step > 1 else x[:, 0])
+        if records is not None:
             records[:, k] = rec_row
-        if spec.track_min_eigenvalue and scenario.kind != "jump_sse":
-            if linear:
+        if spec.track_min_eigenvalue and not kind.pure:
+            if kind.linear:
                 w = trace(state).real
                 arr = state / np.where(w <= 0.0, 1.0, w)[:, None, None]
             else:
@@ -444,7 +410,7 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
             min_eig = min(min_eig, m_eig)
             violations += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
         if spec.validate_every and (k + 1) % spec.validate_every == 0:
-            _check_physical(scenario.kind, state, k)
+            _check_physical(kind, state, k)
         record_stats(k + 1)
         if states_out is not None:
             states_out[:, k + 1] = state
@@ -464,7 +430,7 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     """
     if scenario.kind == "gaussian" and not isinstance(scenario.model, GaussianModel):
         raise ValueError("gaussian scenario needs a GaussianModel")
-    if spec.noise == "two_point" and (scenario.kind in JUMP_KINDS or scenario.kind == "gaussian"):
+    if spec.noise == "two_point" and (scenario.kind == "gaussian" or KINDS[scenario.kind].clicks):
         raise ValueError("two-point noise applies to diffusive Hilbert-space unravellings only")
     shared = {}
     if scenario.kind == "gaussian":
@@ -495,9 +461,8 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     n = spec.n_traj
 
     means, ses = {}, {}
-    linear = scenario.kind in LINEAR_KINDS
     ess = None
-    if linear:
+    if scenario.kind != "gaussian" and KINDS[scenario.kind].linear:
         wsum, w2sum = tot["wsum"], tot["w2sum"]
         # a fully collapsed ensemble (all ostensible paths annihilated) has no
         # estimate at all: NaN means, zero effective sample size

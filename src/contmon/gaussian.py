@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core_ops import rk4_step
+
 __all__ = [
     "GaussianModel",
     "GaussianState",
@@ -201,14 +203,6 @@ def conditional_cov_rhs(model: GaussianModel, cov: np.ndarray) -> np.ndarray:
     return _sym(model.A @ cov + cov @ model.A.T + model.D - gain @ gain.T)
 
 
-def _rk4_cov(model: GaussianModel, cov: np.ndarray, dt: float) -> np.ndarray:
-    k1 = conditional_cov_rhs(model, cov)
-    k2 = conditional_cov_rhs(model, cov + 0.5 * dt * k1)
-    k3 = conditional_cov_rhs(model, cov + 0.5 * dt * k2)
-    k4 = conditional_cov_rhs(model, cov + dt * k3)
-    return _sym(cov + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
 def conditional_step(
     state: GaussianState,
     model: GaussianModel,
@@ -229,7 +223,7 @@ def conditional_step(
     mean = state.mean + model.A @ state.mean * dt + gain @ dw / np.sqrt(2.0)
     if drive is not None:
         mean = mean + np.asarray(drive, dtype=float) * dt
-    cov = _rk4_cov(model, state.cov, dt)
+    cov = _sym(rk4_step(lambda c: conditional_cov_rhs(model, c), state.cov, dt))
     dy = -np.sqrt(2.0) * model.B.T @ state.mean * dt + dw
     return GaussianState(mean, cov), dy
 

@@ -28,6 +28,8 @@ __all__ = [
     "WeightedState",
     "DarkStateJumpError",
     "jump_probability",
+    "sse_jump_probability",
+    "click_outcomes",
     "jump_sme_step",
     "jump_sme_apply",
     "jump_sse_step",
@@ -96,26 +98,51 @@ _CTX: "weakref.WeakKeyDictionary[OpenSystemModel, dict]" = weakref.WeakKeyDictio
 
 
 def _ctx(model: OpenSystemModel) -> dict:
-    """Cached per-model operator products for the jump steppers."""
+    """Cached per-model operator products of the monitored channel, shared by
+    the jump and the diffusive steppers.  ``ceff`` is c e^{i theta} for the
+    local-oscillator phase theta; steppers add their own entries on demand."""
     ctx = _CTX.get(model)
     if ctx is None:
-        if not model.bath.is_vacuum:
-            raise ValueError("jump unravelling is defined for vacuum baths only")
         kappa, c = model.single_channel()
         h = model.constant_hamiltonian()
+        theta = model.homodyne_phase
+        ceff = c if theta == 0.0 else c * np.exp(1j * theta)
         cd = np.ascontiguousarray(dagger(c))
-        cdc = cd @ c
+        ceff_d = np.ascontiguousarray(dagger(ceff))
         ctx = {
             "kappa": kappa,
             "c": c,
             "cd": cd,
-            "cdc": cdc,
+            "cdc": cd @ c,
+            "ceff": ceff,
+            "ceff_d": ceff_d,
+            "herm": ceff + ceff_d,
+            "herm_i": 1j * ceff + dagger(1j * ceff),
+            "ceff_i": 1j * ceff,
+            "ceff_i_d": -1j * ceff_d,
+            "root": np.sqrt(model.efficiency * kappa),
             "h": h,
             "h_zero": not np.any(h),
             "eye": np.eye(model.dim, dtype=complex),
         }
         _CTX[model] = ctx
     return ctx
+
+
+def _vacuum_ctx(model: OpenSystemModel) -> dict:
+    if not model.bath.is_vacuum:
+        raise ValueError("jump unravelling is defined for vacuum baths only")
+    return _ctx(model)
+
+
+def _no_click_kraus(ctx, dt: float):
+    """Cached M0 = 1 - iH dt - (kappa/2) c^dag c dt and M0^dag."""
+    key = ("m0", dt)
+    pair = ctx.get(key)
+    if pair is None:
+        m0 = ctx["eye"] - 1j * ctx["h"] * dt - (ctx["kappa"] / 2.0) * ctx["cdc"] * dt
+        pair = ctx[key] = (m0, np.ascontiguousarray(dagger(m0)))
+    return pair
 
 
 def _expect(rho: np.ndarray, op: np.ndarray):
@@ -150,16 +177,29 @@ def _select_clicked(no_click, rho, dn, rate, sandwich):
 
 def jump_probability(rho: np.ndarray, model: OpenSystemModel, dt: float):
     """Click probability eta kappa <c^dag c> dt for the coming step."""
-    ctx = _ctx(model)
+    ctx = _vacuum_ctx(model)
     return model.efficiency * ctx["kappa"] * _expect(rho, ctx["cdc"]) * dt
 
 
-def _check_step_sanity(p):
+def sse_jump_probability(psi: np.ndarray, model: OpenSystemModel, dt: float):
+    """Click probability eta kappa <psi|c^dag c|psi> dt of a pure state."""
+    ctx = _vacuum_ctx(model)
+    ex = np.einsum("...i,ij,...j->...", np.conj(psi), ctx["cdc"], psi).real
+    return model.efficiency * ctx["kappa"] * ex * dt
+
+
+def click_outcomes(p, u):
+    """Click outcomes dN = [u < p] for the click probability ``p`` of the
+    coming step.  ``u`` holds the step's uniform variates, or is the generator
+    to draw them from (one per trajectory, after the step-size check)."""
     pmax = float(np.max(p))
     if pmax >= JUMP_PROBABILITY_LIMIT:
         raise StepSizeError(
             f"jump probability per step {pmax:.3g} >= {JUMP_PROBABILITY_LIMIT}; reduce dt"
         )
+    if isinstance(u, np.random.Generator):
+        u = u.random(np.shape(p)) if np.ndim(p) else u.random()
+    return u < p
 
 
 def _sandwich(a: np.ndarray, rho: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,7 +240,7 @@ def jump_sme_apply(rho: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np
         -i[H, rho] dt - (eta kappa / 2) H[c^dag c] rho dt + (1-eta) kappa D[c] rho dt.
     Click: rho -> c rho c^dag / <c^dag c> (dt * dN cross terms dropped).
     """
-    ctx = _ctx(model)
+    ctx = _vacuum_ctx(model)
     c, cd = ctx["c"], ctx["cd"]
     rho = np.asarray(rho, dtype=complex)
     no_click, rate = _sme_no_click(ctx, rho, model.efficiency, dt)
@@ -209,10 +249,7 @@ def jump_sme_apply(rho: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np
 
 def jump_sme_step(rho, model: OpenSystemModel, dt: float, rng: np.random.Generator):
     """Sample dN (P(dN=1) = eta kappa <c^dag c> dt) and apply the SME update."""
-    p = jump_probability(rho, model, dt)
-    _check_step_sanity(p)
-    u = rng.random(np.shape(p)) if np.ndim(p) else rng.random()
-    dn = u < p
+    dn = click_outcomes(jump_probability(rho, model, dt), rng)
     return jump_sme_apply(rho, model, dt, dn), dn
 
 
@@ -224,7 +261,7 @@ def jump_sse_apply(psi: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np
     """
     if model.efficiency != 1.0:
         raise ValueError("the SSE is defined for unit detection efficiency")
-    ctx = _ctx(model)
+    ctx = _vacuum_ctx(model)
     kappa, c, cdc, h = ctx["kappa"], ctx["c"], ctx["cdc"], ctx["h"]
     psi = np.asarray(psi, dtype=complex)
     dn = np.asarray(dn, dtype=bool)
@@ -249,13 +286,8 @@ def jump_sse_apply(psi: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np
 
 def jump_sse_step(psi, model: OpenSystemModel, dt: float, rng: np.random.Generator):
     """Sample dN on the pure state and apply the SSE update."""
-    ctx = _ctx(model)
     psi = np.asarray(psi, dtype=complex)
-    ex = np.einsum("...i,ij,...j->...", np.conj(psi), ctx["cdc"], psi).real
-    p = model.efficiency * ctx["kappa"] * ex * dt
-    _check_step_sanity(p)
-    u = rng.random(np.shape(p)) if np.ndim(p) else rng.random()
-    dn = u < p
+    dn = click_outcomes(sse_jump_probability(psi, model, dt), rng)
     return jump_sse_apply(psi, model, dt, dn), dn
 
 
@@ -278,7 +310,7 @@ def linear_jump_step(
         raise ValueError("ostensible rate beta must be > 0")
     if model.efficiency != 1.0:
         raise ValueError("linear jump trajectories assume unit efficiency")
-    ctx = _ctx(model)
+    ctx = _vacuum_ctx(model)
     kappa, c, cd, cdc = ctx["kappa"], ctx["c"], ctx["cd"], ctx["cdc"]
     rb = np.asarray(state.rho_bar, dtype=complex)
     dn = np.asarray(dn, dtype=bool)
@@ -302,32 +334,23 @@ def jump_kraus_apply(rho: np.ndarray, model: OpenSystemModel, dt: float, dn) -> 
     decay folded in as the sandwich kappa (1-eta) c rho c^dag dt; a click
     applies M1 = sqrt(eta kappa dt) c.  Both branches renormalize.
     """
-    ctx = _ctx(model)
-    kappa, c, cd, cdc, h = ctx["kappa"], ctx["c"], ctx["cd"], ctx["cdc"], ctx["h"]
+    ctx = _vacuum_ctx(model)
+    kappa, c, cd = ctx["kappa"], ctx["c"], ctx["cd"]
     eta = model.efficiency
     rho = np.asarray(rho, dtype=complex)
 
-    key = ("m0", dt)
-    m0 = ctx.get(key)
-    if m0 is None:
-        m0 = ctx["eye"] - 1j * h * dt - (kappa / 2.0) * cdc * dt
-        ctx[key] = m0
-        ctx[("m0d", dt)] = np.ascontiguousarray(dagger(m0))
-    m0d = ctx[("m0d", dt)]
+    m0, m0d = _no_click_kraus(ctx, dt)
     numer = _sandwich(m0, rho, m0d)
     if eta != 1.0:
         numer = numer + ((1.0 - eta) * kappa * dt) * _sandwich(c, rho, cd)
     no_click = _renormalize(numer)
-    rate = _expect(rho, cdc)
+    rate = _expect(rho, ctx["cdc"])
     return _select_clicked(no_click, rho, dn, rate, lambda r: _sandwich(c, r, cd))
 
 
 def jump_kraus_step(rho, model: OpenSystemModel, dt: float, rng: np.random.Generator):
     """Sample dN with the same law as the SME stepper, apply the Kraus update."""
-    p = jump_probability(rho, model, dt)
-    _check_step_sanity(p)
-    u = rng.random(np.shape(p)) if np.ndim(p) else rng.random()
-    dn = u < p
+    dn = click_outcomes(jump_probability(rho, model, dt), rng)
     return jump_kraus_apply(rho, model, dt, dn), dn
 
 
@@ -353,7 +376,7 @@ def jump_feedback_apply(
     The no-click branch is the eta = 1 SME branch (the only case derived)."""
     if model.efficiency != 1.0:
         raise ValueError("jump feedback requires unit efficiency")
-    ctx = _ctx(model)
+    ctx = _vacuum_ctx(model)
     uc = feedback_unitary(f_op) @ ctx["c"]
     ucd = np.ascontiguousarray(dagger(uc))
     rho = np.asarray(rho, dtype=complex)
@@ -365,8 +388,5 @@ def jump_feedback_step(
     rho, model: OpenSystemModel, f_op: np.ndarray, dt: float, rng: np.random.Generator
 ):
     """Sample dN (feedback leaves the click probability unchanged) and update."""
-    p = jump_probability(rho, model, dt)
-    _check_step_sanity(p)
-    u = rng.random(np.shape(p)) if np.ndim(p) else rng.random()
-    dn = u < p
+    dn = click_outcomes(jump_probability(rho, model, dt), rng)
     return jump_feedback_apply(rho, model, f_op, dt, dn), dn

@@ -22,6 +22,7 @@ from .core_ops import (
     dissipator,
     ensure_density_matrix,
     is_hermitian,
+    rk4_step,
     trace,
 )
 
@@ -345,15 +346,10 @@ def integrate_me(
     out[0] = rho0
     rho = rho0
     if stepper == "rk4":
-        rhs = generalized_bath_me_rhs
         for i, t in enumerate(t_grid[:-1]):
             # H is piecewise constant: sample it at the step start for every
             # stage (exact when schedule breakpoints sit on grid points)
-            k1 = rhs(model, rho, t)
-            k2 = rhs(model, rho + 0.5 * dt * k1, t)
-            k3 = rhs(model, rho + 0.5 * dt * k2, t)
-            k4 = rhs(model, rho + dt * k3, t)
-            new = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            new = rk4_step(lambda r: generalized_bath_me_rhs(model, r, t), rho, dt)
             drift = abs(trace(new) - trace(rho))
             if drift > TRACE_DRIFT_LIMIT:
                 raise StepSizeError(

@@ -241,6 +241,14 @@ def test_me_preset_matches_analytic(tmp_path):
     ("block_size", 0),
     ("dt", float("nan")),
     ("validate_every", -1),
+    # JSON booleans are not numbers, although Python's bool subclasses int
+    ("n_traj", True),
+    ("seed", True),
+    ("block_size", True),
+    ("threads", True),
+    ("validate_every", False),
+    ("dt", True),
+    ("t_final", True),
 ])
 def test_cli_rejects_bad_run_block(tmp_path, capsys, field, value):
     doc = json.loads(json.dumps(MINIMAL))

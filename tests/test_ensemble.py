@@ -10,6 +10,7 @@ from contmon import (
 )
 from contmon.diffusive import homodyne_kraus_step, homodyne_sme_step
 from contmon.ensemble import (
+    KINDS,
     EnsembleSpec,
     PhysicalityError,
     Scenario,
@@ -113,12 +114,28 @@ def test_single_trajectory_bit_for_bit_gaussian():
     np.testing.assert_allclose(stats.means["q"], np.array(manual_q), rtol=0, atol=1e-15)
 
 
-def test_thread_count_invariance(qubit_ops, decay_model, excited):
-    kw = dict(n_traj=300, block_size=64)
-    s1 = run_ensemble(qubit_spec(qubit_ops, threads=1, **kw), Scenario("jump", decay_model, excited))
-    s8 = run_ensemble(qubit_spec(qubit_ops, threads=8, **kw), Scenario("jump", decay_model, excited))
+def kind_scenario(kind, qubit_ops):
+    """A driven decaying qubit set up for ``kind``: a thermal bath for the
+    generalized kinds, a feedback operator for the feedback kinds, |e> as a
+    state vector for the SSE."""
+    bath = BathSpec(n_thermal=0.5) if kind.startswith("generalized") else BathSpec()
+    model = OpenSystemModel(0.3 * qubit_ops["sigma_x"], [(1.0, qubit_ops["sigma_minus"])],
+                            bath=bath)
+    state0 = np.array([1.0, 0.0], dtype=complex)
+    if kind != "jump_sse":
+        state0 = np.outer(state0, state0)
+    f_op = 0.4 * qubit_ops["sigma_x"] if kind.endswith("feedback") else None
+    return Scenario(kind, model, state0, feedback_operator=f_op, mu=0.2, beta_ost=0.8)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_thread_count_invariance(qubit_ops, kind):
+    kw = dict(n_traj=150, block_size=64, t_final=0.1, store_records=True)
+    s1 = run_ensemble(qubit_spec(qubit_ops, threads=1, **kw), kind_scenario(kind, qubit_ops))
+    s8 = run_ensemble(qubit_spec(qubit_ops, threads=8, **kw), kind_scenario(kind, qubit_ops))
     np.testing.assert_array_equal(s1.means["rho_ee"], s8.means["rho_ee"])
     np.testing.assert_array_equal(s1.std_errs["rho_ee"], s8.std_errs["rho_ee"])
+    np.testing.assert_array_equal(s1.records, s8.records)
 
 
 def test_se_scaling(qubit_ops, decay_model, excited):
@@ -343,14 +360,76 @@ def test_physicality_abort(qubit_ops, excited):
     assert err.value.step >= 0
 
 
-def test_records_storage(qubit_ops, decay_model, excited):
-    spec = qubit_spec(qubit_ops, n_traj=20, store_records=True)
-    stats = run_ensemble(spec, Scenario("jump", decay_model, excited))
-    assert stats.records.shape == (20, spec.n_steps)
-    assert stats.records.dtype == np.uint8
-    spec2 = qubit_spec(qubit_ops, n_traj=20, store_records=True)
-    stats2 = run_ensemble(spec2, Scenario("heterodyne", decay_model, excited))
-    assert stats2.records.shape == (20, spec2.n_steps, 2)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_records_storage(qubit_ops, kind):
+    spec = qubit_spec(qubit_ops, n_traj=20, t_final=0.05, store_records=True)
+    stats = run_ensemble(spec, kind_scenario(kind, qubit_ops))
+    if "jump" in kind:  # click outcomes
+        assert stats.records.shape == (20, spec.n_steps)
+        assert stats.records.dtype == np.uint8
+        assert set(np.unique(stats.records)) <= {0, 1}
+    elif kind.endswith("heterodyne"):  # two currents
+        assert stats.records.shape == (20, spec.n_steps, 2)
+        assert stats.records.dtype == float
+    else:
+        assert stats.records.shape == (20, spec.n_steps)
+        assert stats.records.dtype == float
+
+
+# the ensemble-layer entry points of each kind: one call per step and block
+STEPPERS = {
+    "jump": ("jump_probability", "click_outcomes", "jump_sme_apply"),
+    "jump_kraus": ("jump_probability", "click_outcomes", "jump_kraus_apply"),
+    "jump_feedback": ("jump_probability", "click_outcomes", "jump_feedback_apply"),
+    "jump_sse": ("sse_jump_probability", "click_outcomes", "jump_sse_apply"),
+    "linear_jump": ("linear_jump_step",),
+    "homodyne": ("homodyne_sme_step",),
+    "homodyne_kraus": ("homodyne_kraus_step",),
+    "heterodyne": ("heterodyne_sme_step",),
+    "homodyne_feedback": ("homodyne_feedback_step",),
+    "generalized_homodyne": ("generalized_bath_homodyne_step",),
+    "generalized_heterodyne": ("generalized_bath_homodyne_step",),
+    "linear_homodyne": ("linear_homodyne_step",),
+}
+
+
+class CountingModule:
+    """Stands in for a module: its public functions count their calls."""
+
+    def __init__(self, module, counts):
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if callable(fn) and not isinstance(fn, type):
+                setattr(self, name, self._counted(name, fn, counts))
+        self._module = module
+
+    @staticmethod
+    def _counted(name, fn, counts):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_steppers_called_through_module_attributes(qubit_ops, kind, monkeypatch):
+    # a profiler that swaps ensemble.jump / ensemble.diffusive for wrapped
+    # modules must see every stepper call, so the steps may not bind them early
+    from collections import Counter
+
+    from contmon import diffusive, ensemble, jump
+
+    counts = Counter()
+    monkeypatch.setattr(ensemble, "jump", CountingModule(jump, counts))
+    monkeypatch.setattr(ensemble, "diffusive", CountingModule(diffusive, counts))
+    spec = qubit_spec(qubit_ops, n_traj=10, t_final=0.005, block_size=4)
+    run_ensemble(spec, kind_scenario(kind, qubit_ops))
+    n_blocks = -(-spec.n_traj // spec.block_size)
+    assert STEPPERS.keys() == KINDS.keys()
+    assert dict(counts) == {name: n_blocks * spec.n_steps for name in STEPPERS[kind]}
 
 
 def test_two_point_mode_matches_gaussian_in_mean(qubit_ops, decay_model, excited):
