@@ -192,6 +192,11 @@ def parse_config(text: str) -> ScenarioConfig:
     ):
         ctx.err("$.system.initial_state", "boson supports 'vacuum' or {'fock': n}")
         init = "vacuum"
+    if kind == "boson" and isinstance(init, dict):
+        level = init["fock"]
+        if not _is_int(level) or not 0 <= level < norm_system["dim"]:
+            ctx.err("$.system.initial_state.fock", "must be an integer in [0, dim - 1]")
+            init = "vacuum"
     if kind == "gaussian" and init != "vacuum":
         ctx.err("$.system.initial_state", "gaussian systems start from 'vacuum'")
         init = "vacuum"
@@ -209,14 +214,17 @@ def parse_config(text: str) -> ScenarioConfig:
         if "opo" in model:
             opo = model["opo"]
             if ctx.check_keys("$.model.opo", opo, {"chi", "kappa", "eta"}):
-                norm_model["opo"] = {
-                    "chi": float(opo.get("chi", 0.0)),
-                    "kappa": float(opo.get("kappa", 1.0)),
-                    "eta": float(opo.get("eta", 1.0)),
-                }
-                if norm_model["opo"]["kappa"] <= 0:
+                entry = {}
+                for name, default in (("chi", 0.0), ("kappa", 1.0), ("eta", 1.0)):
+                    value = opo.get(name, default)
+                    if not _is_number(value) or not math.isfinite(value):
+                        ctx.err(f"$.model.opo.{name}", "must be a finite number")
+                        value = default
+                    entry[name] = float(value)
+                norm_model["opo"] = entry
+                if entry["kappa"] <= 0:
                     ctx.err("$.model.opo.kappa", "must be positive")
-                if not 0.0 <= norm_model["opo"]["eta"] <= 1.0:
+                if not 0.0 <= entry["eta"] <= 1.0:
                     ctx.err("$.model.opo.eta", "efficiency out of [0, 1]")
         elif "matrices" in model:
             mats = model["matrices"]
@@ -639,9 +647,7 @@ def _initial_density_matrix(system: dict) -> np.ndarray:
         return np.outer(vec, vec.conj())
     dim = system["dim"]
     init = system["initial_state"]
-    level = 0 if init == "vacuum" else int(init["fock"])
-    if level >= dim:
-        raise ConfigError(["$.system.initial_state: fock level beyond truncation"])
+    level = 0 if init == "vacuum" else init["fock"]
     rho = np.zeros((dim, dim), dtype=complex)
     rho[level, level] = 1.0
     return rho

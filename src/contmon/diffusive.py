@@ -14,6 +14,16 @@ Every product of a constant operator with the state batch goes through
 ``core_ops.left_mul``/``right_mul`` (one GEMM over the whole batch at small
 dimensions), keeping the association order of the written formula, so that
 c rho c^dag is ``right_mul(left_mul(c, rho), c^dag)``.
+
+Diffusive kernels: each diffusive SME is linear in rho except for per-trajectory
+scalars (the expectations that shift the innovation and feed the current, and
+the normalization).  :func:`diffusive_kernel` compiles a step for fixed
+(model, kind, dt) into one matrix of stacked (d^2, d^2) superoperators and
+expectation rows; :func:`diffusive_kernel_step` applies it to the ``(B, d^2)``
+view of the batch in one GEMM and combines the rows with the increments.  The
+ensemble runs these at d <= 4 (``BATCH_GEMM_MAX_DIM``); the per-state steppers
+above stay the public API, the d > 4 path and the oracle the kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -30,8 +40,24 @@ from .core_ops import (
     left_mul,
     right_mul,
 )
-from .jump import WeightedState, _ctx, _expect, _no_click_kraus, _renormalize
-from .master_equation import OpenSystemModel, coherent_drive_hamiltonian
+from .jump import (
+    WeightedState,
+    _ctx,
+    _expect,
+    _finish,
+    _kernel_matrix,
+    _no_click_kraus,
+    _renormalize,
+    _transpose_index,
+)
+from .master_equation import (
+    OpenSystemModel,
+    _lmul,
+    _rmul,
+    coherent_drive_hamiltonian,
+    liouvillian_matrix,
+)
+from .master_equation import _sandwich as _sandwich_map
 
 __all__ = [
     "DiffusiveRecord",
@@ -46,6 +72,9 @@ __all__ = [
     "generalized_bath_homodyne_step",
     "squeezed_vacuum_jump_operator",
     "homodyne_kraus_operator",
+    "DiffusiveKernel",
+    "diffusive_kernel",
+    "diffusive_kernel_step",
 ]
 
 
@@ -364,6 +393,55 @@ def _generalized_drift(model, rho):
     return drift
 
 
+def _generalized_channels(model: OpenSystemModel, mode: str) -> dict:
+    """Cached measured-channel operators of the squeezed-thermal-bath
+    homodyne or heterodyne current, after that mode's bath rules."""
+    ctx = _ctx(model)
+    gen = _generalized_ctx(model)
+    n, m = gen["n"], gen["m"]
+    kappa, c, cd = ctx["kappa"], ctx["c"], ctx["cd"]
+    if mode == "homodyne":
+        if m.imag != 0.0:
+            raise ValueError("homodyne current scale is defined for real squeezing M only")
+        sub = gen.get("homodyne")
+        if sub is None:
+            mr = m.real
+            big_l = 2.0 * n + 1.0 + 2.0 * mr
+            if big_l <= 0:
+                raise ValueError("current variance 2N + 1 + 2M must be positive")
+            op = (n + mr + 1.0) * c - (n + mr) * cd
+            opd = np.ascontiguousarray(dagger(op))
+            sub = {
+                "op": op, "opd": opd, "herm": op + opd,
+                "scale": np.sqrt(kappa) / np.sqrt(big_l), "root_l": np.sqrt(big_l),
+            }
+            gen["homodyne"] = sub
+        return sub
+    if mode == "heterodyne":
+        if m != 0:
+            raise ValueError(
+                "generalized heterodyne stepping is defined for thermal baths (M = 0)"
+            )
+        sub = gen.get("heterodyne")
+        if sub is None:
+            scale = np.sqrt(2.0 * (n + 1.0))
+            op1 = (n + 1.0) * c - n * cd
+            op2 = (n + 1.0) * (1j * c) - n * (-1j * cd)
+            sub = {
+                "op1": op1, "op1d": np.ascontiguousarray(dagger(op1)),
+                "herm1": op1 + dagger(op1),
+                "op2": op2, "op2d": np.ascontiguousarray(dagger(op2)),
+                "herm2": op2 + dagger(op2),
+                "scale": scale,
+                # written sqrt(kappa)/scale; this form reduces bit-exactly to
+                # the vacuum heterodyne prefactor sqrt(kappa/2) at N = 0
+                "pref": np.sqrt(kappa / (2.0 * (n + 1.0))),
+            }
+            gen["heterodyne"] = sub
+        return sub
+    raise ValueError(f"unknown mode {mode!r} (use 'homodyne' or 'heterodyne')")
+
+
 def generalized_bath_homodyne_step(
     rho: np.ndarray,
     model: OpenSystemModel,
@@ -384,68 +462,29 @@ def generalized_bath_homodyne_step(
     if model.efficiency != 1.0:
         raise ValueError("generalized-bath steppers are derived for unit efficiency")
     ctx = _ctx(model)
-    gen = _generalized_ctx(model)
-    n, m = gen["n"], gen["m"]
-    kappa, c, cd = ctx["kappa"], ctx["c"], ctx["cd"]
+    sub = _generalized_channels(model, mode)
+    kappa = ctx["kappa"]
     drift = _generalized_drift(model, rho)
 
     if mode == "homodyne":
-        if m.imag != 0.0:
-            raise ValueError("homodyne current scale is defined for real squeezing M only")
-        sub = gen.get("homodyne")
-        if sub is None:
-            mr = m.real
-            big_l = 2.0 * n + 1.0 + 2.0 * mr
-            if big_l <= 0:
-                raise ValueError("current variance 2N + 1 + 2M must be positive")
-            op = (n + mr + 1.0) * c - (n + mr) * cd
-            opd = np.ascontiguousarray(dagger(op))
-            sub = {
-                "op": op, "opd": opd, "herm": op + opd,
-                "scale": np.sqrt(kappa) / np.sqrt(big_l), "root_l": np.sqrt(big_l),
-            }
-            gen["homodyne"] = sub
         sig_op = _expect(rho, sub["herm"])
         sto = _lr(sub["op"], rho, sub["opd"]) - _bc(sig_op) * rho
         rho2 = rho + drift * dt + sub["scale"] * sto * _bc(dw)
         dy = np.sqrt(kappa) * _expect(rho, ctx["herm"]) * dt + sub["root_l"] * dw
         return _renormalize(rho2), dy
 
-    if mode == "heterodyne":
-        if m != 0:
-            raise ValueError(
-                "generalized heterodyne stepping is defined for thermal baths (M = 0)"
-            )
-        dw = np.asarray(dw, dtype=float)
-        if dw.shape[-1] != 2:
-            raise ValueError("heterodyne needs two Wiener increments per step")
-        sub = gen.get("heterodyne")
-        if sub is None:
-            scale = np.sqrt(2.0 * (n + 1.0))
-            op1 = (n + 1.0) * c - n * cd
-            op2 = (n + 1.0) * (1j * c) - n * (-1j * cd)
-            sub = {
-                "op1": op1, "op1d": np.ascontiguousarray(dagger(op1)),
-                "herm1": op1 + dagger(op1),
-                "op2": op2, "op2d": np.ascontiguousarray(dagger(op2)),
-                "herm2": op2 + dagger(op2),
-                "scale": scale,
-                # written sqrt(kappa)/scale; this form reduces bit-exactly to
-                # the vacuum heterodyne prefactor sqrt(kappa/2) at N = 0
-                "pref": np.sqrt(kappa / (2.0 * (n + 1.0))),
-            }
-            gen["heterodyne"] = sub
-        sig1 = _expect(rho, sub["herm1"])
-        sig2 = _expect(rho, sub["herm2"])
-        s1 = _lr(sub["op1"], rho, sub["op1d"]) - _bc(sig1) * rho
-        s2 = _lr(sub["op2"], rho, sub["op2d"]) - _bc(sig2) * rho
-        pref = sub["pref"]
-        rho2 = rho + drift * dt + pref * (s1 * _bc(dw[..., 0]) + s2 * _bc(dw[..., 1]))
-        dy1 = np.sqrt(kappa) * _expect(rho, ctx["herm"]) * dt + sub["scale"] * dw[..., 0]
-        dy2 = np.sqrt(kappa) * _expect(rho, ctx["herm_i"]) * dt + sub["scale"] * dw[..., 1]
-        return _renormalize(rho2), np.stack([dy1, dy2], axis=-1)
-
-    raise ValueError(f"unknown mode {mode!r} (use 'homodyne' or 'heterodyne')")
+    dw = np.asarray(dw, dtype=float)
+    if dw.shape[-1] != 2:
+        raise ValueError("heterodyne needs two Wiener increments per step")
+    sig1 = _expect(rho, sub["herm1"])
+    sig2 = _expect(rho, sub["herm2"])
+    s1 = _lr(sub["op1"], rho, sub["op1d"]) - _bc(sig1) * rho
+    s2 = _lr(sub["op2"], rho, sub["op2d"]) - _bc(sig2) * rho
+    pref = sub["pref"]
+    rho2 = rho + drift * dt + pref * (s1 * _bc(dw[..., 0]) + s2 * _bc(dw[..., 1]))
+    dy1 = np.sqrt(kappa) * _expect(rho, ctx["herm"]) * dt + sub["scale"] * dw[..., 0]
+    dy2 = np.sqrt(kappa) * _expect(rho, ctx["herm_i"]) * dt + sub["scale"] * dw[..., 1]
+    return _renormalize(rho2), np.stack([dy1, dy2], axis=-1)
 
 
 def squeezed_vacuum_jump_operator(c: np.ndarray, n_thermal: float) -> np.ndarray:
@@ -457,3 +496,158 @@ def squeezed_vacuum_jump_operator(c: np.ndarray, n_thermal: float) -> np.ndarray
     c = np.asarray(c, dtype=complex)
     r = 0.5 * np.log(1.0 + 2.0 * n_thermal + 2.0 * np.sqrt(n_thermal * (n_thermal + 1.0)))
     return np.cosh(r) * c - np.sinh(r) * dagger(c)
+
+
+# ---------------------------------------------------------------- kernels
+
+
+@dataclass(frozen=True, eq=False)
+class DiffusiveKernel:
+    """One compiled diffusive step for a fixed (model, kind, dt).
+
+    ``maps`` stacks ``n_maps`` superoperators, then the expectation rows.
+    Euler kinds: the maps are [1 + dt L | G_1 .. G_m] for the m channels'
+    measurement maps (prefactors included); the step is
+    rho' = y0 + sum_k dw_k (y_k - s_k rho) with the shift s_k read from one
+    row per channel.  Kraus kinds: the maps give M rho M^dag = y0 + s y1 + s^2 y2
+    for s = ``kraus_gain`` dy.  The currents are dy_k = e_k + ``noise_gain`` dw_k
+    with e_k read from the last m rows.  ``linear`` (ostensible) kinds have no
+    shift and no expectation rows, record dy = ``offset`` + dw, and are
+    hermitized but not renormalized.
+    """
+
+    dim: int
+    maps: np.ndarray
+    perm: np.ndarray
+    channels: int
+    n_maps: int
+    linear: bool = False
+    noise_gain: float = 1.0
+    offset: float = 0.0
+    kraus_gain: float | None = None
+
+
+def diffusive_kernel(
+    model: OpenSystemModel, kind: str, dt: float, f_op=None, mu: float = 0.0
+) -> DiffusiveKernel:
+    """The compiled step of the diffusive kind ``kind`` ("homodyne",
+    "homodyne_kraus", "heterodyne", "homodyne_feedback", "generalized_homodyne",
+    "generalized_heterodyne" or "linear_homodyne"), with the rules of its
+    per-state stepper; ``f_op`` is the feedback operator of
+    "homodyne_feedback", ``mu`` the ostensible mean of "linear_homodyne"."""
+    ctx = _ctx(model)
+    if kind == "homodyne_feedback":
+        extra = np.asarray(f_op, dtype=complex).tobytes()
+    else:
+        extra = mu if kind == "linear_homodyne" else None
+    key = ("kernel", kind, dt, extra)
+    kernel = ctx.get(key)
+    if kernel is None:
+        kernel = ctx[key] = _compile_diffusive(ctx, model, kind, dt, f_op, mu)
+    return kernel
+
+
+def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
+    d = model.dim
+    eye, one = ctx["eye"], np.eye(d * d)
+    kappa, root, eta = ctx["kappa"], ctx["root"], model.efficiency
+    perm = _transpose_index(d)
+
+    def meas(a, ad):
+        """a rho + rho a^dag."""
+        return _lmul(a, eye) + _rmul(ad, eye)
+
+    def euler(maps, shifts=(), currents=(), extra_drift=0.0, **kw):
+        """[1 + dt (L + extra_drift) | maps] with the shift and current rows."""
+        drift = liouvillian_matrix(model) + extra_drift
+        mats = _kernel_matrix([one + dt * drift] + maps, list(shifts) + list(currents))
+        return DiffusiveKernel(d, mats, perm, len(maps), 1 + len(maps), **kw)
+
+    if kind.startswith("generalized"):
+        if eta != 1.0:
+            raise ValueError("generalized-bath steppers are derived for unit efficiency")
+        sub = _generalized_channels(model, kind.removeprefix("generalized_"))
+        root_k = np.sqrt(kappa) * dt
+        if kind == "generalized_homodyne":
+            g = sub["scale"]
+            return euler([g * meas(sub["op"], sub["opd"])], [g * sub["herm"]],
+                         [root_k * ctx["herm"]], noise_gain=sub["root_l"])
+        g = sub["pref"]
+        return euler(
+            [g * meas(sub["op1"], sub["op1d"]), g * meas(sub["op2"], sub["op2d"])],
+            [g * sub["herm1"], g * sub["herm2"]],
+            [root_k * ctx["herm"], root_k * ctx["herm_i"]],
+            noise_gain=sub["scale"],
+        )
+    if kind == "homodyne_feedback" and not 0.0 < eta <= 1.0:
+        raise ValueError("homodyne feedback needs efficiency in (0, 1]")
+    if kind == "linear_homodyne" and eta != 1.0:
+        raise ValueError("linear homodyne trajectories assume unit efficiency")
+    if not model.bath.is_vacuum:
+        raise ValueError({
+            "homodyne_feedback": "feedback steppers are defined for vacuum baths",
+            "linear_homodyne": "linear trajectories are defined for vacuum baths",
+        }.get(kind, "vacuum-bath stepper; use generalized_bath_homodyne_step"))
+    ceff, ceff_d, herm = ctx["ceff"], ctx["ceff_d"], ctx["herm"]
+
+    if kind == "homodyne":
+        return euler([root * meas(ceff, ceff_d)], [root * herm], [(root * dt) * herm])
+    if kind == "heterodyne":
+        g = np.sqrt(eta * kappa / 2.0)
+        return euler(
+            [g * meas(ceff, ceff_d), g * meas(ctx["ceff_i"], ctx["ceff_i_d"])],
+            [g * herm, g * ctx["herm_i"]],
+            [(g * dt) * herm, (g * dt) * ctx["herm_i"]],
+        )
+    if kind == "linear_homodyne":
+        g = np.sqrt(kappa)
+        return euler([g * (meas(ceff, ceff_d) - mu * one)], linear=True, offset=g * mu * dt)
+    if kind == "homodyne_feedback":
+        f = _feedback_ctx(ctx, f_op)["f"]
+        f2 = f @ f
+        comm = _lmul(f, eye) - _rmul(f, eye)
+        u = meas(ceff, ceff_d)
+        feedback = (-1j * np.sqrt(kappa)) * (comm @ u) + (1.0 / eta) * (
+            _sandwich_map(f, f) - 0.5 * (_lmul(f2, eye) + _rmul(f2, eye))
+        )
+        return euler([root * u - 1j * comm], [root * herm], [(root * dt) * herm],
+                     extra_drift=feedback)
+    if kind == "homodyne_kraus":
+        base, base_d = _no_click_kraus(ctx, dt)
+        c, cd = ctx["c"], ctx["cd"]
+        mats = _kernel_matrix(
+            [
+                _sandwich_map(base, base_d) + ((1.0 - eta) * kappa * dt) * _sandwich_map(c, cd),
+                _sandwich_map(ceff, base_d) + _sandwich_map(base, ceff_d),
+                _sandwich_map(ceff, ceff_d),
+            ],
+            [(root * dt) * herm],
+        )
+        return DiffusiveKernel(d, mats, perm, 1, 3, kraus_gain=root)
+    raise ValueError(f"no diffusive kernel for kind {kind!r}")
+
+
+def diffusive_kernel_step(kernel: DiffusiveKernel, rho: np.ndarray, dw):
+    """Advance a C-contiguous (B, d, d) state batch by one step of a compiled
+    diffusive kernel on the Wiener increments ``dw`` ((B,) for one channel,
+    (B, 2) for two); returns (rho', dy) with dy shaped like ``dw``."""
+    n = kernel.dim * kernel.dim
+    x = rho.reshape(-1, n).T
+    y = kernel.maps @ x
+    m = kernel.channels
+    w = np.reshape(dw, (-1, m)).T
+    ex = y[kernel.n_maps * n :].real
+    if kernel.linear:
+        dy = kernel.offset + w
+    else:
+        dy = ex[-m:] + kernel.noise_gain * w
+    if kernel.kraus_gain is not None:
+        s = kernel.kraus_gain * dy[0]
+        z = y[:n] + s * (y[n : 2 * n] + s * y[2 * n : 3 * n])
+    else:
+        z = y[:n]
+        for k in range(m):
+            z = z + w[k] * y[(k + 1) * n : (k + 2) * n]
+        if not kernel.linear:
+            z = z - (w * ex[:m]).sum(axis=0) * x
+    return _finish(z, kernel.dim, kernel.perm, not kernel.linear), dy.T.reshape(np.shape(dw))

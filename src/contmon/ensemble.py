@@ -9,6 +9,14 @@ vectorized form; block partials are reduced in index order.
 Variates drawn per step and trajectory: ``KINDS[kind].draws`` for each
 Hilbert-space kind (uniforms for click kinds and in two-point mode, normals
 otherwise), and one normal per monitored current for Gaussian runs.
+
+Step dispatch: at d <= ``BATCH_GEMM_MAX_DIM`` (4) every density-matrix kind
+with a ``Kind.kernel`` advances its block through a compiled superoperator
+kernel (:func:`contmon.jump.click_kernel`,
+:func:`contmon.diffusive.diffusive_kernel`): one GEMM of the (B, d^2) state
+view per step plus per-row scalar corrections.  Larger dimensions, and the
+state-vector kind ``jump_sse``, run the per-state ``Kind.step``.  Both paths
+call the steppers through the module attributes ``jump`` and ``diffusive``.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import diffusive, jump
-from .core_ops import dagger, min_eigenvalue, rk4_step, trace
+from .core_ops import BATCH_GEMM_MAX_DIM, dagger, min_eigenvalue, rk4_step, trace
 from .gaussian import GaussianModel, _sym, conditional_cov_rhs
 from .jump import WeightedState
 from .master_equation import OpenSystemModel
@@ -196,9 +204,12 @@ class Kind:
     ``step(scenario, state, dt, x)`` advances the block and returns
     (state', record row); ``x`` is the step's uniform variates for click
     kinds and its Wiener increments otherwise, one column per draw (a vector
-    when ``draws`` is 1).  Click kinds record ``uint8`` outcomes; ``linear``
-    kinds carry unnormalized states with weighted statistics; ``pure`` kinds
-    step state vectors and skip the positivity checks.
+    when ``draws`` is 1).  ``kernel(scenario, dt)``, when set, compiles the
+    same step for the block once and returns ``advance(state, x)`` with the
+    same contract; ``_run_block`` uses it when the model dimension is at most
+    ``BATCH_GEMM_MAX_DIM``.  Click kinds record ``uint8`` outcomes;
+    ``linear`` kinds carry unnormalized states with weighted statistics;
+    ``pure`` kinds step state vectors and skip the positivity checks.
     """
 
     step: Callable
@@ -206,6 +217,7 @@ class Kind:
     clicks: bool = False
     linear: bool = False
     pure: bool = False
+    kernel: Callable | None = None
 
 
 # The steppers are looked up through the module attributes ``jump`` and
@@ -251,34 +263,51 @@ def _linear_homodyne(sc, rho_bar, dt, dw):
     return new.rho_bar, dy
 
 
+def _click_kernel(sc, dt):
+    kernel = jump.click_kernel(sc.model, sc.kind, dt, f_op=sc.feedback_operator,
+                               beta=sc.beta_ost)
+    return lambda rho, u: jump.click_kernel_step(kernel, rho, u)
+
+
+def _diffusive_kernel(sc, dt):
+    kernel = diffusive.diffusive_kernel(sc.model, sc.kind, dt, f_op=sc.feedback_operator,
+                                        mu=sc.mu)
+    return lambda rho, dw: diffusive.diffusive_kernel_step(kernel, rho, dw)
+
+
 KINDS = {
-    "jump": Kind(_jump, clicks=True),
-    "jump_kraus": Kind(_jump_kraus, clicks=True),
-    "jump_feedback": Kind(_jump_feedback, clicks=True),
+    "jump": Kind(_jump, clicks=True, kernel=_click_kernel),
+    "jump_kraus": Kind(_jump_kraus, clicks=True, kernel=_click_kernel),
+    "jump_feedback": Kind(_jump_feedback, clicks=True, kernel=_click_kernel),
     "jump_sse": Kind(_jump_sse, clicks=True, pure=True),
-    "linear_jump": Kind(_linear_jump, clicks=True, linear=True),
+    "linear_jump": Kind(_linear_jump, clicks=True, linear=True, kernel=_click_kernel),
     "homodyne": Kind(
-        lambda sc, rho, dt, dw: diffusive.homodyne_sme_step(rho, sc.model, dt, dw)
+        lambda sc, rho, dt, dw: diffusive.homodyne_sme_step(rho, sc.model, dt, dw),
+        kernel=_diffusive_kernel,
     ),
     "homodyne_kraus": Kind(
-        lambda sc, rho, dt, dw: diffusive.homodyne_kraus_step(rho, sc.model, dt, dw)
+        lambda sc, rho, dt, dw: diffusive.homodyne_kraus_step(rho, sc.model, dt, dw),
+        kernel=_diffusive_kernel,
     ),
-    "heterodyne": Kind(_heterodyne, draws=2),
+    "heterodyne": Kind(_heterodyne, draws=2, kernel=_diffusive_kernel),
     "homodyne_feedback": Kind(
         lambda sc, rho, dt, dw: diffusive.homodyne_feedback_step(
             rho, sc.model, sc.feedback_operator, dt, dw
-        )
+        ),
+        kernel=_diffusive_kernel,
     ),
     "generalized_homodyne": Kind(
-        lambda sc, rho, dt, dw: diffusive.generalized_bath_homodyne_step(rho, sc.model, dt, dw)
+        lambda sc, rho, dt, dw: diffusive.generalized_bath_homodyne_step(rho, sc.model, dt, dw),
+        kernel=_diffusive_kernel,
     ),
     "generalized_heterodyne": Kind(
         lambda sc, rho, dt, dw: diffusive.generalized_bath_homodyne_step(
             rho, sc.model, dt, dw, mode="heterodyne"
         ),
         draws=2,
+        kernel=_diffusive_kernel,
     ),
-    "linear_homodyne": Kind(_linear_homodyne, linear=True),
+    "linear_homodyne": Kind(_linear_homodyne, linear=True, kernel=_diffusive_kernel),
 }
 
 
@@ -339,7 +368,7 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
                 x = r[:, ci]
                 sum1[k, j] += x.sum()
                 sum2[k, j] += (x * x).sum()
-                sum4[k, j] += (x**4).sum()
+                sum4[k, j] += ((x * x) ** 2).sum()
 
         rec(0, means)
         root_dt = np.sqrt(spec.dt)
@@ -392,11 +421,17 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
             sum1[k, j] += x.sum()
             sum2[k, j] += (x * x).sum()
 
+    if kind.kernel is not None and scenario.model.dim <= BATCH_GEMM_MAX_DIM:
+        advance = kind.kernel(scenario, spec.dt)
+    else:
+        def advance(state, x):
+            return kind.step(scenario, state, spec.dt, x)
+
     record_stats(0)
     for k in range(n_steps):
         z = noise[:, k * per_step : (k + 1) * per_step]
         x = z if kind.clicks else _to_wiener(spec, z)
-        state, rec_row = kind.step(scenario, state, spec.dt, x if per_step > 1 else x[:, 0])
+        state, rec_row = advance(state, x if per_step > 1 else x[:, 0])
         if records is not None:
             records[:, k] = rec_row
         if spec.track_min_eigenvalue and not kind.pure:

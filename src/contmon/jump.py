@@ -9,6 +9,17 @@ variants are deterministic given the click outcome, which is what the linear
 (ostensible-probability) machinery and the ensemble layer feed them.
 Per-model operator products are cached, so repeated stepping costs only the
 batched state arithmetic.
+
+Click kernels: for a fixed (model, kind, dt) the density-matrix click kinds are
+linear in rho except for the scalar <c^dag c>, so :func:`click_kernel` compiles
+one step into a single matrix that takes the ``(B, d^2)`` row-major view of a
+state batch to its no-click image, its click image and <c^dag c> in one GEMM;
+:func:`click_kernel_step` then combines the rows with the step's clicks,
+hermitizes and renormalizes.  The ensemble runs these at d <= 4
+(``core_ops.BATCH_GEMM_MAX_DIM``), where per-call overhead dominates; the
+``*_apply`` functions remain the public per-state steppers and the oracle.
+Compiled kernels live in the per-model operator cache under
+``("kernel", kind, dt, ...)`` keys.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core_ops import dagger, hermitize, is_hermitian, left_mul, right_mul, trace
-from .master_equation import OpenSystemModel, StepSizeError
+from .master_equation import OpenSystemModel, StepSizeError, liouvillian_matrix
+from .master_equation import _sandwich as _sandwich_map
 
 __all__ = [
     "JumpRecord",
@@ -39,6 +51,9 @@ __all__ = [
     "jump_kraus_apply",
     "jump_feedback_step",
     "jump_feedback_apply",
+    "ClickKernel",
+    "click_kernel",
+    "click_kernel_step",
 ]
 
 DARK_STATE_RATE = 1e-14
@@ -390,3 +405,132 @@ def jump_feedback_step(
     """Sample dN (feedback leaves the click probability unchanged) and update."""
     dn = click_outcomes(jump_probability(rho, model, dt), rng)
     return jump_feedback_apply(rho, model, f_op, dt, dn), dn
+
+
+# ---------------------------------------------------------------- kernels
+# A kernel holds its (d^2, d^2) superoperators S (row-major vec, so
+# vec(A rho B) = (A kron B^T) vec(rho)) stacked row-wise, then one row
+# vec(A^T) per expectation tr(rho A).  The step is one GEMM of that matrix
+# against the (B, d^2) view of the state batch, computed as its transpose
+# maps @ vec(rho)^T, so that every image and every expectation is a contiguous
+# row over the batch and the per-trajectory scalars broadcast along it.
+
+
+def _kernel_matrix(maps, expects=()):
+    rows = list(maps) + [a.T.reshape(1, -1) for a in expects]
+    return np.ascontiguousarray(np.vstack(rows), dtype=complex)
+
+
+def _transpose_index(dim: int) -> np.ndarray:
+    """Gather index taking row-major vec(X) to vec(X^T)."""
+    return np.arange(dim * dim).reshape(dim, dim).T.ravel()
+
+
+def _finish(z, dim, perm, renormalize):
+    """(Z + Z^dag)/2 of the (d^2, B) columns ``z``, divided by its trace unless
+    the kind is linear; returned as a C-contiguous (B, d, d) batch."""
+    h = z + z[perm].conj()
+    if renormalize:  # the factor 1/2 cancels
+        scale = 1.0 / h[:: dim + 1].real.sum(axis=0)
+    else:
+        scale = 0.5
+    out = np.empty(z.shape[::-1], dtype=complex)
+    np.multiply(h, scale, out=out.T)
+    return out.reshape(-1, dim, dim)
+
+
+@dataclass(frozen=True, eq=False)
+class ClickKernel:
+    """One compiled click step for a fixed (model, kind, dt).
+
+    ``maps`` stacks the no-click and click superoperators and, except for
+    linear kinds, the <c^dag c> row.  The no-click image is
+    y0 + ``rate_gain`` <c^dag c> rho; a click takes the click image.  The
+    click probability is ``p_click`` <c^dag c>, or the constant ostensible
+    probability ``p_click`` for ``linear`` kinds, whose states are hermitized
+    but not renormalized.
+    """
+
+    dim: int
+    maps: np.ndarray
+    perm: np.ndarray
+    p_click: float
+    rate_gain: float
+    linear: bool
+
+
+def click_kernel(
+    model: OpenSystemModel, kind: str, dt: float, f_op=None, beta: float = 1.0
+) -> ClickKernel:
+    """The compiled step of the density-matrix click kind ``kind`` ("jump",
+    "jump_kraus", "jump_feedback" or "linear_jump"), with the rules of its
+    ``*_apply`` stepper; ``f_op`` is the feedback generator of
+    "jump_feedback", ``beta`` the ostensible rate of "linear_jump"."""
+    ctx = _vacuum_ctx(model)
+    if kind == "jump_feedback":
+        extra = np.asarray(f_op, dtype=complex).tobytes()
+    else:
+        extra = beta if kind == "linear_jump" else None
+    key = ("kernel", kind, dt, extra)
+    kernel = ctx.get(key)
+    if kernel is None:
+        kernel = ctx[key] = _compile_click(ctx, model, kind, dt, f_op, beta)
+    return kernel
+
+
+def _compile_click(ctx, model, kind, dt, f_op, beta):
+    kappa, c, cd = ctx["kappa"], ctx["c"], ctx["cd"]
+    eta = model.efficiency
+    n = model.dim * model.dim
+    jump_op = c
+    if kind == "jump_kraus":
+        m0, m0d = _no_click_kraus(ctx, dt)
+        no_click = _sandwich_map(m0, m0d) + ((1.0 - eta) * kappa * dt) * _sandwich_map(c, cd)
+    elif kind in ("jump", "jump_feedback", "linear_jump"):
+        if kind == "jump_feedback" and eta != 1.0:
+            raise ValueError("jump feedback requires unit efficiency")
+        if kind == "linear_jump":
+            if beta <= 0:
+                raise ValueError("ostensible rate beta must be > 0")
+            if eta != 1.0:
+                raise ValueError("linear jump trajectories assume unit efficiency")
+        # the Euler no-click drift is L rho - eta kappa c rho c^dag plus the
+        # nonlinear eta kappa <c^dag c> rho, or beta kappa rho for linear kinds
+        drift = liouvillian_matrix(model) - (eta * kappa) * _sandwich_map(c, cd)
+        if kind == "linear_jump":
+            drift = drift + (beta * kappa) * np.eye(n)
+        no_click = np.eye(n) + dt * drift
+        if kind == "jump_feedback":
+            jump_op = feedback_unitary(f_op) @ c
+    else:
+        raise ValueError(f"no click kernel for kind {kind!r}")
+    click = _sandwich_map(jump_op, dagger(jump_op))
+    perm = _transpose_index(model.dim)
+    if kind == "linear_jump":
+        maps = _kernel_matrix([no_click, click / beta])
+        return ClickKernel(model.dim, maps, perm, eta * kappa * beta * dt, 0.0, True)
+    maps = _kernel_matrix([no_click, click], [ctx["cdc"]])
+    rate_gain = 0.0 if kind == "jump_kraus" else eta * kappa * dt
+    return ClickKernel(model.dim, maps, perm, eta * kappa * dt, rate_gain, False)
+
+
+def click_kernel_step(kernel: ClickKernel, rho: np.ndarray, u):
+    """Advance a C-contiguous (B, d, d) state batch by one step of a compiled
+    click kernel on the step's uniforms ``u``; returns (rho', dN).  Applies the
+    step-size check of :func:`click_outcomes` and the dark-state rule."""
+    n = kernel.dim * kernel.dim
+    x = rho.reshape(-1, n).T
+    y = kernel.maps @ x
+    z = y[:n]
+    if kernel.linear:
+        dn = u < kernel.p_click
+    else:
+        rate = y[2 * n].real
+        dn = click_outcomes(kernel.p_click * rate, u)
+        if kernel.rate_gain:
+            z = z + (kernel.rate_gain * rate) * x
+    if dn.any():
+        if not kernel.linear and np.any(rate[dn] < DARK_STATE_RATE):
+            raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
+        z[:, dn] = y[n : 2 * n, dn]
+    return _finish(z, kernel.dim, kernel.perm, not kernel.linear), dn

@@ -6,6 +6,7 @@ import pytest
 from contmon.cli import main
 from contmon.config import (
     ConfigError,
+    build_runtime,
     load_config_or_manifest,
     parse_config,
     run_scenario,
@@ -260,6 +261,50 @@ def test_cli_rejects_bad_run_block(tmp_path, capsys, field, value):
     assert main(["run", str(config_path)]) == 2
     assert f"$.run.{field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _assert_rejected(tmp_path, capsys, doc, path):
+    doc["output"] = {"directory": str(tmp_path / "out")}
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["validate", str(config_path)]) == 2
+    assert main(["run", str(config_path)]) == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("chi", "abc"), ("chi", True), ("chi", float("nan")),
+    ("kappa", float("inf")), ("eta", "1.0"), ("eta", False),
+])
+def test_cli_rejects_bad_opo_parameter(tmp_path, capsys, field, value):
+    doc = get_preset("opo_conditional")
+    doc["model"]["opo"][field] = value
+    doc["run"].update(t_final=0.01, n_traj=4)
+    _assert_rejected(tmp_path, capsys, doc, f"$.model.opo.{field}")
+
+
+@pytest.mark.parametrize("level", ["abc", 2.7, -1, True, 4])
+def test_cli_rejects_bad_fock_level(tmp_path, capsys, level):
+    # the boson dimension is 4, so level 4 is past the truncation
+    doc = {
+        "schema_version": 1,
+        "system": {"kind": "boson", "dim": 4, "initial_state": {"fock": level}},
+        "model": {"channels": [{"rate": 1.0, "op": "a"}]},
+        "unravelling": {"kind": "jump"},
+        "run": {"dt": 1e-3, "t_final": 0.01, "n_traj": 4, "seed": 3},
+    }
+    _assert_rejected(tmp_path, capsys, doc, "$.system.initial_state.fock")
+
+
+def test_fock_initial_state_accepted():
+    # the top level dim - 1 is a valid start
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["system"] = {"kind": "boson", "dim": 4, "initial_state": {"fock": 3}}
+    doc["model"] = {"channels": [{"rate": 1.0, "op": "a"}]}
+    doc["output"]["observables"] = ["n"]
+    job = build_runtime(parse_config(json.dumps(doc)))
+    np.testing.assert_array_equal(job.scenario.initial_state, np.diag([0, 0, 0, 1.0]))
 
 
 TWO_MODE_GAUSSIAN = {

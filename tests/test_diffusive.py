@@ -10,6 +10,8 @@ from contmon import (
 )
 from contmon.core_ops import dagger, hermitize, trace
 from contmon.diffusive import (
+    diffusive_kernel,
+    diffusive_kernel_step,
     feedback_me_rhs,
     generalized_bath_homodyne_step,
     heterodyne_sme_step,
@@ -157,10 +159,14 @@ def test_kraus_normalization_residual_second_order(qubit_ops):
     assert order >= 1.9
 
 
-@pytest.mark.parametrize("eta", [1.0, 0.8])
-def test_kraus_steps_match_literal_sandwich(qubit_ops, eta):
+@pytest.mark.parametrize("eta, kernel", [
+    pytest.param(eta, kernel, id=f"{eta}" + ("-kernel" if kernel else ""))
+    for kernel in (False, True) for eta in (1.0, 0.8)
+])
+def test_kraus_steps_match_literal_sandwich(qubit_ops, eta, kernel):
     # the expanded Kraus numerator (constant operator on one side of every
-    # product) against the literal m @ rho @ dagger(m), on shared noise for a
+    # product), or the compiled kernel's [base (x) base* | cross | c (x) c*]
+    # maps, against the literal m @ rho @ dagger(m), on shared noise for a
     # batch of trajectories over 10^3 steps: the nonlinear step, its current,
     # and the linear (unnormalized) step on a shared record
     model = OpenSystemModel(0.3 * qubit_ops["sigma_x"], [(1.0, qubit_ops["sigma_minus"])],
@@ -179,11 +185,15 @@ def test_kraus_steps_match_literal_sandwich(qubit_ops, eta):
     rho0 = random_density_matrix(np.random.default_rng(3))
     rho = rho_ref = np.broadcast_to(rho0, (n_traj, 2, 2)).copy()
     lin, lin_ref = WeightedState(rho.copy()), rho.copy()
+    compiled = diffusive_kernel(model, "homodyne_kraus", dt)
     rng = trajectory_rng(20240921, 0)
     gap = 0.0
     for _ in range(1000):
         dw = rng.standard_normal(n_traj) * np.sqrt(dt)
-        rho, dy = homodyne_kraus_step(rho, model, dt, dw)
+        if kernel:
+            rho, dy = diffusive_kernel_step(compiled, rho, dw)
+        else:
+            rho, dy = homodyne_kraus_step(rho, model, dt, dw)
         dy_ref = root * np.einsum("bij,ji->b", rho_ref, ceff + dagger(ceff)).real * dt + dw
         numer = hermitize(literal_numerator(rho_ref, dy_ref))
         rho_ref = numer / trace(numer).real[:, None, None]
@@ -550,7 +560,8 @@ def _lit_renorm(rho):
 
 
 def _euler_case(name, qubit_ops):
-    """(model, n_draws, step(rho, dw) -> (rho', dy), literal(rho, dw) -> (rho', dy))."""
+    """(model, n_draws, step(rho, dw) -> (rho', dy), literal(rho, dw) -> (rho', dy),
+    keyword arguments of the case's compiled kernel)."""
     sm, sx, sy = qubit_ops["sigma_minus"], qubit_ops["sigma_x"], qubit_ops["sigma_y"]
     h2 = 0.3 * sx + 0.2 * qubit_ops["sigma_z"]
     dt = 1e-3
@@ -589,7 +600,7 @@ def _euler_case(name, qubit_ops):
             dy = root * _lit_expect(rho, ceff + dagger(ceff)) * dt + dw[:, 0]
             sto = root * _lit_meas(ceff, rho) * dw[:, :1, None]
             return _lit_renorm(rho + vacuum_drift(rho) * dt + sto), dy
-        return model, 1, step, literal
+        return model, 1, step, literal, {}
 
     if name == "heterodyne":
         root = np.sqrt(eta * kappa / 2.0)
@@ -605,7 +616,7 @@ def _euler_case(name, qubit_ops):
             sto = sum(root * _lit_meas(a, rho) * dw[:, k, None, None]
                       for k, a in enumerate(chans))
             return _lit_renorm(rho + vacuum_drift(rho) * dt + sto), dy
-        return model, 2, step, literal
+        return model, 2, step, literal, {}
 
     if name == "linear_homodyne":
         mu = 0.3
@@ -619,7 +630,7 @@ def _euler_case(name, qubit_ops):
             meas = ceff @ rho + rho @ dagger(ceff) - mu * rho
             innov = (dy - np.sqrt(kappa) * mu * dt)[:, None, None]
             return hermitize(rho + vacuum_drift(rho) * dt + np.sqrt(kappa) * meas * innov), dy
-        return model, 1, step, literal
+        return model, 1, step, literal, {"mu": mu}
 
     if name.startswith("feedback"):
         def step(rho, dw):
@@ -633,7 +644,7 @@ def _euler_case(name, qubit_ops):
             sto = root * (u - sig[:, None, None] * rho) - 1j * _lit_comm(f, rho)
             dy = root * sig * dt + dw[:, 0]
             return _lit_renorm(rho + drift * dt + sto * dw[:, :1, None]), dy
-        return model, 1, step, literal
+        return model, 1, step, literal, {"f_op": f}
 
     # generalized baths: kappa (N+1) D[c] + kappa N D[c^dag]
     # + (kappa M / 2) [c^dag, [c^dag, .]] + (kappa M* / 2) [c, [c, .]] - i[H + H_drive, .]
@@ -660,7 +671,7 @@ def _euler_case(name, qubit_ops):
             dy = np.sqrt(kappa) * _lit_expect(rho, c + cd) * dt + np.sqrt(big_l) * dw[:, 0]
             sto = np.sqrt(kappa / big_l) * _lit_meas(op, rho) * dw[:, :1, None]
             return _lit_renorm(rho + drift(rho) * dt + sto), dy
-        return model, 1, step, literal
+        return model, 1, step, literal, {}
 
     ops = ((n + 1.0) * c - n * cd, 1j * ((n + 1.0) * c + n * cd))
     scale = np.sqrt(2.0 * (n + 1.0))
@@ -674,16 +685,35 @@ def _euler_case(name, qubit_ops):
         sto = sum((np.sqrt(kappa) / scale) * _lit_meas(a, rho) * dw[:, k, None, None]
                   for k, a in enumerate(ops))
         return _lit_renorm(rho + drift(rho) * dt + sto), dy
-    return model, 2, step, literal
+    return model, 2, step, literal, {}
 
 
-@pytest.mark.parametrize("name", [
-    "homodyne", "heterodyne", "linear_homodyne", "feedback", "feedback_d12",
-    "thermal_homodyne", "squeezed_homodyne", "thermal_heterodyne",
-])
-def test_euler_steps_match_literal_sme(qubit_ops, name):
-    model, n_draws, step, literal = _euler_case(name, qubit_ops)
+# the kernel kind of each d = 2 case
+EULER_KERNEL_KINDS = {
+    "homodyne": "homodyne",
+    "heterodyne": "heterodyne",
+    "linear_homodyne": "linear_homodyne",
+    "feedback": "homodyne_feedback",
+    "thermal_homodyne": "generalized_homodyne",
+    "squeezed_homodyne": "generalized_homodyne",
+    "thermal_heterodyne": "generalized_heterodyne",
+}
+
+
+@pytest.mark.parametrize("name, kernel", [
+    pytest.param(name, False, id=name) for name in [
+        "homodyne", "heterodyne", "linear_homodyne", "feedback", "feedback_d12",
+        "thermal_homodyne", "squeezed_homodyne", "thermal_heterodyne",
+    ]
+] + [pytest.param(name, True, id=f"{name}-kernel") for name in EULER_KERNEL_KINDS])
+def test_euler_steps_match_literal_sme(qubit_ops, name, kernel):
+    model, n_draws, step, literal, kernel_kw = _euler_case(name, qubit_ops)
     dt, n_traj = 1e-3, 8
+    if kernel:
+        compiled = diffusive_kernel(model, EULER_KERNEL_KINDS[name], dt, **kernel_kw)
+
+        def step(rho, dw):
+            return diffusive_kernel_step(compiled, rho, dw if n_draws == 2 else dw[:, 0])
     rho0 = random_density_matrix(np.random.default_rng(4), model.dim)
     rho = rho_ref = np.broadcast_to(rho0, (n_traj, model.dim, model.dim)).copy()
     rng = trajectory_rng(20261018, 0)

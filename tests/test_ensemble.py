@@ -8,7 +8,13 @@ from contmon import (
     integrate_me,
     me_expectations,
 )
-from contmon.diffusive import homodyne_kraus_step, homodyne_sme_step
+from contmon.core_ops import BATCH_GEMM_MAX_DIM, build_standard_ops
+from contmon.diffusive import (
+    diffusive_kernel,
+    diffusive_kernel_step,
+    homodyne_kraus_step,
+    homodyne_sme_step,
+)
 from contmon.ensemble import (
     KINDS,
     EnsembleSpec,
@@ -67,34 +73,44 @@ def test_single_trajectory_bit_for_bit_jump(qubit_ops, decay_model, excited):
     np.testing.assert_array_equal(stats.means["rho_ee"], np.array(manual))
 
 
+def _manual_diffusive_trajectory(kind, model, spec, state0, stepper):
+    """rho_ee of trajectory 0 stepped by hand on its substream: through the
+    compiled kernel the ensemble runs at d = 2, and through the per-state
+    ``stepper``."""
+    zs = trajectory_rng(spec.master_seed, 0).standard_normal(spec.n_steps)
+    kernel = diffusive_kernel(model, kind, spec.dt)
+    rho, rho_ref = state0[None], state0
+    manual, ref = [rho[0, 0, 0].real], [rho_ref[0, 0].real]
+    for k in range(spec.n_steps):
+        dw = zs[k] * np.sqrt(spec.dt)
+        rho, _ = diffusive_kernel_step(kernel, rho, np.array([dw]))
+        rho_ref, _ = stepper(rho_ref, model, spec.dt, dw)
+        manual.append(rho[0, 0, 0].real)
+        ref.append(rho_ref[0, 0].real)
+    return np.array(manual), np.array(ref)
+
+
 def test_single_trajectory_bit_for_bit_homodyne(qubit_ops, decay_model, excited):
     spec = qubit_spec(qubit_ops, n_traj=1)
     stats = run_ensemble(spec, Scenario("homodyne", decay_model, excited))
-    rng = trajectory_rng(spec.master_seed, 0)
-    zs = rng.standard_normal(spec.n_steps)
-    rho = excited
-    manual = [rho[0, 0].real]
-    for k in range(spec.n_steps):
-        rho, _ = homodyne_sme_step(rho, decay_model, spec.dt, zs[k] * np.sqrt(spec.dt))
-        manual.append(rho[0, 0].real)
-    np.testing.assert_array_equal(stats.means["rho_ee"], np.array(manual))
+    manual, ref = _manual_diffusive_trajectory(
+        "homodyne", decay_model, spec, excited, homodyne_sme_step
+    )
+    np.testing.assert_array_equal(stats.means["rho_ee"], manual)
+    np.testing.assert_allclose(manual, ref, rtol=0, atol=1e-12)
 
 
 def test_single_trajectory_bit_for_bit_homodyne_kraus(qubit_ops, excited):
-    # the batched one-GEMM products of the Kraus step equal the unbatched ones
-    # bit for bit; a Hamiltonian and finite efficiency exercise every term
+    # a Hamiltonian and finite efficiency exercise every term of the Kraus map
     model = OpenSystemModel(0.3 * qubit_ops["sigma_x"], [(1.0, qubit_ops["sigma_minus"])],
                             efficiency=0.8)
     spec = qubit_spec(qubit_ops, n_traj=1)
     stats = run_ensemble(spec, Scenario("homodyne_kraus", model, excited))
-    rng = trajectory_rng(spec.master_seed, 0)
-    zs = rng.standard_normal(spec.n_steps)
-    rho = excited
-    manual = [rho[0, 0].real]
-    for k in range(spec.n_steps):
-        rho, _ = homodyne_kraus_step(rho, model, spec.dt, zs[k] * np.sqrt(spec.dt))
-        manual.append(rho[0, 0].real)
-    np.testing.assert_array_equal(stats.means["rho_ee"], np.array(manual))
+    manual, ref = _manual_diffusive_trajectory(
+        "homodyne_kraus", model, spec, excited, homodyne_kraus_step
+    )
+    np.testing.assert_array_equal(stats.means["rho_ee"], manual)
+    np.testing.assert_allclose(manual, ref, rtol=0, atol=1e-12)
 
 
 def test_single_trajectory_bit_for_bit_gaussian():
@@ -376,7 +392,8 @@ def test_records_storage(qubit_ops, kind):
         assert stats.records.dtype == float
 
 
-# the ensemble-layer entry points of each kind: one call per step and block
+# the per-state entry points of each kind above BATCH_GEMM_MAX_DIM: one call
+# per step and block
 STEPPERS = {
     "jump": ("jump_probability", "click_outcomes", "jump_sme_apply"),
     "jump_kraus": ("jump_probability", "click_outcomes", "jump_kraus_apply"),
@@ -391,6 +408,17 @@ STEPPERS = {
     "generalized_heterodyne": ("generalized_bath_homodyne_step",),
     "linear_homodyne": ("linear_homodyne_step",),
 }
+
+
+# the ensemble-layer entry points of each kind at d = 2: the kernel is
+# compiled once per block and stepped once per step and block; jump_sse steps
+# state vectors and keeps its per-state entry points
+CLICK_KERNEL = {"click_kernel": "block", "click_kernel_step": "step"}
+DIFFUSIVE_KERNEL = {"diffusive_kernel": "block", "diffusive_kernel_step": "step"}
+KERNEL_ENTRY_POINTS = {
+    kind: CLICK_KERNEL if KINDS[kind].clicks else DIFFUSIVE_KERNEL for kind in KINDS
+}
+KERNEL_ENTRY_POINTS["jump_sse"] = dict.fromkeys(STEPPERS["jump_sse"], "step")
 
 
 class CountingModule:
@@ -414,10 +442,7 @@ class CountingModule:
         return getattr(self._module, name)
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_steppers_called_through_module_attributes(qubit_ops, kind, monkeypatch):
-    # a profiler that swaps ensemble.jump / ensemble.diffusive for wrapped
-    # modules must see every stepper call, so the steps may not bind them early
+def _count_stepper_calls(spec, scenario, monkeypatch):
     from collections import Counter
 
     from contmon import diffusive, ensemble, jump
@@ -425,11 +450,46 @@ def test_steppers_called_through_module_attributes(qubit_ops, kind, monkeypatch)
     counts = Counter()
     monkeypatch.setattr(ensemble, "jump", CountingModule(jump, counts))
     monkeypatch.setattr(ensemble, "diffusive", CountingModule(diffusive, counts))
+    run_ensemble(spec, scenario)
+    return dict(counts)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_steppers_called_through_module_attributes(qubit_ops, kind, monkeypatch):
+    # a profiler that swaps ensemble.jump / ensemble.diffusive for wrapped
+    # modules must see every stepper call, so the steps may not bind them early
     spec = qubit_spec(qubit_ops, n_traj=10, t_final=0.005, block_size=4)
-    run_ensemble(spec, kind_scenario(kind, qubit_ops))
+    counts = _count_stepper_calls(spec, kind_scenario(kind, qubit_ops), monkeypatch)
+    n_blocks = -(-spec.n_traj // spec.block_size)
+    per = {"block": n_blocks, "step": n_blocks * spec.n_steps}
+    assert KERNEL_ENTRY_POINTS.keys() == KINDS.keys()
+    assert counts == {name: per[when] for name, when in KERNEL_ENTRY_POINTS[kind].items()}
+
+
+def boson_scenario(kind, dim):
+    """The d = ``dim`` analogue of ``kind_scenario``: a driven decaying mode
+    started in Fock level 1."""
+    ops = build_standard_ops("boson", dim)
+    bath = BathSpec(n_thermal=0.5) if kind.startswith("generalized") else BathSpec()
+    model = OpenSystemModel(0.3 * ops["q"], [(1.0, ops["a"])], bath=bath)
+    state0 = np.eye(dim, dtype=complex)[1]
+    if kind != "jump_sse":
+        state0 = np.outer(state0, state0)
+    f_op = 0.4 * ops["q"] if kind.endswith("feedback") else None
+    return Scenario(kind, model, state0, feedback_operator=f_op, mu=0.2, beta_ost=0.8)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_per_state_steppers_called_above_kernel_dim(kind, monkeypatch):
+    dim = BATCH_GEMM_MAX_DIM + 1
+    spec = EnsembleSpec(
+        n_traj=10, master_seed=99, dt=1e-3, t_final=0.005, block_size=4,
+        observables=(("n", build_standard_ops("boson", dim)["n"]),),
+    )
+    counts = _count_stepper_calls(spec, boson_scenario(kind, dim), monkeypatch)
     n_blocks = -(-spec.n_traj // spec.block_size)
     assert STEPPERS.keys() == KINDS.keys()
-    assert dict(counts) == {name: n_blocks * spec.n_steps for name in STEPPERS[kind]}
+    assert counts == {name: n_blocks * spec.n_steps for name in STEPPERS[kind]}
 
 
 def test_two_point_mode_matches_gaussian_in_mean(qubit_ops, decay_model, excited):

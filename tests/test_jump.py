@@ -5,6 +5,8 @@ from contmon import OpenSystemModel, WeightedState, integrate_me
 from contmon.core_ops import dagger, hermitize, trace
 from contmon.jump import (
     DarkStateJumpError,
+    click_kernel,
+    click_kernel_step,
     feedback_unitary,
     jump_feedback_apply,
     jump_feedback_step,
@@ -219,22 +221,25 @@ def _literal_kraus_apply(rho, model, dt, dn):
 
 
 F_OP = 0.6 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+JUMP_ORACLE_CASES = [("sme", 1.0), ("sme", 0.8), ("kraus", 1.0), ("kraus", 0.8), ("feedback", 1.0)]
 
 
-@pytest.mark.parametrize(
-    "stepper, eta",
-    [("sme", 1.0), ("sme", 0.8), ("kraus", 1.0), ("kraus", 0.8), ("feedback", 1.0)],
-)
-def test_jump_steps_match_literal_products(qubit_ops, stepper, eta):
-    # the batched left/right products against the literal stacked matmuls on
-    # shared uniforms for a batch of trajectories over 10^3 steps: each path
-    # draws its own clicks, which must coincide, and the states must agree
+@pytest.mark.parametrize("stepper, eta, kernel", [
+    pytest.param(stepper, eta, kernel, id=f"{stepper}-{eta}" + ("-kernel" if kernel else ""))
+    for kernel in (False, True) for stepper, eta in JUMP_ORACLE_CASES
+])
+def test_jump_steps_match_literal_products(qubit_ops, stepper, eta, kernel):
+    # the per-state steppers (batched left/right products) and the compiled
+    # click kernel against the literal stacked matmuls on shared uniforms for
+    # a batch of trajectories over 10^3 steps: each path draws its own
+    # clicks, which must coincide, and the states must agree
     model = OpenSystemModel(0.3 * qubit_ops["sigma_x"], [(1.0, qubit_ops["sigma_minus"])],
                             efficiency=eta)
-    new, literal = {
-        "sme": (jump_sme_apply, _literal_sme_apply),
-        "kraus": (jump_kraus_apply, _literal_kraus_apply),
+    kind, apply, literal = {
+        "sme": ("jump", jump_sme_apply, _literal_sme_apply),
+        "kraus": ("jump_kraus", jump_kraus_apply, _literal_kraus_apply),
         "feedback": (
+            "jump_feedback",
             lambda r, m, dt, dn: jump_feedback_apply(r, m, F_OP, dt, dn),
             lambda r, m, dt, dn: _literal_sme_apply(
                 r, m, dt, dn, jump_op=feedback_unitary(F_OP) @ m.single_channel()[1]
@@ -242,16 +247,23 @@ def test_jump_steps_match_literal_products(qubit_ops, stepper, eta):
         ),
     }[stepper]
     dt, n_traj = 1e-3, 16
+    compiled = click_kernel(model, kind, dt, f_op=F_OP)
+
+    def new(rho, u):
+        if kernel:
+            return click_kernel_step(compiled, rho, u)
+        dn = u < jump_probability(rho, model, dt)
+        return apply(rho, model, dt, dn), dn
+
     rho0 = random_density_matrix(np.random.default_rng(5))
     rho = rho_ref = np.broadcast_to(rho0, (n_traj, 2, 2)).copy()
     rng = trajectory_rng(20240922, 0)
     gap, clicks = 0.0, 0
     for _ in range(1000):
         u = rng.random(n_traj)
-        dn = u < jump_probability(rho, model, dt)
         dn_ref = u < eta * np.einsum("bij,ji->b", rho_ref, qubit_ops["projector_e"]).real * dt
+        rho, dn = new(rho, u)
         np.testing.assert_array_equal(dn, dn_ref)
-        rho = new(rho, model, dt, dn)
         rho_ref = literal(rho_ref, model, dt, dn_ref)
         gap = max(gap, float(np.max(np.abs(rho - rho_ref))))
         clicks += int(dn.sum())
@@ -259,25 +271,32 @@ def test_jump_steps_match_literal_products(qubit_ops, stepper, eta):
     assert gap <= 1e-12
 
 
-def test_linear_jump_step_matches_literal_products(qubit_ops):
+@pytest.mark.parametrize("path", ["apply", "kernel"])
+def test_linear_jump_step_matches_literal_products(qubit_ops, path):
     model = OpenSystemModel(0.3 * qubit_ops["sigma_x"], [(1.0, qubit_ops["sigma_minus"])])
     kappa, c = model.single_channel()
     h, cd = model.constant_hamiltonian(), dagger(c)
     cdc = cd @ c
     beta, dt, n_traj = 1.0, 1e-3, 16
+    compiled = click_kernel(model, "linear_jump", dt, beta=beta)
     rb0 = random_density_matrix(np.random.default_rng(6))
-    lin = WeightedState(np.broadcast_to(rb0, (n_traj, 2, 2)).copy())
-    rb_ref = lin.rho_bar.copy()
+    rb = np.broadcast_to(rb0, (n_traj, 2, 2)).copy()
+    rb_ref = rb.copy()
     rng = trajectory_rng(20240923, 0)
     gap, clicks = 0.0, 0
     for _ in range(1000):
-        dn = rng.random(n_traj) < kappa * beta * dt
-        lin = linear_jump_step(lin, model, dt, dn, beta)
+        u = rng.random(n_traj)
+        dn = u < kappa * beta * dt
+        if path == "kernel":
+            rb, dn_kernel = click_kernel_step(compiled, rb, u)
+            np.testing.assert_array_equal(dn_kernel, dn)
+        else:
+            rb = linear_jump_step(WeightedState(rb), model, dt, dn, beta).rho_bar
         drift = (-0.5 * kappa * (cdc @ rb_ref + rb_ref @ cdc) + beta * kappa * rb_ref
                  - 1j * (h @ rb_ref - rb_ref @ h))
         rb_ref = hermitize(np.where(dn[:, None, None], (c @ rb_ref @ cd) / beta,
                                     rb_ref + drift * dt))
-        gap = max(gap, float(np.max(np.abs(lin.rho_bar - rb_ref))))
+        gap = max(gap, float(np.max(np.abs(rb - rb_ref))))
         clicks += int(dn.sum())
     assert clicks > 0
     assert gap <= 1e-12
