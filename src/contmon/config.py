@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core_ops import build_standard_ops, rk4_step
+from .core_ops import build_standard_ops, is_hermitian, rk4_step
 from .ensemble import EnsembleSpec, Scenario, run_ensemble
 from .gaussian import (
     GaussianModel,
@@ -553,6 +553,31 @@ def _cross_rules(norm, ctx):
         ctx.err("$.feedback.kind", "rule feedback_single_current: heterodyne feedback is not supported")
     if not model["channels"] and ukind != "none":
         ctx.err("$.model.channels", "an unravelling needs at least one collapse channel")
+    _operator_rules(norm, ctx)
+
+
+def _operator_rules(norm, ctx):
+    """Resolve the operator names of the Hamiltonian, the channels and the
+    feedback operator against the operator set ``build_runtime`` uses, and
+    require the summed Hamiltonian and feedback operator to be Hermitian."""
+    opset = _operator_set(norm["system"])
+    model, fb = norm["model"], norm["feedback"]
+    for path, terms in (
+        ("$.model.hamiltonian", model["hamiltonian"]),
+        ("$.model.channels", model["channels"]),
+        ("$.feedback.operator", fb.get("operator", [])),
+    ):
+        for name in sorted({term["op"] for term in terms} - set(opset)):
+            ctx.err(path, f"unknown operator {name!r}")
+    rules = [("$.model.hamiltonian", "hamiltonian_hermitian", "Hamiltonian", model["hamiltonian"])]
+    if "operator" in fb:
+        rules.append(("$.feedback.operator", "feedback_hermitian", "feedback operator",
+                      fb["operator"]))
+    for path, rule, what, terms in rules:
+        if any(e.startswith(path) for e in ctx.errors):
+            continue  # unresolvable names or coefficients are already reported
+        if not is_hermitian(_resolve_terms(terms, opset, path)):
+            ctx.err(path, f"rule {rule}: the summed {what} must be Hermitian")
 
 
 def _gaussian_model(model_cfg: dict) -> GaussianModel:

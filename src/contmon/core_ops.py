@@ -75,8 +75,18 @@ def trace(mat: np.ndarray) -> np.ndarray:
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Hermitian part (mat + mat^dag)/2."""
-    return 0.5 * (mat + dagger(mat))
+    """Hermitian part (mat + mat^dag)/2, as a fresh C-contiguous array.
+
+    mat^dag is written in C order and the sum formed in it, so the result is
+    one new array.  Left to numpy, ``mat + dagger(mat)`` reuses the
+    ``dagger`` temporary of a large batch and comes out with every matrix
+    transposed.
+    """
+    mat = np.asarray(mat)
+    out = np.conjugate(np.swapaxes(mat, -1, -2), order="C", dtype=np.result_type(mat, 0.5))
+    out += mat
+    out *= 0.5
+    return out
 
 
 def _check_square(op: np.ndarray, name: str = "operator") -> np.ndarray:
@@ -109,11 +119,15 @@ def expectation(rho: np.ndarray, op: np.ndarray):
 
 
 # Largest state dimension for which left_mul/right_mul use one GEMM over the
-# whole batch.  Above it numpy's per-matrix stacked matmul is as fast, and it
-# needs no contiguous copy of the batch (OpenBLAS, 1024-state batches, left
-# product: d = 4 GEMM 0.3 ms vs stacked 0.5 ms, d = 8 GEMM 1.3 ms vs stacked
-# 0.6 ms; right products share the bound because states of that size are
-# often laid out transposed, and reshaping them for one GEMM copies them).
+# whole batch, and for which the ensemble's step kernels are (d^2, d^2)
+# superoperators.  Above it a left product needs a transposed copy of the
+# batch, so numpy's per-matrix stacked matmul is faster (OpenBLAS, 1024-state
+# batches: d = 4 GEMM 0.3 ms vs stacked 0.5 ms, d = 8 GEMM 1.3 ms vs stacked
+# 0.6 ms), and a superoperator costs d times the flops of a (d, d) product,
+# so the kernels there use right products of the C-contiguous state only
+# (see contmon.jump).  right_mul shares the bound so that the per-state
+# steppers, above it the public API and the kernels' oracle, keep one code
+# path for both sides.
 BATCH_GEMM_MAX_DIM = 4
 
 

@@ -18,12 +18,16 @@ c rho c^dag is ``right_mul(left_mul(c, rho), c^dag)``.
 Diffusive kernels: each diffusive SME is linear in rho except for per-trajectory
 scalars (the expectations that shift the innovation and feed the current, and
 the normalization).  :func:`diffusive_kernel` compiles a step for fixed
-(model, kind, dt) into one matrix of stacked (d^2, d^2) superoperators and
-expectation rows; :func:`diffusive_kernel_step` applies it to the ``(B, d^2)``
-view of the batch in one GEMM and combines the rows with the increments.  The
-ensemble runs these at d <= 4 (``BATCH_GEMM_MAX_DIM``); the per-state steppers
-above stay the public API, the d > 4 path and the oracle the kernels are
-tested against.
+(model, kind, dt).  At d <= 4 (``BATCH_GEMM_MAX_DIM``) it is one matrix of
+stacked (d^2, d^2) superoperators and expectation rows, applied to the
+``(B, d^2)`` view of the batch in one GEMM.  Above it the step is a
+right-product kernel in the half form of :mod:`contmon.jump`: one GEMM of the
+``(B d, d)`` view per constant operator, where each measured channel's product
+rho R_k gives both its increment term and, from its diagonal, its shift, and a
+channel that is a multiple of a sandwich operator reuses that sandwich's
+product.  :func:`diffusive_kernel_step` runs either form, and the ensemble
+runs every diffusive kind through it; the per-state steppers above stay the
+public API and the oracle the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -39,15 +43,22 @@ from .core_ops import (
     is_hermitian,
     left_mul,
     right_mul,
+    trace,
 )
 from .jump import (
+    HalfForm,
     WeightedState,
+    _add_scaled,
+    _conj_t,
     _ctx,
     _expect,
     _finish,
+    _gemm,
+    _half_finish,
     _kernel_matrix,
     _no_click_kraus,
     _renormalize,
+    _right_work,
     _transpose_index,
 )
 from .master_equation import (
@@ -73,6 +84,7 @@ __all__ = [
     "squeezed_vacuum_jump_operator",
     "homodyne_kraus_operator",
     "DiffusiveKernel",
+    "DiffusiveRightKernel",
     "diffusive_kernel",
     "diffusive_kernel_step",
 ]
@@ -529,12 +541,14 @@ class DiffusiveKernel:
 
 def diffusive_kernel(
     model: OpenSystemModel, kind: str, dt: float, f_op=None, mu: float = 0.0
-) -> DiffusiveKernel:
+) -> DiffusiveKernel | DiffusiveRightKernel:
     """The compiled step of the diffusive kind ``kind`` ("homodyne",
     "homodyne_kraus", "heterodyne", "homodyne_feedback", "generalized_homodyne",
     "generalized_heterodyne" or "linear_homodyne"), with the rules of its
-    per-state stepper; ``f_op`` is the feedback operator of
-    "homodyne_feedback", ``mu`` the ostensible mean of "linear_homodyne"."""
+    per-state stepper: a superoperator :class:`DiffusiveKernel` at d <=
+    ``BATCH_GEMM_MAX_DIM``, a :class:`DiffusiveRightKernel` above it.  ``f_op``
+    is the feedback operator of "homodyne_feedback", ``mu`` the ostensible
+    mean of "linear_homodyne"."""
     ctx = _ctx(model)
     if kind == "homodyne_feedback":
         extra = np.asarray(f_op, dtype=complex).tobytes()
@@ -548,9 +562,26 @@ def diffusive_kernel(
 
 
 def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
+    eta = model.efficiency
+    if kind.startswith("generalized"):
+        if eta != 1.0:
+            raise ValueError("generalized-bath steppers are derived for unit efficiency")
+        sub = _generalized_channels(model, kind.removeprefix("generalized_"))
+    else:
+        if kind == "homodyne_feedback" and not 0.0 < eta <= 1.0:
+            raise ValueError("homodyne feedback needs efficiency in (0, 1]")
+        if kind == "linear_homodyne" and eta != 1.0:
+            raise ValueError("linear homodyne trajectories assume unit efficiency")
+        if not model.bath.is_vacuum:
+            raise ValueError({
+                "homodyne_feedback": "feedback steppers are defined for vacuum baths",
+                "linear_homodyne": "linear trajectories are defined for vacuum baths",
+            }.get(kind, "vacuum-bath stepper; use generalized_bath_homodyne_step"))
+    if model.dim > BATCH_GEMM_MAX_DIM:
+        return _compile_right(ctx, model, kind, dt, f_op, mu)
     d = model.dim
     eye, one = ctx["eye"], np.eye(d * d)
-    kappa, root, eta = ctx["kappa"], ctx["root"], model.efficiency
+    kappa, root = ctx["kappa"], ctx["root"]
     perm = _transpose_index(d)
 
     def meas(a, ad):
@@ -564,9 +595,6 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
         return DiffusiveKernel(d, mats, perm, len(maps), 1 + len(maps), **kw)
 
     if kind.startswith("generalized"):
-        if eta != 1.0:
-            raise ValueError("generalized-bath steppers are derived for unit efficiency")
-        sub = _generalized_channels(model, kind.removeprefix("generalized_"))
         root_k = np.sqrt(kappa) * dt
         if kind == "generalized_homodyne":
             g = sub["scale"]
@@ -579,15 +607,6 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
             [root_k * ctx["herm"], root_k * ctx["herm_i"]],
             noise_gain=sub["scale"],
         )
-    if kind == "homodyne_feedback" and not 0.0 < eta <= 1.0:
-        raise ValueError("homodyne feedback needs efficiency in (0, 1]")
-    if kind == "linear_homodyne" and eta != 1.0:
-        raise ValueError("linear homodyne trajectories assume unit efficiency")
-    if not model.bath.is_vacuum:
-        raise ValueError({
-            "homodyne_feedback": "feedback steppers are defined for vacuum baths",
-            "linear_homodyne": "linear trajectories are defined for vacuum baths",
-        }.get(kind, "vacuum-bath stepper; use generalized_bath_homodyne_step"))
     ceff, ceff_d, herm = ctx["ceff"], ctx["ceff_d"], ctx["herm"]
 
     if kind == "homodyne":
@@ -627,10 +646,17 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
     raise ValueError(f"no diffusive kernel for kind {kind!r}")
 
 
-def diffusive_kernel_step(kernel: DiffusiveKernel, rho: np.ndarray, dw):
+def diffusive_kernel_step(kernel, rho: np.ndarray, dw, work: dict | None = None):
     """Advance a C-contiguous (B, d, d) state batch by one step of a compiled
     diffusive kernel on the Wiener increments ``dw`` ((B,) for one channel,
-    (B, 2) for two); returns (rho', dy) with dy shaped like ``dw``."""
+    (B, 2) for two); returns (rho', dy) with dy shaped like ``dw``.
+
+    A right-product kernel (d > ``BATCH_GEMM_MAX_DIM``) advances ``rho`` in
+    place when the caller passes a ``work`` dict that it keeps for the batch,
+    where the step's buffers then live, and a copy otherwise.
+    """
+    if isinstance(kernel, DiffusiveRightKernel):
+        return _right_step(kernel, *_right_work(rho, work), dw)
     n = kernel.dim * kernel.dim
     x = rho.reshape(-1, n).T
     y = kernel.maps @ x
@@ -651,3 +677,158 @@ def diffusive_kernel_step(kernel: DiffusiveKernel, rho: np.ndarray, dw):
         if not kernel.linear:
             z = z - (w * ex[:m]).sum(axis=0) * x
     return _finish(z, kernel.dim, kernel.perm, not kernel.linear), dy.T.reshape(np.shape(dw))
+
+
+@dataclass(frozen=True, eq=False)
+class DiffusiveRightKernel:
+    """One diffusive step in half form for a fixed (model, kind, dt).
+
+    Euler kinds: W = rho ``r0`` + sum_j a_j rho b_j + sum_k dw_k rho R_k
+    - (1/2) sum_k dw_k s_k rho.  ``products`` lists the right products rho a^dag
+    a step makes, each with its sandwich factor b (None for a bare channel
+    product) and its taps (k, alpha): channel k has R_k = sum alpha a^dag over
+    its taps, so a channel that is a multiple of a sandwich's a^dag costs no
+    GEMM of its own.  The measurement map of channel k is rho R_k + R_k^dag
+    rho, and its shift is s_k = 2 Re tr(rho R_k), or the constant ``shift``
+    for linear kinds.  The currents are dy_k = e_k + ``noise_gain`` dw_k with
+    e_k = tr(rho A_k) read by one GEMM of the flattened batch with the
+    ``currents`` rows vec(A_k^T); linear kinds have none, record
+    dy = ``offset`` + dw and are not renormalized.  Kraus kinds (``kraus`` =
+    (base^dag, R) for the single channel R = sqrt(eta kappa) c_eff^dag):
+    rho M^dag = rho base^dag + dy rho R, W = M rho M^dag plus the sandwiches.
+    """
+
+    r0: np.ndarray | None
+    products: tuple
+    n_channels: int
+    currents: np.ndarray | None
+    noise_gain: float = 1.0
+    shift: float = 0.0
+    offset: float = 0.0
+    kraus: tuple | None = None
+
+    @property
+    def linear(self) -> bool:
+        return self.currents is None
+
+
+def _right_kernel(form: HalfForm, channels, currents, **kw) -> DiffusiveRightKernel:
+    """The kernel of the drift ``form`` and the measured ``channels``
+    (alpha, a^dag), R = alpha a^dag: a channel whose a^dag is a sandwich's
+    reads that sandwich's product, any other gets a product of its own."""
+    products = [[a_d, b, []] for a_d, b in form.sandwiches]
+    index = {a_d.tobytes(): j for j, (a_d, _) in enumerate(form.sandwiches)}
+    for k, (alpha, a_d) in enumerate(channels):
+        a_d = np.ascontiguousarray(a_d, dtype=complex)
+        j = index.setdefault(a_d.tobytes(), len(products))
+        if j == len(products):
+            products.append([a_d, None, []])
+        products[j][2].append((k, alpha))
+    # the Kraus kind's single channel lives in ``kraus``
+    return DiffusiveRightKernel(form.r0, tuple((a, b, tuple(t)) for a, b, t in products),
+                                len(channels) or 1, currents, **kw)
+
+
+def _euler_form(dt, h, terms, dterms=(), right=0.0, pairs=()):
+    """Half form of rho + dt (-i[h, rho] + sum coeff D[a] rho
+    + sum coeff' [a, [a, rho]] + rho right + right^dag rho + sum (a rho b + h.c.))
+    for the dissipators ``terms`` (coeff, a, a^dag, a^dag a), the double
+    commutators ``dterms`` (coeff', a, a^2) of a Hermitian sum
+    sum coeff' a^2, and the (a^dag, b) ``pairs``."""
+    g_d = 1j * h + right
+    sandwiches = list(pairs)
+    for coeff, a, ad, ada in terms:
+        g_d = g_d - (0.5 * coeff) * ada
+        sandwiches.append((ad, (0.5 * coeff) * ad))
+    for coeff, a, a2 in dterms:
+        g_d = g_d + coeff * a2
+        sandwiches.append((dagger(a), -coeff * a))
+    r0 = 0.5 * np.eye(len(h)) + dt * g_d
+    return HalfForm.build(r0, [(a_d, dt * b) for a_d, b in sandwiches])
+
+
+def _rows(*ops):
+    """The rows vec(A^T) that read tr(rho A) off the flattened batch."""
+    return np.ascontiguousarray(np.stack([a.T.ravel() for a in ops]), dtype=complex)
+
+
+def _compile_right(ctx, model, kind, dt, f_op, mu):
+    kappa, root, eta = ctx["kappa"], ctx["root"], model.efficiency
+    cd, herm = ctx["cd"], ctx["herm"]
+    theta = model.homodyne_phase
+    phase = np.exp(-1j * theta) if theta else 1.0  # c_eff^dag = phase c^dag
+    vacuum = [(kappa, ctx["c"], cd, ctx["cdc"])]
+    homodyne_current = _rows((root * dt) * herm)
+    if kind.startswith("generalized"):
+        gen = _generalized_ctx(model)
+        drift = _euler_form(dt, gen["h_eff"], gen["terms"], gen["dterms"])
+        sub = _generalized_channels(model, kind.removeprefix("generalized_"))
+        root_k = np.sqrt(kappa) * dt
+        if kind == "generalized_homodyne":
+            return _right_kernel(drift, [(sub["scale"], sub["opd"])], _rows(root_k * herm),
+                                 noise_gain=sub["root_l"])
+        g = sub["pref"]
+        return _right_kernel(drift, [(g, sub["op1d"]), (g, sub["op2d"])],
+                             _rows(root_k * herm, root_k * ctx["herm_i"]),
+                             noise_gain=sub["scale"])
+    if kind == "homodyne":
+        return _right_kernel(_euler_form(dt, ctx["h"], vacuum), [(root * phase, cd)],
+                             homodyne_current)
+    if kind == "heterodyne":
+        g = np.sqrt(eta * kappa / 2.0)
+        return _right_kernel(_euler_form(dt, ctx["h"], vacuum),
+                             [(g * phase, cd), (-1j * g * phase, cd)],
+                             _rows((g * dt) * herm, (g * dt) * ctx["herm_i"]))
+    if kind == "linear_homodyne":
+        g = np.sqrt(kappa)
+        return _right_kernel(_euler_form(dt, ctx["h"], vacuum), [(g * phase, cd)], None,
+                             shift=g * mu, offset=g * mu * dt)
+    ceff_d = ctx["ceff_d"]
+    if kind == "homodyne_feedback":
+        # -i sqrt(kappa) [F, c rho + rho c^dag] = rho R + (a rho b + h.c.) + h.c.
+        # with R = i sqrt(kappa) c^dag F and a rho b = -i sqrt(kappa) F rho c^dag
+        f = _feedback_ctx(ctx, f_op)["f"]
+        s_k = np.sqrt(kappa)
+        drift = _euler_form(dt, ctx["h"], vacuum + [(1.0 / eta, f, f, f @ f)],
+                            right=(1j * s_k) * (ceff_d @ f), pairs=[(f, (-1j * s_k) * ceff_d)])
+        return _right_kernel(drift, [(1.0, root * ceff_d + 1j * f)], homodyne_current)
+    if kind == "homodyne_kraus":
+        undetected = [] if eta == 1.0 else [(cd, ((1.0 - eta) * kappa * dt) * cd)]
+        kraus = (_no_click_kraus(ctx, dt)[1], np.ascontiguousarray(root * ceff_d))
+        return _right_kernel(HalfForm.build(None, undetected), [], homodyne_current,
+                             kraus=kraus)
+    raise ValueError(f"no diffusive kernel for kind {kind!r}")
+
+
+def _right_step(kernel: DiffusiveRightKernel, rho, bufs, dw):
+    w, p, q = bufs
+    dws = np.reshape(dw, (-1, kernel.n_channels))
+    if kernel.linear:
+        dy = kernel.offset + dws
+    else:
+        dy = (rho.reshape(len(rho), -1) @ kernel.currents.T).real + kernel.noise_gain * dws
+    if kernel.kraus is not None:
+        # q = rho M^dag, then p = M rho and w = M rho M^dag
+        base_d, r = kernel.kraus
+        _add_scaled(_gemm(rho, base_d, q), _gemm(rho, r, p), dy[:, 0], w)
+        _conj_t(q, p)
+        _gemm(p, base_d, w)
+        _add_scaled(w, _gemm(p, r, q), dy[:, 0], p)
+    else:
+        _gemm(rho, kernel.r0, w)
+    shift = kernel.shift * dws.sum(axis=1) if kernel.linear else 0.0
+    for a_d, b, taps in kernel.products:
+        _gemm(rho, a_d, p)
+        if taps:
+            tr = trace(p)
+            coeff = 0.0
+            for k, alpha in taps:
+                coeff = coeff + alpha * dws[:, k]
+                if not kernel.linear:
+                    shift = shift + dws[:, k] * (2.0 * alpha * tr).real
+            _add_scaled(w, p, coeff, q)
+        if b is not None:
+            w += _gemm(_conj_t(p, q), b, p)
+    if kernel.kraus is None:
+        _add_scaled(w, rho, -0.5 * shift, p)
+    return _half_finish(w, rho, p, not kernel.linear), dy.reshape(np.shape(dw))

@@ -10,13 +10,15 @@ Variates drawn per step and trajectory: ``KINDS[kind].draws`` for each
 Hilbert-space kind (uniforms for click kinds and in two-point mode, normals
 otherwise), and one normal per monitored current for Gaussian runs.
 
-Step dispatch: at d <= ``BATCH_GEMM_MAX_DIM`` (4) every density-matrix kind
-with a ``Kind.kernel`` advances its block through a compiled superoperator
-kernel (:func:`contmon.jump.click_kernel`,
-:func:`contmon.diffusive.diffusive_kernel`): one GEMM of the (B, d^2) state
-view per step plus per-row scalar corrections.  Larger dimensions, and the
-state-vector kind ``jump_sse``, run the per-state ``Kind.step``.  Both paths
-call the steppers through the module attributes ``jump`` and ``diffusive``.
+Step dispatch: every density-matrix kind advances its block through its
+``Kind.kernel``, compiled once per block (:func:`contmon.jump.click_kernel`,
+:func:`contmon.diffusive.diffusive_kernel`).  At d <= ``BATCH_GEMM_MAX_DIM``
+(4) that is a superoperator kernel, one GEMM of the (B, d^2) state view per
+step plus per-row scalar corrections; above it a right-product kernel that
+updates the block's states in place through work buffers the block owns,
+with one GEMM of the (B d, d) view per constant operator.  The state-vector
+kind ``jump_sse`` runs its per-state ``Kind.step``.  Both paths call the
+steppers through the module attributes ``jump`` and ``diffusive``.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from typing import Callable
 import numpy as np
 
 from . import diffusive, jump
-from .core_ops import BATCH_GEMM_MAX_DIM, dagger, min_eigenvalue, rk4_step, trace
+from .core_ops import dagger, min_eigenvalue, rk4_step, trace
 from .gaussian import GaussianModel, _sym, conditional_cov_rhs
-from .jump import WeightedState
 from .master_equation import OpenSystemModel
 
 __all__ = [
@@ -185,7 +186,11 @@ def _check_physical(kind, state, step):
         raise PhysicalityError(step, "non-finite state entries")
     if kind.pure or arr.ndim < 3:
         return
-    herm = float(np.max(np.abs(arr - dagger(arr))))
+    # one state-sized temporary, freed before the eigenvalue check
+    defect = dagger(arr)
+    np.subtract(arr, defect, out=defect)
+    herm = float(np.max(np.abs(defect)))
+    del defect
     if herm > 1e-8:
         raise PhysicalityError(step, f"hermiticity defect {herm:.3e}")
     if not kind.linear:
@@ -201,42 +206,30 @@ def _check_physical(kind, state, step):
 class Kind:
     """What the ensemble layer needs to know about one Hilbert-space kind.
 
-    ``step(scenario, state, dt, x)`` advances the block and returns
-    (state', record row); ``x`` is the step's uniform variates for click
-    kinds and its Wiener increments otherwise, one column per draw (a vector
-    when ``draws`` is 1).  ``kernel(scenario, dt)``, when set, compiles the
-    same step for the block once and returns ``advance(state, x)`` with the
-    same contract; ``_run_block`` uses it when the model dimension is at most
-    ``BATCH_GEMM_MAX_DIM``.  Click kinds record ``uint8`` outcomes;
-    ``linear`` kinds carry unnormalized states with weighted statistics;
-    ``pure`` kinds step state vectors and skip the positivity checks.
+    ``kernel(scenario, dt)`` compiles the step of a density-matrix kind once
+    per block and returns ``advance(state, x)``, which advances the block and
+    returns (state', record row); ``x`` is the step's uniform variates for
+    click kinds and its Wiener increments otherwise, one column per draw (a
+    vector when ``draws`` is 1).  Above ``BATCH_GEMM_MAX_DIM`` ``advance``
+    updates the block's C-contiguous state array in place.  The state-vector
+    kind has ``step(scenario, state, dt, x)`` instead, with the same contract.
+    Click kinds record ``uint8`` outcomes; ``linear`` kinds carry unnormalized
+    states with weighted statistics; ``pure`` kinds step state vectors and
+    skip the positivity checks.
     """
 
-    step: Callable
+    kernel: Callable | None = None
+    step: Callable | None = None
     draws: int = 1
     clicks: bool = False
     linear: bool = False
     pure: bool = False
-    kernel: Callable | None = None
 
 
 # The steppers are looked up through the module attributes ``jump`` and
 # ``diffusive`` at call time, so a stand-in module set there sees every call.
-
-
-def _jump(sc, rho, dt, u):
-    dn = jump.click_outcomes(jump.jump_probability(rho, sc.model, dt), u)
-    return jump.jump_sme_apply(rho, sc.model, dt, dn), dn
-
-
-def _jump_kraus(sc, rho, dt, u):
-    dn = jump.click_outcomes(jump.jump_probability(rho, sc.model, dt), u)
-    return jump.jump_kraus_apply(rho, sc.model, dt, dn), dn
-
-
-def _jump_feedback(sc, rho, dt, u):
-    dn = jump.click_outcomes(jump.jump_probability(rho, sc.model, dt), u)
-    return jump.jump_feedback_apply(rho, sc.model, sc.feedback_operator, dt, dn), dn
+# Each compiled kernel gets its own ``work`` dict, so the buffers of blocks
+# that run on different threads are never shared.
 
 
 def _jump_sse(sc, psi, dt, u):
@@ -244,70 +237,33 @@ def _jump_sse(sc, psi, dt, u):
     return jump.jump_sse_apply(psi, sc.model, dt, dn), dn
 
 
-def _linear_jump(sc, rho_bar, dt, u):
-    kappa, _ = sc.model.single_channel()
-    dn = u < sc.model.efficiency * kappa * sc.beta_ost * dt
-    new = jump.linear_jump_step(WeightedState(rho_bar), sc.model, dt, dn, sc.beta_ost)
-    return new.rho_bar, dn
-
-
-def _heterodyne(sc, rho, dt, dw):
-    rho, dy1, dy2 = diffusive.heterodyne_sme_step(rho, sc.model, dt, dw[:, 0], dw[:, 1])
-    return rho, np.stack([dy1, dy2], axis=-1)
-
-
-def _linear_homodyne(sc, rho_bar, dt, dw):
-    kappa, _ = sc.model.single_channel()
-    dy = np.sqrt(kappa) * sc.mu * dt + dw
-    new = diffusive.linear_homodyne_step(WeightedState(rho_bar), sc.model, dt, dy, sc.mu)
-    return new.rho_bar, dy
-
-
 def _click_kernel(sc, dt):
     kernel = jump.click_kernel(sc.model, sc.kind, dt, f_op=sc.feedback_operator,
                                beta=sc.beta_ost)
-    return lambda rho, u: jump.click_kernel_step(kernel, rho, u)
+    work = {}
+    return lambda rho, u: jump.click_kernel_step(kernel, rho, u, work)
 
 
 def _diffusive_kernel(sc, dt):
     kernel = diffusive.diffusive_kernel(sc.model, sc.kind, dt, f_op=sc.feedback_operator,
                                         mu=sc.mu)
-    return lambda rho, dw: diffusive.diffusive_kernel_step(kernel, rho, dw)
+    work = {}
+    return lambda rho, dw: diffusive.diffusive_kernel_step(kernel, rho, dw, work)
 
 
 KINDS = {
-    "jump": Kind(_jump, clicks=True, kernel=_click_kernel),
-    "jump_kraus": Kind(_jump_kraus, clicks=True, kernel=_click_kernel),
-    "jump_feedback": Kind(_jump_feedback, clicks=True, kernel=_click_kernel),
-    "jump_sse": Kind(_jump_sse, clicks=True, pure=True),
-    "linear_jump": Kind(_linear_jump, clicks=True, linear=True, kernel=_click_kernel),
-    "homodyne": Kind(
-        lambda sc, rho, dt, dw: diffusive.homodyne_sme_step(rho, sc.model, dt, dw),
-        kernel=_diffusive_kernel,
-    ),
-    "homodyne_kraus": Kind(
-        lambda sc, rho, dt, dw: diffusive.homodyne_kraus_step(rho, sc.model, dt, dw),
-        kernel=_diffusive_kernel,
-    ),
-    "heterodyne": Kind(_heterodyne, draws=2, kernel=_diffusive_kernel),
-    "homodyne_feedback": Kind(
-        lambda sc, rho, dt, dw: diffusive.homodyne_feedback_step(
-            rho, sc.model, sc.feedback_operator, dt, dw
-        ),
-        kernel=_diffusive_kernel,
-    ),
-    "generalized_homodyne": Kind(
-        lambda sc, rho, dt, dw: diffusive.generalized_bath_homodyne_step(rho, sc.model, dt, dw),
-        kernel=_diffusive_kernel,
-    ),
-    "generalized_heterodyne": Kind(
-        lambda sc, rho, dt, dw: diffusive.generalized_bath_homodyne_step(
-            rho, sc.model, dt, dw, mode="heterodyne"
-        ),
-        draws=2,
-        kernel=_diffusive_kernel,
-    ),
-    "linear_homodyne": Kind(_linear_homodyne, linear=True, kernel=_diffusive_kernel),
+    "jump": Kind(_click_kernel, clicks=True),
+    "jump_kraus": Kind(_click_kernel, clicks=True),
+    "jump_feedback": Kind(_click_kernel, clicks=True),
+    "jump_sse": Kind(step=_jump_sse, clicks=True, pure=True),
+    "linear_jump": Kind(_click_kernel, clicks=True, linear=True),
+    "homodyne": Kind(_diffusive_kernel),
+    "homodyne_kraus": Kind(_diffusive_kernel),
+    "heterodyne": Kind(_diffusive_kernel, draws=2),
+    "homodyne_feedback": Kind(_diffusive_kernel),
+    "generalized_homodyne": Kind(_diffusive_kernel),
+    "generalized_heterodyne": Kind(_diffusive_kernel, draws=2),
+    "linear_homodyne": Kind(_diffusive_kernel, linear=True),
 }
 
 
@@ -421,7 +377,7 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
             sum1[k, j] += x.sum()
             sum2[k, j] += (x * x).sum()
 
-    if kind.kernel is not None and scenario.model.dim <= BATCH_GEMM_MAX_DIM:
+    if kind.kernel is not None:
         advance = kind.kernel(scenario, spec.dt)
     else:
         def advance(state, x):

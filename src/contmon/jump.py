@@ -11,15 +11,17 @@ Per-model operator products are cached, so repeated stepping costs only the
 batched state arithmetic.
 
 Click kernels: for a fixed (model, kind, dt) the density-matrix click kinds are
-linear in rho except for the scalar <c^dag c>, so :func:`click_kernel` compiles
-one step into a single matrix that takes the ``(B, d^2)`` row-major view of a
-state batch to its no-click image, its click image and <c^dag c> in one GEMM;
-:func:`click_kernel_step` then combines the rows with the step's clicks,
-hermitizes and renormalizes.  The ensemble runs these at d <= 4
-(``core_ops.BATCH_GEMM_MAX_DIM``), where per-call overhead dominates; the
-``*_apply`` functions remain the public per-state steppers and the oracle.
-Compiled kernels live in the per-model operator cache under
-``("kernel", kind, dt, ...)`` keys.
+linear in rho except for the scalar <c^dag c>, and :func:`click_kernel`
+compiles one step in one of two forms.  At d <= 4
+(``core_ops.BATCH_GEMM_MAX_DIM``), where per-call overhead dominates, it is a
+single matrix that takes the ``(B, d^2)`` row-major view of a state batch to
+its no-click image, its click image and <c^dag c> in one GEMM.  Above it the
+step is a right-product kernel on the ``(B d, d)`` view (see the kernel
+section below), which allocates no (B, d, d) array when the caller keeps its
+work buffers.  :func:`click_kernel_step` runs either form; the ensemble runs
+every density-matrix click kind through it, and the ``*_apply`` functions
+remain the public per-state steppers and the oracle.  Compiled kernels live in
+the per-model operator cache under ``("kernel", kind, dt, ...)`` keys.
 """
 
 from __future__ import annotations
@@ -31,7 +33,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .core_ops import dagger, hermitize, is_hermitian, left_mul, right_mul, trace
+from .core_ops import (
+    BATCH_GEMM_MAX_DIM,
+    dagger,
+    hermitize,
+    is_hermitian,
+    left_mul,
+    right_mul,
+    trace,
+)
 from .master_equation import OpenSystemModel, StepSizeError, liouvillian_matrix
 from .master_equation import _sandwich as _sandwich_map
 
@@ -52,6 +62,7 @@ __all__ = [
     "jump_feedback_step",
     "jump_feedback_apply",
     "ClickKernel",
+    "ClickRightKernel",
     "click_kernel",
     "click_kernel_step",
 ]
@@ -461,11 +472,13 @@ class ClickKernel:
 
 def click_kernel(
     model: OpenSystemModel, kind: str, dt: float, f_op=None, beta: float = 1.0
-) -> ClickKernel:
+) -> ClickKernel | ClickRightKernel:
     """The compiled step of the density-matrix click kind ``kind`` ("jump",
     "jump_kraus", "jump_feedback" or "linear_jump"), with the rules of its
-    ``*_apply`` stepper; ``f_op`` is the feedback generator of
-    "jump_feedback", ``beta`` the ostensible rate of "linear_jump"."""
+    ``*_apply`` stepper: a superoperator :class:`ClickKernel` at d <=
+    ``BATCH_GEMM_MAX_DIM``, a :class:`ClickRightKernel` above it.  ``f_op`` is
+    the feedback generator of "jump_feedback", ``beta`` the ostensible rate of
+    "linear_jump"."""
     ctx = _vacuum_ctx(model)
     if kind == "jump_feedback":
         extra = np.asarray(f_op, dtype=complex).tobytes()
@@ -481,29 +494,29 @@ def click_kernel(
 def _compile_click(ctx, model, kind, dt, f_op, beta):
     kappa, c, cd = ctx["kappa"], ctx["c"], ctx["cd"]
     eta = model.efficiency
+    if kind not in ("jump", "jump_kraus", "jump_feedback", "linear_jump"):
+        raise ValueError(f"no click kernel for kind {kind!r}")
+    if kind == "jump_feedback" and eta != 1.0:
+        raise ValueError("jump feedback requires unit efficiency")
+    if kind == "linear_jump":
+        if beta <= 0:
+            raise ValueError("ostensible rate beta must be > 0")
+        if eta != 1.0:
+            raise ValueError("linear jump trajectories assume unit efficiency")
+    jump_op = feedback_unitary(f_op) @ c if kind == "jump_feedback" else c
+    if model.dim > BATCH_GEMM_MAX_DIM:
+        return _compile_click_right(ctx, model, kind, dt, jump_op, beta)
     n = model.dim * model.dim
-    jump_op = c
     if kind == "jump_kraus":
         m0, m0d = _no_click_kraus(ctx, dt)
         no_click = _sandwich_map(m0, m0d) + ((1.0 - eta) * kappa * dt) * _sandwich_map(c, cd)
-    elif kind in ("jump", "jump_feedback", "linear_jump"):
-        if kind == "jump_feedback" and eta != 1.0:
-            raise ValueError("jump feedback requires unit efficiency")
-        if kind == "linear_jump":
-            if beta <= 0:
-                raise ValueError("ostensible rate beta must be > 0")
-            if eta != 1.0:
-                raise ValueError("linear jump trajectories assume unit efficiency")
+    else:
         # the Euler no-click drift is L rho - eta kappa c rho c^dag plus the
         # nonlinear eta kappa <c^dag c> rho, or beta kappa rho for linear kinds
         drift = liouvillian_matrix(model) - (eta * kappa) * _sandwich_map(c, cd)
         if kind == "linear_jump":
             drift = drift + (beta * kappa) * np.eye(n)
         no_click = np.eye(n) + dt * drift
-        if kind == "jump_feedback":
-            jump_op = feedback_unitary(f_op) @ c
-    else:
-        raise ValueError(f"no click kernel for kind {kind!r}")
     click = _sandwich_map(jump_op, dagger(jump_op))
     perm = _transpose_index(model.dim)
     if kind == "linear_jump":
@@ -514,10 +527,17 @@ def _compile_click(ctx, model, kind, dt, f_op, beta):
     return ClickKernel(model.dim, maps, perm, eta * kappa * dt, rate_gain, False)
 
 
-def click_kernel_step(kernel: ClickKernel, rho: np.ndarray, u):
+def click_kernel_step(kernel, rho: np.ndarray, u, work: dict | None = None):
     """Advance a C-contiguous (B, d, d) state batch by one step of a compiled
     click kernel on the step's uniforms ``u``; returns (rho', dN).  Applies the
-    step-size check of :func:`click_outcomes` and the dark-state rule."""
+    step-size check of :func:`click_outcomes` and the dark-state rule.
+
+    A right-product kernel (d > ``BATCH_GEMM_MAX_DIM``) advances ``rho`` in
+    place when the caller passes a ``work`` dict that it keeps for the batch,
+    where the step's buffers then live, and a copy otherwise.
+    """
+    if isinstance(kernel, ClickRightKernel):
+        return _click_right_step(kernel, *_right_work(rho, work), u)
     n = kernel.dim * kernel.dim
     x = rho.reshape(-1, n).T
     y = kernel.maps @ x
@@ -534,3 +554,178 @@ def click_kernel_step(kernel: ClickKernel, rho: np.ndarray, u):
             raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
         z[:, dn] = y[n : 2 * n, dn]
     return _finish(z, kernel.dim, kernel.perm, not kernel.linear), dn
+
+
+# ------------------------------------------------------- right-product kernels
+# Above BATCH_GEMM_MAX_DIM a kernel acts on the C-contiguous (B d, d) view of
+# the state batch with right products only, each one GEMM by a (d, d)
+# operator.  For Hermitian rho, A rho = (rho A^dag)^dag, so every update is
+# written in half form
+#     rho' = (W + W^dag) / tr(W + W^dag),
+#     W = rho R0 + (per-row terms) + sum_j (rho A_j^dag)^dag B_j,
+# where an Euler step has R0 = 1/2 + dt G^dag for G = -iH - (1/2) sum c^dag c
+# (the Monte-Carlo wave-function split) and its Hermitian sandwiches such as
+# kappa c rho c^dag enter W at half weight; linear kinds skip the division.  A step works in three
+# (B, d, d) buffers and writes rho' over rho.
+
+
+def _right_work(rho, work):
+    """The state a right-product step advances and its three (B, d, d)
+    buffers: ``rho`` itself with the buffers kept in the caller's ``work``
+    dict, or a fresh copy with fresh buffers when ``work`` is None."""
+    if work is None:
+        rho = np.array(rho, dtype=complex, order="C")
+        return rho, [np.empty_like(rho) for _ in range(3)]
+    bufs = work.get("buffers")
+    if bufs is None or bufs[0].shape != rho.shape:
+        bufs = work["buffers"] = [np.empty_like(rho) for _ in range(3)]
+    return rho, bufs
+
+
+def _gemm(rho, op, out):
+    """rho @ op for a C-contiguous (B, d, d) batch: one GEMM into ``out``."""
+    d = rho.shape[-1]
+    np.matmul(rho.reshape(-1, d), op, out=out.reshape(-1, d))
+    return out
+
+
+def _conj_t(x, out):
+    """x^dag into ``out``: a transposing copy, then an in-place conjugate (the
+    conjugating ufunc on the transposed view would buffer)."""
+    np.copyto(out, np.swapaxes(x, -1, -2))
+    return np.conjugate(out, out=out)
+
+
+def _scale(x, coeff, out):
+    """out = coeff x for per-row coefficients ``coeff``: one einsum, on the
+    float views when ``coeff`` is real, so no temporary is allocated as long
+    as ``out`` is not ``x``."""
+    x_v, out_v = (x, out) if np.iscomplexobj(coeff) else (x.view(float), out.view(float))
+    n = len(x)
+    np.einsum("bi,b->bi", x_v.reshape(n, -1), coeff, out=out_v.reshape(n, -1))
+    return out
+
+
+def _add_scaled(w, x, coeff, spare):
+    """w += coeff x for per-row coefficients ``coeff``, through ``spare``
+    (neither ``w`` nor ``x``)."""
+    _scale(x, coeff, spare)
+    w += spare
+
+
+@dataclass(frozen=True, eq=False)
+class HalfForm:
+    """The constant part W = rho ``r0`` + sum_j a_j rho b_j of a half-form
+    update; ``sandwiches`` holds the (a_j^dag, b_j) pairs, one per distinct
+    a_j^dag.  Without ``r0`` the first sandwich starts W."""
+
+    r0: np.ndarray | None
+    sandwiches: tuple
+
+    @classmethod
+    def build(cls, r0, sandwiches):
+        """Merge the (a^dag, b) pairs that share a^dag, so that each distinct
+        a^dag costs two GEMMs."""
+        merged = {}
+        for a_d, b in sandwiches:
+            a_d = np.ascontiguousarray(a_d, dtype=complex)
+            key = a_d.tobytes()
+            merged[key] = (a_d, merged[key][1] + b if key in merged else b)
+        pairs = tuple((a_d, np.ascontiguousarray(b, dtype=complex)) for a_d, b in merged.values())
+        return cls(None if r0 is None else np.ascontiguousarray(r0, dtype=complex), pairs)
+
+    def apply(self, rho, w, p, q):
+        """W for the batch ``rho`` into ``w``, each sandwich as
+        (rho a^dag)^dag b; ``p`` and ``q`` are spare buffers."""
+        pairs = self.sandwiches
+        if self.r0 is not None:
+            _gemm(rho, self.r0, w)
+        else:
+            a_d, b = pairs[0]
+            _gemm(_conj_t(_gemm(rho, a_d, p), q), b, w)
+            pairs = pairs[1:]
+        for a_d, b in pairs:
+            w += _gemm(_conj_t(_gemm(rho, a_d, p), q), b, p)
+        return w
+
+
+def _half_finish(w, out, spare, renormalize):
+    """out = W + W^dag, divided by its trace 2 Re tr W unless the kind is
+    linear; ``spare`` is neither ``w`` nor ``out``."""
+    if renormalize:
+        w = _scale(w, 0.5 / trace(w).real, spare)
+    _conj_t(w, out)
+    out += w
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ClickRightKernel:
+    """One click step in half form for a fixed (model, kind, dt).
+
+    No click: W = ``no_click`` + ``rate_gain`` <c^dag c> rho, with <c^dag c>
+    read by one GEMV of the ``rate_row`` vec((c^dag c)^T).  A click replaces W
+    by ``click_scale`` J rho J^dag for the jump operator J (``jump_d`` =
+    J^dag), on the clicked rows only.  The click probability is ``p_click``
+    <c^dag c>, or the constant ``p_click`` for ``linear`` kinds, which carry no
+    rate row and are not renormalized.
+    """
+
+    no_click: HalfForm
+    jump_d: np.ndarray
+    rate_row: np.ndarray | None
+    p_click: float
+    rate_gain: float
+    click_scale: float
+
+    @property
+    def linear(self) -> bool:
+        return self.rate_row is None
+
+
+def _compile_click_right(ctx, model, kind, dt, jump_op, beta):
+    kappa, cd, cdc = ctx["kappa"], ctx["cd"], ctx["cdc"]
+    eta = model.efficiency
+    undetected = [] if eta == 1.0 else [(cd, ((1.0 - eta) * kappa * dt) * cd)]
+    if kind == "jump_kraus":
+        # M0 rho M0^dag + (1 - eta) kappa dt c rho c^dag, renormalized
+        m0_d = _no_click_kraus(ctx, dt)[1]
+        no_click = HalfForm.build(None, [(m0_d, m0_d)] + undetected)
+    else:
+        # rho + dt (G rho + rho G^dag + (1 - eta) kappa c rho c^dag) with
+        # G = -iH - (kappa/2) c^dag c, plus the per-row eta kappa <c^dag c> rho,
+        # or beta kappa rho in R0 for linear kinds
+        g_d = 1j * ctx["h"] - (0.5 * kappa) * cdc
+        if kind == "linear_jump":
+            g_d = g_d + (0.5 * beta * kappa) * ctx["eye"]
+        no_click = HalfForm.build(0.5 * ctx["eye"] + dt * g_d,
+                                  [(a_d, 0.5 * b) for a_d, b in undetected])
+    jd = np.ascontiguousarray(dagger(jump_op))
+    if kind == "linear_jump":
+        return ClickRightKernel(no_click, jd, None, eta * kappa * beta * dt, 0.0, 0.5 / beta)
+    rate_gain = 0.0 if kind == "jump_kraus" else 0.5 * eta * kappa * dt
+    return ClickRightKernel(no_click, jd, np.ascontiguousarray(cdc.T.ravel()),
+                            eta * kappa * dt, rate_gain, 1.0)
+
+
+def _click_right_step(kernel: ClickRightKernel, rho, bufs, u):
+    w, p, q = bufs
+    if kernel.linear:
+        dn = u < kernel.p_click
+    else:
+        rate = (rho.reshape(len(rho), -1) @ kernel.rate_row).real
+        dn = click_outcomes(kernel.p_click * rate, u)
+    kernel.no_click.apply(rho, w, p, q)
+    if kernel.rate_gain:
+        _add_scaled(w, rho, kernel.rate_gain * rate, p)
+    if dn.any():
+        if not kernel.linear and np.any(rate[dn] < DARK_STATE_RATE):
+            raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
+        # the click sandwich of the clicked rows, in the leading rows of p and q
+        rows = np.flatnonzero(dn)
+        sub_p, sub_q = p[: len(rows)], q[: len(rows)]
+        np.take(rho, rows, axis=0, out=sub_p)
+        _gemm(_conj_t(_gemm(sub_p, kernel.jump_d, sub_q), sub_p), kernel.jump_d, sub_q)
+        sub_q *= kernel.click_scale
+        w[rows] = sub_q
+    return _half_finish(w, rho, p, not kernel.linear), dn

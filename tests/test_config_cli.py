@@ -341,3 +341,24 @@ def test_gaussian_mode_count_must_match_matrices():
     doc["system"]["n_modes"] = 1
     with pytest.raises(ConfigError, match="gaussian_mode_count"):
         parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mutate, path", [
+    # a non-Hermitian Hamiltonian term: run used to die with a traceback
+    (lambda doc: doc["model"].update(hamiltonian=[{"op": "sigma_minus", "coeff": [0, 1]}]),
+     "$.model.hamiltonian: rule hamiltonian_hermitian"),
+    # an unknown channel operator: validate used to accept it
+    (lambda doc: doc["model"]["channels"][0].update(op="sigma_foo"),
+     "$.model.channels: unknown operator 'sigma_foo'"),
+    (lambda doc: doc["model"].update(hamiltonian=[{"op": "bogus", "coeff": 1.0}]),
+     "$.model.hamiltonian: unknown operator 'bogus'"),
+    (lambda doc: doc.update(feedback={"kind": "markovian",
+                                      "operator": [{"op": "sigma_minus", "coeff": 1.0}]}),
+     "$.feedback.operator: rule feedback_hermitian"),
+], ids=["non_hermitian_hamiltonian", "unknown_channel_op", "unknown_hamiltonian_op",
+        "non_hermitian_feedback"])
+def test_cli_rejects_unresolvable_operators(tmp_path, capsys, mutate, path):
+    doc = get_preset("qubit_decay_jump")
+    doc["run"].update(t_final=0.01, n_traj=4)
+    mutate(doc)
+    _assert_rejected(tmp_path, capsys, doc, path)

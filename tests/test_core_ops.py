@@ -9,6 +9,7 @@ from contmon.core_ops import (
     build_standard_ops,
     dissipator,
     expectation,
+    hermitize,
     left_mul,
     measurement_superop,
     min_eigenvalue,
@@ -220,3 +221,15 @@ def test_superoperators_traceless_property(seed):
     op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert abs(np.trace(dissipator(op, rho))) < 1e-12
     assert abs(np.trace(measurement_superop(op, rho))) < 1e-12
+
+
+def test_hermitize_is_c_contiguous_at_every_batch_size():
+    # a large batch used to come out per-matrix transposed, strides
+    # (2304, 16, 192) for (1024, 12, 12), because numpy reused the dagger
+    # temporary for the sum
+    rng = np.random.default_rng(8)
+    for shape in ((2, 2), (3, 4, 4), (1024, 12, 12)):
+        mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = hermitize(mat)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2))))

@@ -159,18 +159,24 @@ def test_kraus_normalization_residual_second_order(qubit_ops):
     assert order >= 1.9
 
 
-@pytest.mark.parametrize("eta, kernel", [
-    pytest.param(eta, kernel, id=f"{eta}" + ("-kernel" if kernel else ""))
-    for kernel in (False, True) for eta in (1.0, 0.8)
+@pytest.mark.parametrize("eta, dim, kernel", [
+    pytest.param(eta, dim, kernel, id=f"{eta}" + (f"-d{dim}" if dim > 2 else "")
+                 + ("-kernel" if kernel else ""))
+    for dim, kernel in ((2, False), (2, True), (6, True)) for eta in (1.0, 0.8)
 ])
-def test_kraus_steps_match_literal_sandwich(qubit_ops, eta, kernel):
+def test_kraus_steps_match_literal_sandwich(qubit_ops, eta, dim, kernel):
     # the expanded Kraus numerator (constant operator on one side of every
-    # product), or the compiled kernel's [base (x) base* | cross | c (x) c*]
-    # maps, against the literal m @ rho @ dagger(m), on shared noise for a
-    # batch of trajectories over 10^3 steps: the nonlinear step, its current,
-    # and the linear (unnormalized) step on a shared record
-    model = OpenSystemModel(0.3 * qubit_ops["sigma_x"], [(1.0, qubit_ops["sigma_minus"])],
-                            efficiency=eta, homodyne_phase=0.4)
+    # product), or the compiled kernel (at d = 2 its [base (x) base* | cross |
+    # c (x) c*] maps, at d = 6 its right products rho M^dag and (M rho) M^dag),
+    # against the literal m @ rho @ dagger(m), on shared noise for a batch of
+    # trajectories over 10^3 steps: the nonlinear step, its current, and the
+    # linear (unnormalized) step on a shared record
+    if dim == 2:
+        h0, c0 = 0.3 * qubit_ops["sigma_x"], qubit_ops["sigma_minus"]
+    else:
+        ops = build_standard_ops("boson", dim)
+        h0, c0 = 0.3 * ops["q"], ops["a"]
+    model = OpenSystemModel(h0, [(1.0, c0)], efficiency=eta, homodyne_phase=0.4)
     kappa, c = model.single_channel()
     h = model.constant_hamiltonian()
     ceff = c * np.exp(1j * model.homodyne_phase)
@@ -178,12 +184,12 @@ def test_kraus_steps_match_literal_sandwich(qubit_ops, eta, kernel):
     dt, n_traj = 1e-3, 8
 
     def literal_numerator(rho, dy):
-        m = (np.eye(2) - 1j * h * dt - 0.5 * kappa * (dagger(c) @ c) * dt
+        m = (np.eye(dim) - 1j * h * dt - 0.5 * kappa * (dagger(c) @ c) * dt
              + root * dy[:, None, None] * ceff)
         return m @ rho @ dagger(m) + (1.0 - eta) * kappa * dt * (c @ rho @ dagger(c))
 
-    rho0 = random_density_matrix(np.random.default_rng(3))
-    rho = rho_ref = np.broadcast_to(rho0, (n_traj, 2, 2)).copy()
+    rho0 = random_density_matrix(np.random.default_rng(3), dim)
+    rho = rho_ref = np.broadcast_to(rho0, (n_traj, dim, dim)).copy()
     lin, lin_ref = WeightedState(rho.copy()), rho.copy()
     compiled = diffusive_kernel(model, "homodyne_kraus", dt)
     rng = trajectory_rng(20240921, 0)
@@ -559,30 +565,30 @@ def _lit_renorm(rho):
     return rho / trace(rho).real[:, None, None]
 
 
-def _euler_case(name, qubit_ops):
+def _euler_case(name, qubit_ops, dim=2):
     """(model, n_draws, step(rho, dw) -> (rho', dy), literal(rho, dw) -> (rho', dy),
-    keyword arguments of the case's compiled kernel)."""
-    sm, sx, sy = qubit_ops["sigma_minus"], qubit_ops["sigma_x"], qubit_ops["sigma_y"]
-    h2 = 0.3 * sx + 0.2 * qubit_ops["sigma_z"]
+    keyword arguments of the case's compiled kernel) for a qubit (dim 2) or a
+    driven boson mode."""
+    if dim == 2:
+        c0, h0, f = (qubit_ops["sigma_minus"], 0.3 * qubit_ops["sigma_x"] + 0.2 * qubit_ops["sigma_z"],
+                     0.5 * qubit_ops["sigma_y"])
+    else:
+        ops = build_standard_ops("boson", dim)
+        c0, h0, f = ops["a"], 0.3 * ops["q"] + 0.1 * ops["n"], 0.4 * ops["p"]
     dt = 1e-3
 
     if name in ("homodyne", "heterodyne", "linear_homodyne"):
         eta = 1.0 if name == "linear_homodyne" else 0.8
-        model = OpenSystemModel(h2, [(1.0, sm)], efficiency=eta, homodyne_phase=0.4)
-    elif name.startswith("feedback"):
-        if name == "feedback_d12":
-            ops = build_standard_ops("boson", 12)
-            a, h, f = ops["a"], 0.3 * ops["q"] + 0.1 * ops["n"], 0.4 * ops["p"]
-        else:
-            a, h, f = sm, h2, 0.5 * sy
-        model = OpenSystemModel(h, [(1.0, a)], efficiency=0.8, homodyne_phase=0.4)
+        model = OpenSystemModel(h0, [(1.0, c0)], efficiency=eta, homodyne_phase=0.4)
+    elif name == "feedback":
+        model = OpenSystemModel(h0, [(1.0, c0)], efficiency=0.8, homodyne_phase=0.4)
     else:
         bath = {
             "thermal_homodyne": BathSpec(n_thermal=1.0, drive=0.2),
             "squeezed_homodyne": BathSpec(n_thermal=1.0, squeezing=0.5),
             "thermal_heterodyne": BathSpec(n_thermal=1.0),
         }[name]
-        model = OpenSystemModel(h2, [(1.0, sm)], bath=bath)
+        model = OpenSystemModel(h0, [(1.0, c0)], bath=bath)
     kappa, c = model.single_channel()
     h = model.constant_hamiltonian()
     eta = model.efficiency
@@ -632,7 +638,7 @@ def _euler_case(name, qubit_ops):
             return hermitize(rho + vacuum_drift(rho) * dt + np.sqrt(kappa) * meas * innov), dy
         return model, 1, step, literal, {"mu": mu}
 
-    if name.startswith("feedback"):
+    if name == "feedback":
         def step(rho, dw):
             return homodyne_feedback_step(rho, model, f, dt, dw[:, 0])
 
@@ -688,7 +694,7 @@ def _euler_case(name, qubit_ops):
     return model, 2, step, literal, {}
 
 
-# the kernel kind of each d = 2 case
+# the kernel kind of each case
 EULER_KERNEL_KINDS = {
     "homodyne": "homodyne",
     "heterodyne": "heterodyne",
@@ -700,14 +706,17 @@ EULER_KERNEL_KINDS = {
 }
 
 
-@pytest.mark.parametrize("name, kernel", [
-    pytest.param(name, False, id=name) for name in [
-        "homodyne", "heterodyne", "linear_homodyne", "feedback", "feedback_d12",
-        "thermal_homodyne", "squeezed_homodyne", "thermal_heterodyne",
-    ]
-] + [pytest.param(name, True, id=f"{name}-kernel") for name in EULER_KERNEL_KINDS])
-def test_euler_steps_match_literal_sme(qubit_ops, name, kernel):
-    model, n_draws, step, literal, kernel_kw = _euler_case(name, qubit_ops)
+# per-state steppers at d = 2 (one GEMM per constant operator) and d = 12
+# (stacked products), superoperator kernels at d = 2, right-product kernels at
+# d = 6
+@pytest.mark.parametrize("name, dim, kernel", [
+    pytest.param(name, 2, False, id=name) for name in EULER_KERNEL_KINDS
+] + [pytest.param("feedback", 12, False, id="feedback_d12")] + [
+    pytest.param(name, dim, True, id=f"{name}-d{dim}-kernel" if dim > 2 else f"{name}-kernel")
+    for dim in (2, 6) for name in EULER_KERNEL_KINDS
+])
+def test_euler_steps_match_literal_sme(qubit_ops, name, dim, kernel):
+    model, n_draws, step, literal, kernel_kw = _euler_case(name, qubit_ops, dim)
     dt, n_traj = 1e-3, 8
     if kernel:
         compiled = diffusive_kernel(model, EULER_KERNEL_KINDS[name], dt, **kernel_kw)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,13 +146,38 @@ def kind_scenario(kind, qubit_ops):
     return Scenario(kind, model, state0, feedback_operator=f_op, mu=0.2, beta_ost=0.8)
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_thread_count_invariance(qubit_ops, kind):
-    kw = dict(n_traj=150, block_size=64, t_final=0.1, store_records=True)
-    s1 = run_ensemble(qubit_spec(qubit_ops, threads=1, **kw), kind_scenario(kind, qubit_ops))
-    s8 = run_ensemble(qubit_spec(qubit_ops, threads=8, **kw), kind_scenario(kind, qubit_ops))
-    np.testing.assert_array_equal(s1.means["rho_ee"], s8.means["rho_ee"])
-    np.testing.assert_array_equal(s1.std_errs["rho_ee"], s8.std_errs["rho_ee"])
+def boson_scenario(kind, dim):
+    """The d = ``dim`` analogue of ``kind_scenario``: a driven decaying mode
+    started in Fock level 1."""
+    ops = build_standard_ops("boson", dim)
+    bath = BathSpec(n_thermal=0.5) if kind.startswith("generalized") else BathSpec()
+    model = OpenSystemModel(0.3 * ops["q"], [(1.0, ops["a"])], bath=bath)
+    state0 = np.eye(dim, dtype=complex)[1]
+    if kind != "jump_sse":
+        state0 = np.outer(state0, state0)
+    f_op = 0.4 * ops["q"] if kind.endswith("feedback") else None
+    return Scenario(kind, model, state0, feedback_operator=f_op, mu=0.2, beta_ost=0.8)
+
+
+def dim_case(kind, dim, qubit_ops):
+    """The scenario and observables of ``kind`` at d = 2 (qubit) or above (boson)."""
+    if dim == 2:
+        return kind_scenario(kind, qubit_ops), (("obs", qubit_ops["projector_e"]),)
+    return boson_scenario(kind, dim), (("obs", build_standard_ops("boson", dim)["n"]),)
+
+
+@pytest.mark.parametrize("kind, dim", [
+    pytest.param(kind, dim, id=kind if dim == 2 else f"{kind}-d{dim}")
+    for dim in (2, BATCH_GEMM_MAX_DIM + 1) for kind in sorted(KINDS)
+])
+def test_thread_count_invariance(qubit_ops, kind, dim):
+    # at d = 5 the blocks that run concurrently each step their own work buffers
+    scenario, observables = dim_case(kind, dim, qubit_ops)
+    kw = dict(n_traj=150, block_size=64, t_final=0.1, store_records=True, observables=observables)
+    s1 = run_ensemble(qubit_spec(qubit_ops, threads=1, **kw), scenario)
+    s8 = run_ensemble(qubit_spec(qubit_ops, threads=8, **kw), scenario)
+    np.testing.assert_array_equal(s1.means["obs"], s8.means["obs"])
+    np.testing.assert_array_equal(s1.std_errs["obs"], s8.std_errs["obs"])
     np.testing.assert_array_equal(s1.records, s8.records)
 
 
@@ -392,33 +419,17 @@ def test_records_storage(qubit_ops, kind):
         assert stats.records.dtype == float
 
 
-# the per-state entry points of each kind above BATCH_GEMM_MAX_DIM: one call
-# per step and block
-STEPPERS = {
-    "jump": ("jump_probability", "click_outcomes", "jump_sme_apply"),
-    "jump_kraus": ("jump_probability", "click_outcomes", "jump_kraus_apply"),
-    "jump_feedback": ("jump_probability", "click_outcomes", "jump_feedback_apply"),
-    "jump_sse": ("sse_jump_probability", "click_outcomes", "jump_sse_apply"),
-    "linear_jump": ("linear_jump_step",),
-    "homodyne": ("homodyne_sme_step",),
-    "homodyne_kraus": ("homodyne_kraus_step",),
-    "heterodyne": ("heterodyne_sme_step",),
-    "homodyne_feedback": ("homodyne_feedback_step",),
-    "generalized_homodyne": ("generalized_bath_homodyne_step",),
-    "generalized_heterodyne": ("generalized_bath_homodyne_step",),
-    "linear_homodyne": ("linear_homodyne_step",),
-}
-
-
-# the ensemble-layer entry points of each kind at d = 2: the kernel is
-# compiled once per block and stepped once per step and block; jump_sse steps
-# state vectors and keeps its per-state entry points
+# the ensemble-layer entry points of each kind, at every dimension: the kernel
+# is compiled once per block and stepped once per step and block; jump_sse
+# steps state vectors through its per-state entry points
 CLICK_KERNEL = {"click_kernel": "block", "click_kernel_step": "step"}
 DIFFUSIVE_KERNEL = {"diffusive_kernel": "block", "diffusive_kernel_step": "step"}
 KERNEL_ENTRY_POINTS = {
     kind: CLICK_KERNEL if KINDS[kind].clicks else DIFFUSIVE_KERNEL for kind in KINDS
 }
-KERNEL_ENTRY_POINTS["jump_sse"] = dict.fromkeys(STEPPERS["jump_sse"], "step")
+KERNEL_ENTRY_POINTS["jump_sse"] = dict.fromkeys(
+    ("sse_jump_probability", "click_outcomes", "jump_sse_apply"), "step"
+)
 
 
 class CountingModule:
@@ -454,42 +465,66 @@ def _count_stepper_calls(spec, scenario, monkeypatch):
     return dict(counts)
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_steppers_called_through_module_attributes(qubit_ops, kind, monkeypatch):
+def _assert_entry_points(kind, dim, qubit_ops, monkeypatch):
     # a profiler that swaps ensemble.jump / ensemble.diffusive for wrapped
     # modules must see every stepper call, so the steps may not bind them early
-    spec = qubit_spec(qubit_ops, n_traj=10, t_final=0.005, block_size=4)
-    counts = _count_stepper_calls(spec, kind_scenario(kind, qubit_ops), monkeypatch)
+    scenario, observables = dim_case(kind, dim, qubit_ops)
+    spec = qubit_spec(qubit_ops, n_traj=10, t_final=0.005, block_size=4,
+                      observables=observables)
+    counts = _count_stepper_calls(spec, scenario, monkeypatch)
     n_blocks = -(-spec.n_traj // spec.block_size)
     per = {"block": n_blocks, "step": n_blocks * spec.n_steps}
     assert KERNEL_ENTRY_POINTS.keys() == KINDS.keys()
     assert counts == {name: per[when] for name, when in KERNEL_ENTRY_POINTS[kind].items()}
 
 
-def boson_scenario(kind, dim):
-    """The d = ``dim`` analogue of ``kind_scenario``: a driven decaying mode
-    started in Fock level 1."""
-    ops = build_standard_ops("boson", dim)
-    bath = BathSpec(n_thermal=0.5) if kind.startswith("generalized") else BathSpec()
-    model = OpenSystemModel(0.3 * ops["q"], [(1.0, ops["a"])], bath=bath)
-    state0 = np.eye(dim, dtype=complex)[1]
-    if kind != "jump_sse":
-        state0 = np.outer(state0, state0)
-    f_op = 0.4 * ops["q"] if kind.endswith("feedback") else None
-    return Scenario(kind, model, state0, feedback_operator=f_op, mu=0.2, beta_ost=0.8)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_steppers_called_through_module_attributes(qubit_ops, kind, monkeypatch):
+    _assert_entry_points(kind, 2, qubit_ops, monkeypatch)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_per_state_steppers_called_above_kernel_dim(kind, monkeypatch):
-    dim = BATCH_GEMM_MAX_DIM + 1
-    spec = EnsembleSpec(
-        n_traj=10, master_seed=99, dt=1e-3, t_final=0.005, block_size=4,
-        observables=(("n", build_standard_ops("boson", dim)["n"]),),
-    )
-    counts = _count_stepper_calls(spec, boson_scenario(kind, dim), monkeypatch)
-    n_blocks = -(-spec.n_traj // spec.block_size)
-    assert STEPPERS.keys() == KINDS.keys()
-    assert counts == {name: n_blocks * spec.n_steps for name in STEPPERS[kind]}
+def test_per_state_steppers_called_above_kernel_dim(qubit_ops, kind, monkeypatch):
+    # the name predates the right-product kernels: above BATCH_GEMM_MAX_DIM
+    # the entry points are the kernels too, and only jump_sse steps per state
+    _assert_entry_points(kind, BATCH_GEMM_MAX_DIM + 1, qubit_ops, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in KINDS if not KINDS[k].pure))
+def test_right_kernel_step_allocates_no_state_sized_array(kind):
+    # a d = 12 block of B = 256 states through Kind.kernel: after the warm-up
+    # step has allocated the block's work buffers, the traced peak is the same
+    # over 5 and 50 steps, below 6 state-sized arrays, and no step allocates a
+    # state-sized temporary on top of what is already held
+    dim, n, dt = 12, 256, 1e-3
+    size = n * dim * dim * 16
+    kind_rec = KINDS[kind]
+    scenario = boson_scenario(kind, dim)
+    state = np.broadcast_to(scenario.initial_state, (n, dim, dim)).copy()
+    rng = np.random.default_rng(5)
+
+    def draws():
+        shape = (n, kind_rec.draws) if kind_rec.draws > 1 else n
+        return rng.random(shape) if kind_rec.clicks else rng.standard_normal(shape) * np.sqrt(dt)
+
+    tracemalloc.start()
+    try:
+        advance = kind_rec.kernel(scenario, dt)
+        state, _ = advance(state, draws())
+        peaks, rises = [], []
+        for steps in (5, 50):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            for _ in range(steps):
+                state, _ = advance(state, draws())
+            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(peak)
+            rises.append(peak - held)
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    assert max(peaks) < 6 * size
+    assert max(rises) < size, rises
 
 
 def test_two_point_mode_matches_gaussian_in_mean(qubit_ops, decay_model, excited):

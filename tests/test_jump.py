@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contmon import OpenSystemModel, WeightedState, integrate_me
+from contmon import OpenSystemModel, WeightedState, build_standard_ops, integrate_me
 from contmon.core_ops import dagger, hermitize, trace
 from contmon.jump import (
     DarkStateJumpError,
@@ -212,7 +212,7 @@ def _literal_sme_apply(rho, model, dt, dn, jump_op=None):
 def _literal_kraus_apply(rho, model, dt, dn):
     kappa, c = model.single_channel()
     h, eta = model.constant_hamiltonian(), model.efficiency
-    m0 = np.eye(2) - 1j * h * dt - 0.5 * kappa * (dagger(c) @ c) * dt
+    m0 = np.eye(model.dim) - 1j * h * dt - 0.5 * kappa * (dagger(c) @ c) * dt
     numer = hermitize(m0 @ rho @ dagger(m0) + (1.0 - eta) * kappa * dt * (c @ rho @ dagger(c)))
     no_click = numer / trace(numer).real[:, None, None]
     rate = np.einsum("bij,ji->b", rho, dagger(c) @ c).real
@@ -224,30 +224,43 @@ F_OP = 0.6 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 JUMP_ORACLE_CASES = [("sme", 1.0), ("sme", 0.8), ("kraus", 1.0), ("kraus", 0.8), ("feedback", 1.0)]
 
 
-@pytest.mark.parametrize("stepper, eta, kernel", [
-    pytest.param(stepper, eta, kernel, id=f"{stepper}-{eta}" + ("-kernel" if kernel else ""))
-    for kernel in (False, True) for stepper, eta in JUMP_ORACLE_CASES
+def _oracle_model(qubit_ops, dim, eta=1.0):
+    """A driven decaying qubit (dim 2) or boson mode, and its feedback generator."""
+    if dim == 2:
+        return (OpenSystemModel(0.3 * qubit_ops["sigma_x"], [(1.0, qubit_ops["sigma_minus"])],
+                                efficiency=eta), F_OP)
+    ops = build_standard_ops("boson", dim)
+    return OpenSystemModel(0.3 * ops["q"], [(1.0, ops["a"])], efficiency=eta), 0.6 * ops["q"]
+
+
+# per-state steppers and superoperator kernels at d = 2, right-product kernels
+# at d = 6
+ORACLE_PATHS = [(2, False, ""), (2, True, "-kernel"), (6, True, "-d6-kernel")]
+
+
+@pytest.mark.parametrize("stepper, eta, dim, kernel", [
+    pytest.param(stepper, eta, dim, kernel, id=f"{stepper}-{eta}{suffix}")
+    for dim, kernel, suffix in ORACLE_PATHS for stepper, eta in JUMP_ORACLE_CASES
 ])
-def test_jump_steps_match_literal_products(qubit_ops, stepper, eta, kernel):
+def test_jump_steps_match_literal_products(qubit_ops, stepper, eta, dim, kernel):
     # the per-state steppers (batched left/right products) and the compiled
-    # click kernel against the literal stacked matmuls on shared uniforms for
+    # click kernels against the literal stacked matmuls on shared uniforms for
     # a batch of trajectories over 10^3 steps: each path draws its own
     # clicks, which must coincide, and the states must agree
-    model = OpenSystemModel(0.3 * qubit_ops["sigma_x"], [(1.0, qubit_ops["sigma_minus"])],
-                            efficiency=eta)
+    model, f_op = _oracle_model(qubit_ops, dim, eta)
+    c = model.single_channel()[1]
+    cdc = dagger(c) @ c
     kind, apply, literal = {
         "sme": ("jump", jump_sme_apply, _literal_sme_apply),
         "kraus": ("jump_kraus", jump_kraus_apply, _literal_kraus_apply),
         "feedback": (
             "jump_feedback",
-            lambda r, m, dt, dn: jump_feedback_apply(r, m, F_OP, dt, dn),
-            lambda r, m, dt, dn: _literal_sme_apply(
-                r, m, dt, dn, jump_op=feedback_unitary(F_OP) @ m.single_channel()[1]
-            ),
+            lambda r, m, dt, dn: jump_feedback_apply(r, m, f_op, dt, dn),
+            lambda r, m, dt, dn: _literal_sme_apply(r, m, dt, dn, jump_op=feedback_unitary(f_op) @ c),
         ),
     }[stepper]
     dt, n_traj = 1e-3, 16
-    compiled = click_kernel(model, kind, dt, f_op=F_OP)
+    compiled = click_kernel(model, kind, dt, f_op=f_op)
 
     def new(rho, u):
         if kernel:
@@ -255,13 +268,13 @@ def test_jump_steps_match_literal_products(qubit_ops, stepper, eta, kernel):
         dn = u < jump_probability(rho, model, dt)
         return apply(rho, model, dt, dn), dn
 
-    rho0 = random_density_matrix(np.random.default_rng(5))
-    rho = rho_ref = np.broadcast_to(rho0, (n_traj, 2, 2)).copy()
+    rho0 = random_density_matrix(np.random.default_rng(5), dim)
+    rho = rho_ref = np.broadcast_to(rho0, (n_traj, dim, dim)).copy()
     rng = trajectory_rng(20240922, 0)
     gap, clicks = 0.0, 0
     for _ in range(1000):
         u = rng.random(n_traj)
-        dn_ref = u < eta * np.einsum("bij,ji->b", rho_ref, qubit_ops["projector_e"]).real * dt
+        dn_ref = u < eta * np.einsum("bij,ji->b", rho_ref, cdc).real * dt
         rho, dn = new(rho, u)
         np.testing.assert_array_equal(dn, dn_ref)
         rho_ref = literal(rho_ref, model, dt, dn_ref)
@@ -271,23 +284,25 @@ def test_jump_steps_match_literal_products(qubit_ops, stepper, eta, kernel):
     assert gap <= 1e-12
 
 
-@pytest.mark.parametrize("path", ["apply", "kernel"])
-def test_linear_jump_step_matches_literal_products(qubit_ops, path):
-    model = OpenSystemModel(0.3 * qubit_ops["sigma_x"], [(1.0, qubit_ops["sigma_minus"])])
+@pytest.mark.parametrize("path, dim", [
+    pytest.param(path, dim, id=path) for path, dim in (("apply", 2), ("kernel", 2), ("d6-kernel", 6))
+])
+def test_linear_jump_step_matches_literal_products(qubit_ops, path, dim):
+    model = _oracle_model(qubit_ops, dim)[0]
     kappa, c = model.single_channel()
     h, cd = model.constant_hamiltonian(), dagger(c)
     cdc = cd @ c
     beta, dt, n_traj = 1.0, 1e-3, 16
     compiled = click_kernel(model, "linear_jump", dt, beta=beta)
-    rb0 = random_density_matrix(np.random.default_rng(6))
-    rb = np.broadcast_to(rb0, (n_traj, 2, 2)).copy()
+    rb0 = random_density_matrix(np.random.default_rng(6), dim)
+    rb = np.broadcast_to(rb0, (n_traj, dim, dim)).copy()
     rb_ref = rb.copy()
     rng = trajectory_rng(20240923, 0)
     gap, clicks = 0.0, 0
     for _ in range(1000):
         u = rng.random(n_traj)
         dn = u < kappa * beta * dt
-        if path == "kernel":
+        if path.endswith("kernel"):
             rb, dn_kernel = click_kernel_step(compiled, rb, u)
             np.testing.assert_array_equal(dn_kernel, dn)
         else:
