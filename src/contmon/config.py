@@ -92,6 +92,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_seed(seed, ctx) -> bool:
+    # the Philox key word of each substream holds the seed: anything outside
+    # [0, 2**64 - 1] would wrap onto another seed's streams
+    if _is_int(seed) and 0 <= seed <= 2**64 - 1:
+        return True
+    ctx.err("$.run.seed", "must be an integer in [0, 2**64 - 1]")
+    return False
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -391,8 +400,7 @@ def parse_config(text: str) -> ScenarioConfig:
         ctx.err("$.run.n_traj", "must be an integer >= 1")
         n_traj = 1
     seed = run.get("seed", 1234)
-    if not _is_int(seed) or seed < 0:
-        ctx.err("$.run.seed", "must be a non-negative integer")
+    if not _check_seed(seed, ctx):
         seed = 1234
     noise = run.get("noise", "gaussian")
     if noise not in ("gaussian", "two_point"):
@@ -526,6 +534,14 @@ def _cross_rules(norm, ctx):
                 "$.model.efficiency",
                 "rule generalized_bath_unit_efficiency: generalized-bath diffusive "
                 "unravellings require efficiency = 1",
+            )
+        # the replaced-operator homodyne runs the vacuum stepper, which takes any phase
+        replaced = ukind == "homodyne" and norm["unravelling"]["bath_mode"] == "replaced_operator"
+        if model["homodyne_phase"] != 0.0 and not replaced:
+            ctx.err(
+                "$.model.homodyne_phase",
+                "rule generalized_bath_homodyne_phase: diffusive unravellings with a "
+                "thermal/squeezed/driven bath require homodyne_phase = 0",
             )
         if ukind == "heterodyne" and sq_abs != 0:
             ctx.err(
@@ -779,7 +795,10 @@ def build_runtime(
     """
     cfg = json.loads(json.dumps(config.data))  # deep copy
     if seed is not None:
-        cfg["run"]["seed"] = int(seed)
+        ctx = _Collector()
+        if not _check_seed(seed, ctx):
+            raise ConfigError(ctx.errors)
+        cfg["run"]["seed"] = seed
     if threads is not None:
         cfg["run"]["threads"] = int(threads)
     config = ScenarioConfig(cfg)

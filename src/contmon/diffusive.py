@@ -408,6 +408,10 @@ def _generalized_drift(model, rho):
 def _generalized_channels(model: OpenSystemModel, mode: str) -> dict:
     """Cached measured-channel operators of the squeezed-thermal-bath
     homodyne or heterodyne current, after that mode's bath rules."""
+    if model.homodyne_phase != 0.0:
+        # the measured operators are built from the bare c, so at theta != 0
+        # the record would read another quadrature than the back-action uses
+        raise ValueError("generalized-bath steppers are derived for homodyne_phase = 0")
     ctx = _ctx(model)
     gen = _generalized_ctx(model)
     n, m = gen["n"], gen["m"]

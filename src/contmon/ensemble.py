@@ -1,9 +1,11 @@
 """Seeded, parallel Monte Carlo over trajectories with deterministic reduction.
 
 Reproducibility contract: every trajectory owns a counter-based Philox
-substream keyed by (master_seed, trajectory_index) and consumes a fixed number
-of variates per step (see below), so results are
-bit-identical for any worker count.  Blocks of trajectories are stepped in
+substream keyed by (master_seed, trajectory_index), the stream
+:func:`trajectory_rng` returns, and consumes a fixed number of variates per
+step (see below), so results are bit-identical for any worker count.  Each
+block draws its noise up front from one Philox generator, re-keyed to each
+trajectory's substream in turn.  Blocks of trajectories are stepped in
 vectorized form; block partials are reduced in index order.
 
 Variates drawn per step and trajectory: ``KINDS[kind].draws`` for each
@@ -61,7 +63,11 @@ class PhysicalityError(RuntimeError):
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent, seekable substream for one trajectory: Philox keyed by
-    (master_seed, trajectory_index)."""
+    (master_seed, trajectory_index), counter 0.
+
+    This is the public noise contract.  The ensemble does not construct these
+    generators: it re-keys one Philox generator per block to the same state,
+    so the noise of trajectory ``index`` equals this generator's draws."""
     key = np.array([np.uint64(master_seed & (2**64 - 1)), np.uint64(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -144,13 +150,21 @@ class EnsembleStats:
 
 
 def _noise_matrix(master_seed, lo, hi, count, law):
+    """Row i holds the first ``count`` variates of ``trajectory_rng(master_seed,
+    lo + i)``.  One Philox generator serves the block: each row re-keys it to
+    the state a fresh ``Philox(key=...)`` starts in (counter 0, empty buffer),
+    which costs a fraction of constructing a new generator per trajectory."""
     out = np.empty((hi - lo, count))
-    if law == "uniform":
-        for i, idx in enumerate(range(lo, hi)):
-            out[i] = trajectory_rng(master_seed, idx).random(count)
-    else:
-        for i, idx in enumerate(range(lo, hi)):
-            out[i] = trajectory_rng(master_seed, idx).standard_normal(count)
+    key = np.array([master_seed & (2**64 - 1), lo], dtype=np.uint64)
+    bits = np.random.Philox(key=key)
+    state = bits.state
+    state["state"]["key"] = key
+    rng = np.random.Generator(bits)
+    draw = rng.random if law == "uniform" else rng.standard_normal
+    for i, idx in enumerate(range(lo, hi)):
+        key[1] = idx
+        bits.state = state
+        draw(out=out[i])
     return out
 
 

@@ -362,3 +362,65 @@ def test_cli_rejects_unresolvable_operators(tmp_path, capsys, mutate, path):
     doc["run"].update(t_final=0.01, n_traj=4)
     mutate(doc)
     _assert_rejected(tmp_path, capsys, doc, path)
+
+
+def _homodyne_preset_argv(out_dir, *extra):
+    return ["preset", "qubit_homodyne", "--override", "run.n_traj=8",
+            "--override", "run.t_final=0.01", "--out-dir", str(out_dir), *extra]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two_pow_64"])
+def test_cli_rejects_out_of_range_seed(tmp_path, capsys, seed):
+    # the substream key holds seed mod 2**64: -1 used to run the streams of
+    # 2**64 - 1 and 2**64 those of 0, each under its own manifest seed
+    doc = get_preset("qubit_homodyne")
+    doc["run"].update(t_final=0.01, n_traj=8, seed=seed)
+    _assert_rejected(tmp_path, capsys, doc, "$.run.seed")
+    out = tmp_path / "override"
+    assert main(_homodyne_preset_argv(out, f"--seed={seed}")) == 2
+    doc["run"]["seed"] = 5
+    config_path = tmp_path / "good.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["run", str(config_path), f"--seed={seed}", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("$.run.seed: must be an integer in [0, 2**64 - 1]") == 2
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=r"\$\.run\.seed"):
+        build_runtime(parse_config(json.dumps(doc)), seed=seed)
+
+
+def test_cli_accepts_seed_range_ends(tmp_path, capsys):
+    stats = {}
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / str(seed)
+        assert main(_homodyne_preset_argv(out, f"--seed={seed}")) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["master_seed"] == manifest["config"]["run"]["seed"] == seed
+        stats[seed] = (out / "stats.csv").read_bytes()
+    assert stats[0] != stats[2**64 - 1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("unravelling, bath", [
+    ("homodyne", {"n_thermal": 1.0}),
+    ("homodyne", {"n_thermal": 0.5, "squeezing": 0.3}),
+    ("homodyne", {"drive": 0.5}),
+    ("heterodyne", {"n_thermal": 1.0}),
+], ids=["thermal", "squeezed", "driven", "thermal_heterodyne"])
+def test_cli_rejects_generalized_bath_lo_phase(tmp_path, capsys, unravelling, bath):
+    doc = get_preset("thermal_bath_homodyne")
+    doc["model"].update(bath=bath, homodyne_phase=0.4)
+    doc["unravelling"]["kind"] = unravelling
+    doc["run"].update(t_final=0.01, n_traj=4)
+    _assert_rejected(tmp_path, capsys, doc,
+                     "$.model.homodyne_phase: rule generalized_bath_homodyne_phase")
+
+
+@pytest.mark.parametrize("preset", ["qubit_homodyne", "squeezed_vacuum_homodyne"])
+def test_lo_phase_accepted_where_the_stepper_takes_it(tmp_path, preset):
+    # vacuum baths and the replaced-operator squeezed vacuum run the vacuum
+    # stepper, which measures c e^{i theta} in both the record and the back-action
+    doc = get_preset(preset)
+    doc["model"]["homodyne_phase"] = 0.4
+    doc["run"].update(t_final=0.01, n_traj=4)
+    run_scenario(parse_config(json.dumps(doc)), out_dir=tmp_path)

@@ -534,6 +534,23 @@ def test_generalized_requires_unit_efficiency(qubit_ops, excited):
         generalized_bath_homodyne_step(excited, model, 1e-3, 0.0)
 
 
+@pytest.mark.parametrize("mode", ["homodyne", "heterodyne"])
+@pytest.mark.parametrize("dim", [2, 6])
+def test_generalized_rejects_lo_phase(mode, dim):
+    # the bath's measured operators are built from the bare c; a current read
+    # at theta != 0 would condition on another quadrature than it records
+    ops = build_standard_ops("qubit" if dim == 2 else "boson", dim)
+    c = ops["sigma_minus"] if dim == 2 else ops["a"]
+    model = OpenSystemModel(np.zeros((dim, dim)), [(1.0, c)], bath=BathSpec(n_thermal=1.0),
+                            homodyne_phase=0.4)
+    rho = random_density_matrix(np.random.default_rng(4), dim)
+    dw = 0.0 if mode == "homodyne" else np.zeros(2)
+    with pytest.raises(ValueError, match="homodyne_phase = 0"):
+        generalized_bath_homodyne_step(rho, model, 1e-3, dw, mode=mode)
+    with pytest.raises(ValueError, match="homodyne_phase = 0"):
+        diffusive_kernel(model, f"generalized_{mode}", 1e-3)
+
+
 # ---------------------------------------------------------------- Euler oracles
 # Every Euler stepper against its SME written out with literal products
 # (a @ rho @ dagger(a), nested commutators), on shared noise for a batch of

@@ -23,6 +23,7 @@ from contmon.ensemble import (
     PhysicalityError,
     Scenario,
     compare_to_me,
+    _noise_matrix,
     run_ensemble,
     trajectory_rng,
 )
@@ -61,6 +62,24 @@ def test_trajectory_rng_reproducible():
     c = trajectory_rng(5, 8).standard_normal(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("law, method", [("uniform", "random"), ("normal", "standard_normal")])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_noise_matrix_rows_are_trajectory_substreams(law, method, seed):
+    # the block re-keys one generator per row; each row must still be the
+    # trajectory's own substream, from a nonzero first index through a ragged
+    # last block, at counts that leave part of Philox's 4-word buffer unread
+    def reference(lo, hi, count):
+        return np.array([getattr(trajectory_rng(seed, idx), method)(count)
+                         for idx in range(lo, hi)])
+
+    for lo, hi, count in ((0, 4, 1), (5, 12, 3), (64, 101, 301), (128, 129, 3)):
+        first = _noise_matrix(seed, lo, hi, count, law)
+        again = _noise_matrix(seed, lo, hi, count, law)
+        assert first.shape == (hi - lo, count) and first.dtype == np.float64
+        np.testing.assert_array_equal(first, reference(lo, hi, count))
+        np.testing.assert_array_equal(again, first)
 
 
 def test_single_trajectory_bit_for_bit_jump(qubit_ops, decay_model, excited):
