@@ -6,8 +6,8 @@ Subcommands:
   byte-exact reruns) and write stats/manifest files.
 * ``contmon preset NAME``      - run a bundled preset, optionally with
   ``--override dotted.path=value`` tweaks.
-* ``contmon validate CONFIG``  - schema-check a configuration, listing every
-  violation.
+* ``contmon validate CONFIG``  - check a configuration and build its job as
+  ``run`` would, listing every violation.
 * ``contmon list-presets``     - print the preset catalog.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime physicality violation,
@@ -58,8 +58,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", help="output directory (defaults to the config's)")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (default 1; worthwhile for large Hilbert spaces only "
-        "-- results are thread-count invariant either way)",
+        help="worker threads (default: the document's run.threads; worthwhile for large "
+        "Hilbert spaces only -- results are thread-count invariant either way)",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
 
@@ -91,14 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_threads(value):
-    # small-dimension stepping is GIL-bound lockstep numpy work, where extra
-    # threads only add contention; parallelism is opt-in
-    if value is not None:
-        return value
-    return 1
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -115,7 +107,7 @@ def main(argv=None) -> int:
             config = load_config_or_manifest(args.config)
             artifacts = run_scenario(
                 config, out_dir=args.out_dir,
-                threads=_default_threads(args.threads), seed=args.seed,
+                threads=args.threads, seed=args.seed,
             )
         else:  # preset
             doc = get_preset(args.name)
@@ -124,7 +116,7 @@ def main(argv=None) -> int:
             config = parse_config(json.dumps(doc))
             artifacts = run_scenario(
                 config, out_dir=args.out_dir,
-                threads=_default_threads(args.threads), seed=args.seed,
+                threads=args.threads, seed=args.seed,
             )
         print(f"stats:    {artifacts.stats_path}")
         print(f"manifest: {artifacts.manifest_path}")

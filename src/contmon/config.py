@@ -1,6 +1,12 @@
-"""Declarative scenario configuration: a versioned JSON schema with strict
-validation (unknown keys rejected, all violations collected), a runtime
-builder, and the file-writing run driver used by the CLI.
+"""Declarative scenario configuration: a versioned JSON schema, the one
+resolution that builds a run from it, and the file-writing run driver used by
+the CLI.
+
+``_resolve`` applies the field table ``_FIELDS`` (filling defaults, rejecting
+unknown keys and malformed values), then the cross-field rules and the
+``run_memory`` size rule, and builds the job, reporting the library's build
+errors at ``$.`` paths.  ``parse_config`` and ``build_runtime`` both call it,
+so ``validate`` accepts exactly the documents ``run`` can build.
 
 Output contract: a CSV statistics table with fixed header
 ``t, <obs>.mean, <obs>.se, ...`` (floats written with 17 significant digits so
@@ -11,9 +17,11 @@ and an optional ``.npz`` file of per-trajectory records.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,11 +30,12 @@ import numpy as np
 
 from . import __version__
 from .core_ops import build_standard_ops, is_hermitian, rk4_step
+from .diffusive import squeezed_vacuum_jump_operator
 from .ensemble import EnsembleSpec, Scenario, run_ensemble
 from .gaussian import (
+    ConvergenceError,
     GaussianModel,
     GaussianState,
-    UnreachableDirectionError,
     markovian_gain,
     lqg_gain,
     opo_model,
@@ -44,18 +53,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-_TOP_KEYS = {"schema_version", "system", "model", "unravelling", "feedback", "run", "output"}
-_SYSTEM_KEYS = {"kind", "dim", "n_modes", "initial_state"}
-_MODEL_KEYS = {"hamiltonian", "channels", "bath", "efficiency", "homodyne_phase", "opo", "matrices"}
-_BATH_KEYS = {"n_thermal", "squeezing", "drive"}
-_UNRAV_KEYS = {"kind", "stepper", "linear", "mu", "beta", "bath_mode"}
-_FEEDBACK_KEYS = {"kind", "operator", "f", "m", "p", "q"}
-_RUN_KEYS = {
-    "dt", "t_final", "n_traj", "seed", "noise", "threads", "block_size",
-    "validate_every", "track_min_eigenvalue", "store_states",
-}
-_OUTPUT_KEYS = {"directory", "stats_filename", "manifest_filename", "records", "observables"}
 
 _QUBIT_OBSERVABLES = ("rho_ee", "rho_gg", "sigma_x", "sigma_y", "sigma_z")
 _BOSON_OBSERVABLES = ("n", "q", "p", "q2", "p2")
@@ -77,55 +74,256 @@ class _Collector:
     def err(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
 
-    def check_keys(self, path, obj, allowed):
-        if not isinstance(obj, dict):
-            self.err(path, f"expected an object, got {type(obj).__name__}")
-            return False
-        for key in obj:
-            if key not in allowed:
-                self.err(path, f"unknown key {key!r}")
-        return True
+    def rules(self, table):
+        """Report the (broken, path, message) rows whose condition holds."""
+        for broken, path, message in table:
+            if broken:
+                self.err(path, message)
+
+    def raise_errors(self):
+        if self.errors:
+            raise ConfigError(self.errors)
 
 
-def _is_int(value) -> bool:
+# --------------------------------------------------------------------------
+# field readers: reader(value, bound) returns the normalized value or raises
+# a ValueError that the schema pass reports at the field's path.  A bound is
+# (predicate, message); choices are a tuple.
+
+
+def _bounded(value, bound):
+    if bound is not None and not bound[0](value):
+        raise ValueError(bound[1])
+    return value
+
+
+def _number(value, bound):
     # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return _bounded(value, bound)
+    raise ValueError("must be a finite number")
 
 
-def _check_seed(seed, ctx) -> bool:
+def _integer(value, bound):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("must be an integer")
+    return _bounded(value, bound)
+
+
+def _instance_of(cls, message):
+    def read(value, _):
+        if not isinstance(value, cls):
+            raise ValueError(message)
+        return value
+    return read
+
+
+_boolean = _instance_of(bool, "must be true or false")
+_string = _instance_of(str, "must be a string")
+_object = _instance_of(dict, "expected an object")
+
+
+def _choice(value, choices):
+    # compare types too, so that 1.0 and true do not pass for 1
+    if not any(type(value) is type(choice) and value == choice for choice in choices):
+        raise ValueError("must be one of " + ", ".join(map(repr, choices)))
+    return value
+
+
+def _complex(value, _):
+    """A number or an [re, im] pair, kept in that JSON form."""
+    pair = isinstance(value, list) and len(value) == 2
+    try:
+        parts = [_number(part, None) for part in (value if pair else [value])]
+    except ValueError:
+        raise ValueError("expected a finite number or a [re, im] pair") from None
+    return parts if pair else parts[0]
+
+
+def _matrix(value, _):
+    entries = np.array(value, dtype=object)
+    if entries.ndim != 2 or entries.size == 0:
+        raise ValueError("expected a 2-d matrix (a list of equal-length lists)")
+    for row in entries:
+        for entry in row:
+            _number(entry, None)
+    return entries.astype(float).tolist()
+
+
+def _word_or(word, reader):
+    """A reader that also takes the string ``word``."""
+    return lambda value, bound: value if value == word else reader(value, bound)
+
+
+def _observables(value, choices):
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ValueError("must be a list of observable names")
+    for name in value:
+        if name not in choices:
+            raise ValueError(f"unknown observable {name!r} (choose from {', '.join(choices)})")
+        if value.count(name) > 1:
+            raise ValueError(f"lists {name!r} more than once")
+    return list(value)
+
+
+def _fock(value, _):
+    # the level is checked against dim by _hilbert_rules
+    if not isinstance(value, dict) or set(value) != {"fock"}:
+        raise ValueError("boson supports 'vacuum' or {'fock': n}")
+    return value
+
+
+def _objects(value, _):
+    # the schema pass reads each item with the row's item rows
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise ValueError("expected a list of objects")
+    return value
+
+
+# --------------------------------------------------------------------------
+# the field table
+
+_REQUIRED = object()  # default of a field the document must give
+_ABSENT = object()  # default of an optional field that stays absent
+
+_ALL = ("qubit", "boson", "gaussian")
+_HILBERT = ("qubit", "boson")
+_GAUSSIAN = ("gaussian",)
+
+
+def _at_least(low):
+    return (lambda value: value >= low, f"must be >= {low}")
+
+
+_POSITIVE = (lambda value: value > 0, "must be > 0")
+_UNIT = (lambda value: 0.0 <= value <= 1.0, "efficiency out of [0, 1]")
+_TERM = (("op", _string, None, _REQUIRED, _ALL), ("coeff", _complex, None, 1.0, _ALL))
+_CHANNEL = (
+    ("rate", _number, _at_least(0), _REQUIRED, _ALL), ("op", _string, None, _REQUIRED, _ALL)
+)
+
+# path, reader, bound or choices (item rows for lists of objects), default,
+# system kinds; an object's row comes before the rows of its keys
+_FIELDS = (
+    ("schema_version", _choice, (SCHEMA_VERSION,), _REQUIRED, _ALL),
+    ("system", _object, None, _REQUIRED, _ALL),
+    ("system.kind", _choice, _ALL, _REQUIRED, _ALL),
+    ("system.dim", _integer, _at_least(2), _REQUIRED, ("boson",)),
+    ("system.n_modes", _integer, _at_least(1), 1, _GAUSSIAN),
+    ("system.initial_state", _choice, ("excited", "ground", "plus_x"), "excited", ("qubit",)),
+    ("system.initial_state", _word_or("vacuum", _fock), None, "vacuum", ("boson",)),
+    ("system.initial_state", _choice, ("vacuum",), "vacuum", _GAUSSIAN),
+    ("model", _object, None, _REQUIRED, _ALL),
+    ("model.hamiltonian", _objects, _TERM, [], _HILBERT),
+    ("model.channels", _objects, _CHANNEL, [], _HILBERT),
+    ("model.bath", _object, None, {}, _HILBERT),
+    ("model.bath.n_thermal", _number, _at_least(0), 0.0, _HILBERT),
+    ("model.bath.squeezing", _word_or("squeezed_vacuum", _complex), None, 0.0, _HILBERT),
+    ("model.bath.drive", _complex, None, 0.0, _HILBERT),
+    ("model.efficiency", _number, _UNIT, 1.0, _HILBERT),
+    ("model.homodyne_phase", _number, None, 0.0, _HILBERT),
+    ("model.opo", _object, None, _ABSENT, _GAUSSIAN),
+    ("model.opo.chi", _number, None, 0.0, _GAUSSIAN),
+    ("model.opo.kappa", _number, _POSITIVE, 1.0, _GAUSSIAN),
+    ("model.opo.eta", _number, _UNIT, 1.0, _GAUSSIAN),
+    ("model.matrices", _object, None, _ABSENT, _GAUSSIAN),
+    ("model.matrices.A", _matrix, None, _REQUIRED, _GAUSSIAN),
+    ("model.matrices.D", _matrix, None, _REQUIRED, _GAUSSIAN),
+    ("model.matrices.B", _matrix, None, _REQUIRED, _GAUSSIAN),
+    ("model.matrices.E", _matrix, None, _REQUIRED, _GAUSSIAN),
+    ("unravelling", _object, None, {}, _ALL),
+    ("unravelling.kind", _choice, ("none", "jump", "homodyne", "heterodyne"), "none", _ALL),
+    ("unravelling.stepper", _choice, ("euler", "kraus"), "euler", _ALL),
+    ("unravelling.linear", _boolean, None, False, _ALL),
+    ("unravelling.mu", _number, None, 0.0, _ALL),
+    ("unravelling.beta", _number,
+     (_POSITIVE[0], "rule ostensible_rate_positive: beta must be > 0"), 1.0, _ALL),
+    ("unravelling.bath_mode", _choice, ("generalized", "replaced_operator"), "generalized",
+     _ALL),
+    # which feedback fields a feedback kind needs is a rule of _resolve
+    ("feedback", _object, None, {}, _ALL),
+    ("feedback.kind", _choice, ("none", "markovian", "lqg"), "none", _ALL),
+    ("feedback.operator", _objects, _TERM, _ABSENT, _ALL),
+    ("feedback.f", _matrix, None, _ABSENT, _ALL),
+    ("feedback.m", _word_or("optimal", _matrix), None, _ABSENT, _ALL),
+    ("feedback.p", _matrix, None, _ABSENT, _ALL),
+    ("feedback.q", _matrix, None, _ABSENT, _ALL),
+    ("run", _object, None, _REQUIRED, _ALL),
+    ("run.dt", _number, _POSITIVE, _REQUIRED, _ALL),
+    ("run.t_final", _number, _POSITIVE, _REQUIRED, _ALL),
+    ("run.n_traj", _integer, _at_least(1), 1000, _ALL),
     # the Philox key word of each substream holds the seed: anything outside
     # [0, 2**64 - 1] would wrap onto another seed's streams
-    if _is_int(seed) and 0 <= seed <= 2**64 - 1:
-        return True
-    ctx.err("$.run.seed", "must be an integer in [0, 2**64 - 1]")
-    return False
+    ("run.seed", _integer,
+     (lambda seed: 0 <= seed <= 2**64 - 1, "must be an integer in [0, 2**64 - 1]"), 1234, _ALL),
+    ("run.noise", _choice, ("gaussian", "two_point"), "gaussian", _ALL),
+    ("run.threads", _integer, _at_least(1), 1, _ALL),
+    ("run.block_size", _integer, _at_least(1), 1024, _ALL),
+    ("run.validate_every", _integer,
+     (_at_least(0)[0], "must be an integer >= 0 (0 disables the checks)"), 50, _ALL),
+    ("run.track_min_eigenvalue", _boolean, None, False, _ALL),
+    ("run.store_states", _boolean, None, False, _ALL),
+    ("output", _object, None, {}, _ALL),
+    ("output.directory", _string, None, "runs/scenario", _ALL),
+    ("output.stats_filename", _string, None, "stats.csv", _ALL),
+    ("output.manifest_filename", _string, None, "manifest.json", _ALL),
+    ("output.records", _boolean, None, False, _ALL),
+    ("output.observables", _observables, _QUBIT_OBSERVABLES, ["rho_ee"], ("qubit",)),
+    ("output.observables", _observables, _BOSON_OBSERVABLES, ["n", "q"], ("boson",)),
+    ("output.observables", _observables, _GAUSSIAN_OBSERVABLES, list(_GAUSSIAN_OBSERVABLES),
+     _GAUSSIAN),
+)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _as_complex(value, path, ctx):
-    if _is_number(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        _is_number(v) for v in value
-    ):
-        return complex(value[0], value[1])
-    ctx.err(path, "expected a number or a [re, im] pair")
-    return 0j
-
-
-def _as_matrix(value, path, ctx):
-    try:
-        mat = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        ctx.err(path, "expected a numeric matrix (list of lists)")
-        return None
-    if mat.ndim != 2:
-        ctx.err(path, "expected a 2-d matrix")
-        return None
-    return mat
+def _read(src: dict, rows, kind: str, at: str, ctx: _Collector) -> dict:
+    """Apply ``rows`` to the object ``src`` found at path ``at``; return it
+    normalized, with defaults filled."""
+    norm: dict = {}
+    objects = {"": (src, norm)}  # row path -> (document object, normalized object)
+    applicable = set()
+    for path, reader, bound, default, kinds in rows:
+        if kind not in kinds:
+            continue
+        applicable.add(path)
+        parent, _, key = path.rpartition(".")
+        if parent not in objects:
+            continue  # the enclosing object is absent or rejected
+        obj, dst = objects[parent]
+        if key in obj:
+            value = obj[key]
+        elif default is _REQUIRED:
+            ctx.err(f"{at}.{path}", "required")
+            continue
+        elif default is _ABSENT:
+            continue
+        else:
+            value = default
+        try:
+            dst[key] = reader(value, bound)
+        except ValueError as exc:
+            ctx.err(f"{at}.{path}", str(exc))
+            continue
+        if reader is _object:
+            dst[key] = {}
+            objects[path] = (value, dst[key])
+        elif reader is _objects:
+            dst[key] = [
+                _read(item, bound, kind, f"{at}.{path}[{i}]", ctx) for i, item in enumerate(value)
+            ]
+    paths = {row[0] for row in rows}
+    for parent, (obj, _) in objects.items():
+        for key in obj:
+            path = f"{parent}.{key}" if parent else key
+            if path not in paths:
+                ctx.err(f"{at}.{parent}" if parent else at, f"unknown key {key!r}")
+            elif path not in applicable:
+                ctx.err(f"{at}.{path}", f"not applicable to {kind} systems")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -134,564 +332,336 @@ class ScenarioConfig:
 
     data: dict
 
-    @property
-    def system_kind(self) -> str:
-        return self.data["system"]["kind"]
-
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True)
 
 
-def _default_observables(system_kind: str) -> list[str]:
-    if system_kind == "qubit":
-        return ["rho_ee"]
-    if system_kind == "boson":
-        return ["n", "q"]
-    return ["q", "p", "cond_var_q", "cond_var_p", "unc_var_q", "unc_var_p"]
-
-
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a JSON scenario document, filling defaults.
+    """Parse and validate a JSON scenario document, filling defaults, and
+    check that it builds.
 
-    Raises :class:`ConfigError` carrying *every* schema violation found, not
-    just the first.
+    Raises :class:`ConfigError` carrying every violation of the schema pass,
+    or, once that is clean, every violation of the cross-field rules.
     """
-    ctx = _Collector()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"$: not valid JSON ({exc})"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["$: top level must be an object"])
-    ctx.check_keys("$", raw, _TOP_KEYS)
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        ctx.err("$.schema_version", f"must be {SCHEMA_VERSION}")
-
-    norm: dict = {"schema_version": SCHEMA_VERSION}
-
-    # ---- system ----
-    system = raw.get("system")
-    if system is None:
-        ctx.err("$.system", "required")
-        system = {}
-    ctx.check_keys("$.system", system, _SYSTEM_KEYS)
-    kind = system.get("kind")
-    if kind not in ("qubit", "boson", "gaussian"):
-        ctx.err("$.system.kind", "must be 'qubit', 'boson' or 'gaussian'")
-        kind = "qubit"
-    norm_system = {"kind": kind}
-    if kind == "boson":
-        dim = system.get("dim")
-        if not _is_int(dim) or dim < 2:
-            ctx.err("$.system.dim", "boson systems need integer dim >= 2")
-            dim = 2
-        norm_system["dim"] = dim
-    if kind == "gaussian":
-        n_modes = system.get("n_modes", 1)
-        if not _is_int(n_modes) or n_modes < 1:
-            ctx.err("$.system.n_modes", "must be a positive integer")
-            n_modes = 1
-        norm_system["n_modes"] = n_modes
-    init = system.get("initial_state", "excited" if kind == "qubit" else "vacuum")
-    if kind == "qubit" and init not in ("excited", "ground", "plus_x"):
-        ctx.err("$.system.initial_state", "qubit supports 'excited', 'ground', 'plus_x'")
-        init = "excited"
-    if kind == "boson" and not (
-        init == "vacuum" or (isinstance(init, dict) and set(init) == {"fock"})
-    ):
-        ctx.err("$.system.initial_state", "boson supports 'vacuum' or {'fock': n}")
-        init = "vacuum"
-    if kind == "boson" and isinstance(init, dict):
-        level = init["fock"]
-        if not _is_int(level) or not 0 <= level < norm_system["dim"]:
-            ctx.err("$.system.initial_state.fock", "must be an integer in [0, dim - 1]")
-            init = "vacuum"
-    if kind == "gaussian" and init != "vacuum":
-        ctx.err("$.system.initial_state", "gaussian systems start from 'vacuum'")
-        init = "vacuum"
-    norm_system["initial_state"] = init
-    norm["system"] = norm_system
-
-    # ---- model ----
-    model = raw.get("model")
-    if model is None:
-        ctx.err("$.model", "required")
-        model = {}
-    ctx.check_keys("$.model", model, _MODEL_KEYS)
-    norm_model: dict = {}
-    if kind == "gaussian":
-        if "opo" in model:
-            opo = model["opo"]
-            if ctx.check_keys("$.model.opo", opo, {"chi", "kappa", "eta"}):
-                entry = {}
-                for name, default in (("chi", 0.0), ("kappa", 1.0), ("eta", 1.0)):
-                    value = opo.get(name, default)
-                    if not _is_number(value) or not math.isfinite(value):
-                        ctx.err(f"$.model.opo.{name}", "must be a finite number")
-                        value = default
-                    entry[name] = float(value)
-                norm_model["opo"] = entry
-                if entry["kappa"] <= 0:
-                    ctx.err("$.model.opo.kappa", "must be positive")
-                if not 0.0 <= entry["eta"] <= 1.0:
-                    ctx.err("$.model.opo.eta", "efficiency out of [0, 1]")
-        elif "matrices" in model:
-            mats = model["matrices"]
-            if ctx.check_keys("$.model.matrices", mats, {"A", "D", "B", "E"}):
-                entry = {}
-                for name in ("A", "D", "B", "E"):
-                    if name not in mats:
-                        ctx.err(f"$.model.matrices.{name}", "required")
-                        continue
-                    mat = _as_matrix(mats[name], f"$.model.matrices.{name}", ctx)
-                    if mat is not None:
-                        entry[name] = mat.tolist()
-                norm_model["matrices"] = entry
-        else:
-            ctx.err("$.model", "gaussian systems need an 'opo' or 'matrices' block")
-        for bad in ("hamiltonian", "channels", "bath", "efficiency", "homodyne_phase"):
-            if bad in model:
-                ctx.err(f"$.model.{bad}", "not applicable to gaussian systems")
-    else:
-        for bad in ("opo", "matrices"):
-            if bad in model:
-                ctx.err(f"$.model.{bad}", "only applicable to gaussian systems")
-        norm_model["hamiltonian"] = _norm_terms(
-            model.get("hamiltonian", []), "$.model.hamiltonian", ctx
-        )
-        channels = model.get("channels", [])
-        norm_channels = []
-        if not isinstance(channels, list):
-            ctx.err("$.model.channels", "expected a list")
-            channels = []
-        for i, chan in enumerate(channels):
-            path = f"$.model.channels[{i}]"
-            if not ctx.check_keys(path, chan, {"rate", "op"}):
-                continue
-            rate = chan.get("rate")
-            if not _is_number(rate) or rate < 0:
-                ctx.err(f"{path}.rate", "must be a number >= 0")
-                rate = 0.0
-            opname = chan.get("op")
-            if not isinstance(opname, str):
-                ctx.err(f"{path}.op", "must be an operator name")
-                opname = "identity"
-            norm_channels.append({"rate": float(rate), "op": opname})
-        norm_model["channels"] = norm_channels
-
-        bath = model.get("bath", {})
-        ctx.check_keys("$.model.bath", bath, _BATH_KEYS)
-        n_th = bath.get("n_thermal", 0.0)
-        if not _is_number(n_th) or n_th < 0:
-            ctx.err("$.model.bath.n_thermal", "must be a number >= 0")
-            n_th = 0.0
-        sq = bath.get("squeezing", 0.0)
-        if sq == "squeezed_vacuum":
-            sq_val = float(np.sqrt(n_th * (n_th + 1.0)))
-            sq_norm: object = "squeezed_vacuum"
-        else:
-            sq_c = _as_complex(sq, "$.model.bath.squeezing", ctx)
-            sq_val = sq_c
-            sq_norm = sq if isinstance(sq, list) else float(np.real(sq_c)) if sq_c.imag == 0 else sq
-        drive = _as_complex(bath.get("drive", 0.0), "$.model.bath.drive", ctx)
-        if abs(complex(sq_val)) ** 2 > n_th * (n_th + 1.0) + 1e-12:
-            ctx.err("$.model.bath", "rule bath_physicality: |M|^2 must not exceed N(N+1)")
-        norm_model["bath"] = {
-            "n_thermal": float(n_th),
-            "squeezing": sq_norm,
-            "drive": bath.get("drive", 0.0),
-        }
-        eta = model.get("efficiency", 1.0)
-        if not _is_number(eta) or not 0.0 <= eta <= 1.0:
-            ctx.err("$.model.efficiency", "efficiency out of [0, 1]")
-            eta = 1.0
-        norm_model["efficiency"] = float(eta)
-        theta = model.get("homodyne_phase", 0.0)
-        if not _is_number(theta):
-            ctx.err("$.model.homodyne_phase", "must be a number (radians)")
-            theta = 0.0
-        norm_model["homodyne_phase"] = float(theta)
-    norm["model"] = norm_model
-
-    # ---- unravelling ----
-    unrav = raw.get("unravelling", {"kind": "none"})
-    ctx.check_keys("$.unravelling", unrav, _UNRAV_KEYS)
-    ukind = unrav.get("kind", "none")
-    if ukind not in ("none", "jump", "homodyne", "heterodyne"):
-        ctx.err("$.unravelling.kind", "must be none|jump|homodyne|heterodyne")
-        ukind = "none"
-    stepper = unrav.get("stepper", "euler")
-    if stepper not in ("euler", "kraus"):
-        ctx.err("$.unravelling.stepper", "must be 'euler' or 'kraus'")
-        stepper = "euler"
-    linear = bool(unrav.get("linear", False))
-    mu = unrav.get("mu", 0.0)
-    beta = unrav.get("beta", 1.0)
-    bath_mode = unrav.get("bath_mode", "generalized")
-    if bath_mode not in ("generalized", "replaced_operator"):
-        ctx.err("$.unravelling.bath_mode", "must be 'generalized' or 'replaced_operator'")
-        bath_mode = "generalized"
-    norm["unravelling"] = {
-        "kind": ukind,
-        "stepper": stepper,
-        "linear": linear,
-        "mu": float(mu) if _is_number(mu) else 0.0,
-        "beta": float(beta) if _is_number(beta) else 1.0,
-        "bath_mode": bath_mode,
-    }
-    if not _is_number(mu):
-        ctx.err("$.unravelling.mu", "must be a number")
-    if not _is_number(beta) or beta <= 0:
-        ctx.err("$.unravelling.beta", "rule ostensible_rate_positive: beta must be > 0")
-
-    # ---- feedback ----
-    fb = raw.get("feedback", {"kind": "none"})
-    ctx.check_keys("$.feedback", fb, _FEEDBACK_KEYS)
-    fkind = fb.get("kind", "none")
-    if fkind not in ("none", "markovian", "lqg"):
-        ctx.err("$.feedback.kind", "must be none|markovian|lqg")
-        fkind = "none"
-    norm_fb: dict = {"kind": fkind}
-    if fkind == "markovian":
-        if kind == "gaussian":
-            fmat = _as_matrix(fb.get("f"), "$.feedback.f", ctx) if "f" in fb else None
-            if fmat is None:
-                ctx.err("$.feedback.f", "gaussian markovian feedback needs matrix 'f'")
-            else:
-                norm_fb["f"] = fmat.tolist()
-            m = fb.get("m", "optimal")
-            if m == "optimal":
-                norm_fb["m"] = "optimal"
-            else:
-                mmat = _as_matrix(m, "$.feedback.m", ctx)
-                if mmat is not None:
-                    norm_fb["m"] = mmat.tolist()
-        else:
-            norm_fb["operator"] = _norm_terms(fb.get("operator", []), "$.feedback.operator", ctx)
-            if not norm_fb["operator"]:
-                ctx.err("$.feedback.operator", "markovian feedback needs a nonzero operator")
-    elif fkind == "lqg":
-        if kind != "gaussian":
-            ctx.err("$.feedback.kind", "rule lqg_requires_gaussian: lqg feedback needs a gaussian system")
-        for name in ("f", "p", "q"):
-            mat = _as_matrix(fb.get(name), f"$.feedback.{name}", ctx) if name in fb else None
-            if mat is None:
-                ctx.err(f"$.feedback.{name}", "lqg feedback needs matrices f, p, q")
-            else:
-                norm_fb[name] = mat.tolist()
-    norm["feedback"] = norm_fb
-
-    # ---- run ----
-    run = raw.get("run")
-    if run is None:
-        ctx.err("$.run", "required")
-        run = {}
-    ctx.check_keys("$.run", run, _RUN_KEYS)
-    dt = run.get("dt")
-    if not _is_number(dt) or not math.isfinite(dt) or dt <= 0:
-        ctx.err("$.run.dt", "must be a finite number > 0")
-        dt = 1e-3
-    t_final = run.get("t_final")
-    if not _is_number(t_final) or not math.isfinite(t_final) or t_final < dt:
-        ctx.err("$.run.t_final", "must be a finite number >= dt")
-        t_final = float(dt)
-    n_traj = run.get("n_traj", 1000)
-    if not _is_int(n_traj) or n_traj < 1:
-        ctx.err("$.run.n_traj", "must be an integer >= 1")
-        n_traj = 1
-    seed = run.get("seed", 1234)
-    if not _check_seed(seed, ctx):
-        seed = 1234
-    noise = run.get("noise", "gaussian")
-    if noise not in ("gaussian", "two_point"):
-        ctx.err("$.run.noise", "must be 'gaussian' or 'two_point'")
-        noise = "gaussian"
-    threads = run.get("threads", 1)
-    if threads is not None and (not _is_int(threads) or threads < 1):
-        ctx.err("$.run.threads", "must be null or an integer >= 1")
-        threads = 1
-    block_size = run.get("block_size", 1024)
-    if not _is_int(block_size) or block_size < 1:
-        ctx.err("$.run.block_size", "must be an integer >= 1")
-        block_size = 1024
-    validate_every = run.get("validate_every", 50)
-    if not _is_int(validate_every) or validate_every < 0:
-        ctx.err("$.run.validate_every", "must be an integer >= 0 (0 disables the checks)")
-        validate_every = 50
-    norm["run"] = {
-        "dt": float(dt),
-        "t_final": float(t_final),
-        "n_traj": n_traj,
-        "seed": seed,
-        "noise": noise,
-        "threads": threads,
-        "block_size": block_size,
-        "validate_every": validate_every,
-        "track_min_eigenvalue": bool(run.get("track_min_eigenvalue", False)),
-        "store_states": bool(run.get("store_states", False)),
-    }
-
-    # ---- output ----
-    output = raw.get("output", {})
-    ctx.check_keys("$.output", output, _OUTPUT_KEYS)
-    observables = output.get("observables", _default_observables(kind))
-    if not isinstance(observables, list) or not all(isinstance(o, str) for o in observables):
-        ctx.err("$.output.observables", "must be a list of observable names")
-        observables = _default_observables(kind)
-    allowed_obs = {
-        "qubit": _QUBIT_OBSERVABLES,
-        "boson": _BOSON_OBSERVABLES,
-        "gaussian": _GAUSSIAN_OBSERVABLES,
-    }[kind]
-    for name in observables:
-        if name not in allowed_obs:
-            ctx.err("$.output.observables", f"unknown observable {name!r} for {kind} systems")
-    norm["output"] = {
-        "directory": str(output.get("directory", "runs/scenario")),
-        "stats_filename": str(output.get("stats_filename", "stats.csv")),
-        "manifest_filename": str(output.get("manifest_filename", "manifest.json")),
-        "records": bool(output.get("records", False)),
-        "observables": observables,
-    }
-
-    _cross_rules(norm, ctx)
-    if ctx.errors:
-        raise ConfigError(ctx.errors)
-    return ScenarioConfig(norm)
-
-
-def _norm_terms(terms, path, ctx):
-    if not isinstance(terms, list):
-        ctx.err(path, "expected a list of {'op', 'coeff'} terms")
-        return []
-    out = []
-    for i, term in enumerate(terms):
-        tp = f"{path}[{i}]"
-        if not ctx.check_keys(tp, term, {"op", "coeff"}):
-            continue
-        opname = term.get("op")
-        if not isinstance(opname, str):
-            ctx.err(f"{tp}.op", "must be an operator name")
-            continue
-        coeff = term.get("coeff", 1.0)
-        _as_complex(coeff, f"{tp}.coeff", ctx)
-        out.append({"op": opname, "coeff": coeff})
-    return out
-
-
-def _cross_rules(norm, ctx):
-    kind = norm["system"]["kind"]
-    ukind = norm["unravelling"]["kind"]
-    fkind = norm["feedback"]["kind"]
-    if kind == "gaussian":
-        _gaussian_label_rules(norm, ctx)
-        if ukind in ("jump", "heterodyne"):
-            ctx.err(
-                "$.unravelling.kind",
-                "rule gaussian_monitoring: gaussian systems support 'none' or 'homodyne' "
-                "(monitoring is set by the B/E matrices)",
-            )
-        if fkind != "none" and ukind == "none":
-            ctx.err("$.feedback.kind", "rule feedback_needs_monitoring: add a homodyne unravelling")
-        if norm["unravelling"]["linear"]:
-            ctx.err("$.unravelling.linear", "linear trajectories apply to Hilbert-space systems")
-        if norm["run"]["noise"] == "two_point":
-            ctx.err("$.run.noise", "rule two_point_diffusive_only: not available for gaussian moments")
-        return
-    # Hilbert-space systems
-    model = norm["model"]
-    eta = model["efficiency"]
-    bath = model["bath"]
-    sq = bath["squeezing"]
-    sq_abs = (
-        float(np.sqrt(bath["n_thermal"] * (bath["n_thermal"] + 1.0)))
-        if sq == "squeezed_vacuum"
-        else abs(_as_complex(sq, "$", _Collector()))
-    )
-    vacuum = bath["n_thermal"] == 0 and sq_abs == 0 and bath["drive"] in (0, 0.0)
-    if fkind == "lqg":
-        ctx.err("$.feedback.kind", "rule lqg_requires_gaussian: lqg feedback needs a gaussian system")
-    if ukind == "none" and fkind != "none":
-        ctx.err("$.feedback.kind", "rule feedback_needs_monitoring: feedback requires an unravelling")
-    if ukind == "jump":
-        if not vacuum:
-            ctx.err(
-                "$.unravelling.kind",
-                "rule jump_vacuum_bath: photon counting with thermal/squeezed/driven baths "
-                "is not supported",
-            )
-        if fkind == "markovian" and eta != 1.0:
-            ctx.err(
-                "$.model.efficiency",
-                "rule jump_feedback_unit_efficiency: photodetection feedback requires "
-                "efficiency = 1",
-            )
-        if norm["run"]["noise"] == "two_point":
-            ctx.err("$.run.noise", "rule two_point_diffusive_only: two-point noise is for diffusive unravellings")
-    if ukind in ("homodyne", "heterodyne") and not vacuum:
-        if eta != 1.0:
-            ctx.err(
-                "$.model.efficiency",
-                "rule generalized_bath_unit_efficiency: generalized-bath diffusive "
-                "unravellings require efficiency = 1",
-            )
-        # the replaced-operator homodyne runs the vacuum stepper, which takes any phase
-        replaced = ukind == "homodyne" and norm["unravelling"]["bath_mode"] == "replaced_operator"
-        if model["homodyne_phase"] != 0.0 and not replaced:
-            ctx.err(
-                "$.model.homodyne_phase",
-                "rule generalized_bath_homodyne_phase: diffusive unravellings with a "
-                "thermal/squeezed/driven bath require homodyne_phase = 0",
-            )
-        if ukind == "heterodyne" and sq_abs != 0:
-            ctx.err(
-                "$.unravelling.kind",
-                "rule heterodyne_thermal_only: generalized heterodyne needs a thermal bath (M = 0)",
-            )
-        if norm["unravelling"]["bath_mode"] == "replaced_operator":
-            n_th = bath["n_thermal"]
-            if abs(sq_abs**2 - n_th * (n_th + 1.0)) > 1e-12:
-                ctx.err(
-                    "$.unravelling.bath_mode",
-                    "rule replaced_operator_squeezed_vacuum: operator replacement needs "
-                    "|M|^2 = N(N+1)",
-                )
-    if norm["unravelling"]["linear"]:
-        if fkind != "none":
-            ctx.err("$.unravelling.linear", "rule linear_no_feedback: linear trajectories exclude feedback")
-        if eta != 1.0:
-            ctx.err("$.model.efficiency", "rule linear_unit_efficiency: linear trajectories require efficiency = 1")
-        if ukind not in ("jump", "homodyne"):
-            ctx.err("$.unravelling.linear", "linear mode applies to jump or homodyne unravellings")
-        if norm["unravelling"]["stepper"] != "euler":
-            ctx.err("$.unravelling.stepper", "linear mode uses the euler stepper")
-    if fkind == "markovian" and ukind == "heterodyne":
-        ctx.err("$.feedback.kind", "rule feedback_single_current: heterodyne feedback is not supported")
-    if not model["channels"] and ukind != "none":
-        ctx.err("$.model.channels", "an unravelling needs at least one collapse channel")
-    _operator_rules(norm, ctx)
-
-
-def _operator_rules(norm, ctx):
-    """Resolve the operator names of the Hamiltonian, the channels and the
-    feedback operator against the operator set ``build_runtime`` uses, and
-    require the summed Hamiltonian and feedback operator to be Hermitian."""
-    opset = _operator_set(norm["system"])
-    model, fb = norm["model"], norm["feedback"]
-    for path, terms in (
-        ("$.model.hamiltonian", model["hamiltonian"]),
-        ("$.model.channels", model["channels"]),
-        ("$.feedback.operator", fb.get("operator", [])),
-    ):
-        for name in sorted({term["op"] for term in terms} - set(opset)):
-            ctx.err(path, f"unknown operator {name!r}")
-    rules = [("$.model.hamiltonian", "hamiltonian_hermitian", "Hamiltonian", model["hamiltonian"])]
-    if "operator" in fb:
-        rules.append(("$.feedback.operator", "feedback_hermitian", "feedback operator",
-                      fb["operator"]))
-    for path, rule, what, terms in rules:
-        if any(e.startswith(path) for e in ctx.errors):
-            continue  # unresolvable names or coefficients are already reported
-        if not is_hermitian(_resolve_terms(terms, opset, path)):
-            ctx.err(path, f"rule {rule}: the summed {what} must be Hermitian")
-
-
-def _gaussian_model(model_cfg: dict) -> GaussianModel:
-    if "opo" in model_cfg:
-        opo = model_cfg["opo"]
-        return opo_model(opo["chi"], opo["kappa"], opo["eta"])
-    mats = model_cfg["matrices"]
-    return GaussianModel(mats["A"], mats["D"], mats["B"], mats["E"])
-
-
-def _gaussian_label_rules(norm, ctx):
-    """Build the Gaussian model and check that its quadrature labels resolve
-    every observable the run records (the ensemble always records q and p)."""
-    if any(e.startswith("$.model") for e in ctx.errors):
-        return  # the model block itself is already rejected
-    try:
-        gmodel = _gaussian_model(norm["model"])
-    except ValueError as exc:
-        ctx.err("$.model.matrices", str(exc))
-        return
-    n_modes = norm["system"]["n_modes"]
-    if gmodel.n_modes != n_modes:
-        ctx.err(
-            "$.model",
-            f"rule gaussian_mode_count: the model has {gmodel.n_modes} mode(s), "
-            f"system.n_modes is {n_modes}",
-        )
-    needed = {
-        name.removeprefix("cond_var_").removeprefix("unc_var_")
-        for name in norm["output"]["observables"]
-    }
-    if norm["unravelling"]["kind"] != "none":
-        needed |= {"q", "p"}
-    missing = sorted(needed - set(gmodel.labels))
-    if missing:
-        ctx.err(
-            "$.output.observables",
-            f"rule gaussian_observable_labels: no model quadrature labelled "
-            f"{', '.join(missing)} (labels: {', '.join(gmodel.labels)})",
-        )
+    return _resolve(raw).config
 
 
 # --------------------------------------------------------------------------
-# runtime construction
+# resolution
 
 
-def _operator_set(system: dict) -> dict[str, np.ndarray]:
-    if system["kind"] == "qubit":
-        return build_standard_ops("qubit")
-    ops = build_standard_ops("boson", system["dim"])
-    ops = dict(ops)
-    ops["qp_plus_pq"] = ops["q"] @ ops["p"] + ops["p"] @ ops["q"]
-    ops["q2"] = ops["q"] @ ops["q"]
-    ops["p2"] = ops["p"] @ ops["p"]
-    return ops
+def _build(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; the ValueErrors (``LinAlgError``,
+    ``HurwitzError``, ...) and ``ConvergenceError``s it raises become a
+    ``ConfigError`` at ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, ConvergenceError) as exc:
+        raise ConfigError([f"{where}: {exc}"]) from exc
 
 
-def _resolve_terms(terms, opset, what):
-    dim = next(iter(opset.values())).shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
+def _n_steps(run: dict) -> int:
+    # capped, so that an overflowing t_final / dt still counts as a step count
+    return int(round(min(run["t_final"] / run["dt"], 2.0**62)))
+
+
+def _check_memory(cfg: dict) -> None:
+    """Rule ``run_memory``: the run's arrays must fit in physical memory.
+
+    Counted from below, in bytes: the operator set; per block in flight the
+    state and one work buffer, and the noise block; the per-step sums of
+    every block, held until the reduction; stored states and records.
+    """
+    system, run, ukind = cfg["system"], cfg["run"], cfg["unravelling"]["kind"]
+    steps = _n_steps(run)
+    if system["kind"] == "gaussian":  # real mean vectors, one covariance path
+        dim, entry = 2 * system["n_modes"], 8
+        state, ops, path = dim, 4 * dim * dim * entry, (steps + 1) * dim * dim * entry
+    else:  # complex density matrices
+        dim, entry = system.get("dim", 2), 16
+        state, ops, path = dim * dim, 9 * dim * dim * entry, 0
+    need = ops + path + (steps + 1) * state * entry  # or the deterministic path
+    if ukind != "none":
+        draws = 2 if ukind == "heterodyne" else 1
+        block = min(run["block_size"], run["n_traj"])
+        blocks = -(-run["n_traj"] // block)
+        sums = (steps + 1) * (6 * len(cfg["output"]["observables"]) + 2) * 8
+        need = ops + path + blocks * sums
+        need += min(run["threads"], blocks) * block * (2 * state * entry + steps * draws * 8)
+        stored = run["store_states"] * (steps + 1) * state * entry
+        stored += cfg["output"]["records"] * steps * draws * (1 if ukind == "jump" else 8)
+        need += run["n_traj"] * stored
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        gib = min(need, 2**100) / 2**30  # still a lower bound, and a float
+        raise ConfigError([
+            f"$.run: rule run_memory: the run needs at least {gib:.3g} GiB at once, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        ])
+
+
+def _gaussian_rules(cfg: dict, gmodel: GaussianModel, ctx: _Collector) -> None:
+    ukind, fb, n_modes = cfg["unravelling"]["kind"], cfg["feedback"], cfg["system"]["n_modes"]
+    needed = {"markovian": ("f",), "lqg": ("f", "p", "q")}.get(fb["kind"], ())
+    # the model's quadrature labels must resolve every observable the run
+    # records (the ensemble always records q and p)
+    recorded = {name.removeprefix("cond_var_").removeprefix("unc_var_")
+                for name in cfg["output"]["observables"]}
+    if ukind != "none":
+        recorded |= {"q", "p"}
+    missing = sorted(recorded - set(gmodel.labels))
+    ctx.rules((
+        (gmodel.n_modes != n_modes, "$.model",
+         f"rule gaussian_mode_count: the model has {gmodel.n_modes} mode(s), "
+         f"system.n_modes is {n_modes}"),
+        (missing, "$.output.observables",
+         f"rule gaussian_observable_labels: no model quadrature labelled "
+         f"{', '.join(missing)} (labels: {', '.join(gmodel.labels)})"),
+        (ukind in ("jump", "heterodyne"), "$.unravelling.kind",
+         "rule gaussian_monitoring: gaussian systems support 'none' or 'homodyne' "
+         "(monitoring is set by the B/E matrices)"),
+        (fb["kind"] != "none" and ukind == "none", "$.feedback.kind",
+         "rule feedback_needs_monitoring: add a homodyne unravelling"),
+        (any(name not in fb for name in needed), "$.feedback",
+         f"{fb['kind']} feedback needs matrices {', '.join(needed)}"),
+        (cfg["unravelling"]["linear"], "$.unravelling.linear",
+         "linear trajectories apply to Hilbert-space systems"),
+        (cfg["run"]["noise"] == "two_point", "$.run.noise",
+         "rule two_point_diffusive_only: not available for gaussian moments"),
+    ))
+
+
+def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> None:
+    system, model, unrav, fb = cfg["system"], cfg["model"], cfg["unravelling"], cfg["feedback"]
+    ukind, fkind, linear, eta = unrav["kind"], fb["kind"], unrav["linear"], model["efficiency"]
+    init, n_th = system["initial_state"], bath.n_thermal
+    level = init["fock"] if isinstance(init, dict) else 0
+    diffusive_bath = ukind in ("homodyne", "heterodyne") and not bath.is_vacuum
+    # the replaced-operator homodyne runs the vacuum steppers on c~, which
+    # take any phase, feedback and linear mode
+    replaced = ukind == "homodyne" and unrav["bath_mode"] == "replaced_operator"
+    generalized = diffusive_bath and not replaced
+    ctx.rules((
+        (not isinstance(level, int) or isinstance(level, bool)
+         or not 0 <= level < system.get("dim", 2),
+         "$.system.initial_state.fock", "must be an integer in [0, dim - 1]"),
+        (fkind == "lqg", "$.feedback.kind",
+         "rule lqg_requires_gaussian: lqg feedback needs a gaussian system"),
+        (fkind == "markovian" and not fb.get("operator"), "$.feedback.operator",
+         "markovian feedback needs a nonzero operator"),
+        (fkind != "none" and ukind == "none", "$.feedback.kind",
+         "rule feedback_needs_monitoring: feedback requires an unravelling"),
+        (ukind != "none" and len(model["channels"]) != 1, "$.model.channels",
+         "rule single_channel: an unravelling monitors exactly one collapse channel"),
+        (ukind == "jump" and not bath.is_vacuum, "$.unravelling.kind",
+         "rule jump_vacuum_bath: photon counting with thermal/squeezed/driven baths "
+         "is not supported"),
+        (ukind == "jump" and fkind == "markovian" and eta != 1.0, "$.model.efficiency",
+         "rule jump_feedback_unit_efficiency: photodetection feedback requires efficiency = 1"),
+        (ukind == "jump" and cfg["run"]["noise"] == "two_point", "$.run.noise",
+         "rule two_point_diffusive_only: two-point noise is for diffusive unravellings"),
+        (ukind == "homodyne" and fkind == "markovian" and eta == 0.0, "$.model.efficiency",
+         "rule homodyne_feedback_efficiency: homodyne feedback needs efficiency > 0"),
+        (ukind == "homodyne" and bath.squeezing.imag != 0.0, "$.model.bath.squeezing",
+         "rule homodyne_real_squeezing: homodyne unravellings need a real squeezing M"),
+        (diffusive_bath and unrav["bath_mode"] == "replaced_operator"
+         and abs(abs(bath.squeezing) ** 2 - n_th * (n_th + 1.0)) > 1e-12,
+         "$.unravelling.bath_mode",
+         "rule replaced_operator_squeezed_vacuum: operator replacement needs |M|^2 = N(N+1)"),
+        (generalized and eta != 1.0, "$.model.efficiency",
+         "rule generalized_bath_unit_efficiency: generalized-bath diffusive unravellings "
+         "require efficiency = 1"),
+        (generalized and model["homodyne_phase"] != 0.0, "$.model.homodyne_phase",
+         "rule generalized_bath_homodyne_phase: diffusive unravellings with a "
+         "thermal/squeezed/driven bath require homodyne_phase = 0"),
+        (generalized and ukind == "heterodyne" and bath.squeezing != 0, "$.unravelling.kind",
+         "rule heterodyne_thermal_only: generalized heterodyne needs a thermal bath (M = 0)"),
+        (generalized and fkind != "none", "$.feedback.kind",
+         "rule feedback_vacuum_bath: diffusive feedback needs a vacuum bath or the "
+         "replaced-operator squeezed vacuum"),
+        (generalized and linear, "$.unravelling.linear",
+         "rule linear_vacuum_bath: linear diffusive trajectories need a vacuum bath or the "
+         "replaced-operator squeezed vacuum"),
+        (linear and fkind != "none", "$.unravelling.linear",
+         "rule linear_no_feedback: linear trajectories exclude feedback"),
+        (linear and eta != 1.0, "$.model.efficiency",
+         "rule linear_unit_efficiency: linear trajectories require efficiency = 1"),
+        (linear and ukind not in ("jump", "homodyne"), "$.unravelling.linear",
+         "linear mode applies to jump or homodyne unravellings"),
+        (linear and unrav["stepper"] != "euler", "$.unravelling.stepper",
+         "linear mode uses the euler stepper"),
+        (fkind == "markovian" and ukind == "heterodyne", "$.feedback.kind",
+         "rule feedback_single_current: heterodyne feedback is not supported"),
+    ))
+
+
+def _to_complex(value) -> complex:
+    return complex(value[0], value[1]) if isinstance(value, list) else complex(value)
+
+
+def _resolve_terms(terms, opset, path, ctx, hermitian_rule=None):
+    """The summed operator of ``terms``, or None if a name does not resolve;
+    ``hermitian_rule`` names the rule that requires the sum to be Hermitian."""
+    unknown = sorted({term["op"] for term in terms} - set(opset))
+    for name in unknown:
+        ctx.err(path, f"unknown operator {name!r}")
+    if unknown:
+        return None
+    total = np.zeros_like(opset["identity"])
     for term in terms:
-        name = term["op"]
-        if name not in opset:
-            raise ConfigError([f"{what}: unknown operator {name!r}"])
-        coeff = term["coeff"]
-        coeff = complex(coeff[0], coeff[1]) if isinstance(coeff, list) else complex(coeff)
-        total = total + coeff * opset[name]
+        total = total + _to_complex(term["coeff"]) * opset[term["op"]]
+    if hermitian_rule and not is_hermitian(total):
+        ctx.err(path, f"rule {hermitian_rule}: the summed operator must be Hermitian")
     return total
 
 
-def _observable_map(system: dict, opset) -> dict[str, np.ndarray]:
-    if system["kind"] == "qubit":
-        return {
-            "rho_ee": opset["projector_e"],
-            "rho_gg": opset["projector_g"],
-            "sigma_x": opset["sigma_x"],
-            "sigma_y": opset["sigma_y"],
-            "sigma_z": opset["sigma_z"],
-        }
-    return {name: opset[name] for name in _BOSON_OBSERVABLES}
+def _resolve(doc: dict) -> RuntimeJob:
+    """Check a document and build the job it describes.
 
+    This is the only code that builds operators, models, gains and scenarios
+    from a configuration; ``parse_config`` and ``build_runtime`` both call it.
+    The cross-field rules run once the schema pass (``_FIELDS``) is clean.
+    """
+    system = doc.get("system")
+    kind = system.get("kind") if isinstance(system, dict) else None
+    ctx = _Collector()
+    config = ScenarioConfig(_read(doc, _FIELDS, kind if kind in _ALL else "qubit", "$", ctx))
+    run = config.data.get("run", {})
+    if run.get("t_final", math.inf) < run.get("dt", 0.0):
+        ctx.err("$.run.t_final", "must be a finite number >= dt")
+    ctx.raise_errors()
+    cfg = config.data
+    system, model_cfg, unrav, fb = cfg["system"], cfg["model"], cfg["unravelling"], cfg["feedback"]
+    ukind, fkind = unrav["kind"], fb["kind"]
+    _check_memory(cfg)
+    if system["kind"] == "gaussian":
+        if ("opo" in model_cfg) == ("matrices" in model_cfg):
+            raise ConfigError(["$.model: gaussian systems need one 'opo' or 'matrices' block"])
+        if "opo" in model_cfg:
+            gmodel = _build("$.model.opo", opo_model, **model_cfg["opo"])
+        else:
+            gmodel = _build("$.model.matrices", GaussianModel, **model_cfg["matrices"])
+        _gaussian_rules(cfg, gmodel, ctx)
+        ctx.raise_errors()
+        if ukind == "none":
+            return RuntimeJob(
+                "gaussian_unconditional", config,
+                payload={"model": gmodel, "t_grid": np.arange(_n_steps(run) + 1) * run["dt"]},
+            )
+        controller = f_mat = None
+        if fkind != "none":
+            f_mat = np.asarray(fb["f"], dtype=float)
+        if fkind == "markovian" and fb.get("m", "optimal") == "optimal":
+            controller = ("markovian",
+                          _build("$.feedback", lambda: markovian_gain(gmodel, f_mat).gain))
+        elif fkind == "markovian":  # an explicit M; F M maps the currents to quadratures
+            gain = np.asarray(fb["m"], dtype=float)
+            if f_mat.shape[0] != gmodel.dim or gain.shape != (f_mat.shape[1], gmodel.n_currents):
+                raise ConfigError([f"$.feedback.m: F M must be ({gmodel.dim}, {gmodel.n_currents})"
+                                   f" for this model; F is {f_mat.shape}, M is {gain.shape}"])
+            controller = ("markovian", gain)
+        elif fkind == "lqg":
+            result = _build("$.feedback", lqg_gain, gmodel, f_mat,
+                            np.asarray(fb["p"], dtype=float), np.asarray(fb["q"], dtype=float))
+            controller = ("lqg", result.gain)
+        scenario = Scenario(
+            "gaussian", gmodel, GaussianState.vacuum(gmodel.n_modes),
+            f_mat=f_mat, controller=controller,
+        )
+        return _ensemble_job(config, scenario, (("q", None), ("p", None)))
 
-def _initial_density_matrix(system: dict) -> np.ndarray:
-    if system["kind"] == "qubit":
-        init = system["initial_state"]
-        if init == "excited":
-            vec = np.array([1.0, 0.0], dtype=complex)
-        elif init == "ground":
-            vec = np.array([0.0, 1.0], dtype=complex)
-        else:  # plus_x
-            vec = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-        return np.outer(vec, vec.conj())
-    dim = system["dim"]
+    bath_cfg = model_cfg["bath"]
+    n_th, sq = bath_cfg["n_thermal"], bath_cfg["squeezing"]
+    squeezing = (
+        complex(np.sqrt(n_th * (n_th + 1.0))) if sq == "squeezed_vacuum" else _to_complex(sq)
+    )
+    bath = _build("$.model.bath: rule bath_physicality", BathSpec,
+                  n_thermal=n_th, squeezing=squeezing, drive=_to_complex(bath_cfg["drive"]))
+    _hilbert_rules(cfg, bath, ctx)
+    dim = system.get("dim", 2)
+    opset = build_standard_ops(system["kind"], dim)
+    if system["kind"] == "boson":
+        opset["qp_plus_pq"] = opset["q"] @ opset["p"] + opset["p"] @ opset["q"]
+        opset["q2"] = opset["q"] @ opset["q"]
+        opset["p2"] = opset["p"] @ opset["p"]
+    hamiltonian = _resolve_terms(model_cfg["hamiltonian"], opset, "$.model.hamiltonian", ctx,
+                                 "hamiltonian_hermitian")
+    channels = [
+        (chan["rate"], _resolve_terms([{"op": chan["op"], "coeff": 1.0}], opset,
+                                      "$.model.channels", ctx))
+        for chan in model_cfg["channels"]
+    ]
+    f_op = None
+    if fkind == "markovian":
+        f_op = _resolve_terms(fb.get("operator", []), opset, "$.feedback.operator", ctx,
+                              "feedback_hermitian")
+    ctx.raise_errors()
+
+    if not bath.is_vacuum and unrav["bath_mode"] == "replaced_operator" and ukind == "homodyne":
+        channels = [(k, squeezed_vacuum_jump_operator(c, n_th)) for k, c in channels]
+        bath = BathSpec()
+    model = _build(
+        "$.model", OpenSystemModel, hamiltonian, channels, bath=bath,
+        efficiency=model_cfg["efficiency"], homodyne_phase=model_cfg["homodyne_phase"],
+    )
     init = system["initial_state"]
-    level = 0 if init == "vacuum" else init["fock"]
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[level, level] = 1.0
-    return rho
+    if system["kind"] == "qubit":
+        vec = np.array({"excited": [1.0, 0.0], "ground": [0.0, 1.0], "plus_x": [1.0, 1.0]}[init],
+                       dtype=complex)
+        vec = vec / np.sqrt(2.0) if init == "plus_x" else vec
+        rho0 = np.outer(vec, vec.conj())
+    else:
+        rho0 = np.zeros((dim, dim), dtype=complex)
+        level = 0 if init == "vacuum" else init["fock"]
+        rho0[level, level] = 1.0
+    # every observable is the operator of its name, but for the qubit populations
+    alias = {"rho_ee": "projector_e", "rho_gg": "projector_g"}
+    observables = tuple(
+        (name, opset[alias.get(name, name)]) for name in cfg["output"]["observables"]
+    )
+    if ukind == "none":
+        return RuntimeJob(
+            "me", config,
+            payload={"model": model, "rho0": rho0, "observables": observables,
+                     "t_grid": np.arange(_n_steps(run) + 1) * run["dt"]},
+        )
+    # the rules leave feedback and linear mode to vacuum baths and feedback to
+    # jump and homodyne; heterodyne has no Kraus stepper
+    if f_op is not None:
+        kind = f"{ukind}_feedback"
+    elif unrav["linear"]:
+        kind = f"linear_{ukind}"
+    elif not model.bath.is_vacuum:
+        kind = f"generalized_{ukind}"
+    elif unrav["stepper"] == "kraus" and ukind != "heterodyne":
+        kind = f"{ukind}_kraus"
+    else:
+        kind = ukind
+    scenario = Scenario(
+        kind, model, rho0, feedback_operator=f_op, mu=unrav["mu"], beta_ost=unrav["beta"],
+    )
+    return _ensemble_job(
+        config, scenario, observables,
+        track_min_eigenvalue=run["track_min_eigenvalue"], validate_every=run["validate_every"],
+    )
+
+
+def _ensemble_job(config: ScenarioConfig, scenario: Scenario, observables, **extra):
+    run = config.data["run"]
+    spec = EnsembleSpec(
+        n_traj=run["n_traj"], master_seed=run["seed"], dt=run["dt"],
+        t_final=run["t_final"], observables=observables, noise=run["noise"],
+        threads=run["threads"], block_size=run["block_size"],
+        store_records=config.data["output"]["records"], store_states=run["store_states"],
+        **extra,
+    )
+    return RuntimeJob("ensemble", config, spec=spec, scenario=scenario)
 
 
 @dataclass
@@ -790,140 +760,15 @@ def build_runtime(
 ) -> RuntimeJob:
     """Resolve a validated configuration into an executable job.
 
-    ``threads``/``seed`` override the run block (the seed override is echoed
-    into the effective configuration so manifests stay rerunnable).
+    ``threads``/``seed`` override the run block and pass the schema pass with
+    it (the overrides are echoed into the effective configuration so
+    manifests stay rerunnable).
     """
-    cfg = json.loads(json.dumps(config.data))  # deep copy
-    if seed is not None:
-        ctx = _Collector()
-        if not _check_seed(seed, ctx):
-            raise ConfigError(ctx.errors)
-        cfg["run"]["seed"] = seed
-    if threads is not None:
-        cfg["run"]["threads"] = int(threads)
-    config = ScenarioConfig(cfg)
-    system, model_cfg = cfg["system"], cfg["model"]
-    run = cfg["run"]
-    ukind = cfg["unravelling"]["kind"]
-    n_steps_grid = np.arange(int(round(run["t_final"] / run["dt"])) + 1) * run["dt"]
-
-    if system["kind"] == "gaussian":
-        gmodel = _gaussian_model(model_cfg)
-        if ukind == "none":
-            return RuntimeJob(
-                "gaussian_unconditional", config,
-                payload={"model": gmodel, "t_grid": n_steps_grid},
-            )
-        fb = cfg["feedback"]
-        controller = None
-        f_mat = None
-        if fb["kind"] == "markovian":
-            f_mat = np.asarray(fb["f"], dtype=float)
-            if fb["m"] == "optimal":
-                try:
-                    controller = ("markovian", markovian_gain(gmodel, f_mat).gain)
-                except UnreachableDirectionError as exc:
-                    raise ConfigError([f"$.feedback: rule markovian_gain_consistency: {exc}"])
-            else:
-                controller = ("markovian", np.asarray(fb["m"], dtype=float))
-        elif fb["kind"] == "lqg":
-            f_mat = np.asarray(fb["f"], dtype=float)
-            result = lqg_gain(gmodel, f_mat, np.asarray(fb["p"]), np.asarray(fb["q"]))
-            controller = ("lqg", result.gain)
-        base_obs = tuple((lbl, None) for lbl in ("q", "p"))
-        spec = EnsembleSpec(
-            n_traj=run["n_traj"], master_seed=run["seed"], dt=run["dt"],
-            t_final=run["t_final"], observables=base_obs, noise=run["noise"],
-            threads=run["threads"] or 1, block_size=run["block_size"],
-            store_records=cfg["output"]["records"], store_states=run["store_states"],
-        )
-        scenario = Scenario(
-            "gaussian", gmodel, GaussianState.vacuum(gmodel.n_modes),
-            f_mat=f_mat, controller=controller,
-        )
-        return RuntimeJob("ensemble", config, spec=spec, scenario=scenario)
-
-    # Hilbert-space systems
-    opset = _operator_set(system)
-    obs_map = _observable_map(system, opset)
-    hamiltonian = _resolve_terms(model_cfg["hamiltonian"], opset, "$.model.hamiltonian")
-    channels = [
-        (chan["rate"], _resolve_terms([{"op": chan["op"], "coeff": 1.0}], opset, "$.model.channels"))
-        for chan in model_cfg["channels"]
-    ]
-    bath_cfg = model_cfg["bath"]
-    n_th = bath_cfg["n_thermal"]
-    sq = bath_cfg["squeezing"]
-    squeezing = (
-        complex(np.sqrt(n_th * (n_th + 1.0)))
-        if sq == "squeezed_vacuum"
-        else (complex(sq[0], sq[1]) if isinstance(sq, list) else complex(sq))
-    )
-    drive_raw = bath_cfg["drive"]
-    drive = complex(drive_raw[0], drive_raw[1]) if isinstance(drive_raw, list) else complex(drive_raw)
-    bath = BathSpec(n_thermal=n_th, squeezing=squeezing, drive=drive)
-    replaced_operator = (
-        not bath.is_vacuum
-        and cfg["unravelling"]["bath_mode"] == "replaced_operator"
-        and ukind == "homodyne"
-    )
-    if replaced_operator:
-        from .diffusive import squeezed_vacuum_jump_operator
-
-        channels = [(k, squeezed_vacuum_jump_operator(c, n_th)) for k, c in channels]
-        bath = BathSpec()
-    model = OpenSystemModel(
-        hamiltonian, channels, bath=bath,
-        efficiency=model_cfg["efficiency"], homodyne_phase=model_cfg["homodyne_phase"],
-    )
-    rho0 = _initial_density_matrix(system)
-    observables = tuple((name, obs_map[name]) for name in cfg["output"]["observables"])
-
-    if ukind == "none":
-        return RuntimeJob(
-            "me", config,
-            payload={"model": model, "rho0": rho0, "t_grid": n_steps_grid,
-                     "observables": observables},
-        )
-
-    fb = cfg["feedback"]
-    f_op = None
-    if fb["kind"] == "markovian":
-        f_op = _resolve_terms(fb["operator"], opset, "$.feedback.operator")
-    linear = cfg["unravelling"]["linear"]
-    stepper = cfg["unravelling"]["stepper"]
-    if ukind == "jump":
-        if f_op is not None:
-            kind = "jump_feedback"
-        elif linear:
-            kind = "linear_jump"
-        else:
-            kind = "jump_kraus" if stepper == "kraus" else "jump"
-    elif ukind == "homodyne":
-        if not model.bath.is_vacuum:
-            kind = "generalized_homodyne"
-        elif f_op is not None:
-            kind = "homodyne_feedback"
-        elif linear:
-            kind = "linear_homodyne"
-        else:
-            kind = "homodyne_kraus" if stepper == "kraus" else "homodyne"
-    else:  # heterodyne
-        kind = "generalized_heterodyne" if not model.bath.is_vacuum else "heterodyne"
-
-    spec = EnsembleSpec(
-        n_traj=run["n_traj"], master_seed=run["seed"], dt=run["dt"],
-        t_final=run["t_final"], observables=observables, noise=run["noise"],
-        threads=run["threads"] or 1, block_size=run["block_size"],
-        store_records=cfg["output"]["records"], store_states=run["store_states"],
-        track_min_eigenvalue=run["track_min_eigenvalue"],
-        validate_every=run["validate_every"],
-    )
-    scenario = Scenario(
-        kind, model, rho0, feedback_operator=f_op,
-        mu=cfg["unravelling"]["mu"], beta_ost=cfg["unravelling"]["beta"],
-    )
-    return RuntimeJob("ensemble", config, spec=spec, scenario=scenario)
+    doc = json.loads(json.dumps(config.data))  # deep copy
+    for key, value in (("seed", seed), ("threads", threads)):
+        if value is not None:
+            doc["run"][key] = value
+    return _resolve(doc)
 
 
 # --------------------------------------------------------------------------
@@ -1005,7 +850,9 @@ def run_scenario(
 def load_config_or_manifest(path: str | Path) -> ScenarioConfig:
     """Load a scenario configuration, accepting either a config document or a
     run manifest (whose embedded config is then used verbatim)."""
-    doc = json.loads(Path(path).read_text())
-    if isinstance(doc, dict) and "manifest_version" in doc:
-        return parse_config(json.dumps(doc["config"]))
-    return parse_config(json.dumps(doc))
+    text = Path(path).read_text()
+    with contextlib.suppress(json.JSONDecodeError):  # parse_config reports it
+        doc = json.loads(text)
+        if isinstance(doc, dict) and "manifest_version" in doc:
+            text = json.dumps(doc["config"])
+    return parse_config(text)

@@ -58,6 +58,13 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _require_shape(name: str, mat: np.ndarray, rows: int, cols: int | None = None) -> None:
+    """ValueError naming ``name`` unless ``mat`` is (rows, cols); None takes any cols."""
+    if mat.ndim != 2 or mat.shape[0] != rows or cols not in (None, mat.shape[1]):
+        want = f"({rows}, {'k' if cols is None else cols})"
+        raise ValueError(f"{name} must have shape {want} for this model, got {mat.shape}")
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Direct sum of n copies of [[0, 1], [-1, 0]]."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))
@@ -282,12 +289,17 @@ def lqg_gain(model, f_mat, p_cost, q_cost, max_iter: int = 60) -> LqgResult:
     Y solves A^T Y + Y A + P - Y F Q^-1 F^T Y = 0 (Newton-Kleinman, seeded with
     Y = 0, which is stabilizing because the open-loop drift of the models here
     is Hurwitz); K = Q^-1 F^T Y.  Reports whether A - F K is Hurwitz.
-    ``model`` may be a :class:`GaussianModel` or a bare drift matrix.
+    ``model`` may be a :class:`GaussianModel` or a bare drift matrix.  With 2n
+    quadratures and k controls F is (2n, k), P is (2n, 2n) and Q is (k, k);
+    other shapes raise a ValueError naming the matrix.
     """
     a = model.A if isinstance(model, GaussianModel) else np.atleast_2d(np.asarray(model, dtype=float))
     f_mat = np.atleast_2d(np.asarray(f_mat, dtype=float))
     p_cost = np.asarray(p_cost, dtype=float)
     q_cost = np.atleast_2d(np.asarray(q_cost, dtype=float))
+    _require_shape("feedback matrix F", f_mat, a.shape[0])
+    _require_shape("state cost P", p_cost, a.shape[0], a.shape[0])
+    _require_shape("control cost Q", q_cost, f_mat.shape[1], f_mat.shape[1])
     if np.min(np.linalg.eigvalsh(_sym(p_cost))) < -1e-12:
         raise ValueError("state cost P must be positive semidefinite")
     if np.min(np.linalg.eigvalsh(_sym(q_cost))) <= 0:
@@ -354,9 +366,10 @@ def markovian_gain(model: GaussianModel, f_mat, cov_c: np.ndarray | None = None)
     Least squares with a residual test stands in for the textbook F^-1, so
     non-full-rank feedback matrices succeed whenever the noisy directions lie
     in the range of F; otherwise the unreachable phase-space direction is
-    named in the error.
+    named in the error.  F must be (2n, k) for 2n quadratures and k controls.
     """
     f_mat = np.atleast_2d(np.asarray(f_mat, dtype=float))
+    _require_shape("feedback matrix F", f_mat, model.dim)
     if cov_c is None:
         cov_c = riccati_steady_state(model)
     target = -(model.E - cov_c @ model.B) / np.sqrt(2.0)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from contmon import OpenSystemModel, build_standard_ops
+
+# the same examples on every run, independent of the .hypothesis/ example
+# database, and no per-example deadline on a loaded machine
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

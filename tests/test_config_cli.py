@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contmon.cli import main
 from contmon.config import (
@@ -178,17 +182,26 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
     doc["model"]["efficiency"] = 2.0
     bad.write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 2
-    capsys.readouterr()
+    # not JSON at all: run used to exit 1 with a traceback
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("not json")
+    assert main(["validate", str(garbage)]) == 2
+    assert main(["run", str(garbage), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "$: not valid JSON" in capsys.readouterr().err
 
 
 def test_cli_run_and_rerun(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     doc = json.loads(json.dumps(MINIMAL))
     doc["output"]["directory"] = str(tmp_path / "out1")
+    doc["run"]["threads"] = 2  # honoured without --threads
     config_path.write_text(json.dumps(doc))
-    assert main(["run", str(config_path), "--threads", "2"]) == 0
+    assert main(["run", str(config_path)]) == 0
     manifest = tmp_path / "out1" / "manifest.json"
+    assert json.loads(manifest.read_text())["config"]["run"]["threads"] == 2
     assert main(["run", str(manifest), "--out-dir", str(tmp_path / "out2"), "--threads", "1"]) == 0
+    rerun = json.loads((tmp_path / "out2" / "manifest.json").read_text())
+    assert rerun["config"]["run"]["threads"] == 1
     a = (tmp_path / "out1" / "stats.csv").read_bytes()
     b = (tmp_path / "out2" / "stats.csv").read_bytes()
     assert a == b
@@ -250,6 +263,10 @@ def test_me_preset_matches_analytic(tmp_path):
     ("validate_every", False),
     ("dt", True),
     ("t_final", True),
+    # a string is not a JSON boolean: "false" used to read as true
+    ("track_min_eigenvalue", "false"),
+    ("store_states", "no"),
+    ("threads", None),
 ])
 def test_cli_rejects_bad_run_block(tmp_path, capsys, field, value):
     doc = json.loads(json.dumps(MINIMAL))
@@ -264,7 +281,7 @@ def test_cli_rejects_bad_run_block(tmp_path, capsys, field, value):
 
 
 def _assert_rejected(tmp_path, capsys, doc, path):
-    doc["output"] = {"directory": str(tmp_path / "out")}
+    doc.setdefault("output", {})["directory"] = str(tmp_path / "out")
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(doc))
     assert main(["validate", str(config_path)]) == 2
@@ -343,25 +360,111 @@ def test_gaussian_mode_count_must_match_matrices():
         parse_config(json.dumps(doc))
 
 
-@pytest.mark.parametrize("mutate, path", [
+NAN, INF = float("nan"), float("inf")
+DRIFT_WITH_NAN = {"A": [[NAN, 0.0], [0.0, -0.3]], "D": [[1.0, 0.0], [0.0, 1.0]],
+                  "B": [[-1.0, 0.0], [0.0, 0.0]], "E": [[-1.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("preset, mutate, path", [
     # a non-Hermitian Hamiltonian term: run used to die with a traceback
-    (lambda doc: doc["model"].update(hamiltonian=[{"op": "sigma_minus", "coeff": [0, 1]}]),
+    ("qubit_decay_jump",
+     lambda doc: doc["model"].update(hamiltonian=[{"op": "sigma_minus", "coeff": [0, 1]}]),
      "$.model.hamiltonian: rule hamiltonian_hermitian"),
     # an unknown channel operator: validate used to accept it
-    (lambda doc: doc["model"]["channels"][0].update(op="sigma_foo"),
+    ("qubit_decay_jump", lambda doc: doc["model"]["channels"][0].update(op="sigma_foo"),
      "$.model.channels: unknown operator 'sigma_foo'"),
-    (lambda doc: doc["model"].update(hamiltonian=[{"op": "bogus", "coeff": 1.0}]),
+    ("qubit_decay_jump",
+     lambda doc: doc["model"].update(hamiltonian=[{"op": "bogus", "coeff": 1.0}]),
      "$.model.hamiltonian: unknown operator 'bogus'"),
-    (lambda doc: doc.update(feedback={"kind": "markovian",
+    ("qubit_decay_jump",
+     lambda doc: doc.update(feedback={"kind": "markovian",
                                       "operator": [{"op": "sigma_minus", "coeff": 1.0}]}),
      "$.feedback.operator: rule feedback_hermitian"),
+    # validate used to accept these, and run died with a traceback
+    ("opo_markovian_feedback", lambda doc: doc["feedback"].update(f=np.eye(3).tolist()),
+     "$.feedback: feedback matrix F must have shape (2, k)"),
+    ("opo_markovian_feedback", lambda doc: doc["feedback"].update(m=[[1.0]]),
+     "$.feedback.m: F M must be (2, 2)"),
+    ("opo_lqg", lambda doc: doc["feedback"].update(p=[[-1.0, 0.0], [0.0, 0.0]]),
+     "$.feedback: state cost P must be positive semidefinite"),
+    ("opo_lqg", lambda doc: doc["feedback"].update(q=[[0.0, 0.0], [0.0, 0.0]]),
+     "$.feedback: control cost Q must be positive definite"),
+    ("opo_lqg", lambda doc: doc["model"]["opo"].update(chi=0.9),
+     "$.feedback: LQG synthesis needs an open-loop Hurwitz drift"),
+    ("qubit_homodyne",
+     lambda doc: doc["model"]["channels"].append({"rate": 1.0, "op": "sigma_minus"}),
+     "$.model.channels: rule single_channel"),
+    ("qubit_homodyne_feedback", lambda doc: doc["model"].update(efficiency=0.0),
+     "$.model.efficiency: rule homodyne_feedback_efficiency"),
+    ("thermal_bath_homodyne", lambda doc: doc["model"]["bath"].update(squeezing=[0.0, 0.5]),
+     "$.model.bath.squeezing: rule homodyne_real_squeezing"),
+    # validate and run used to accept these, and the run went wrong silently:
+    # P broadcast to an all-ones matrix, NaN columns, a string read as true, a
+    # column missing from the stats, the feedback or linear mode ignored
+    ("opo_lqg", lambda doc: doc["feedback"].update(p=[[1.0]]),
+     "$.feedback: state cost P must have shape (2, 2)"),
+    ("opo_conditional", lambda doc: doc.update(model={"matrices": DRIFT_WITH_NAN}),
+     "$.model.matrices.A: must be a finite number"),
+    ("qubit_decay_jump", lambda doc: doc["unravelling"].update(linear="no"),
+     "$.unravelling.linear: must be true or false"),
+    ("qubit_decay_jump", lambda doc: doc["output"].update(records="no"),
+     "$.output.records: must be true or false"),
+    ("qubit_decay_jump", lambda doc: doc["unravelling"].update(mu=NAN),
+     "$.unravelling.mu: must be a finite number"),
+    ("qubit_decay_jump", lambda doc: doc["unravelling"].update(beta=INF),
+     "$.unravelling.beta: must be a finite number"),
+    ("qubit_homodyne", lambda doc: doc["output"].update(observables=["rho_ee", "rho_ee"]),
+     "$.output.observables: lists 'rho_ee' more than once"),
+    ("thermal_bath_homodyne",
+     lambda doc: doc.update(feedback={"kind": "markovian",
+                                      "operator": [{"op": "sigma_x", "coeff": 0.3}]}),
+     "$.feedback.kind: rule feedback_vacuum_bath"),
+    ("thermal_bath_homodyne", lambda doc: doc["unravelling"].update(linear=True),
+     "$.unravelling.linear: rule linear_vacuum_bath"),
+    # run used to stop at step 49 with exit 3
+    ("qubit_homodyne", lambda doc: doc["model"]["channels"][0].update(rate=NAN),
+     "$.model.channels[0].rate: must be a finite number"),
+    ("qubit_homodyne", lambda doc: doc["model"]["channels"][0].update(rate=INF),
+     "$.model.channels[0].rate: must be a finite number"),
+    ("qubit_homodyne", lambda doc: doc["model"].update(homodyne_phase=NAN),
+     "$.model.homodyne_phase: must be a finite number"),
+    ("thermal_bath_homodyne", lambda doc: doc["model"]["bath"].update(n_thermal=INF),
+     "$.model.bath.n_thermal: must be a finite number"),
 ], ids=["non_hermitian_hamiltonian", "unknown_channel_op", "unknown_hamiltonian_op",
-        "non_hermitian_feedback"])
-def test_cli_rejects_unresolvable_operators(tmp_path, capsys, mutate, path):
-    doc = get_preset("qubit_decay_jump")
+        "non_hermitian_feedback", "markovian_f_3x3", "markovian_m_1x1", "lqg_p_indefinite",
+        "lqg_q_zero", "lqg_unstable_opo", "two_channels", "homodyne_feedback_eta_0",
+        "complex_squeezing", "lqg_p_1x1", "nan_drift", "linear_string", "records_string",
+        "mu_nan", "beta_inf", "repeated_observable", "thermal_bath_feedback",
+        "thermal_bath_linear", "rate_nan", "rate_inf", "phase_nan", "n_thermal_inf"])
+def test_cli_rejects_unresolvable_operators(tmp_path, capsys, preset, mutate, path):
+    # every document that validate accepts must build: these used to pass
+    # validate and then fail or go wrong in run
+    doc = get_preset(preset)
     doc["run"].update(t_final=0.01, n_traj=4)
     mutate(doc)
     _assert_rejected(tmp_path, capsys, doc, path)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc.update(system={"kind": "boson", "dim": 10**9},
+                           model={"channels": [{"rate": 1.0, "op": "a"}]},
+                           output={"observables": ["n"]}),
+    lambda doc: doc["run"].update(n_traj=10**15),
+    lambda doc: doc["run"].update(dt=1e-12, t_final=1.0),
+], ids=["dim_1e9", "n_traj_1e15", "dt_1e-12"])
+def test_size_rule_rejects_runs_beyond_physical_memory(tmp_path, capsys, mutate):
+    # validate and build_runtime only: running these documents would allocate,
+    # so a case the rule misses fails here instead
+    doc = json.loads(json.dumps(MINIMAL))
+    mutate(doc)
+    config_path = tmp_path / "huge.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["validate", str(config_path)]) == 2
+    assert "$.run: rule run_memory" in capsys.readouterr().err
+    config = parse_config(json.dumps(MINIMAL))
+    mutate(config.data)  # past parse_config: build_runtime must check on its own
+    with pytest.raises(ConfigError, match=r"\$\.run: rule run_memory"):
+        build_runtime(config)
 
 
 def _homodyne_preset_argv(out_dir, *extra):
@@ -424,3 +527,52 @@ def test_lo_phase_accepted_where_the_stepper_takes_it(tmp_path, preset):
     doc["model"]["homodyne_phase"] = 0.4
     doc["run"].update(t_final=0.01, n_traj=4)
     run_scenario(parse_config(json.dumps(doc)), out_dir=tmp_path)
+
+
+# the values a mutated leaf takes: wrong types, non-finite and out-of-range
+# numbers, ragged and non-square matrices and nested objects
+LEAF_VALUES = ["abc", "", True, False, None, NAN, INF, -INF, -1, 0, 2.7,
+               [[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0]], {"a": {"b": 1}}]
+# the run's size stays at smoke scale; the size-rule test covers these fields
+SIZE_FIELDS = {("run", "dt"), ("run", "t_final"), ("run", "n_traj"), ("run", "block_size"),
+               ("run", "threads"), ("system", "dim")}
+
+
+def _leaves(node, path=()):
+    """Paths of a document's leaves: scalars and lists of scalars or rows."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and node and all(isinstance(item, dict) for item in node):
+        items = enumerate(node)
+    else:
+        yield path
+        return
+    for key, value in items:
+        yield from _leaves(value, path + (key,))
+
+
+@st.composite
+def mutated_presets(draw):
+    doc = get_preset(draw(st.sampled_from(list_presets())))
+    run = doc["run"]
+    run.update(n_traj=min(run["n_traj"], 8), t_final=min(run["t_final"], 20 * run["dt"]))
+    leaves = [path for path in _leaves(doc) if path[:2] not in SIZE_FIELDS]
+    # a permutation spreads the choice over all leaves, not just the first ones
+    for path in draw(st.permutations(leaves))[: draw(st.integers(1, 2))]:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(st.sampled_from(LEAF_VALUES))
+    return doc
+
+
+@settings(max_examples=1000)
+@given(doc=mutated_presets())
+def test_cli_exits_cleanly_on_mutated_presets(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "mutated.json"
+        config_path.write_text(json.dumps(doc))
+        validated = main(["validate", str(config_path)])
+        ran = main(["run", str(config_path), "--out-dir", str(Path(tmp) / "out")])
+    assert validated in (0, 2) and ran in (0, 2, 3, 4)
+    assert (validated == 2) == (ran == 2)

@@ -287,6 +287,22 @@ def test_closed_loop_unconditional_lqg(opo):
     assert sigma_unc[0, 0] == pytest.approx(0.6 + ref.f_a, abs=1e-8)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda opo: lqg_gain(opo, np.eye(3), np.eye(2), np.eye(3)), "feedback matrix F"),
+    (lambda opo: lqg_gain(opo, np.eye(2), np.array([[1.0]]), np.eye(2)), "state cost P"),
+    (lambda opo: lqg_gain(opo, np.eye(2)[:, :1], np.diag([1.0, 0.0]), np.eye(2)),
+     "control cost Q"),
+    (lambda opo: markovian_gain(opo, np.eye(3)), "feedback matrix F"),
+    (lambda opo: markovian_gain(opo, np.ones((1, 2))), "feedback matrix F"),
+], ids=["lqg_f_3x3", "lqg_p_1x1", "lqg_q_for_two_controls", "markovian_f_3x3",
+        "markovian_f_one_row"])
+def test_gain_synthesis_rejects_shapes_that_do_not_fit(opo, call, name):
+    # 2n = 2 quadratures: F is (2, k), P is (2, 2) and Q is (k, k); P = [[1.0]]
+    # used to broadcast to an all-ones matrix
+    with pytest.raises(ValueError, match=name):
+        call(opo)
+
+
 # ------------------------------------------------------------------- OPO model
 
 
