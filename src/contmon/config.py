@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core_ops import build_standard_ops, is_hermitian, rk4_step
+from .core_ops import build_standard_ops, is_hermitian
 from .diffusive import squeezed_vacuum_jump_operator
 from .ensemble import EnsembleSpec, Scenario, run_ensemble
 from .gaussian import (
@@ -39,7 +39,9 @@ from .gaussian import (
     markovian_gain,
     lqg_gain,
     opo_model,
-    unconditional_moment_rhs,
+    # perfbench/spans.py wraps config.unconditional_moment_rhs, so the name stays
+    unconditional_moment_rhs,  # noqa: F401
+    unconditional_moments,
 )
 from .master_equation import BathSpec, OpenSystemModel, me_expectations
 
@@ -470,10 +472,13 @@ def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> None:
          "rule homodyne_feedback_efficiency: homodyne feedback needs efficiency > 0"),
         (ukind == "homodyne" and bath.squeezing.imag != 0.0, "$.model.bath.squeezing",
          "rule homodyne_real_squeezing: homodyne unravellings need a real squeezing M"),
+        # c~ = mu c - nu c^dag is built from N alone, so it has M = +sqrt(N(N+1))
         (diffusive_bath and unrav["bath_mode"] == "replaced_operator"
-         and abs(abs(bath.squeezing) ** 2 - n_th * (n_th + 1.0)) > 1e-12,
+         and (abs(abs(bath.squeezing) ** 2 - n_th * (n_th + 1.0)) > 1e-12
+              or bath.squeezing.real < 0.0),
          "$.unravelling.bath_mode",
-         "rule replaced_operator_squeezed_vacuum: operator replacement needs |M|^2 = N(N+1)"),
+         "rule replaced_operator_squeezed_vacuum: operator replacement needs "
+         "M = +sqrt(N(N+1))"),
         (generalized and eta != 1.0, "$.model.efficiency",
          "rule generalized_bath_unit_efficiency: generalized-bath diffusive unravellings "
          "require efficiency = 1"),
@@ -494,8 +499,11 @@ def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> None:
          "rule linear_unit_efficiency: linear trajectories require efficiency = 1"),
         (linear and ukind not in ("jump", "homodyne"), "$.unravelling.linear",
          "linear mode applies to jump or homodyne unravellings"),
-        (linear and unrav["stepper"] != "euler", "$.unravelling.stepper",
-         "linear mode uses the euler stepper"),
+        (unrav["stepper"] == "kraus"
+         and (ukind not in ("jump", "homodyne") or fkind != "none" or linear or generalized),
+         "$.unravelling.stepper",
+         "rule kraus_stepper: the Kraus stepper needs a jump or homodyne unravelling without "
+         "feedback or linear mode, and a vacuum bath or the replaced-operator squeezed vacuum"),
         (fkind == "markovian" and ukind == "heterodyne", "$.feedback.kind",
          "rule feedback_single_current: heterodyne feedback is not supported"),
     ))
@@ -631,15 +639,15 @@ def _resolve(doc: dict) -> RuntimeJob:
             payload={"model": model, "rho0": rho0, "observables": observables,
                      "t_grid": np.arange(_n_steps(run) + 1) * run["dt"]},
         )
-    # the rules leave feedback and linear mode to vacuum baths and feedback to
-    # jump and homodyne; heterodyne has no Kraus stepper
+    # the rules leave feedback and linear mode to vacuum baths, feedback to jump
+    # and homodyne, and the Kraus stepper to the kinds that have one
     if f_op is not None:
         kind = f"{ukind}_feedback"
     elif unrav["linear"]:
         kind = f"linear_{ukind}"
     elif not model.bath.is_vacuum:
         kind = f"generalized_{ukind}"
-    elif unrav["stepper"] == "kraus" and ukind != "heterodyne":
+    elif unrav["stepper"] == "kraus":
         kind = f"{ukind}_kraus"
     else:
         kind = ukind
@@ -704,26 +712,9 @@ class RuntimeJob:
         if self.kind == "gaussian_unconditional":
             grid = self.payload["t_grid"]
             model: GaussianModel = self.payload["model"]
-            state = GaussianState.vacuum(model.n_modes)
-            dtg = float(grid[1] - grid[0])
-            n = model.dim
-            means = np.empty((grid.size, n))
-            covs = np.empty((grid.size, n, n))
-            means[0], covs[0] = state.mean, state.cov
-
-            def rhs(y):
-                # y packs the mean and the row-major covariance
-                drdt, dsdt = unconditional_moment_rhs(
-                    model, GaussianState(y[:n], y[n:].reshape(n, n))
-                )
-                return np.concatenate([drdt, dsdt.reshape(-1)])
-
-            y = np.concatenate([state.mean, state.cov.reshape(-1)])
-            for k in range(grid.size - 1):
-                y = rk4_step(rhs, y, dtg)
-                cov = y[n:].reshape(n, n)
-                y[n:] = (0.5 * (cov + cov.T)).reshape(-1)
-                means[k + 1], covs[k + 1] = y[:n], y[n:].reshape(n, n)
+            means, covs = unconditional_moments(
+                model, GaussianState.vacuum(model.n_modes), float(grid[1] - grid[0]), grid.size - 1
+            )
             zeros = np.zeros(grid.size)
             available = {
                 "q": means[:, 0],

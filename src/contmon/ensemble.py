@@ -21,6 +21,13 @@ updates the block's states in place through work buffers the block owns,
 with one GEMM of the (B d, d) view per constant operator.  The state-vector
 kind ``jump_sse`` runs its per-state ``Kind.step``.  Both paths call the
 steppers through the module attributes ``jump`` and ``diffusive``.
+
+Gaussian runs fold the conditional-mean update into one affine map per step,
+r_{k+1} = Phi r_k + Gamma_k dw_k, built once per run from the Riccati
+covariance path (:func:`contmon.gaussian.covariance_path`), and step each
+block in chunks of steps: per chunk one batched matmul for the noise terms,
+one small GEMM per step for the recursion, and one vectorized call each for
+the sums, the records and the stored states.
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ from typing import Callable
 import numpy as np
 
 from . import diffusive, jump
-from .core_ops import dagger, min_eigenvalue, rk4_step, trace
-from .gaussian import GaussianModel, _sym, conditional_cov_rhs
+from .core_ops import dagger, min_eigenvalue, trace
+# perfbench/spans.py wraps ``ensemble.conditional_cov_rhs``, so the name stays
+from .gaussian import GaussianModel, conditional_cov_rhs, covariance_path  # noqa: F401
 from .master_equation import OpenSystemModel
 
 __all__ = [
@@ -50,6 +58,10 @@ __all__ = [
 ]
 
 MIN_EIG_THRESHOLD = -1e-12
+# the most each per-chunk buffer of a Gaussian block holds.  Freeing a buffer
+# raises glibc's dynamic mmap threshold to its size, so buffers this small leave
+# the allocation of later multi-megabyte arrays (d = 12 state blocks) as it was
+GAUSSIAN_CHUNK_BYTES = 2**19
 ESS_WARN_FRACTION = 0.01
 
 
@@ -282,25 +294,93 @@ KINDS = {
 
 
 def _gaussian_paths(spec: EnsembleSpec, scenario: Scenario):
-    """Deterministic conditional covariance path shared by all trajectories."""
+    """The conditional covariance path shared by all trajectories, and the
+    affine step of the conditional means it implies.
+
+    With the means of a block as the columns of r, one Euler-Maruyama step is
+    r_{k+1} = Phi r_k + Gamma_k dw_k, where Phi = I + dt A, less dt F K under
+    LQG feedback and sqrt(2) dt F M B^T under Markovian feedback, and
+    Gamma_k = (E - sigma_k B)/sqrt(2), plus F M under Markovian feedback.
+    """
     model: GaussianModel = scenario.model
-    cov = scenario.initial_state.cov.copy()
-    covs = np.empty((spec.n_steps + 1,) + cov.shape)
-    covs[0] = cov
-    for k in range(spec.n_steps):
-        cov = _sym(rk4_step(lambda c: conditional_cov_rhs(model, c), cov, spec.dt))
-        covs[k + 1] = cov
-    return covs
+    covs = covariance_path(model, scenario.initial_state.cov, spec.dt, spec.n_steps)
+    ckind, cmat = scenario.controller if scenario.controller else ("none", None)
+    phi = np.eye(model.dim) + spec.dt * model.A
+    gammas = (model.E - covs[:-1] @ model.B) / np.sqrt(2.0)
+    if ckind == "lqg":
+        phi -= spec.dt * (scenario.f_mat @ np.atleast_2d(cmat))
+    elif ckind == "markovian":
+        fm = scenario.f_mat @ np.atleast_2d(cmat)
+        phi -= np.sqrt(2.0) * spec.dt * (fm @ model.B.T)
+        gammas += fm
+    return dict(covs=covs, phi=phi, gammas=gammas)
+
+
+def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
+    """Step a block of conditional means in chunks of steps.
+
+    Per chunk, the noise terms Gamma_k dw_k of every step are one batched
+    matmul, written where the states go; the recursion then adds Phi r_k, one
+    small GEMM per step; the sums of x, x^2 and x^4, the records
+    dy_k = -sqrt(2) dt B^T r_k + dw_k and the stored states are each one call
+    per chunk.  The states of a chunk are held time-major as (steps, 2n, block),
+    so each quadrature's sums run over contiguous rows, and every buffer holds
+    at most ``GAUSSIAN_CHUNK_BYTES``.
+    """
+    model: GaussianModel = scenario.model
+    n_steps, m, dim, nblk = spec.n_steps, model.n_currents, model.dim, hi - lo
+    phi, gammas = shared["phi"], shared["gammas"]
+    dw = _noise_matrix(spec.master_seed, lo, hi, n_steps * m, "normal").reshape(nblk, n_steps, m)
+    dw *= np.sqrt(spec.dt)
+    states_out = records = None
+    if spec.store_states:
+        states_out = np.empty((nblk, n_steps + 1, dim))
+    if spec.store_records:
+        records = np.empty((nblk, n_steps, m))
+    chunk = max(1, GAUSSIAN_CHUNK_BYTES // (8 * nblk * max(dim, m)))
+    r = np.empty((chunk + 1, dim, nblk))
+    r[0] = scenario.initial_state.mean[:, None]
+    work = np.empty((chunk, dim, nblk))
+    # per quadrature; the observables' columns are picked at the end
+    sum1, sum2, sum4 = (np.zeros((n_steps + 1, dim)) for _ in range(3))
+
+    def accumulate(rows, x):
+        x2 = work[:len(x)]
+        sum1[rows] += x.sum(axis=-1)
+        np.multiply(x, x, out=x2)
+        sum2[rows] += x2.sum(axis=-1)
+        x2 *= x2
+        sum4[rows] += x2.sum(axis=-1)
+
+    accumulate(slice(0, 1), r[:1])
+    if states_out is not None:
+        states_out[:, 0] = r[0].T
+    dy_scale = -np.sqrt(2.0) * spec.dt
+    for k0 in range(0, n_steps, chunk):
+        k1 = min(k0 + chunk, n_steps)
+        steps = k1 - k0
+        w = dw[:, k0:k1].transpose(1, 2, 0)
+        np.matmul(gammas[k0:k1], w, out=r[1:steps + 1])
+        for j in range(steps):
+            r[j + 1] += phi @ r[j]
+        if records is not None:
+            records[:, k0:k1] = (dy_scale * (model.B.T @ r[:steps]) + w).transpose(2, 0, 1)
+        if states_out is not None:
+            states_out[:, k0 + 1:k1 + 1] = r[1:steps + 1].transpose(2, 0, 1)
+        accumulate(slice(k0 + 1, k1 + 1), r[1:steps + 1])
+        r[0] = r[steps]
+    comp = [model.labels.index(name) for name, _ in spec.observables]
+    return dict(sum1=sum1[:, comp], sum2=sum2[:, comp], sum4=sum4[:, comp], min_eig=np.inf,
+                violations=0, states=states_out, records=records)
 
 
 def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
-    n_steps = spec.n_steps
     if scenario.kind == "gaussian":
-        per_step, law = scenario.model.n_currents, "normal"
-    else:
-        kind = KINDS[scenario.kind]
-        per_step = kind.draws
-        law = "uniform" if kind.clicks or spec.noise == "two_point" else "normal"
+        return _gaussian_block(spec, scenario, lo, hi, shared)
+    n_steps = spec.n_steps
+    kind = KINDS[scenario.kind]
+    per_step = kind.draws
+    law = "uniform" if kind.clicks or spec.noise == "two_point" else "normal"
     noise = _noise_matrix(spec.master_seed, lo, hi, n_steps * per_step, law)
     nblk = hi - lo
     n_obs = len(spec.observables)
@@ -316,53 +396,6 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     violations = 0
     states_out = None
     records = None
-
-    if scenario.kind == "gaussian":
-        model: GaussianModel = scenario.model
-        covs = shared["covs"]
-        means = np.broadcast_to(scenario.initial_state.mean, (nblk, model.dim)).copy()
-        m = model.n_currents
-        comp_idx = [model.labels.index(name) for name, _ in spec.observables]
-        if spec.store_states:
-            states_out = np.empty((nblk, n_steps + 1, model.dim))
-            states_out[:, 0] = means
-        if spec.store_records:
-            records = np.empty((nblk, n_steps, m))
-        f_mat = scenario.f_mat
-        ckind, cmat = scenario.controller if scenario.controller else ("none", None)
-        fk = f_mat @ np.atleast_2d(cmat) if ckind == "lqg" else None
-        fm = f_mat @ np.atleast_2d(cmat) if ckind == "markovian" else None
-
-        def rec(k, r):
-            for j, ci in enumerate(comp_idx):
-                x = r[:, ci]
-                sum1[k, j] += x.sum()
-                sum2[k, j] += (x * x).sum()
-                sum4[k, j] += ((x * x) ** 2).sum()
-
-        rec(0, means)
-        root_dt = np.sqrt(spec.dt)
-        for k in range(n_steps):
-            z = noise[:, k * m : (k + 1) * m]
-            dw = z * root_dt
-            gain = model.E - covs[k] @ model.B
-            dy = -np.sqrt(2.0) * spec.dt * (means @ model.B) + dw
-            new = means + (means @ model.A.T) * spec.dt + (dw @ gain.T) / np.sqrt(2.0)
-            if fk is not None:
-                new = new - (means @ fk.T) * spec.dt
-            if fm is not None:
-                new = new + dy @ fm.T
-            if records is not None:
-                records[:, k] = dy
-            means = new
-            rec(k + 1, means)
-            if states_out is not None:
-                states_out[:, k + 1] = means
-        return dict(
-            sum1=sum1, sum2=sum2, sum4=sum4, wsum=wsum, w2sum=w2sum, wx=wx,
-            w2x=w2x, w2x2=w2x2, min_eig=min_eig, violations=violations,
-            states=states_out, records=records,
-        )
 
     # Hilbert-space kinds
     state0 = np.asarray(scenario.initial_state, dtype=complex)
@@ -437,9 +470,7 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
         raise ValueError("gaussian scenario needs a GaussianModel")
     if spec.noise == "two_point" and (scenario.kind == "gaussian" or KINDS[scenario.kind].clicks):
         raise ValueError("two-point noise applies to diffusive Hilbert-space unravellings only")
-    shared = {}
-    if scenario.kind == "gaussian":
-        shared["covs"] = _gaussian_paths(spec, scenario)
+    shared = _gaussian_paths(spec, scenario) if scenario.kind == "gaussian" else {}
 
     blocks = [
         (lo, min(lo + spec.block_size, spec.n_traj))
@@ -460,6 +491,7 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     tot = {
         key: sum(p[key] for p in partials)
         for key in ("sum1", "sum2", "sum4", "wsum", "w2sum", "wx", "w2x", "w2x2")
+        if key in partials[0]
     }
     min_eig = min(p["min_eig"] for p in partials)
     violations = sum(p["violations"] for p in partials)

@@ -29,6 +29,8 @@ __all__ = [
     "unconditional_moment_rhs",
     "conditional_cov_rhs",
     "conditional_step",
+    "covariance_path",
+    "unconditional_moments",
     "riccati_steady_state",
     "lqg_gain",
     "excess_noise_ss",
@@ -233,6 +235,52 @@ def conditional_step(
     cov = _sym(rk4_step(lambda c: conditional_cov_rhs(model, c), state.cov, dt))
     dy = -np.sqrt(2.0) * model.B.T @ state.mean * dt + dw
     return GaussianState(mean, cov), dy
+
+
+def covariance_path(
+    model: GaussianModel, cov0: np.ndarray, dt: float, n_steps: int, monitored: bool = True
+) -> np.ndarray:
+    """RK4 covariances sigma_0 ... sigma_{n_steps} on the grid k dt, shape
+    (n_steps + 1, 2n, 2n): the Riccati flow of :func:`conditional_cov_rhs` when
+    ``monitored``, the flow of :func:`unconditional_moment_rhs` (B = E = 0)
+    otherwise.
+
+    The right-hand side is built once per path: X + X^T + D - g g^T with
+    X = A sigma and g = E - sigma B.  It is exactly symmetric for a symmetric
+    sigma, so no stage is symmetrized and every step equals
+    ``_sym(rk4_step(conditional_cov_rhs))`` bit for bit.
+    """
+    a, d = model.A, _sym(model.D)
+    b, e = (model.B, model.E) if monitored else (np.zeros_like(model.B),) * 2
+
+    def rhs(cov):
+        g = e - cov @ b
+        x = a @ cov
+        return x + x.T + d - g @ g.T
+
+    out = np.empty((n_steps + 1,) + model.A.shape)
+    out[0] = cov = _sym(np.asarray(cov0, dtype=float))
+    for k in range(n_steps):
+        cov = rk4_step(rhs, cov, dt)
+        out[k + 1] = cov
+    return out
+
+
+def unconditional_moments(model: GaussianModel, state: GaussianState, dt: float, n_steps: int):
+    """RK4 paths of the unmonitored moments on the grid k dt from ``state``:
+    means of shape (n_steps + 1, 2n) and the covariances of
+    :func:`covariance_path`.
+
+    On the linear r' = A r one RK4 step is the matrix
+    I + hA (I + hA/2 (I + hA/3 (I + hA/4))) with h = dt, applied once per step.
+    """
+    eye, ha = np.eye(model.dim), dt * model.A
+    step = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+    means = np.empty((n_steps + 1, model.dim))
+    means[0] = state.mean
+    for k in range(n_steps):
+        means[k + 1] = step @ means[k]
+    return means, covariance_path(model, state.cov, dt, n_steps, monitored=False)
 
 
 def riccati_steady_state(

@@ -18,6 +18,7 @@ from .core_ops import (
     DEFAULT_TOLERANCES,
     DimensionMismatchError,
     Tolerances,
+    _check_square,
     dagger,
     dissipator,
     ensure_density_matrix,
@@ -233,6 +234,46 @@ def generalized_bath_me_rhs(model: OpenSystemModel, rho: np.ndarray, t: float = 
     return out
 
 
+def _compiled_me_rhs(model: OpenSystemModel):
+    """:func:`generalized_bath_me_rhs` with every operator built once.
+
+    Returns ``(rhs, h_drive)``: ``rhs(rho, h)`` evaluates the right-hand side for
+    the Hamiltonian ``h``, which must already include the drive ``h_drive``
+    (None without one).  The terms are formed and summed in the order of
+    :func:`generalized_bath_me_rhs`, so both give the same bits.  Each collapse
+    operator is checked once here; ``rhs`` checks nothing.
+    """
+    bath = model.bath
+    n, m = bath.n_thermal, complex(bath.squeezing)
+    # (coefficient, a, a^dag, a^dag a) of each dissipator and (coefficient, a)
+    # of each double commutator, in the order they are summed
+    dissipators, commutators = [], []
+    h_drive = None
+    for kappa, c in model.channels:
+        c = _check_square(c)
+        cd = dagger(c)
+        dissipators.append([(kappa * (n + 1.0), c, cd, cd @ c)])
+        if n != 0.0:
+            dissipators[-1].append((kappa * n, cd, dagger(cd), dagger(cd) @ cd))
+        commutators.append(
+            [(kappa * m / 2.0, cd), (kappa * np.conj(m) / 2.0, c)] if m != 0 else []
+        )
+        if bath.drive != 0:
+            term = coherent_drive_hamiltonian(c, kappa, bath.drive)
+            h_drive = term if h_drive is None else h_drive + term
+
+    def rhs(rho, h):
+        out = np.zeros_like(rho)
+        for dis, com in zip(dissipators, commutators):
+            for coeff, a, ad, ada in dis:
+                out = out + coeff * (a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada))
+            for coeff, a in com:
+                out = out + coeff * _double_commutator(a, rho)
+        return out + (-1j) * (h @ rho - rho @ h)
+
+    return rhs, h_drive
+
+
 def _lmul(a: np.ndarray, eye: np.ndarray) -> np.ndarray:
     return np.kron(a, eye)
 
@@ -346,12 +387,17 @@ def integrate_me(
     out[0] = rho0
     rho = rho0
     if stepper == "rk4":
+        rhs, h_drive = _compiled_me_rhs(model)
         for i, t in enumerate(t_grid[:-1]):
             # H is piecewise constant: sample it at the step start for every
             # stage (exact when schedule breakpoints sit on grid points)
-            new = rk4_step(lambda r: generalized_bath_me_rhs(model, r, t), rho, dt)
+            h = model.hamiltonian_at(t)
+            if h_drive is not None:
+                h = h + h_drive
+            new = rk4_step(lambda r: rhs(r, h), rho, dt)
             drift = abs(trace(new) - trace(rho))
-            if drift > TRACE_DRIFT_LIMIT:
+            # not (drift <= limit): a NaN drift fails too
+            if not drift <= TRACE_DRIFT_LIMIT:
                 raise StepSizeError(
                     f"trace drift {drift:.3e} at step {i} exceeds {TRACE_DRIFT_LIMIT:g}; "
                     f"reduce dt"

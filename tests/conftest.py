@@ -40,3 +40,16 @@ def random_density_matrix(rng, dim=2):
 def random_hermitian(rng, dim=2):
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (mat + mat.conj().T)
+
+
+def two_mode_model():
+    """Two coupled, damped modes (A = Omega H - I/2 with a non-diagonal H)
+    under homodyne monitoring of the rotated quadratures cos(th) q_j + sin(th) p_j:
+    a physical Gaussian model whose A, B and E have no zero pattern to exploit."""
+    from contmon.gaussian import GaussianModel, symplectic_form
+
+    h = np.array([[0.2, 0.1, 0.15, 0.0], [0.1, -0.3, 0.0, 0.15],
+                  [0.15, 0.0, 0.1, 0.05], [0.0, 0.15, 0.05, 0.2]])
+    b = -np.sqrt(0.9) * np.array([[np.cos(0.3), 0.0], [np.sin(0.3), 0.0],
+                                  [0.0, np.cos(1.1)], [0.0, np.sin(1.1)]])
+    return GaussianModel(symplectic_form(2) @ h - 0.5 * np.eye(4), np.eye(4), b, b.copy())

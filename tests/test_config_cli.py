@@ -529,6 +529,48 @@ def test_lo_phase_accepted_where_the_stepper_takes_it(tmp_path, preset):
     run_scenario(parse_config(json.dumps(doc)), out_dir=tmp_path)
 
 
+@pytest.mark.parametrize("preset, mutate", [
+    ("thermal_bath_homodyne", lambda doc: None),
+    ("qubit_homodyne_feedback", lambda doc: None),
+    ("qubit_homodyne", lambda doc: doc["unravelling"].update(linear=True, stepper="kraus")),
+    ("qubit_homodyne", lambda doc: doc["unravelling"].update(kind="heterodyne")),
+    ("qubit_decay_jump", lambda doc: doc["unravelling"].update(linear=True)),
+    ("qubit_decay_me", lambda doc: None),
+], ids=["generalized_bath", "homodyne_feedback", "linear_homodyne", "heterodyne",
+        "linear_jump", "master_equation"])
+def test_cli_rejects_kraus_stepper_where_no_kraus_kind_runs(tmp_path, capsys, preset, mutate):
+    # these used to run an Euler kind (or the master equation) without a word
+    doc = get_preset(preset)
+    doc["unravelling"]["stepper"] = "kraus"
+    doc["run"].update(t_final=0.01, n_traj=4)
+    mutate(doc)
+    _assert_rejected(tmp_path, capsys, doc, "$.unravelling.stepper: rule kraus_stepper")
+
+
+@pytest.mark.parametrize("preset, mutate, kind", [
+    ("qubit_decay_jump", lambda doc: None, "jump_kraus"),
+    ("qubit_homodyne", lambda doc: None, "homodyne_kraus"),
+    ("squeezed_vacuum_homodyne", lambda doc: None, "homodyne_kraus"),
+    ("squeezed_vacuum_homodyne",
+     lambda doc: doc["model"]["bath"].update(squeezing=np.sqrt(0.75)), "homodyne_kraus"),
+])
+def test_kraus_stepper_selects_the_kraus_kinds(preset, mutate, kind):
+    doc = get_preset(preset)
+    doc["unravelling"]["stepper"] = "kraus"
+    mutate(doc)
+    assert build_runtime(parse_config(json.dumps(doc))).scenario.kind == kind
+
+
+def test_cli_rejects_negative_replaced_operator_squeezing(tmp_path, capsys):
+    # c~ = mu c - nu c^dag is built from N alone: M = -sqrt(N(N+1)) used to run
+    # as +sqrt(N(N+1)) and write the same bytes
+    doc = get_preset("squeezed_vacuum_homodyne")
+    doc["model"]["bath"]["squeezing"] = -np.sqrt(0.75)
+    doc["run"].update(t_final=0.01, n_traj=4)
+    _assert_rejected(tmp_path, capsys, doc,
+                     "$.unravelling.bath_mode: rule replaced_operator_squeezed_vacuum")
+
+
 # the values a mutated leaf takes: wrong types, non-finite and out-of-range
 # numbers, ragged and non-square matrices and nested objects
 LEAF_VALUES = ["abc", "", True, False, None, NAN, INF, -INF, -1, 0, 2.7,

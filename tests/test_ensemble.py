@@ -17,6 +17,8 @@ from contmon.diffusive import (
     homodyne_kraus_step,
     homodyne_sme_step,
 )
+from contmon import ensemble
+from contmon.core_ops import rk4_step
 from contmon.ensemble import (
     KINDS,
     EnsembleSpec,
@@ -28,15 +30,19 @@ from contmon.ensemble import (
     trajectory_rng,
 )
 from contmon.gaussian import (
+    _sym,
+    conditional_cov_rhs,
     conditional_step,
     excess_noise_ss,
     lqg_gain,
+    markovian_gain,
     opo_model,
     riccati_steady_state,
 )
 from contmon.jump import jump_sme_step
 from contmon.master_equation import BathSpec
 
+from conftest import two_mode_model
 
 
 def max_z_after(stats, name, ref, skip=50):
@@ -149,6 +155,148 @@ def test_single_trajectory_bit_for_bit_gaussian():
         state, _ = conditional_step(state, model, spec.dt, zs[k] * np.sqrt(spec.dt))
         manual_q.append(state.mean[0])
     np.testing.assert_allclose(stats.means["q"], np.array(manual_q), rtol=0, atol=1e-15)
+
+
+def _gaussian_reference(spec, scenario):
+    """The conditional means stepped one time step at a time, as the ensemble
+    did before its chunked affine steps: the covariance path by
+    ``_sym(rk4_step(conditional_cov_rhs))``, then for every step one
+    Euler-Maruyama update of all trajectories with the feedback terms added
+    separately, and one pass of per-observable sums per block of
+    ``spec.block_size``, added in block order.  Summing by blocks as the
+    ensemble does keeps the SE's ``sum2/n - mean^2`` comparable where the
+    spread is 0 (every trajectory at the same initial mean)."""
+    model = scenario.model
+    n, m, n_steps, dt = spec.n_traj, model.n_currents, spec.n_steps, spec.dt
+    covs = [scenario.initial_state.cov.copy()]
+    for _ in range(n_steps):
+        covs.append(_sym(rk4_step(lambda c: conditional_cov_rhs(model, c), covs[-1], dt)))
+    noise = _noise_matrix(spec.master_seed, 0, n, n_steps * m, "normal")
+    comp = [model.labels.index(name) for name, _ in spec.observables]
+    sums = np.zeros((3, n_steps + 1, len(comp)))
+    states = np.empty((n, n_steps + 1, model.dim))
+    records = np.empty((n, n_steps, m))
+    ckind, cmat = scenario.controller if scenario.controller else ("none", None)
+    fk = scenario.f_mat @ np.atleast_2d(cmat) if ckind == "lqg" else None
+    fm = scenario.f_mat @ np.atleast_2d(cmat) if ckind == "markovian" else None
+    means = np.broadcast_to(scenario.initial_state.mean, (n, model.dim)).copy()
+
+    def rec(k, r):
+        states[:, k] = r
+        for lo in range(0, n, spec.block_size):
+            for j, ci in enumerate(comp):
+                x = r[lo:lo + spec.block_size, ci]
+                sums[:, k, j] += x.sum(), (x * x).sum(), ((x * x) ** 2).sum()
+
+    rec(0, means)
+    for k in range(n_steps):
+        dw = noise[:, k * m:(k + 1) * m] * np.sqrt(dt)
+        gain = model.E - covs[k] @ model.B
+        dy = -np.sqrt(2.0) * dt * (means @ model.B) + dw
+        new = means + (means @ model.A.T) * dt + (dw @ gain.T) / np.sqrt(2.0)
+        if fk is not None:
+            new = new - (means @ fk.T) * dt
+        if fm is not None:
+            new = new + dy @ fm.T
+        records[:, k] = dy
+        means = new
+        rec(k + 1, means)
+    mean = sums[0] / n
+    se = np.sqrt(np.maximum(sums[1] / n - mean**2, 0.0) * (n / (n - 1))) / np.sqrt(n)
+    return dict(covs=np.array(covs), mean=mean, se=se, m2=sums[1] / n, m4=sums[2] / n,
+                states=states, records=records)
+
+
+def gaussian_case(name, controller, mean0=None):
+    """(model, scenario) of the OPO or the two-mode model from vacuum, or from
+    the means ``mean0``, under no feedback or the Markovian or LQG gain with
+    F = I."""
+    model = opo_model(0.2, 1.0, 1.0) if name == "opo" else two_mode_model()
+    state0 = GaussianState.vacuum(model.n_modes)
+    if mean0 is not None:
+        state0 = GaussianState(np.asarray(mean0, dtype=float), state0.cov)
+    f_mat = np.eye(model.dim)
+    if controller == "markovian":
+        ctrl = ("markovian", markovian_gain(model, f_mat).gain)
+    elif controller == "lqg":
+        ctrl = ("lqg", lqg_gain(model, f_mat, np.eye(model.dim), np.eye(model.dim)).gain)
+    else:
+        ctrl, f_mat = None, None
+    return model, Scenario("gaussian", model, state0, f_mat=f_mat, controller=ctrl)
+
+
+def assert_agrees(new, ref):
+    """|new - ref| <= 1e-12 max(1, |ref|) elementwise."""
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    bound = 1e-12 * np.maximum(1.0, np.abs(ref))
+    assert np.all(np.abs(new - ref) <= bound), float(np.max(np.abs(new - ref) / bound))
+
+
+@pytest.mark.parametrize("steps", ["one", "below_chunk", "chunk", "above_chunk", "long"])
+@pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
+@pytest.mark.parametrize("name", ["opo", "two_mode"])
+def test_gaussian_chunked_steps_match_per_step_loop(name, controller, steps):
+    # 150 trajectories in blocks of 64 leave a ragged block of 22; the step
+    # counts straddle the chunk length of a full block
+    model, scenario = gaussian_case(name, controller)
+    chunk = ensemble.GAUSSIAN_CHUNK_BYTES // (8 * 64 * max(model.dim, model.n_currents))
+    n_steps = {"one": 1, "below_chunk": chunk - 1, "chunk": chunk, "above_chunk": chunk + 1,
+               "long": 2500}[steps]
+    spec = EnsembleSpec(
+        n_traj=150, master_seed=23, dt=1e-3, t_final=n_steps * 1e-3, block_size=64,
+        observables=tuple((label, None) for label in model.labels),
+        store_states=True, store_records=True,
+    )
+    assert spec.n_steps == n_steps
+    stats = run_ensemble(spec, scenario)
+    ref = _gaussian_reference(spec, scenario)
+    np.testing.assert_array_equal(stats.extra["cov_path"], ref["covs"])
+    for j, label in enumerate(model.labels):
+        assert_agrees(stats.means[label], ref["mean"][:, j])
+        assert_agrees(stats.std_errs[label], ref["se"][:, j])
+        assert_agrees(stats.extra["m2"][label], ref["m2"][:, j])
+        assert_agrees(stats.extra["m4"][label], ref["m4"][:, j])
+    assert_agrees(stats.states, ref["states"])
+    assert_agrees(stats.records, ref["records"])
+
+
+@pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
+def test_gaussian_displaced_start_matches_per_step_loop(controller):
+    # the SEs are not compared: with every trajectory at the same displaced
+    # mean the spread starts far below the mean, where sum2/n - mean^2 cancels
+    # and rounding differences of 1e-16 in the states move the SE by more
+    model, scenario = gaussian_case("two_mode", controller, mean0=[0.3, -0.2, 0.1, 0.5])
+    spec = EnsembleSpec(
+        n_traj=150, master_seed=31, dt=1e-3, t_final=0.6, block_size=64,
+        observables=tuple((label, None) for label in model.labels),
+        store_states=True, store_records=True,
+    )
+    stats = run_ensemble(spec, scenario)
+    ref = _gaussian_reference(spec, scenario)
+    for j, label in enumerate(model.labels):
+        assert_agrees(stats.means[label], ref["mean"][:, j])
+        assert_agrees(stats.extra["m2"][label], ref["m2"][:, j])
+        assert_agrees(stats.extra["m4"][label], ref["m4"][:, j])
+    assert_agrees(stats.states, ref["states"])
+    assert_agrees(stats.records, ref["records"])
+
+
+@pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
+@pytest.mark.parametrize("name", ["opo", "two_mode"])
+def test_gaussian_thread_count_invariance(name, controller):
+    model, scenario = gaussian_case(name, controller)
+    kw = dict(n_traj=150, master_seed=29, dt=1e-3, t_final=0.6, block_size=64,
+              observables=tuple((label, None) for label in model.labels),
+              store_states=True, store_records=True)
+    s1 = run_ensemble(EnsembleSpec(threads=1, **kw), scenario)
+    s8 = run_ensemble(EnsembleSpec(threads=8, **kw), scenario)
+    for label in model.labels:
+        np.testing.assert_array_equal(s1.means[label], s8.means[label])
+        np.testing.assert_array_equal(s1.std_errs[label], s8.std_errs[label])
+        np.testing.assert_array_equal(s1.extra["m4"][label], s8.extra["m4"][label])
+    np.testing.assert_array_equal(s1.states, s8.states)
+    np.testing.assert_array_equal(s1.records, s8.records)
 
 
 def kind_scenario(kind, qubit_ops):

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are, solve_lyapunov
 
+from contmon.core_ops import rk4_step
 from contmon.gaussian import (
     GaussianModel,
     GaussianState,
     HurwitzError,
     UnreachableDirectionError,
+    _sym,
     closed_loop_unconditional,
     conditional_cov_rhs,
     conditional_step,
+    covariance_path,
     excess_noise_ss,
     hurwitz_report,
     lqg_gain,
@@ -20,7 +23,10 @@ from contmon.gaussian import (
     riccati_steady_state,
     symplectic_form,
     unconditional_moment_rhs,
+    unconditional_moments,
 )
+
+from conftest import two_mode_model
 
 CHI, KAPPA = 0.2, 1.0
 
@@ -31,6 +37,50 @@ def opo():
 
 
 # ------------------------------------------------------------------- moments
+
+
+def generic_model(rng, n_modes=3, n_currents=2):
+    """Random A, positive semidefinite D and unrelated B and E: no structure
+    (zeros, identities, E = B) that could hide a change in rounding."""
+    dim = 2 * n_modes
+    root = rng.normal(size=(dim, dim))
+    return GaussianModel(rng.normal(size=(dim, dim)) - 2.0 * np.eye(dim), root @ root.T,
+                         rng.normal(size=(dim, n_currents)), rng.normal(size=(dim, n_currents)))
+
+
+@pytest.mark.parametrize("name", ["opo", "two_mode", "generic"])
+def test_covariance_paths_are_the_rk4_of_the_public_rhs(name):
+    rng = np.random.default_rng(5)
+    model = {"opo": lambda: opo_model(CHI, KAPPA, 1.0), "two_mode": two_mode_model,
+             "generic": lambda: generic_model(rng)}[name]()
+    root = rng.normal(size=(model.dim, model.dim))
+    cov0 = _sym(root @ root.T + np.eye(model.dim))
+    dt, n_steps = 1e-2, 200
+    conditional = [cov0]
+    for _ in range(n_steps):
+        conditional.append(
+            _sym(rk4_step(lambda c: conditional_cov_rhs(model, c), conditional[-1], dt))
+        )
+    np.testing.assert_array_equal(covariance_path(model, cov0, dt, n_steps),
+                                  np.array(conditional))
+
+    # the unconditional moments as one RK4 of the packed (mean, covariance)
+    state, dim = GaussianState(rng.normal(size=model.dim), cov0), model.dim
+
+    def packed_rhs(y):
+        drdt, dsdt = unconditional_moment_rhs(model, GaussianState(y[:dim], y[dim:].reshape(dim, dim)))
+        return np.concatenate([drdt, dsdt.reshape(-1)])
+
+    y = np.concatenate([state.mean, state.cov.reshape(-1)])
+    means, covs = [state.mean], [state.cov]
+    for _ in range(n_steps):
+        y = rk4_step(packed_rhs, y, dt)
+        means.append(y[:dim].copy())
+        covs.append(_sym(y[dim:].reshape(dim, dim)))
+    got_means, got_covs = unconditional_moments(model, state, dt, n_steps)
+    np.testing.assert_array_equal(got_covs, np.array(covs))
+    # the means take the RK4 step as one matrix, which rounds differently
+    np.testing.assert_allclose(got_means, np.array(means), rtol=1e-12, atol=1e-15)
 
 
 def test_zero_model_rhs():

@@ -12,6 +12,8 @@ from contmon import (
     liouvillian_matrix,
     steady_state,
 )
+from contmon import core_ops, master_equation
+from contmon.core_ops import InvalidStateError, build_standard_ops, rk4_step
 from contmon.master_equation import MAX_SUPEROPERATOR_DIM, StepSizeError
 
 from conftest import random_density_matrix
@@ -200,3 +202,56 @@ def test_model_validation(qubit_ops):
         OpenSystemModel(np.zeros((2, 2)), [(-1.0, qubit_ops["sigma_minus"])])
     with pytest.raises(ValueError, match="efficiency"):
         OpenSystemModel(np.zeros((2, 2)), [], efficiency=1.2)
+
+
+@pytest.mark.parametrize("case", ["bath_qubit", "bath_boson", "schedule"])
+def test_integrate_me_rk4_is_the_rk4_of_generalized_bath_me_rhs(qubit_ops, case):
+    # the compiled right-hand side must keep generalized_bath_me_rhs's bits
+    if case == "bath_qubit":  # two channels in a thermal, squeezed, driven bath
+        model = OpenSystemModel(0.3 * qubit_ops["sigma_x"],
+                                [(1.0, qubit_ops["sigma_minus"]), (0.4, qubit_ops["sigma_z"])],
+                                bath=BathSpec(0.5, 0.4 + 0.3j, 0.3 + 0.2j))
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+    elif case == "bath_boson":
+        ops = build_standard_ops("boson", 5)
+        model = OpenSystemModel(0.2 * ops["q"] @ ops["q"], [(1.0, ops["a"])],
+                                bath=BathSpec(0.3, 0.2j, 0.4))
+        rho0 = np.diag([0.0, 0.0, 1.0, 0.0, 0.0]).astype(complex)
+    else:  # a piecewise-constant Hamiltonian that switches on a grid point
+        schedule = PiecewiseConstantHamiltonian(
+            [(0.5, 0.3 * qubit_ops["sigma_x"]), (np.inf, 0.7 * qubit_ops["sigma_y"])]
+        )
+        model = OpenSystemModel(schedule, [(1.0, qubit_ops["sigma_minus"])],
+                                bath=BathSpec(0.2, -0.3, 0.1))
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+    t = grid(2.0, 1e-2)
+    expected = [rho0]
+    for time in t[:-1]:
+        expected.append(rk4_step(lambda r: generalized_bath_me_rhs(model, r, time),
+                                 expected[-1], 1e-2))
+    np.testing.assert_array_equal(integrate_me(model, rho0, t), np.array(expected))
+
+
+def test_integrate_me_checks_operators_once(decay_model, excited, monkeypatch):
+    # the operators and the initial state are checked at entry, not per RHS call
+    calls = []
+    original = core_ops._check_square
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(core_ops, "_check_square", counted)
+    monkeypatch.setattr(master_equation, "_check_square", counted)
+    integrate_me(decay_model, excited, grid(0.1, 1e-2))
+    short = len(calls)
+    integrate_me(decay_model, excited, grid(1.0, 1e-2))
+    assert len(calls) == 2 * short
+
+
+def test_integrate_me_rejects_non_finite_operators(qubit_ops, excited):
+    channel = qubit_ops["sigma_minus"].copy()
+    channel[1, 0] = np.nan
+    model = OpenSystemModel(np.zeros((2, 2)), [(1.0, channel)])
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        integrate_me(model, excited, grid(0.1, 1e-2))
