@@ -45,11 +45,7 @@ from .master_equation import (
 from .jump import (
     JumpRecord,
     WeightedState,
-    jump_feedback_step,
-    jump_kraus_step,
     jump_probability,
-    jump_sme_step,
-    jump_sse_step,
     linear_jump_step,
 )
 from .diffusive import (

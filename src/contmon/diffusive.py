@@ -10,11 +10,6 @@ assume theta = 0.  States broadcast over leading batch axes; ``dw`` may be a
 scalar or a matching batch vector.  Per-model operator products come from the
 cache shared with :mod:`contmon.jump`.
 
-Every product of a constant operator with the state batch goes through
-``core_ops.left_mul``/``right_mul`` (one GEMM over the whole batch at small
-dimensions), keeping the association order of the written formula, so that
-c rho c^dag is ``right_mul(left_mul(c, rho), c^dag)``.
-
 Diffusive kernels: each diffusive SME is linear in rho except for per-trajectory
 scalars (the expectations that shift the innovation and feed the current, and
 the normalization).  :func:`diffusive_kernel` compiles a step for fixed
@@ -26,8 +21,10 @@ right-product kernel in the half form of :mod:`contmon.jump`: one GEMM of the
 rho R_k gives both its increment term and, from its diagonal, its shift, and a
 channel that is a multiple of a sandwich operator reuses that sandwich's
 product.  :func:`diffusive_kernel_step` runs either form, and the ensemble
-runs every diffusive kind through it; the per-state steppers above stay the
-public API and the oracle the kernels are tested against.
+runs every diffusive kind through it.  Each per-state stepper above is the
+same kernel, stepping a copy of its input on the supplied increments; the
+kind ``linear_homodyne_kraus`` exists only for
+:func:`linear_homodyne_kraus_step`.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ import numpy as np
 from .core_ops import (
     BATCH_GEMM_MAX_DIM,
     dagger,
-    hermitize,
     is_hermitian,
     left_mul,
     right_mul,
@@ -49,15 +45,14 @@ from .jump import (
     HalfForm,
     WeightedState,
     _add_scaled,
+    _as_batch,
     _conj_t,
     _ctx,
-    _expect,
     _finish,
     _gemm,
     _half_finish,
     _kernel_matrix,
     _no_click_kraus,
-    _renormalize,
     _right_work,
     _transpose_index,
 )
@@ -142,15 +137,7 @@ def homodyne_sme_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw):
     returning the renormalized state and the photocurrent increment
     dy = sqrt(eta kappa) <c e^{i theta} + h.c.> dt + dw.
     """
-    ctx = _ctx(model)
-    if not model.bath.is_vacuum:
-        raise ValueError("vacuum-bath stepper; use generalized_bath_homodyne_step")
-    root = ctx["root"]
-    sig = _expect(rho, ctx["herm"])
-    sto = _lr(ctx["ceff"], rho, ctx["ceff_d"]) - _bc(sig) * rho
-    rho2 = rho + _vacuum_drift(ctx, rho) * dt + root * sto * _bc(dw)
-    dy = root * sig * dt + dw
-    return _renormalize(rho2), dy
+    return _diffusive_apply(diffusive_kernel(model, "homodyne", dt), rho, dw)
 
 
 def homodyne_kraus_operator(model: OpenSystemModel, dt: float, dy) -> np.ndarray:
@@ -159,61 +146,19 @@ def homodyne_kraus_operator(model: OpenSystemModel, dt: float, dy) -> np.ndarray
     return _no_click_kraus(ctx, dt)[0] + (ctx["root"] * _bc(dy)) * ctx["ceff"]
 
 
-def _kraus_map(ctx, model: OpenSystemModel, rho: np.ndarray, dt: float, dy, finish):
-    """finish(M rho M^dag + kappa (1-eta) c rho c^dag dt) for the Kraus operator
-    M = base + s c_eff of the measured increment, s = sqrt(eta kappa) dy.
-
-    For small dimensions the sandwich is expanded so that every matrix product
-    has a constant operator on one side and runs as one GEMM over the batch:
-    rho M^dag = rho base^dag + s rho c_eff^dag, then
-    M (rho M^dag) = base (rho M^dag) + s c_eff (rho M^dag).  Above
-    ``BATCH_GEMM_MAX_DIM`` the two per-matrix products with M are cheaper.
-    ``finish`` runs while M is still held: at large dimensions, freeing M
-    together with the other (B, d, d) temporaries before renormalizing lets
-    the allocator hand the memory back to the system and fault it in again
-    on the next step (d = 12, 400 trajectories: 3.6x the page faults).
-    """
-    if model.dim > BATCH_GEMM_MAX_DIM:
-        m = homodyne_kraus_operator(model, dt, dy)
-        numer = m @ rho @ dagger(m)
-    else:
-        base, base_d = _no_click_kraus(ctx, dt)
-        s = _bc(ctx["root"] * np.asarray(dy))
-        rho_md = right_mul(rho, base_d) + s * right_mul(rho, ctx["ceff_d"])
-        numer = left_mul(base, rho_md) + s * left_mul(ctx["ceff"], rho_md)
-    if model.efficiency != 1.0:
-        numer = numer + ((1.0 - model.efficiency) * ctx["kappa"] * dt) * right_mul(
-            left_mul(ctx["c"], rho), ctx["cd"]
-        )
-    return finish(numer)
-
-
 def homodyne_kraus_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw):
     """Positivity-preserving homodyne step: the state is conjugated by the Kraus
     operator built from the measured increment, with the undetected channel
     added as kappa (1-eta) c rho c^dag dt, then renormalized."""
-    ctx = _ctx(model)
-    if not model.bath.is_vacuum:
-        raise ValueError("vacuum-bath stepper; use generalized_bath_homodyne_step")
-    dy = ctx["root"] * _expect(rho, ctx["herm"]) * dt + dw
-    return _kraus_map(ctx, model, rho, dt, dy, _renormalize), dy
+    return _diffusive_apply(diffusive_kernel(model, "homodyne_kraus", dt), rho, dw)
 
 
 def heterodyne_sme_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw1, dw2):
     """Heterodyne (double-homodyne) SME step with the two jump operators
     c/sqrt(2) and i c/sqrt(2); returns (rho', dy1, dy2)."""
-    ctx = _ctx(model)
-    if not model.bath.is_vacuum:
-        raise ValueError("vacuum-bath stepper; use generalized_bath_homodyne_step")
-    root = np.sqrt(model.efficiency * ctx["kappa"] / 2.0)
-    sig1 = _expect(rho, ctx["herm"])
-    sig2 = _expect(rho, ctx["herm_i"])
-    s1 = _lr(ctx["ceff"], rho, ctx["ceff_d"]) - _bc(sig1) * rho
-    s2 = _lr(ctx["ceff_i"], rho, ctx["ceff_i_d"]) - _bc(sig2) * rho
-    rho2 = rho + _vacuum_drift(ctx, rho) * dt + root * (s1 * _bc(dw1) + s2 * _bc(dw2))
-    dy1 = root * sig1 * dt + dw1
-    dy2 = root * sig2 * dt + dw2
-    return _renormalize(rho2), dy1, dy2
+    dw = np.stack(np.broadcast_arrays(dw1, dw2), axis=-1)
+    rho, dy = _diffusive_apply(diffusive_kernel(model, "heterodyne", dt), rho, dw, 2)
+    return rho, dy[..., 0][()], dy[..., 1][()]
 
 
 def linear_homodyne_step(
@@ -229,20 +174,10 @@ def linear_homodyne_step(
     The record dy is supplied externally, sampled from the ostensible law
     Normal(sqrt(kappa) mu dt, dt).  Requires unit efficiency (the form the
     linear-trajectory theory is stated for)."""
-    if model.efficiency != 1.0:
-        raise ValueError("linear homodyne trajectories assume unit efficiency")
-    ctx = _ctx(model)
-    if not model.bath.is_vacuum:
-        raise ValueError("linear trajectories are defined for vacuum baths")
-    kappa, ceff, ceff_d = ctx["kappa"], ctx["ceff"], ctx["ceff_d"]
-    rb = np.asarray(state.rho_bar, dtype=complex)
-    meas = _lr(ceff, rb, ceff_d)
-    if mu != 0.0:
-        meas = meas - mu * rb
-    rb2 = rb + _vacuum_drift(ctx, rb) * dt + np.sqrt(kappa) * meas * _bc(
-        dy - np.sqrt(kappa) * mu * dt
-    )
-    return WeightedState(hermitize(rb2))
+    kernel = diffusive_kernel(model, "linear_homodyne", dt, mu=mu)
+    # the kernel steps on the innovation dy - sqrt(kappa) mu dt
+    rho_bar, _ = _diffusive_apply(kernel, state.rho_bar, np.subtract(dy, kernel.offset))
+    return WeightedState(rho_bar)
 
 
 def linear_homodyne_kraus_step(
@@ -252,9 +187,9 @@ def linear_homodyne_kraus_step(
     unnormalized state is conjugated by the Kraus operator of the measured
     increment (whose numerator is exactly the linear-SME evolution), keeping
     the weight in the trace."""
-    ctx = _ctx(model)
-    rb = np.asarray(state.rho_bar, dtype=complex)
-    return WeightedState(_kraus_map(ctx, model, rb, dt, dy, hermitize))
+    kernel = diffusive_kernel(model, "linear_homodyne_kraus", dt)
+    rho_bar, _ = _diffusive_apply(kernel, state.rho_bar, dy)
+    return WeightedState(rho_bar)
 
 
 def _feedback_ctx(ctx, f_op):
@@ -279,30 +214,8 @@ def homodyne_feedback_step(
                 + (1/eta) D[F] rho dt + (sqrt(eta kappa) H[c] rho - i[F, rho]) dw
 
     Returns the renormalized state and the raw measured increment dy."""
-    if not 0.0 < model.efficiency <= 1.0:
-        raise ValueError("homodyne feedback needs efficiency in (0, 1]")
-    ctx = _ctx(model)
-    if not model.bath.is_vacuum:
-        raise ValueError("feedback steppers are defined for vacuum baths")
-    fctx = _feedback_ctx(ctx, f_op)
-    f = fctx["f"]
-    kappa, ceff, ceff_d, root = ctx["kappa"], ctx["ceff"], ctx["ceff_d"], ctx["root"]
-    eta = model.efficiency
-
-    u = _lr(ceff, rho, ceff_d)
-    f2 = fctx.get("f2")
-    if f2 is None:
-        f2 = fctx["f2"] = f @ f
-    drift = (
-        _vacuum_drift(ctx, rho)
-        - 1j * np.sqrt(kappa) * _comm(f, u)
-        + (1.0 / eta) * _dissipate(f, f, f2, rho)
-    )
-    sig = _expect(rho, ctx["herm"])
-    sto = root * (u - _bc(sig) * rho) - 1j * _comm(f, rho)
-    rho2 = rho + drift * dt + sto * _bc(dw)
-    dy = root * sig * dt + dw
-    return _renormalize(rho2), dy
+    kernel = diffusive_kernel(model, "homodyne_feedback", dt, f_op=f_op)
+    return _diffusive_apply(kernel, rho, dw)
 
 
 def feedback_me_rhs(rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray) -> np.ndarray:
@@ -382,27 +295,11 @@ def _generalized_ctx(model: OpenSystemModel) -> dict:
             "terms": terms,
             "dterms": dterms,
             "h_eff": h_eff,
-            "h_zero": not np.any(h_eff),
             "n": n,
             "m": m,
         }
         ctx["generalized"] = sub
     return sub
-
-
-def _generalized_drift(model, rho):
-    ctx = _generalized_ctx(model)
-    drift = None
-    for coeff, a, ad, ada in ctx["terms"]:
-        term = coeff * _dissipate(a, ad, ada, rho)
-        drift = term if drift is None else drift + term
-    for coeff, a, a2 in ctx["dterms"]:
-        drift = drift + coeff * (
-            left_mul(a2, rho) - 2.0 * right_mul(left_mul(a, rho), a) + right_mul(rho, a2)
-        )
-    if not ctx["h_zero"]:
-        drift = drift + (-1j) * _comm(ctx["h_eff"], rho)
-    return drift
 
 
 def _generalized_channels(model: OpenSystemModel, mode: str) -> dict:
@@ -475,32 +372,12 @@ def generalized_bath_homodyne_step(
     Heterodyne (thermal bath, M = 0): two channels with scale sqrt(2(N+1)),
     ``dw`` of shape (..., 2); returns dy of the same shape.
     """
-    if model.efficiency != 1.0:
-        raise ValueError("generalized-bath steppers are derived for unit efficiency")
-    ctx = _ctx(model)
-    sub = _generalized_channels(model, mode)
-    kappa = ctx["kappa"]
-    drift = _generalized_drift(model, rho)
-
+    kernel = diffusive_kernel(model, f"generalized_{mode}", dt)
     if mode == "homodyne":
-        sig_op = _expect(rho, sub["herm"])
-        sto = _lr(sub["op"], rho, sub["opd"]) - _bc(sig_op) * rho
-        rho2 = rho + drift * dt + sub["scale"] * sto * _bc(dw)
-        dy = np.sqrt(kappa) * _expect(rho, ctx["herm"]) * dt + sub["root_l"] * dw
-        return _renormalize(rho2), dy
-
-    dw = np.asarray(dw, dtype=float)
-    if dw.shape[-1] != 2:
+        return _diffusive_apply(kernel, rho, dw)
+    if np.shape(dw)[-1:] != (2,):
         raise ValueError("heterodyne needs two Wiener increments per step")
-    sig1 = _expect(rho, sub["herm1"])
-    sig2 = _expect(rho, sub["herm2"])
-    s1 = _lr(sub["op1"], rho, sub["op1d"]) - _bc(sig1) * rho
-    s2 = _lr(sub["op2"], rho, sub["op2d"]) - _bc(sig2) * rho
-    pref = sub["pref"]
-    rho2 = rho + drift * dt + pref * (s1 * _bc(dw[..., 0]) + s2 * _bc(dw[..., 1]))
-    dy1 = np.sqrt(kappa) * _expect(rho, ctx["herm"]) * dt + sub["scale"] * dw[..., 0]
-    dy2 = np.sqrt(kappa) * _expect(rho, ctx["herm_i"]) * dt + sub["scale"] * dw[..., 1]
-    return _renormalize(rho2), np.stack([dy1, dy2], axis=-1)
+    return _diffusive_apply(kernel, rho, dw, 2)
 
 
 def squeezed_vacuum_jump_operator(c: np.ndarray, n_thermal: float) -> np.ndarray:
@@ -548,11 +425,10 @@ def diffusive_kernel(
 ) -> DiffusiveKernel | DiffusiveRightKernel:
     """The compiled step of the diffusive kind ``kind`` ("homodyne",
     "homodyne_kraus", "heterodyne", "homodyne_feedback", "generalized_homodyne",
-    "generalized_heterodyne" or "linear_homodyne"), with the rules of its
-    per-state stepper: a superoperator :class:`DiffusiveKernel` at d <=
-    ``BATCH_GEMM_MAX_DIM``, a :class:`DiffusiveRightKernel` above it.  ``f_op``
-    is the feedback operator of "homodyne_feedback", ``mu`` the ostensible
-    mean of "linear_homodyne"."""
+    "generalized_heterodyne", "linear_homodyne" or "linear_homodyne_kraus"):
+    a superoperator :class:`DiffusiveKernel` at d <= ``BATCH_GEMM_MAX_DIM``, a
+    :class:`DiffusiveRightKernel` above it.  ``f_op`` is the feedback operator
+    of "homodyne_feedback", ``mu`` the ostensible mean of "linear_homodyne"."""
     ctx = _ctx(model)
     if kind == "homodyne_feedback":
         extra = np.asarray(f_op, dtype=complex).tobytes()
@@ -635,18 +511,19 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
         )
         return euler([root * u - 1j * comm], [root * herm], [(root * dt) * herm],
                      extra_drift=feedback)
-    if kind == "homodyne_kraus":
+    if kind in ("homodyne_kraus", "linear_homodyne_kraus"):
         base, base_d = _no_click_kraus(ctx, dt)
         c, cd = ctx["c"], ctx["cd"]
+        linear = kind == "linear_homodyne_kraus"
         mats = _kernel_matrix(
             [
                 _sandwich_map(base, base_d) + ((1.0 - eta) * kappa * dt) * _sandwich_map(c, cd),
                 _sandwich_map(ceff, base_d) + _sandwich_map(base, ceff_d),
                 _sandwich_map(ceff, ceff_d),
             ],
-            [(root * dt) * herm],
+            [] if linear else [(root * dt) * herm],
         )
-        return DiffusiveKernel(d, mats, perm, 1, 3, kraus_gain=root)
+        return DiffusiveKernel(d, mats, perm, 1, 3, linear=linear, kraus_gain=root)
     raise ValueError(f"no diffusive kernel for kind {kind!r}")
 
 
@@ -683,6 +560,19 @@ def diffusive_kernel_step(kernel, rho: np.ndarray, dw, work: dict | None = None)
     return _finish(z, kernel.dim, kernel.perm, not kernel.linear), dy.T.reshape(np.shape(dw))
 
 
+def _diffusive_apply(kernel, rho, dw, channels: int = 1):
+    """One step of a compiled diffusive kernel on a copy of ``rho`` (one state
+    or a batch) for the increments ``dw``, which broadcast over the batch and,
+    for two channels, end in an axis of length 2; returns (rho', dy), with dy
+    a scalar for one state on one channel."""
+    dw = np.asarray(dw, dtype=float)
+    tail = (channels,) if channels > 1 else ()
+    batch, shape = _as_batch(rho, dw.shape[: dw.ndim - len(tail)])
+    dws = np.broadcast_to(dw, shape + tail).reshape((-1,) + tail)
+    rho, dy = diffusive_kernel_step(kernel, batch, dws)
+    return rho.reshape(shape + batch.shape[1:]), dy.reshape(shape + tail)[()]
+
+
 @dataclass(frozen=True, eq=False)
 class DiffusiveRightKernel:
     """One diffusive step in half form for a fixed (model, kind, dt).
@@ -699,7 +589,8 @@ class DiffusiveRightKernel:
     ``currents`` rows vec(A_k^T); linear kinds have none, record
     dy = ``offset`` + dw and are not renormalized.  Kraus kinds (``kraus`` =
     (base^dag, R) for the single channel R = sqrt(eta kappa) c_eff^dag):
-    rho M^dag = rho base^dag + dy rho R, W = M rho M^dag plus the sandwiches.
+    rho M^dag = rho base^dag + dy rho R, W = M rho M^dag plus the sandwiches,
+    halved for the linear kind.
     """
 
     r0: np.ndarray | None
@@ -796,11 +687,11 @@ def _compile_right(ctx, model, kind, dt, f_op, mu):
         drift = _euler_form(dt, ctx["h"], vacuum + [(1.0 / eta, f, f, f @ f)],
                             right=(1j * s_k) * (ceff_d @ f), pairs=[(f, (-1j * s_k) * ceff_d)])
         return _right_kernel(drift, [(1.0, root * ceff_d + 1j * f)], homodyne_current)
-    if kind == "homodyne_kraus":
+    if kind in ("homodyne_kraus", "linear_homodyne_kraus"):
         undetected = [] if eta == 1.0 else [(cd, ((1.0 - eta) * kappa * dt) * cd)]
         kraus = (_no_click_kraus(ctx, dt)[1], np.ascontiguousarray(root * ceff_d))
-        return _right_kernel(HalfForm.build(None, undetected), [], homodyne_current,
-                             kraus=kraus)
+        currents = None if kind == "linear_homodyne_kraus" else homodyne_current
+        return _right_kernel(HalfForm.build(None, undetected), [], currents, kraus=kraus)
     raise ValueError(f"no diffusive kernel for kind {kind!r}")
 
 
@@ -835,4 +726,6 @@ def _right_step(kernel: DiffusiveRightKernel, rho, bufs, dw):
             w += _gemm(_conj_t(p, q), b, p)
     if kernel.kraus is None:
         _add_scaled(w, rho, -0.5 * shift, p)
+    elif kernel.linear:
+        w *= 0.5  # a Kraus W is all of M rho M^dag, not its half
     return _half_finish(w, rho, p, not kernel.linear), dy.reshape(np.shape(dw))

@@ -12,15 +12,17 @@ Variates drawn per step and trajectory: ``KINDS[kind].draws`` for each
 Hilbert-space kind (uniforms for click kinds and in two-point mode, normals
 otherwise), and one normal per monitored current for Gaussian runs.
 
-Step dispatch: every density-matrix kind advances its block through its
-``Kind.kernel``, compiled once per block (:func:`contmon.jump.click_kernel`,
+Step dispatch: every kind advances its block through the ``advance`` its
+``Kind.kernel`` builds once per block.  A density-matrix kind compiles its
+step there (:func:`contmon.jump.click_kernel`,
 :func:`contmon.diffusive.diffusive_kernel`).  At d <= ``BATCH_GEMM_MAX_DIM``
 (4) that is a superoperator kernel, one GEMM of the (B, d^2) state view per
 step plus per-row scalar corrections; above it a right-product kernel that
 updates the block's states in place through work buffers the block owns,
 with one GEMM of the (B d, d) view per constant operator.  The state-vector
-kind ``jump_sse`` runs its per-state ``Kind.step``.  Both paths call the
-steppers through the module attributes ``jump`` and ``diffusive``.
+kind ``jump_sse`` compiles nothing and steps through
+:func:`contmon.jump.jump_sse_apply`.  Every kind calls these through the
+module attributes ``jump`` and ``diffusive``.
 
 Gaussian runs fold the conditional-mean update into one affine map per step,
 r_{k+1} = Phi r_k + Gamma_k dw_k, built once per run from the Riccati
@@ -143,6 +145,10 @@ class Scenario:
         if self.kind == "jump_feedback" and isinstance(self.model, OpenSystemModel):
             if self.model.efficiency != 1.0:
                 raise ValueError("jump feedback requires unit efficiency")
+        if self.kind.endswith("_feedback") and self.feedback_operator is None:
+            raise ValueError(f"{self.kind} needs a feedback_operator")
+        if self.kind == "jump_sse" and np.ndim(self.initial_state) != 1:
+            raise ValueError("jump_sse steps state vectors: initial_state must be 1-d")
 
 
 @dataclass
@@ -232,20 +238,18 @@ def _check_physical(kind, state, step):
 class Kind:
     """What the ensemble layer needs to know about one Hilbert-space kind.
 
-    ``kernel(scenario, dt)`` compiles the step of a density-matrix kind once
-    per block and returns ``advance(state, x)``, which advances the block and
-    returns (state', record row); ``x`` is the step's uniform variates for
-    click kinds and its Wiener increments otherwise, one column per draw (a
-    vector when ``draws`` is 1).  Above ``BATCH_GEMM_MAX_DIM`` ``advance``
-    updates the block's C-contiguous state array in place.  The state-vector
-    kind has ``step(scenario, state, dt, x)`` instead, with the same contract.
+    ``kernel(scenario, dt)`` runs once per block, compiling the step of a
+    density-matrix kind, and returns ``advance(state, x)``, which advances the
+    block and returns (state', record row); ``x`` is the step's uniform
+    variates for click kinds and its Wiener increments otherwise, one column
+    per draw (a vector when ``draws`` is 1).  Above ``BATCH_GEMM_MAX_DIM``
+    ``advance`` updates the block's C-contiguous state array in place.
     Click kinds record ``uint8`` outcomes; ``linear`` kinds carry unnormalized
     states with weighted statistics; ``pure`` kinds step state vectors and
     skip the positivity checks.
     """
 
-    kernel: Callable | None = None
-    step: Callable | None = None
+    kernel: Callable
     draws: int = 1
     clicks: bool = False
     linear: bool = False
@@ -258,9 +262,11 @@ class Kind:
 # that run on different threads are never shared.
 
 
-def _jump_sse(sc, psi, dt, u):
-    dn = jump.click_outcomes(jump.sse_jump_probability(psi, sc.model, dt), u)
-    return jump.jump_sse_apply(psi, sc.model, dt, dn), dn
+def _jump_sse(sc, dt):
+    def advance(psi, u):
+        dn = jump.click_outcomes(jump.sse_jump_probability(psi, sc.model, dt), u)
+        return jump.jump_sse_apply(psi, sc.model, dt, dn), dn
+    return advance
 
 
 def _click_kernel(sc, dt):
@@ -281,7 +287,7 @@ KINDS = {
     "jump": Kind(_click_kernel, clicks=True),
     "jump_kraus": Kind(_click_kernel, clicks=True),
     "jump_feedback": Kind(_click_kernel, clicks=True),
-    "jump_sse": Kind(step=_jump_sse, clicks=True, pure=True),
+    "jump_sse": Kind(_jump_sse, clicks=True, pure=True),
     "linear_jump": Kind(_click_kernel, clicks=True, linear=True),
     "homodyne": Kind(_diffusive_kernel),
     "homodyne_kraus": Kind(_diffusive_kernel),
@@ -424,11 +430,7 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
             sum1[k, j] += x.sum()
             sum2[k, j] += (x * x).sum()
 
-    if kind.kernel is not None:
-        advance = kind.kernel(scenario, spec.dt)
-    else:
-        def advance(state, x):
-            return kind.step(scenario, state, spec.dt, x)
+    advance = kind.kernel(scenario, spec.dt)
 
     record_stats(0)
     for k in range(n_steps):

@@ -3,12 +3,11 @@ linear trajectories with ostensible weights, the two-operator Kraus stepper,
 and photodetection feedback.
 
 All steppers operate on a single monitored channel of a vacuum-bath model and
-broadcast over leading batch axes of the state.  Sampling steppers draw exactly
-one uniform variate per step from the supplied generator; the ``*_apply``
-variants are deterministic given the click outcome, which is what the linear
-(ostensible-probability) machinery and the ensemble layer feed them.
-Per-model operator products are cached, so repeated stepping costs only the
-batched state arithmetic.
+broadcast over leading batch axes of the state.  They are deterministic given
+the click outcome, which the caller samples with :func:`jump_probability` and
+:func:`click_outcomes` or supplies, as the linear (ostensible-probability)
+machinery does.  Per-model operator products are cached, so repeated stepping
+costs only the batched state arithmetic.
 
 Click kernels: for a fixed (model, kind, dt) the density-matrix click kinds are
 linear in rho except for the scalar <c^dag c>, and :func:`click_kernel`
@@ -18,10 +17,13 @@ single matrix that takes the ``(B, d^2)`` row-major view of a state batch to
 its no-click image, its click image and <c^dag c> in one GEMM.  Above it the
 step is a right-product kernel on the ``(B d, d)`` view (see the kernel
 section below), which allocates no (B, d, d) array when the caller keeps its
-work buffers.  :func:`click_kernel_step` runs either form; the ensemble runs
-every density-matrix click kind through it, and the ``*_apply`` functions
-remain the public per-state steppers and the oracle.  Compiled kernels live in
-the per-model operator cache under ``("kernel", kind, dt, ...)`` keys.
+work buffers.  :func:`click_kernel_step` runs either form, and the ensemble
+runs every density-matrix click kind through it.  The density-matrix
+steppers (the ``*_apply`` functions and :func:`linear_jump_step`) are the
+same kernels, stepping a copy of their input for the supplied outcome; only
+:func:`jump_sse_apply`, on state vectors, has a body of its own.  Compiled
+kernels live in the per-model operator cache under ``("kernel", kind, dt,
+...)`` keys.
 """
 
 from __future__ import annotations
@@ -36,10 +38,7 @@ from scipy.linalg import expm
 from .core_ops import (
     BATCH_GEMM_MAX_DIM,
     dagger,
-    hermitize,
     is_hermitian,
-    left_mul,
-    right_mul,
     trace,
 )
 from .master_equation import OpenSystemModel, StepSizeError, liouvillian_matrix
@@ -52,14 +51,10 @@ __all__ = [
     "jump_probability",
     "sse_jump_probability",
     "click_outcomes",
-    "jump_sme_step",
     "jump_sme_apply",
-    "jump_sse_step",
     "jump_sse_apply",
     "linear_jump_step",
-    "jump_kraus_step",
     "jump_kraus_apply",
-    "jump_feedback_step",
     "jump_feedback_apply",
     "ClickKernel",
     "ClickRightKernel",
@@ -175,32 +170,6 @@ def _expect(rho: np.ndarray, op: np.ndarray):
     return np.einsum("...ij,ji->...", rho, op).real
 
 
-def _renormalize(rho: np.ndarray) -> np.ndarray:
-    rho = hermitize(rho)
-    return rho / np.asarray(trace(rho).real)[..., None, None]
-
-
-def _select_clicked(no_click, rho, dn, rate, sandwich):
-    """Overwrite the clicked entries of ``no_click`` with the (renormalized)
-    sandwich map of ``rho``; raises on dark-state clicks."""
-    dn = np.asarray(dn, dtype=bool)
-    if dn.ndim == 0:
-        if not dn:
-            return no_click
-        if rate < DARK_STATE_RATE:
-            raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
-        return hermitize(sandwich(rho)) / rate
-    if not dn.any():
-        return no_click
-    rate = np.asarray(rate)
-    if np.any(dn & (rate < DARK_STATE_RATE)):
-        raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
-    out = no_click
-    sub = hermitize(sandwich(rho[dn])) / rate[dn][..., None, None]
-    out[dn] = sub
-    return out
-
-
 def jump_probability(rho: np.ndarray, model: OpenSystemModel, dt: float):
     """Click probability eta kappa <c^dag c> dt for the coming step."""
     ctx = _vacuum_ctx(model)
@@ -228,37 +197,6 @@ def click_outcomes(p, u):
     return u < p
 
 
-def _sandwich(a: np.ndarray, rho: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a rho b for constant operators a, b and a (batched) state."""
-    return right_mul(left_mul(a, rho), b)
-
-
-def _hamiltonian_drift(ctx, rho):
-    """-i[H, rho]."""
-    h = ctx["h"]
-    return (-1j) * (left_mul(h, rho) - right_mul(rho, h))
-
-
-def _sme_no_click(ctx, rho: np.ndarray, eta: float, dt: float):
-    """Renormalized no-click Euler step of the photodetection SME, and <c^dag c>."""
-    kappa, cdc = ctx["kappa"], ctx["cdc"]
-    rate = _expect(rho, cdc)
-    # H[c^dag c] rho = cdc rho + rho cdc - 2 <cdc> rho  (cdc Hermitian)
-    meas = (
-        left_mul(cdc, rho) + right_mul(rho, cdc)
-        - (2.0 * np.asarray(rate))[..., None, None] * rho
-    )
-    drift = (-0.5 * eta * kappa) * meas
-    if eta != 1.0:
-        drift = drift + ((1.0 - eta) * kappa) * (
-            _sandwich(ctx["c"], rho, ctx["cd"])
-            - 0.5 * (left_mul(cdc, rho) + right_mul(rho, cdc))
-        )
-    if not ctx["h_zero"]:
-        drift = drift + _hamiltonian_drift(ctx, rho)
-    return _renormalize(rho + drift * dt), rate
-
-
 def jump_sme_apply(rho: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np.ndarray:
     """Deterministic photodetection SME update for a given click outcome.
 
@@ -266,17 +204,7 @@ def jump_sme_apply(rho: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np
         -i[H, rho] dt - (eta kappa / 2) H[c^dag c] rho dt + (1-eta) kappa D[c] rho dt.
     Click: rho -> c rho c^dag / <c^dag c> (dt * dN cross terms dropped).
     """
-    ctx = _vacuum_ctx(model)
-    c, cd = ctx["c"], ctx["cd"]
-    rho = np.asarray(rho, dtype=complex)
-    no_click, rate = _sme_no_click(ctx, rho, model.efficiency, dt)
-    return _select_clicked(no_click, rho, dn, rate, lambda r: _sandwich(c, r, cd))
-
-
-def jump_sme_step(rho, model: OpenSystemModel, dt: float, rng: np.random.Generator):
-    """Sample dN (P(dN=1) = eta kappa <c^dag c> dt) and apply the SME update."""
-    dn = click_outcomes(jump_probability(rho, model, dt), rng)
-    return jump_sme_apply(rho, model, dt, dn), dn
+    return _click_apply(click_kernel(model, "jump", dt), rho, dn)
 
 
 def jump_sse_apply(psi: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np.ndarray:
@@ -310,13 +238,6 @@ def jump_sse_apply(psi: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np
     return np.where(dn[..., None], jumped, no_click)
 
 
-def jump_sse_step(psi, model: OpenSystemModel, dt: float, rng: np.random.Generator):
-    """Sample dN on the pure state and apply the SSE update."""
-    psi = np.asarray(psi, dtype=complex)
-    dn = click_outcomes(sse_jump_probability(psi, model, dt), rng)
-    return jump_sse_apply(psi, model, dt, dn), dn
-
-
 def linear_jump_step(
     state: WeightedState,
     model: OpenSystemModel,
@@ -332,25 +253,8 @@ def linear_jump_step(
     P(dN=1) = eta kappa beta dt.  Requires unit efficiency (the form the
     linear-trajectory theory is stated for).
     """
-    if beta <= 0:
-        raise ValueError("ostensible rate beta must be > 0")
-    if model.efficiency != 1.0:
-        raise ValueError("linear jump trajectories assume unit efficiency")
-    ctx = _vacuum_ctx(model)
-    kappa, c, cd, cdc = ctx["kappa"], ctx["c"], ctx["cd"], ctx["cdc"]
-    rb = np.asarray(state.rho_bar, dtype=complex)
-    dn = np.asarray(dn, dtype=bool)
-
-    drift = (-kappa / 2.0) * (left_mul(cdc, rb) + right_mul(rb, cdc)) + (beta * kappa) * rb
-    if not ctx["h_zero"]:
-        drift = drift + _hamiltonian_drift(ctx, rb)
-    no_click = rb + drift * dt
-    if not np.any(dn):
-        return WeightedState(hermitize(no_click))
-    clicked = _sandwich(c, rb, cd) / beta
-    if dn.ndim == 0:
-        return WeightedState(hermitize(clicked))
-    return WeightedState(hermitize(np.where(dn[..., None, None], clicked, no_click)))
+    kernel = click_kernel(model, "linear_jump", dt, beta=beta)
+    return WeightedState(_click_apply(kernel, state.rho_bar, dn))
 
 
 def jump_kraus_apply(rho: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np.ndarray:
@@ -360,24 +264,7 @@ def jump_kraus_apply(rho: np.ndarray, model: OpenSystemModel, dt: float, dn) -> 
     decay folded in as the sandwich kappa (1-eta) c rho c^dag dt; a click
     applies M1 = sqrt(eta kappa dt) c.  Both branches renormalize.
     """
-    ctx = _vacuum_ctx(model)
-    kappa, c, cd = ctx["kappa"], ctx["c"], ctx["cd"]
-    eta = model.efficiency
-    rho = np.asarray(rho, dtype=complex)
-
-    m0, m0d = _no_click_kraus(ctx, dt)
-    numer = _sandwich(m0, rho, m0d)
-    if eta != 1.0:
-        numer = numer + ((1.0 - eta) * kappa * dt) * _sandwich(c, rho, cd)
-    no_click = _renormalize(numer)
-    rate = _expect(rho, ctx["cdc"])
-    return _select_clicked(no_click, rho, dn, rate, lambda r: _sandwich(c, r, cd))
-
-
-def jump_kraus_step(rho, model: OpenSystemModel, dt: float, rng: np.random.Generator):
-    """Sample dN with the same law as the SME stepper, apply the Kraus update."""
-    dn = click_outcomes(jump_probability(rho, model, dt), rng)
-    return jump_kraus_apply(rho, model, dt, dn), dn
+    return _click_apply(click_kernel(model, "jump_kraus", dt), rho, dn)
 
 
 @lru_cache(maxsize=64)
@@ -400,22 +287,7 @@ def jump_feedback_apply(
     """Photodetection feedback update: the unitary exp(-iF) acts right after a
     click, replacing the jump branch by (e^{-iF} c) rho (e^{-iF} c)^dag / <c^dag c>.
     The no-click branch is the eta = 1 SME branch (the only case derived)."""
-    if model.efficiency != 1.0:
-        raise ValueError("jump feedback requires unit efficiency")
-    ctx = _vacuum_ctx(model)
-    uc = feedback_unitary(f_op) @ ctx["c"]
-    ucd = np.ascontiguousarray(dagger(uc))
-    rho = np.asarray(rho, dtype=complex)
-    no_click, rate = _sme_no_click(ctx, rho, 1.0, dt)
-    return _select_clicked(no_click, rho, dn, rate, lambda r: _sandwich(uc, r, ucd))
-
-
-def jump_feedback_step(
-    rho, model: OpenSystemModel, f_op: np.ndarray, dt: float, rng: np.random.Generator
-):
-    """Sample dN (feedback leaves the click probability unchanged) and update."""
-    dn = click_outcomes(jump_probability(rho, model, dt), rng)
-    return jump_feedback_apply(rho, model, f_op, dt, dn), dn
+    return _click_apply(click_kernel(model, "jump_feedback", dt, f_op=f_op), rho, dn)
 
 
 # ---------------------------------------------------------------- kernels
@@ -474,11 +346,10 @@ def click_kernel(
     model: OpenSystemModel, kind: str, dt: float, f_op=None, beta: float = 1.0
 ) -> ClickKernel | ClickRightKernel:
     """The compiled step of the density-matrix click kind ``kind`` ("jump",
-    "jump_kraus", "jump_feedback" or "linear_jump"), with the rules of its
-    ``*_apply`` stepper: a superoperator :class:`ClickKernel` at d <=
-    ``BATCH_GEMM_MAX_DIM``, a :class:`ClickRightKernel` above it.  ``f_op`` is
-    the feedback generator of "jump_feedback", ``beta`` the ostensible rate of
-    "linear_jump"."""
+    "jump_kraus", "jump_feedback" or "linear_jump"): a superoperator
+    :class:`ClickKernel` at d <= ``BATCH_GEMM_MAX_DIM``, a
+    :class:`ClickRightKernel` above it.  ``f_op`` is the feedback generator of
+    "jump_feedback", ``beta`` the ostensible rate of "linear_jump"."""
     ctx = _vacuum_ctx(model)
     if kind == "jump_feedback":
         extra = np.asarray(f_op, dtype=complex).tobytes()
@@ -536,24 +407,59 @@ def click_kernel_step(kernel, rho: np.ndarray, u, work: dict | None = None):
     place when the caller passes a ``work`` dict that it keeps for the batch,
     where the step's buffers then live, and a copy otherwise.
     """
+    carry, rate = _click_read(kernel, rho, work)
+    dn = u < kernel.p_click if kernel.linear else click_outcomes(kernel.p_click * rate, u)
+    return _click_update(kernel, carry, rate, dn), dn
+
+
+def _click_read(kernel, rho, work):
+    """The first half of a click step: (carry, rate), the step's <c^dag c> per
+    state (None for linear kinds) and what :func:`_click_update` continues
+    from."""
     if isinstance(kernel, ClickRightKernel):
-        return _click_right_step(kernel, *_right_work(rho, work), u)
+        rho, bufs = _right_work(rho, work)
+        rate = None if kernel.linear else (rho.reshape(len(rho), -1) @ kernel.rate_row).real
+        return (rho, bufs), rate
     n = kernel.dim * kernel.dim
     x = rho.reshape(-1, n).T
     y = kernel.maps @ x
+    return (x, y), None if kernel.linear else y[2 * n].real
+
+
+def _click_update(kernel, carry, rate, dn):
+    """The second half of a click step: the states after the outcomes ``dn``;
+    raises on a click from a dark state."""
+    if rate is not None and dn.any() and np.any(rate[dn] < DARK_STATE_RATE):
+        raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
+    if isinstance(kernel, ClickRightKernel):
+        return _click_right_update(kernel, *carry, rate, dn)
+    x, y = carry
+    n = kernel.dim * kernel.dim
     z = y[:n]
-    if kernel.linear:
-        dn = u < kernel.p_click
-    else:
-        rate = y[2 * n].real
-        dn = click_outcomes(kernel.p_click * rate, u)
-        if kernel.rate_gain:
-            z = z + (kernel.rate_gain * rate) * x
+    if kernel.rate_gain:
+        z = z + (kernel.rate_gain * rate) * x
     if dn.any():
-        if not kernel.linear and np.any(rate[dn] < DARK_STATE_RATE):
-            raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
         z[:, dn] = y[n : 2 * n, dn]
-    return _finish(z, kernel.dim, kernel.perm, not kernel.linear), dn
+    return _finish(z, kernel.dim, kernel.perm, not kernel.linear)
+
+
+def _as_batch(rho, lead):
+    """``rho`` (one state or a batch of them) broadcast against the leading
+    shape ``lead`` of a step's outcomes or increments, as a C-contiguous
+    (B, d, d) array, and the broadcast leading shape."""
+    rho = np.asarray(rho, dtype=complex)
+    shape = np.broadcast_shapes(rho.shape[:-2], lead)
+    dims = rho.shape[-2:]
+    return np.ascontiguousarray(np.broadcast_to(rho, shape + dims).reshape((-1,) + dims)), shape
+
+
+def _click_apply(kernel, rho, dn):
+    """One step of a compiled click kernel for the given outcomes ``dn``, on a
+    copy of ``rho`` (one state or a batch; ``dn`` broadcasts over it)."""
+    batch, shape = _as_batch(rho, np.shape(dn))
+    carry, rate = _click_read(kernel, batch, None)
+    dn = np.broadcast_to(np.asarray(dn, dtype=bool), shape).reshape(-1)
+    return _click_update(kernel, carry, rate, dn).reshape(shape + batch.shape[1:])
 
 
 # ------------------------------------------------------- right-product kernels
@@ -708,19 +614,12 @@ def _compile_click_right(ctx, model, kind, dt, jump_op, beta):
                             eta * kappa * dt, rate_gain, 1.0)
 
 
-def _click_right_step(kernel: ClickRightKernel, rho, bufs, u):
+def _click_right_update(kernel: ClickRightKernel, rho, bufs, rate, dn):
     w, p, q = bufs
-    if kernel.linear:
-        dn = u < kernel.p_click
-    else:
-        rate = (rho.reshape(len(rho), -1) @ kernel.rate_row).real
-        dn = click_outcomes(kernel.p_click * rate, u)
     kernel.no_click.apply(rho, w, p, q)
     if kernel.rate_gain:
         _add_scaled(w, rho, kernel.rate_gain * rate, p)
     if dn.any():
-        if not kernel.linear and np.any(rate[dn] < DARK_STATE_RATE):
-            raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
         # the click sandwich of the clicked rows, in the leading rows of p and q
         rows = np.flatnonzero(dn)
         sub_p, sub_q = p[: len(rows)], q[: len(rows)]
@@ -728,4 +627,4 @@ def _click_right_step(kernel: ClickRightKernel, rho, bufs, u):
         _gemm(_conj_t(_gemm(sub_p, kernel.jump_d, sub_q), sub_p), kernel.jump_d, sub_q)
         sub_q *= kernel.click_scale
         w[rows] = sub_q
-    return _half_finish(w, rho, p, not kernel.linear), dn
+    return _half_finish(w, rho, p, not kernel.linear)

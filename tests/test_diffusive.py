@@ -165,12 +165,11 @@ def test_kraus_normalization_residual_second_order(qubit_ops):
     for dim, kernel in ((2, False), (2, True), (6, True)) for eta in (1.0, 0.8)
 ])
 def test_kraus_steps_match_literal_sandwich(qubit_ops, eta, dim, kernel):
-    # the expanded Kraus numerator (constant operator on one side of every
-    # product), or the compiled kernel (at d = 2 its [base (x) base* | cross |
-    # c (x) c*] maps, at d = 6 its right products rho M^dag and (M rho) M^dag),
-    # against the literal m @ rho @ dagger(m), on shared noise for a batch of
-    # trajectories over 10^3 steps: the nonlinear step, its current, and the
-    # linear (unnormalized) step on a shared record
+    # the per-state stepper or the compiled kernel it wraps (at d = 2 its
+    # [base (x) base* | cross | c (x) c*] maps, at d = 6 its right products
+    # rho M^dag and (M rho) M^dag), against the literal m @ rho @ dagger(m), on
+    # shared noise for a batch of trajectories over 10^3 steps: the nonlinear
+    # step, its current, and the linear (unnormalized) step on a shared record
     if dim == 2:
         h0, c0 = 0.3 * qubit_ops["sigma_x"], qubit_ops["sigma_minus"]
     else:
@@ -466,6 +465,10 @@ def test_generalized_heterodyne_rejects_squeezing(qubit_ops, excited):
     with pytest.raises(ValueError, match="thermal"):
         generalized_bath_homodyne_step(excited, model, 1e-3, np.array([0.0, 0.0]),
                                        mode="heterodyne")
+    # and, on a thermal bath, one increment where two are needed
+    with pytest.raises(ValueError, match="two Wiener increments"):
+        generalized_bath_homodyne_step(excited, _thermal_model(qubit_ops, n=1.0), 1e-3, 0.01,
+                                       mode="heterodyne")
 
 
 def test_generalized_rejects_complex_squeezing_current(qubit_ops, excited):
@@ -554,8 +557,8 @@ def test_generalized_rejects_lo_phase(mode, dim):
 # ---------------------------------------------------------------- Euler oracles
 # Every Euler stepper against its SME written out with literal products
 # (a @ rho @ dagger(a), nested commutators), on shared noise for a batch of
-# trajectories over 10^3 steps.  At d = 2 the steppers run one GEMM per
-# constant operator over the batch; the d = 12 case takes the stacked branch.
+# trajectories over 10^3 steps.  These literal products are the oracle: the
+# per-state steppers and the ensemble both run the compiled kernels.
 
 
 def _lit_expect(rho, op):
@@ -723,9 +726,8 @@ EULER_KERNEL_KINDS = {
 }
 
 
-# per-state steppers at d = 2 (one GEMM per constant operator) and d = 12
-# (stacked products), superoperator kernels at d = 2, right-product kernels at
-# d = 6
+# per-state steppers, which wrap the kernels, at d = 2 and d = 12; the kernels
+# called directly at d = 2 (superoperator) and d = 6 (right products)
 @pytest.mark.parametrize("name, dim, kernel", [
     pytest.param(name, 2, False, id=name) for name in EULER_KERNEL_KINDS
 ] + [pytest.param("feedback", 12, False, id="feedback_d12")] + [

@@ -39,7 +39,7 @@ from contmon.gaussian import (
     opo_model,
     riccati_steady_state,
 )
-from contmon.jump import jump_sme_step
+from contmon.jump import click_outcomes, jump_probability, jump_sme_apply
 from contmon.master_equation import BathSpec
 
 from conftest import two_mode_model
@@ -95,7 +95,8 @@ def test_single_trajectory_bit_for_bit_jump(qubit_ops, decay_model, excited):
     rho = excited
     manual = [rho[0, 0].real]
     for _ in range(spec.n_steps):
-        rho, _ = jump_sme_step(rho, decay_model, spec.dt, rng)
+        dn = click_outcomes(jump_probability(rho, decay_model, spec.dt), rng)
+        rho = jump_sme_apply(rho, decay_model, spec.dt, dn)
         manual.append(rho[0, 0].real)
     np.testing.assert_array_equal(stats.means["rho_ee"], np.array(manual))
 
@@ -707,3 +708,42 @@ def test_two_point_rejected_for_jump(qubit_ops, decay_model, excited):
     spec = qubit_spec(qubit_ops, noise="two_point")
     with pytest.raises(ValueError, match="two-point"):
         run_ensemble(spec, Scenario("jump", decay_model, excited))
+
+
+@pytest.mark.parametrize("kind", ["jump_feedback", "homodyne_feedback"])
+def test_feedback_scenario_needs_operator(decay_model, excited, kind):
+    with pytest.raises(ValueError, match="needs a feedback_operator"):
+        Scenario(kind, decay_model, excited)
+
+
+def test_sse_scenario_needs_state_vector(decay_model, excited):
+    with pytest.raises(ValueError, match="initial_state must be 1-d"):
+        Scenario("jump_sse", decay_model, excited)
+
+
+def test_traced_benchmark_spans_install_and_restore(monkeypatch):
+    # the traced benchmark (perfbench/run.py --trace 1) replaces module
+    # attributes by name; a rename here would break it, and tier-1 collects
+    # only tests/
+    import importlib
+    from pathlib import Path
+
+    from contmon import config, diffusive, jump
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    modules = (config, ensemble, jump, diffusive)
+    before = [dict(vars(module)) for module in modules]
+    tracer = spans.Tracer()
+    try:
+        spans.install_layers(tracer, *modules)
+        patched = {(module.__name__, name) for module, old in zip(modules, before)
+                   for name, value in vars(module).items() if old.get(name) is not value}
+    finally:
+        tracer.restore()
+    assert {("contmon.ensemble", "jump"), ("contmon.ensemble", "diffusive"),
+            ("contmon.config", "run_ensemble")} <= patched
+    for module, old in zip(modules, before):
+        now = vars(module)
+        assert now.keys() == old.keys()
+        assert all(now[name] is value for name, value in old.items()), module.__name__

@@ -7,13 +7,12 @@ from contmon.jump import (
     DarkStateJumpError,
     click_kernel,
     click_kernel_step,
+    click_outcomes,
     feedback_unitary,
     jump_feedback_apply,
-    jump_feedback_step,
     jump_kraus_apply,
     jump_probability,
     jump_sme_apply,
-    jump_sme_step,
     jump_sse_apply,
     linear_jump_step,
 )
@@ -40,7 +39,8 @@ def test_eta_zero_reproduces_master_equation(qubit_ops, excited):
     rho = excited
     rng = trajectory_rng(1, 0)
     for _ in range(int(round(1.0 / dt))):
-        rho, dn = jump_sme_step(rho, model, dt, rng)
+        dn = click_outcomes(jump_probability(rho, model, dt), rng)
+        rho = jump_sme_apply(rho, model, dt, dn)
         assert not dn
     assert abs(rho[0, 0].real - np.exp(-1.0)) < 1e-3  # Euler-vs-exact tolerance
 
@@ -233,8 +233,8 @@ def _oracle_model(qubit_ops, dim, eta=1.0):
     return OpenSystemModel(0.3 * ops["q"], [(1.0, ops["a"])], efficiency=eta), 0.6 * ops["q"]
 
 
-# per-state steppers and superoperator kernels at d = 2, right-product kernels
-# at d = 6
+# per-state steppers, which wrap the kernels, and superoperator kernels called
+# directly at d = 2; right-product kernels at d = 6
 ORACLE_PATHS = [(2, False, ""), (2, True, "-kernel"), (6, True, "-d6-kernel")]
 
 
@@ -243,10 +243,10 @@ ORACLE_PATHS = [(2, False, ""), (2, True, "-kernel"), (6, True, "-d6-kernel")]
     for dim, kernel, suffix in ORACLE_PATHS for stepper, eta in JUMP_ORACLE_CASES
 ])
 def test_jump_steps_match_literal_products(qubit_ops, stepper, eta, dim, kernel):
-    # the per-state steppers (batched left/right products) and the compiled
-    # click kernels against the literal stacked matmuls on shared uniforms for
-    # a batch of trajectories over 10^3 steps: each path draws its own
-    # clicks, which must coincide, and the states must agree
+    # the per-state steppers and the compiled click kernels they wrap against
+    # the literal stacked matmuls on shared uniforms for a batch of
+    # trajectories over 10^3 steps: each path draws its own clicks, which
+    # must coincide, and the states must agree
     model, f_op = _oracle_model(qubit_ops, dim, eta)
     c = model.single_channel()[1]
     cdc = dagger(c) @ c
@@ -398,5 +398,6 @@ def test_hermiticity_preserved_every_step(qubit_ops):
     rng = trajectory_rng(3, 0)
     rho = random_density_matrix(np.random.default_rng(0))
     for _ in range(200):
-        rho, _ = jump_sme_step(rho, model, 1e-3, rng)
+        dn = click_outcomes(jump_probability(rho, model, 1e-3), rng)
+        rho = jump_sme_apply(rho, model, 1e-3, dn)
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
