@@ -14,7 +14,10 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,14 +34,17 @@ __all__ = [
     "measurement_superop",
     "left_mul",
     "right_mul",
-    "commutator",
-    "anticommutator",
     "build_standard_ops",
     "validate_state",
     "ensure_density_matrix",
     "is_hermitian",
     "hermitize",
     "min_eigenvalue",
+    "hermitian_basis",
+    "to_coords",
+    "from_coords",
+    "coords_trace",
+    "coords_min_eigenvalue",
     "rk4_step",
 ]
 
@@ -119,15 +125,13 @@ def expectation(rho: np.ndarray, op: np.ndarray):
 
 
 # Largest state dimension for which left_mul/right_mul use one GEMM over the
-# whole batch, and for which the ensemble's step kernels are (d^2, d^2)
-# superoperators.  Above it a left product needs a transposed copy of the
-# batch, so numpy's per-matrix stacked matmul is faster (OpenBLAS, 1024-state
-# batches: d = 4 GEMM 0.3 ms vs stacked 0.5 ms, d = 8 GEMM 1.3 ms vs stacked
-# 0.6 ms), and a superoperator costs d times the flops of a (d, d) product,
-# so the kernels there use right products of the C-contiguous state only
-# (see contmon.jump).  right_mul shares the bound so that the per-state
-# steppers, above it the public API and the kernels' oracle, keep one code
-# path for both sides.
+# whole batch, and for which the ensemble's step kernels are (d^2, d^2) real
+# maps on coherence coordinates (see below).  Above it a left product needs a
+# transposed copy of the batch, so numpy's per-matrix stacked matmul is faster
+# (OpenBLAS, 1024-state batches: d = 4 GEMM 0.3 ms vs stacked 0.5 ms, d = 8
+# GEMM 1.3 ms vs stacked 0.6 ms), and a superoperator costs d times the flops
+# of a (d, d) product, so the kernels there use right products of the
+# C-contiguous state only (see contmon.jump).
 BATCH_GEMM_MAX_DIM = 4
 
 
@@ -156,14 +160,6 @@ def right_mul(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
         return rho @ op
     out = rho.reshape(-1, rho.shape[-1]) @ op
     return out.reshape(rho.shape[:-1] + (op.shape[-1],))
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
 
 
 def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -263,6 +259,63 @@ def min_eigenvalue(rho: np.ndarray) -> np.ndarray:
         rad = np.sqrt(half_diff**2 + np.abs(h[..., 0, 1]) ** 2)
         return half_tr - rad
     return np.linalg.eigvalsh(h)[..., 0]
+
+
+# Coherence coordinates: the real components r_a = tr(G_a rho) of a state in
+# an orthonormal Hermitian basis, on which a Hermiticity-preserving map is a
+# real matrix.  The populations |j><j| come first, so tr rho = r_0 + ... +
+# r_{d-1} and a small population keeps its relative precision (with I/sqrt(d)
+# and traceless diagonals, rounding broke Kraus positivity by ~1e-11).
+
+
+@lru_cache(maxsize=None)
+def hermitian_basis(dim: int) -> np.ndarray:
+    """The (d^2, d, d) basis of the coordinates: the d populations |j><j|,
+    then per pair j < k the symmetric and the antisymmetric generalized
+    Gell-Mann matrix over sqrt(2) (Bertlmann & Krammer, J. Phys. A 41, 235303
+    (2008)); at d = 2, (|0><0|, |1><1|, X/sqrt(2), Y/sqrt(2))."""
+    basis = [np.diag(e) for e in np.eye(dim, dtype=complex)]
+    for j, k in itertools.combinations(range(dim), 2):
+        for upper in (1.0, -1j):
+            g = np.zeros((dim, dim), dtype=complex)
+            g[j, k], g[k, j] = upper / np.sqrt(2.0), np.conj(upper) / np.sqrt(2.0)
+            basis.append(g)
+    out = np.array(basis)
+    out.flags.writeable = False
+    return out
+
+
+def to_coords(rho: np.ndarray) -> np.ndarray:
+    """Coordinates (d^2, ...) of the Hermitian part of the states (..., d, d):
+    one real GEMM by the rows (Re, Im interleaved) of vec(G_a)."""
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    d = rho.shape[-1]
+    rows = hermitian_basis(d).reshape(d * d, -1).view(float)
+    return (rows @ rho.view(float).reshape(-1, 2 * d * d).T).reshape((d * d,) + rho.shape[:-2])
+
+
+def from_coords(r: np.ndarray) -> np.ndarray:
+    """The states (..., d, d) of the coordinates (d^2, ...): one real GEMM."""
+    d = math.isqrt(len(r))
+    flat = r.reshape(d * d, -1)
+    out = np.empty((flat.shape[1], d, d), dtype=complex)
+    rows = hermitian_basis(d).reshape(d * d, -1).view(float)
+    np.matmul(flat.T, rows, out=out.view(float).reshape(len(out), -1))
+    return out.reshape(r.shape[1:] + (d, d))
+
+
+def coords_trace(r: np.ndarray) -> np.ndarray:
+    """tr rho of the coordinates (d^2, ...), the sum of the d populations."""
+    return r[: math.isqrt(len(r))].sum(axis=0)
+
+
+def coords_min_eigenvalue(r: np.ndarray) -> np.ndarray:
+    """:func:`min_eigenvalue` of the coordinates (d^2, ...); the closed form
+    (r_0 + r_1)/2 - sqrt((r_0 - r_1)^2/4 + (r_2^2 + r_3^2)/2) at d = 2."""
+    if len(r) != 4:
+        return min_eigenvalue(from_coords(r))
+    half_diff = 0.5 * (r[0] - r[1])
+    return 0.5 * (r[0] + r[1]) - np.sqrt(half_diff**2 + 0.5 * (r[2] ** 2 + r[3] ** 2))
 
 
 @dataclass(frozen=True)

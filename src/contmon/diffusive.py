@@ -13,9 +13,10 @@ cache shared with :mod:`contmon.jump`.
 Diffusive kernels: each diffusive SME is linear in rho except for per-trajectory
 scalars (the expectations that shift the innovation and feed the current, and
 the normalization).  :func:`diffusive_kernel` compiles a step for fixed
-(model, kind, dt).  At d <= 4 (``BATCH_GEMM_MAX_DIM``) it is one matrix of
-stacked (d^2, d^2) superoperators and expectation rows, applied to the
-``(B, d^2)`` view of the batch in one GEMM.  Above it the step is a
+(model, kind, dt).  At d <= 4 (``BATCH_GEMM_MAX_DIM``) it is one real matrix
+of stacked maps and expectation rows on the coherence coordinates of
+:mod:`contmon.jump`'s kernels, applied to the (d^2, B) coordinates of the
+batch in one GEMM.  Above it the step is a
 right-product kernel in the half form of :mod:`contmon.jump`: one GEMM of the
 ``(B d, d)`` view per constant operator, where each measured channel's product
 rho R_k gives both its increment term and, from its diagonal, its shift, and a
@@ -37,8 +38,7 @@ from .core_ops import (
     BATCH_GEMM_MAX_DIM,
     dagger,
     is_hermitian,
-    left_mul,
-    right_mul,
+    to_coords,
     trace,
 )
 from .jump import (
@@ -47,14 +47,13 @@ from .jump import (
     _add_scaled,
     _as_batch,
     _conj_t,
+    _coords_out,
     _ctx,
-    _finish,
     _gemm,
     _half_finish,
     _kernel_matrix,
     _no_click_kraus,
     _right_work,
-    _transpose_index,
 )
 from .master_equation import (
     OpenSystemModel,
@@ -101,34 +100,6 @@ class DiffusiveRecord:
         return 1 if self.grid_dy.ndim == 1 else self.grid_dy.shape[-1]
 
 
-def _bc(x):
-    """Broadcast a per-trajectory scalar against (..., d, d) states."""
-    return np.asarray(x)[..., None, None]
-
-
-def _lr(op, rho, op_r):
-    """op rho + rho op_r."""
-    return left_mul(op, rho) + right_mul(rho, op_r)
-
-
-def _comm(op, rho):
-    """[op, rho]."""
-    return left_mul(op, rho) - right_mul(rho, op)
-
-
-def _dissipate(a, ad, ada, rho):
-    """a rho a^dag - (ada rho + rho ada)/2 for cached a^dag and ada = a^dag a."""
-    return right_mul(left_mul(a, rho), ad) - 0.5 * _lr(ada, rho, ada)
-
-
-def _vacuum_drift(ctx, rho):
-    """-i[H, rho] + kappa D[c] rho with cached products (H term skipped if zero)."""
-    drift = ctx["kappa"] * _dissipate(ctx["c"], ctx["cd"], ctx["cdc"], rho)
-    if not ctx["h_zero"]:
-        drift = drift + (-1j) * _comm(ctx["h"], rho)
-    return drift
-
-
 def homodyne_sme_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw):
     """Euler step of the homodyne SME
 
@@ -143,7 +114,8 @@ def homodyne_sme_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw):
 def homodyne_kraus_operator(model: OpenSystemModel, dt: float, dy) -> np.ndarray:
     """Kraus operator M = 1 - iH dt - (kappa/2) c^dag c dt + sqrt(eta kappa) c dy."""
     ctx = _ctx(model)
-    return _no_click_kraus(ctx, dt)[0] + (ctx["root"] * _bc(dy)) * ctx["ceff"]
+    dy = np.asarray(dy)[..., None, None]
+    return _no_click_kraus(ctx, dt)[0] + (ctx["root"] * dy) * ctx["ceff"]
 
 
 def homodyne_kraus_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw):
@@ -230,12 +202,14 @@ def feedback_me_rhs(rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray) -
     fctx = _feedback_ctx(ctx, f_op)
     f = fctx["f"]
     kappa, ceff, ceff_d = ctx["kappa"], ctx["ceff"], ctx["ceff_d"]
+    c, cd, cdc, h = ctx["c"], ctx["cd"], ctx["cdc"], ctx["h"]
     u = ceff @ rho + rho @ ceff_d
     f2 = fctx.get("f2")
     if f2 is None:
         f2 = fctx["f2"] = f @ f
     return (
-        _vacuum_drift(ctx, rho)
+        -1j * (h @ rho - rho @ h)
+        + kappa * (c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc))
         - 1j * np.sqrt(kappa) * (f @ u - u @ f)
         + (1.0 / model.efficiency) * (f @ rho @ f - 0.5 * (f2 @ rho + rho @ f2))
     )
@@ -398,20 +372,18 @@ def squeezed_vacuum_jump_operator(c: np.ndarray, n_thermal: float) -> np.ndarray
 class DiffusiveKernel:
     """One compiled diffusive step for a fixed (model, kind, dt).
 
-    ``maps`` stacks ``n_maps`` superoperators, then the expectation rows.
-    Euler kinds: the maps are [1 + dt L | G_1 .. G_m] for the m channels'
-    measurement maps (prefactors included); the step is
-    rho' = y0 + sum_k dw_k (y_k - s_k rho) with the shift s_k read from one
+    ``maps`` stacks ``n_maps`` maps on the coordinates, then the expectation
+    rows.  Euler kinds: the maps are [1 + dt L | G_1 .. G_m] for the m
+    channels' measurement maps (prefactors included); the step is
+    r' = y0 + sum_k dw_k (y_k - s_k r) with the shift s_k read from one
     row per channel.  Kraus kinds: the maps give M rho M^dag = y0 + s y1 + s^2 y2
     for s = ``kraus_gain`` dy.  The currents are dy_k = e_k + ``noise_gain`` dw_k
     with e_k read from the last m rows.  ``linear`` (ostensible) kinds have no
-    shift and no expectation rows, record dy = ``offset`` + dw, and are
-    hermitized but not renormalized.
+    shift and no expectation rows, record dy = ``offset`` + dw, and are not
+    renormalized.
     """
 
-    dim: int
     maps: np.ndarray
-    perm: np.ndarray
     channels: int
     n_maps: int
     linear: bool = False
@@ -431,6 +403,8 @@ def diffusive_kernel(
     of "homodyne_feedback", ``mu`` the ostensible mean of "linear_homodyne"."""
     ctx = _ctx(model)
     if kind == "homodyne_feedback":
+        if f_op is None:
+            raise ValueError("homodyne_feedback needs a feedback operator f_op")
         extra = np.asarray(f_op, dtype=complex).tobytes()
     else:
         extra = mu if kind == "linear_homodyne" else None
@@ -462,7 +436,6 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
     d = model.dim
     eye, one = ctx["eye"], np.eye(d * d)
     kappa, root = ctx["kappa"], ctx["root"]
-    perm = _transpose_index(d)
 
     def meas(a, ad):
         """a rho + rho a^dag."""
@@ -472,7 +445,7 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
         """[1 + dt (L + extra_drift) | maps] with the shift and current rows."""
         drift = liouvillian_matrix(model) + extra_drift
         mats = _kernel_matrix([one + dt * drift] + maps, list(shifts) + list(currents))
-        return DiffusiveKernel(d, mats, perm, len(maps), 1 + len(maps), **kw)
+        return DiffusiveKernel(mats, len(maps), 1 + len(maps), **kw)
 
     if kind.startswith("generalized"):
         root_k = np.sqrt(kappa) * dt
@@ -523,14 +496,15 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
             ],
             [] if linear else [(root * dt) * herm],
         )
-        return DiffusiveKernel(d, mats, perm, 1, 3, linear=linear, kraus_gain=root)
+        return DiffusiveKernel(mats, 1, 3, linear=linear, kraus_gain=root)
     raise ValueError(f"no diffusive kernel for kind {kind!r}")
 
 
 def diffusive_kernel_step(kernel, rho: np.ndarray, dw, work: dict | None = None):
-    """Advance a C-contiguous (B, d, d) state batch by one step of a compiled
-    diffusive kernel on the Wiener increments ``dw`` ((B,) for one channel,
-    (B, 2) for two); returns (rho', dy) with dy shaped like ``dw``.
+    """Advance a state batch by one step of a compiled diffusive kernel on the
+    Wiener increments ``dw`` ((B,) for one channel, (B, 2) for two); returns
+    (rho', dy) with dy shaped like ``dw``, for ``rho`` in either form of
+    :func:`contmon.jump.click_kernel_step`.
 
     A right-product kernel (d > ``BATCH_GEMM_MAX_DIM``) advances ``rho`` in
     place when the caller passes a ``work`` dict that it keeps for the batch,
@@ -538,26 +512,27 @@ def diffusive_kernel_step(kernel, rho: np.ndarray, dw, work: dict | None = None)
     """
     if isinstance(kernel, DiffusiveRightKernel):
         return _right_step(kernel, *_right_work(rho, work), dw)
-    n = kernel.dim * kernel.dim
-    x = rho.reshape(-1, n).T
+    batch = rho.ndim == 3
+    x = to_coords(rho) if batch else rho
+    n = len(x)
     y = kernel.maps @ x
     m = kernel.channels
     w = np.reshape(dw, (-1, m)).T
-    ex = y[kernel.n_maps * n :].real
+    ex = y[kernel.n_maps * n :]
     if kernel.linear:
         dy = kernel.offset + w
     else:
         dy = ex[-m:] + kernel.noise_gain * w
+    z = y[:n]
     if kernel.kraus_gain is not None:
         s = kernel.kraus_gain * dy[0]
-        z = y[:n] + s * (y[n : 2 * n] + s * y[2 * n : 3 * n])
+        z += s * (y[n : 2 * n] + s * y[2 * n : 3 * n])
     else:
-        z = y[:n]
         for k in range(m):
-            z = z + w[k] * y[(k + 1) * n : (k + 2) * n]
+            z += w[k] * y[(k + 1) * n : (k + 2) * n]
         if not kernel.linear:
-            z = z - (w * ex[:m]).sum(axis=0) * x
-    return _finish(z, kernel.dim, kernel.perm, not kernel.linear), dy.T.reshape(np.shape(dw))
+            z -= (w * ex[:m]).sum(axis=0) * x
+    return _coords_out(z, kernel.linear, batch), dy.T.reshape(np.shape(dw))
 
 
 def _diffusive_apply(kernel, rho, dw, channels: int = 1):

@@ -16,11 +16,13 @@ Step dispatch: every kind advances its block through the ``advance`` its
 ``Kind.kernel`` builds once per block.  A density-matrix kind compiles its
 step there (:func:`contmon.jump.click_kernel`,
 :func:`contmon.diffusive.diffusive_kernel`).  At d <= ``BATCH_GEMM_MAX_DIM``
-(4) that is a superoperator kernel, one GEMM of the (B, d^2) state view per
-step plus per-row scalar corrections; above it a right-product kernel that
-updates the block's states in place through work buffers the block owns,
-with one GEMM of the (B d, d) view per constant operator.  The state-vector
-kind ``jump_sse`` compiles nothing and steps through
+(4) the block holds real (d^2, B) coordinates (:mod:`contmon.core_ops`),
+converted to (B, d, d) states only to be stored or checked: a step is one
+real GEMM plus per-row scalar corrections, and so are the observables.  Above
+it a right-product kernel updates the block's states in place through work
+buffers the block owns, with one GEMM of the (B d, d) view per constant
+operator, and the observables are one GEMM of the (B, d^2) view.  The
+state-vector kind ``jump_sse`` compiles nothing and steps through
 :func:`contmon.jump.jump_sse_apply`.  Every kind calls these through the
 module attributes ``jump`` and ``diffusive``.
 
@@ -42,7 +44,8 @@ from typing import Callable
 import numpy as np
 
 from . import diffusive, jump
-from .core_ops import dagger, min_eigenvalue, trace
+from .core_ops import (BATCH_GEMM_MAX_DIM, coords_min_eigenvalue, coords_trace, dagger,
+                       from_coords, min_eigenvalue, to_coords, trace)
 # perfbench/spans.py wraps ``ensemble.conditional_cov_rhs``, so the name stays
 from .gaussian import GaussianModel, conditional_cov_rhs, covariance_path  # noqa: F401
 from .master_equation import OpenSystemModel
@@ -194,20 +197,23 @@ def _to_wiener(spec: EnsembleSpec, z: np.ndarray) -> np.ndarray:
     return z * root
 
 
-def _hilbert_observables(kind, state, observables):
+def _traces(state):
+    """tr rho of each state of a block of coordinates or of (B, d, d) states."""
+    return trace(state).real if np.iscomplexobj(state) else coords_trace(state)
+
+
+def _hilbert_observables(kind, state, rows):
+    """Each observable's values over the block, read by its row in ``rows``,
+    and the weights w = tr rho_bar of linear kinds, whose values are the
+    weighted traces tr(rho_bar A) = w <A>: no division, so zero-weight paths
+    (ostensible clicks from a dark state) stay harmless."""
     if kind.pure:
-        psi = state
-        return [
-            np.einsum("bi,ij,bj->b", np.conj(psi), op, psi).real for _, op in observables
-        ], None
-    if kind.linear:
-        # weighted traces tr(rho_bar A) = w * <A>; no division, so zero-weight
-        # paths (ostensible clicks from a dark state) stay harmless
-        rho_bar = state
-        w = trace(rho_bar).real
-        return [np.einsum("bij,ji->b", rho_bar, op).real for _, op in observables], w
-    rho = state
-    return [np.einsum("bij,ji->b", rho, op).real for _, op in observables], None
+        return [np.einsum("bi,ij,bj->b", np.conj(state), op, state).real for op in rows], None
+    if np.iscomplexobj(state):
+        vals = (rows @ state.reshape(len(state), -1).T).real
+    else:
+        vals = rows @ state
+    return vals, _traces(state) if kind.linear else None
 
 
 def _check_physical(kind, state, step):
@@ -242,8 +248,9 @@ class Kind:
     density-matrix kind, and returns ``advance(state, x)``, which advances the
     block and returns (state', record row); ``x`` is the step's uniform
     variates for click kinds and its Wiener increments otherwise, one column
-    per draw (a vector when ``draws`` is 1).  Above ``BATCH_GEMM_MAX_DIM``
-    ``advance`` updates the block's C-contiguous state array in place.
+    per draw (a vector when ``draws`` is 1).  The state of a density-matrix
+    block is its (d^2, B) coordinates up to ``BATCH_GEMM_MAX_DIM`` and a
+    C-contiguous (B, d, d) array, which ``advance`` updates in place, above.
     Click kinds record ``uint8`` outcomes; ``linear`` kinds carry unnormalized
     states with weighted statistics; ``pure`` kinds step state vectors and
     skip the positivity checks.
@@ -403,12 +410,20 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     states_out = None
     records = None
 
-    # Hilbert-space kinds
+    # Hilbert-space kinds; the observables are read by their coordinates on a
+    # coordinate block and by the rows vec(A^T) on a (B, d, d) block
     state0 = np.asarray(scenario.initial_state, dtype=complex)
-    state = np.broadcast_to(state0, (nblk,) + state0.shape).copy()
+    coords = not kind.pure and len(state0) <= BATCH_GEMM_MAX_DIM
+    state = (np.repeat(to_coords(state0)[:, None], nblk, axis=1) if coords
+             else np.broadcast_to(state0, (nblk,) + state0.shape).copy())
+    as_states = from_coords if coords else np.asarray
+    rows = [op for _, op in spec.observables]
+    if not kind.pure:
+        rows = np.reshape([to_coords(op) if coords else op.T for op in rows],
+                          (len(rows), state0.size))
     if spec.store_states:
         states_out = np.empty((nblk, n_steps + 1) + state0.shape, dtype=complex)
-        states_out[:, 0] = state
+        states_out[:, 0] = as_states(state)
     if spec.store_records:
         records = np.empty(
             (nblk, n_steps) + ((per_step,) if per_step > 1 else ()),
@@ -416,7 +431,7 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
         )
 
     def record_stats(k):
-        vals, w = _hilbert_observables(kind, state, spec.observables)
+        vals, w = _hilbert_observables(kind, state, rows)
         if kind.linear:
             # vals[j] holds the weighted traces w * x
             wsum[k] += w.sum()
@@ -440,20 +455,20 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
         if records is not None:
             records[:, k] = rec_row
         if spec.track_min_eigenvalue and not kind.pure:
+            arr = state
             if kind.linear:
-                w = trace(state).real
-                arr = state / np.where(w <= 0.0, 1.0, w)[:, None, None]
-            else:
-                arr = state
-            eigs = min_eigenvalue(arr)
+                w = _traces(state)
+                w = np.where(w <= 0.0, 1.0, w)
+                arr = state / (w if coords else w[:, None, None])
+            eigs = coords_min_eigenvalue(arr) if coords else min_eigenvalue(arr)
             m_eig = float(np.min(eigs))
             min_eig = min(min_eig, m_eig)
             violations += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
         if spec.validate_every and (k + 1) % spec.validate_every == 0:
-            _check_physical(kind, state, k)
+            _check_physical(kind, as_states(state), k)
         record_stats(k + 1)
         if states_out is not None:
-            states_out[:, k + 1] = state
+            states_out[:, k + 1] = as_states(state)
     return dict(
         sum1=sum1, sum2=sum2, sum4=sum4, wsum=wsum, w2sum=w2sum, wx=wx,
         w2x=w2x, w2x2=w2x2, min_eig=min_eig, violations=violations,

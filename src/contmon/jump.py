@@ -11,14 +11,14 @@ costs only the batched state arithmetic.
 
 Click kernels: for a fixed (model, kind, dt) the density-matrix click kinds are
 linear in rho except for the scalar <c^dag c>, and :func:`click_kernel`
-compiles one step in one of two forms.  At d <= 4
-(``core_ops.BATCH_GEMM_MAX_DIM``), where per-call overhead dominates, it is a
-single matrix that takes the ``(B, d^2)`` row-major view of a state batch to
-its no-click image, its click image and <c^dag c> in one GEMM.  Above it the
-step is a right-product kernel on the ``(B d, d)`` view (see the kernel
-section below), which allocates no (B, d, d) array when the caller keeps its
-work buffers.  :func:`click_kernel_step` runs either form, and the ensemble
-runs every density-matrix click kind through it.  The density-matrix
+compiles one step in one of two forms.  At d <= 4 (``BATCH_GEMM_MAX_DIM``),
+where per-call overhead dominates, it is a single real matrix that takes the
+(d^2, B) coordinates of a state batch (``core_ops.to_coords``) to its
+no-click image, its click image and <c^dag c> in one GEMM.  Above it the step
+is a right-product kernel on the ``(B d, d)`` view (see the kernel section
+below), which allocates no (B, d, d) array when the caller keeps its work
+buffers.  :func:`click_kernel_step` runs either form, and the ensemble runs
+every density-matrix click kind through it.  The density-matrix
 steppers (the ``*_apply`` functions and :func:`linear_jump_step`) are the
 same kernels, stepping a copy of their input for the supplied outcome; only
 :func:`jump_sse_apply`, on state vectors, has a body of its own.  Compiled
@@ -37,8 +37,12 @@ from scipy.linalg import expm
 
 from .core_ops import (
     BATCH_GEMM_MAX_DIM,
+    coords_trace,
     dagger,
+    from_coords,
+    hermitian_basis,
     is_hermitian,
+    to_coords,
     trace,
 )
 from .master_equation import OpenSystemModel, StepSizeError, liouvillian_matrix
@@ -166,14 +170,11 @@ def _no_click_kraus(ctx, dt: float):
     return pair
 
 
-def _expect(rho: np.ndarray, op: np.ndarray):
-    return np.einsum("...ij,ji->...", rho, op).real
-
-
 def jump_probability(rho: np.ndarray, model: OpenSystemModel, dt: float):
     """Click probability eta kappa <c^dag c> dt for the coming step."""
     ctx = _vacuum_ctx(model)
-    return model.efficiency * ctx["kappa"] * _expect(rho, ctx["cdc"]) * dt
+    ex = np.einsum("...ij,ji->...", rho, ctx["cdc"]).real
+    return model.efficiency * ctx["kappa"] * ex * dt
 
 
 def sse_jump_probability(psi: np.ndarray, model: OpenSystemModel, dt: float):
@@ -292,51 +293,45 @@ def jump_feedback_apply(
 
 # ---------------------------------------------------------------- kernels
 # A kernel holds its (d^2, d^2) superoperators S (row-major vec, so
-# vec(A rho B) = (A kron B^T) vec(rho)) stacked row-wise, then one row
-# vec(A^T) per expectation tr(rho A).  The step is one GEMM of that matrix
-# against the (B, d^2) view of the state batch, computed as its transpose
-# maps @ vec(rho)^T, so that every image and every expectation is a contiguous
-# row over the batch and the per-trajectory scalars broadcast along it.
+# vec(A rho B) = (A kron B^T) vec(rho)) and one row vec(A^T) per expectation
+# tr(rho A), each taken once to the coordinates r of ``core_ops``,
+# vec(rho) = U r: U^H S U and vec(A^T) U, real for Hermiticity-preserving S
+# and Hermitian A, stacked row-wise.  The step is one real GEMM of that matrix
+# against the (d^2, B) coordinates, so that every image and every expectation
+# is a contiguous row over the batch and the per-trajectory scalars broadcast
+# along it.  A complex (B, d, d) batch is converted at entry and exit.
 
 
 def _kernel_matrix(maps, expects=()):
-    rows = list(maps) + [a.T.reshape(1, -1) for a in expects]
-    return np.ascontiguousarray(np.vstack(rows), dtype=complex)
+    n = len(maps[0])
+    u = hermitian_basis(int(round(np.sqrt(n)))).reshape(n, n).T
+    rows = [u.conj().T @ s @ u for s in maps] + [a.T.reshape(1, -1) @ u for a in expects]
+    mat = np.vstack(rows)
+    assert np.max(np.abs(mat.imag)) <= 1e-14 * max(1.0, np.max(np.abs(mat.real)))
+    return np.ascontiguousarray(mat.real)
 
 
-def _transpose_index(dim: int) -> np.ndarray:
-    """Gather index taking row-major vec(X) to vec(X^T)."""
-    return np.arange(dim * dim).reshape(dim, dim).T.ravel()
-
-
-def _finish(z, dim, perm, renormalize):
-    """(Z + Z^dag)/2 of the (d^2, B) columns ``z``, divided by its trace unless
-    the kind is linear; returned as a C-contiguous (B, d, d) batch."""
-    h = z + z[perm].conj()
-    if renormalize:  # the factor 1/2 cancels
-        scale = 1.0 / h[:: dim + 1].real.sum(axis=0)
-    else:
-        scale = 0.5
-    out = np.empty(z.shape[::-1], dtype=complex)
-    np.multiply(h, scale, out=out.T)
-    return out.reshape(-1, dim, dim)
+def _coords_out(z, linear, batch):
+    """The step's result: its images ``z`` divided in place by their traces
+    unless the kind is linear, as (B, d, d) states if it took a ``batch``."""
+    if not linear:
+        z /= coords_trace(z)
+    return from_coords(z) if batch else z
 
 
 @dataclass(frozen=True, eq=False)
 class ClickKernel:
     """One compiled click step for a fixed (model, kind, dt).
 
-    ``maps`` stacks the no-click and click superoperators and, except for
-    linear kinds, the <c^dag c> row.  The no-click image is
-    y0 + ``rate_gain`` <c^dag c> rho; a click takes the click image.  The
+    ``maps`` stacks the no-click and click maps on the coordinates and,
+    except for linear kinds, the <c^dag c> row.  The no-click image is
+    y0 + ``rate_gain`` <c^dag c> r; a click takes the click image.  The
     click probability is ``p_click`` <c^dag c>, or the constant ostensible
-    probability ``p_click`` for ``linear`` kinds, whose states are hermitized
-    but not renormalized.
+    probability ``p_click`` for ``linear`` kinds, whose states are not
+    renormalized.
     """
 
-    dim: int
     maps: np.ndarray
-    perm: np.ndarray
     p_click: float
     rate_gain: float
     linear: bool
@@ -352,6 +347,8 @@ def click_kernel(
     "jump_feedback", ``beta`` the ostensible rate of "linear_jump"."""
     ctx = _vacuum_ctx(model)
     if kind == "jump_feedback":
+        if f_op is None:
+            raise ValueError("jump_feedback needs a feedback operator f_op")
         extra = np.asarray(f_op, dtype=complex).tobytes()
     else:
         extra = beta if kind == "linear_jump" else None
@@ -389,19 +386,20 @@ def _compile_click(ctx, model, kind, dt, f_op, beta):
             drift = drift + (beta * kappa) * np.eye(n)
         no_click = np.eye(n) + dt * drift
     click = _sandwich_map(jump_op, dagger(jump_op))
-    perm = _transpose_index(model.dim)
     if kind == "linear_jump":
         maps = _kernel_matrix([no_click, click / beta])
-        return ClickKernel(model.dim, maps, perm, eta * kappa * beta * dt, 0.0, True)
+        return ClickKernel(maps, eta * kappa * beta * dt, 0.0, True)
     maps = _kernel_matrix([no_click, click], [ctx["cdc"]])
     rate_gain = 0.0 if kind == "jump_kraus" else eta * kappa * dt
-    return ClickKernel(model.dim, maps, perm, eta * kappa * dt, rate_gain, False)
+    return ClickKernel(maps, eta * kappa * dt, rate_gain, False)
 
 
 def click_kernel_step(kernel, rho: np.ndarray, u, work: dict | None = None):
-    """Advance a C-contiguous (B, d, d) state batch by one step of a compiled
-    click kernel on the step's uniforms ``u``; returns (rho', dN).  Applies the
-    step-size check of :func:`click_outcomes` and the dark-state rule.
+    """Advance a state batch by one step of a compiled click kernel on the
+    step's uniforms ``u``; returns (rho', dN).  Applies the step-size check of
+    :func:`click_outcomes` and the dark-state rule.  ``rho`` is the (d^2, B)
+    coordinates of the batch at d <= ``BATCH_GEMM_MAX_DIM`` or a C-contiguous
+    (B, d, d) batch, which is stepped through its coordinates there.
 
     A right-product kernel (d > ``BATCH_GEMM_MAX_DIM``) advances ``rho`` in
     place when the caller passes a ``work`` dict that it keeps for the batch,
@@ -420,10 +418,10 @@ def _click_read(kernel, rho, work):
         rho, bufs = _right_work(rho, work)
         rate = None if kernel.linear else (rho.reshape(len(rho), -1) @ kernel.rate_row).real
         return (rho, bufs), rate
-    n = kernel.dim * kernel.dim
-    x = rho.reshape(-1, n).T
+    batch = rho.ndim == 3
+    x = to_coords(rho) if batch else rho
     y = kernel.maps @ x
-    return (x, y), None if kernel.linear else y[2 * n].real
+    return (x, y, batch), None if kernel.linear else y[2 * len(x)]
 
 
 def _click_update(kernel, carry, rate, dn):
@@ -433,14 +431,14 @@ def _click_update(kernel, carry, rate, dn):
         raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
     if isinstance(kernel, ClickRightKernel):
         return _click_right_update(kernel, *carry, rate, dn)
-    x, y = carry
-    n = kernel.dim * kernel.dim
+    x, y, batch = carry
+    n = len(x)
     z = y[:n]
     if kernel.rate_gain:
-        z = z + (kernel.rate_gain * rate) * x
+        z += (kernel.rate_gain * rate) * x
     if dn.any():
-        z[:, dn] = y[n : 2 * n, dn]
-    return _finish(z, kernel.dim, kernel.perm, not kernel.linear)
+        np.copyto(z, y[n : 2 * n], where=dn)
+    return _coords_out(z, kernel.linear, batch)
 
 
 def _as_batch(rho, lead):

@@ -13,6 +13,7 @@ from contmon.config import (
     build_runtime,
     load_config_or_manifest,
     parse_config,
+    render_stats_csv,
     run_scenario,
 )
 from contmon.presets import get_preset, list_presets, preset_config
@@ -161,6 +162,32 @@ def test_csv_floats_round_trip(tmp_path):
     for row in rows[1:3]:
         for field in row.split(","):
             assert format(float(field), ".17g") == field
+
+
+def test_stats_csv_matches_per_value_format():
+    # the one-template-per-row rendering against the per-value join it
+    # replaced, byte for byte, over the values that format specially
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+               1e308, -1.7976931348623157e308, 3.0, -42.0, 1e16, 0.1, 1 / 3]
+    rng = np.random.default_rng(12)
+    t = np.array(special + list(rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, 6)))
+    columns = {"a": (t[::-1].copy(), np.abs(t)), "b.x": (np.arange(t.size, dtype=float), -t)}
+    old = [",".join(["t", "a.mean", "a.se", "b.x.mean", "b.x.se"])]
+    for i in range(t.size):
+        row = [t[i]] + [v[i] for pair in columns.values() for v in pair]
+        old.append(",".join(format(float(x), ".17g") for x in row))
+    assert render_stats_csv(t, columns) == ("\n".join(old) + "\n").encode()
+    assert render_stats_csv(t[:0], {"a": (t[:0], t[:0])}) == b"t,a.mean,a.se\n"
+
+
+def test_manifest_records_library_versions(tmp_path):
+    import scipy
+
+    doc = dict(MINIMAL, run=dict(MINIMAL["run"], n_traj=5, t_final=0.01))
+    artifacts = run_scenario(parse_config(json.dumps(doc)), out_dir=tmp_path)
+    versions = json.loads(artifacts.manifest_path.read_text())["versions"]
+    assert versions["scipy"] == scipy.__version__
+    assert versions["numpy"] == np.__version__
 
 
 def test_records_file(tmp_path):

@@ -7,13 +7,18 @@ from contmon.core_ops import (
     DimensionMismatchError,
     InvalidStateError,
     build_standard_ops,
+    coords_min_eigenvalue,
+    coords_trace,
     dissipator,
     expectation,
+    from_coords,
+    hermitian_basis,
     hermitize,
     left_mul,
     measurement_superop,
     min_eigenvalue,
     right_mul,
+    to_coords,
     validate_state,
 )
 
@@ -121,6 +126,49 @@ def test_batched_products_match_matmul(dim):
         # one unbatched state and a batch of one go through identical arithmetic
         np.testing.assert_array_equal(left_mul(op, rho[0]), left_mul(op, rho[:1])[0])
         np.testing.assert_array_equal(right_mul(rho[0], op.T), right_mul(rho[:1], op.T)[0])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_hermitian_basis_is_orthonormal_with_populations_first(dim):
+    basis = hermitian_basis(dim)
+    assert basis.shape == (dim * dim, dim, dim)
+    np.testing.assert_allclose(np.einsum("aij,bji->ab", basis, basis), np.eye(dim * dim),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(basis, np.conj(np.swapaxes(basis, 1, 2)))
+    # the first d elements are the populations |j><j|, and they sum to I
+    np.testing.assert_array_equal(basis[:dim], [np.diag(e) for e in np.eye(dim)])
+    np.testing.assert_array_equal(to_coords(np.eye(dim)), np.r_[np.ones(dim), np.zeros(dim * dim - dim)])
+
+
+def test_pauli_coordinates_at_d2(qubit_ops):
+    s = np.sqrt(2.0)
+    for g, name in zip(hermitian_basis(2)[2:], ("sigma_x", "sigma_y")):
+        np.testing.assert_allclose(g, qubit_ops[name] / s, rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_coordinate_round_trip(dim):
+    rng = np.random.default_rng(40 + dim)
+    rho = np.array([random_density_matrix(rng, dim) for _ in range(64)])
+    r = to_coords(rho)
+    assert r.shape == (dim * dim, 64) and r.dtype == np.float64
+    np.testing.assert_allclose(from_coords(r), rho, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(coords_trace(r), 1.0, rtol=0, atol=1e-15)
+    # one state and a batch of one go through the same conversion
+    np.testing.assert_array_equal(to_coords(rho[0]), r[:, 0])
+    np.testing.assert_array_equal(from_coords(r[:, 0]), from_coords(r[:, :1])[0])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_coordinate_min_eigenvalue_matches_eigvalsh(dim):
+    rng = np.random.default_rng(50 + dim)
+    mixed = np.array([random_density_matrix(rng, dim) for _ in range(200)])
+    psi = rng.normal(size=(200, dim)) + 1j * rng.normal(size=(200, dim))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    pure = np.einsum("bi,bj->bij", psi, psi.conj())
+    for rho in (mixed, pure):
+        np.testing.assert_allclose(coords_min_eigenvalue(to_coords(rho)),
+                                   np.linalg.eigvalsh(rho)[:, 0], rtol=0, atol=1e-15)
 
 
 def test_qubit_basis_convention(qubit_ops):

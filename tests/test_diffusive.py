@@ -162,11 +162,11 @@ def test_kraus_normalization_residual_second_order(qubit_ops):
 @pytest.mark.parametrize("eta, dim, kernel", [
     pytest.param(eta, dim, kernel, id=f"{eta}" + (f"-d{dim}" if dim > 2 else "")
                  + ("-kernel" if kernel else ""))
-    for dim, kernel in ((2, False), (2, True), (6, True)) for eta in (1.0, 0.8)
+    for dim, kernel in ((2, False), (2, True), (6, True), (3, True)) for eta in (1.0, 0.8)
 ])
 def test_kraus_steps_match_literal_sandwich(qubit_ops, eta, dim, kernel):
-    # the per-state stepper or the compiled kernel it wraps (at d = 2 its
-    # [base (x) base* | cross | c (x) c*] maps, at d = 6 its right products
+    # the per-state stepper or the compiled kernel it wraps (at d = 2 and 3
+    # its [base (x) base* | cross | c (x) c*] maps, at d = 6 its right products
     # rho M^dag and (M rho) M^dag), against the literal m @ rho @ dagger(m), on
     # shared noise for a batch of trajectories over 10^3 steps: the nonlinear
     # step, its current, and the linear (unnormalized) step on a shared record
@@ -396,6 +396,11 @@ def test_feedback_rejects_eta_zero(qubit_ops, excited):
     model = OpenSystemModel(np.zeros((2, 2)), [(1.0, qubit_ops["sigma_minus"])], efficiency=0.0)
     with pytest.raises(ValueError, match="efficiency"):
         homodyne_feedback_step(excited, model, np.zeros((2, 2)), 1e-3, 0.0)
+
+
+def test_feedback_requires_operator(decay_model, excited):
+    with pytest.raises(ValueError, match="feedback operator"):
+        homodyne_feedback_step(excited, decay_model, None, 1e-3, 0.0)
 
 
 # ---------------------------------------------------------------- generalized baths
@@ -727,12 +732,12 @@ EULER_KERNEL_KINDS = {
 
 
 # per-state steppers, which wrap the kernels, at d = 2 and d = 12; the kernels
-# called directly at d = 2 (superoperator) and d = 6 (right products)
+# called directly at d = 2 and 3 (coordinates) and d = 6 (right products)
 @pytest.mark.parametrize("name, dim, kernel", [
     pytest.param(name, 2, False, id=name) for name in EULER_KERNEL_KINDS
 ] + [pytest.param("feedback", 12, False, id="feedback_d12")] + [
     pytest.param(name, dim, True, id=f"{name}-d{dim}-kernel" if dim > 2 else f"{name}-kernel")
-    for dim in (2, 6) for name in EULER_KERNEL_KINDS
+    for dim in (2, 6, 3) for name in EULER_KERNEL_KINDS
 ])
 def test_euler_steps_match_literal_sme(qubit_ops, name, dim, kernel):
     model, n_draws, step, literal, kernel_kw = _euler_case(name, qubit_ops, dim)

@@ -10,7 +10,7 @@ from contmon import (
     integrate_me,
     me_expectations,
 )
-from contmon.core_ops import BATCH_GEMM_MAX_DIM, build_standard_ops
+from contmon.core_ops import BATCH_GEMM_MAX_DIM, build_standard_ops, to_coords
 from contmon.diffusive import (
     diffusive_kernel,
     diffusive_kernel_step,
@@ -39,7 +39,13 @@ from contmon.gaussian import (
     opo_model,
     riccati_steady_state,
 )
-from contmon.jump import click_outcomes, jump_probability, jump_sme_apply
+from contmon.jump import (
+    click_kernel,
+    click_kernel_step,
+    click_outcomes,
+    jump_probability,
+    jump_sme_apply,
+)
 from contmon.master_equation import BathSpec
 
 from conftest import two_mode_model
@@ -89,31 +95,39 @@ def test_noise_matrix_rows_are_trajectory_substreams(law, method, seed):
 
 
 def test_single_trajectory_bit_for_bit_jump(qubit_ops, decay_model, excited):
+    # the compiled kernel on the coordinates, as the ensemble runs it at d = 2,
+    # and the per-state stepper, each drawing its clicks from the same uniforms
     spec = qubit_spec(qubit_ops, n_traj=1)
     stats = run_ensemble(spec, Scenario("jump", decay_model, excited))
-    rng = trajectory_rng(spec.master_seed, 0)
-    rho = excited
-    manual = [rho[0, 0].real]
-    for _ in range(spec.n_steps):
-        dn = click_outcomes(jump_probability(rho, decay_model, spec.dt), rng)
-        rho = jump_sme_apply(rho, decay_model, spec.dt, dn)
-        manual.append(rho[0, 0].real)
+    us = trajectory_rng(spec.master_seed, 0).random(spec.n_steps)
+    kernel = click_kernel(decay_model, "jump", spec.dt)
+    row = to_coords(qubit_ops["projector_e"])[None]
+    r, rho_ref = to_coords(excited[None]), excited
+    manual, ref = [(row @ r)[0, 0]], [rho_ref[0, 0].real]
+    for u in us:
+        r, _ = click_kernel_step(kernel, r, u[None])
+        dn = click_outcomes(jump_probability(rho_ref, decay_model, spec.dt), u)
+        rho_ref = jump_sme_apply(rho_ref, decay_model, spec.dt, dn)
+        manual.append((row @ r)[0, 0])
+        ref.append(rho_ref[0, 0].real)
     np.testing.assert_array_equal(stats.means["rho_ee"], np.array(manual))
+    np.testing.assert_allclose(manual, ref, rtol=0, atol=1e-12)
 
 
 def _manual_diffusive_trajectory(kind, model, spec, state0, stepper):
     """rho_ee of trajectory 0 stepped by hand on its substream: through the
-    compiled kernel the ensemble runs at d = 2, and through the per-state
-    ``stepper``."""
+    compiled kernel on the coordinates, as the ensemble runs it at d = 2, and
+    through the per-state ``stepper``."""
     zs = trajectory_rng(spec.master_seed, 0).standard_normal(spec.n_steps)
     kernel = diffusive_kernel(model, kind, spec.dt)
-    rho, rho_ref = state0[None], state0
-    manual, ref = [rho[0, 0, 0].real], [rho_ref[0, 0].real]
+    row = to_coords(spec.observables[0][1])[None]
+    r, rho_ref = to_coords(state0[None]), state0
+    manual, ref = [(row @ r)[0, 0]], [rho_ref[0, 0].real]
     for k in range(spec.n_steps):
         dw = zs[k] * np.sqrt(spec.dt)
-        rho, _ = diffusive_kernel_step(kernel, rho, np.array([dw]))
+        r, _ = diffusive_kernel_step(kernel, r, np.array([dw]))
         rho_ref, _ = stepper(rho_ref, model, spec.dt, dw)
-        manual.append(rho[0, 0, 0].real)
+        manual.append((row @ r)[0, 0])
         ref.append(rho_ref[0, 0].real)
     return np.array(manual), np.array(ref)
 

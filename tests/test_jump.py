@@ -233,9 +233,10 @@ def _oracle_model(qubit_ops, dim, eta=1.0):
     return OpenSystemModel(0.3 * ops["q"], [(1.0, ops["a"])], efficiency=eta), 0.6 * ops["q"]
 
 
-# per-state steppers, which wrap the kernels, and superoperator kernels called
-# directly at d = 2; right-product kernels at d = 6
-ORACLE_PATHS = [(2, False, ""), (2, True, "-kernel"), (6, True, "-d6-kernel")]
+# per-state steppers, which wrap the kernels, and coordinate kernels called
+# directly at d = 2 (Pauli) and d = 3 (Gell-Mann); right-product kernels at d = 6
+ORACLE_PATHS = [(2, False, ""), (2, True, "-kernel"), (6, True, "-d6-kernel"),
+                (3, True, "-d3-kernel")]
 
 
 @pytest.mark.parametrize("stepper, eta, dim, kernel", [
@@ -285,7 +286,8 @@ def test_jump_steps_match_literal_products(qubit_ops, stepper, eta, dim, kernel)
 
 
 @pytest.mark.parametrize("path, dim", [
-    pytest.param(path, dim, id=path) for path, dim in (("apply", 2), ("kernel", 2), ("d6-kernel", 6))
+    pytest.param(path, dim, id=path)
+    for path, dim in (("apply", 2), ("kernel", 2), ("d6-kernel", 6), ("d3-kernel", 3))
 ])
 def test_linear_jump_step_matches_literal_products(qubit_ops, path, dim):
     model = _oracle_model(qubit_ops, dim)[0]
@@ -358,6 +360,11 @@ def test_feedback_requires_unit_efficiency(qubit_ops, excited):
 def test_feedback_requires_hermitian_operator(decay_model, excited):
     with pytest.raises(ValueError, match="Hermitian"):
         jump_feedback_apply(excited, decay_model, np.array([[0, 1], [0, 0]], dtype=complex), 1e-3, False)
+
+
+def test_feedback_requires_operator(decay_model, excited):
+    with pytest.raises(ValueError, match="feedback operator"):
+        jump_feedback_apply(excited, decay_model, None, 1e-3, False)
 
 
 def test_feedback_ensemble_matches_modified_channel(qubit_ops, excited):
