@@ -394,7 +394,10 @@ def _check_memory(cfg: dict) -> None:
         draws = 2 if ukind == "heterodyne" else 1
         block = min(run["block_size"], run["n_traj"])
         blocks = -(-run["n_traj"] // block)
-        sums = (steps + 1) * (6 * len(cfg["output"]["observables"]) + 2) * 8
+        n_obs = len(cfg["output"]["observables"])  # a block's sums, as _run_block allocates them
+        per_step = (3 * dim if system["kind"] == "gaussian"
+                    else 3 * n_obs + 2 if cfg["unravelling"]["linear"] else 2 * n_obs)
+        sums = (steps + 1) * per_step * 8
         need = ops + path + blocks * sums
         need += min(run["threads"], blocks) * block * (2 * state * entry + steps * draws * 8)
         stored = run["store_states"] * (steps + 1) * state * entry

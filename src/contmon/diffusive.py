@@ -13,24 +13,23 @@ cache shared with :mod:`contmon.jump`.
 Diffusive kernels: each diffusive SME is linear in rho except for per-trajectory
 scalars (the expectations that shift the innovation and feed the current, and
 the normalization).  :func:`diffusive_kernel` compiles a step for fixed
-(model, kind, dt).  At d <= 4 (``BATCH_GEMM_MAX_DIM``) it is one real matrix
-of stacked maps and expectation rows on the coherence coordinates of
-:mod:`contmon.jump`'s kernels, applied to the (d^2, B) coordinates of the
-batch in one GEMM.  Above it the step is a
-right-product kernel in the half form of :mod:`contmon.jump`: one GEMM of the
-``(B d, d)`` view per constant operator, where each measured channel's product
-rho R_k gives both its increment term and, from its diagonal, its shift, and a
-channel that is a multiple of a sandwich operator reuses that sandwich's
-product.  :func:`diffusive_kernel_step` runs either form, and the ensemble
-runs every diffusive kind through it.  Each per-state stepper above is the
-same kernel, stepping a copy of its input on the supplied increments; the
-kind ``linear_homodyne_kraus`` exists only for
-:func:`linear_homodyne_kraus_step`.
+(model, kind, dt), stated once in the half form of :mod:`contmon.jump`: one
+GEMM of the ``(B d, d)`` view per constant operator, where each measured
+channel's product rho R_k gives both its increment term and, from its
+diagonal, its shift, and a channel that is a multiple of a sandwich operator
+reuses that sandwich's product.  At d <= 4 (``BATCH_GEMM_MAX_DIM``) the
+kernel also carries that step lowered to one real matrix of stacked maps and
+expectation rows on the coherence coordinates of :mod:`contmon.jump`'s
+kernels, applied to the (d^2, B) coordinates of the batch in one GEMM.
+:func:`diffusive_kernel_step` runs either form, and the ensemble runs every
+diffusive kind through it.  Each per-state stepper above is the same kernel,
+stepping a copy of its input on the supplied increments; the kind
+``linear_homodyne_kraus`` exists only for :func:`linear_homodyne_kraus_step`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,18 +50,13 @@ from .jump import (
     _ctx,
     _gemm,
     _half_finish,
+    _half_map,
     _kernel_matrix,
     _no_click_kraus,
     _right_work,
+    _sandwich,
 )
-from .master_equation import (
-    OpenSystemModel,
-    _lmul,
-    _rmul,
-    coherent_drive_hamiltonian,
-    liouvillian_matrix,
-)
-from .master_equation import _sandwich as _sandwich_map
+from .master_equation import OpenSystemModel, coherent_drive_hamiltonian
 
 __all__ = [
     "DiffusiveRecord",
@@ -78,7 +72,6 @@ __all__ = [
     "squeezed_vacuum_jump_operator",
     "homodyne_kraus_operator",
     "DiffusiveKernel",
-    "DiffusiveRightKernel",
     "diffusive_kernel",
     "diffusive_kernel_step",
 ]
@@ -297,9 +290,8 @@ def _generalized_channels(model: OpenSystemModel, mode: str) -> dict:
             if big_l <= 0:
                 raise ValueError("current variance 2N + 1 + 2M must be positive")
             op = (n + mr + 1.0) * c - (n + mr) * cd
-            opd = np.ascontiguousarray(dagger(op))
             sub = {
-                "op": op, "opd": opd, "herm": op + opd,
+                "opd": np.ascontiguousarray(dagger(op)),
                 "scale": np.sqrt(kappa) / np.sqrt(big_l), "root_l": np.sqrt(big_l),
             }
             gen["homodyne"] = sub
@@ -315,10 +307,8 @@ def _generalized_channels(model: OpenSystemModel, mode: str) -> dict:
             op1 = (n + 1.0) * c - n * cd
             op2 = (n + 1.0) * (1j * c) - n * (-1j * cd)
             sub = {
-                "op1": op1, "op1d": np.ascontiguousarray(dagger(op1)),
-                "herm1": op1 + dagger(op1),
-                "op2": op2, "op2d": np.ascontiguousarray(dagger(op2)),
-                "herm2": op2 + dagger(op2),
+                "op1d": np.ascontiguousarray(dagger(op1)),
+                "op2d": np.ascontiguousarray(dagger(op2)),
                 "scale": scale,
                 # written sqrt(kappa)/scale; this form reduces bit-exactly to
                 # the vacuum heterodyne prefactor sqrt(kappa/2) at N = 0
@@ -370,37 +360,56 @@ def squeezed_vacuum_jump_operator(c: np.ndarray, n_thermal: float) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class DiffusiveKernel:
-    """One compiled diffusive step for a fixed (model, kind, dt).
+    """One compiled diffusive step for a fixed (model, kind, dt), in half form.
 
-    ``maps`` stacks ``n_maps`` maps on the coordinates, then the expectation
-    rows.  Euler kinds: the maps are [1 + dt L | G_1 .. G_m] for the m
-    channels' measurement maps (prefactors included); the step is
-    r' = y0 + sum_k dw_k (y_k - s_k r) with the shift s_k read from one
-    row per channel.  Kraus kinds: the maps give M rho M^dag = y0 + s y1 + s^2 y2
-    for s = ``kraus_gain`` dy.  The currents are dy_k = e_k + ``noise_gain`` dw_k
-    with e_k read from the last m rows.  ``linear`` (ostensible) kinds have no
-    shift and no expectation rows, record dy = ``offset`` + dw, and are not
-    renormalized.
+    Euler kinds: W = rho ``r0`` + sum_j a_j rho b_j + sum_k dw_k rho R_k
+    - (1/2) sum_k dw_k s_k rho.  ``products`` lists the right products rho a^dag
+    a step makes, each with its sandwich factor b (None for a bare channel
+    product) and its taps (k, alpha): channel k has R_k = sum alpha a^dag over
+    its taps, so a channel that is a multiple of a sandwich's a^dag costs no
+    GEMM of its own.  The measurement map of channel k is rho R_k + R_k^dag
+    rho, and its shift is s_k = 2 Re tr(rho R_k), or the constant ``shift``
+    for linear kinds.  The currents are dy_k = e_k + ``noise_gain`` dw_k with
+    e_k = tr(rho A_k) read by one GEMM of the flattened batch with the
+    ``currents`` rows vec(A_k^T); linear kinds have none, record
+    dy = ``offset`` + dw and are not renormalized.  Kraus kinds (``kraus`` =
+    (base^dag, R) for the single channel R = sqrt(eta kappa) c_eff^dag):
+    rho M^dag = rho base^dag + dy rho R, W = M rho M^dag plus the sandwiches,
+    halved for the linear kind.
+
+    ``maps`` (d <= ``BATCH_GEMM_MAX_DIM`` only) is this step lowered to the
+    coordinates: Euler kinds stack the map of the drift's W + W^dag, the m
+    channels' measurement maps (less ``shift`` for linear kinds) and, unless
+    the kind is linear, the m shift rows R_k + R_k^dag, so that
+    r' = y0 + sum_k dw_k (y_k - s_k r).  Kraus kinds stack the maps of
+    M rho M^dag = y0 + dy y1 + dy^2 y2 (with the sandwiches).  The current rows
+    come last.
     """
 
-    maps: np.ndarray
-    channels: int
-    n_maps: int
-    linear: bool = False
+    r0: np.ndarray | None
+    products: tuple
+    n_channels: int
+    currents: np.ndarray | None
     noise_gain: float = 1.0
+    shift: float = 0.0
     offset: float = 0.0
-    kraus_gain: float | None = None
+    kraus: tuple | None = None
+    maps: np.ndarray | None = None
+
+    @property
+    def linear(self) -> bool:
+        return self.currents is None
 
 
 def diffusive_kernel(
     model: OpenSystemModel, kind: str, dt: float, f_op=None, mu: float = 0.0
-) -> DiffusiveKernel | DiffusiveRightKernel:
+) -> DiffusiveKernel:
     """The compiled step of the diffusive kind ``kind`` ("homodyne",
     "homodyne_kraus", "heterodyne", "homodyne_feedback", "generalized_homodyne",
-    "generalized_heterodyne", "linear_homodyne" or "linear_homodyne_kraus"):
-    a superoperator :class:`DiffusiveKernel` at d <= ``BATCH_GEMM_MAX_DIM``, a
-    :class:`DiffusiveRightKernel` above it.  ``f_op`` is the feedback operator
-    of "homodyne_feedback", ``mu`` the ostensible mean of "linear_homodyne"."""
+    "generalized_heterodyne", "linear_homodyne" or "linear_homodyne_kraus"),
+    with its coordinate ``maps`` at d <= ``BATCH_GEMM_MAX_DIM``.  ``f_op`` is
+    the feedback operator of "homodyne_feedback", ``mu`` the ostensible mean
+    of "linear_homodyne"."""
     ctx = _ctx(model)
     if kind == "homodyne_feedback":
         if f_op is None:
@@ -411,7 +420,10 @@ def diffusive_kernel(
     key = ("kernel", kind, dt, extra)
     kernel = ctx.get(key)
     if kernel is None:
-        kernel = ctx[key] = _compile_diffusive(ctx, model, kind, dt, f_op, mu)
+        kernel = _compile_diffusive(ctx, model, kind, dt, f_op, mu)
+        if model.dim <= BATCH_GEMM_MAX_DIM:
+            kernel = replace(kernel, maps=_diffusive_maps(kernel, model.dim))
+        ctx[key] = kernel
     return kernel
 
 
@@ -431,199 +443,7 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
                 "homodyne_feedback": "feedback steppers are defined for vacuum baths",
                 "linear_homodyne": "linear trajectories are defined for vacuum baths",
             }.get(kind, "vacuum-bath stepper; use generalized_bath_homodyne_step"))
-    if model.dim > BATCH_GEMM_MAX_DIM:
-        return _compile_right(ctx, model, kind, dt, f_op, mu)
-    d = model.dim
-    eye, one = ctx["eye"], np.eye(d * d)
     kappa, root = ctx["kappa"], ctx["root"]
-
-    def meas(a, ad):
-        """a rho + rho a^dag."""
-        return _lmul(a, eye) + _rmul(ad, eye)
-
-    def euler(maps, shifts=(), currents=(), extra_drift=0.0, **kw):
-        """[1 + dt (L + extra_drift) | maps] with the shift and current rows."""
-        drift = liouvillian_matrix(model) + extra_drift
-        mats = _kernel_matrix([one + dt * drift] + maps, list(shifts) + list(currents))
-        return DiffusiveKernel(mats, len(maps), 1 + len(maps), **kw)
-
-    if kind.startswith("generalized"):
-        root_k = np.sqrt(kappa) * dt
-        if kind == "generalized_homodyne":
-            g = sub["scale"]
-            return euler([g * meas(sub["op"], sub["opd"])], [g * sub["herm"]],
-                         [root_k * ctx["herm"]], noise_gain=sub["root_l"])
-        g = sub["pref"]
-        return euler(
-            [g * meas(sub["op1"], sub["op1d"]), g * meas(sub["op2"], sub["op2d"])],
-            [g * sub["herm1"], g * sub["herm2"]],
-            [root_k * ctx["herm"], root_k * ctx["herm_i"]],
-            noise_gain=sub["scale"],
-        )
-    ceff, ceff_d, herm = ctx["ceff"], ctx["ceff_d"], ctx["herm"]
-
-    if kind == "homodyne":
-        return euler([root * meas(ceff, ceff_d)], [root * herm], [(root * dt) * herm])
-    if kind == "heterodyne":
-        g = np.sqrt(eta * kappa / 2.0)
-        return euler(
-            [g * meas(ceff, ceff_d), g * meas(ctx["ceff_i"], ctx["ceff_i_d"])],
-            [g * herm, g * ctx["herm_i"]],
-            [(g * dt) * herm, (g * dt) * ctx["herm_i"]],
-        )
-    if kind == "linear_homodyne":
-        g = np.sqrt(kappa)
-        return euler([g * (meas(ceff, ceff_d) - mu * one)], linear=True, offset=g * mu * dt)
-    if kind == "homodyne_feedback":
-        f = _feedback_ctx(ctx, f_op)["f"]
-        f2 = f @ f
-        comm = _lmul(f, eye) - _rmul(f, eye)
-        u = meas(ceff, ceff_d)
-        feedback = (-1j * np.sqrt(kappa)) * (comm @ u) + (1.0 / eta) * (
-            _sandwich_map(f, f) - 0.5 * (_lmul(f2, eye) + _rmul(f2, eye))
-        )
-        return euler([root * u - 1j * comm], [root * herm], [(root * dt) * herm],
-                     extra_drift=feedback)
-    if kind in ("homodyne_kraus", "linear_homodyne_kraus"):
-        base, base_d = _no_click_kraus(ctx, dt)
-        c, cd = ctx["c"], ctx["cd"]
-        linear = kind == "linear_homodyne_kraus"
-        mats = _kernel_matrix(
-            [
-                _sandwich_map(base, base_d) + ((1.0 - eta) * kappa * dt) * _sandwich_map(c, cd),
-                _sandwich_map(ceff, base_d) + _sandwich_map(base, ceff_d),
-                _sandwich_map(ceff, ceff_d),
-            ],
-            [] if linear else [(root * dt) * herm],
-        )
-        return DiffusiveKernel(mats, 1, 3, linear=linear, kraus_gain=root)
-    raise ValueError(f"no diffusive kernel for kind {kind!r}")
-
-
-def diffusive_kernel_step(kernel, rho: np.ndarray, dw, work: dict | None = None):
-    """Advance a state batch by one step of a compiled diffusive kernel on the
-    Wiener increments ``dw`` ((B,) for one channel, (B, 2) for two); returns
-    (rho', dy) with dy shaped like ``dw``, for ``rho`` in either form of
-    :func:`contmon.jump.click_kernel_step`.
-
-    A right-product kernel (d > ``BATCH_GEMM_MAX_DIM``) advances ``rho`` in
-    place when the caller passes a ``work`` dict that it keeps for the batch,
-    where the step's buffers then live, and a copy otherwise.
-    """
-    if isinstance(kernel, DiffusiveRightKernel):
-        return _right_step(kernel, *_right_work(rho, work), dw)
-    batch = rho.ndim == 3
-    x = to_coords(rho) if batch else rho
-    n = len(x)
-    y = kernel.maps @ x
-    m = kernel.channels
-    w = np.reshape(dw, (-1, m)).T
-    ex = y[kernel.n_maps * n :]
-    if kernel.linear:
-        dy = kernel.offset + w
-    else:
-        dy = ex[-m:] + kernel.noise_gain * w
-    z = y[:n]
-    if kernel.kraus_gain is not None:
-        s = kernel.kraus_gain * dy[0]
-        z += s * (y[n : 2 * n] + s * y[2 * n : 3 * n])
-    else:
-        for k in range(m):
-            z += w[k] * y[(k + 1) * n : (k + 2) * n]
-        if not kernel.linear:
-            z -= (w * ex[:m]).sum(axis=0) * x
-    return _coords_out(z, kernel.linear, batch), dy.T.reshape(np.shape(dw))
-
-
-def _diffusive_apply(kernel, rho, dw, channels: int = 1):
-    """One step of a compiled diffusive kernel on a copy of ``rho`` (one state
-    or a batch) for the increments ``dw``, which broadcast over the batch and,
-    for two channels, end in an axis of length 2; returns (rho', dy), with dy
-    a scalar for one state on one channel."""
-    dw = np.asarray(dw, dtype=float)
-    tail = (channels,) if channels > 1 else ()
-    batch, shape = _as_batch(rho, dw.shape[: dw.ndim - len(tail)])
-    dws = np.broadcast_to(dw, shape + tail).reshape((-1,) + tail)
-    rho, dy = diffusive_kernel_step(kernel, batch, dws)
-    return rho.reshape(shape + batch.shape[1:]), dy.reshape(shape + tail)[()]
-
-
-@dataclass(frozen=True, eq=False)
-class DiffusiveRightKernel:
-    """One diffusive step in half form for a fixed (model, kind, dt).
-
-    Euler kinds: W = rho ``r0`` + sum_j a_j rho b_j + sum_k dw_k rho R_k
-    - (1/2) sum_k dw_k s_k rho.  ``products`` lists the right products rho a^dag
-    a step makes, each with its sandwich factor b (None for a bare channel
-    product) and its taps (k, alpha): channel k has R_k = sum alpha a^dag over
-    its taps, so a channel that is a multiple of a sandwich's a^dag costs no
-    GEMM of its own.  The measurement map of channel k is rho R_k + R_k^dag
-    rho, and its shift is s_k = 2 Re tr(rho R_k), or the constant ``shift``
-    for linear kinds.  The currents are dy_k = e_k + ``noise_gain`` dw_k with
-    e_k = tr(rho A_k) read by one GEMM of the flattened batch with the
-    ``currents`` rows vec(A_k^T); linear kinds have none, record
-    dy = ``offset`` + dw and are not renormalized.  Kraus kinds (``kraus`` =
-    (base^dag, R) for the single channel R = sqrt(eta kappa) c_eff^dag):
-    rho M^dag = rho base^dag + dy rho R, W = M rho M^dag plus the sandwiches,
-    halved for the linear kind.
-    """
-
-    r0: np.ndarray | None
-    products: tuple
-    n_channels: int
-    currents: np.ndarray | None
-    noise_gain: float = 1.0
-    shift: float = 0.0
-    offset: float = 0.0
-    kraus: tuple | None = None
-
-    @property
-    def linear(self) -> bool:
-        return self.currents is None
-
-
-def _right_kernel(form: HalfForm, channels, currents, **kw) -> DiffusiveRightKernel:
-    """The kernel of the drift ``form`` and the measured ``channels``
-    (alpha, a^dag), R = alpha a^dag: a channel whose a^dag is a sandwich's
-    reads that sandwich's product, any other gets a product of its own."""
-    products = [[a_d, b, []] for a_d, b in form.sandwiches]
-    index = {a_d.tobytes(): j for j, (a_d, _) in enumerate(form.sandwiches)}
-    for k, (alpha, a_d) in enumerate(channels):
-        a_d = np.ascontiguousarray(a_d, dtype=complex)
-        j = index.setdefault(a_d.tobytes(), len(products))
-        if j == len(products):
-            products.append([a_d, None, []])
-        products[j][2].append((k, alpha))
-    # the Kraus kind's single channel lives in ``kraus``
-    return DiffusiveRightKernel(form.r0, tuple((a, b, tuple(t)) for a, b, t in products),
-                                len(channels) or 1, currents, **kw)
-
-
-def _euler_form(dt, h, terms, dterms=(), right=0.0, pairs=()):
-    """Half form of rho + dt (-i[h, rho] + sum coeff D[a] rho
-    + sum coeff' [a, [a, rho]] + rho right + right^dag rho + sum (a rho b + h.c.))
-    for the dissipators ``terms`` (coeff, a, a^dag, a^dag a), the double
-    commutators ``dterms`` (coeff', a, a^2) of a Hermitian sum
-    sum coeff' a^2, and the (a^dag, b) ``pairs``."""
-    g_d = 1j * h + right
-    sandwiches = list(pairs)
-    for coeff, a, ad, ada in terms:
-        g_d = g_d - (0.5 * coeff) * ada
-        sandwiches.append((ad, (0.5 * coeff) * ad))
-    for coeff, a, a2 in dterms:
-        g_d = g_d + coeff * a2
-        sandwiches.append((dagger(a), -coeff * a))
-    r0 = 0.5 * np.eye(len(h)) + dt * g_d
-    return HalfForm.build(r0, [(a_d, dt * b) for a_d, b in sandwiches])
-
-
-def _rows(*ops):
-    """The rows vec(A^T) that read tr(rho A) off the flattened batch."""
-    return np.ascontiguousarray(np.stack([a.T.ravel() for a in ops]), dtype=complex)
-
-
-def _compile_right(ctx, model, kind, dt, f_op, mu):
-    kappa, root, eta = ctx["kappa"], ctx["root"], model.efficiency
     cd, herm = ctx["cd"], ctx["herm"]
     theta = model.homodyne_phase
     phase = np.exp(-1j * theta) if theta else 1.0  # c_eff^dag = phase c^dag
@@ -632,7 +452,6 @@ def _compile_right(ctx, model, kind, dt, f_op, mu):
     if kind.startswith("generalized"):
         gen = _generalized_ctx(model)
         drift = _euler_form(dt, gen["h_eff"], gen["terms"], gen["dterms"])
-        sub = _generalized_channels(model, kind.removeprefix("generalized_"))
         root_k = np.sqrt(kappa) * dt
         if kind == "generalized_homodyne":
             return _right_kernel(drift, [(sub["scale"], sub["opd"])], _rows(root_k * herm),
@@ -670,7 +489,115 @@ def _compile_right(ctx, model, kind, dt, f_op, mu):
     raise ValueError(f"no diffusive kernel for kind {kind!r}")
 
 
-def _right_step(kernel: DiffusiveRightKernel, rho, bufs, dw):
+def _diffusive_maps(kernel: DiffusiveKernel, d: int) -> np.ndarray:
+    form = HalfForm(kernel.r0, tuple((a_d, b) for a_d, b, _ in kernel.products if b is not None))
+    drift = form.superop(d)
+    rows = [] if kernel.linear else list(kernel.currents)
+    if kernel.kraus is not None:
+        # a Kraus W is all of M rho M^dag, so its W + W^dag counts the sandwiches twice
+        base_d, r = kernel.kraus
+        r_d = dagger(r)
+        maps = [0.5 * drift + _sandwich(dagger(base_d), base_d), _half_map(r_d, base_d),
+                _sandwich(r_d, r)]
+        return _kernel_matrix(maps, rows)
+    channels = [sum(alpha * a_d for a_d, _, taps in kernel.products for j, alpha in taps if j == k)
+                for k in range(kernel.n_channels)]
+    eye = np.eye(d)
+    maps = [drift] + [_half_map(eye, r) - kernel.shift * np.eye(d * d) for r in channels]
+    if not kernel.linear:
+        rows = [(r + dagger(r)).T.ravel() for r in channels] + rows
+    return _kernel_matrix(maps, rows)
+
+
+def diffusive_kernel_step(kernel, rho: np.ndarray, dw, work: dict | None = None):
+    """Advance a state batch by one step of a compiled diffusive kernel on the
+    Wiener increments ``dw`` ((B,) for one channel, (B, 2) for two); returns
+    (rho', dy) with dy shaped like ``dw``, for ``rho`` in either form of
+    :func:`contmon.jump.click_kernel_step`.
+
+    A kernel without ``maps`` (d > ``BATCH_GEMM_MAX_DIM``) advances ``rho`` in
+    place when the caller passes a ``work`` dict that it keeps for the batch,
+    where the step's buffers then live, and a copy otherwise.
+    """
+    if kernel.maps is None:
+        return _right_step(kernel, *_right_work(rho, work), dw)
+    batch = rho.ndim == 3
+    x = to_coords(rho) if batch else rho
+    n = len(x)
+    y = kernel.maps @ x
+    m = kernel.n_channels
+    w = np.reshape(dw, (-1, m)).T
+    ex = y[(1 + m if kernel.kraus is None else 3) * n :]
+    if kernel.linear:
+        dy = kernel.offset + w
+    else:
+        dy = ex[-m:] + kernel.noise_gain * w
+    z = y[:n]
+    if kernel.kraus is not None:
+        s = dy[0]
+        z += s * (y[n : 2 * n] + s * y[2 * n : 3 * n])
+    else:
+        for k in range(m):
+            z += w[k] * y[(k + 1) * n : (k + 2) * n]
+        if not kernel.linear:
+            z -= (w * ex[:m]).sum(axis=0) * x
+    return _coords_out(z, kernel.linear, batch), dy.T.reshape(np.shape(dw))
+
+
+def _diffusive_apply(kernel, rho, dw, channels: int = 1):
+    """One step of a compiled diffusive kernel on a copy of ``rho`` (one state
+    or a batch) for the increments ``dw``, which broadcast over the batch and,
+    for two channels, end in an axis of length 2; returns (rho', dy), with dy
+    a scalar for one state on one channel."""
+    dw = np.asarray(dw, dtype=float)
+    tail = (channels,) if channels > 1 else ()
+    batch, shape = _as_batch(rho, dw.shape[: dw.ndim - len(tail)])
+    dws = np.broadcast_to(dw, shape + tail).reshape((-1,) + tail)
+    rho, dy = diffusive_kernel_step(kernel, batch, dws)
+    return rho.reshape(shape + batch.shape[1:]), dy.reshape(shape + tail)[()]
+
+
+def _right_kernel(form: HalfForm, channels, currents, **kw) -> DiffusiveKernel:
+    """The kernel of the drift ``form`` and the measured ``channels``
+    (alpha, a^dag), R = alpha a^dag: a channel whose a^dag is a sandwich's
+    reads that sandwich's product, any other gets a product of its own."""
+    products = [[a_d, b, []] for a_d, b in form.sandwiches]
+    index = {a_d.tobytes(): j for j, (a_d, _) in enumerate(form.sandwiches)}
+    for k, (alpha, a_d) in enumerate(channels):
+        a_d = np.ascontiguousarray(a_d, dtype=complex)
+        j = index.setdefault(a_d.tobytes(), len(products))
+        if j == len(products):
+            products.append([a_d, None, []])
+        products[j][2].append((k, alpha))
+    # the Kraus kind's single channel lives in ``kraus``
+    return DiffusiveKernel(form.r0, tuple((a, b, tuple(t)) for a, b, t in products),
+                                len(channels) or 1, currents, **kw)
+
+
+def _euler_form(dt, h, terms, dterms=(), right=0.0, pairs=()):
+    """Half form of rho + dt (-i[h, rho] + sum coeff D[a] rho
+    + sum coeff' [a, [a, rho]] + rho right + right^dag rho + sum (a rho b + h.c.))
+    for the dissipators ``terms`` (coeff, a, a^dag, a^dag a), the double
+    commutators ``dterms`` (coeff', a, a^2) of a Hermitian sum
+    sum coeff' a^2, and the (a^dag, b) ``pairs``."""
+    g_d = 1j * h + right
+    sandwiches = list(pairs)
+    for coeff, a, ad, ada in terms:
+        g_d = g_d - (0.5 * coeff) * ada
+        sandwiches.append((ad, (0.5 * coeff) * ad))
+    for coeff, a, a2 in dterms:
+        g_d = g_d + coeff * a2
+        sandwiches.append((dagger(a), -coeff * a))
+    r0 = 0.5 * np.eye(len(h)) + dt * g_d
+    return HalfForm.build(r0, [(a_d, dt * b) for a_d, b in sandwiches])
+
+
+def _rows(*ops):
+    """The rows vec(A^T) that read tr(rho A) off the flattened batch."""
+    return np.ascontiguousarray(np.stack([a.T.ravel() for a in ops]), dtype=complex)
+
+
+def _right_step(kernel: DiffusiveKernel, rho, bufs, dw):
     w, p, q = bufs
     dws = np.reshape(dw, (-1, kernel.n_channels))
     if kernel.linear:

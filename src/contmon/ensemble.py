@@ -397,14 +397,14 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     noise = _noise_matrix(spec.master_seed, lo, hi, n_steps * per_step, law)
     nblk = hi - lo
     n_obs = len(spec.observables)
-    sum1 = np.zeros((n_steps + 1, n_obs))
-    sum2 = np.zeros((n_steps + 1, n_obs))
-    sum4 = np.zeros((n_steps + 1, n_obs))
-    wsum = np.zeros(n_steps + 1)
-    w2sum = np.zeros(n_steps + 1)
-    wx = np.zeros((n_steps + 1, n_obs))
-    w2x = np.zeros((n_steps + 1, n_obs))
-    w2x2 = np.zeros((n_steps + 1, n_obs))
+    # the weighted sums of linear kinds or the plain ones of normalized kinds
+    if kind.linear:
+        wsum, w2sum = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
+        wx, w2x, w2x2 = (np.zeros((n_steps + 1, n_obs)) for _ in range(3))
+        sums = dict(wsum=wsum, w2sum=w2sum, wx=wx, w2x=w2x, w2x2=w2x2)
+    else:
+        sum1, sum2 = np.zeros((n_steps + 1, n_obs)), np.zeros((n_steps + 1, n_obs))
+        sums = dict(sum1=sum1, sum2=sum2)
     min_eig = np.inf
     violations = 0
     states_out = None
@@ -469,11 +469,7 @@ def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
         record_stats(k + 1)
         if states_out is not None:
             states_out[:, k + 1] = as_states(state)
-    return dict(
-        sum1=sum1, sum2=sum2, sum4=sum4, wsum=wsum, w2sum=w2sum, wx=wx,
-        w2x=w2x, w2x2=w2x2, min_eig=min_eig, violations=violations,
-        states=states_out, records=records,
-    )
+    return dict(sums, min_eig=min_eig, violations=violations, states=states_out, records=records)
 
 
 def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:

@@ -11,14 +11,14 @@ costs only the batched state arithmetic.
 
 Click kernels: for a fixed (model, kind, dt) the density-matrix click kinds are
 linear in rho except for the scalar <c^dag c>, and :func:`click_kernel`
-compiles one step in one of two forms.  At d <= 4 (``BATCH_GEMM_MAX_DIM``),
-where per-call overhead dominates, it is a single real matrix that takes the
-(d^2, B) coordinates of a state batch (``core_ops.to_coords``) to its
-no-click image, its click image and <c^dag c> in one GEMM.  Above it the step
-is a right-product kernel on the ``(B d, d)`` view (see the kernel section
-below), which allocates no (B, d, d) array when the caller keeps its work
-buffers.  :func:`click_kernel_step` runs either form, and the ensemble runs
-every density-matrix click kind through it.  The density-matrix
+compiles one step, stated once in the half form of the kernel section below:
+right products of the ``(B d, d)`` view, which allocate no (B, d, d) array
+when the caller keeps its work buffers.  At d <= 4 (``BATCH_GEMM_MAX_DIM``),
+where per-call overhead dominates, the kernel also carries that step lowered
+to a single real matrix, which takes the (d^2, B) coordinates of a state
+batch (``core_ops.to_coords``) to its no-click image, its click image and
+<c^dag c> in one GEMM.  :func:`click_kernel_step` runs either form, and the
+ensemble runs every density-matrix click kind through it.  The density-matrix
 steppers (the ``*_apply`` functions and :func:`linear_jump_step`) are the
 same kernels, stepping a copy of their input for the supplied outcome; only
 :func:`jump_sse_apply`, on state vectors, has a body of its own.  Compiled
@@ -29,7 +29,7 @@ kernels live in the per-model operator cache under ``("kernel", kind, dt,
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -45,8 +45,7 @@ from .core_ops import (
     to_coords,
     trace,
 )
-from .master_equation import OpenSystemModel, StepSizeError, liouvillian_matrix
-from .master_equation import _sandwich as _sandwich_map
+from .master_equation import OpenSystemModel, StepSizeError
 
 __all__ = [
     "JumpRecord",
@@ -61,7 +60,6 @@ __all__ = [
     "jump_kraus_apply",
     "jump_feedback_apply",
     "ClickKernel",
-    "ClickRightKernel",
     "click_kernel",
     "click_kernel_step",
 ]
@@ -143,8 +141,6 @@ def _ctx(model: OpenSystemModel) -> dict:
             "ceff_d": ceff_d,
             "herm": ceff + ceff_d,
             "herm_i": 1j * ceff + dagger(1j * ceff),
-            "ceff_i": 1j * ceff,
-            "ceff_i_d": -1j * ceff_d,
             "root": np.sqrt(model.efficiency * kappa),
             "h": h,
             "h_zero": not np.any(h),
@@ -292,21 +288,37 @@ def jump_feedback_apply(
 
 
 # ---------------------------------------------------------------- kernels
-# A kernel holds its (d^2, d^2) superoperators S (row-major vec, so
-# vec(A rho B) = (A kron B^T) vec(rho)) and one row vec(A^T) per expectation
-# tr(rho A), each taken once to the coordinates r of ``core_ops``,
-# vec(rho) = U r: U^H S U and vec(A^T) U, real for Hermiticity-preserving S
-# and Hermitian A, stacked row-wise.  The step is one real GEMM of that matrix
-# against the (d^2, B) coordinates, so that every image and every expectation
-# is a contiguous row over the batch and the per-trajectory scalars broadcast
-# along it.  A complex (B, d, d) batch is converted at entry and exit.
+# A kernel states its step once, in the half form of the right-product
+# section below, and runs it there above BATCH_GEMM_MAX_DIM.  At d <=
+# BATCH_GEMM_MAX_DIM it also carries ``maps``, the same step lowered to the
+# coordinates: the (d^2, d^2) superoperator S of each of its terms (row-major
+# vec, so vec(A rho B) = (A kron B^T) vec(rho), and W + W^dag takes a term
+# A rho B of W to A rho B + B^dag rho A^dag) and one row vec(A^T) per
+# expectation tr(rho A), each taken once to the coordinates r of
+# ``core_ops``, vec(rho) = U r: U^H S U and vec(A^T) U, real for
+# Hermiticity-preserving S and Hermitian A, stacked row-wise.  That step is
+# one real GEMM of the matrix against the (d^2, B) coordinates, so that every
+# image and every expectation is a contiguous row over the batch and the
+# per-trajectory scalars broadcast along it.  A complex (B, d, d) batch is
+# converted at entry and exit.
 
 
-def _kernel_matrix(maps, expects=()):
+def _sandwich(a, b):
+    """The superoperator of rho -> a rho b."""
+    return np.kron(a, b.T)
+
+
+def _half_map(a, b):
+    """The superoperator of rho -> W + W^dag for W = a rho b and Hermitian rho."""
+    return _sandwich(a, b) + _sandwich(dagger(b), dagger(a))
+
+
+def _kernel_matrix(maps, rows=()):
+    """The superoperators ``maps`` and the expectation rows vec(A^T) ``rows``
+    on the coordinates, stacked."""
     n = len(maps[0])
     u = hermitian_basis(int(round(np.sqrt(n)))).reshape(n, n).T
-    rows = [u.conj().T @ s @ u for s in maps] + [a.T.reshape(1, -1) @ u for a in expects]
-    mat = np.vstack(rows)
+    mat = np.vstack([u.conj().T @ s @ u for s in maps] + [np.reshape(r, (1, n)) @ u for r in rows])
     assert np.max(np.abs(mat.imag)) <= 1e-14 * max(1.0, np.max(np.abs(mat.real)))
     return np.ascontiguousarray(mat.real)
 
@@ -323,28 +335,40 @@ def _coords_out(z, linear, batch):
 class ClickKernel:
     """One compiled click step for a fixed (model, kind, dt).
 
-    ``maps`` stacks the no-click and click maps on the coordinates and,
-    except for linear kinds, the <c^dag c> row.  The no-click image is
-    y0 + ``rate_gain`` <c^dag c> r; a click takes the click image.  The
-    click probability is ``p_click`` <c^dag c>, or the constant ostensible
-    probability ``p_click`` for ``linear`` kinds, whose states are not
-    renormalized.
+    No click: W = ``no_click`` + ``rate_gain`` <c^dag c> rho, with <c^dag c>
+    read by one GEMV of the ``rate_row`` vec((c^dag c)^T).  A click replaces W
+    by ``click_scale`` J rho J^dag for the jump operator J (``jump_d`` =
+    J^dag), on the clicked rows only.  The click probability is ``p_click``
+    <c^dag c>, or the constant ``p_click`` for ``linear`` kinds, which carry no
+    rate row and are not renormalized.
+
+    ``maps`` (d <= ``BATCH_GEMM_MAX_DIM`` only) is this step lowered to the
+    coordinates: the map of the no-click W + W^dag, that of the click's, and
+    the rate row unless the kind is linear.  The no-click image there is
+    y0 + 2 ``rate_gain`` <c^dag c> r.
     """
 
-    maps: np.ndarray
+    no_click: HalfForm
+    jump_d: np.ndarray
+    rate_row: np.ndarray | None
     p_click: float
     rate_gain: float
-    linear: bool
+    click_scale: float
+    maps: np.ndarray | None = None
+
+    @property
+    def linear(self) -> bool:
+        return self.rate_row is None
 
 
 def click_kernel(
     model: OpenSystemModel, kind: str, dt: float, f_op=None, beta: float = 1.0
-) -> ClickKernel | ClickRightKernel:
+) -> ClickKernel:
     """The compiled step of the density-matrix click kind ``kind`` ("jump",
-    "jump_kraus", "jump_feedback" or "linear_jump"): a superoperator
-    :class:`ClickKernel` at d <= ``BATCH_GEMM_MAX_DIM``, a
-    :class:`ClickRightKernel` above it.  ``f_op`` is the feedback generator of
-    "jump_feedback", ``beta`` the ostensible rate of "linear_jump"."""
+    "jump_kraus", "jump_feedback" or "linear_jump"), with its coordinate
+    ``maps`` at d <= ``BATCH_GEMM_MAX_DIM``.  ``f_op`` is the feedback
+    generator of "jump_feedback", ``beta`` the ostensible rate of
+    "linear_jump"."""
     ctx = _vacuum_ctx(model)
     if kind == "jump_feedback":
         if f_op is None:
@@ -355,12 +379,15 @@ def click_kernel(
     key = ("kernel", kind, dt, extra)
     kernel = ctx.get(key)
     if kernel is None:
-        kernel = ctx[key] = _compile_click(ctx, model, kind, dt, f_op, beta)
+        kernel = _compile_click(ctx, model, kind, dt, f_op, beta)
+        if model.dim <= BATCH_GEMM_MAX_DIM:
+            kernel = replace(kernel, maps=_click_maps(kernel))
+        ctx[key] = kernel
     return kernel
 
 
 def _compile_click(ctx, model, kind, dt, f_op, beta):
-    kappa, c, cd = ctx["kappa"], ctx["c"], ctx["cd"]
+    kappa, cd, cdc = ctx["kappa"], ctx["cd"], ctx["cdc"]
     eta = model.efficiency
     if kind not in ("jump", "jump_kraus", "jump_feedback", "linear_jump"):
         raise ValueError(f"no click kernel for kind {kind!r}")
@@ -371,27 +398,34 @@ def _compile_click(ctx, model, kind, dt, f_op, beta):
             raise ValueError("ostensible rate beta must be > 0")
         if eta != 1.0:
             raise ValueError("linear jump trajectories assume unit efficiency")
-    jump_op = feedback_unitary(f_op) @ c if kind == "jump_feedback" else c
-    if model.dim > BATCH_GEMM_MAX_DIM:
-        return _compile_click_right(ctx, model, kind, dt, jump_op, beta)
-    n = model.dim * model.dim
+    jump_op = feedback_unitary(f_op) @ ctx["c"] if kind == "jump_feedback" else ctx["c"]
+    undetected = [] if eta == 1.0 else [(cd, ((1.0 - eta) * kappa * dt) * cd)]
     if kind == "jump_kraus":
-        m0, m0d = _no_click_kraus(ctx, dt)
-        no_click = _sandwich_map(m0, m0d) + ((1.0 - eta) * kappa * dt) * _sandwich_map(c, cd)
+        # M0 rho M0^dag + (1 - eta) kappa dt c rho c^dag, renormalized
+        m0_d = _no_click_kraus(ctx, dt)[1]
+        no_click = HalfForm.build(None, [(m0_d, m0_d)] + undetected)
     else:
-        # the Euler no-click drift is L rho - eta kappa c rho c^dag plus the
-        # nonlinear eta kappa <c^dag c> rho, or beta kappa rho for linear kinds
-        drift = liouvillian_matrix(model) - (eta * kappa) * _sandwich_map(c, cd)
+        # rho + dt (G rho + rho G^dag + (1 - eta) kappa c rho c^dag) with
+        # G = -iH - (kappa/2) c^dag c, plus the per-row eta kappa <c^dag c> rho,
+        # or beta kappa rho in R0 for linear kinds
+        g_d = 1j * ctx["h"] - (0.5 * kappa) * cdc
         if kind == "linear_jump":
-            drift = drift + (beta * kappa) * np.eye(n)
-        no_click = np.eye(n) + dt * drift
-    click = _sandwich_map(jump_op, dagger(jump_op))
+            g_d = g_d + (0.5 * beta * kappa) * ctx["eye"]
+        no_click = HalfForm.build(0.5 * ctx["eye"] + dt * g_d,
+                                  [(a_d, 0.5 * b) for a_d, b in undetected])
+    jd = np.ascontiguousarray(dagger(jump_op))
     if kind == "linear_jump":
-        maps = _kernel_matrix([no_click, click / beta])
-        return ClickKernel(maps, eta * kappa * beta * dt, 0.0, True)
-    maps = _kernel_matrix([no_click, click], [ctx["cdc"]])
-    rate_gain = 0.0 if kind == "jump_kraus" else eta * kappa * dt
-    return ClickKernel(maps, eta * kappa * dt, rate_gain, False)
+        return ClickKernel(no_click, jd, None, eta * kappa * beta * dt, 0.0, 0.5 / beta)
+    rate_gain = 0.0 if kind == "jump_kraus" else 0.5 * eta * kappa * dt
+    return ClickKernel(no_click, jd, np.ascontiguousarray(cdc.T.ravel()),
+                       eta * kappa * dt, rate_gain, 1.0)
+
+
+def _click_maps(kernel: ClickKernel) -> np.ndarray:
+    jump = dagger(kernel.jump_d)
+    maps = [kernel.no_click.superop(len(jump)),
+            (2.0 * kernel.click_scale) * _sandwich(jump, kernel.jump_d)]
+    return _kernel_matrix(maps, () if kernel.linear else (kernel.rate_row,))
 
 
 def click_kernel_step(kernel, rho: np.ndarray, u, work: dict | None = None):
@@ -401,7 +435,7 @@ def click_kernel_step(kernel, rho: np.ndarray, u, work: dict | None = None):
     coordinates of the batch at d <= ``BATCH_GEMM_MAX_DIM`` or a C-contiguous
     (B, d, d) batch, which is stepped through its coordinates there.
 
-    A right-product kernel (d > ``BATCH_GEMM_MAX_DIM``) advances ``rho`` in
+    A kernel without ``maps`` (d > ``BATCH_GEMM_MAX_DIM``) advances ``rho`` in
     place when the caller passes a ``work`` dict that it keeps for the batch,
     where the step's buffers then live, and a copy otherwise.
     """
@@ -414,7 +448,7 @@ def _click_read(kernel, rho, work):
     """The first half of a click step: (carry, rate), the step's <c^dag c> per
     state (None for linear kinds) and what :func:`_click_update` continues
     from."""
-    if isinstance(kernel, ClickRightKernel):
+    if kernel.maps is None:
         rho, bufs = _right_work(rho, work)
         rate = None if kernel.linear else (rho.reshape(len(rho), -1) @ kernel.rate_row).real
         return (rho, bufs), rate
@@ -429,13 +463,13 @@ def _click_update(kernel, carry, rate, dn):
     raises on a click from a dark state."""
     if rate is not None and dn.any() and np.any(rate[dn] < DARK_STATE_RATE):
         raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
-    if isinstance(kernel, ClickRightKernel):
+    if kernel.maps is None:
         return _click_right_update(kernel, *carry, rate, dn)
     x, y, batch = carry
     n = len(x)
     z = y[:n]
     if kernel.rate_gain:
-        z += (kernel.rate_gain * rate) * x
+        z += (2.0 * kernel.rate_gain * rate) * x
     if dn.any():
         np.copyto(z, y[n : 2 * n], where=dn)
     return _coords_out(z, kernel.linear, batch)
@@ -461,16 +495,15 @@ def _click_apply(kernel, rho, dn):
 
 
 # ------------------------------------------------------- right-product kernels
-# Above BATCH_GEMM_MAX_DIM a kernel acts on the C-contiguous (B d, d) view of
-# the state batch with right products only, each one GEMM by a (d, d)
-# operator.  For Hermitian rho, A rho = (rho A^dag)^dag, so every update is
-# written in half form
+# The half form acts on the C-contiguous (B d, d) view of the state batch with
+# right products only, each one GEMM by a (d, d) operator.  For Hermitian rho,
+# A rho = (rho A^dag)^dag, so every update is written
 #     rho' = (W + W^dag) / tr(W + W^dag),
 #     W = rho R0 + (per-row terms) + sum_j (rho A_j^dag)^dag B_j,
 # where an Euler step has R0 = 1/2 + dt G^dag for G = -iH - (1/2) sum c^dag c
 # (the Monte-Carlo wave-function split) and its Hermitian sandwiches such as
-# kappa c rho c^dag enter W at half weight; linear kinds skip the division.  A step works in three
-# (B, d, d) buffers and writes rho' over rho.
+# kappa c rho c^dag enter W at half weight; linear kinds skip the division.
+# A step works in three (B, d, d) buffers and writes rho' over rho.
 
 
 def _right_work(rho, work):
@@ -552,6 +585,13 @@ class HalfForm:
             w += _gemm(_conj_t(_gemm(rho, a_d, p), q), b, p)
         return w
 
+    def superop(self, d):
+        """The superoperator of rho -> W + W^dag on (d, d) states."""
+        terms = [(dagger(a_d), b) for a_d, b in self.sandwiches]
+        if self.r0 is not None:
+            terms.insert(0, (np.eye(d), self.r0))
+        return sum((_half_map(a, b) for a, b in terms), np.zeros((d * d, d * d)))
+
 
 def _half_finish(w, out, spare, renormalize):
     """out = W + W^dag, divided by its trace 2 Re tr W unless the kind is
@@ -563,56 +603,7 @@ def _half_finish(w, out, spare, renormalize):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ClickRightKernel:
-    """One click step in half form for a fixed (model, kind, dt).
-
-    No click: W = ``no_click`` + ``rate_gain`` <c^dag c> rho, with <c^dag c>
-    read by one GEMV of the ``rate_row`` vec((c^dag c)^T).  A click replaces W
-    by ``click_scale`` J rho J^dag for the jump operator J (``jump_d`` =
-    J^dag), on the clicked rows only.  The click probability is ``p_click``
-    <c^dag c>, or the constant ``p_click`` for ``linear`` kinds, which carry no
-    rate row and are not renormalized.
-    """
-
-    no_click: HalfForm
-    jump_d: np.ndarray
-    rate_row: np.ndarray | None
-    p_click: float
-    rate_gain: float
-    click_scale: float
-
-    @property
-    def linear(self) -> bool:
-        return self.rate_row is None
-
-
-def _compile_click_right(ctx, model, kind, dt, jump_op, beta):
-    kappa, cd, cdc = ctx["kappa"], ctx["cd"], ctx["cdc"]
-    eta = model.efficiency
-    undetected = [] if eta == 1.0 else [(cd, ((1.0 - eta) * kappa * dt) * cd)]
-    if kind == "jump_kraus":
-        # M0 rho M0^dag + (1 - eta) kappa dt c rho c^dag, renormalized
-        m0_d = _no_click_kraus(ctx, dt)[1]
-        no_click = HalfForm.build(None, [(m0_d, m0_d)] + undetected)
-    else:
-        # rho + dt (G rho + rho G^dag + (1 - eta) kappa c rho c^dag) with
-        # G = -iH - (kappa/2) c^dag c, plus the per-row eta kappa <c^dag c> rho,
-        # or beta kappa rho in R0 for linear kinds
-        g_d = 1j * ctx["h"] - (0.5 * kappa) * cdc
-        if kind == "linear_jump":
-            g_d = g_d + (0.5 * beta * kappa) * ctx["eye"]
-        no_click = HalfForm.build(0.5 * ctx["eye"] + dt * g_d,
-                                  [(a_d, 0.5 * b) for a_d, b in undetected])
-    jd = np.ascontiguousarray(dagger(jump_op))
-    if kind == "linear_jump":
-        return ClickRightKernel(no_click, jd, None, eta * kappa * beta * dt, 0.0, 0.5 / beta)
-    rate_gain = 0.0 if kind == "jump_kraus" else 0.5 * eta * kappa * dt
-    return ClickRightKernel(no_click, jd, np.ascontiguousarray(cdc.T.ravel()),
-                            eta * kappa * dt, rate_gain, 1.0)
-
-
-def _click_right_update(kernel: ClickRightKernel, rho, bufs, rate, dn):
+def _click_right_update(kernel: ClickKernel, rho, bufs, rate, dn):
     w, p, q = bufs
     kernel.no_click.apply(rho, w, p, q)
     if kernel.rate_gain:

@@ -2,7 +2,12 @@
 the compiled kernels.  Their contract: one (d, d) state or a batch of them,
 outcomes and increments that broadcast over the batch, and the caller's
 array left as it was (the right-product kernels above BATCH_GEMM_MAX_DIM
-step in place when given work buffers)."""
+step in place when given work buffers).  At d <= BATCH_GEMM_MAX_DIM a kernel
+steps its coordinate maps, lowered from its half form, and both forms of one
+kernel agree."""
+
+from dataclasses import replace
+
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ import pytest
 from contmon import BathSpec, OpenSystemModel, WeightedState, build_standard_ops
 from contmon.core_ops import dagger, trace
 from contmon.diffusive import (
+    diffusive_kernel,
+    diffusive_kernel_step,
     generalized_bath_homodyne_step,
     heterodyne_sme_step,
     homodyne_feedback_step,
@@ -19,6 +26,8 @@ from contmon.diffusive import (
     linear_homodyne_step,
 )
 from contmon.jump import (
+    click_kernel,
+    click_kernel_step,
     jump_feedback_apply,
     jump_kraus_apply,
     jump_probability,
@@ -120,3 +129,62 @@ def test_stepper_wrapper_contract(name, dim):
         dt = 0.2 / np.min(jump_probability(batch, model, 1.0))
         clicked, _ = step(batch, model, f_op, dt, True)
         np.testing.assert_allclose(trace(clicked).real, 1.0, rtol=0, atol=1e-12)
+
+
+# kind: (model keywords, kernel keywords), with eta < 1 and theta != 0 where
+# the kind allows them; the generalized kinds take every bath they allow
+BATHS = {"thermal": BathSpec(n_thermal=0.5), "squeezed": BathSpec(n_thermal=0.5, squeezing=0.2),
+         "driven": BathSpec(drive=0.3)}
+KERNEL_CASES = {
+    "jump": (dict(eta=0.7), {}),
+    "jump_kraus": (dict(eta=0.7), {}),
+    "jump_feedback": ({}, {}),
+    "linear_jump": ({}, dict(beta=0.8)),
+    "homodyne": (dict(eta=0.7, phase=0.4), {}),
+    "homodyne_kraus": (dict(eta=0.7, phase=0.4), {}),
+    "heterodyne": (dict(eta=0.7, phase=0.4), {}),
+    "homodyne_feedback": (dict(eta=0.7, phase=0.4), {}),
+    "linear_homodyne": (dict(phase=0.4), dict(mu=0.3)),
+    "linear_homodyne_kraus": (dict(eta=0.7, phase=0.4), {}),
+    **{f"generalized_{mode}/{name}": (dict(bath=bath), {})
+       for mode in ("homodyne", "heterodyne") for name, bath in BATHS.items()
+       if mode == "homodyne" or bath.squeezing == 0},
+}
+CLICK_KINDS = ("jump", "jump_kraus", "jump_feedback", "linear_jump")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_coordinate_maps_step_like_half_form(case, dim):
+    # the same kernel without its maps steps the half form it was lowered from
+    kind = case.split("/")[0]
+    model_kw, kernel_kw = KERNEL_CASES[case]
+    model, f_op = _model(dim, **model_kw)
+    if kind.endswith("feedback"):
+        kernel_kw = dict(kernel_kw, f_op=f_op)
+    rng = np.random.default_rng(dim)
+    batch = np.stack([random_density_matrix(rng, dim) for _ in range(8)])
+    if kind in CLICK_KINDS:
+        kernel, step = click_kernel(model, kind, DT, **kernel_kw), click_kernel_step
+        x = np.tile([0.0, 1.0], 4)  # uniforms: every other state clicks
+    else:
+        kernel, step = diffusive_kernel(model, kind, DT, **kernel_kw), diffusive_kernel_step
+        x = rng.standard_normal((8, 2) if kind.endswith("heterodyne") else 8) * np.sqrt(DT)
+    assert kernel.maps is not None
+    coords, out = step(kernel, batch, x)
+    half, half_out = step(replace(kernel, maps=None), batch, x)
+    np.testing.assert_allclose(coords, half, rtol=0, atol=1e-14)
+    if kind in CLICK_KINDS:
+        np.testing.assert_array_equal(out, x == 0.0)
+        np.testing.assert_array_equal(half_out, out)
+    else:
+        np.testing.assert_allclose(out, half_out, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_kernel_compilers_reject_the_other_family(dim):
+    model, _ = _model(dim)
+    with pytest.raises(ValueError, match="no click kernel for kind 'homodyne'"):
+        click_kernel(model, "homodyne", DT)
+    with pytest.raises(ValueError, match="no diffusive kernel for kind 'jump'"):
+        diffusive_kernel(model, "jump", DT)
