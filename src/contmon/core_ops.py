@@ -32,8 +32,6 @@ __all__ = [
     "expectation",
     "dissipator",
     "measurement_superop",
-    "left_mul",
-    "right_mul",
     "build_standard_ops",
     "validate_state",
     "ensure_density_matrix",
@@ -124,42 +122,12 @@ def expectation(rho: np.ndarray, op: np.ndarray):
     return complex(out) if out.ndim == 0 else out
 
 
-# Largest state dimension for which left_mul/right_mul use one GEMM over the
-# whole batch, and for which the ensemble's step kernels are (d^2, d^2) real
-# maps on coherence coordinates (see below).  Above it a left product needs a
-# transposed copy of the batch, so numpy's per-matrix stacked matmul is faster
-# (OpenBLAS, 1024-state batches: d = 4 GEMM 0.3 ms vs stacked 0.5 ms, d = 8
-# GEMM 1.3 ms vs stacked 0.6 ms), and a superoperator costs d times the flops
-# of a (d, d) product, so the kernels there use right products of the
-# C-contiguous state only (see contmon.jump).
+# Largest state dimension at which the step kernels are (d^2, d^2) real maps on
+# coherence coordinates (see below): there numpy's per-call overhead dominates,
+# and one GEMM over the whole batch replaces a product per operator.  A
+# superoperator costs d times the flops of a (d, d) product, so above it the
+# kernels use right products of the C-contiguous state only (see contmon.jump).
 BATCH_GEMM_MAX_DIM = 4
-
-
-def left_mul(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``op @ rho`` for a constant (m, d) operator and a batch ``(..., d, d)``.
-
-    numpy's stacked matmul makes one BLAS call per matrix; for small ``d`` the
-    whole batch instead goes through a single GEMM on the transposed states,
-    ``(rho^T op^T)^T``.  Batched and unbatched states take the same code path.
-    The result may be a non-contiguous view.
-    """
-    rho = np.asarray(rho)
-    d = rho.shape[-1]
-    if d > BATCH_GEMM_MAX_DIM:
-        return op @ rho
-    rho_t = np.ascontiguousarray(np.swapaxes(rho, -1, -2)).reshape(-1, rho.shape[-2])
-    out_t = (rho_t @ op.T).reshape(rho.shape[:-2] + (d, op.shape[0]))
-    return np.swapaxes(out_t, -1, -2)
-
-
-def right_mul(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """``rho @ op`` for a batch ``(..., d, d)`` and a constant (d, m) operator;
-    for small ``d`` a single GEMM over the flattened batch ``(B d, d) @ (d, m)``."""
-    rho = np.asarray(rho)
-    if rho.shape[-1] > BATCH_GEMM_MAX_DIM:
-        return rho @ op
-    out = rho.reshape(-1, rho.shape[-1]) @ op
-    return out.reshape(rho.shape[:-1] + (op.shape[-1],))
 
 
 def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:

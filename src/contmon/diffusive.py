@@ -8,7 +8,8 @@ feedback paths can reuse the same increments.  The local-oscillator phase
 enters once, through c -> c e^{i theta} at the stepper boundary; internals
 assume theta = 0.  States broadcast over leading batch axes; ``dw`` may be a
 scalar or a matching batch vector.  Per-model operator products come from the
-cache shared with :mod:`contmon.jump`.
+cache shared with :mod:`contmon.jump`, and every Euler kind's drift from the
+generator terms of :mod:`contmon.master_equation`.
 
 Diffusive kernels: each diffusive SME is linear in rho except for per-trajectory
 scalars (the expectations that shift the innovation and feed the current, and
@@ -54,9 +55,8 @@ from .jump import (
     _kernel_matrix,
     _no_click_kraus,
     _right_work,
-    _sandwich,
 )
-from .master_equation import OpenSystemModel, coherent_drive_hamiltonian
+from .master_equation import OpenSystemModel, _generator_terms, _sandwich
 
 __all__ = [
     "DiffusiveRecord",
@@ -236,86 +236,43 @@ def lindblad_form_rhs(rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray)
     return out
 
 
-def _generalized_ctx(model: OpenSystemModel) -> dict:
-    ctx = _ctx(model)
-    sub = ctx.get("generalized")
-    if sub is None:
-        bath = model.bath
-        n = bath.n_thermal
-        m = complex(bath.squeezing)
-        kappa, c, cd = ctx["kappa"], ctx["c"], ctx["cd"]
-        # dissipator terms (coeff, a, a_dag, a_dag a)
-        terms = [(kappa * (n + 1.0), c, cd, ctx["cdc"])]
-        if n != 0.0:
-            terms.append((kappa * n, cd, c, c @ cd))
-        # double-commutator terms (coeff, a, a^2)
-        dterms = []
-        if m != 0:
-            dterms = [
-                (kappa * m / 2.0, cd, cd @ cd),
-                (kappa * np.conj(m) / 2.0, c, c @ c),
-            ]
-        h_eff = ctx["h"]
-        if bath.drive != 0:
-            h_eff = h_eff + coherent_drive_hamiltonian(c, kappa, bath.drive)
-        sub = {
-            "terms": terms,
-            "dterms": dterms,
-            "h_eff": h_eff,
-            "n": n,
-            "m": m,
-        }
-        ctx["generalized"] = sub
-    return sub
-
-
 def _generalized_channels(model: OpenSystemModel, mode: str) -> dict:
-    """Cached measured-channel operators of the squeezed-thermal-bath
-    homodyne or heterodyne current, after that mode's bath rules."""
+    """The measured-channel operators of the squeezed-thermal-bath homodyne or
+    heterodyne current, after that mode's bath rules."""
     if model.homodyne_phase != 0.0:
         # the measured operators are built from the bare c, so at theta != 0
         # the record would read another quadrature than the back-action uses
         raise ValueError("generalized-bath steppers are derived for homodyne_phase = 0")
     ctx = _ctx(model)
-    gen = _generalized_ctx(model)
-    n, m = gen["n"], gen["m"]
+    n, m = model.bath.n_thermal, complex(model.bath.squeezing)
     kappa, c, cd = ctx["kappa"], ctx["c"], ctx["cd"]
     if mode == "homodyne":
         if m.imag != 0.0:
             raise ValueError("homodyne current scale is defined for real squeezing M only")
-        sub = gen.get("homodyne")
-        if sub is None:
-            mr = m.real
-            big_l = 2.0 * n + 1.0 + 2.0 * mr
-            if big_l <= 0:
-                raise ValueError("current variance 2N + 1 + 2M must be positive")
-            op = (n + mr + 1.0) * c - (n + mr) * cd
-            sub = {
-                "opd": np.ascontiguousarray(dagger(op)),
-                "scale": np.sqrt(kappa) / np.sqrt(big_l), "root_l": np.sqrt(big_l),
-            }
-            gen["homodyne"] = sub
-        return sub
+        mr = m.real
+        big_l = 2.0 * n + 1.0 + 2.0 * mr
+        if big_l <= 0:
+            raise ValueError("current variance 2N + 1 + 2M must be positive")
+        op = (n + mr + 1.0) * c - (n + mr) * cd
+        return {
+            "opd": np.ascontiguousarray(dagger(op)),
+            "scale": np.sqrt(kappa) / np.sqrt(big_l), "root_l": np.sqrt(big_l),
+        }
     if mode == "heterodyne":
         if m != 0:
             raise ValueError(
                 "generalized heterodyne stepping is defined for thermal baths (M = 0)"
             )
-        sub = gen.get("heterodyne")
-        if sub is None:
-            scale = np.sqrt(2.0 * (n + 1.0))
-            op1 = (n + 1.0) * c - n * cd
-            op2 = (n + 1.0) * (1j * c) - n * (-1j * cd)
-            sub = {
-                "op1d": np.ascontiguousarray(dagger(op1)),
-                "op2d": np.ascontiguousarray(dagger(op2)),
-                "scale": scale,
-                # written sqrt(kappa)/scale; this form reduces bit-exactly to
-                # the vacuum heterodyne prefactor sqrt(kappa/2) at N = 0
-                "pref": np.sqrt(kappa / (2.0 * (n + 1.0))),
-            }
-            gen["heterodyne"] = sub
-        return sub
+        op1 = (n + 1.0) * c - n * cd
+        op2 = (n + 1.0) * (1j * c) - n * (-1j * cd)
+        return {
+            "op1d": np.ascontiguousarray(dagger(op1)),
+            "op2d": np.ascontiguousarray(dagger(op2)),
+            "scale": np.sqrt(2.0 * (n + 1.0)),
+            # written sqrt(kappa)/scale; this form reduces bit-exactly to
+            # the vacuum heterodyne prefactor sqrt(kappa/2) at N = 0
+            "pref": np.sqrt(kappa / (2.0 * (n + 1.0))),
+        }
     raise ValueError(f"unknown mode {mode!r} (use 'homodyne' or 'heterodyne')")
 
 
@@ -444,48 +401,45 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
                 "linear_homodyne": "linear trajectories are defined for vacuum baths",
             }.get(kind, "vacuum-bath stepper; use generalized_bath_homodyne_step"))
     kappa, root = ctx["kappa"], ctx["root"]
-    cd, herm = ctx["cd"], ctx["herm"]
-    theta = model.homodyne_phase
-    phase = np.exp(-1j * theta) if theta else 1.0  # c_eff^dag = phase c^dag
-    vacuum = [(kappa, ctx["c"], cd, ctx["cdc"])]
+    cd, herm, ceff_d = ctx["cd"], ctx["herm"], ctx["ceff_d"]
     homodyne_current = _rows((root * dt) * herm)
-    if kind.startswith("generalized"):
-        gen = _generalized_ctx(model)
-        drift = _euler_form(dt, gen["h_eff"], gen["terms"], gen["dterms"])
-        root_k = np.sqrt(kappa) * dt
-        if kind == "generalized_homodyne":
-            return _right_kernel(drift, [(sub["scale"], sub["opd"])], _rows(root_k * herm),
-                                 noise_gain=sub["root_l"])
-        g = sub["pref"]
-        return _right_kernel(drift, [(g, sub["op1d"]), (g, sub["op2d"])],
-                             _rows(root_k * herm, root_k * ctx["herm_i"]),
-                             noise_gain=sub["scale"])
-    if kind == "homodyne":
-        return _right_kernel(_euler_form(dt, ctx["h"], vacuum), [(root * phase, cd)],
-                             homodyne_current)
-    if kind == "heterodyne":
-        g = np.sqrt(eta * kappa / 2.0)
-        return _right_kernel(_euler_form(dt, ctx["h"], vacuum),
-                             [(g * phase, cd), (-1j * g * phase, cd)],
-                             _rows((g * dt) * herm, (g * dt) * ctx["herm_i"]))
-    if kind == "linear_homodyne":
-        g = np.sqrt(kappa)
-        return _right_kernel(_euler_form(dt, ctx["h"], vacuum), [(g * phase, cd)], None,
-                             shift=g * mu, offset=g * mu * dt)
-    ceff_d = ctx["ceff_d"]
-    if kind == "homodyne_feedback":
-        # -i sqrt(kappa) [F, c rho + rho c^dag] = rho R + (a rho b + h.c.) + h.c.
-        # with R = i sqrt(kappa) c^dag F and a rho b = -i sqrt(kappa) F rho c^dag
-        f = _feedback_ctx(ctx, f_op)["f"]
-        s_k = np.sqrt(kappa)
-        drift = _euler_form(dt, ctx["h"], vacuum + [(1.0 / eta, f, f, f @ f)],
-                            right=(1j * s_k) * (ceff_d @ f), pairs=[(f, (-1j * s_k) * ceff_d)])
-        return _right_kernel(drift, [(1.0, root * ceff_d + 1j * f)], homodyne_current)
     if kind in ("homodyne_kraus", "linear_homodyne_kraus"):
         undetected = [] if eta == 1.0 else [(cd, ((1.0 - eta) * kappa * dt) * cd)]
         kraus = (_no_click_kraus(ctx, dt)[1], np.ascontiguousarray(root * ceff_d))
         currents = None if kind == "linear_homodyne_kraus" else homodyne_current
         return _right_kernel(HalfForm.build(None, undetected), [], currents, kraus=kraus)
+    # every Euler kind's drift is the generator of the one monitored channel
+    [(dissipators, commutators)], h_drive = _generator_terms(model)
+    h = ctx["h"] if h_drive is None else ctx["h"] + h_drive
+    if kind == "homodyne_feedback":
+        # -i sqrt(kappa) [F, c rho + rho c^dag] = rho R + (a rho b + h.c.) + h.c.
+        # with R = i sqrt(kappa) c^dag F and a rho b = -i sqrt(kappa) F rho c^dag
+        f = _feedback_ctx(ctx, f_op)["f"]
+        s_k = np.sqrt(kappa)
+        drift = _euler_form(dt, h, dissipators + [(1.0 / eta, f, f, f @ f)],
+                            right=(1j * s_k) * (ceff_d @ f), pairs=[(f, (-1j * s_k) * ceff_d)])
+        return _right_kernel(drift, [(1.0, root * ceff_d + 1j * f)], homodyne_current)
+    drift = _euler_form(dt, h, dissipators, commutators)
+    theta = model.homodyne_phase
+    phase = np.exp(-1j * theta) if theta else 1.0  # c_eff^dag = phase c^dag
+    if kind == "homodyne":
+        return _right_kernel(drift, [(root * phase, cd)], homodyne_current)
+    if kind == "heterodyne":
+        g = np.sqrt(eta * kappa / 2.0)
+        return _right_kernel(drift, [(g * phase, cd), (-1j * g * phase, cd)],
+                             _rows((g * dt) * herm, (g * dt) * ctx["herm_i"]))
+    if kind == "linear_homodyne":
+        g = np.sqrt(kappa)
+        return _right_kernel(drift, [(g * phase, cd)], None, shift=g * mu, offset=g * mu * dt)
+    root_k = np.sqrt(kappa) * dt
+    if kind == "generalized_homodyne":
+        return _right_kernel(drift, [(sub["scale"], sub["opd"])], _rows(root_k * herm),
+                             noise_gain=sub["root_l"])
+    if kind == "generalized_heterodyne":
+        g = sub["pref"]
+        return _right_kernel(drift, [(g, sub["op1d"]), (g, sub["op2d"])],
+                             _rows(root_k * herm, root_k * ctx["herm_i"]),
+                             noise_gain=sub["scale"])
     raise ValueError(f"no diffusive kernel for kind {kind!r}")
 
 

@@ -113,6 +113,9 @@ class EnsembleSpec:
             raise ValueError("need dt > 0 and t_final >= dt")
         if self.noise not in ("gaussian", "two_point"):
             raise ValueError("noise mode must be 'gaussian' or 'two_point'")
+        for name in ("threads", "block_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         self.observables = tuple(self.observables)
 
     @property

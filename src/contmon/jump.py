@@ -6,8 +6,9 @@ All steppers operate on a single monitored channel of a vacuum-bath model and
 broadcast over leading batch axes of the state.  They are deterministic given
 the click outcome, which the caller samples with :func:`jump_probability` and
 :func:`click_outcomes` or supplies, as the linear (ostensible-probability)
-machinery does.  Per-model operator products are cached, so repeated stepping
-costs only the batched state arithmetic.
+machinery does.  Per-model operator products are cached in
+``master_equation.model_cache``, so repeated stepping costs only the batched
+state arithmetic.
 
 Click kernels: for a fixed (model, kind, dt) the density-matrix click kinds are
 linear in rho except for the scalar <c^dag c>, and :func:`click_kernel`
@@ -28,9 +29,7 @@ kernels live in the per-model operator cache under ``("kernel", kind, dt,
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -45,7 +44,7 @@ from .core_ops import (
     to_coords,
     trace,
 )
-from .master_equation import OpenSystemModel, StepSizeError
+from .master_equation import OpenSystemModel, StepSizeError, _sandwich, model_cache
 
 __all__ = [
     "JumpRecord",
@@ -117,22 +116,22 @@ class WeightedState:
         return self.rho_bar / np.asarray(self.weight)[..., None, None]
 
 
-_CTX: "weakref.WeakKeyDictionary[OpenSystemModel, dict]" = weakref.WeakKeyDictionary()
-
-
 def _ctx(model: OpenSystemModel) -> dict:
     """Cached per-model operator products of the monitored channel, shared by
-    the jump and the diffusive steppers.  ``ceff`` is c e^{i theta} for the
-    local-oscillator phase theta; steppers add their own entries on demand."""
-    ctx = _CTX.get(model)
-    if ctx is None:
+    the jump and the diffusive steppers.  The entries live in the model's one
+    operator cache, ``master_equation.model_cache``, next to what the
+    steppers add there on demand (kernels, Kraus operators) and the ``expm``
+    stepper's propagators.  ``ceff`` is c e^{i theta} for the
+    local-oscillator phase theta."""
+    ctx = model_cache(model)
+    if "c" not in ctx:
         kappa, c = model.single_channel()
         h = model.constant_hamiltonian()
         theta = model.homodyne_phase
         ceff = c if theta == 0.0 else c * np.exp(1j * theta)
         cd = np.ascontiguousarray(dagger(c))
         ceff_d = np.ascontiguousarray(dagger(ceff))
-        ctx = {
+        ctx.update({
             "kappa": kappa,
             "c": c,
             "cd": cd,
@@ -145,8 +144,7 @@ def _ctx(model: OpenSystemModel) -> dict:
             "h": h,
             "h_zero": not np.any(h),
             "eye": np.eye(model.dim, dtype=complex),
-        }
-        _CTX[model] = ctx
+        })
     return ctx
 
 
@@ -264,18 +262,12 @@ def jump_kraus_apply(rho: np.ndarray, model: OpenSystemModel, dt: float, dn) -> 
     return _click_apply(click_kernel(model, "jump_kraus", dt), rho, dn)
 
 
-@lru_cache(maxsize=64)
-def _cached_feedback_unitary(key: bytes, dim: int) -> np.ndarray:
-    f = np.frombuffer(key, dtype=complex).reshape(dim, dim)
-    return expm(-1j * f)
-
-
 def feedback_unitary(f_op: np.ndarray) -> np.ndarray:
-    """exp(-i F) for a Hermitian feedback generator F (cached)."""
+    """exp(-i F) for a Hermitian feedback generator F."""
     f_op = np.asarray(f_op, dtype=complex)
     if not is_hermitian(f_op):
         raise ValueError("feedback operator must be Hermitian")
-    return _cached_feedback_unitary(np.ascontiguousarray(f_op).tobytes(), f_op.shape[0])
+    return expm(-1j * f_op)
 
 
 def jump_feedback_apply(
@@ -301,11 +293,6 @@ def jump_feedback_apply(
 # image and every expectation is a contiguous row over the batch and the
 # per-trajectory scalars broadcast along it.  A complex (B, d, d) batch is
 # converted at entry and exit.
-
-
-def _sandwich(a, b):
-    """The superoperator of rho -> a rho b."""
-    return np.kron(a, b.T)
 
 
 def _half_map(a, b):

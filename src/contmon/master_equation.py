@@ -4,6 +4,15 @@ and the exponential propagator / semigroup structure.
 The right-hand side covers vacuum baths (plain Lindblad form) as well as
 squeezed thermal baths and coherent driving; the propagator route vectorizes
 the generator (row-major ``vec``) and exponentiates it.
+
+The generator's terms are built in one place, :func:`_generator_terms`, which
+the compiled RK4 right-hand side, :func:`liouvillian_matrix` (the ``expm``
+stepper and :func:`steady_state`) and the Euler drift of every diffusive
+kernel read.  :func:`liouvillian_apply` and :func:`generalized_bath_me_rhs`
+state it directly, as the references the tests hold them to.
+:func:`model_cache` is the one per-model operator cache: the steppers'
+operator products and compiled kernels and the ``expm`` propagators all live
+in it.
 """
 
 from __future__ import annotations
@@ -234,56 +243,61 @@ def generalized_bath_me_rhs(model: OpenSystemModel, rho: np.ndarray, t: float = 
     return out
 
 
-def _compiled_me_rhs(model: OpenSystemModel):
-    """:func:`generalized_bath_me_rhs` with every operator built once.
+def _generator_terms(model: OpenSystemModel):
+    """The terms of :func:`generalized_bath_me_rhs`'s generator, with every
+    operator built once and each collapse operator checked once.
 
-    Returns ``(rhs, h_drive)``: ``rhs(rho, h)`` evaluates the right-hand side for
-    the Hamiltonian ``h``, which must already include the drive ``h_drive``
-    (None without one).  The terms are formed and summed in the order of
-    :func:`generalized_bath_me_rhs`, so both give the same bits.  Each collapse
-    operator is checked once here; ``rhs`` checks nothing.
+    Returns ``(channels, h_drive)``.  ``channels`` holds one pair
+    ``(dissipators, commutators)`` per channel, in the order the terms are
+    summed: the dissipators (coeff, a, a^dag, a^dag a) of kappa (N+1) D[c]
+    and kappa N D[c^dag], and the double commutators (coeff, a, a^2) of
+    (kappa M/2) [c^dag, [c^dag, .]] and (kappa M*/2) [c, [c, .]].
+    ``h_drive`` is the summed drive Hamiltonian (None without a drive).
     """
     bath = model.bath
     n, m = bath.n_thermal, complex(bath.squeezing)
-    # (coefficient, a, a^dag, a^dag a) of each dissipator and (coefficient, a)
-    # of each double commutator, in the order they are summed
-    dissipators, commutators = [], []
-    h_drive = None
+    channels, h_drive = [], None
     for kappa, c in model.channels:
         c = _check_square(c)
         cd = dagger(c)
-        dissipators.append([(kappa * (n + 1.0), c, cd, cd @ c)])
+        dissipators = [(kappa * (n + 1.0), c, cd, cd @ c)]
         if n != 0.0:
-            dissipators[-1].append((kappa * n, cd, dagger(cd), dagger(cd) @ cd))
-        commutators.append(
-            [(kappa * m / 2.0, cd), (kappa * np.conj(m) / 2.0, c)] if m != 0 else []
-        )
+            dissipators.append((kappa * n, cd, dagger(cd), dagger(cd) @ cd))
+        commutators = []
+        if m != 0:
+            commutators = [(kappa * m / 2.0, cd, cd @ cd), (kappa * np.conj(m) / 2.0, c, c @ c)]
+        channels.append((dissipators, commutators))
         if bath.drive != 0:
             term = coherent_drive_hamiltonian(c, kappa, bath.drive)
             h_drive = term if h_drive is None else h_drive + term
+    return channels, h_drive
+
+
+def _compiled_me_rhs(model: OpenSystemModel):
+    """:func:`generalized_bath_me_rhs` on the terms of :func:`_generator_terms`.
+
+    Returns ``(rhs, h_drive)``: ``rhs(rho, h)`` evaluates the right-hand side for
+    the Hamiltonian ``h``, which must already include the drive ``h_drive``.
+    The terms are summed in the order of :func:`generalized_bath_me_rhs`, so
+    both give the same bits; ``rhs`` checks nothing.
+    """
+    channels, h_drive = _generator_terms(model)
 
     def rhs(rho, h):
         out = np.zeros_like(rho)
-        for dis, com in zip(dissipators, commutators):
-            for coeff, a, ad, ada in dis:
+        for dissipators, commutators in channels:
+            for coeff, a, ad, ada in dissipators:
                 out = out + coeff * (a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada))
-            for coeff, a in com:
+            for coeff, a, _ in commutators:
                 out = out + coeff * _double_commutator(a, rho)
         return out + (-1j) * (h @ rho - rho @ h)
 
     return rhs, h_drive
 
 
-def _lmul(a: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    return np.kron(a, eye)
-
-
-def _rmul(a: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    return np.kron(eye, a.T)
-
-
 def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # row-major vec:  vec(A X B) = (A kron B^T) vec(X)
+    """The superoperator of rho -> a rho b: vec(A X B) = (A kron B^T) vec(X)
+    for the row-major vec."""
     return np.kron(a, b.T)
 
 
@@ -299,48 +313,42 @@ def liouvillian_matrix(model: OpenSystemModel, t: float = 0.0) -> np.ndarray:
             f"superoperator matrix refused for dim {d} > {MAX_SUPEROPERATOR_DIM}"
         )
     eye = np.eye(d, dtype=complex)
-    bath = model.bath
-    n, m = bath.n_thermal, complex(bath.squeezing)
+    channels, h_drive = _generator_terms(model)
     lmat = np.zeros((d * d, d * d), dtype=complex)
-
-    def dis(a):
-        ada = dagger(a) @ a
-        return _sandwich(a, dagger(a)) - 0.5 * (_lmul(ada, eye) + _rmul(ada, eye))
-
-    h_total = model.hamiltonian_at(t)
-    for kappa, c in model.channels:
-        lmat += kappa * (n + 1.0) * dis(c)
-        if n != 0.0:
-            lmat += kappa * n * dis(dagger(c))
-        if m != 0:
-            cd = dagger(c)
-            for coeff, a in ((kappa * m / 2.0, cd), (kappa * np.conj(m) / 2.0, c)):
-                lmat += coeff * (
-                    _lmul(a @ a, eye) - 2.0 * _sandwich(a, a) + _rmul(a @ a, eye)
-                )
-        if bath.drive != 0:
-            h_total = h_total + coherent_drive_hamiltonian(c, kappa, bath.drive)
-    lmat += -1j * (_lmul(h_total, eye) - _rmul(h_total, eye))
+    for dissipators, commutators in channels:
+        for coeff, a, ad, ada in dissipators:
+            lmat += coeff * (_sandwich(a, ad) - 0.5 * (_sandwich(ada, eye) + _sandwich(eye, ada)))
+        for coeff, a, a2 in commutators:
+            lmat += coeff * (_sandwich(a2, eye) - 2.0 * _sandwich(a, a) + _sandwich(eye, a2))
+    h = model.hamiltonian_at(t)
+    if h_drive is not None:
+        h = h + h_drive
+    lmat += -1j * (_sandwich(h, eye) - _sandwich(eye, h))
     return lmat
 
 
-# propagator cache keyed on the (immutable) model, then on (dt, t_segment)
-_PROPAGATOR_CACHE: "weakref.WeakKeyDictionary[OpenSystemModel, dict]" = (
-    weakref.WeakKeyDictionary()
-)
+_MODEL_CACHES: "weakref.WeakKeyDictionary[OpenSystemModel, dict]" = weakref.WeakKeyDictionary()
+
+
+def model_cache(model: OpenSystemModel) -> dict:
+    """The per-model operator cache: one dict per (immutable) model, dropped
+    with it.  The jump and diffusive steppers keep their operator products and
+    compiled kernels here (see ``contmon.jump._ctx``), and the ``expm``
+    stepper its propagators under ``("propagator", dt, segment)``."""
+    return _MODEL_CACHES.setdefault(model, {})
 
 
 def _propagator(model: OpenSystemModel, dt: float, t: float) -> np.ndarray:
-    per_model = _PROPAGATOR_CACHE.setdefault(model, {})
     if isinstance(model.hamiltonian, PiecewiseConstantHamiltonian):
         seg = int(np.searchsorted(model.hamiltonian.t_ends, t, side="right"))
         seg = min(seg, len(model.hamiltonian.operators) - 1)
     else:
         seg = 0
-    key = (float(dt), seg)
-    if key not in per_model:
-        per_model[key] = expm(liouvillian_matrix(model, t) * dt)
-    return per_model[key]
+    cache = model_cache(model)
+    key = ("propagator", float(dt), seg)
+    if key not in cache:
+        cache[key] = expm(liouvillian_matrix(model, t) * dt)
+    return cache[key]
 
 
 def _check_uniform_grid(t_grid: np.ndarray) -> float:

@@ -457,15 +457,48 @@ DRIFT_WITH_NAN = {"A": [[NAN, 0.0], [0.0, -0.3]], "D": [[1.0, 0.0], [0.0, 1.0]],
      "$.model.homodyne_phase: must be a finite number"),
     ("thermal_bath_homodyne", lambda doc: doc["model"]["bath"].update(n_thermal=INF),
      "$.model.bath.n_thermal: must be a finite number"),
+    # named rules that no other case reaches
+    ("qubit_homodyne_feedback", lambda doc: doc["unravelling"].update(kind="none"),
+     "$.feedback.kind: rule feedback_needs_monitoring"),
+    ("opo_markovian_feedback", lambda doc: doc["unravelling"].update(kind="none"),
+     "$.feedback.kind: rule feedback_needs_monitoring"),
+    ("qubit_homodyne_feedback", lambda doc: doc["unravelling"].update(kind="heterodyne"),
+     "$.feedback.kind: rule feedback_single_current"),
+    ("opo_conditional", lambda doc: doc["unravelling"].update(kind="jump"),
+     "$.unravelling.kind: rule gaussian_monitoring"),
+    ("thermal_bath_homodyne", lambda doc: doc["model"].update(efficiency=0.5),
+     "$.model.efficiency: rule generalized_bath_unit_efficiency"),
+    ("thermal_bath_homodyne",
+     lambda doc: (doc["model"]["bath"].update(squeezing=0.3),
+                  doc["unravelling"].update(kind="heterodyne")),
+     "$.unravelling.kind: rule heterodyne_thermal_only"),
+    ("thermal_bath_homodyne", lambda doc: doc["unravelling"].update(kind="jump"),
+     "$.unravelling.kind: rule jump_vacuum_bath"),
+    ("qubit_homodyne_feedback", lambda doc: doc["unravelling"].update(linear=True),
+     "$.unravelling.linear: rule linear_no_feedback"),
+    ("qubit_decay_jump",
+     lambda doc: (doc["unravelling"].update(linear=True), doc["model"].update(efficiency=0.5)),
+     "$.model.efficiency: rule linear_unit_efficiency"),
+    ("qubit_decay_jump", lambda doc: doc["unravelling"].update(linear=True, beta=0),
+     "$.unravelling.beta: rule ostensible_rate_positive"),
+    ("qubit_decay_jump", lambda doc: doc["run"].update(noise="two_point"),
+     "$.run.noise: rule two_point_diffusive_only"),
+    ("opo_conditional", lambda doc: doc["run"].update(noise="two_point"),
+     "$.run.noise: rule two_point_diffusive_only"),
 ], ids=["non_hermitian_hamiltonian", "unknown_channel_op", "unknown_hamiltonian_op",
         "non_hermitian_feedback", "markovian_f_3x3", "markovian_m_1x1", "lqg_p_indefinite",
         "lqg_q_zero", "lqg_unstable_opo", "two_channels", "homodyne_feedback_eta_0",
         "complex_squeezing", "lqg_p_1x1", "nan_drift", "linear_string", "records_string",
         "mu_nan", "beta_inf", "repeated_observable", "thermal_bath_feedback",
-        "thermal_bath_linear", "rate_nan", "rate_inf", "phase_nan", "n_thermal_inf"])
+        "thermal_bath_linear", "rate_nan", "rate_inf", "phase_nan", "n_thermal_inf",
+        "feedback_needs_monitoring_hilbert", "feedback_needs_monitoring_gaussian",
+        "feedback_single_current", "gaussian_monitoring", "generalized_bath_unit_efficiency",
+        "heterodyne_thermal_only", "jump_vacuum_bath", "linear_no_feedback",
+        "linear_unit_efficiency", "ostensible_rate_positive", "two_point_jump",
+        "two_point_gaussian"])
 def test_cli_rejects_unresolvable_operators(tmp_path, capsys, preset, mutate, path):
-    # every document that validate accepts must build: these used to pass
-    # validate and then fail or go wrong in run
+    # every document that validate accepts must build: the cases before the
+    # named rules used to pass validate and then fail or go wrong in run
     doc = get_preset(preset)
     doc["run"].update(t_final=0.01, n_traj=4)
     mutate(doc)

@@ -14,10 +14,8 @@ from contmon.core_ops import (
     from_coords,
     hermitian_basis,
     hermitize,
-    left_mul,
     measurement_superop,
     min_eigenvalue,
-    right_mul,
     to_coords,
     validate_state,
 )
@@ -109,23 +107,6 @@ def test_expectation_real_for_hermitian(qubit_ops):
     rho = random_density_matrix(rng)
     val = expectation(rho, qubit_ops["sigma_y"])
     assert abs(val.imag) < 1e-12
-
-
-@pytest.mark.parametrize("dim", [2, 3, 6])
-def test_batched_products_match_matmul(dim):
-    # covers the one-GEMM path (small dim) and the stacked-matmul path above it,
-    # square and stacked (non-square) operators, batched and unbatched states
-    rng = np.random.default_rng(dim)
-    rho = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
-    for rows in (dim, 2 * dim):
-        op = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
-        left, right = left_mul(op, rho), right_mul(rho, op.T)
-        assert left.shape == (5, rows, dim) and right.shape == (5, dim, rows)
-        np.testing.assert_allclose(left, op @ rho, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(right, rho @ op.T, rtol=0, atol=1e-13)
-        # one unbatched state and a batch of one go through identical arithmetic
-        np.testing.assert_array_equal(left_mul(op, rho[0]), left_mul(op, rho[:1])[0])
-        np.testing.assert_array_equal(right_mul(rho[0], op.T), right_mul(rho[:1], op.T)[0])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -724,6 +724,16 @@ def test_two_point_rejected_for_jump(qubit_ops, decay_model, excited):
         run_ensemble(spec, Scenario("jump", decay_model, excited))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("block_size", 0), ("block_size", -1), ("threads", 0), ("threads", -3),
+])
+def test_spec_rejects_non_positive_geometry(qubit_ops, field, value):
+    # block_size 0 and -1 used to die inside the block loop (range step zero,
+    # an IndexError), and threads 0 or -3 ran serially without a word
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        qubit_spec(qubit_ops, **{field: value})
+
+
 @pytest.mark.parametrize("kind", ["jump_feedback", "homodyne_feedback"])
 def test_feedback_scenario_needs_operator(decay_model, excited, kind):
     with pytest.raises(ValueError, match="needs a feedback_operator"):

@@ -204,9 +204,9 @@ def test_model_validation(qubit_ops):
         OpenSystemModel(np.zeros((2, 2)), [], efficiency=1.2)
 
 
-@pytest.mark.parametrize("case", ["bath_qubit", "bath_boson", "schedule"])
-def test_integrate_me_rk4_is_the_rk4_of_generalized_bath_me_rhs(qubit_ops, case):
-    # the compiled right-hand side must keep generalized_bath_me_rhs's bits
+def general_bath_case(qubit_ops, case):
+    """(model, rho0) of a two-channel qubit in a thermal, squeezed, driven
+    bath, a boson in one, or a qubit under a Hamiltonian schedule."""
     if case == "bath_qubit":  # two channels in a thermal, squeezed, driven bath
         model = OpenSystemModel(0.3 * qubit_ops["sigma_x"],
                                 [(1.0, qubit_ops["sigma_minus"]), (0.4, qubit_ops["sigma_z"])],
@@ -224,12 +224,35 @@ def test_integrate_me_rk4_is_the_rk4_of_generalized_bath_me_rhs(qubit_ops, case)
         model = OpenSystemModel(schedule, [(1.0, qubit_ops["sigma_minus"])],
                                 bath=BathSpec(0.2, -0.3, 0.1))
         rho0 = np.diag([1.0, 0.0]).astype(complex)
+    return model, rho0
+
+
+@pytest.mark.parametrize("case", ["bath_qubit", "bath_boson", "schedule"])
+def test_integrate_me_rk4_is_the_rk4_of_generalized_bath_me_rhs(qubit_ops, case):
+    # the compiled right-hand side must keep generalized_bath_me_rhs's bits
+    model, rho0 = general_bath_case(qubit_ops, case)
     t = grid(2.0, 1e-2)
     expected = [rho0]
     for time in t[:-1]:
         expected.append(rk4_step(lambda r: generalized_bath_me_rhs(model, r, time),
                                  expected[-1], 1e-2))
     np.testing.assert_array_equal(integrate_me(model, rho0, t), np.array(expected))
+
+
+@pytest.mark.parametrize("case", ["bath_qubit", "bath_boson", "schedule"])
+def test_liouvillian_matrix_is_generalized_bath_me_rhs(qubit_ops, case):
+    # the superoperator of the expm stepper and steady_state, on a general bath;
+    # the schedule switches at t = 0.5, so the two times read both pieces
+    model, rho0 = general_bath_case(qubit_ops, case)
+    rng = np.random.default_rng(17)
+    for t in (0.2, 0.9):
+        rho = random_density_matrix(rng, model.dim)
+        got = liouvillian_matrix(model, t) @ rho.ravel()
+        assert np.max(np.abs(got - generalized_bath_me_rhs(model, rho, t).ravel())) <= 1e-13
+    if case == "bath_qubit":
+        t = grid(2.0, 1e-2)
+        np.testing.assert_allclose(integrate_me(model, rho0, t, stepper="expm"),
+                                   integrate_me(model, rho0, t), rtol=0, atol=1e-8)
 
 
 def test_integrate_me_checks_operators_once(decay_model, excited, monkeypatch):
