@@ -32,7 +32,7 @@ import scipy
 from . import __version__
 from .core_ops import build_standard_ops, is_hermitian
 from .diffusive import squeezed_vacuum_jump_operator
-from .ensemble import EnsembleSpec, Scenario, run_ensemble
+from .ensemble import EnsembleSpec, Scenario, run_ensemble, stats_shape
 from .gaussian import (
     ConvergenceError,
     GaussianModel,
@@ -378,8 +378,8 @@ def _check_memory(cfg: dict) -> None:
     """Rule ``run_memory``: the run's arrays must fit in physical memory.
 
     Counted from below, in bytes: the operator set; per block in flight the
-    state and one work buffer, and the noise block; the per-step sums of
-    every block, held until the reduction; stored states and records.
+    state and one work buffer, and the noise block; the per-step statistics
+    of every block, held until the merge; stored states and records.
     """
     system, run, ukind = cfg["system"], cfg["run"], cfg["unravelling"]["kind"]
     steps = _n_steps(run)
@@ -394,10 +394,9 @@ def _check_memory(cfg: dict) -> None:
         draws = 2 if ukind == "heterodyne" else 1
         block = min(run["block_size"], run["n_traj"])
         blocks = -(-run["n_traj"] // block)
-        n_obs = len(cfg["output"]["observables"])  # a block's sums, as _run_block allocates them
-        per_step = (3 * dim if system["kind"] == "gaussian"
-                    else 3 * n_obs + 2 if cfg["unravelling"]["linear"] else 2 * n_obs)
-        sums = (steps + 1) * per_step * 8
+        # a block's statistics as the ensemble shapes them; Gaussian runs record q, p
+        sums = 8 * math.prod(stats_shape("gaussian", steps, 2) if system["kind"] == "gaussian"
+                             else stats_shape(ukind, steps, len(cfg["output"]["observables"])))
         need = ops + path + blocks * sums
         need += min(run["threads"], blocks) * block * (2 * state * entry + steps * draws * 8)
         stored = run["store_states"] * (steps + 1) * state * entry
@@ -720,34 +719,24 @@ class RuntimeJob:
                 model, GaussianState.vacuum(model.n_modes), float(grid[1] - grid[0]), grid.size - 1
             )
             zeros = np.zeros(grid.size)
-            available = {
-                "q": means[:, 0],
-                "p": means[:, 1],
-                "cond_var_q": covs[:, 0, 0],
-                "cond_var_p": covs[:, 1, 1],
-                "unc_var_q": covs[:, 0, 0],
-                "unc_var_p": covs[:, 1, 1],
-            }
-            columns = {name: (available[name], zeros) for name in names}
+            columns = {}
+            for name in names:
+                label = name.removeprefix("cond_var_").removeprefix("unc_var_")
+                idx = model.labels.index(label)
+                columns[name] = (means[:, idx] if name == label else covs[:, idx, idx], zeros)
             return grid, columns, {}, None
         raise RuntimeError(f"unknown job kind {self.kind}")
 
     def _derived_gaussian_column(self, name, stats):
-        covs = stats.extra["cov_path"]
-        comp = {"q": 0, "p": 1}
+        """``cond_var_<label>`` or ``unc_var_<label>`` of a model quadrature."""
+        label = name.removeprefix("cond_var_").removeprefix("unc_var_")
+        idx = self.scenario.model.labels.index(label)
+        var = stats.extra["cov_path"][:, idx, idx]
         if name.startswith("cond_var_"):
-            idx = comp[name.removeprefix("cond_var_")]
-            return covs[:, idx, idx], np.zeros(covs.shape[0])
-        if name.startswith("unc_var_"):
-            label = name.removeprefix("unc_var_")
-            idx = comp[label]
-            mean = stats.means[label]
-            m2 = stats.extra["m2"][label]
-            m4 = stats.extra["m4"][label]
-            excess = 2.0 * (m2 - mean**2)
-            se = 2.0 * np.sqrt(np.maximum(m4 - m2**2, 0.0) / stats.n_traj)
-            return covs[:, idx, idx] + excess, se
-        raise KeyError(name)
+            return var, np.zeros(var.shape)
+        mean, m2, m4 = stats.means[label], stats.extra["m2"][label], stats.extra["m4"][label]
+        excess = 2.0 * (m2 - mean**2)
+        return var + excess, 2.0 * np.sqrt(np.maximum(m4 - m2**2, 0.0) / stats.n_traj)
 
 
 def build_runtime(

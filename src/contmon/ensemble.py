@@ -6,15 +6,15 @@ substream keyed by (master_seed, trajectory_index), the stream
 step (see below), so results are bit-identical for any worker count.  Each
 block draws its noise up front from one Philox generator, re-keyed to each
 trajectory's substream in turn.  Blocks of trajectories are stepped in
-vectorized form; block partials are reduced in index order.
+vectorized form; block statistics are merged in index order.
 
 Variates drawn per step and trajectory: ``KINDS[kind].draws`` for each
 Hilbert-space kind (uniforms for click kinds and in two-point mode, normals
 otherwise), and one normal per monitored current for Gaussian runs.
 
-Step dispatch: every kind advances its block through the ``advance`` its
-``Kind.kernel`` builds once per block.  A density-matrix kind compiles its
-step there (:func:`contmon.jump.click_kernel`,
+Step dispatch: every Hilbert-space kind advances its block through the
+``advance`` its ``Kind.kernel`` builds once per block.  A density-matrix kind
+compiles its step there (:func:`contmon.jump.click_kernel`,
 :func:`contmon.diffusive.diffusive_kernel`).  At d <= ``BATCH_GEMM_MAX_DIM``
 (4) the block holds real (d^2, B) coordinates (:mod:`contmon.core_ops`),
 converted to (B, d, d) states only to be stored or checked: a step is one
@@ -26,12 +26,21 @@ state-vector kind ``jump_sse`` compiles nothing and steps through
 :func:`contmon.jump.jump_sse_apply`.  Every kind calls these through the
 module attributes ``jump`` and ``diffusive``.
 
-Gaussian runs fold the conditional-mean update into one affine map per step,
-r_{k+1} = Phi r_k + Gamma_k dw_k, built once per run from the Riccati
-covariance path (:func:`contmon.gaussian.covariance_path`), and step each
-block in chunks of steps: per chunk one batched matmul for the noise terms,
-one small GEMM per step for the recursion, and one vectorized call each for
-the sums, the records and the stored states.
+Gaussian runs (``KINDS["gaussian"]``) fold the conditional-mean update into
+one affine map per step, r_{k+1} = Phi r_k + Gamma_k dw_k, built once per run
+from the Riccati covariance path (:func:`contmon.gaussian.covariance_path`),
+and step each block in chunks of steps: per chunk one batched matmul for the
+noise terms, one small GEMM per step for the recursion, and one vectorized
+call each for the statistics, the records and the stored states.
+
+Statistics: one accumulator serves every kind.  Per block and step it holds
+W = sum w, W2 = sum w^2 and, for each column of values y, the block mean
+m = sum y / W and, in a second pass, S = sum (y - m w)^2 and C = sum w (y - m w).
+Normalized kinds have w = 1, linear kinds y = tr(rho_bar A) and w = tr rho_bar,
+and Gaussian runs feed the columns x and x^2 of each quadrature.  Blocks merge
+in index order by Chan, Golub & LeVeque's pairwise update, so no variance is a
+difference of raw power sums and an observable offset by a constant keeps its
+SE, sqrt(S) / W (times sqrt(n / (n - 1)) for normalized kinds).
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -63,9 +73,9 @@ __all__ = [
 ]
 
 MIN_EIG_THRESHOLD = -1e-12
-# the most each per-chunk buffer of a Gaussian block holds.  Freeing a buffer
-# raises glibc's dynamic mmap threshold to its size, so buffers this small leave
-# the allocation of later multi-megabyte arrays (d = 12 state blocks) as it was
+# the most each per-chunk buffer of a block holds (Gaussian steps, and every
+# kind's statistics).  Freeing a buffer raises glibc's dynamic mmap threshold to
+# its size, so buffers this small leave later multi-megabyte arrays as they were
 GAUSSIAN_CHUNK_BYTES = 2**19
 ESS_WARN_FRACTION = 0.01
 
@@ -109,7 +119,10 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
-        if self.dt <= 0 or self.t_final < self.dt:
+        for name in ("dt", "t_final"):
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be a finite number > 0")
+        if self.t_final < self.dt:
             raise ValueError("need dt > 0 and t_final >= dt")
         if self.noise not in ("gaussian", "two_point"):
             raise ValueError("noise mode must be 'gaussian' or 'two_point'")
@@ -146,11 +159,12 @@ class Scenario:
     beta_ost: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in KINDS and self.kind != "gaussian":
+        if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.kind == "jump_feedback" and isinstance(self.model, OpenSystemModel):
-            if self.model.efficiency != 1.0:
-                raise ValueError("jump feedback requires unit efficiency")
+        if not isinstance(self.model, KINDS[self.kind].model):
+            raise ValueError(f"{self.kind} scenario needs a {KINDS[self.kind].model.__name__}")
+        if self.kind == "jump_feedback" and self.model.efficiency != 1.0:
+            raise ValueError("jump feedback requires unit efficiency")
         if self.kind.endswith("_feedback") and self.feedback_operator is None:
             raise ValueError(f"{self.kind} needs a feedback_operator")
         if self.kind == "jump_sse" and np.ndim(self.initial_state) != 1:
@@ -206,17 +220,62 @@ def _traces(state):
 
 
 def _hilbert_observables(kind, state, rows):
-    """Each observable's values over the block, read by its row in ``rows``,
-    and the weights w = tr rho_bar of linear kinds, whose values are the
-    weighted traces tr(rho_bar A) = w <A>: no division, so zero-weight paths
-    (ostensible clicks from a dark state) stay harmless."""
+    """Each observable's values over the block, read by its row in ``rows``;
+    for linear kinds the weighted traces tr(rho_bar A) = tr(rho_bar) <A>: no
+    division, so zero-weight paths (clicks from a dark state) stay harmless."""
     if kind.pure:
-        return [np.einsum("bi,ij,bj->b", np.conj(state), op, state).real for op in rows], None
+        vals = [np.einsum("bi,ij,bj->b", np.conj(state), op, state).real for op in rows]
+        return np.reshape(vals, (len(rows), len(state)))
     if np.iscomplexobj(state):
-        vals = (rows @ state.reshape(len(state), -1).T).real
+        return (rows @ state.reshape(len(state), -1).T).real
+    return rows @ state
+
+
+def stats_shape(kind: str, n_steps: int, n_obs: int) -> tuple:
+    """The shape of the statistics one block of ``kind`` allocates: per step
+    W and W2, then m, S and C for each column.  A Gaussian block feeds two
+    columns per observable, x and x^2."""
+    n_cols = n_obs * (2 if KINDS[kind].model is GaussianModel else 1)
+    return n_steps + 1, 2 + 3 * n_cols
+
+
+def _parts(acc):
+    """The views (W, W2, m, S, C) of statistics rows, W and W2 as columns."""
+    n = (acc.shape[-1] - 2) // 3
+    return (acc[..., 0:1], acc[..., 1:2], acc[..., 2:2 + n], acc[..., 2 + n:2 + 2 * n],
+            acc[..., 2 + 2 * n:])
+
+
+def _moments(parts, y, w):
+    """Write the statistics of a block's values ``y`` (steps, columns, B) under
+    the weights ``w`` (steps, B), or 1 when None, into the zeroed rows ``parts``
+    = (W, W2, m, S, C): the means, then the sums centred on them.  ``y`` is
+    centred in place.  A step of zero total weight keeps m = 0, which merges ignore."""
+    big_w, w2, m, s, c = parts
+    if w is None:
+        big_w[...] = w2[...] = y.shape[-1]
+        np.divide(y.sum(-1), y.shape[-1], out=m)
+        y -= m[..., None]
     else:
-        vals = rows @ state
-    return vals, _traces(state) if kind.linear else None
+        big_w[...], w2[...] = w.sum(-1)[:, None], np.einsum("ki,ki->k", w, w)[:, None]
+        np.divide(y.sum(-1), big_w, out=m, where=big_w != 0.0)
+        y -= m[..., None] * w[:, None]
+    s[...] = (y[..., None, :] @ y[..., None])[..., 0, 0]
+    c[...] = y.sum(-1) if w is None else np.einsum("kci,ki->kc", y, w)
+
+
+def _merge(a, b):
+    """Merge the statistics ``b`` of the next block into ``a`` (Chan, Golub &
+    LeVeque): with m the merged mean, y - m w = (y - m_a w) + (m_a - m) w sums
+    over block a to S_a + 2 (m_a - m) C_a + (m_a - m)^2 W2_a and C_a + (m_a - m) W2_a."""
+    (wa, w2a, ma, sa, ca), (wb, w2b, mb, sb, cb) = _parts(a), _parts(b)
+    big_w = wa + wb
+    m = np.where(big_w != 0.0, wa * ma + wb * mb, 0.0) / np.where(big_w != 0.0, big_w, 1.0)
+    da, db = ma - m, mb - m
+    sa += da * (2.0 * ca + da * w2a) + sb + db * (2.0 * cb + db * w2b)
+    ca += da * w2a + cb + db * w2b
+    wa[...], w2a[...], ma[...] = big_w, w2a + w2b, m
+    return a
 
 
 def _check_physical(kind, state, step):
@@ -241,29 +300,6 @@ def _check_physical(kind, state, step):
         w_min = float(np.min(min_eigenvalue(arr)))
         if w_min < -1.0:
             raise PhysicalityError(step, f"state collapsed, min eigenvalue {w_min:.3e}")
-
-
-@dataclass(frozen=True)
-class Kind:
-    """What the ensemble layer needs to know about one Hilbert-space kind.
-
-    ``kernel(scenario, dt)`` runs once per block, compiling the step of a
-    density-matrix kind, and returns ``advance(state, x)``, which advances the
-    block and returns (state', record row); ``x`` is the step's uniform
-    variates for click kinds and its Wiener increments otherwise, one column
-    per draw (a vector when ``draws`` is 1).  The state of a density-matrix
-    block is its (d^2, B) coordinates up to ``BATCH_GEMM_MAX_DIM`` and a
-    C-contiguous (B, d, d) array, which ``advance`` updates in place, above.
-    Click kinds record ``uint8`` outcomes; ``linear`` kinds carry unnormalized
-    states with weighted statistics; ``pure`` kinds step state vectors and
-    skip the positivity checks.
-    """
-
-    kernel: Callable
-    draws: int = 1
-    clicks: bool = False
-    linear: bool = False
-    pure: bool = False
 
 
 # The steppers are looked up through the module attributes ``jump`` and
@@ -293,25 +329,75 @@ def _diffusive_kernel(sc, dt):
     return lambda rho, dw: diffusive.diffusive_kernel_step(kernel, rho, dw, work)
 
 
-KINDS = {
-    "jump": Kind(_click_kernel, clicks=True),
-    "jump_kraus": Kind(_click_kernel, clicks=True),
-    "jump_feedback": Kind(_click_kernel, clicks=True),
-    "jump_sse": Kind(_jump_sse, clicks=True, pure=True),
-    "linear_jump": Kind(_click_kernel, clicks=True, linear=True),
-    "homodyne": Kind(_diffusive_kernel),
-    "homodyne_kraus": Kind(_diffusive_kernel),
-    "heterodyne": Kind(_diffusive_kernel, draws=2),
-    "homodyne_feedback": Kind(_diffusive_kernel),
-    "generalized_homodyne": Kind(_diffusive_kernel),
-    "generalized_heterodyne": Kind(_diffusive_kernel, draws=2),
-    "linear_homodyne": Kind(_diffusive_kernel, linear=True),
-}
+def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
+    """Step a block of Hilbert-space trajectories through its kind's kernel."""
+    n_steps, kind, nblk = spec.n_steps, KINDS[scenario.kind], hi - lo
+    per_step = kind.draws
+    law = "uniform" if kind.clicks or spec.noise == "two_point" else "normal"
+    noise = _noise_matrix(spec.master_seed, lo, hi, n_steps * per_step, law)
+    acc = np.zeros(stats_shape(scenario.kind, n_steps, len(spec.observables)))
+    min_eig, violations, states_out, records = np.inf, 0, None, None
+
+    # the observables are read by their coordinates on a coordinate block and
+    # by the rows vec(A^T) on a (B, d, d) block
+    state0 = np.asarray(scenario.initial_state, dtype=complex)
+    coords = not kind.pure and len(state0) <= BATCH_GEMM_MAX_DIM
+    state = (np.repeat(to_coords(state0)[:, None], nblk, axis=1) if coords
+             else np.broadcast_to(state0, (nblk,) + state0.shape).copy())
+    as_states = from_coords if coords else np.asarray
+    rows = [op for _, op in spec.observables]
+    if not kind.pure:
+        rows = np.reshape([to_coords(op) if coords else op.T for op in rows],
+                          (len(rows), state0.size))
+    if spec.store_states:
+        states_out = np.empty((nblk, n_steps + 1) + state0.shape, dtype=complex)
+        states_out[:, 0] = as_states(state)
+    if spec.store_records:
+        records = np.empty((nblk, n_steps) + ((per_step,) if per_step > 1 else ()),
+                           dtype=np.uint8 if kind.clicks else float)
+
+    advance = kind.kernel(scenario, spec.dt)
+    # the values and weights of ``chunk`` steps, whose statistics are taken at once
+    chunk = max(1, GAUSSIAN_CHUNK_BYTES // (8 * nblk * max(len(rows), 1)))
+    vals = np.empty((chunk, len(rows), nblk))
+    wts = np.empty((chunk, nblk)) if kind.linear else None
+
+    def observe(k):
+        j = k % chunk
+        vals[j] = _hilbert_observables(kind, state, rows)
+        if wts is not None:
+            wts[j] = _traces(state)
+        if j == chunk - 1 or k == n_steps:
+            _moments(_parts(acc[k - j:k + 1]), vals[:j + 1], None if wts is None else wts[:j + 1])
+
+    observe(0)
+    for k in range(n_steps):
+        z = noise[:, k * per_step : (k + 1) * per_step]
+        x = z if kind.clicks else _to_wiener(spec, z)
+        state, rec_row = advance(state, x if per_step > 1 else x[:, 0])
+        if records is not None:
+            records[:, k] = rec_row
+        if spec.track_min_eigenvalue and not kind.pure:
+            arr = state
+            if kind.linear:
+                w = _traces(state)
+                w = np.where(w <= 0.0, 1.0, w)
+                arr = state / (w if coords else w[:, None, None])
+            eigs = coords_min_eigenvalue(arr) if coords else min_eigenvalue(arr)
+            min_eig = min(min_eig, float(np.min(eigs)))
+            violations += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
+        if spec.validate_every and (k + 1) % spec.validate_every == 0:
+            _check_physical(kind, as_states(state), k)
+        observe(k + 1)
+        if states_out is not None:
+            states_out[:, k + 1] = as_states(state)
+    return dict(stats=acc, min_eig=min_eig, violations=violations, states=states_out,
+                records=records)
 
 
 def _gaussian_paths(spec: EnsembleSpec, scenario: Scenario):
-    """The conditional covariance path shared by all trajectories, and the
-    affine step of the conditional means it implies.
+    """The conditional covariance path shared by all trajectories (reported
+    as ``cov_path``), and the affine step of the conditional means it implies.
 
     With the means of a block as the columns of r, one Euler-Maruyama step is
     r_{k+1} = Phi r_k + Gamma_k dw_k, where Phi = I + dt A, less dt F K under
@@ -329,7 +415,7 @@ def _gaussian_paths(spec: EnsembleSpec, scenario: Scenario):
         fm = scenario.f_mat @ np.atleast_2d(cmat)
         phi -= np.sqrt(2.0) * spec.dt * (fm @ model.B.T)
         gammas += fm
-    return dict(covs=covs, phi=phi, gammas=gammas)
+    return dict(phi=phi, gammas=gammas, extra=dict(cov_path=covs))
 
 
 def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
@@ -337,38 +423,26 @@ def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
 
     Per chunk, the noise terms Gamma_k dw_k of every step are one batched
     matmul, written where the states go; the recursion then adds Phi r_k, one
-    small GEMM per step; the sums of x, x^2 and x^4, the records
+    small GEMM per step; the statistics of x and x^2, the records
     dy_k = -sqrt(2) dt B^T r_k + dw_k and the stored states are each one call
     per chunk.  The states of a chunk are held time-major as (steps, 2n, block),
-    so each quadrature's sums run over contiguous rows, and every buffer holds
-    at most ``GAUSSIAN_CHUNK_BYTES``.
+    so each quadrature's values run over contiguous rows, and every buffer
+    holds at most ``GAUSSIAN_CHUNK_BYTES``.
     """
     model: GaussianModel = scenario.model
     n_steps, m, dim, nblk = spec.n_steps, model.n_currents, model.dim, hi - lo
     phi, gammas = shared["phi"], shared["gammas"]
     dw = _noise_matrix(spec.master_seed, lo, hi, n_steps * m, "normal").reshape(nblk, n_steps, m)
     dw *= np.sqrt(spec.dt)
-    states_out = records = None
-    if spec.store_states:
-        states_out = np.empty((nblk, n_steps + 1, dim))
-    if spec.store_records:
-        records = np.empty((nblk, n_steps, m))
+    states_out = np.empty((nblk, n_steps + 1, dim)) if spec.store_states else None
+    records = np.empty((nblk, n_steps, m)) if spec.store_records else None
     chunk = max(1, GAUSSIAN_CHUNK_BYTES // (8 * nblk * max(dim, m)))
     r = np.empty((chunk + 1, dim, nblk))
     r[0] = scenario.initial_state.mean[:, None]
-    work = np.empty((chunk, dim, nblk))
-    # per quadrature; the observables' columns are picked at the end
-    sum1, sum2, sum4 = (np.zeros((n_steps + 1, dim)) for _ in range(3))
-
-    def accumulate(rows, x):
-        x2 = work[:len(x)]
-        sum1[rows] += x.sum(axis=-1)
-        np.multiply(x, x, out=x2)
-        sum2[rows] += x2.sum(axis=-1)
-        x2 *= x2
-        sum4[rows] += x2.sum(axis=-1)
-
-    accumulate(slice(0, 1), r[:1])
+    comp = [model.labels.index(name) for name, _ in spec.observables]
+    n_obs = len(comp)
+    acc = np.zeros(stats_shape(scenario.kind, n_steps, n_obs))
+    x_buf, x2_buf = (np.empty((chunk + 1, n_obs, nblk)) for _ in range(2))
     if states_out is not None:
         states_out[:, 0] = r[0].T
     dy_scale = -np.sqrt(2.0) * spec.dt
@@ -383,96 +457,64 @@ def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
             records[:, k0:k1] = (dy_scale * (model.B.T @ r[:steps]) + w).transpose(2, 0, 1)
         if states_out is not None:
             states_out[:, k0 + 1:k1 + 1] = r[1:steps + 1].transpose(2, 0, 1)
-        accumulate(slice(k0 + 1, k1 + 1), r[1:steps + 1])
+        # the columns x, then x^2, of the observed quadratures; the first
+        # chunk also counts the initial means
+        i0 = 0 if k0 == 0 else 1
+        big_w, w2, *cols = _parts(acc[k0 + i0:k1 + 1])
+        x, x2 = x_buf[:steps + 1 - i0], x2_buf[:steps + 1 - i0]
+        np.take(r[i0:steps + 1], comp, axis=1, out=x, mode="clip")
+        np.multiply(x, x, out=x2)
+        _moments((big_w, w2, *(c[:, :n_obs] for c in cols)), x, None)
+        _moments((big_w, w2, *(c[:, n_obs:] for c in cols)), x2, None)
         r[0] = r[steps]
-    comp = [model.labels.index(name) for name, _ in spec.observables]
-    return dict(sum1=sum1[:, comp], sum2=sum2[:, comp], sum4=sum4[:, comp], min_eig=np.inf,
-                violations=0, states=states_out, records=records)
+    return dict(stats=acc, min_eig=np.inf, violations=0, states=states_out, records=records)
 
 
-def _run_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
-    if scenario.kind == "gaussian":
-        return _gaussian_block(spec, scenario, lo, hi, shared)
-    n_steps = spec.n_steps
-    kind = KINDS[scenario.kind]
-    per_step = kind.draws
-    law = "uniform" if kind.clicks or spec.noise == "two_point" else "normal"
-    noise = _noise_matrix(spec.master_seed, lo, hi, n_steps * per_step, law)
-    nblk = hi - lo
-    n_obs = len(spec.observables)
-    # the weighted sums of linear kinds or the plain ones of normalized kinds
-    if kind.linear:
-        wsum, w2sum = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
-        wx, w2x, w2x2 = (np.zeros((n_steps + 1, n_obs)) for _ in range(3))
-        sums = dict(wsum=wsum, w2sum=w2sum, wx=wx, w2x=w2x, w2x2=w2x2)
-    else:
-        sum1, sum2 = np.zeros((n_steps + 1, n_obs)), np.zeros((n_steps + 1, n_obs))
-        sums = dict(sum1=sum1, sum2=sum2)
-    min_eig = np.inf
-    violations = 0
-    states_out = None
-    records = None
+@dataclass(frozen=True)
+class Kind:
+    """What the ensemble layer needs to know about one scenario kind.
 
-    # Hilbert-space kinds; the observables are read by their coordinates on a
-    # coordinate block and by the rows vec(A^T) on a (B, d, d) block
-    state0 = np.asarray(scenario.initial_state, dtype=complex)
-    coords = not kind.pure and len(state0) <= BATCH_GEMM_MAX_DIM
-    state = (np.repeat(to_coords(state0)[:, None], nblk, axis=1) if coords
-             else np.broadcast_to(state0, (nblk,) + state0.shape).copy())
-    as_states = from_coords if coords else np.asarray
-    rows = [op for _, op in spec.observables]
-    if not kind.pure:
-        rows = np.reshape([to_coords(op) if coords else op.T for op in rows],
-                          (len(rows), state0.size))
-    if spec.store_states:
-        states_out = np.empty((nblk, n_steps + 1) + state0.shape, dtype=complex)
-        states_out[:, 0] = as_states(state)
-    if spec.store_records:
-        records = np.empty(
-            (nblk, n_steps) + ((per_step,) if per_step > 1 else ()),
-            dtype=np.uint8 if kind.clicks else float,
-        )
+    ``block(spec, scenario, lo, hi, shared)`` runs trajectories lo..hi - 1 of
+    a ``model``, with ``shared`` what ``shared(spec, scenario)`` computed once
+    per run (its ``"extra"`` goes to ``EnsembleStats.extra``).  For the
+    Hilbert-space kinds ``kernel(scenario, dt)`` runs once per block,
+    compiling the step of a density-matrix kind, and returns
+    ``advance(state, x)``, which advances the block and returns (state',
+    record row); ``x`` is the step's uniform variates for click kinds and its
+    Wiener increments otherwise, one column per draw (a vector when ``draws``
+    is 1).  A density-matrix block is its (d^2, B) coordinates up to
+    ``BATCH_GEMM_MAX_DIM`` and a C-contiguous (B, d, d) array, which
+    ``advance`` updates in place, above.  Click kinds record ``uint8``
+    outcomes; ``linear`` kinds carry unnormalized states with weighted
+    statistics; ``pure`` kinds step state vectors and skip the positivity
+    checks.
+    """
 
-    def record_stats(k):
-        vals, w = _hilbert_observables(kind, state, rows)
-        if kind.linear:
-            # vals[j] holds the weighted traces w * x
-            wsum[k] += w.sum()
-            w2sum[k] += (w * w).sum()
-            for j, wx_j in enumerate(vals):
-                wx[k, j] += wx_j.sum()
-                w2x[k, j] += (w * wx_j).sum()
-                w2x2[k, j] += (wx_j * wx_j).sum()
-            return
-        for j, x in enumerate(vals):
-            sum1[k, j] += x.sum()
-            sum2[k, j] += (x * x).sum()
+    kernel: Callable | None
+    draws: int = 1
+    clicks: bool = False
+    linear: bool = False
+    pure: bool = False
+    block: Callable = _hilbert_block
+    shared: Callable | None = None
+    model: type = OpenSystemModel
 
-    advance = kind.kernel(scenario, spec.dt)
 
-    record_stats(0)
-    for k in range(n_steps):
-        z = noise[:, k * per_step : (k + 1) * per_step]
-        x = z if kind.clicks else _to_wiener(spec, z)
-        state, rec_row = advance(state, x if per_step > 1 else x[:, 0])
-        if records is not None:
-            records[:, k] = rec_row
-        if spec.track_min_eigenvalue and not kind.pure:
-            arr = state
-            if kind.linear:
-                w = _traces(state)
-                w = np.where(w <= 0.0, 1.0, w)
-                arr = state / (w if coords else w[:, None, None])
-            eigs = coords_min_eigenvalue(arr) if coords else min_eigenvalue(arr)
-            m_eig = float(np.min(eigs))
-            min_eig = min(min_eig, m_eig)
-            violations += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
-        if spec.validate_every and (k + 1) % spec.validate_every == 0:
-            _check_physical(kind, as_states(state), k)
-        record_stats(k + 1)
-        if states_out is not None:
-            states_out[:, k + 1] = as_states(state)
-    return dict(sums, min_eig=min_eig, violations=violations, states=states_out, records=records)
+KINDS = {
+    "jump": Kind(_click_kernel, clicks=True),
+    "jump_kraus": Kind(_click_kernel, clicks=True),
+    "jump_feedback": Kind(_click_kernel, clicks=True),
+    "jump_sse": Kind(_jump_sse, clicks=True, pure=True),
+    "linear_jump": Kind(_click_kernel, clicks=True, linear=True),
+    "homodyne": Kind(_diffusive_kernel),
+    "homodyne_kraus": Kind(_diffusive_kernel),
+    "heterodyne": Kind(_diffusive_kernel, draws=2),
+    "homodyne_feedback": Kind(_diffusive_kernel),
+    "generalized_homodyne": Kind(_diffusive_kernel),
+    "generalized_heterodyne": Kind(_diffusive_kernel, draws=2),
+    "linear_homodyne": Kind(_diffusive_kernel, linear=True),
+    "gaussian": Kind(None, block=_gaussian_block, shared=_gaussian_paths, model=GaussianModel),
+}
 
 
 def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
@@ -480,92 +522,54 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
 
     Deterministic for fixed (spec, scenario): the output is identical for any
     thread count because trajectory substreams depend only on (master_seed,
-    index) and block partials are reduced in index order.
+    index) and block statistics are merged in index order.
     """
-    if scenario.kind == "gaussian" and not isinstance(scenario.model, GaussianModel):
-        raise ValueError("gaussian scenario needs a GaussianModel")
-    if spec.noise == "two_point" and (scenario.kind == "gaussian" or KINDS[scenario.kind].clicks):
+    kind = KINDS[scenario.kind]
+    if spec.noise == "two_point" and (kind.clicks or kind.kernel is None):
         raise ValueError("two-point noise applies to diffusive Hilbert-space unravellings only")
-    shared = _gaussian_paths(spec, scenario) if scenario.kind == "gaussian" else {}
+    shared = kind.shared(spec, scenario) if kind.shared else {}
 
-    blocks = [
-        (lo, min(lo + spec.block_size, spec.n_traj))
-        for lo in range(0, spec.n_traj, spec.block_size)
-    ]
+    size, n = spec.block_size, spec.n_traj
+    blocks = [(spec, scenario, lo, min(lo + size, n), shared) for lo in range(0, n, size)]
     if spec.threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            futures = [
-                pool.submit(_run_block, spec, scenario, lo, hi, shared)
-                for lo, hi in blocks
-            ]
-            partials = [f.result() for f in futures]
+            partials = list(pool.map(lambda args: kind.block(*args), blocks))
     else:
-        partials = [_run_block(spec, scenario, lo, hi, shared) for lo, hi in blocks]
+        partials = [kind.block(*args) for args in blocks]
 
-    n_steps = spec.n_steps
-    n_obs = len(spec.observables)
-    tot = {
-        key: sum(p[key] for p in partials)
-        for key in ("sum1", "sum2", "sum4", "wsum", "w2sum", "wx", "w2x", "w2x2")
-        if key in partials[0]
-    }
-    min_eig = min(p["min_eig"] for p in partials)
-    violations = sum(p["violations"] for p in partials)
-    n = spec.n_traj
-
-    means, ses = {}, {}
+    names = [name for name, _ in spec.observables]
+    big_w, w2, m, s, _ = (part.T for part in _parts(reduce(_merge, [p["stats"] for p in partials])))
+    # a fully collapsed linear ensemble (all ostensible paths annihilated) has
+    # no estimate at all: NaN means, zero effective sample size
+    safe_w = np.where(big_w != 0.0, big_w, np.nan)
+    mean = np.where(big_w != 0.0, m, np.nan)
+    se = np.sqrt(np.maximum(s, 0.0)) / safe_w
     ess = None
-    if scenario.kind != "gaussian" and KINDS[scenario.kind].linear:
-        wsum, w2sum = tot["wsum"], tot["w2sum"]
-        # a fully collapsed ensemble (all ostensible paths annihilated) has no
-        # estimate at all: NaN means, zero effective sample size
-        ess = np.where(w2sum > 0.0, wsum**2 / np.where(w2sum > 0.0, w2sum, 1.0), 0.0)
-        safe_w = np.where(wsum != 0.0, wsum, np.nan)
-        for j, (name, _) in enumerate(spec.observables):
-            mean = tot["wx"][:, j] / safe_w
-            var_num = tot["w2x2"][:, j] - 2 * mean * tot["w2x"][:, j] + mean**2 * w2sum
-            ses[name] = np.sqrt(np.maximum(var_num, 0.0)) / safe_w
-            means[name] = mean
+    if kind.linear:
+        ess = np.where(w2[0] > 0.0, big_w[0]**2 / np.where(w2[0] > 0.0, w2[0], 1.0), 0.0)
         if np.min(ess) < ESS_WARN_FRACTION * n:
-            warnings.warn(
-                f"effective sample size dropped to {np.min(ess):.1f} "
-                f"(< {ESS_WARN_FRACTION:.0%} of {n} trajectories)",
-                RuntimeWarning,
-            )
+            warnings.warn(f"effective sample size dropped to {np.min(ess):.1f} "
+                          f"(< {ESS_WARN_FRACTION:.0%} of {n} trajectories)", RuntimeWarning)
     else:
-        for j, (name, _) in enumerate(spec.observables):
-            mean = tot["sum1"][:, j] / n
-            var = np.maximum(tot["sum2"][:, j] / n - mean**2, 0.0)
-            means[name] = mean
-            # sample std / sqrt(n)
-            ses[name] = np.sqrt(var * (n / max(n - 1, 1))) / np.sqrt(n)
+        se *= np.sqrt(n / max(n - 1, 1))  # the sample standard deviation / sqrt(n)
 
-    states = None
-    if spec.store_states:
-        states = np.concatenate([p["states"] for p in partials], axis=0)
-    records = None
-    if spec.store_records:
-        records = np.concatenate([p["records"] for p in partials], axis=0)
-
+    track = spec.track_min_eigenvalue
     stats = EnsembleStats(
         t=spec.t_grid,
-        means=means,
-        std_errs=ses,
+        means=dict(zip(names, mean)),
+        std_errs=dict(zip(names, se)),
         n_traj=n,
-        min_eigenvalue=None if not spec.track_min_eigenvalue else float(min_eig),
-        positivity_violations=None if not spec.track_min_eigenvalue else int(violations),
+        min_eigenvalue=float(min(p["min_eig"] for p in partials)) if track else None,
+        positivity_violations=int(sum(p["violations"] for p in partials)) if track else None,
         ess=ess,
-        states=states,
-        records=records,
+        states=np.concatenate([p["states"] for p in partials]) if spec.store_states else None,
+        records=np.concatenate([p["records"] for p in partials]) if spec.store_records else None,
     )
-    if scenario.kind == "gaussian":
-        stats.extra["cov_path"] = shared["covs"]
-        m2, m4 = {}, {}
-        for j, (name, _) in enumerate(spec.observables):
-            m2[name] = tot["sum2"][:, j] / n
-            m4[name] = tot["sum4"][:, j] / n
-        stats.extra["m2"] = m2
-        stats.extra["m4"] = m4
+    if kind.model is GaussianModel:  # the x^2 columns: the raw second and fourth moments
+        m2 = mean[len(names):]
+        stats.extra["m2"] = dict(zip(names, m2))
+        stats.extra["m4"] = dict(zip(names, m2**2 + s[len(names):] / n))
+    stats.extra.update(shared.get("extra", {}))
     return stats
 
 

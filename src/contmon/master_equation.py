@@ -70,6 +70,9 @@ class BathSpec:
     drive: complex = 0j
 
     def __post_init__(self):
+        for name in ("n_thermal", "squeezing", "drive"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"bath {name} must be finite")
         if self.n_thermal < 0:
             raise ValueError("bath thermal occupation must be >= 0")
         n = self.n_thermal
@@ -423,7 +426,7 @@ def integrate_me(
             new_vec = prop @ vec
             new = new_vec.reshape(rho0.shape)
             drift = abs(trace(new) - trace(rho))
-            if drift > TRACE_DRIFT_LIMIT:
+            if not drift <= TRACE_DRIFT_LIMIT:
                 raise StepSizeError(
                     f"trace drift {drift:.3e} at step {i} exceeds {TRACE_DRIFT_LIMIT:g}"
                 )

@@ -527,6 +527,31 @@ def test_size_rule_rejects_runs_beyond_physical_memory(tmp_path, capsys, mutate)
         build_runtime(config)
 
 
+@pytest.mark.parametrize("preset, mutate, kind", [
+    ("coherent_drive", lambda doc: None, "generalized_homodyne"),
+    ("qubit_decay_jump", lambda doc: doc["unravelling"].update(linear=True), "linear_jump"),
+    ("opo_lqg", lambda doc: None, "gaussian"),
+], ids=["normalized", "linear", "gaussian"])
+def test_size_rule_charges_the_statistics_one_block_allocates(preset, mutate, kind, monkeypatch):
+    # the run_memory rule counts each block's statistics from the same
+    # expression that shapes them, for every kind and observable count
+    from contmon import config, ensemble
+
+    doc = get_preset(preset)
+    doc["run"].update(t_final=0.05, n_traj=80, block_size=64)
+    mutate(doc)
+    charged = []
+    monkeypatch.setattr(config, "stats_shape",
+                        lambda *args: charged.append(ensemble.stats_shape(*args)) or charged[-1])
+    job = build_runtime(parse_config(json.dumps(doc)))
+    assert job.scenario.kind == kind
+    rec = ensemble.KINDS[kind]
+    shared = rec.shared(job.spec, job.scenario) if rec.shared else {}
+    block = rec.block(job.spec, job.scenario, 0, 64, shared)
+    assert charged and set(charged) == {block["stats"].shape}
+    assert block["stats"].dtype == np.float64  # the 8 bytes per entry charged
+
+
 def _homodyne_preset_argv(out_dir, *extra):
     return ["preset", "qubit_homodyne", "--override", "run.n_traj=8",
             "--override", "run.t_final=0.01", "--out-dir", str(out_dir), *extra]

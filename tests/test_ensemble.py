@@ -51,6 +51,11 @@ from contmon.master_equation import BathSpec
 from conftest import two_mode_model
 
 
+# the kinds that step density matrices or state vectors: every KINDS entry
+# but the Gaussian moment kind
+HILBERT_KINDS = sorted(k for k in KINDS if KINDS[k].model is OpenSystemModel)
+
+
 def max_z_after(stats, name, ref, skip=50):
     """Max |z| ignoring the first few grid points, where the Monte Carlo spread
     is still ~0 and the z-score would measure Euler discretization bias rather
@@ -177,10 +182,8 @@ def _gaussian_reference(spec, scenario):
     did before its chunked affine steps: the covariance path by
     ``_sym(rk4_step(conditional_cov_rhs))``, then for every step one
     Euler-Maruyama update of all trajectories with the feedback terms added
-    separately, and one pass of per-observable sums per block of
-    ``spec.block_size``, added in block order.  Summing by blocks as the
-    ensemble does keeps the SE's ``sum2/n - mean^2`` comparable where the
-    spread is 0 (every trajectory at the same initial mean)."""
+    separately.  The moments are taken over all trajectories at once, the SE
+    two-pass: np.std(ddof=1) / sqrt(n)."""
     model = scenario.model
     n, m, n_steps, dt = spec.n_traj, model.n_currents, spec.n_steps, spec.dt
     covs = [scenario.initial_state.cov.copy()]
@@ -188,22 +191,13 @@ def _gaussian_reference(spec, scenario):
         covs.append(_sym(rk4_step(lambda c: conditional_cov_rhs(model, c), covs[-1], dt)))
     noise = _noise_matrix(spec.master_seed, 0, n, n_steps * m, "normal")
     comp = [model.labels.index(name) for name, _ in spec.observables]
-    sums = np.zeros((3, n_steps + 1, len(comp)))
     states = np.empty((n, n_steps + 1, model.dim))
     records = np.empty((n, n_steps, m))
     ckind, cmat = scenario.controller if scenario.controller else ("none", None)
     fk = scenario.f_mat @ np.atleast_2d(cmat) if ckind == "lqg" else None
     fm = scenario.f_mat @ np.atleast_2d(cmat) if ckind == "markovian" else None
     means = np.broadcast_to(scenario.initial_state.mean, (n, model.dim)).copy()
-
-    def rec(k, r):
-        states[:, k] = r
-        for lo in range(0, n, spec.block_size):
-            for j, ci in enumerate(comp):
-                x = r[lo:lo + spec.block_size, ci]
-                sums[:, k, j] += x.sum(), (x * x).sum(), ((x * x) ** 2).sum()
-
-    rec(0, means)
+    states[:, 0] = means
     for k in range(n_steps):
         dw = noise[:, k * m:(k + 1) * m] * np.sqrt(dt)
         gain = model.E - covs[k] @ model.B
@@ -215,11 +209,11 @@ def _gaussian_reference(spec, scenario):
             new = new + dy @ fm.T
         records[:, k] = dy
         means = new
-        rec(k + 1, means)
-    mean = sums[0] / n
-    se = np.sqrt(np.maximum(sums[1] / n - mean**2, 0.0) * (n / (n - 1))) / np.sqrt(n)
-    return dict(covs=np.array(covs), mean=mean, se=se, m2=sums[1] / n, m4=sums[2] / n,
-                states=states, records=records)
+        states[:, k + 1] = means
+    x = states[:, :, comp]
+    return dict(covs=np.array(covs), mean=x.mean(axis=0),
+                se=np.std(x, axis=0, ddof=1) / np.sqrt(n), m2=(x**2).mean(axis=0),
+                m4=(x**4).mean(axis=0), states=states, records=records)
 
 
 def gaussian_case(name, controller, mean0=None):
@@ -278,9 +272,8 @@ def test_gaussian_chunked_steps_match_per_step_loop(name, controller, steps):
 
 @pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
 def test_gaussian_displaced_start_matches_per_step_loop(controller):
-    # the SEs are not compared: with every trajectory at the same displaced
-    # mean the spread starts far below the mean, where sum2/n - mean^2 cancels
-    # and rounding differences of 1e-16 in the states move the SE by more
+    # every trajectory starts at the same displaced mean, so the spread starts
+    # far below the mean; the reference's SE is two-pass
     model, scenario = gaussian_case("two_mode", controller, mean0=[0.3, -0.2, 0.1, 0.5])
     spec = EnsembleSpec(
         n_traj=150, master_seed=31, dt=1e-3, t_final=0.6, block_size=64,
@@ -291,10 +284,44 @@ def test_gaussian_displaced_start_matches_per_step_loop(controller):
     ref = _gaussian_reference(spec, scenario)
     for j, label in enumerate(model.labels):
         assert_agrees(stats.means[label], ref["mean"][:, j])
+        assert_agrees(stats.std_errs[label], ref["se"][:, j])
         assert_agrees(stats.extra["m2"][label], ref["m2"][:, j])
         assert_agrees(stats.extra["m4"][label], ref["m4"][:, j])
     assert_agrees(stats.states, ref["states"])
     assert_agrees(stats.records, ref["records"])
+
+
+@pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
+def test_gaussian_se_matches_two_pass_oracle(controller):
+    model, scenario = gaussian_case("two_mode", controller, mean0=[0.3, -0.2, 0.1, 0.5])
+    spec = EnsembleSpec(
+        n_traj=150, master_seed=37, dt=1e-3, t_final=0.3, block_size=64,
+        observables=tuple((label, None) for label in model.labels), store_states=True,
+    )
+    stats = run_ensemble(spec, scenario)
+    oracle = np.std(stats.states, axis=0, ddof=1) / np.sqrt(spec.n_traj)
+    for j, label in enumerate(model.labels):
+        np.testing.assert_allclose(stats.std_errs[label], oracle[:, j], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
+def test_gaussian_displaced_by_1e8_keeps_its_se(controller):
+    # the deviations from the ensemble mean do not depend on the start's mean.
+    # From vacuum the spread starts near 1e-7, below the spacing of doubles at
+    # 1e8; a thermal start (3 times the vacuum covariance) spreads at once
+    runs = []
+    for shift in (0.0, 1e8):
+        model, scenario = gaussian_case("two_mode", controller)
+        scenario.initial_state = GaussianState(np.full(4, shift), 3 * scenario.initial_state.cov)
+        spec = EnsembleSpec(
+            n_traj=300, master_seed=41, dt=1e-3, t_final=0.5, block_size=64,
+            observables=tuple((label, None) for label in model.labels),
+        )
+        runs.append(run_ensemble(spec, scenario))
+    for label in model.labels:
+        se, shifted = runs[0].std_errs[label][1:], runs[1].std_errs[label][1:]
+        assert np.all(se > 0.0)
+        assert np.max(np.abs(shifted - se) / se) <= 1e-5
 
 
 @pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
@@ -350,7 +377,7 @@ def dim_case(kind, dim, qubit_ops):
 
 @pytest.mark.parametrize("kind, dim", [
     pytest.param(kind, dim, id=kind if dim == 2 else f"{kind}-d{dim}")
-    for dim in (2, BATCH_GEMM_MAX_DIM + 1) for kind in sorted(KINDS)
+    for dim in (2, BATCH_GEMM_MAX_DIM + 1) for kind in HILBERT_KINDS
 ])
 def test_thread_count_invariance(qubit_ops, kind, dim):
     # at d = 5 the blocks that run concurrently each step their own work buffers
@@ -361,6 +388,52 @@ def test_thread_count_invariance(qubit_ops, kind, dim):
     np.testing.assert_array_equal(s1.means["obs"], s8.means["obs"])
     np.testing.assert_array_equal(s1.std_errs["obs"], s8.std_errs["obs"])
     np.testing.assert_array_equal(s1.records, s8.records)
+
+
+def two_pass_se(kind, states, op):
+    """The SE oracle from stored states, two-pass: np.std(ddof=1) / sqrt(n) of
+    the values y = tr(rho A) for normalized kinds, and sqrt(sum (y - m w)^2) / W
+    with w = tr rho_bar, W = sum w and m = sum y / W for linear kinds."""
+    if KINDS[kind].pure:
+        y = np.einsum("nti,ij,ntj->nt", np.conj(states), op, states).real
+    else:
+        y = np.einsum("ntij,ji->nt", states, op).real
+    if not KINDS[kind].linear:
+        return np.std(y, axis=0, ddof=1) / np.sqrt(len(y))
+    w = np.einsum("ntii->nt", states).real
+    big_w = w.sum(axis=0)
+    return np.sqrt(((y - y.sum(axis=0) / big_w * w) ** 2).sum(axis=0)) / big_w
+
+
+@pytest.mark.parametrize("kind, dim", [
+    pytest.param(kind, dim, id=kind if dim == 2 else f"{kind}-d{dim}")
+    for dim in (2, BATCH_GEMM_MAX_DIM + 1) for kind in HILBERT_KINDS
+])
+def test_se_matches_two_pass_oracle(qubit_ops, kind, dim):
+    # 150 trajectories in blocks of 64: the SE of the merged block statistics
+    # is the two-pass SE of all trajectories
+    scenario, observables = dim_case(kind, dim, qubit_ops)
+    spec = qubit_spec(qubit_ops, n_traj=150, block_size=64, t_final=0.1, store_states=True,
+                      observables=observables)
+    stats = run_ensemble(spec, scenario)
+    oracle = two_pass_se(kind, stats.states, observables[0][1])
+    np.testing.assert_allclose(stats.std_errs["obs"], oracle, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["homodyne", "linear_homodyne"])
+def test_offset_observable_keeps_its_se(qubit_ops, kind):
+    # A + 1e8 I has the spread of A: a variance taken as sum2/n - mean^2 of
+    # values near 1e8 cancelled, and the SE read exactly 0 at most grid points.
+    # From |+> the populations spread from the first step on
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    model = OpenSystemModel(0.3 * qubit_ops["sigma_x"], [(1.0, qubit_ops["sigma_minus"])])
+    proj = qubit_ops["projector_e"]
+    spec = qubit_spec(qubit_ops, n_traj=300, t_final=0.5, block_size=64,
+                      observables=(("a", proj), ("shifted", proj + 1e8 * np.eye(2))))
+    stats = run_ensemble(spec, Scenario(kind, model, plus, mu=0.2))
+    se, shifted = stats.std_errs["a"][1:], stats.std_errs["shifted"][1:]
+    assert np.all(se > 0.0)
+    assert np.max(np.abs(shifted - se) / se) <= 1e-5
 
 
 def test_se_scaling(qubit_ops, decay_model, excited):
@@ -585,7 +658,7 @@ def test_physicality_abort(qubit_ops, excited):
     assert err.value.step >= 0
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("kind", HILBERT_KINDS)
 def test_records_storage(qubit_ops, kind):
     spec = qubit_spec(qubit_ops, n_traj=20, t_final=0.05, store_records=True)
     stats = run_ensemble(spec, kind_scenario(kind, qubit_ops))
@@ -607,7 +680,7 @@ def test_records_storage(qubit_ops, kind):
 CLICK_KERNEL = {"click_kernel": "block", "click_kernel_step": "step"}
 DIFFUSIVE_KERNEL = {"diffusive_kernel": "block", "diffusive_kernel_step": "step"}
 KERNEL_ENTRY_POINTS = {
-    kind: CLICK_KERNEL if KINDS[kind].clicks else DIFFUSIVE_KERNEL for kind in KINDS
+    kind: CLICK_KERNEL if KINDS[kind].clicks else DIFFUSIVE_KERNEL for kind in HILBERT_KINDS
 }
 KERNEL_ENTRY_POINTS["jump_sse"] = dict.fromkeys(
     ("sse_jump_probability", "click_outcomes", "jump_sse_apply"), "step"
@@ -656,23 +729,23 @@ def _assert_entry_points(kind, dim, qubit_ops, monkeypatch):
     counts = _count_stepper_calls(spec, scenario, monkeypatch)
     n_blocks = -(-spec.n_traj // spec.block_size)
     per = {"block": n_blocks, "step": n_blocks * spec.n_steps}
-    assert KERNEL_ENTRY_POINTS.keys() == KINDS.keys()
+    assert KERNEL_ENTRY_POINTS.keys() == set(HILBERT_KINDS)
     assert counts == {name: per[when] for name, when in KERNEL_ENTRY_POINTS[kind].items()}
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("kind", HILBERT_KINDS)
 def test_steppers_called_through_module_attributes(qubit_ops, kind, monkeypatch):
     _assert_entry_points(kind, 2, qubit_ops, monkeypatch)
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("kind", HILBERT_KINDS)
 def test_per_state_steppers_called_above_kernel_dim(qubit_ops, kind, monkeypatch):
     # the name predates the right-product kernels: above BATCH_GEMM_MAX_DIM
     # the entry points are the kernels too, and only jump_sse steps per state
     _assert_entry_points(kind, BATCH_GEMM_MAX_DIM + 1, qubit_ops, monkeypatch)
 
 
-@pytest.mark.parametrize("kind", sorted(k for k in KINDS if not KINDS[k].pure))
+@pytest.mark.parametrize("kind", [k for k in HILBERT_KINDS if not KINDS[k].pure])
 def test_right_kernel_step_allocates_no_state_sized_array(kind):
     # a d = 12 block of B = 256 states through Kind.kernel: after the warm-up
     # step has allocated the block's work buffers, the traced peak is the same
@@ -731,6 +804,16 @@ def test_spec_rejects_non_positive_geometry(qubit_ops, field, value):
     # block_size 0 and -1 used to die inside the block loop (range step zero,
     # an IndexError), and threads 0 or -3 ran serially without a word
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        qubit_spec(qubit_ops, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", np.nan), ("dt", np.inf), ("dt", 0.0), ("t_final", np.nan), ("t_final", np.inf),
+])
+def test_spec_rejects_non_finite_run_geometry(qubit_ops, field, value):
+    # NaN and inf used to pass, and n_steps then died converting NaN to an
+    # integer or overflowing
+    with pytest.raises(ValueError, match=f"{field} must be a finite number > 0"):
         qubit_spec(qubit_ops, **{field: value})
 
 

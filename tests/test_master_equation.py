@@ -176,6 +176,31 @@ def test_bath_physicality():
     BathSpec(n_thermal=1.0, squeezing=np.sqrt(2.0))  # squeezed vacuum boundary
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_thermal": np.nan}, "n_thermal"),
+    ({"n_thermal": np.inf}, "n_thermal"),
+    ({"n_thermal": 1.0, "squeezing": np.nan}, "squeezing"),
+    ({"n_thermal": 1.0, "squeezing": complex(0.0, np.inf)}, "squeezing"),
+    ({"drive": np.inf}, "drive"),
+    ({"drive": complex(np.nan, 0.0)}, "drive"),
+])
+def test_bath_rejects_non_finite_statistics(kwargs, name):
+    # nan < 0 and |M|^2 > nan are both False, so these used to be accepted
+    with pytest.raises(ValueError, match=f"bath {name} must be finite"):
+        BathSpec(**kwargs)
+
+
+@pytest.mark.parametrize("stepper", ["rk4", "expm"])
+def test_nan_trace_drift_raises(decay_model, excited, stepper, monkeypatch):
+    # a NaN drift fails the limit too: the expm branch used to test
+    # drift > limit and returned all-NaN states without an error
+    nan_step = lambda *args, **kwargs: np.full((4, 4) if stepper == "expm" else (2, 2), np.nan)
+    monkeypatch.setattr(master_equation, "_propagator" if stepper == "expm" else "rk4_step",
+                        nan_step)
+    with pytest.raises(StepSizeError, match="trace drift nan"):
+        integrate_me(decay_model, excited, grid(0.1, 1e-2), stepper=stepper)
+
+
 def test_piecewise_hamiltonian_schedule(qubit_ops, excited):
     # two constant segments must agree with integrating each piece separately
     h1, h2 = 0.8 * qubit_ops["sigma_x"], -0.3 * qubit_ops["sigma_z"]

@@ -32,3 +32,18 @@ def test_run_digests_gate(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert tool.compare(str(path), str(path)) == 0
     assert capsys.readouterr().out == "0 of 2 shared runs moved\n"
+
+    # an SE that moves is reported in absolute and relative terms, and a
+    # 2-thread result that differs from the 1-thread one fails the comparison
+    header, first_row, rest = first["csv"].split("\n", 2)
+    values = first_row.split(",")
+    values[2] = repr(float(values[2]) + 1e-3)  # rho_ee.se at t = 0, which is 0.0
+    moved = dict(first, stats_sha256="moved", csv="\n".join([header, ",".join(values), rest]))
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps({"qubit_decay_jump|seed=7|threads=1": moved,
+                                   "qubit_decay_jump|seed=7|threads=2": first}))
+    assert tool.compare(str(path), str(changed)) == 1
+    out = capsys.readouterr().out
+    assert "qubit_decay_jump|seed=7|threads=1: mean rel 0, se abs 0.001, se rel 1," in out
+    assert "1 of 2 shared runs moved" in out
+    assert f"qubit_decay_jump|seed=7: 1 and 2 threads differ in {changed}" in out

@@ -4,7 +4,10 @@ Each preset and ``perfbench/workloads.py`` document runs with at most 120
 steps and 150 trajectories in blocks of 64, records and min-eigenvalue
 tracking on, at seeds 7 and 11 with 1 and 2 threads.  The JSON output holds,
 per run, the sha256 of its stats table and records, its health block and its
-stats CSV text; ``--compare`` prints the runs that moved between two outputs.
+stats CSV text.  ``--compare`` prints the runs that moved between two
+outputs, with each run's largest mean move (relative to max(1, |mean|)) and
+largest SE move (absolute, and relative to the larger of the two SEs), and
+exits 1 when a run's 1-thread and 2-thread results differ in the second.
 
     PYTHONPATH=src python tools/run_digests.py digests.json
     python tools/run_digests.py --compare parent.json change.json
@@ -68,17 +71,23 @@ def compare(path_a: str, path_b: str) -> int:
         (ta, ha), (tb, hb) = ((_table(x[key]["csv"]), x[key]["health"]) for x in (a, b))
         mean = max(np.max(np.abs(ta[c] - tb[c]) / np.maximum(1.0, np.abs(ta[c])))
                    for c in ta if c.endswith(".mean"))
-        se = max(np.max(np.abs(ta[c] - tb[c])) for c in ta if c.endswith(".se"))
+        se = [np.abs(ta[c] - tb[c]) for c in ta if c.endswith(".se")]
+        scale = [np.maximum(np.abs(ta[c]), np.abs(tb[c])) for c in ta if c.endswith(".se")]
+        se_abs = max(np.max(d) for d in se)
+        se_rel = max(np.max(np.divide(d, s, out=np.zeros_like(d), where=s > 0))
+                     for d, s in zip(se, scale))
         records = "same" if a[key]["records_sha256"] == b[key]["records_sha256"] else "differ"
         health = "; ".join(f"{h} {ha.get(h)} -> {hb.get(h)}" for h in sorted(ha.keys() | hb.keys())
                            if ha.get(h) != hb.get(h))
-        print(f"{key}: mean rel {mean:.3g}, se abs {se:.3g}, records {records}; "
-              f"{health or 'health same'}")
+        print(f"{key}: mean rel {mean:.3g}, se abs {se_abs:.3g}, se rel {se_rel:.3g}, "
+              f"records {records}; {health or 'health same'}")
     print(f"{len(moved)} of {len(keys)} shared runs moved")
+    status = 0
     for key in (k for k in sorted(b) if k.endswith("|threads=1")):
         if b[key]["stats_sha256"] != b.get(key[:-1] + "2", b[key])["stats_sha256"]:
             print(f"{key[:-len('|threads=1')]}: 1 and 2 threads differ in {path_b}")
-    return 0
+            status = 1
+    return status
 
 
 def main(argv=None) -> int:
