@@ -734,9 +734,9 @@ class RuntimeJob:
         var = stats.extra["cov_path"][:, idx, idx]
         if name.startswith("cond_var_"):
             return var, np.zeros(var.shape)
-        mean, m2, m4 = stats.means[label], stats.extra["m2"][label], stats.extra["m4"][label]
-        excess = 2.0 * (m2 - mean**2)
-        return var + excess, 2.0 * np.sqrt(np.maximum(m4 - m2**2, 0.0) / stats.n_traj)
+        # the excess noise 2 Var(x) and its SE from the spread of x^2, both centred
+        excess = 2.0 * stats.extra["var_x"][label]
+        return var + excess, 2.0 * np.sqrt(stats.extra["var_x2"][label] / stats.n_traj)
 
 
 def build_runtime(

@@ -129,6 +129,12 @@ def expectation(rho: np.ndarray, op: np.ndarray):
 # kernels use right products of the C-contiguous state only (see contmon.jump).
 BATCH_GEMM_MAX_DIM = 4
 
+# The most each per-chunk buffer holds: every ensemble kind's statistics, the
+# Gaussian mean steps, and the powers of a Gaussian covariance propagator.
+# Freeing a buffer raises glibc's dynamic mmap threshold to its size, so
+# buffers this small leave later multi-megabyte arrays as they were.
+CHUNK_BUFFER_BYTES = 2**19
+
 
 def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Dissipation superoperator  A rho A^dag - {A^dag A, rho}/2.

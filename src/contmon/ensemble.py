@@ -28,10 +28,14 @@ module attributes ``jump`` and ``diffusive``.
 
 Gaussian runs (``KINDS["gaussian"]``) fold the conditional-mean update into
 one affine map per step, r_{k+1} = Phi r_k + Gamma_k dw_k, built once per run
-from the Riccati covariance path (:func:`contmon.gaussian.covariance_path`),
-and step each block in chunks of steps: per chunk one batched matmul for the
-noise terms, one small GEMM per step for the recursion, and one vectorized
-call each for the statistics, the records and the stored states.
+from the exact Riccati covariance path, which every trajectory shares
+(:func:`contmon.gaussian.covariance_path`: one matrix exponential and a few
+batched products and solves per run), and step each block in chunks of steps:
+per chunk one batched matmul for the noise terms, one small GEMM per step for
+the recursion, and one vectorized call each for the statistics, the records
+and the stored states.  ``EnsembleStats.extra`` carries the covariance path
+(``cov_path``) and, per observed quadrature x, the centred moments S_x / n
+(``var_x``) and S_{x^2} / n (``var_x2``).
 
 Statistics: one accumulator serves every kind.  Per block and step it holds
 W = sum w, W2 = sum w^2 and, for each column of values y, the block mean
@@ -54,8 +58,8 @@ from typing import Callable
 import numpy as np
 
 from . import diffusive, jump
-from .core_ops import (BATCH_GEMM_MAX_DIM, coords_min_eigenvalue, coords_trace, dagger,
-                       from_coords, min_eigenvalue, to_coords, trace)
+from .core_ops import (BATCH_GEMM_MAX_DIM, CHUNK_BUFFER_BYTES, coords_min_eigenvalue,
+                       coords_trace, dagger, from_coords, min_eigenvalue, to_coords, trace)
 # perfbench/spans.py wraps ``ensemble.conditional_cov_rhs``, so the name stays
 from .gaussian import GaussianModel, conditional_cov_rhs, covariance_path  # noqa: F401
 from .master_equation import OpenSystemModel
@@ -73,10 +77,6 @@ __all__ = [
 ]
 
 MIN_EIG_THRESHOLD = -1e-12
-# the most each per-chunk buffer of a block holds (Gaussian steps, and every
-# kind's statistics).  Freeing a buffer raises glibc's dynamic mmap threshold to
-# its size, so buffers this small leave later multi-megabyte arrays as they were
-GAUSSIAN_CHUNK_BYTES = 2**19
 ESS_WARN_FRACTION = 0.01
 
 
@@ -358,7 +358,7 @@ def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
 
     advance = kind.kernel(scenario, spec.dt)
     # the values and weights of ``chunk`` steps, whose statistics are taken at once
-    chunk = max(1, GAUSSIAN_CHUNK_BYTES // (8 * nblk * max(len(rows), 1)))
+    chunk = max(1, CHUNK_BUFFER_BYTES // (8 * nblk * max(len(rows), 1)))
     vals = np.empty((chunk, len(rows), nblk))
     wts = np.empty((chunk, nblk)) if kind.linear else None
 
@@ -427,7 +427,7 @@ def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     dy_k = -sqrt(2) dt B^T r_k + dw_k and the stored states are each one call
     per chunk.  The states of a chunk are held time-major as (steps, 2n, block),
     so each quadrature's values run over contiguous rows, and every buffer
-    holds at most ``GAUSSIAN_CHUNK_BYTES``.
+    holds at most ``CHUNK_BUFFER_BYTES``.
     """
     model: GaussianModel = scenario.model
     n_steps, m, dim, nblk = spec.n_steps, model.n_currents, model.dim, hi - lo
@@ -436,7 +436,7 @@ def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     dw *= np.sqrt(spec.dt)
     states_out = np.empty((nblk, n_steps + 1, dim)) if spec.store_states else None
     records = np.empty((nblk, n_steps, m)) if spec.store_records else None
-    chunk = max(1, GAUSSIAN_CHUNK_BYTES // (8 * nblk * max(dim, m)))
+    chunk = max(1, CHUNK_BUFFER_BYTES // (8 * nblk * max(dim, m)))
     r = np.empty((chunk + 1, dim, nblk))
     r[0] = scenario.initial_state.mean[:, None]
     comp = [model.labels.index(name) for name, _ in spec.observables]
@@ -539,11 +539,12 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
 
     names = [name for name, _ in spec.observables]
     big_w, w2, m, s, _ = (part.T for part in _parts(reduce(_merge, [p["stats"] for p in partials])))
+    s = np.maximum(s, 0.0)  # a sum of squares, whatever the merges rounded
     # a fully collapsed linear ensemble (all ostensible paths annihilated) has
     # no estimate at all: NaN means, zero effective sample size
     safe_w = np.where(big_w != 0.0, big_w, np.nan)
     mean = np.where(big_w != 0.0, m, np.nan)
-    se = np.sqrt(np.maximum(s, 0.0)) / safe_w
+    se = np.sqrt(s) / safe_w
     ess = None
     if kind.linear:
         ess = np.where(w2[0] > 0.0, big_w[0]**2 / np.where(w2[0] > 0.0, w2[0], 1.0), 0.0)
@@ -565,10 +566,9 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
         states=np.concatenate([p["states"] for p in partials]) if spec.store_states else None,
         records=np.concatenate([p["records"] for p in partials]) if spec.store_records else None,
     )
-    if kind.model is GaussianModel:  # the x^2 columns: the raw second and fourth moments
-        m2 = mean[len(names):]
-        stats.extra["m2"] = dict(zip(names, m2))
-        stats.extra["m4"] = dict(zip(names, m2**2 + s[len(names):] / n))
+    if kind.model is GaussianModel:  # the centred sums of the x and x^2 columns, over n
+        stats.extra["var_x"] = dict(zip(names, s[:len(names)] / n))
+        stats.extra["var_x2"] = dict(zip(names, s[len(names):] / n))
     stats.extra.update(shared.get("extra", {}))
     return stats
 

@@ -4,6 +4,11 @@ optical-parametric-oscillator benchmark with its closed-form targets.
 
 Covariance convention: sigma = <{dr, dr^T}> so the vacuum has sigma = identity;
 quadrature ordering is (q1, p1, ..., qn, pn) with [q, p] = i.
+
+Covariance paths are exact: the Riccati flow linearises (Davison & Maki, IEEE
+Trans. Autom. Control 18, 71 (1973)), so one matrix exponential per path gives
+every step (:func:`covariance_path`), and the unmonitored first moments step by
+e^{A dt}.
 """
 
 from __future__ import annotations
@@ -11,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 
-from .core_ops import rk4_step
+from .core_ops import CHUNK_BUFFER_BYTES
 
 __all__ = [
     "GaussianModel",
@@ -220,7 +226,8 @@ def conditional_step(
     drive: np.ndarray | None = None,
 ):
     """One conditional update: Euler-Maruyama first moments on the shared dw grid,
-    RK4 for the (deterministic) covariance, current dy = -sqrt(2) B^T r dt + dw.
+    the exact step of :func:`covariance_path` for the (deterministic)
+    covariance, current dy = -sqrt(2) B^T r dt + dw.
 
     ``drive`` is an optional F u(t) phase-space displacement rate added to the
     first moments (the covariance is unaffected by linear driving).
@@ -232,7 +239,7 @@ def conditional_step(
     mean = state.mean + model.A @ state.mean * dt + gain @ dw / np.sqrt(2.0)
     if drive is not None:
         mean = mean + np.asarray(drive, dtype=float) * dt
-    cov = _sym(rk4_step(lambda c: conditional_cov_rhs(model, c), state.cov, dt))
+    cov = covariance_path(model, state.cov, dt, 1)[1]
     dy = -np.sqrt(2.0) * model.B.T @ state.mean * dt + dw
     return GaussianState(mean, cov), dy
 
@@ -240,42 +247,51 @@ def conditional_step(
 def covariance_path(
     model: GaussianModel, cov0: np.ndarray, dt: float, n_steps: int, monitored: bool = True
 ) -> np.ndarray:
-    """RK4 covariances sigma_0 ... sigma_{n_steps} on the grid k dt, shape
-    (n_steps + 1, 2n, 2n): the Riccati flow of :func:`conditional_cov_rhs` when
-    ``monitored``, the flow of :func:`unconditional_moment_rhs` (B = E = 0)
-    otherwise.
+    """Exact covariances sigma_0 ... sigma_{n_steps} on the grid k dt, shape
+    (n_steps + 1, 2n, 2n), each symmetrized: the Riccati flow of
+    :func:`conditional_cov_rhs` when ``monitored``, the flow of
+    :func:`unconditional_moment_rhs` (B = E = 0) otherwise.
 
-    The right-hand side is built once per path: X + X^T + D - g g^T with
-    X = A sigma and g = E - sigma B.  It is exactly symmetric for a symmetric
-    sigma, so no stage is symmetrized and every step equals
-    ``_sym(rk4_step(conditional_cov_rhs))`` bit for bit.
+    With A' = A + E B^T, D' = D - E E^T and S = B B^T, sigma = X Y^-1 where
+    d/dt (X; Y) = H (X; Y) and H = [[A', D'], [S, -A'^T]].  Phi = e^{H dt} is
+    taken once; each chunk of c steps from sigma_k is one batched product
+    Phi^j (sigma_k; I), j = 1 ... c, and one batched solve, and the next chunk
+    restarts from its last sigma.  c <= 1 / (|H|_1 dt), so |Phi^c| <= e and X, Y
+    stay well scaled; c also keeps the powers within ``CHUNK_BUFFER_BYTES``,
+    so the memory beyond the path does not grow as dt shrinks.
     """
-    a, d = model.A, _sym(model.D)
-    b, e = (model.B, model.E) if monitored else (np.zeros_like(model.B),) * 2
-
-    def rhs(cov):
-        g = e - cov @ b
-        x = a @ cov
-        return x + x.T + d - g @ g.T
-
-    out = np.empty((n_steps + 1,) + model.A.shape)
-    out[0] = cov = _sym(np.asarray(cov0, dtype=float))
-    for k in range(n_steps):
-        cov = rk4_step(rhs, cov, dt)
-        out[k + 1] = cov
+    a, d, dim = model.A, _sym(model.D), model.dim
+    s = np.zeros_like(a)
+    if monitored:
+        a, d, s = a + model.E @ model.B.T, d - model.E @ model.E.T, model.B @ model.B.T
+    h_dt = dt * np.block([[a, d], [s, -a.T]])
+    # at most 1 / |H dt|_1 steps a chunk (all of them when H is 0 or NaN), and
+    # at most CHUNK_BUFFER_BYTES of powers
+    norm = float(np.linalg.norm(h_dt, 1))
+    chunk = n_steps if not norm * n_steps > 1.0 else int(1.0 / norm)
+    chunk = max(1, min(chunk, CHUNK_BUFFER_BYTES // (8 * 4 * dim * dim)))
+    powers = np.empty((chunk, 2 * dim, 2 * dim))  # Phi^1 ... Phi^chunk
+    powers[0] = expm(h_dt)
+    for j in range(1, chunk):
+        np.matmul(powers[0], powers[j - 1], out=powers[j])
+    out = np.empty((n_steps + 1, dim, dim))
+    out[0] = _sym(np.asarray(cov0, dtype=float))
+    for k0 in range(0, n_steps, chunk):
+        steps = min(chunk, n_steps - k0)
+        p = powers[:steps]
+        x = p[:, :dim, :dim] @ out[k0] + p[:, :dim, dim:]
+        y = p[:, dim:, :dim] @ out[k0] + p[:, dim:, dim:]
+        # sigma^T = Y^-T X^T, and symmetrizing makes the transpose moot
+        cov = np.linalg.solve(y.transpose(0, 2, 1), x.transpose(0, 2, 1))
+        out[k0 + 1:k0 + steps + 1] = 0.5 * (cov + cov.transpose(0, 2, 1))
     return out
 
 
 def unconditional_moments(model: GaussianModel, state: GaussianState, dt: float, n_steps: int):
-    """RK4 paths of the unmonitored moments on the grid k dt from ``state``:
-    means of shape (n_steps + 1, 2n) and the covariances of
-    :func:`covariance_path`.
-
-    On the linear r' = A r one RK4 step is the matrix
-    I + hA (I + hA/2 (I + hA/3 (I + hA/4))) with h = dt, applied once per step.
-    """
-    eye, ha = np.eye(model.dim), dt * model.A
-    step = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+    """Exact paths of the unmonitored moments on the grid k dt from ``state``:
+    means of shape (n_steps + 1, 2n), stepped by e^{A dt}, and the covariances
+    of :func:`covariance_path`."""
+    step = expm(dt * model.A)
     means = np.empty((n_steps + 1, model.dim))
     means[0] = state.mean
     for k in range(n_steps):

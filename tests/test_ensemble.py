@@ -18,7 +18,7 @@ from contmon.diffusive import (
     homodyne_sme_step,
 )
 from contmon import ensemble
-from contmon.core_ops import rk4_step
+from contmon.config import RuntimeJob
 from contmon.ensemble import (
     KINDS,
     EnsembleSpec,
@@ -30,9 +30,8 @@ from contmon.ensemble import (
     trajectory_rng,
 )
 from contmon.gaussian import (
-    _sym,
-    conditional_cov_rhs,
     conditional_step,
+    covariance_path,
     excess_noise_ss,
     lqg_gain,
     markovian_gain,
@@ -179,16 +178,14 @@ def test_single_trajectory_bit_for_bit_gaussian():
 
 def _gaussian_reference(spec, scenario):
     """The conditional means stepped one time step at a time, as the ensemble
-    did before its chunked affine steps: the covariance path by
-    ``_sym(rk4_step(conditional_cov_rhs))``, then for every step one
-    Euler-Maruyama update of all trajectories with the feedback terms added
-    separately.  The moments are taken over all trajectories at once, the SE
-    two-pass: np.std(ddof=1) / sqrt(n)."""
+    did before its chunked affine steps: on the covariance path of
+    ``covariance_path``, for every step one Euler-Maruyama update of all
+    trajectories with the feedback terms added separately.  The moments are
+    taken over all trajectories at once and two-pass: the SE as
+    np.std(ddof=1) / sqrt(n), the spreads of x and x^2 as np.var."""
     model = scenario.model
     n, m, n_steps, dt = spec.n_traj, model.n_currents, spec.n_steps, spec.dt
-    covs = [scenario.initial_state.cov.copy()]
-    for _ in range(n_steps):
-        covs.append(_sym(rk4_step(lambda c: conditional_cov_rhs(model, c), covs[-1], dt)))
+    covs = covariance_path(model, scenario.initial_state.cov, dt, n_steps)
     noise = _noise_matrix(spec.master_seed, 0, n, n_steps * m, "normal")
     comp = [model.labels.index(name) for name, _ in spec.observables]
     states = np.empty((n, n_steps + 1, model.dim))
@@ -211,9 +208,9 @@ def _gaussian_reference(spec, scenario):
         means = new
         states[:, k + 1] = means
     x = states[:, :, comp]
-    return dict(covs=np.array(covs), mean=x.mean(axis=0),
-                se=np.std(x, axis=0, ddof=1) / np.sqrt(n), m2=(x**2).mean(axis=0),
-                m4=(x**4).mean(axis=0), states=states, records=records)
+    return dict(covs=covs, mean=x.mean(axis=0), se=np.std(x, axis=0, ddof=1) / np.sqrt(n),
+                var_x=np.var(x, axis=0), var_x2=np.var(x**2, axis=0), states=states,
+                records=records)
 
 
 def gaussian_case(name, controller, mean0=None):
@@ -249,7 +246,7 @@ def test_gaussian_chunked_steps_match_per_step_loop(name, controller, steps):
     # 150 trajectories in blocks of 64 leave a ragged block of 22; the step
     # counts straddle the chunk length of a full block
     model, scenario = gaussian_case(name, controller)
-    chunk = ensemble.GAUSSIAN_CHUNK_BYTES // (8 * 64 * max(model.dim, model.n_currents))
+    chunk = ensemble.CHUNK_BUFFER_BYTES // (8 * 64 * max(model.dim, model.n_currents))
     n_steps = {"one": 1, "below_chunk": chunk - 1, "chunk": chunk, "above_chunk": chunk + 1,
                "long": 2500}[steps]
     spec = EnsembleSpec(
@@ -264,8 +261,8 @@ def test_gaussian_chunked_steps_match_per_step_loop(name, controller, steps):
     for j, label in enumerate(model.labels):
         assert_agrees(stats.means[label], ref["mean"][:, j])
         assert_agrees(stats.std_errs[label], ref["se"][:, j])
-        assert_agrees(stats.extra["m2"][label], ref["m2"][:, j])
-        assert_agrees(stats.extra["m4"][label], ref["m4"][:, j])
+        assert_agrees(stats.extra["var_x"][label], ref["var_x"][:, j])
+        assert_agrees(stats.extra["var_x2"][label], ref["var_x2"][:, j])
     assert_agrees(stats.states, ref["states"])
     assert_agrees(stats.records, ref["records"])
 
@@ -285,8 +282,8 @@ def test_gaussian_displaced_start_matches_per_step_loop(controller):
     for j, label in enumerate(model.labels):
         assert_agrees(stats.means[label], ref["mean"][:, j])
         assert_agrees(stats.std_errs[label], ref["se"][:, j])
-        assert_agrees(stats.extra["m2"][label], ref["m2"][:, j])
-        assert_agrees(stats.extra["m4"][label], ref["m4"][:, j])
+        assert_agrees(stats.extra["var_x"][label], ref["var_x"][:, j])
+        assert_agrees(stats.extra["var_x2"][label], ref["var_x2"][:, j])
     assert_agrees(stats.states, ref["states"])
     assert_agrees(stats.records, ref["records"])
 
@@ -325,6 +322,30 @@ def test_gaussian_displaced_by_1e8_keeps_its_se(controller):
 
 
 @pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
+def test_unconditional_variance_displaced_by_1e8_matches_two_pass_oracle(controller):
+    # unc_var_<x> = sigma_xx + 2 Var(x) and its SE 2 sqrt(Var(x^2) / n), both
+    # from centred sums; from raw moments they cancel at a start displaced by
+    # 1e8.  As in the test above, a thermal start spreads every quadrature at
+    # once.  The oracle is two-pass on the values less the first trajectory's:
+    # the shift is exact (Sterbenz), and it keeps the mean's rounding at the
+    # scale of the spread, where np.var of x^2 ~ 1e16 is off by 1e-11 relative
+    model, scenario = gaussian_case("two_mode", controller)
+    scenario.initial_state = GaussianState(np.full(4, 1e8), 3 * scenario.initial_state.cov)
+    spec = EnsembleSpec(
+        n_traj=300, master_seed=43, dt=1e-3, t_final=0.5, block_size=64,
+        observables=tuple((label, None) for label in model.labels), store_states=True,
+    )
+    stats = run_ensemble(spec, scenario)
+    job = RuntimeJob("ensemble", None, spec, scenario)
+    for j, label in enumerate(model.labels):
+        x = stats.states[:, :, j]
+        var_x, var_x2 = (np.var(y - y[0], axis=0) for y in (x, x**2))
+        mean, se = job._derived_gaussian_column(f"unc_var_{label}", stats)
+        assert_agrees(mean, stats.extra["cov_path"][:, j, j] + 2.0 * var_x)
+        assert_agrees(se, 2.0 * np.sqrt(var_x2 / spec.n_traj))
+
+
+@pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
 @pytest.mark.parametrize("name", ["opo", "two_mode"])
 def test_gaussian_thread_count_invariance(name, controller):
     model, scenario = gaussian_case(name, controller)
@@ -336,7 +357,7 @@ def test_gaussian_thread_count_invariance(name, controller):
     for label in model.labels:
         np.testing.assert_array_equal(s1.means[label], s8.means[label])
         np.testing.assert_array_equal(s1.std_errs[label], s8.std_errs[label])
-        np.testing.assert_array_equal(s1.extra["m4"][label], s8.extra["m4"][label])
+        np.testing.assert_array_equal(s1.extra["var_x2"][label], s8.extra["var_x2"][label])
     np.testing.assert_array_equal(s1.states, s8.states)
     np.testing.assert_array_equal(s1.records, s8.records)
 

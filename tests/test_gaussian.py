@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are, solve_lyapunov
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm, solve_continuous_are, solve_lyapunov
 
-from contmon.core_ops import rk4_step
+from contmon.core_ops import CHUNK_BUFFER_BYTES, rk4_step
 from contmon.gaussian import (
     GaussianModel,
     GaussianState,
@@ -48,39 +51,118 @@ def generic_model(rng, n_modes=3, n_currents=2):
                          rng.normal(size=(dim, n_currents)), rng.normal(size=(dim, n_currents)))
 
 
+def named_model(name, rng):
+    return {"opo": lambda: opo_model(CHI, KAPPA, 1.0), "two_mode": two_mode_model,
+            "generic": lambda: generic_model(rng)}[name]()
+
+
+def random_cov(rng, dim):
+    root = rng.normal(size=(dim, dim))
+    return _sym(root @ root.T + np.eye(dim))
+
+
+def dop853_path(model, cov0, dt, n_steps, monitored=True):
+    """The flow of :func:`conditional_cov_rhs` (with B = E = 0 unless
+    ``monitored``) on the grid k dt, by adaptive 8th-order Runge-Kutta."""
+    if not monitored:
+        model = GaussianModel(model.A, model.D, 0.0 * model.B, 0.0 * model.E)
+    dim = model.dim
+    sol = solve_ivp(lambda _, y: conditional_cov_rhs(model, y.reshape(dim, dim)).ravel(),
+                    (0.0, n_steps * dt), _sym(cov0).ravel(), method="DOP853",
+                    t_eval=np.arange(n_steps + 1) * dt, rtol=1e-13, atol=1e-14)
+    return sol.y.T.reshape(n_steps + 1, dim, dim)
+
+
+def assert_rel(new, ref, tol=1e-12):
+    """|new - ref| <= tol max(1, |ref|) elementwise."""
+    assert new.shape == ref.shape
+    err = np.abs(new - ref) / np.maximum(1.0, np.abs(ref))
+    assert np.all(err <= tol), float(np.max(err))
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1e-3])
 @pytest.mark.parametrize("name", ["opo", "two_mode", "generic"])
-def test_covariance_paths_are_the_rk4_of_the_public_rhs(name):
+def test_covariance_path_matches_dop853(name, dt):
+    # generic at dt = 1e-2 pins the chunk rule: restarting every 256 steps in
+    # place of every 1 / (|H|_1 dt) steps drifts 2e-10 from the oracle here
     rng = np.random.default_rng(5)
-    model = {"opo": lambda: opo_model(CHI, KAPPA, 1.0), "two_mode": two_mode_model,
-             "generic": lambda: generic_model(rng)}[name]()
-    root = rng.normal(size=(model.dim, model.dim))
-    cov0 = _sym(root @ root.T + np.eye(model.dim))
+    model = named_model(name, rng)
+    cov0 = random_cov(rng, model.dim)
+    assert_rel(covariance_path(model, cov0, dt, 200), dop853_path(model, cov0, dt, 200))
+
+
+@pytest.mark.parametrize("name", ["opo", "two_mode", "generic"])
+def test_unconditional_moments_are_the_closed_forms(name):
+    # sigma(t) = sigma_ss + e^{At} (sigma_0 - sigma_ss) e^{A^T t} with
+    # A sigma_ss + sigma_ss A^T + D = 0, and r(t) = e^{At} r_0
+    rng = np.random.default_rng(5)
+    model = named_model(name, rng)
+    state = GaussianState(rng.normal(size=model.dim), random_cov(rng, model.dim))
     dt, n_steps = 1e-2, 200
-    conditional = [cov0]
+    sigma_ss = solve_lyapunov(model.A, -model.D)
+    props = [expm(model.A * k * dt) for k in range(n_steps + 1)]
+    means, covs = unconditional_moments(model, state, dt, n_steps)
+    assert_rel(covs, np.array([sigma_ss + e @ (state.cov - sigma_ss) @ e.T for e in props]))
+    assert_rel(means, np.array([e @ state.mean for e in props]))
+
+
+@pytest.mark.parametrize("name", ["opo", "two_mode"])
+def test_covariance_path_agrees_with_rk4_of_the_public_rhs(name):
+    # the per-step RK4 the exact path replaced, from vacuum as the ensemble
+    # runs it: at dt = 1e-3 its own error is about 1e-13 (from a random
+    # covariance, with a faster transient, 1e-10)
+    model = named_model(name, None)
+    dt, n_steps = 1e-3, 2500
+    rk4 = [np.eye(model.dim)]
     for _ in range(n_steps):
-        conditional.append(
-            _sym(rk4_step(lambda c: conditional_cov_rhs(model, c), conditional[-1], dt))
-        )
-    np.testing.assert_array_equal(covariance_path(model, cov0, dt, n_steps),
-                                  np.array(conditional))
+        rk4.append(_sym(rk4_step(lambda c: conditional_cov_rhs(model, c), rk4[-1], dt)))
+    assert_rel(covariance_path(model, rk4[0], dt, n_steps), np.array(rk4))
 
-    # the unconditional moments as one RK4 of the packed (mean, covariance)
-    state, dim = GaussianState(rng.normal(size=model.dim), cov0), model.dim
 
-    def packed_rhs(y):
-        drdt, dsdt = unconditional_moment_rhs(model, GaussianState(y[:dim], y[dim:].reshape(dim, dim)))
-        return np.concatenate([drdt, dsdt.reshape(-1)])
+def test_covariance_path_of_no_steps():
+    cov0 = np.array([[2.0, 0.5], [0.5, 1.0]])
+    path = covariance_path(opo_model(CHI, KAPPA, 1.0), cov0, 1e-3, 0)
+    assert path.shape == (1, 2, 2)
+    np.testing.assert_array_equal(path[0], cov0)
 
-    y = np.concatenate([state.mean, state.cov.reshape(-1)])
-    means, covs = [state.mean], [state.cov]
-    for _ in range(n_steps):
-        y = rk4_step(packed_rhs, y, dt)
-        means.append(y[:dim].copy())
-        covs.append(_sym(y[dim:].reshape(dim, dim)))
-    got_means, got_covs = unconditional_moments(model, state, dt, n_steps)
-    np.testing.assert_array_equal(got_covs, np.array(covs))
-    # the means take the RK4 step as one matrix, which rounds differently
-    np.testing.assert_allclose(got_means, np.array(means), rtol=1e-12, atol=1e-15)
+
+@pytest.mark.parametrize("monitored", [True, False])
+def test_unstable_covariance_path_matches_dop853(monitored):
+    model = opo_model(0.6, KAPPA, 1.0)  # chi > kappa/2: p grows without bound
+    assert not hurwitz_report(model.A)[0]
+    path = covariance_path(model, np.eye(2), 1e-3, 5000, monitored=monitored)
+    assert np.all(np.isfinite(path))
+    assert_rel(path, dop853_path(model, np.eye(2), 1e-3, 5000, monitored))
+
+
+@pytest.mark.parametrize("name", ["opo", "two_mode"])
+def test_coarse_covariance_path_matches_dop853(name):
+    rng = np.random.default_rng(5)
+    model = named_model(name, rng)
+    cov0 = random_cov(rng, model.dim)
+    assert_rel(covariance_path(model, cov0, 0.2, 50), dop853_path(model, cov0, 0.2, 50))
+
+
+def test_fine_covariance_path_holds_no_more_than_its_chunk_buffers(opo):
+    # at dt = 1e-6 the norm rule allows 769 000 steps a chunk; the buffer cap
+    # keeps the memory beyond the path bounded, and the fine path still meets
+    # the coarse one on their shared grid, to the rounding of 200 000 steps
+    # (measured 3.1e-12)
+    tracemalloc.start()
+    try:
+        path = covariance_path(opo, np.eye(2), 1e-6, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= path.nbytes + 4 * CHUNK_BUFFER_BYTES
+    assert_rel(path[::1000], covariance_path(opo, np.eye(2), 1e-3, 200),
+               tol=200_000 * np.finfo(float).eps)
+
+
+def test_long_covariance_path_ends_at_the_riccati_steady_state(opo):
+    path = covariance_path(opo, np.eye(2), 1e-3, 200_000)
+    assert np.all(np.isfinite(path))
+    np.testing.assert_allclose(path[-1], riccati_steady_state(opo), rtol=0, atol=1e-12)
 
 
 def test_zero_model_rhs():

@@ -6,6 +6,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from contmon.presets import PRESETS
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "run_digests.py"
@@ -47,3 +49,20 @@ def test_run_digests_gate(tmp_path, capsys, monkeypatch):
     assert "qubit_decay_jump|seed=7|threads=1: mean rel 0, se abs 0.001, se rel 1," in out
     assert "1 of 2 shared runs moved" in out
     assert f"qubit_decay_jump|seed=7: 1 and 2 threads differ in {changed}" in out
+
+
+def test_run_digests_max_steps(tmp_path, monkeypatch):
+    # --max-steps caps every run's steps in place of the default 120
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "documents", lambda: {"opo_lqg": PRESETS["opo_lqg"]})
+    path = tmp_path / "digests.json"
+    for argv, steps in ((["--max-steps", "7"], 7), ([], tool.MAX_STEPS)):
+        assert tool.main([*argv, str(path)]) == 0
+        out = json.loads(path.read_text())
+        assert set(out) == {f"opo_lqg|seed={seed}|threads={threads}"
+                            for seed in tool.SEEDS for threads in tool.THREADS}
+        for run in out.values():
+            assert run["csv"].count("\n") == 1 + steps + 1  # the header, then t = 0 ... steps
+    with pytest.raises(SystemExit):
+        tool.main(["--max-steps", "0", str(path)])

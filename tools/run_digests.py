@@ -1,15 +1,16 @@
 """Digests of shortened runs of every preset and benchmark document.
 
 Each preset and ``perfbench/workloads.py`` document runs with at most 120
-steps and 150 trajectories in blocks of 64, records and min-eigenvalue
-tracking on, at seeds 7 and 11 with 1 and 2 threads.  The JSON output holds,
-per run, the sha256 of its stats table and records, its health block and its
-stats CSV text.  ``--compare`` prints the runs that moved between two
+steps (``--max-steps N`` sets another cap) and 150 trajectories in blocks of
+64, records and min-eigenvalue tracking on, at seeds 7 and 11 with 1 and 2
+threads.  The JSON output holds, per run, the sha256 of its stats table and
+records, its health block and its stats CSV text.  ``--compare`` prints the runs that moved between two
 outputs, with each run's largest mean move (relative to max(1, |mean|)) and
 largest SE move (absolute, and relative to the larger of the two SEs), and
 exits 1 when a run's 1-thread and 2-thread results differ in the second.
 
     PYTHONPATH=src python tools/run_digests.py digests.json
+    PYTHONPATH=src python tools/run_digests.py --max-steps 2500 full.json
     python tools/run_digests.py --compare parent.json change.json
 """
 
@@ -36,12 +37,12 @@ def documents() -> dict:
                             for op in workload.operations})
 
 
-def digest(doc: dict, seed: int, threads: int) -> dict:
+def digest(doc: dict, seed: int, threads: int, max_steps: int = MAX_STEPS) -> dict:
     from contmon.config import build_runtime, parse_config, render_stats_csv
 
     doc = json.loads(json.dumps(doc))
     run = doc["run"]
-    run.update(t_final=min(run["t_final"], MAX_STEPS * run["dt"]), block_size=BLOCK,
+    run.update(t_final=min(run["t_final"], max_steps * run["dt"]), block_size=BLOCK,
                n_traj=min(run["n_traj"], MAX_TRAJ), track_min_eigenvalue=True)
     doc["output"]["records"] = True
     job = build_runtime(parse_config(json.dumps(doc)), threads=threads, seed=seed)
@@ -94,10 +95,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="+", help="the output file, or two files with --compare")
     parser.add_argument("--compare", action="store_true", help="print the runs that moved")
+    parser.add_argument("--max-steps", type=int, default=MAX_STEPS, metavar="N",
+                        help=f"cap on each run's steps (default {MAX_STEPS})")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.paths)
-    out = {f"{name}|seed={seed}|threads={threads}": digest(doc, seed, threads)
+    if args.max_steps < 1:
+        parser.error("--max-steps must be >= 1")
+    out = {f"{name}|seed={seed}|threads={threads}": digest(doc, seed, threads, args.max_steps)
            for name, doc in documents().items() for seed in SEEDS for threads in THREADS}
     Path(args.paths[0]).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
