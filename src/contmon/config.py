@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .core_ops import build_standard_ops, is_hermitian
@@ -817,7 +816,6 @@ def run_scenario(
         "versions": {
             "contmon": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "wall_time_s": wall,
         "stats_file": stats_path.name,

@@ -1,4 +1,6 @@
-"""Dense complex operator algebra and the two superoperators used everywhere.
+"""Dense complex operator algebra, the two superoperators used everywhere, and
+:func:`expm`, the one matrix exponential: the ``expm`` master-equation
+propagators and the Gaussian covariance and mean propagators all take it.
 
 Conventions
 -----------
@@ -43,6 +45,7 @@ __all__ = [
     "from_coords",
     "coords_trace",
     "coords_min_eigenvalue",
+    "expm",
     "rk4_step",
 ]
 
@@ -350,6 +353,66 @@ def ensure_density_matrix(
 def is_hermitian(op: np.ndarray, tol: float = DEFAULT_TOLERANCES.hermiticity) -> bool:
     op = np.asarray(op, dtype=complex)
     return bool(np.max(np.abs(op - dagger(op))) <= tol)
+
+
+# Diagonal Pade [m/m] approximants of e^A: per degree m, the largest |A|_1 at
+# which its error stays below the unit roundoff, and the coefficients b_0 ...
+# b_m (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3, eq. 2.1).
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    9: (2.097847961257068,
+        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+         2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    13: (5.371920351148152,
+         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+}
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """e^A of a square matrix, by scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 1179 (2005), algorithm 2.3).
+
+    The lowest Pade degree m in 3, 5, 7, 9 whose threshold bounds |A|_1 serves
+    directly; otherwise degree 13 on A / 2^s, with s the fewest halvings to its
+    threshold, squared s times.  With U and V the odd and even parts of the
+    numerator, the approximant is formed as I + 2 (V - U)^-1 U, which keeps
+    the relative precision of e^A - I when |A| is small (a covariance
+    propagator raised to 10^5 powers needs it).  Real input gives a real
+    result; a non-finite entry gives a matrix of NaN.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, float), copy=False)
+    norm = float(np.linalg.norm(a, 1))
+    if not math.isfinite(norm):
+        return np.full_like(a, np.nan)
+    degree = next((m for m in (3, 5, 7, 9) if norm <= _PADE[m][0]), 13)
+    squarings = max(0, math.ceil(math.log2(norm / _PADE[13][0]))) if degree == 13 else 0
+    a = a / 2.0**squarings
+    b = _PADE[degree][1]
+    eye = np.eye(len(a), dtype=a.dtype)
+    a2 = a @ a
+    if degree == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        powers = [eye, a2]  # A^0, A^2, ..., A^(degree - 1)
+        while len(powers) <= degree // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * pk for k, pk in enumerate(powers))
+        v = sum(b[2 * k] * pk for k, pk in enumerate(powers))
+    r = eye + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
 
 
 def rk4_step(f, y, dt: float):

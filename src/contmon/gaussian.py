@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
-from .core_ops import CHUNK_BUFFER_BYTES
+from .core_ops import CHUNK_BUFFER_BYTES, expm
 
 __all__ = [
     "GaussianModel",

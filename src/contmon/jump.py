@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core_ops import (
     BATCH_GEMM_MAX_DIM,
@@ -263,11 +262,13 @@ def jump_kraus_apply(rho: np.ndarray, model: OpenSystemModel, dt: float, dn) -> 
 
 
 def feedback_unitary(f_op: np.ndarray) -> np.ndarray:
-    """exp(-i F) for a Hermitian feedback generator F."""
+    """exp(-i F) for a Hermitian feedback generator F, as V e^{-i lambda} V^dag
+    from its eigendecomposition F = V lambda V^dag."""
     f_op = np.asarray(f_op, dtype=complex)
     if not is_hermitian(f_op):
         raise ValueError("feedback operator must be Hermitian")
-    return expm(-1j * f_op)
+    lam, vecs = np.linalg.eigh(f_op)
+    return (vecs * np.exp(-1j * lam)) @ dagger(vecs)
 
 
 def jump_feedback_apply(

@@ -3,7 +3,7 @@ and the exponential propagator / semigroup structure.
 
 The right-hand side covers vacuum baths (plain Lindblad form) as well as
 squeezed thermal baths and coherent driving; the propagator route vectorizes
-the generator (row-major ``vec``) and exponentiates it.
+the generator (row-major ``vec``) and exponentiates it with ``core_ops.expm``.
 
 The generator's terms are built in one place, :func:`_generator_terms`, which
 the compiled RK4 right-hand side, :func:`liouvillian_matrix` (the ``expm``
@@ -11,8 +11,8 @@ stepper and :func:`steady_state`) and the Euler drift of every diffusive
 kernel read.  :func:`liouvillian_apply` and :func:`generalized_bath_me_rhs`
 state it directly, as the references the tests hold them to.
 :func:`model_cache` is the one per-model operator cache: the steppers'
-operator products and compiled kernels and the ``expm`` propagators all live
-in it.
+operator products and compiled kernels and the ``core_ops.expm`` propagators
+all live in it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core_ops import (
     DEFAULT_TOLERANCES,
@@ -31,6 +30,7 @@ from .core_ops import (
     dagger,
     dissipator,
     ensure_density_matrix,
+    expm,
     is_hermitian,
     rk4_step,
     trace,

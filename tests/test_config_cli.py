@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -181,13 +184,22 @@ def test_stats_csv_matches_per_value_format():
 
 
 def test_manifest_records_library_versions(tmp_path):
-    import scipy
+    from contmon import __version__
 
     doc = dict(MINIMAL, run=dict(MINIMAL["run"], n_traj=5, t_final=0.01))
     artifacts = run_scenario(parse_config(json.dumps(doc)), out_dir=tmp_path)
     versions = json.loads(artifacts.manifest_path.read_text())["versions"]
-    assert versions["scipy"] == scipy.__version__
-    assert versions["numpy"] == np.__version__
+    assert versions == {"contmon": __version__, "numpy": np.__version__}
+
+
+def test_import_contmon_cli_loads_no_scipy():
+    # the runtime needs numpy only; scipy is the tests' oracle
+    code = ("import contmon.cli, sys; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_records_file(tmp_path):

@@ -11,6 +11,7 @@ from contmon.core_ops import (
     coords_trace,
     dissipator,
     expectation,
+    expm,
     from_coords,
     hermitian_basis,
     hermitize,
@@ -262,3 +263,48 @@ def test_hermitize_is_c_contiguous_at_every_batch_size():
         out = hermitize(mat)
         assert out.flags.c_contiguous
         np.testing.assert_array_equal(out, 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2))))
+
+
+# |A|_1 = 1e-6, 0.1, 0.3, 1.5 take Pade degrees 3, 5, 7, 9; 3 takes degree 13
+# unscaled and 10 degree 13 after one halving
+@pytest.mark.parametrize("norm", [1e-6, 0.1, 0.3, 1.5, 3.0, 10.0])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_matches_scipy_on_random_matrices(norm, dtype):
+    from scipy.linalg import expm as scipy_expm
+
+    rng = np.random.default_rng(31)
+    for dim in (2, 5, 12):
+        a = rng.normal(size=(dim, dim)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=(dim, dim))
+        a *= norm / np.linalg.norm(a, 1)
+        got, ref = expm(a), scipy_expm(a)
+        assert got.dtype == ref.dtype
+        assert np.linalg.norm(got - ref, 1) <= 1e-12 * np.linalg.norm(ref, 1)
+
+
+def test_expm_keeps_the_precision_of_a_small_step():
+    # e^A - I = A + A^2/2 + A^3/6 + O(|A|^4): at |A|_1 = 1e-6 the diagonal is
+    # 1 + x rounded within an ulp and the rest keeps its relative precision,
+    # which 10^5 powers of a propagator need (formed as (V - U)^-1 (V + U),
+    # the diagonal here is 1.5 ulp off)
+    rng = np.random.default_rng(32)
+    a = rng.normal(size=(6, 6))
+    a *= 1e-6 / np.linalg.norm(a, 1)
+    taylor = a + a @ a / 2.0 + a @ a @ a / 6.0
+    err = np.abs(expm(a) - np.eye(6) - taylor)
+    assert np.all(err <= np.finfo(float).eps * np.eye(6) + 1e-14 * 1e-6)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_of_zero_is_the_identity(dtype):
+    got = expm(np.zeros((4, 4), dtype=dtype))
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, np.eye(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_of_non_finite_input_is_non_finite(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    assert not np.any(np.isfinite(expm(a)))

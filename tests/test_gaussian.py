@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_continuous_are, solve_lyapunov
 
+from contmon import core_ops
 from contmon.core_ops import CHUNK_BUFFER_BYTES, rk4_step
 from contmon.gaussian import (
     GaussianModel,
@@ -141,6 +142,20 @@ def test_coarse_covariance_path_matches_dop853(name):
     model = named_model(name, rng)
     cov0 = random_cov(rng, model.dim)
     assert_rel(covariance_path(model, cov0, 0.2, 50), dop853_path(model, cov0, 0.2, 50))
+
+
+@pytest.mark.parametrize("dt", [1e-6, 1e-2])
+@pytest.mark.parametrize("name", ["opo", "two_mode"])
+def test_gaussian_propagators_match_scipy_expm(name, dt):
+    # Phi = e^{H dt} of the monitored and unmonitored covariance flows and
+    # the mean step e^{A dt}, as covariance_path and unconditional_moments
+    # form them
+    model = named_model(name, np.random.default_rng(5))
+    a, d, s = model.A + model.E @ model.B.T, model.D - model.E @ model.E.T, model.B @ model.B.T
+    for gen in (np.block([[a, d], [s, -a.T]]),
+                np.block([[model.A, model.D], [0.0 * s, -model.A.T]]), model.A):
+        got, ref = core_ops.expm(gen * dt), expm(gen * dt)
+        assert np.linalg.norm(got - ref, 1) <= 1e-12 * np.linalg.norm(ref, 1)
 
 
 def test_fine_covariance_path_holds_no_more_than_its_chunk_buffers(opo):

@@ -362,6 +362,24 @@ def test_feedback_requires_hermitian_operator(decay_model, excited):
         jump_feedback_apply(excited, decay_model, np.array([[0, 1], [0, 0]], dtype=complex), 1e-3, False)
 
 
+def test_feedback_unitary_is_the_exponential_of_a_hermitian_generator():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(41)
+    mat = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    f_op = 0.5 * (mat + dagger(mat))
+    u = feedback_unitary(f_op)
+    assert np.max(np.abs(u - expm(-1j * f_op))) <= 1e-14
+    assert np.max(np.abs(u @ dagger(u) - np.eye(12))) <= 1e-14
+
+
+@pytest.mark.parametrize("f_op", [np.array([[0, 1], [0, 0]], dtype=complex),
+                                  np.array([[np.nan, 0], [0, 1]], dtype=complex)])
+def test_feedback_unitary_rejects_non_hermitian_generators(f_op):
+    with pytest.raises(ValueError, match="feedback operator must be Hermitian"):
+        feedback_unitary(f_op)
+
+
 def test_feedback_requires_operator(decay_model, excited):
     with pytest.raises(ValueError, match="feedback operator"):
         jump_feedback_apply(excited, decay_model, None, 1e-3, False)

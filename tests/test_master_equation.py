@@ -231,8 +231,13 @@ def test_model_validation(qubit_ops):
 
 def general_bath_case(qubit_ops, case):
     """(model, rho0) of a two-channel qubit in a thermal, squeezed, driven
-    bath, a boson in one, or a qubit under a Hamiltonian schedule."""
-    if case == "bath_qubit":  # two channels in a thermal, squeezed, driven bath
+    bath, a boson in one, a driven d = 12 mode, or a qubit under a Hamiltonian
+    schedule."""
+    if case == "boson_d12":  # the driven d = 12 mode of the boson benchmark
+        ops = build_standard_ops("boson", 12)
+        model = OpenSystemModel(np.zeros((12, 12)), [(1.0, ops["a"])], bath=BathSpec(drive=0.5))
+        rho0 = np.diag(np.eye(12)[3]).astype(complex)
+    elif case == "bath_qubit":  # two channels in a thermal, squeezed, driven bath
         model = OpenSystemModel(0.3 * qubit_ops["sigma_x"],
                                 [(1.0, qubit_ops["sigma_minus"]), (0.4, qubit_ops["sigma_z"])],
                                 bath=BathSpec(0.5, 0.4 + 0.3j, 0.3 + 0.2j))
@@ -262,6 +267,17 @@ def test_integrate_me_rk4_is_the_rk4_of_generalized_bath_me_rhs(qubit_ops, case)
         expected.append(rk4_step(lambda r: generalized_bath_me_rhs(model, r, time),
                                  expected[-1], 1e-2))
     np.testing.assert_array_equal(integrate_me(model, rho0, t), np.array(expected))
+
+
+@pytest.mark.parametrize("dt", [1e-6, 1e-2, 0.5])
+@pytest.mark.parametrize("case", ["boson_d12", "bath_qubit", "bath_boson", "schedule"])
+def test_expm_propagator_matches_scipy(qubit_ops, case, dt):
+    from scipy.linalg import expm as scipy_expm
+
+    model, _ = general_bath_case(qubit_ops, case)
+    lmat = liouvillian_matrix(model, 0.2) * dt
+    got, ref = core_ops.expm(lmat), scipy_expm(lmat)
+    assert np.linalg.norm(got - ref, 1) <= 1e-12 * np.linalg.norm(ref, 1)
 
 
 @pytest.mark.parametrize("case", ["bath_qubit", "bath_boson", "schedule"])
