@@ -2,17 +2,24 @@
 and the exponential propagator / semigroup structure.
 
 The right-hand side covers vacuum baths (plain Lindblad form) as well as
-squeezed thermal baths and coherent driving; the propagator route vectorizes
-the generator (row-major ``vec``) and exponentiates it with ``core_ops.expm``.
+squeezed thermal baths and coherent driving.  :func:`integrate_me` steps the
+row-major ``vec`` of the state by one cached d^2 x d^2 matrix per (stepper,
+dt, schedule segment): ``core_ops.expm`` of the vectorized generator for
+``"expm"``, its RK4 stability polynomial I + A + A^2/2 + A^3/6 + A^4/24
+(A = dt L) for ``"rk4"``.  Above ``MAX_RK4_MATRIX_DIM`` = 12 the ``"rk4"``
+stepper takes the stage form, four calls of the compiled right-hand side per
+step: there the O(d^6) build of the matrix outweighs the steps it saves
+(at d = 12 it costs about 3 ms, as much as 14 stage steps), and above
+``MAX_SUPEROPERATOR_DIM`` no matrix is built at all.
 
 The generator's terms are built in one place, :func:`_generator_terms`, which
-the compiled RK4 right-hand side, :func:`liouvillian_matrix` (the ``expm``
-stepper and :func:`steady_state`) and the Euler drift of every diffusive
+the compiled RK4 right-hand side, :func:`liouvillian_matrix` (both step
+matrices and :func:`steady_state`) and the Euler drift of every diffusive
 kernel read.  :func:`liouvillian_apply` and :func:`generalized_bath_me_rhs`
 state it directly, as the references the tests hold them to.
 :func:`model_cache` is the one per-model operator cache: the steppers'
-operator products and compiled kernels and the ``core_ops.expm`` propagators
-all live in it.
+operator products and compiled kernels and the master equation's step
+matrices all live in it.
 """
 
 from __future__ import annotations
@@ -50,10 +57,14 @@ __all__ = [
     "me_expectations",
     "steady_state",
     "MAX_SUPEROPERATOR_DIM",
+    "MAX_RK4_MATRIX_DIM",
 ]
 
 # dim**2 x dim**2 dense exponentials stay manageable up to here
 MAX_SUPEROPERATOR_DIM = 64
+# the rk4 stepper applies one cached dim**2 x dim**2 step matrix up to here
+# and the stage form above, where the matrix's O(dim**6) build outweighs it
+MAX_RK4_MATRIX_DIM = 12
 
 
 class StepSizeError(RuntimeError):
@@ -117,11 +128,12 @@ class PiecewiseConstantHamiltonian:
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
+    def segment(self, t: float) -> int:
+        """Index of the piece that applies at t (the last piece past its end)."""
+        return min(int(np.searchsorted(self.t_ends, t, side="right")), len(self.operators) - 1)
+
     def at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.t_ends, t, side="right"))
-        if idx >= len(self.operators):
-            idx = len(self.operators) - 1
-        return self.operators[idx]
+        return self.operators[self.segment(t)]
 
 
 @dataclass(eq=False)
@@ -336,21 +348,32 @@ _MODEL_CACHES: "weakref.WeakKeyDictionary[OpenSystemModel, dict]" = weakref.Weak
 def model_cache(model: OpenSystemModel) -> dict:
     """The per-model operator cache: one dict per (immutable) model, dropped
     with it.  The jump and diffusive steppers keep their operator products and
-    compiled kernels here (see ``contmon.jump._ctx``), and the ``expm``
-    stepper its propagators under ``("propagator", dt, segment)``."""
+    compiled kernels here (see ``contmon.jump._ctx``), and
+    :func:`integrate_me` its step matrices under
+    ``("propagator", stepper, dt, segment)``."""
     return _MODEL_CACHES.setdefault(model, {})
 
 
-def _propagator(model: OpenSystemModel, dt: float, t: float) -> np.ndarray:
-    if isinstance(model.hamiltonian, PiecewiseConstantHamiltonian):
-        seg = int(np.searchsorted(model.hamiltonian.t_ends, t, side="right"))
-        seg = min(seg, len(model.hamiltonian.operators) - 1)
-    else:
-        seg = 0
+def _rk4_matrix(a: np.ndarray) -> np.ndarray:
+    """The classical RK4 step of y' = (A / dt) y as one matrix: its stability
+    polynomial I + A + A^2/2 + A^3/6 + A^4/24, by Horner."""
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    p = eye + a / 4.0
+    for k in (3.0, 2.0, 1.0):
+        p = eye + (a @ p) / k
+    return p
+
+
+def _propagator(model: OpenSystemModel, stepper: str, dt: float, t: float) -> np.ndarray:
+    """The cached one-step matrix of ``stepper`` ("rk4" or "expm") for the
+    Hamiltonian segment that holds t."""
+    h = model.hamiltonian
+    seg = h.segment(t) if isinstance(h, PiecewiseConstantHamiltonian) else 0
     cache = model_cache(model)
-    key = ("propagator", float(dt), seg)
+    key = ("propagator", stepper, float(dt), seg)
     if key not in cache:
-        cache[key] = expm(liouvillian_matrix(model, t) * dt)
+        a = liouvillian_matrix(model, t) * dt
+        cache[key] = expm(a) if stepper == "expm" else _rk4_matrix(a)
     return cache[key]
 
 
@@ -386,55 +409,59 @@ def integrate_me(
     """Integrate the unconditional master equation on a uniform grid.
 
     ``stepper`` is ``"rk4"`` (fixed-step, supports piecewise-constant
-    Hamiltonian schedules) or ``"expm"`` (exact exponential propagator of the
-    vectorized generator; schedule breakpoints must coincide with grid points).
+    Hamiltonian schedules, sampled at each step's start) or ``"expm"`` (exact
+    exponential propagator of the vectorized generator; schedule breakpoints
+    must coincide with grid points).
+
+    Both apply one cached d^2 x d^2 step matrix per (stepper, dt, schedule
+    segment) to the row-major ``vec`` of the state: ``core_ops.expm`` of
+    ``dt`` times :func:`liouvillian_matrix`, or that matrix's RK4 stability
+    polynomial.  Above ``MAX_RK4_MATRIX_DIM`` = 12 ``"rk4"`` takes the
+    stage form instead, four calls of the compiled right-hand side per step;
+    it is the only form above ``MAX_SUPEROPERATOR_DIM``, where
+    :func:`liouvillian_matrix` refuses (and ``"expm"`` with it).  Building
+    the matrix costs O(d^6) once against O(d^3) per stage step: at d = 12
+    about 3 ms, which a run pays back after about 14 steps, so a shorter run
+    is slower in the matrix form.
+
     Raises :class:`StepSizeError` when the per-step trace drift exceeds
-    ``TRACE_DRIFT_LIMIT``.
+    ``TRACE_DRIFT_LIMIT`` (a non-finite state fails it too).
     """
     rho0 = ensure_density_matrix(np.asarray(rho0, dtype=complex), model.tolerances)
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _check_uniform_grid(t_grid)
-    out = np.empty((t_grid.size,) + rho0.shape, dtype=complex)
-    out[0] = rho0
-    rho = rho0
-    if stepper == "rk4":
+    if stepper not in ("rk4", "expm"):
+        raise ValueError(f"unknown stepper {stepper!r} (use 'rk4' or 'expm')")
+    if stepper == "expm" and not _segment_aligned(model, t_grid):
+        raise ValueError("expm stepper needs Hamiltonian schedule breakpoints on grid points")
+    if stepper == "rk4" and model.dim > MAX_RK4_MATRIX_DIM:
         rhs, h_drive = _compiled_me_rhs(model)
-        for i, t in enumerate(t_grid[:-1]):
+
+        def step(rho, t):
             # H is piecewise constant: sample it at the step start for every
             # stage (exact when schedule breakpoints sit on grid points)
             h = model.hamiltonian_at(t)
             if h_drive is not None:
                 h = h + h_drive
-            new = rk4_step(lambda r: rhs(r, h), rho, dt)
-            drift = abs(trace(new) - trace(rho))
-            # not (drift <= limit): a NaN drift fails too
-            if not drift <= TRACE_DRIFT_LIMIT:
-                raise StepSizeError(
-                    f"trace drift {drift:.3e} at step {i} exceeds {TRACE_DRIFT_LIMIT:g}; "
-                    f"reduce dt"
-                )
-            rho = new
-            out[i + 1] = rho
-    elif stepper == "expm":
-        if not _segment_aligned(model, t_grid):
-            raise ValueError(
-                "expm stepper needs Hamiltonian schedule breakpoints on grid points"
-            )
-        vec = rho.reshape(-1)
-        for i, t in enumerate(t_grid[:-1]):
-            prop = _propagator(model, dt, t)
-            new_vec = prop @ vec
-            new = new_vec.reshape(rho0.shape)
-            drift = abs(trace(new) - trace(rho))
-            if not drift <= TRACE_DRIFT_LIMIT:
-                raise StepSizeError(
-                    f"trace drift {drift:.3e} at step {i} exceeds {TRACE_DRIFT_LIMIT:g}"
-                )
-            vec = new_vec
-            rho = new
-            out[i + 1] = rho
+            return rk4_step(lambda r: rhs(r, h), rho, dt)
     else:
-        raise ValueError(f"unknown stepper {stepper!r} (use 'rk4' or 'expm')")
+        def step(rho, t):
+            return (_propagator(model, stepper, dt, t) @ rho.reshape(-1)).reshape(rho.shape)
+
+    out = np.empty((t_grid.size,) + rho0.shape, dtype=complex)
+    out[0] = rho = rho0
+    tr = trace(rho0)
+    for i, t in enumerate(t_grid[:-1]):
+        new = step(rho, t)
+        new_tr = trace(new)
+        drift = abs(new_tr - tr)
+        # not (drift <= limit): a NaN drift fails too
+        if not drift <= TRACE_DRIFT_LIMIT:
+            raise StepSizeError(
+                f"trace drift {drift:.3e} at step {i} exceeds {TRACE_DRIFT_LIMIT:g}; reduce dt"
+            )
+        out[i + 1] = rho = new
+        tr = new_tr
     return out
 
 

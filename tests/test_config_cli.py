@@ -275,6 +275,25 @@ def test_cli_physicality_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc["run"].update(dt=10.0, t_final=200.0),
+    lambda doc: doc["model"]["channels"][0].update(rate=1e300),
+    lambda doc: doc["model"].update(hamiltonian=[{"op": "sigma_x", "coeff": 1e300}]),
+], ids=["dt_10", "rate_1e300", "coeff_1e300"])
+def test_cli_master_equation_blow_up_exits_through_the_drift_check(tmp_path, capsys, mutate):
+    # a valid master-equation document whose step matrix overflows or whose
+    # RK4 step is unstable ends in the trace-drift check, not in an exception
+    doc = get_preset("qubit_decay_me")
+    mutate(doc)
+    doc["output"]["directory"] = str(tmp_path / "out")
+    config_path = tmp_path / "blows_up.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["validate", str(config_path)]) == 0
+    assert main(["run", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert "trace drift" in err and "Traceback" not in err
+
+
 def test_cli_io_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 4
     capsys.readouterr()

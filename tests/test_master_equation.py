@@ -14,7 +14,12 @@ from contmon import (
 )
 from contmon import core_ops, master_equation
 from contmon.core_ops import InvalidStateError, build_standard_ops, rk4_step
-from contmon.master_equation import MAX_SUPEROPERATOR_DIM, StepSizeError
+from contmon.master_equation import (
+    MAX_RK4_MATRIX_DIM,
+    MAX_SUPEROPERATOR_DIM,
+    StepSizeError,
+    model_cache,
+)
 
 from conftest import random_density_matrix
 
@@ -190,15 +195,21 @@ def test_bath_rejects_non_finite_statistics(kwargs, name):
         BathSpec(**kwargs)
 
 
-@pytest.mark.parametrize("stepper", ["rk4", "expm"])
-def test_nan_trace_drift_raises(decay_model, excited, stepper, monkeypatch):
+@pytest.mark.parametrize("form", ["rk4", "expm", "rk4_stage"])
+def test_nan_trace_drift_raises(qubit_ops, decay_model, excited, form, monkeypatch):
     # a NaN drift fails the limit too: the expm branch used to test
-    # drift > limit and returned all-NaN states without an error
-    nan_step = lambda *args, **kwargs: np.full((4, 4) if stepper == "expm" else (2, 2), np.nan)
-    monkeypatch.setattr(master_equation, "_propagator" if stepper == "expm" else "rk4_step",
-                        nan_step)
+    # drift > limit and returned all-NaN states without an error.  At d = 2
+    # both steppers apply a step matrix; above MAX_RK4_MATRIX_DIM rk4 steps
+    # in stage form
+    if form == "rk4_stage":
+        model, rho0 = general_bath_case(qubit_ops, "boson_above_bound")
+        d = model.dim
+        monkeypatch.setattr(master_equation, "rk4_step", lambda *a, **k: np.full((d, d), np.nan))
+    else:
+        model, rho0 = decay_model, excited
+        monkeypatch.setattr(master_equation, "_propagator", lambda *a, **k: np.full((4, 4), np.nan))
     with pytest.raises(StepSizeError, match="trace drift nan"):
-        integrate_me(decay_model, excited, grid(0.1, 1e-2), stepper=stepper)
+        integrate_me(model, rho0, grid(0.1, 1e-2), stepper=form.removesuffix("_stage"))
 
 
 def test_piecewise_hamiltonian_schedule(qubit_ops, excited):
@@ -231,12 +242,19 @@ def test_model_validation(qubit_ops):
 
 def general_bath_case(qubit_ops, case):
     """(model, rho0) of a two-channel qubit in a thermal, squeezed, driven
-    bath, a boson in one, a driven d = 12 mode, or a qubit under a Hamiltonian
-    schedule."""
+    bath, a boson in one, a driven d = 12 mode, a qubit under a Hamiltonian
+    schedule that switches on or off the grid points, or a boson in a
+    thermal, driven bath at d = MAX_RK4_MATRIX_DIM or one above it."""
     if case == "boson_d12":  # the driven d = 12 mode of the boson benchmark
         ops = build_standard_ops("boson", 12)
         model = OpenSystemModel(np.zeros((12, 12)), [(1.0, ops["a"])], bath=BathSpec(drive=0.5))
         rho0 = np.diag(np.eye(12)[3]).astype(complex)
+    elif case in ("boson_at_bound", "boson_above_bound"):
+        dim = MAX_RK4_MATRIX_DIM + (case == "boson_above_bound")
+        ops = build_standard_ops("boson", dim)
+        model = OpenSystemModel(0.2 * ops["q"] @ ops["q"], [(1.0, ops["a"])],
+                                bath=BathSpec(n_thermal=0.3, drive=0.4))
+        rho0 = np.diag(np.eye(dim)[2]).astype(complex)
     elif case == "bath_qubit":  # two channels in a thermal, squeezed, driven bath
         model = OpenSystemModel(0.3 * qubit_ops["sigma_x"],
                                 [(1.0, qubit_ops["sigma_minus"]), (0.4, qubit_ops["sigma_z"])],
@@ -247,9 +265,10 @@ def general_bath_case(qubit_ops, case):
         model = OpenSystemModel(0.2 * ops["q"] @ ops["q"], [(1.0, ops["a"])],
                                 bath=BathSpec(0.3, 0.2j, 0.4))
         rho0 = np.diag([0.0, 0.0, 1.0, 0.0, 0.0]).astype(complex)
-    else:  # a piecewise-constant Hamiltonian that switches on a grid point
+    else:  # a piecewise-constant Hamiltonian that switches on a grid point or between two
+        switch = 0.5005 if case == "schedule_off_grid" else 0.5
         schedule = PiecewiseConstantHamiltonian(
-            [(0.5, 0.3 * qubit_ops["sigma_x"]), (np.inf, 0.7 * qubit_ops["sigma_y"])]
+            [(switch, 0.3 * qubit_ops["sigma_x"]), (np.inf, 0.7 * qubit_ops["sigma_y"])]
         )
         model = OpenSystemModel(schedule, [(1.0, qubit_ops["sigma_minus"])],
                                 bath=BathSpec(0.2, -0.3, 0.1))
@@ -257,16 +276,37 @@ def general_bath_case(qubit_ops, case):
     return model, rho0
 
 
-@pytest.mark.parametrize("case", ["bath_qubit", "bath_boson", "schedule"])
-def test_integrate_me_rk4_is_the_rk4_of_generalized_bath_me_rhs(qubit_ops, case):
-    # the compiled right-hand side must keep generalized_bath_me_rhs's bits
-    model, rho0 = general_bath_case(qubit_ops, case)
-    t = grid(2.0, 1e-2)
-    expected = [rho0]
+def stage_form_rk4(model, rho0, t):
+    """The classical RK4 of generalized_bath_me_rhs, four stages per step, with H
+    sampled at each step's start."""
+    dt = t[1] - t[0]
+    states = [rho0]
     for time in t[:-1]:
-        expected.append(rk4_step(lambda r: generalized_bath_me_rhs(model, r, time),
-                                 expected[-1], 1e-2))
-    np.testing.assert_array_equal(integrate_me(model, rho0, t), np.array(expected))
+        states.append(rk4_step(lambda r: generalized_bath_me_rhs(model, r, time),
+                               states[-1], dt))
+    return np.array(states)
+
+
+def test_integrate_me_rk4_is_the_rk4_of_generalized_bath_me_rhs(qubit_ops):
+    # above MAX_RK4_MATRIX_DIM the compiled right-hand side steps in stage
+    # form and must keep generalized_bath_me_rhs's bits
+    model, rho0 = general_bath_case(qubit_ops, "boson_above_bound")
+    t = grid(2.0, 1e-2)
+    np.testing.assert_array_equal(integrate_me(model, rho0, t), stage_form_rk4(model, rho0, t))
+
+
+@pytest.mark.parametrize("case", ["bath_qubit", "bath_boson", "schedule", "schedule_off_grid",
+                                  "boson_d12", "boson_at_bound", "boson_above_bound"])
+def test_rk4_matrix_agrees_with_the_stage_form(qubit_ops, case):
+    # the cached step matrix is the RK4 stability polynomial of dt L, so it
+    # reorders the stage form's arithmetic but not its result; an off-grid
+    # switch samples H at the step start in both, with no alignment error
+    model, rho0 = general_bath_case(qubit_ops, case)
+    t = grid(2.0, 1e-3)
+    got, ref = integrate_me(model, rho0, t), stage_form_rk4(model, rho0, t)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    matrix_form = any(key[0] == "propagator" for key in model_cache(model))
+    assert matrix_form == (model.dim <= MAX_RK4_MATRIX_DIM)
 
 
 @pytest.mark.parametrize("dt", [1e-6, 1e-2, 0.5])
@@ -297,7 +337,8 @@ def test_liouvillian_matrix_is_generalized_bath_me_rhs(qubit_ops, case):
 
 
 def test_integrate_me_checks_operators_once(decay_model, excited, monkeypatch):
-    # the operators and the initial state are checked at entry, not per RHS call
+    # the operators and the initial state are checked at entry and when the
+    # step matrix is built, not per step
     calls = []
     original = core_ops._check_square
 
@@ -307,10 +348,13 @@ def test_integrate_me_checks_operators_once(decay_model, excited, monkeypatch):
 
     monkeypatch.setattr(core_ops, "_check_square", counted)
     monkeypatch.setattr(master_equation, "_check_square", counted)
-    integrate_me(decay_model, excited, grid(0.1, 1e-2))
-    short = len(calls)
-    integrate_me(decay_model, excited, grid(1.0, 1e-2))
-    assert len(calls) == 2 * short
+    counts = []
+    for t_final in (0.1, 1.0):
+        model = OpenSystemModel(decay_model.hamiltonian, decay_model.channels)
+        calls.clear()
+        integrate_me(model, excited, grid(t_final, 1e-2))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_integrate_me_rejects_non_finite_operators(qubit_ops, excited):
