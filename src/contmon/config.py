@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .core_ops import build_standard_ops, is_hermitian
 from .diffusive import squeezed_vacuum_jump_operator
-from .ensemble import EnsembleSpec, Scenario, run_ensemble, stats_shape
+from .ensemble import KINDS, EnsembleSpec, Scenario, run_ensemble, stats_shape
 from .gaussian import (
     ConvergenceError,
     GaussianModel,
@@ -373,14 +373,15 @@ def _n_steps(run: dict) -> int:
     return int(round(min(run["t_final"] / run["dt"], 2.0**62)))
 
 
-def _check_memory(cfg: dict) -> None:
+def _check_memory(cfg: dict, kind: str | None) -> None:
     """Rule ``run_memory``: the run's arrays must fit in physical memory.
 
-    Counted from below, in bytes: the operator set; per block in flight the
-    state and one work buffer, and the noise block; the per-step statistics
-    of every block, held until the merge; stored states and records.
+    Counted from below, in bytes, for the scenario ``kind`` (None for a
+    deterministic run): the operator set; per block in flight the state and
+    one work buffer, and the noise block; the per-step statistics of every
+    block, held until the merge; stored states and records.
     """
-    system, run, ukind = cfg["system"], cfg["run"], cfg["unravelling"]["kind"]
+    system, run = cfg["system"], cfg["run"]
     steps = _n_steps(run)
     if system["kind"] == "gaussian":  # real mean vectors, one covariance path
         dim, entry = 2 * system["n_modes"], 8
@@ -389,17 +390,19 @@ def _check_memory(cfg: dict) -> None:
         dim, entry = system.get("dim", 2), 16
         state, ops, path = dim * dim, 9 * dim * dim * entry, 0
     need = ops + path + (steps + 1) * state * entry  # or the deterministic path
-    if ukind != "none":
-        draws = 2 if ukind == "heterodyne" else 1
+    if kind is not None:
+        # a combination the rules reject names no kind: its unravelling's own
+        # kind draws, records and counts alike
+        kind = kind if kind in KINDS else cfg["unravelling"]["kind"]
+        draws, clicks = KINDS[kind].draws, KINDS[kind].clicks
         block = min(run["block_size"], run["n_traj"])
         blocks = -(-run["n_traj"] // block)
         # a block's statistics as the ensemble shapes them; Gaussian runs record q, p
-        sums = 8 * math.prod(stats_shape("gaussian", steps, 2) if system["kind"] == "gaussian"
-                             else stats_shape(ukind, steps, len(cfg["output"]["observables"])))
-        need = ops + path + blocks * sums
+        n_obs = 2 if kind == "gaussian" else len(cfg["output"]["observables"])
+        need = ops + path + blocks * 8 * math.prod(stats_shape(kind, steps, n_obs))
         need += min(run["threads"], blocks) * block * (2 * state * entry + steps * draws * 8)
         stored = run["store_states"] * (steps + 1) * state * entry
-        stored += cfg["output"]["records"] * steps * draws * (1 if ukind == "jump" else 8)
+        stored += cfg["output"]["records"] * steps * draws * (1 if clicks else 8)
         need += run["n_traj"] * stored
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
@@ -441,7 +444,12 @@ def _gaussian_rules(cfg: dict, gmodel: GaussianModel, ctx: _Collector) -> None:
     ))
 
 
-def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> None:
+def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> str | None:
+    """Report every cross-field rule a Hilbert-space document breaks, and
+    return the scenario kind it selects (None without an unravelling): a
+    feedback kind, else a linear one, else a generalized-bath one, else the
+    stepper's.  What the selected kind's step needs is ``jump.NEEDS``, which
+    ``Scenario`` checks when ``_resolve`` builds it."""
     system, model, unrav, fb = cfg["system"], cfg["model"], cfg["unravelling"], cfg["feedback"]
     ukind, fkind, linear, eta = unrav["kind"], fb["kind"], unrav["linear"], model["efficiency"]
     init, n_th = system["initial_state"], bath.n_thermal
@@ -451,6 +459,9 @@ def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> None:
     # take any phase, feedback and linear mode
     replaced = ukind == "homodyne" and unrav["bath_mode"] == "replaced_operator"
     generalized = diffusive_bath and not replaced
+    rungs = ((fkind != "none", f"{ukind}_feedback"), (linear, f"linear_{ukind}"),
+             (generalized, f"generalized_{ukind}"), (unrav["stepper"] == "kraus", f"{ukind}_kraus"))
+    kind = None if ukind == "none" else next((name for taken, name in rungs if taken), ukind)
     ctx.rules((
         (not isinstance(level, int) or isinstance(level, bool)
          or not 0 <= level < system.get("dim", 2),
@@ -500,15 +511,17 @@ def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> None:
         (linear and eta != 1.0, "$.model.efficiency",
          "rule linear_unit_efficiency: linear trajectories require efficiency = 1"),
         (linear and ukind not in ("jump", "homodyne"), "$.unravelling.linear",
-         "linear mode applies to jump or homodyne unravellings"),
-        (unrav["stepper"] == "kraus"
-         and (ukind not in ("jump", "homodyne") or fkind != "none" or linear or generalized),
+         "rule linear_jump_or_homodyne: linear mode applies to jump or homodyne unravellings"),
+        # the stepper is the last rung: a Kraus kind is selected only without
+        # feedback, linear mode and a generalized bath
+        (unrav["stepper"] == "kraus" and kind not in ("jump_kraus", "homodyne_kraus"),
          "$.unravelling.stepper",
          "rule kraus_stepper: the Kraus stepper needs a jump or homodyne unravelling without "
          "feedback or linear mode, and a vacuum bath or the replaced-operator squeezed vacuum"),
-        (fkind == "markovian" and ukind == "heterodyne", "$.feedback.kind",
+        (kind == "heterodyne_feedback", "$.feedback.kind",
          "rule feedback_single_current: heterodyne feedback is not supported"),
     ))
+    return kind
 
 
 def _to_complex(value) -> complex:
@@ -549,8 +562,8 @@ def _resolve(doc: dict) -> RuntimeJob:
     cfg = config.data
     system, model_cfg, unrav, fb = cfg["system"], cfg["model"], cfg["unravelling"], cfg["feedback"]
     ukind, fkind = unrav["kind"], fb["kind"]
-    _check_memory(cfg)
     if system["kind"] == "gaussian":
+        _check_memory(cfg, None if ukind == "none" else "gaussian")
         if ("opo" in model_cfg) == ("matrices" in model_cfg):
             raise ConfigError(["$.model: gaussian systems need one 'opo' or 'matrices' block"])
         if "opo" in model_cfg:
@@ -593,7 +606,8 @@ def _resolve(doc: dict) -> RuntimeJob:
     )
     bath = _build("$.model.bath: rule bath_physicality", BathSpec,
                   n_thermal=n_th, squeezing=squeezing, drive=_to_complex(bath_cfg["drive"]))
-    _hilbert_rules(cfg, bath, ctx)
+    kind = _hilbert_rules(cfg, bath, ctx)
+    _check_memory(cfg, kind)
     dim = system.get("dim", 2)
     opset = build_standard_ops(system["kind"], dim)
     if system["kind"] == "boson":
@@ -635,27 +649,14 @@ def _resolve(doc: dict) -> RuntimeJob:
     observables = tuple(
         (name, opset[alias.get(name, name)]) for name in cfg["output"]["observables"]
     )
-    if ukind == "none":
+    if kind is None:
         return RuntimeJob(
             "me", config,
             payload={"model": model, "rho0": rho0, "observables": observables,
                      "t_grid": np.arange(_n_steps(run) + 1) * run["dt"]},
         )
-    # the rules leave feedback and linear mode to vacuum baths, feedback to jump
-    # and homodyne, and the Kraus stepper to the kinds that have one
-    if f_op is not None:
-        kind = f"{ukind}_feedback"
-    elif unrav["linear"]:
-        kind = f"linear_{ukind}"
-    elif not model.bath.is_vacuum:
-        kind = f"generalized_{ukind}"
-    elif unrav["stepper"] == "kraus":
-        kind = f"{ukind}_kraus"
-    else:
-        kind = ukind
-    scenario = Scenario(
-        kind, model, rho0, feedback_operator=f_op, mu=unrav["mu"], beta_ost=unrav["beta"],
-    )
+    scenario = _build("$.unravelling", Scenario, kind, model, rho0, feedback_operator=f_op,
+                      mu=unrav["mu"], beta_ost=unrav["beta"])
     return _ensemble_job(
         config, scenario, observables,
         track_min_eigenvalue=run["track_min_eigenvalue"], validate_every=run["validate_every"],

@@ -37,7 +37,6 @@ import numpy as np
 from .core_ops import (
     BATCH_GEMM_MAX_DIM,
     dagger,
-    is_hermitian,
     to_coords,
     trace,
 )
@@ -55,6 +54,7 @@ from .jump import (
     _kernel_matrix,
     _no_click_kraus,
     _right_work,
+    check_needs,
 )
 from .master_equation import OpenSystemModel, _generator_terms, _sandwich
 
@@ -162,10 +162,7 @@ def _feedback_ctx(ctx, f_op):
     key = ("fb", f_op.tobytes())
     sub = ctx.get(key)
     if sub is None:
-        if not is_hermitian(f_op):
-            raise ValueError("feedback operator must be Hermitian")
-        sub = {"f": f_op}
-        ctx[key] = sub
+        sub = ctx[key] = {"f": f_op}
     return sub
 
 
@@ -188,9 +185,9 @@ def feedback_me_rhs(rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray) -
 
         -i[H, rho] + kappa D[c] rho - i sqrt(kappa) [F, c rho + rho c^dag]
         + (1/eta) D[F] rho
-    """
-    if not 0.0 < model.efficiency <= 1.0:
-        raise ValueError("feedback master equation needs efficiency in (0, 1]")
+
+    It needs what the ``homodyne_feedback`` kind needs (``jump.NEEDS``)."""
+    check_needs("homodyne_feedback", model, f_op)
     ctx = _ctx(model)
     fctx = _feedback_ctx(ctx, f_op)
     f = fctx["f"]
@@ -213,9 +210,9 @@ def lindblad_form_rhs(rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray)
 
         -i[H + sqrt(kappa)(c^dag F + F c)/2, rho] + D[sqrt(kappa) c - i F] rho
         + ((1-eta)/eta) D[F] rho
-    """
-    if not 0.0 < model.efficiency <= 1.0:
-        raise ValueError("feedback master equation needs efficiency in (0, 1]")
+
+    It needs what the ``homodyne_feedback`` kind needs (``jump.NEEDS``)."""
+    check_needs("homodyne_feedback", model, f_op)
     ctx = _ctx(model)
     fctx = _feedback_ctx(ctx, f_op)
     f = fctx["f"]
@@ -238,17 +235,11 @@ def lindblad_form_rhs(rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray)
 
 def _generalized_channels(model: OpenSystemModel, mode: str) -> dict:
     """The measured-channel operators of the squeezed-thermal-bath homodyne or
-    heterodyne current, after that mode's bath rules."""
-    if model.homodyne_phase != 0.0:
-        # the measured operators are built from the bare c, so at theta != 0
-        # the record would read another quadrature than the back-action uses
-        raise ValueError("generalized-bath steppers are derived for homodyne_phase = 0")
+    heterodyne current, for a model that meets that kind's needs."""
     ctx = _ctx(model)
     n, m = model.bath.n_thermal, complex(model.bath.squeezing)
     kappa, c, cd = ctx["kappa"], ctx["c"], ctx["cd"]
     if mode == "homodyne":
-        if m.imag != 0.0:
-            raise ValueError("homodyne current scale is defined for real squeezing M only")
         mr = m.real
         big_l = 2.0 * n + 1.0 + 2.0 * mr
         if big_l <= 0:
@@ -259,10 +250,6 @@ def _generalized_channels(model: OpenSystemModel, mode: str) -> dict:
             "scale": np.sqrt(kappa) / np.sqrt(big_l), "root_l": np.sqrt(big_l),
         }
     if mode == "heterodyne":
-        if m != 0:
-            raise ValueError(
-                "generalized heterodyne stepping is defined for thermal baths (M = 0)"
-            )
         op1 = (n + 1.0) * c - n * cd
         op2 = (n + 1.0) * (1j * c) - n * (-1j * cd)
         return {
@@ -367,13 +354,10 @@ def diffusive_kernel(
     with its coordinate ``maps`` at d <= ``BATCH_GEMM_MAX_DIM``.  ``f_op`` is
     the feedback operator of "homodyne_feedback", ``mu`` the ostensible mean
     of "linear_homodyne"."""
+    check_needs(kind, model, f_op)
     ctx = _ctx(model)
-    if kind == "homodyne_feedback":
-        if f_op is None:
-            raise ValueError("homodyne_feedback needs a feedback operator f_op")
-        extra = np.asarray(f_op, dtype=complex).tobytes()
-    else:
-        extra = mu if kind == "linear_homodyne" else None
+    extra = (np.asarray(f_op, dtype=complex).tobytes() if kind == "homodyne_feedback"
+             else mu if kind == "linear_homodyne" else None)
     key = ("kernel", kind, dt, extra)
     kernel = ctx.get(key)
     if kernel is None:
@@ -387,19 +371,7 @@ def diffusive_kernel(
 def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
     eta = model.efficiency
     if kind.startswith("generalized"):
-        if eta != 1.0:
-            raise ValueError("generalized-bath steppers are derived for unit efficiency")
         sub = _generalized_channels(model, kind.removeprefix("generalized_"))
-    else:
-        if kind == "homodyne_feedback" and not 0.0 < eta <= 1.0:
-            raise ValueError("homodyne feedback needs efficiency in (0, 1]")
-        if kind == "linear_homodyne" and eta != 1.0:
-            raise ValueError("linear homodyne trajectories assume unit efficiency")
-        if not model.bath.is_vacuum:
-            raise ValueError({
-                "homodyne_feedback": "feedback steppers are defined for vacuum baths",
-                "linear_homodyne": "linear trajectories are defined for vacuum baths",
-            }.get(kind, "vacuum-bath stepper; use generalized_bath_homodyne_step"))
     kappa, root = ctx["kappa"], ctx["root"]
     cd, herm, ceff_d = ctx["cd"], ctx["herm"], ctx["ceff_d"]
     homodyne_current = _rows((root * dt) * herm)

@@ -62,6 +62,7 @@ from .core_ops import (BATCH_GEMM_MAX_DIM, CHUNK_BUFFER_BYTES, coords_min_eigenv
                        coords_trace, dagger, from_coords, min_eigenvalue, to_coords, trace)
 # perfbench/spans.py wraps ``ensemble.conditional_cov_rhs``, so the name stays
 from .gaussian import GaussianModel, conditional_cov_rhs, covariance_path  # noqa: F401
+from .jump import check_needs
 from .master_equation import OpenSystemModel
 
 __all__ = [
@@ -146,7 +147,9 @@ class Scenario:
 
     ``feedback_operator`` is the Hermitian F of the Hilbert-space feedback
     steppers; for Gaussian runs ``f_mat`` and ``controller = (kind, matrix)``
-    with kind in {"lqg", "markovian"} set the feedback law.
+    with kind in {"lqg", "markovian"} set the feedback law.  Construction
+    raises the ValueError of :func:`contmon.jump.check_needs` when the kind's
+    needs (``jump.NEEDS``) are unmet, the one its kernel would raise.
     """
 
     kind: str
@@ -163,12 +166,7 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not isinstance(self.model, KINDS[self.kind].model):
             raise ValueError(f"{self.kind} scenario needs a {KINDS[self.kind].model.__name__}")
-        if self.kind == "jump_feedback" and self.model.efficiency != 1.0:
-            raise ValueError("jump feedback requires unit efficiency")
-        if self.kind.endswith("_feedback") and self.feedback_operator is None:
-            raise ValueError(f"{self.kind} needs a feedback_operator")
-        if self.kind == "jump_sse" and np.ndim(self.initial_state) != 1:
-            raise ValueError("jump_sse steps state vectors: initial_state must be 1-d")
+        check_needs(self.kind, self.model, self.feedback_operator, self.beta_ost, self.initial_state)
 
 
 @dataclass
@@ -487,7 +485,10 @@ class Kind:
     ``advance`` updates in place, above.  Click kinds record ``uint8``
     outcomes; ``linear`` kinds carry unnormalized states with weighted
     statistics; ``pure`` kinds step state vectors and skip the positivity
-    checks.
+    checks.  What a Hilbert-space kind's step needs of its scenario (a vacuum
+    bath, unit or nonzero efficiency, a feedback operator, a state vector,
+    beta > 0) is its entry of :data:`contmon.jump.NEEDS`, which ``Scenario``
+    checks at construction and the kernel compilers on every call.
     """
 
     kernel: Callable | None

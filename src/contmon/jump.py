@@ -25,6 +25,12 @@ same kernels, stepping a copy of their input for the supplied outcome; only
 :func:`jump_sse_apply`, on state vectors, has a body of its own.  Compiled
 kernels live in the per-model operator cache under ``("kernel", kind, dt,
 ...)`` keys.
+
+Preconditions: ``NEEDS`` states, once for every Hilbert-space kind of both
+families, the conditions its step is derived under (Wiseman & Milburn,
+*Quantum Measurement and Control*, ch. 4-5), and :func:`check_needs` tests
+them for the kernel compilers, the per-state steppers and
+``ensemble.Scenario``.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ __all__ = [
     "ClickKernel",
     "click_kernel",
     "click_kernel_step",
+    "NEEDS",
+    "check_needs",
 ]
 
 DARK_STATE_RATE = 1e-14
@@ -147,10 +155,59 @@ def _ctx(model: OpenSystemModel) -> dict:
     return ctx
 
 
-def _vacuum_ctx(model: OpenSystemModel) -> dict:
-    if not model.bath.is_vacuum:
-        raise ValueError("jump unravelling is defined for vacuum baths only")
-    return _ctx(model)
+# (need, message) pairs, each a condition the kind's step is derived under and
+# the message that reports it unmet
+_JUMP_VACUUM = ("vacuum_bath", "jump unravelling is defined for vacuum baths only")
+_VACUUM = ("vacuum_bath", "vacuum-bath stepper; use generalized_bath_homodyne_step")
+_FEEDBACK = ("feedback_operator",
+             "{kind} needs a feedback_operator: the Hermitian feedback operator F")
+# the measured operators of a generalized bath are built from the bare c, so at
+# theta != 0 the record would read another quadrature than the back-action uses
+_GENERALIZED = (
+    ("unit_efficiency", "generalized-bath steppers are derived for unit efficiency"),
+    ("zero_phase", "generalized-bath steppers are derived for homodyne_phase = 0"))
+
+NEEDS = {
+    **dict.fromkeys(("jump", "jump_kraus"), (_JUMP_VACUUM,)),
+    "jump_feedback": (_JUMP_VACUUM, _FEEDBACK,
+                      ("unit_efficiency", "jump feedback requires unit efficiency")),
+    "jump_sse": (("unit_efficiency", "the SSE is defined for unit detection efficiency"),
+                 _JUMP_VACUUM,
+                 ("state_vector", "jump_sse steps state vectors: initial_state must be 1-d")),
+    "linear_jump": (_JUMP_VACUUM, ("beta", "ostensible rate beta must be > 0"),
+                    ("unit_efficiency", "linear jump trajectories assume unit efficiency")),
+    **dict.fromkeys(("homodyne", "homodyne_kraus", "heterodyne", "linear_homodyne_kraus"),
+                    (_VACUUM,)),
+    "homodyne_feedback": (_FEEDBACK, ("efficiency", "homodyne feedback needs efficiency in (0, 1]"),
+                          ("vacuum_bath", "feedback steppers are defined for vacuum baths")),
+    "linear_homodyne": (("unit_efficiency", "linear homodyne trajectories assume unit efficiency"),
+                        ("vacuum_bath", "linear trajectories are defined for vacuum baths")),
+    "generalized_homodyne": _GENERALIZED + (
+        ("real_squeezing", "homodyne current scale is defined for real squeezing M only"),),
+    "generalized_heterodyne": _GENERALIZED + (
+        ("thermal_bath", "generalized heterodyne stepping is defined for thermal baths (M = 0)"),),
+}
+
+
+def check_needs(kind: str, model, f_op=None, beta: float = 1.0, state=None) -> None:
+    """Raise a ValueError naming every need of ``kind`` (``NEEDS``, in table
+    order) that the model, the feedback operator ``f_op``, the ostensible
+    rate ``beta`` and the initial ``state``, where one is given, leave unmet.
+    A kind without an entry needs nothing."""
+    met = {
+        "vacuum_bath": lambda: model.bath.is_vacuum,
+        "unit_efficiency": lambda: model.efficiency == 1.0,
+        "efficiency": lambda: model.efficiency > 0.0,
+        "feedback_operator": lambda: f_op is not None and is_hermitian(f_op),
+        "state_vector": lambda: state is None or np.ndim(state) == 1,
+        "beta": lambda: beta > 0,  # NaN fails too
+        "zero_phase": lambda: model.homodyne_phase == 0.0,
+        "real_squeezing": lambda: complex(model.bath.squeezing).imag == 0.0,
+        "thermal_bath": lambda: model.bath.squeezing == 0,
+    }
+    unmet = [message.format(kind=kind) for need, message in NEEDS.get(kind, ()) if not met[need]()]
+    if unmet:
+        raise ValueError("; ".join(unmet))
 
 
 def _no_click_kraus(ctx, dt: float):
@@ -165,14 +222,16 @@ def _no_click_kraus(ctx, dt: float):
 
 def jump_probability(rho: np.ndarray, model: OpenSystemModel, dt: float):
     """Click probability eta kappa <c^dag c> dt for the coming step."""
-    ctx = _vacuum_ctx(model)
+    check_needs("jump", model)
+    ctx = _ctx(model)
     ex = np.einsum("...ij,ji->...", rho, ctx["cdc"]).real
     return model.efficiency * ctx["kappa"] * ex * dt
 
 
 def sse_jump_probability(psi: np.ndarray, model: OpenSystemModel, dt: float):
     """Click probability eta kappa <psi|c^dag c|psi> dt of a pure state."""
-    ctx = _vacuum_ctx(model)
+    check_needs("jump", model)
+    ctx = _ctx(model)
     ex = np.einsum("...i,ij,...j->...", np.conj(psi), ctx["cdc"], psi).real
     return model.efficiency * ctx["kappa"] * ex * dt
 
@@ -207,9 +266,8 @@ def jump_sse_apply(psi: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np
     No click: psi += (-i H + (kappa/2)(<c^dag c> - c^dag c)) psi dt, renormalized.
     Click: psi -> c psi / ||c psi||.
     """
-    if model.efficiency != 1.0:
-        raise ValueError("the SSE is defined for unit detection efficiency")
-    ctx = _vacuum_ctx(model)
+    check_needs("jump_sse", model)
+    ctx = _ctx(model)
     kappa, c, cdc, h = ctx["kappa"], ctx["c"], ctx["cdc"], ctx["h"]
     psi = np.asarray(psi, dtype=complex)
     dn = np.asarray(dn, dtype=bool)
@@ -357,13 +415,10 @@ def click_kernel(
     ``maps`` at d <= ``BATCH_GEMM_MAX_DIM``.  ``f_op`` is the feedback
     generator of "jump_feedback", ``beta`` the ostensible rate of
     "linear_jump"."""
-    ctx = _vacuum_ctx(model)
-    if kind == "jump_feedback":
-        if f_op is None:
-            raise ValueError("jump_feedback needs a feedback operator f_op")
-        extra = np.asarray(f_op, dtype=complex).tobytes()
-    else:
-        extra = beta if kind == "linear_jump" else None
+    check_needs(kind, model, f_op, beta)
+    ctx = _ctx(model)
+    extra = (np.asarray(f_op, dtype=complex).tobytes() if kind == "jump_feedback"
+             else beta if kind == "linear_jump" else None)
     key = ("kernel", kind, dt, extra)
     kernel = ctx.get(key)
     if kernel is None:
@@ -379,13 +434,6 @@ def _compile_click(ctx, model, kind, dt, f_op, beta):
     eta = model.efficiency
     if kind not in ("jump", "jump_kraus", "jump_feedback", "linear_jump"):
         raise ValueError(f"no click kernel for kind {kind!r}")
-    if kind == "jump_feedback" and eta != 1.0:
-        raise ValueError("jump feedback requires unit efficiency")
-    if kind == "linear_jump":
-        if beta <= 0:
-            raise ValueError("ostensible rate beta must be > 0")
-        if eta != 1.0:
-            raise ValueError("linear jump trajectories assume unit efficiency")
     jump_op = feedback_unitary(f_op) @ ctx["c"] if kind == "jump_feedback" else ctx["c"]
     undetected = [] if eta == 1.0 else [(cd, ((1.0 - eta) * kappa * dt) * cd)]
     if kind == "jump_kraus":

@@ -1,8 +1,11 @@
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,16 +285,21 @@ def test_cli_physicality_exit_code(tmp_path, capsys):
 ], ids=["dt_10", "rate_1e300", "coeff_1e300"])
 def test_cli_master_equation_blow_up_exits_through_the_drift_check(tmp_path, capsys, mutate):
     # a valid master-equation document whose step matrix overflows or whose
-    # RK4 step is unstable ends in the trace-drift check, not in an exception
+    # RK4 step is unstable ends in the trace-drift check, not in an exception,
+    # and numpy's floating-point warnings do not reach stderr on the way
     doc = get_preset("qubit_decay_me")
     mutate(doc)
     doc["output"]["directory"] = str(tmp_path / "out")
     config_path = tmp_path / "blows_up.json"
     config_path.write_text(json.dumps(doc))
     assert main(["validate", str(config_path)]) == 0
-    assert main(["run", str(config_path)]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # as the CLI's own process would print them
+        assert main(["run", str(config_path)]) == 3
     err = capsys.readouterr().err
     assert "trace drift" in err and "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_cli_io_error(tmp_path, capsys):
@@ -534,6 +542,69 @@ def test_cli_rejects_unresolvable_operators(tmp_path, capsys, preset, mutate, pa
     doc["run"].update(t_final=0.01, n_traj=4)
     mutate(doc)
     _assert_rejected(tmp_path, capsys, doc, path)
+
+
+# (bath block, bath_mode) of the grid below
+GRID_BATHS = {
+    "vacuum": ({}, "generalized"),
+    "thermal": ({"n_thermal": 0.5}, "generalized"),
+    "squeezed": ({"n_thermal": 0.5, "squeezing": "squeezed_vacuum"}, "replaced_operator"),
+}
+# (unravelling, feedback, linear, stepper, bath, efficiency) -> selected kind,
+# for every grid document that validate accepts
+GRID_ACCEPTED = {
+    ("jump", "none", False, "euler", "vacuum", 1.0): "jump",
+    ("jump", "none", False, "euler", "vacuum", 0.5): "jump",
+    ("jump", "none", False, "kraus", "vacuum", 1.0): "jump_kraus",
+    ("jump", "none", False, "kraus", "vacuum", 0.5): "jump_kraus",
+    ("jump", "none", True, "euler", "vacuum", 1.0): "linear_jump",
+    ("jump", "markovian", False, "euler", "vacuum", 1.0): "jump_feedback",
+    **{("homodyne", "none", False, stepper, bath, eta): kind
+       for stepper, kind in (("euler", "homodyne"), ("kraus", "homodyne_kraus"))
+       for bath in ("vacuum", "squeezed") for eta in (1.0, 0.5)},
+    ("homodyne", "none", False, "euler", "thermal", 1.0): "generalized_homodyne",
+    ("homodyne", "none", True, "euler", "vacuum", 1.0): "linear_homodyne",
+    ("homodyne", "none", True, "euler", "squeezed", 1.0): "linear_homodyne",
+    **{("homodyne", "markovian", False, "euler", bath, eta): "homodyne_feedback"
+       for bath in ("vacuum", "squeezed") for eta in (1.0, 0.5)},
+    ("heterodyne", "none", False, "euler", "vacuum", 1.0): "heterodyne",
+    ("heterodyne", "none", False, "euler", "vacuum", 0.5): "heterodyne",
+    ("heterodyne", "none", False, "euler", "thermal", 1.0): "generalized_heterodyne",
+}
+
+
+def test_validate_run_parity_over_the_hilbert_document_grid():
+    # every document validate accepts selects a KINDS entry whose kernel
+    # compiles, so run cannot fail on a kind's needs; every rejection names
+    # its rules
+    from contmon.ensemble import KINDS
+
+    accepted = {}
+    for case in itertools.product(("jump", "homodyne", "heterodyne"), ("none", "markovian"),
+                                  (False, True), ("euler", "kraus"), GRID_BATHS, (1.0, 0.5)):
+        ukind, fkind, linear, stepper, bath, eta = case
+        feedback = {"kind": fkind}
+        if fkind == "markovian":
+            feedback["operator"] = [{"op": "sigma_x", "coeff": 0.5}]
+        doc = {
+            "schema_version": 1, "system": {"kind": "qubit"},
+            "model": {"channels": [{"rate": 1.0, "op": "sigma_minus"}],
+                      "bath": GRID_BATHS[bath][0], "efficiency": eta},
+            "unravelling": {"kind": ukind, "linear": linear, "stepper": stepper,
+                            "bath_mode": GRID_BATHS[bath][1]},
+            "feedback": feedback, "run": {"dt": 1e-3, "t_final": 0.01, "n_traj": 4},
+        }
+        try:
+            job = build_runtime(parse_config(json.dumps(doc)))
+        except ConfigError as exc:
+            assert exc.errors and all(re.match(r"\$[.\w]*: rule \w+: ", e) for e in exc.errors), \
+                (case, exc.errors)
+            continue
+        kind = job.scenario.kind
+        assert kind in KINDS, case
+        KINDS[kind].kernel(job.scenario, job.spec.dt)
+        accepted[case] = kind
+    assert accepted == GRID_ACCEPTED
 
 
 @pytest.mark.parametrize("mutate", [

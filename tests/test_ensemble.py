@@ -44,6 +44,7 @@ from contmon.jump import (
     click_outcomes,
     jump_probability,
     jump_sme_apply,
+    jump_sse_apply,
 )
 from contmon.master_equation import BathSpec
 
@@ -838,15 +839,55 @@ def test_spec_rejects_non_finite_run_geometry(qubit_ops, field, value):
         qubit_spec(qubit_ops, **{field: value})
 
 
-@pytest.mark.parametrize("kind", ["jump_feedback", "homodyne_feedback"])
-def test_feedback_scenario_needs_operator(decay_model, excited, kind):
+@pytest.mark.parametrize("kind, efficiency", [
+    ("jump_feedback", 1.0), ("homodyne_feedback", 1.0), ("jump_feedback", 0.5),
+], ids=["jump_feedback", "homodyne_feedback", "jump_feedback_eta_0.5"])
+def test_feedback_scenario_needs_operator(qubit_ops, excited, kind, efficiency):
+    # at efficiency 0.5 jump_feedback has a second unmet need, which must not
+    # hide the missing operator
+    model = OpenSystemModel(np.zeros((2, 2)), [(1.0, qubit_ops["sigma_minus"])],
+                            efficiency=efficiency)
     with pytest.raises(ValueError, match="needs a feedback_operator"):
-        Scenario(kind, decay_model, excited)
+        Scenario(kind, model, excited)
 
 
 def test_sse_scenario_needs_state_vector(decay_model, excited):
-    with pytest.raises(ValueError, match="initial_state must be 1-d"):
-        Scenario("jump_sse", decay_model, excited)
+    # a density matrix and a batch of one state vector are both 2-d
+    for state in (excited, np.array([[1.0, 0.0]], dtype=complex)):
+        with pytest.raises(ValueError, match="initial_state must be 1-d"):
+            Scenario("jump_sse", decay_model, state)
+
+
+@pytest.mark.parametrize("kind, model_kwargs, beta, message", [
+    ("jump_sse", dict(efficiency=0.5), 1.0, "the SSE is defined for unit detection efficiency"),
+    ("jump", dict(bath=BathSpec(n_thermal=0.5)), 1.0,
+     "jump unravelling is defined for vacuum baths only"),
+    ("homodyne", dict(bath=BathSpec(n_thermal=0.5)), 1.0,
+     "vacuum-bath stepper; use generalized_bath_homodyne_step"),
+    ("linear_homodyne", dict(bath=BathSpec(n_thermal=0.5)), 1.0,
+     "linear trajectories are defined for vacuum baths"),
+    ("linear_jump", {}, -1.0, "ostensible rate beta must be > 0"),
+    ("homodyne_feedback", dict(efficiency=0.0), 1.0, "homodyne feedback needs efficiency in (0, 1]"),
+], ids=["jump_sse_eta_0.5", "jump_thermal", "homodyne_thermal", "linear_homodyne_thermal",
+        "linear_jump_beta_-1", "homodyne_feedback_eta_0"])
+def test_scenario_rejects_unmet_needs_at_construction(qubit_ops, kind, model_kwargs, beta, message):
+    # each of these used to build and fail only inside run_ensemble; the
+    # scenario now raises the message of the kind's kernel or stepper
+    model = OpenSystemModel(np.zeros((2, 2)), [(1.0, qubit_ops["sigma_minus"])], **model_kwargs)
+    f_op = qubit_ops["sigma_x"] if kind.endswith("_feedback") else None
+    psi = np.array([1.0, 0.0], dtype=complex)
+    state = psi if kind == "jump_sse" else np.outer(psi, psi)
+    with pytest.raises(ValueError) as err:
+        Scenario(kind, model, state, feedback_operator=f_op, beta_ost=beta)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        if kind == "jump_sse":
+            jump_sse_apply(psi, model, 1e-3, False)
+        elif KINDS[kind].clicks:
+            click_kernel(model, kind, 1e-3, f_op=f_op, beta=beta)
+        else:
+            diffusive_kernel(model, kind, 1e-3, f_op=f_op)
+    assert str(err.value) == message
 
 
 def test_traced_benchmark_spans_install_and_restore(monkeypatch):
