@@ -413,13 +413,19 @@ def _check_memory(cfg: dict, kind: str | None) -> None:
         ])
 
 
+def _gaussian_column(name: str) -> tuple[str, str]:
+    """(quantity, label) of a Gaussian observable: ("mean", "q") for "q",
+    ("cond", "q") for "cond_var_q" and ("unc", "q") for "unc_var_q"."""
+    quantity, _, label = name.rpartition("_var_")
+    return quantity or "mean", label
+
+
 def _gaussian_rules(cfg: dict, gmodel: GaussianModel, ctx: _Collector) -> None:
     ukind, fb, n_modes = cfg["unravelling"]["kind"], cfg["feedback"], cfg["system"]["n_modes"]
     needed = {"markovian": ("f",), "lqg": ("f", "p", "q")}.get(fb["kind"], ())
     # the model's quadrature labels must resolve every observable the run
     # records (the ensemble always records q and p)
-    recorded = {name.removeprefix("cond_var_").removeprefix("unc_var_")
-                for name in cfg["output"]["observables"]}
+    recorded = {_gaussian_column(name)[1] for name in cfg["output"]["observables"]}
     if ukind != "none":
         recorded |= {"q", "p"}
     missing = sorted(recorded - set(gmodel.labels))
@@ -577,26 +583,21 @@ def _resolve(doc: dict) -> RuntimeJob:
                 "gaussian_unconditional", config,
                 payload={"model": gmodel, "t_grid": np.arange(_n_steps(run) + 1) * run["dt"]},
             )
-        controller = f_mat = None
-        if fkind != "none":
-            f_mat = np.asarray(fb["f"], dtype=float)
-        if fkind == "markovian" and fb.get("m", "optimal") == "optimal":
-            controller = ("markovian",
-                          _build("$.feedback", lambda: markovian_gain(gmodel, f_mat).gain))
-        elif fkind == "markovian":  # an explicit M; F M maps the currents to quadratures
-            gain = np.asarray(fb["m"], dtype=float)
-            if f_mat.shape[0] != gmodel.dim or gain.shape != (f_mat.shape[1], gmodel.n_currents):
-                raise ConfigError([f"$.feedback.m: F M must be ({gmodel.dim}, {gmodel.n_currents})"
-                                   f" for this model; F is {f_mat.shape}, M is {gain.shape}"])
-            controller = ("markovian", gain)
-        elif fkind == "lqg":
+        f_mat = None if fkind == "none" else np.asarray(fb["f"], dtype=float)
+        controller = None
+        if fkind == "lqg":
             result = _build("$.feedback", lqg_gain, gmodel, f_mat,
                             np.asarray(fb["p"], dtype=float), np.asarray(fb["q"], dtype=float))
             controller = ("lqg", result.gain)
-        scenario = Scenario(
-            "gaussian", gmodel, GaussianState.vacuum(gmodel.n_modes),
-            f_mat=f_mat, controller=controller,
-        )
+        elif fkind == "markovian":
+            m_gain = fb.get("m", "optimal")
+            if m_gain == "optimal":
+                m_gain = _build("$.feedback", lambda: markovian_gain(gmodel, f_mat).gain)
+            controller = ("markovian", np.asarray(m_gain, dtype=float))
+        # the vacuum and a synthesized gain fit the model, so only an explicit
+        # M can fail here: F M must map the currents to the quadratures
+        scenario = _build("$.feedback.m", Scenario, "gaussian", gmodel,
+                          GaussianState.vacuum(gmodel.n_modes), f_mat=f_mat, controller=controller)
         return _ensemble_job(config, scenario, (("q", None), ("p", None)))
 
     bath_cfg = model_cfg["bath"]
@@ -721,18 +722,18 @@ class RuntimeJob:
             zeros = np.zeros(grid.size)
             columns = {}
             for name in names:
-                label = name.removeprefix("cond_var_").removeprefix("unc_var_")
+                quantity, label = _gaussian_column(name)
                 idx = model.labels.index(label)
-                columns[name] = (means[:, idx] if name == label else covs[:, idx, idx], zeros)
+                columns[name] = (means[:, idx] if quantity == "mean" else covs[:, idx, idx], zeros)
             return grid, columns, {}, None
         raise RuntimeError(f"unknown job kind {self.kind}")
 
     def _derived_gaussian_column(self, name, stats):
         """``cond_var_<label>`` or ``unc_var_<label>`` of a model quadrature."""
-        label = name.removeprefix("cond_var_").removeprefix("unc_var_")
+        quantity, label = _gaussian_column(name)
         idx = self.scenario.model.labels.index(label)
         var = stats.extra["cov_path"][:, idx, idx]
-        if name.startswith("cond_var_"):
+        if quantity == "cond":
             return var, np.zeros(var.shape)
         # the excess noise 2 Var(x) and its SE from the spread of x^2, both centred
         excess = 2.0 * stats.extra["var_x"][label]

@@ -316,12 +316,10 @@ class StateDiagnostics:
         return self.top_population > tol.top_population
 
 
-def validate_state(
-    rho: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> StateDiagnostics:
-    """Report Hermiticity/trace defects, minimum eigenvalue and top-level leak."""
+def validate_state(rho: np.ndarray) -> StateDiagnostics:
+    """Report Hermiticity/trace defects, minimum eigenvalue and top-level leak;
+    the caller applies thresholds to the report."""
     rho = _check_square(rho, "state")
-    del tolerances  # thresholds are applied by the caller via the report
     herm_defect = float(np.max(np.abs(rho - dagger(rho))))
     tr_defect = float(np.max(np.abs(trace(rho) - 1.0)))
     w_min = float(np.min(min_eigenvalue(rho)))

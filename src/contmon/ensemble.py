@@ -61,7 +61,8 @@ from . import diffusive, jump
 from .core_ops import (BATCH_GEMM_MAX_DIM, CHUNK_BUFFER_BYTES, coords_min_eigenvalue,
                        coords_trace, dagger, from_coords, min_eigenvalue, to_coords, trace)
 # perfbench/spans.py wraps ``ensemble.conditional_cov_rhs``, so the name stays
-from .gaussian import GaussianModel, conditional_cov_rhs, covariance_path  # noqa: F401
+from .gaussian import (GaussianModel, conditional_cov_rhs,  # noqa: F401
+                       covariance_path, feedback_terms)
 from .jump import check_needs
 from .master_equation import OpenSystemModel
 
@@ -149,7 +150,10 @@ class Scenario:
     steppers; for Gaussian runs ``f_mat`` and ``controller = (kind, matrix)``
     with kind in {"lqg", "markovian"} set the feedback law.  Construction
     raises the ValueError of :func:`contmon.jump.check_needs` when the kind's
-    needs (``jump.NEEDS``) are unmet, the one its kernel would raise.
+    needs (``jump.NEEDS``) are unmet, the one its kernel would raise, and for
+    a Gaussian run the one of :func:`contmon.gaussian.feedback_terms` when the
+    controller does not fit the model, or one naming the initial state when
+    its mean is not (2n,) or its covariance not (2n, 2n).
     """
 
     kind: str
@@ -167,6 +171,13 @@ class Scenario:
         if not isinstance(self.model, KINDS[self.kind].model):
             raise ValueError(f"{self.kind} scenario needs a {KINDS[self.kind].model.__name__}")
         check_needs(self.kind, self.model, self.feedback_operator, self.beta_ost, self.initial_state)
+        if isinstance(self.model, GaussianModel):
+            dim = self.model.dim
+            mean, cov = (np.shape(getattr(self.initial_state, x, None)) for x in ("mean", "cov"))
+            if (mean, cov) != ((dim,), (dim, dim)):
+                raise ValueError(f"gaussian initial state needs mean ({dim},) and covariance "
+                                 f"({dim}, {dim}) for this model; got {mean} and {cov}")
+            feedback_terms(self.model, self.f_mat, self.controller or ("none", None))
 
 
 @dataclass
@@ -398,21 +409,15 @@ def _gaussian_paths(spec: EnsembleSpec, scenario: Scenario):
     as ``cov_path``), and the affine step of the conditional means it implies.
 
     With the means of a block as the columns of r, one Euler-Maruyama step is
-    r_{k+1} = Phi r_k + Gamma_k dw_k, where Phi = I + dt A, less dt F K under
-    LQG feedback and sqrt(2) dt F M B^T under Markovian feedback, and
-    Gamma_k = (E - sigma_k B)/sqrt(2), plus F M under Markovian feedback.
+    r_{k+1} = Phi r_k + Gamma_k dw_k, where Phi = I + dt (A - R) and
+    Gamma_k = (E - sigma_k B)/sqrt(2) + G, with (R, G) the feedback terms of
+    the scenario's controller (:func:`contmon.gaussian.feedback_terms`).
     """
     model: GaussianModel = scenario.model
     covs = covariance_path(model, scenario.initial_state.cov, spec.dt, spec.n_steps)
-    ckind, cmat = scenario.controller if scenario.controller else ("none", None)
-    phi = np.eye(model.dim) + spec.dt * model.A
-    gammas = (model.E - covs[:-1] @ model.B) / np.sqrt(2.0)
-    if ckind == "lqg":
-        phi -= spec.dt * (scenario.f_mat @ np.atleast_2d(cmat))
-    elif ckind == "markovian":
-        fm = scenario.f_mat @ np.atleast_2d(cmat)
-        phi -= np.sqrt(2.0) * spec.dt * (fm @ model.B.T)
-        gammas += fm
+    r_mat, g_mat = feedback_terms(model, scenario.f_mat, scenario.controller or ("none", None))
+    phi = np.eye(model.dim) + spec.dt * (model.A - r_mat)
+    gammas = (model.E - covs[:-1] @ model.B) / np.sqrt(2.0) + g_mat
     return dict(phi=phi, gammas=gammas, extra=dict(cov_path=covs))
 
 

@@ -9,6 +9,13 @@ Covariance paths are exact: the Riccati flow linearises (Davison & Maki, IEEE
 Trans. Autom. Control 18, 71 (1973)), so one matrix exponential per path gives
 every step (:func:`covariance_path`), and the unmonitored first moments step by
 e^{A dt}.
+
+Feedback closes the loop on the conditional means.  Under no, state-based
+(LQG) or current (Markovian) feedback they obey one linear SDE,
+dr = (A - R) r dt + ((E - sigma B)/sqrt(2) + G) dw, and :func:`feedback_terms`
+is the one statement of (R, G) for each controller.  The steady Riccati
+equations of the filter and of the LQG controller are one Newton-Kleinman
+iteration (:func:`_newton_kleinman`).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
     "UnreachableDirectionError",
     "ConvergenceError",
     "symplectic_form",
+    "feedback_terms",
     "hurwitz_report",
     "lyapunov_solve",
     "unconditional_moment_rhs",
@@ -47,6 +55,7 @@ __all__ = [
 
 HURWITZ_MARGIN = 1e-10
 SOLVER_TOL = 1e-10
+NEWTON_MAX_ITER = 60
 
 
 class HurwitzError(ValueError):
@@ -166,12 +175,11 @@ class GaussianState:
         return float(w.min())
 
 
-def hurwitz_report(mat: np.ndarray, margin: float = HURWITZ_MARGIN):
-    """Return (is_hurwitz, max real part, is_marginal); marginal counts as unstable."""
-    reals = np.linalg.eigvals(mat).real
-    max_real = float(reals.max())
-    marginal = bool(abs(max_real) < margin)
-    return (max_real < -margin), max_real, marginal
+def hurwitz_report(mat: np.ndarray):
+    """Return (is_hurwitz, max real part, is_marginal); marginal (|max Re| <
+    ``HURWITZ_MARGIN``) counts as unstable."""
+    max_real = float(np.linalg.eigvals(mat).real.max())
+    return (max_real < -HURWITZ_MARGIN), max_real, bool(abs(max_real) < HURWITZ_MARGIN)
 
 
 def lyapunov_solve(a_cl: np.ndarray, q_sym: np.ndarray) -> np.ndarray:
@@ -298,36 +306,69 @@ def unconditional_moments(model: GaussianModel, state: GaussianState, dt: float,
     return means, covariance_path(model, state.cov, dt, n_steps, monitored=False)
 
 
-def riccati_steady_state(
-    model: GaussianModel, tol: float = SOLVER_TOL, max_iter: int = 60
-) -> np.ndarray:
+def feedback_terms(model, f_mat, controller):
+    """The terms (R, G) a feedback law adds to the conditional means, which
+    then obey dr = (A - R) r dt + ((E - sigma B)/sqrt(2) + G) dw (Wiseman &
+    Milburn, *Quantum Measurement and Control*, ch. 6).
+
+    ``controller`` is ``("none", None)``, giving (0, 0); ``("lqg", K)``, the
+    state feedback u = -K r, giving (F K, 0); or ``("markovian", M)``, the
+    current feedback u = M I(t) with I dt = dy, giving (sqrt(2) F M B^T, F M).
+    An unknown kind, or an F K that is not (2n, 2n) or an F M that is not
+    (2n, m), raises a ValueError.  For LQG ``model`` may be a bare drift matrix.
+    """
+    kind, gain = controller
+    if kind == "none":
+        return 0.0, 0.0
+    if kind not in ("lqg", "markovian"):
+        raise ValueError(f"unknown controller kind {kind!r} (use 'none', 'lqg' or 'markovian')")
+    f_mat = np.atleast_2d(np.asarray(f_mat, dtype=float))
+    gain = np.atleast_2d(np.asarray(gain, dtype=float))
+    dim = model.dim if isinstance(model, GaussianModel) else len(model)
+    name, cols = ("K", dim) if kind == "lqg" else ("M", model.n_currents)
+    if f_mat.ndim != 2 or f_mat.shape[0] != dim or gain.shape != (f_mat.shape[1], cols):
+        raise ValueError(f"F {name} must be ({dim}, {cols}) for this model; "
+                         f"F is {f_mat.shape}, {name} is {gain.shape}")
+    fg = f_mat @ gain
+    return (fg, 0.0) if kind == "lqg" else (np.sqrt(2.0) * fg @ model.B.T, fg)
+
+
+def _newton_kleinman(a, d, s, x0, residual_of, what):
+    """The stabilizing root X of a X + X a^T + d - X s X = 0 and its residual.
+
+    Newton-Kleinman iteration (Kleinman, IEEE Trans. Autom. Control 13, 114
+    (1968)) from the stabilizing seed ``x0``: each step is one Lyapunov solve,
+    (a - X s) X' + X' (a - X s)^T + d + X s X = 0.  It stops once
+    ``residual_of(X')`` and the step are within ``SOLVER_TOL`` and 100
+    ``SOLVER_TOL``, and raises ConvergenceError "<what> did not converge"
+    after ``NEWTON_MAX_ITER`` steps.
+    """
+    x, residual = x0, np.inf
+    for _ in range(NEWTON_MAX_ITER):
+        x_next = lyapunov_solve(a - x @ s, d + x @ s @ x)
+        residual = residual_of(x_next)
+        step = float(np.max(np.abs(x_next - x)))
+        x = x_next
+        if residual <= SOLVER_TOL and step <= 100 * SOLVER_TOL:
+            return x, residual
+    raise ConvergenceError(f"{what} did not converge (residual {residual:.3e})")
+
+
+def riccati_steady_state(model: GaussianModel) -> np.ndarray:
     """Steady conditional covariance: the stabilizing root of the Riccati flow.
 
-    Newton-Kleinman iteration (each step one Lyapunov solve) seeded from the
-    unmonitored (Lyapunov) solution; quadratically convergent from that
-    stabilizing seed.  The result is checked for symmetry, residual and
-    physicality (sigma + i Omega >= -1e-8).
+    Newton-Kleinman iteration with a = A + E B^T, d = D - E E^T and s = B B^T,
+    seeded from the unmonitored (Lyapunov) solution, which is stabilizing.
+    The result is checked for residual and physicality
+    (sigma + i Omega >= -1e-8).
     """
     a, d, b, e = model.A, model.D, model.B, model.E
     if not model.is_monitored:
         return lyapunov_solve(a, d)
-    a_tilde = a + e @ b.T
-    d_eff = d - e @ e.T
-    bbt = b @ b.T
-    cov = lyapunov_solve(a, d)  # eta -> 0 seed
-    residual = np.inf
-    for _ in range(max_iter):
-        a_k = a_tilde - cov @ bbt
-        cov_next = lyapunov_solve(a_k, d_eff + cov @ bbt @ cov)
-        residual = float(np.max(np.abs(conditional_cov_rhs(model, cov_next))))
-        step = float(np.max(np.abs(cov_next - cov)))
-        cov = cov_next
-        if residual <= tol and step <= 100 * tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"Riccati iteration did not converge (residual {residual:.3e})"
-        )
+    cov, _ = _newton_kleinman(
+        a + e @ b.T, d - e @ e.T, b @ b.T, lyapunov_solve(a, d),
+        lambda x: float(np.max(np.abs(conditional_cov_rhs(model, x)))), "Riccati iteration",
+    )
     omega = symplectic_form(model.n_modes)
     w_min = float(np.linalg.eigvalsh(cov + 1j * omega).min())
     if w_min < -1e-8:
@@ -346,15 +387,15 @@ class LqgResult:
     closed_loop_max_real: float
 
 
-def lqg_gain(model, f_mat, p_cost, q_cost, max_iter: int = 60) -> LqgResult:
+def lqg_gain(model, f_mat, p_cost, q_cost) -> LqgResult:
     """Solve the LQG steady-state control problem for cost <r^T P r> + u^T Q u.
 
-    Y solves A^T Y + Y A + P - Y F Q^-1 F^T Y = 0 (Newton-Kleinman, seeded with
-    Y = 0, which is stabilizing because the open-loop drift of the models here
-    is Hurwitz); K = Q^-1 F^T Y.  Reports whether A - F K is Hurwitz.
-    ``model`` may be a :class:`GaussianModel` or a bare drift matrix.  With 2n
-    quadratures and k controls F is (2n, k), P is (2n, 2n) and Q is (k, k);
-    other shapes raise a ValueError naming the matrix.
+    Y solves A^T Y + Y A + P - Y F Q^-1 F^T Y = 0 (Newton-Kleinman with
+    a = A^T, d = P and s = F Q^-1 F^T, seeded with Y = 0, which is stabilizing
+    because the open-loop drift must be Hurwitz); K = Q^-1 F^T Y.  Reports
+    whether A - F K is Hurwitz.  ``model`` may be a :class:`GaussianModel` or a
+    bare drift matrix.  With 2n quadratures and k controls F is (2n, k), P is
+    (2n, 2n) and Q is (k, k); other shapes raise a ValueError naming the matrix.
     """
     a = model.A if isinstance(model, GaussianModel) else np.atleast_2d(np.asarray(model, dtype=float))
     f_mat = np.atleast_2d(np.asarray(f_mat, dtype=float))
@@ -375,22 +416,12 @@ def lqg_gain(model, f_mat, p_cost, q_cost, max_iter: int = 60) -> LqgResult:
             f"LQG synthesis needs an open-loop Hurwitz drift for the zero seed "
             f"(max Re = {max_real:.3e})"
         )
-    y = np.zeros_like(a)
-    residual = np.inf
-    for _ in range(max_iter):
-        a_k = a - g_mat @ y
-        y_next = lyapunov_solve(a_k.T, p_cost + y @ g_mat @ y)
-        residual = float(
-            np.max(np.abs(a.T @ y_next + y_next @ a + p_cost - y_next @ g_mat @ y_next))
-        )
-        step = float(np.max(np.abs(y_next - y)))
-        y = y_next
-        if residual <= SOLVER_TOL and step <= 100 * SOLVER_TOL:
-            break
-    else:
-        raise ConvergenceError(f"LQG Riccati did not converge (residual {residual:.3e})")
+    y, residual = _newton_kleinman(
+        a.T, p_cost, g_mat, np.zeros_like(a),
+        lambda y: float(np.max(np.abs(a.T @ y + y @ a + p_cost - y @ g_mat @ y))), "LQG Riccati",
+    )
     gain = np.linalg.solve(q_cost, f_mat.T @ y)
-    ok, max_real, _ = hurwitz_report(a - f_mat @ gain)
+    ok, max_real, _ = hurwitz_report(a - feedback_terms(a, f_mat, ("lqg", gain))[0])
     return LqgResult(gain, y, residual, ok, max_real)
 
 
@@ -402,13 +433,11 @@ def excess_noise_ss(
 
         (A - F K) S + S (A - F K)^T + (E - sigma_c B)(E - sigma_c B)^T = 0.
     """
-    f_mat = np.atleast_2d(np.asarray(f_mat, dtype=float))
-    gain = np.atleast_2d(np.asarray(gain, dtype=float))
     if cov_c is None:
         cov_c = riccati_steady_state(model)
     noise = model.E - cov_c @ model.B
-    a_cl = model.A - f_mat @ gain
-    return lyapunov_solve(a_cl, noise @ noise.T)
+    r_mat, _ = feedback_terms(model, f_mat, ("lqg", gain))
+    return lyapunov_solve(model.A - r_mat, noise @ noise.T)
 
 
 @dataclass(frozen=True)
@@ -437,7 +466,8 @@ def markovian_gain(model: GaussianModel, f_mat, cov_c: np.ndarray | None = None)
         cov_c = riccati_steady_state(model)
     target = -(model.E - cov_c @ model.B) / np.sqrt(2.0)
     m_gain, *_ = np.linalg.lstsq(f_mat, target, rcond=None)
-    residual_mat = f_mat @ m_gain - target
+    r_mat, fm = feedback_terms(model, f_mat, ("markovian", m_gain))
+    residual_mat = fm - target
     residual = float(np.max(np.abs(residual_mat)))
     if residual > SOLVER_TOL * max(1.0, float(np.max(np.abs(target)))):
         row = int(np.argmax(np.max(np.abs(residual_mat), axis=1)))
@@ -446,7 +476,7 @@ def markovian_gain(model: GaussianModel, f_mat, cov_c: np.ndarray | None = None)
             f"feedback matrix cannot cancel measurement noise along {label!r} "
             f"(residual {residual:.3e})"
         )
-    a_closed = model.A - np.sqrt(2.0) * f_mat @ m_gain @ model.B.T
+    a_closed = model.A - r_mat
     ok, max_real, _ = hurwitz_report(a_closed)
     return MarkovianGain(m_gain, a_closed, ok, max_real, residual)
 
@@ -454,34 +484,21 @@ def markovian_gain(model: GaussianModel, f_mat, cov_c: np.ndarray | None = None)
 def closed_loop_unconditional(model: GaussianModel, f_mat, gain):
     """Steady unconditional covariance sigma_c + Sigma under a feedback law.
 
-    ``gain`` is ``("markovian", M)``, ``("lqg", K)`` or ``("none", None)``;
-    returns (sigma_unc, mean_decays) where the flag certifies that the
-    closed-loop drift is Hurwitz so the first moments vanish at steady state.
+    ``gain`` is a controller of :func:`feedback_terms`: ``("markovian", M)``,
+    ``("lqg", K)`` or ``("none", None)``.  Returns (sigma_unc, mean_decays)
+    where the flag certifies that the closed-loop drift A - R is Hurwitz so
+    the first moments vanish at steady state; Sigma solves
+    (A - R) Sigma + Sigma (A - R)^T + 2 Gamma Gamma^T = 0 with
+    Gamma = (E - sigma_c B)/sqrt(2) + G.
     """
-    kind, value = gain
+    r_mat, g_mat = feedback_terms(model, f_mat, gain)
     cov_c = riccati_steady_state(model)
-    noise_lin = (model.E - cov_c @ model.B) / np.sqrt(2.0)
-    if kind == "none":
-        a_cl = model.A
-        noise = 2.0 * noise_lin @ noise_lin.T
-    elif kind == "lqg":
-        k_mat = np.atleast_2d(np.asarray(value, dtype=float))
-        f2 = np.atleast_2d(np.asarray(f_mat, dtype=float))
-        a_cl = model.A - f2 @ k_mat
-        noise = 2.0 * noise_lin @ noise_lin.T
-    elif kind == "markovian":
-        m_mat = np.atleast_2d(np.asarray(value, dtype=float))
-        f2 = np.atleast_2d(np.asarray(f_mat, dtype=float))
-        a_cl = model.A - np.sqrt(2.0) * f2 @ m_mat @ model.B.T
-        lm = noise_lin + f2 @ m_mat
-        noise = 2.0 * lm @ lm.T
-    else:
-        raise ValueError(f"unknown gain kind {kind!r}")
+    a_cl = model.A - r_mat
     ok, _, _ = hurwitz_report(a_cl)
     if not ok:
         raise HurwitzError("closed-loop drift is not Hurwitz")
-    excess = lyapunov_solve(a_cl, noise)
-    return cov_c + excess, ok
+    noise = (model.E - cov_c @ model.B) / np.sqrt(2.0) + g_mat
+    return cov_c + lyapunov_solve(a_cl, 2.0 * noise @ noise.T), ok
 
 
 def opo_model(chi: float, kappa: float, eta: float = 1.0) -> GaussianModel:

@@ -890,6 +890,30 @@ def test_scenario_rejects_unmet_needs_at_construction(qubit_ops, kind, model_kwa
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("case, message", [
+    ("lqr_controller", "unknown controller kind 'lqr' (use 'none', 'lqg' or 'markovian')"),
+    ("lqg_f_3x3", "F K must be (2, 2) for this model; F is (3, 3), K is (2, 2)"),
+    ("markovian_m_2x3", "F M must be (2, 2) for this model; F is (2, 2), M is (2, 3)"),
+    ("two_mode_vacuum", "gaussian initial state needs mean (2,) and covariance (2, 2) for this "
+                        "model; got (4,) and (4, 4)"),
+], ids=["lqr_controller", "lqg_f_3x3", "markovian_m_2x3", "two_mode_vacuum"])
+def test_gaussian_scenario_rejects_misfits_at_construction(case, message):
+    # each of these used to build: the "lqr" controller then ran open loop,
+    # and the others died inside run_ensemble with a numpy shape error
+    model = opo_model(0.2, 1.0, 1.0)
+    k_gain = lqg_gain(model, np.eye(2), np.diag([1.0, 0.0]), np.eye(2)).gain
+    kwargs = {
+        "lqr_controller": dict(f_mat=np.eye(2), controller=("lqr", k_gain)),
+        "lqg_f_3x3": dict(f_mat=np.eye(3), controller=("lqg", k_gain)),
+        "markovian_m_2x3": dict(f_mat=np.eye(2), controller=("markovian", np.ones((2, 3)))),
+        "two_mode_vacuum": {},
+    }[case]
+    state = GaussianState.vacuum(2 if case == "two_mode_vacuum" else 1)
+    with pytest.raises(ValueError) as err:
+        Scenario("gaussian", model, state, **kwargs)
+    assert str(err.value) == message
+
+
 def test_traced_benchmark_spans_install_and_restore(monkeypatch):
     # the traced benchmark (perfbench/run.py --trace 1) replaces module
     # attributes by name; a rename here would break it, and tier-1 collects

@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_continuous_are, solve_lyapunov
 
-from contmon import core_ops
+from contmon import core_ops, gaussian
 from contmon.core_ops import CHUNK_BUFFER_BYTES, rk4_step
 from contmon.gaussian import (
+    ConvergenceError,
     GaussianModel,
     GaussianState,
     HurwitzError,
@@ -301,6 +302,18 @@ def test_riccati_physicality(opo):
     sigma_c = riccati_steady_state(opo)
     omega = symplectic_form(1)
     assert np.linalg.eigvalsh(sigma_c + 1j * omega).min() >= -1e-8
+
+
+@pytest.mark.parametrize("solve, message", [
+    (riccati_steady_state, "Riccati iteration did not converge"),
+    (lambda opo: lqg_gain(opo, np.eye(2), np.diag([1.0, 0.0]), np.eye(2)),
+     "LQG Riccati did not converge"),
+], ids=["riccati", "lqg"])
+def test_newton_kleinman_reports_non_convergence(opo, monkeypatch, solve, message):
+    # one Newton step from either seed leaves a residual far above SOLVER_TOL
+    monkeypatch.setattr(gaussian, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match=message):
+        solve(opo)
 
 
 # ------------------------------------------------------------------- LQG
