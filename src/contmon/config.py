@@ -8,6 +8,12 @@ unknown keys and malformed values), then the cross-field rules and the
 errors at ``$.`` paths.  ``parse_config`` and ``build_runtime`` both call it,
 so ``validate`` accepts exactly the documents ``run`` can build.
 
+Every job is one trajectory ensemble, an ``EnsembleSpec`` and a ``Scenario``
+of a ``KINDS`` entry: a document without an unravelling runs ``"me"`` or
+``"gaussian_moments"``, one noise-free trajectory (``_spec_fields``).  The
+run records the observables the output columns name, and ``_columns``
+derives every column from its ``EnsembleStats``.
+
 Output contract: a CSV statistics table with fixed header
 ``t, <obs>.mean, <obs>.se, ...`` (floats written with 17 significant digits so
 they round-trip exactly), a JSON run manifest that embeds the fully resolved
@@ -31,7 +37,7 @@ import numpy as np
 from . import __version__
 from .core_ops import build_standard_ops, is_hermitian
 from .diffusive import squeezed_vacuum_jump_operator
-from .ensemble import KINDS, EnsembleSpec, Scenario, run_ensemble, stats_shape
+from .ensemble import KINDS, EnsembleSpec, EnsembleStats, Scenario, run_ensemble, stats_shape
 from .gaussian import (
     ConvergenceError,
     GaussianModel,
@@ -41,9 +47,9 @@ from .gaussian import (
     opo_model,
     # perfbench/spans.py wraps config.unconditional_moment_rhs, so the name stays
     unconditional_moment_rhs,  # noqa: F401
-    unconditional_moments,
 )
-from .master_equation import BathSpec, OpenSystemModel, me_expectations
+# perfbench/spans.py wraps config.me_expectations, so the name stays
+from .master_equation import BathSpec, OpenSystemModel, me_expectations  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -373,37 +379,68 @@ def _n_steps(run: dict) -> int:
     return int(round(min(run["t_final"] / run["dt"], 2.0**62)))
 
 
-def _check_memory(cfg: dict, kind: str | None) -> None:
+def _column_of(name: str) -> tuple[str, str]:
+    """(quantity, observable) of an output column: ("mean", name) for an
+    observable the run records, ("cond", "q") for "cond_var_q" and ("unc",
+    "q") for "unc_var_q"."""
+    quantity, _, label = name.rpartition("_var_")
+    return quantity or "mean", label
+
+
+def _recorded(cfg: dict) -> list:
+    """The observables a run records, in column order: every Hilbert-space
+    observable, and every Gaussian quadrature that a column names."""
+    return list(dict.fromkeys(_column_of(name)[1] for name in cfg["output"]["observables"]))
+
+
+def _spec_fields(cfg: dict, kind: str) -> dict:
+    """The ``EnsembleSpec`` fields, but the observables, of a run of
+    ``kind``.  A kind that draws nothing runs one trajectory: it stores no
+    records or states, tracks no eigenvalue and ignores ``noise``,
+    ``threads`` and ``block_size``."""
+    run = cfg["run"]
+    fields = dict(n_traj=1, master_seed=run["seed"], dt=run["dt"], t_final=run["t_final"])
+    if KINDS[kind].draws:
+        fields.update(
+            n_traj=run["n_traj"], noise=run["noise"], threads=run["threads"],
+            block_size=run["block_size"], store_records=cfg["output"]["records"],
+            store_states=run["store_states"], validate_every=run["validate_every"],
+            # a Gaussian run holds no density matrix to check
+            track_min_eigenvalue=(run["track_min_eigenvalue"]
+                                  and KINDS[kind].model is not GaussianModel),
+        )
+    return fields
+
+
+def _check_memory(cfg: dict, kind: str) -> None:
     """Rule ``run_memory``: the run's arrays must fit in physical memory.
 
-    Counted from below, in bytes, for the scenario ``kind`` (None for a
-    deterministic run): the operator set; per block in flight the state and
-    one work buffer, and the noise block; the per-step statistics of every
-    block, held until the merge; stored states and records.
+    Counted from below, in bytes, for a run of the scenario ``kind`` as
+    ``_spec_fields`` sets it up: the operator set; per block in flight the
+    state and one work buffer, and the noise block; the per-step statistics
+    of every block, held until the merge; stored states and records.  A kind
+    that draws nothing holds every state of its trajectory, as the
+    integrator it runs keeps them.
     """
-    system, run = cfg["system"], cfg["run"]
-    steps = _n_steps(run)
+    system, steps = cfg["system"], _n_steps(cfg["run"])
     if system["kind"] == "gaussian":  # real mean vectors, one covariance path
         dim, entry = 2 * system["n_modes"], 8
         state, ops, path = dim, 4 * dim * dim * entry, (steps + 1) * dim * dim * entry
     else:  # complex density matrices
         dim, entry = system.get("dim", 2), 16
         state, ops, path = dim * dim, 9 * dim * dim * entry, 0
-    need = ops + path + (steps + 1) * state * entry  # or the deterministic path
-    if kind is not None:
-        # a combination the rules reject names no kind: its unravelling's own
-        # kind draws, records and counts alike
-        kind = kind if kind in KINDS else cfg["unravelling"]["kind"]
-        draws, clicks = KINDS[kind].draws, KINDS[kind].clicks
-        block = min(run["block_size"], run["n_traj"])
-        blocks = -(-run["n_traj"] // block)
-        # a block's statistics as the ensemble shapes them; Gaussian runs record q, p
-        n_obs = 2 if kind == "gaussian" else len(cfg["output"]["observables"])
-        need = ops + path + blocks * 8 * math.prod(stats_shape(kind, steps, n_obs))
-        need += min(run["threads"], blocks) * block * (2 * state * entry + steps * draws * 8)
-        stored = run["store_states"] * (steps + 1) * state * entry
-        stored += cfg["output"]["records"] * steps * draws * (1 if clicks else 8)
-        need += run["n_traj"] * stored
+    # a combination the rules reject names no kind: its unravelling's own
+    # kind draws, records and counts alike
+    kind = kind if kind in KINDS else cfg["unravelling"]["kind"]
+    spec = EnsembleSpec(**_spec_fields(cfg, kind))
+    draws, clicks = KINDS[kind].draws, KINDS[kind].clicks
+    block = min(spec.block_size, spec.n_traj)
+    blocks = -(-spec.n_traj // block)
+    need = ops + path + blocks * 8 * math.prod(stats_shape(kind, steps, len(_recorded(cfg))))
+    need += min(spec.threads, blocks) * block * (2 * state * entry + steps * draws * 8)
+    stored = (spec.store_states or not draws) * (steps + 1) * state * entry
+    stored += spec.store_records * steps * draws * (1 if clicks else 8)
+    need += spec.n_traj * stored
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         gib = min(need, 2**100) / 2**30  # still a lower bound, and a float
@@ -413,22 +450,11 @@ def _check_memory(cfg: dict, kind: str | None) -> None:
         ])
 
 
-def _gaussian_column(name: str) -> tuple[str, str]:
-    """(quantity, label) of a Gaussian observable: ("mean", "q") for "q",
-    ("cond", "q") for "cond_var_q" and ("unc", "q") for "unc_var_q"."""
-    quantity, _, label = name.rpartition("_var_")
-    return quantity or "mean", label
-
-
 def _gaussian_rules(cfg: dict, gmodel: GaussianModel, ctx: _Collector) -> None:
     ukind, fb, n_modes = cfg["unravelling"]["kind"], cfg["feedback"], cfg["system"]["n_modes"]
     needed = {"markovian": ("f",), "lqg": ("f", "p", "q")}.get(fb["kind"], ())
-    # the model's quadrature labels must resolve every observable the run
-    # records (the ensemble always records q and p)
-    recorded = {_gaussian_column(name)[1] for name in cfg["output"]["observables"]}
-    if ukind != "none":
-        recorded |= {"q", "p"}
-    missing = sorted(recorded - set(gmodel.labels))
+    # the model's quadrature labels must resolve every observable the run records
+    missing = sorted(set(_recorded(cfg)) - set(gmodel.labels))
     ctx.rules((
         (gmodel.n_modes != n_modes, "$.model",
          f"rule gaussian_mode_count: the model has {gmodel.n_modes} mode(s), "
@@ -450,9 +476,9 @@ def _gaussian_rules(cfg: dict, gmodel: GaussianModel, ctx: _Collector) -> None:
     ))
 
 
-def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> str | None:
+def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> str:
     """Report every cross-field rule a Hilbert-space document breaks, and
-    return the scenario kind it selects (None without an unravelling): a
+    return the scenario kind it selects ("me" without an unravelling): a
     feedback kind, else a linear one, else a generalized-bath one, else the
     stepper's.  What the selected kind's step needs is ``jump.NEEDS``, which
     ``Scenario`` checks when ``_resolve`` builds it."""
@@ -467,7 +493,7 @@ def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> str | None:
     generalized = diffusive_bath and not replaced
     rungs = ((fkind != "none", f"{ukind}_feedback"), (linear, f"linear_{ukind}"),
              (generalized, f"generalized_{ukind}"), (unrav["stepper"] == "kraus", f"{ukind}_kraus"))
-    kind = None if ukind == "none" else next((name for taken, name in rungs if taken), ukind)
+    kind = "me" if ukind == "none" else next((name for taken, name in rungs if taken), ukind)
     ctx.rules((
         (not isinstance(level, int) or isinstance(level, bool)
          or not 0 <= level < system.get("dim", 2),
@@ -569,7 +595,8 @@ def _resolve(doc: dict) -> RuntimeJob:
     system, model_cfg, unrav, fb = cfg["system"], cfg["model"], cfg["unravelling"], cfg["feedback"]
     ukind, fkind = unrav["kind"], fb["kind"]
     if system["kind"] == "gaussian":
-        _check_memory(cfg, None if ukind == "none" else "gaussian")
+        kind = "gaussian_moments" if ukind == "none" else "gaussian"
+        _check_memory(cfg, kind)
         if ("opo" in model_cfg) == ("matrices" in model_cfg):
             raise ConfigError(["$.model: gaussian systems need one 'opo' or 'matrices' block"])
         if "opo" in model_cfg:
@@ -578,11 +605,6 @@ def _resolve(doc: dict) -> RuntimeJob:
             gmodel = _build("$.model.matrices", GaussianModel, **model_cfg["matrices"])
         _gaussian_rules(cfg, gmodel, ctx)
         ctx.raise_errors()
-        if ukind == "none":
-            return RuntimeJob(
-                "gaussian_unconditional", config,
-                payload={"model": gmodel, "t_grid": np.arange(_n_steps(run) + 1) * run["dt"]},
-            )
         f_mat = None if fkind == "none" else np.asarray(fb["f"], dtype=float)
         controller = None
         if fkind == "lqg":
@@ -596,9 +618,9 @@ def _resolve(doc: dict) -> RuntimeJob:
             controller = ("markovian", np.asarray(m_gain, dtype=float))
         # the vacuum and a synthesized gain fit the model, so only an explicit
         # M can fail here: F M must map the currents to the quadratures
-        scenario = _build("$.feedback.m", Scenario, "gaussian", gmodel,
+        scenario = _build("$.feedback.m", Scenario, kind, gmodel,
                           GaussianState.vacuum(gmodel.n_modes), f_mat=f_mat, controller=controller)
-        return _ensemble_job(config, scenario, (("q", None), ("p", None)))
+        return _job(config, scenario, tuple((label, None) for label in _recorded(cfg)))
 
     bath_cfg = model_cfg["bath"]
     n_th, sq = bath_cfg["n_thermal"], bath_cfg["squeezing"]
@@ -650,94 +672,60 @@ def _resolve(doc: dict) -> RuntimeJob:
     observables = tuple(
         (name, opset[alias.get(name, name)]) for name in cfg["output"]["observables"]
     )
-    if kind is None:
-        return RuntimeJob(
-            "me", config,
-            payload={"model": model, "rho0": rho0, "observables": observables,
-                     "t_grid": np.arange(_n_steps(run) + 1) * run["dt"]},
-        )
     scenario = _build("$.unravelling", Scenario, kind, model, rho0, feedback_operator=f_op,
                       mu=unrav["mu"], beta_ost=unrav["beta"])
-    return _ensemble_job(
-        config, scenario, observables,
-        track_min_eigenvalue=run["track_min_eigenvalue"], validate_every=run["validate_every"],
-    )
+    return _job(config, scenario, observables)
 
 
-def _ensemble_job(config: ScenarioConfig, scenario: Scenario, observables, **extra):
-    run = config.data["run"]
-    spec = EnsembleSpec(
-        n_traj=run["n_traj"], master_seed=run["seed"], dt=run["dt"],
-        t_final=run["t_final"], observables=observables, noise=run["noise"],
-        threads=run["threads"], block_size=run["block_size"],
-        store_records=config.data["output"]["records"], store_states=run["store_states"],
-        **extra,
-    )
-    return RuntimeJob("ensemble", config, spec=spec, scenario=scenario)
+def _job(config: ScenarioConfig, scenario: Scenario, observables) -> RuntimeJob:
+    spec = EnsembleSpec(observables=observables, **_spec_fields(config.data, scenario.kind))
+    return RuntimeJob(config, spec, scenario)
+
+
+def _columns(names, stats: EnsembleStats, model) -> dict:
+    """name -> (mean, SE) of each output column, from a run's statistics.
+
+    A recorded observable gives its own mean and SE.  For a Gaussian
+    quadrature x, ``cond_var_x`` is sigma_xx of the covariance path, with SE
+    0, and ``unc_var_x`` is sigma_xx + 2 Var(x), with the SE
+    2 sqrt(Var(x^2) / n) from the spread of x^2, both centred."""
+    columns = {}
+    for name in names:
+        quantity, label = _column_of(name)
+        if quantity == "mean":
+            columns[name] = (stats.means[label], stats.std_errs[label])
+            continue
+        idx = model.labels.index(label)
+        var = stats.extra["cov_path"][:, idx, idx]
+        if quantity == "cond":
+            columns[name] = (var, np.zeros(var.shape))
+        else:
+            columns[name] = (var + 2.0 * stats.extra["var_x"][label],
+                             2.0 * np.sqrt(stats.extra["var_x2"][label] / stats.n_traj))
+    return columns
 
 
 @dataclass
 class RuntimeJob:
-    """Executable form of a configuration: either a trajectory ensemble or a
-    deterministic moment/master-equation integration."""
+    """Executable form of a configuration: one trajectory ensemble.  A
+    document without an unravelling runs the kind ``"me"`` or
+    ``"gaussian_moments"``: one noise-free trajectory."""
 
-    kind: str  # "ensemble" | "me" | "gaussian_unconditional"
     config: ScenarioConfig
-    spec: EnsembleSpec | None = None
-    scenario: Scenario | None = None
-    payload: dict | None = None
+    spec: EnsembleSpec
+    scenario: Scenario
 
     def execute(self):
-        """Run and return (t, columns) with columns an ordered dict
-        name -> (mean array, se array); plus a health dict."""
-        cfg = self.config.data
-        names = cfg["output"]["observables"]
-        if self.kind == "ensemble":
-            stats = run_ensemble(self.spec, self.scenario)
-            columns = {}
-            for name in names:
-                if name in stats.means:
-                    columns[name] = (stats.means[name], stats.std_errs[name])
-                else:
-                    columns[name] = self._derived_gaussian_column(name, stats)
-            health = {
-                "min_eigenvalue": stats.min_eigenvalue,
-                "positivity_violations": stats.positivity_violations,
-            }
-            return stats.t, columns, health, stats
-        if self.kind == "me":
-            grid = self.payload["t_grid"]
-            expect = me_expectations(
-                self.payload["model"], self.payload["rho0"], grid, self.payload["observables"]
-            )
-            zeros = np.zeros(grid.size)
-            columns = {name: (expect[name], zeros) for name in names}
-            return grid, columns, {}, None
-        if self.kind == "gaussian_unconditional":
-            grid = self.payload["t_grid"]
-            model: GaussianModel = self.payload["model"]
-            means, covs = unconditional_moments(
-                model, GaussianState.vacuum(model.n_modes), float(grid[1] - grid[0]), grid.size - 1
-            )
-            zeros = np.zeros(grid.size)
-            columns = {}
-            for name in names:
-                quantity, label = _gaussian_column(name)
-                idx = model.labels.index(label)
-                columns[name] = (means[:, idx] if quantity == "mean" else covs[:, idx, idx], zeros)
-            return grid, columns, {}, None
-        raise RuntimeError(f"unknown job kind {self.kind}")
-
-    def _derived_gaussian_column(self, name, stats):
-        """``cond_var_<label>`` or ``unc_var_<label>`` of a model quadrature."""
-        quantity, label = _gaussian_column(name)
-        idx = self.scenario.model.labels.index(label)
-        var = stats.extra["cov_path"][:, idx, idx]
-        if quantity == "cond":
-            return var, np.zeros(var.shape)
-        # the excess noise 2 Var(x) and its SE from the spread of x^2, both centred
-        excess = 2.0 * stats.extra["var_x"][label]
-        return var + excess, 2.0 * np.sqrt(stats.extra["var_x2"][label] / stats.n_traj)
+        """Run and return (t, columns, health, stats): ``columns`` an ordered
+        dict name -> (mean array, se array), ``health`` the positivity
+        counters (None where untracked) and ``stats`` the ``EnsembleStats``."""
+        stats = run_ensemble(self.spec, self.scenario)
+        columns = _columns(self.config.data["output"]["observables"], stats, self.scenario.model)
+        health = {
+            "min_eigenvalue": stats.min_eigenvalue,
+            "positivity_violations": stats.positivity_violations,
+        }
+        return stats.t, columns, health, stats
 
 
 def build_runtime(
@@ -804,7 +792,7 @@ def run_scenario(
     digest = hashlib.sha256(payload).hexdigest()
 
     records_path = None
-    if cfg["output"]["records"] and stats is not None and stats.records is not None:
+    if stats.records is not None:
         records_path = directory / "records.npz"
         np.savez_compressed(
             records_path, records=stats.records, dt=cfg["run"]["dt"],

@@ -10,7 +10,8 @@ vectorized form; block statistics are merged in index order.
 
 Variates drawn per step and trajectory: ``KINDS[kind].draws`` for each
 Hilbert-space kind (uniforms for click kinds and in two-point mode, normals
-otherwise), and one normal per monitored current for Gaussian runs.
+otherwise), one normal per monitored current for Gaussian runs, and none for
+the two noise-free kinds below.
 
 Step dispatch: every Hilbert-space kind advances its block through the
 ``advance`` its ``Kind.kernel`` builds once per block.  A density-matrix kind
@@ -35,7 +36,17 @@ per chunk one batched matmul for the noise terms, one small GEMM per step for
 the recursion, and one vectorized call each for the statistics, the records
 and the stored states.  ``EnsembleStats.extra`` carries the covariance path
 (``cov_path``) and, per observed quadrature x, the centred moments S_x / n
-(``var_x``) and S_{x^2} / n (``var_x2``).
+(``var_x``) and S_{x^2} / n (``var_x2``).  Both Gaussian kinds compute their
+covariance path with numpy's floating-point warnings muted and raise
+:class:`PhysicalityError` at its first non-finite step.
+
+Noise-free kinds: the unconditional master equation and the unmonitored
+Gaussian moments are the average of their conditional equations, so a run
+without an unravelling is the noise-free limit of an ensemble.  ``"me"``
+(:func:`contmon.master_equation.me_expectations`) and ``"gaussian_moments"``
+(:func:`contmon.gaussian.unconditional_moments`, which also reports its
+covariance path as ``cov_path``) draw nothing, and each block runs one
+trajectory of weight 1: its means are its values exactly and its SEs 0.
 
 Statistics: one accumulator serves every kind.  Per block and step it holds
 W = sum w, W2 = sum w^2 and, for each column of values y, the block mean
@@ -62,9 +73,9 @@ from .core_ops import (BATCH_GEMM_MAX_DIM, CHUNK_BUFFER_BYTES, coords_min_eigenv
                        coords_trace, dagger, from_coords, min_eigenvalue, to_coords, trace)
 # perfbench/spans.py wraps ``ensemble.conditional_cov_rhs``, so the name stays
 from .gaussian import (GaussianModel, conditional_cov_rhs,  # noqa: F401
-                       covariance_path, feedback_terms)
+                       covariance_path, feedback_terms, unconditional_moments)
 from .jump import check_needs
-from .master_equation import OpenSystemModel
+from .master_equation import OpenSystemModel, me_expectations
 
 __all__ = [
     "EnsembleSpec",
@@ -404,6 +415,17 @@ def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
                 records=records)
 
 
+def _finite_covariances(covs):
+    """``covs``, a Gaussian run's covariance path, or a PhysicalityError at
+    its first non-finite step.  Both Gaussian kinds compute that path with
+    numpy's floating-point warnings muted and check it here: when a Gaussian
+    run overflows, its covariances turn non-finite before any mean does."""
+    bad = ~np.isfinite(covs).reshape(len(covs), -1).all(axis=1)
+    if bad.any():
+        raise PhysicalityError(int(np.argmax(bad)), "non-finite covariance matrix")
+    return covs
+
+
 def _gaussian_paths(spec: EnsembleSpec, scenario: Scenario):
     """The conditional covariance path shared by all trajectories (reported
     as ``cov_path``), and the affine step of the conditional means it implies.
@@ -414,7 +436,9 @@ def _gaussian_paths(spec: EnsembleSpec, scenario: Scenario):
     the scenario's controller (:func:`contmon.gaussian.feedback_terms`).
     """
     model: GaussianModel = scenario.model
-    covs = covariance_path(model, scenario.initial_state.cov, spec.dt, spec.n_steps)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        covs = _finite_covariances(
+            covariance_path(model, scenario.initial_state.cov, spec.dt, spec.n_steps))
     r_mat, g_mat = feedback_terms(model, scenario.f_mat, scenario.controller or ("none", None))
     phi = np.eye(model.dim) + spec.dt * (model.A - r_mat)
     gammas = (model.E - covs[:-1] @ model.B) / np.sqrt(2.0) + g_mat
@@ -473,13 +497,45 @@ def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     return dict(stats=acc, min_eig=np.inf, violations=0, states=states_out, records=records)
 
 
+def _noise_free(spec: EnsembleSpec, scenario: Scenario, values, **extra):
+    """The block result of one noise-free trajectory whose values are the
+    columns of ``values`` (steps, columns).  Its weight is 1, so its means are
+    the values exactly and its centred sums 0."""
+    acc = np.zeros(stats_shape(scenario.kind, spec.n_steps, len(spec.observables)))
+    _moments(_parts(acc), np.array(values, dtype=float)[..., None], None)
+    return dict(stats=acc, min_eig=np.inf, violations=0, states=None, records=None, extra=extra)
+
+
+def _me_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
+    """The unconditional master equation: the expectations of
+    :func:`contmon.master_equation.me_expectations` as one trajectory."""
+    expect = me_expectations(scenario.model, scenario.initial_state, spec.t_grid, spec.observables)
+    values = np.reshape([expect[name] for name, _ in spec.observables], (-1, spec.t_grid.size))
+    return _noise_free(spec, scenario, values.T)
+
+
+def _moments_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
+    """The unmonitored Gaussian moments of
+    :func:`contmon.gaussian.unconditional_moments` as one trajectory: the
+    columns x, then x^2, of the observed quadratures' means, and the
+    covariance path as ``cov_path``."""
+    model: GaussianModel = scenario.model
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        means, covs = unconditional_moments(model, scenario.initial_state, spec.dt, spec.n_steps)
+        covs = _finite_covariances(covs)
+    x = means[:, [model.labels.index(name) for name, _ in spec.observables]]
+    return _noise_free(spec, scenario, np.hstack([x, x * x]), cov_path=covs)
+
+
 @dataclass(frozen=True)
 class Kind:
     """What the ensemble layer needs to know about one scenario kind.
 
     ``block(spec, scenario, lo, hi, shared)`` runs trajectories lo..hi - 1 of
     a ``model``, with ``shared`` what ``shared(spec, scenario)`` computed once
-    per run (its ``"extra"`` goes to ``EnsembleStats.extra``).  For the
+    per run (the ``"extra"`` of each goes to ``EnsembleStats.extra``).  A
+    kind whose ``draws`` is 0 is noise-free: ``run_ensemble`` runs it as one
+    trajectory that stores no records or states.  For the
     Hilbert-space kinds ``kernel(scenario, dt)`` runs once per block,
     compiling the step of a density-matrix kind, and returns
     ``advance(state, x)``, which advances the block and returns (state',
@@ -520,6 +576,8 @@ KINDS = {
     "generalized_heterodyne": Kind(_diffusive_kernel, draws=2),
     "linear_homodyne": Kind(_diffusive_kernel, linear=True),
     "gaussian": Kind(None, block=_gaussian_block, shared=_gaussian_paths, model=GaussianModel),
+    "me": Kind(None, draws=0, block=_me_block),
+    "gaussian_moments": Kind(None, draws=0, block=_moments_block, model=GaussianModel),
 }
 
 
@@ -533,6 +591,9 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     kind = KINDS[scenario.kind]
     if spec.noise == "two_point" and (kind.clicks or kind.kernel is None):
         raise ValueError("two-point noise applies to diffusive Hilbert-space unravellings only")
+    if not kind.draws and (spec.n_traj != 1 or spec.store_states or spec.store_records):
+        raise ValueError(f"{scenario.kind} is noise-free: it runs one trajectory and stores "
+                         "no records or states")
     shared = kind.shared(spec, scenario) if kind.shared else {}
 
     size, n = spec.block_size, spec.n_traj
@@ -575,7 +636,8 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     if kind.model is GaussianModel:  # the centred sums of the x and x^2 columns, over n
         stats.extra["var_x"] = dict(zip(names, s[:len(names)] / n))
         stats.extra["var_x2"] = dict(zip(names, s[len(names):] / n))
-    stats.extra.update(shared.get("extra", {}))
+    for result in [shared, *partials]:
+        stats.extra.update(result.get("extra", {}))
     return stats
 
 

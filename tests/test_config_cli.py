@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -302,6 +303,75 @@ def test_cli_master_equation_blow_up_exits_through_the_drift_check(tmp_path, cap
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def _opo_blow_up(unravelling, n_traj):
+    def mutate(doc):
+        doc["model"]["opo"].update(chi=5.0, kappa=1.0)
+        doc["unravelling"]["kind"] = unravelling
+        doc["run"].update(dt=0.01, t_final=200.0, n_traj=n_traj)
+    return mutate
+
+
+def _huge_drift(doc):
+    doc["model"] = {"matrices": {"A": (1e200 * np.eye(2)).tolist(), "D": np.eye(2).tolist(),
+                                 "B": np.zeros((2, 1)).tolist(), "E": np.zeros((2, 1)).tolist()}}
+    doc["run"].update(dt=0.01, t_final=1.0)
+
+
+@pytest.mark.parametrize("mutate", [_opo_blow_up("none", 1), _opo_blow_up("homodyne", 16),
+                                    _huge_drift],
+                         ids=["opo_unconditional", "opo_homodyne", "drift_1e200"])
+def test_cli_gaussian_blow_up_exits_through_the_covariance_check(tmp_path, capsys, mutate):
+    # a valid Gaussian document whose covariance path overflows stops at the
+    # first non-finite covariance, before any NaN reaches stats.csv, and
+    # numpy's floating-point warnings do not reach stderr on the way
+    doc = get_preset("opo_unconditional")
+    mutate(doc)
+    doc["output"]["directory"] = str(tmp_path / "out")
+    config_path = tmp_path / "blows_up.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["validate", str(config_path)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # as the CLI's own process would print them
+        assert main(["run", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert "physicality violation" in err and "non-finite covariance" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not (tmp_path / "out" / "stats.csv").exists()
+
+
+@pytest.mark.parametrize("preset", ["qubit_decay_me", "opo_unconditional"])
+def test_noise_free_run_ignores_the_ensemble_fields(tmp_path, preset, monkeypatch):
+    # a document without an unravelling runs one noise-free trajectory: the
+    # trajectory count, threads, blocks, noise law, records, stored states and
+    # eigenvalue tracking change neither its output nor how often it runs
+    from contmon import ensemble
+
+    doc = get_preset(preset)
+    doc["run"]["t_final"] = 0.5
+    plain = tmp_path / "plain"
+    run_scenario(parse_config(json.dumps(doc)), out_dir=plain)
+    doc["run"].update(n_traj=5000, threads=2, block_size=64, store_states=True,
+                      track_min_eigenvalue=True)
+    doc["output"]["records"] = True
+    if preset == "qubit_decay_me":
+        doc["run"]["noise"] = "two_point"
+    kind = build_runtime(parse_config(json.dumps(doc))).scenario.kind
+    blocks = []
+    block = ensemble.KINDS[kind].block
+    monkeypatch.setitem(ensemble.KINDS, kind, dataclasses.replace(
+        ensemble.KINDS[kind], block=lambda *args: blocks.append(args[2:4]) or block(*args)))
+    loaded = tmp_path / "loaded"
+    run_scenario(parse_config(json.dumps(doc)), out_dir=loaded)
+    assert blocks == [(0, 1)]
+    assert (loaded / "stats.csv").read_bytes() == (plain / "stats.csv").read_bytes()
+    assert json.loads((loaded / "manifest.json").read_text())["health"] == {}
+    assert not (loaded / "records.npz").exists()
+    # nothing is charged per trajectory
+    doc["run"]["n_traj"] = 10**15
+    assert parse_config(json.dumps(doc)).data["run"]["n_traj"] == 10**15
+
+
 def test_cli_io_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 4
     capsys.readouterr()
@@ -406,8 +476,8 @@ TWO_MODE_GAUSSIAN = {
 
 @pytest.mark.parametrize("unravelling", ["homodyne", "none"])
 def test_cli_rejects_unresolvable_gaussian_observables(tmp_path, capsys, unravelling):
-    # the labels of a two-mode model are q1, p1, q2, p2: the q/p observables
-    # (and the q, p the ensemble records) resolve to none of them
+    # the labels of a two-mode model are q1, p1, q2, p2: the default q/p
+    # observables resolve to none of them
     doc = json.loads(json.dumps(TWO_MODE_GAUSSIAN))
     doc["unravelling"]["kind"] = unravelling
     doc["output"] = {"directory": str(tmp_path / "out")}
@@ -417,6 +487,22 @@ def test_cli_rejects_unresolvable_gaussian_observables(tmp_path, capsys, unravel
     assert main(["run", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert "gaussian_observable_labels" in err and "q1, p1, q2, p2" in err
+
+
+@pytest.mark.parametrize("unravelling", ["homodyne", "none"])
+def test_cli_runs_two_mode_gaussian_without_observables(tmp_path, capsys, unravelling):
+    # the run records the quadratures its columns name, here none, so a
+    # two-mode model needs no q/p labels, monitored or not
+    doc = json.loads(json.dumps(TWO_MODE_GAUSSIAN))
+    doc["unravelling"]["kind"] = unravelling
+    doc["output"] = {"directory": str(tmp_path / "out"), "observables": []}
+    config_path = tmp_path / "two_mode.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["validate", str(config_path)]) == 0
+    assert main(["run", str(config_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "out" / "stats.csv").read_text().splitlines()
+    assert lines[0] == "t" and len(lines) == 12
 
 
 def test_gaussian_mode_count_must_match_matrices():

@@ -18,7 +18,7 @@ from contmon.diffusive import (
     homodyne_sme_step,
 )
 from contmon import ensemble
-from contmon.config import RuntimeJob
+from contmon.config import _columns
 from contmon.ensemble import (
     KINDS,
     EnsembleSpec,
@@ -52,8 +52,8 @@ from conftest import two_mode_model
 
 
 # the kinds that step density matrices or state vectors: every KINDS entry
-# but the Gaussian moment kind
-HILBERT_KINDS = sorted(k for k in KINDS if KINDS[k].model is OpenSystemModel)
+# with a kernel, which leaves out the Gaussian kinds and the master equation
+HILBERT_KINDS = sorted(k for k in KINDS if KINDS[k].kernel is not None)
 
 
 def max_z_after(stats, name, ref, skip=50):
@@ -337,11 +337,10 @@ def test_unconditional_variance_displaced_by_1e8_matches_two_pass_oracle(control
         observables=tuple((label, None) for label in model.labels), store_states=True,
     )
     stats = run_ensemble(spec, scenario)
-    job = RuntimeJob("ensemble", None, spec, scenario)
     for j, label in enumerate(model.labels):
         x = stats.states[:, :, j]
         var_x, var_x2 = (np.var(y - y[0], axis=0) for y in (x, x**2))
-        mean, se = job._derived_gaussian_column(f"unc_var_{label}", stats)
+        mean, se = _columns([f"unc_var_{label}"], stats, model)[f"unc_var_{label}"]
         assert_agrees(mean, stats.extra["cov_path"][:, j, j] + 2.0 * var_x)
         assert_agrees(se, 2.0 * np.sqrt(var_x2 / spec.n_traj))
 
@@ -912,6 +911,22 @@ def test_gaussian_scenario_rejects_misfits_at_construction(case, message):
     with pytest.raises(ValueError) as err:
         Scenario("gaussian", model, state, **kwargs)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("field, value", [("n_traj", 2), ("store_states", True),
+                                          ("store_records", True)])
+def test_master_equation_kind_runs_one_noise_free_trajectory(qubit_ops, decay_model, excited,
+                                                             field, value):
+    # one trajectory of weight 1 gives the master equation's expectations
+    # exactly, with SE 0; a spec that asks for more is refused up front
+    spec = qubit_spec(qubit_ops, n_traj=1, t_final=0.2)
+    stats = run_ensemble(spec, Scenario("me", decay_model, excited))
+    ref = me_expectations(decay_model, excited, spec.t_grid, spec.observables)["rho_ee"]
+    np.testing.assert_array_equal(stats.means["rho_ee"], ref)
+    np.testing.assert_array_equal(stats.std_errs["rho_ee"], 0.0)
+    spec = qubit_spec(qubit_ops, t_final=0.2, **{"n_traj": 1, field: value})
+    with pytest.raises(ValueError, match="me is noise-free: it runs one trajectory"):
+        run_ensemble(spec, Scenario("me", decay_model, excited))
 
 
 def test_traced_benchmark_spans_install_and_restore(monkeypatch):

@@ -48,7 +48,7 @@ def digest(doc: dict, seed: int, threads: int, max_steps: int = MAX_STEPS) -> di
     job = build_runtime(parse_config(json.dumps(doc)), threads=threads, seed=seed)
     t, columns, health, stats = job.execute()
     text = render_stats_csv(t, columns)
-    records = None if stats is None or stats.records is None else stats.records.tobytes()
+    records = None if stats.records is None else stats.records.tobytes()
     return {
         "stats_sha256": hashlib.sha256(text).hexdigest(),
         "records_sha256": records and hashlib.sha256(records).hexdigest(),
