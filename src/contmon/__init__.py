@@ -21,8 +21,6 @@ Subpackages by concern:
 __version__ = "0.1.0"
 
 from .core_ops import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
     build_standard_ops,
     dissipator,
     expectation,
@@ -43,13 +41,11 @@ from .master_equation import (
     steady_state,
 )
 from .jump import (
-    JumpRecord,
     WeightedState,
     jump_probability,
     linear_jump_step,
 )
 from .diffusive import (
-    DiffusiveRecord,
     feedback_me_rhs,
     generalized_bath_homodyne_step,
     heterodyne_sme_step,

@@ -405,15 +405,15 @@ def _spec_fields(cfg: dict, kind: str) -> dict:
             n_traj=run["n_traj"], noise=run["noise"], threads=run["threads"],
             block_size=run["block_size"], store_records=cfg["output"]["records"],
             store_states=run["store_states"], validate_every=run["validate_every"],
-            # a Gaussian run holds no density matrix to check
-            track_min_eigenvalue=(run["track_min_eigenvalue"]
-                                  and KINDS[kind].model is not GaussianModel),
+            track_min_eigenvalue=run["track_min_eigenvalue"],
         )
     return fields
 
 
-def _check_memory(cfg: dict, kind: str) -> None:
-    """Rule ``run_memory``: the run's arrays must fit in physical memory.
+def _check_memory(cfg: dict, kind: str, ctx: _Collector) -> None:
+    """Rule ``run_memory``: the run's arrays must fit in physical memory.  A
+    run that breaks it raises at once, with the errors ``ctx`` holds and this
+    one last, so that nothing of its size gets built.
 
     Counted from below, in bytes, for a run of the scenario ``kind`` as
     ``_spec_fields`` sets it up: the operator set; per block in flight the
@@ -444,10 +444,9 @@ def _check_memory(cfg: dict, kind: str) -> None:
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         gib = min(need, 2**100) / 2**30  # still a lower bound, and a float
-        raise ConfigError([
-            f"$.run: rule run_memory: the run needs at least {gib:.3g} GiB at once, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        ])
+        ctx.err("$.run", f"rule run_memory: the run needs at least {gib:.3g} GiB at once, "
+                         f"more than the {have / 2**30:.3g} GiB of physical memory")
+        ctx.raise_errors()
 
 
 def _gaussian_rules(cfg: dict, gmodel: GaussianModel, ctx: _Collector) -> None:
@@ -596,7 +595,6 @@ def _resolve(doc: dict) -> RuntimeJob:
     ukind, fkind = unrav["kind"], fb["kind"]
     if system["kind"] == "gaussian":
         kind = "gaussian_moments" if ukind == "none" else "gaussian"
-        _check_memory(cfg, kind)
         if ("opo" in model_cfg) == ("matrices" in model_cfg):
             raise ConfigError(["$.model: gaussian systems need one 'opo' or 'matrices' block"])
         if "opo" in model_cfg:
@@ -604,6 +602,7 @@ def _resolve(doc: dict) -> RuntimeJob:
         else:
             gmodel = _build("$.model.matrices", GaussianModel, **model_cfg["matrices"])
         _gaussian_rules(cfg, gmodel, ctx)
+        _check_memory(cfg, kind, ctx)
         ctx.raise_errors()
         f_mat = None if fkind == "none" else np.asarray(fb["f"], dtype=float)
         controller = None
@@ -630,7 +629,7 @@ def _resolve(doc: dict) -> RuntimeJob:
     bath = _build("$.model.bath: rule bath_physicality", BathSpec,
                   n_thermal=n_th, squeezing=squeezing, drive=_to_complex(bath_cfg["drive"]))
     kind = _hilbert_rules(cfg, bath, ctx)
-    _check_memory(cfg, kind)
+    _check_memory(cfg, kind, ctx)
     dim = system.get("dim", 2)
     opset = build_standard_ops(system["kind"], dim)
     if system["kind"] == "boson":

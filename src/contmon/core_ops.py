@@ -12,6 +12,12 @@ Conventions
   truncation edge.
 * Everything is dense complex128.  State arguments broadcast over leading
   batch axes, i.e. a density matrix may have shape ``(..., d, d)``.
+
+State validation applies four fixed tolerances: ``HERMITICITY_TOL`` (1e-10)
+on max |rho - rho^dag|, ``TRACE_TOL`` (1e-9) on max |tr rho - 1|,
+``POSITIVITY_TOL`` (1e-10) on the most negative eigenvalue, and
+``TOP_POPULATION_TOL`` (1e-6) on the top Fock level's population, above
+which a truncated mode leaks.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "DimensionMismatchError",
     "InvalidStateError",
     "StateDiagnostics",
@@ -50,17 +54,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances shared by state validation and the integrators."""
-
-    hermiticity: float = 1e-10
-    trace: float = 1e-9
-    positivity: float = 1e-10
-    top_population: float = 1e-6
-
-
-DEFAULT_TOLERANCES = Tolerances()
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-9
+POSITIVITY_TOL = 1e-10
+TOP_POPULATION_TOL = 1e-6
 
 
 class DimensionMismatchError(ValueError):
@@ -153,13 +150,7 @@ def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ ad - 0.5 * (ada @ rho + rho @ ada)
 
 
-def measurement_superop(
-    op: np.ndarray,
-    rho: np.ndarray,
-    *,
-    check_trace: bool = True,
-    trace_tol: float = DEFAULT_TOLERANCES.trace,
-) -> np.ndarray:
+def measurement_superop(op: np.ndarray, rho: np.ndarray, *, check_trace: bool = True) -> np.ndarray:
     """Measurement superoperator  A rho + rho A^dag - <A + A^dag> rho.
 
     The expectation value makes this nonlinear in ``rho``; it is only the
@@ -170,7 +161,7 @@ def measurement_superop(
     rho = _check_square(rho, "state")
     _check_same_dim(op, rho)
     tr = trace(rho)
-    if check_trace and np.max(np.abs(tr - 1.0)) > trace_tol:
+    if check_trace and np.max(np.abs(tr - 1.0)) > TRACE_TOL:
         raise InvalidStateError(
             f"measurement superoperator needs a normalized state; max |tr-1| = "
             f"{np.max(np.abs(tr - 1.0)):.3e}"
@@ -304,16 +295,16 @@ class StateDiagnostics:
     min_eigenvalue: float
     top_population: float
 
-    def is_physical(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    def is_physical(self) -> bool:
         return (
-            self.hermiticity_defect <= tol.hermiticity
-            and self.trace_defect <= tol.trace
-            and self.min_eigenvalue >= -tol.positivity
+            self.hermiticity_defect <= HERMITICITY_TOL
+            and self.trace_defect <= TRACE_TOL
+            and self.min_eigenvalue >= -POSITIVITY_TOL
         )
 
-    def truncation_leak(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    def truncation_leak(self) -> bool:
         """True when the top Fock level holds suspicious population."""
-        return self.top_population > tol.top_population
+        return self.top_population > TOP_POPULATION_TOL
 
 
 def validate_state(rho: np.ndarray) -> StateDiagnostics:
@@ -327,30 +318,25 @@ def validate_state(rho: np.ndarray) -> StateDiagnostics:
     return StateDiagnostics(herm_defect, tr_defect, w_min, top)
 
 
-def ensure_density_matrix(
-    rho: np.ndarray,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    *,
-    name: str = "state",
-) -> np.ndarray:
+def ensure_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix, raising :class:`InvalidStateError` on defects."""
-    rho = _check_square(rho, name)
+    rho = _check_square(rho, "state")
     diag = validate_state(rho)
     problems = []
-    if diag.hermiticity_defect > tolerances.hermiticity:
+    if diag.hermiticity_defect > HERMITICITY_TOL:
         problems.append(f"hermiticity defect {diag.hermiticity_defect:.3e}")
-    if diag.trace_defect > tolerances.trace:
+    if diag.trace_defect > TRACE_TOL:
         problems.append(f"trace defect {diag.trace_defect:.3e}")
-    if diag.min_eigenvalue < -tolerances.positivity:
+    if diag.min_eigenvalue < -POSITIVITY_TOL:
         problems.append(f"min eigenvalue {diag.min_eigenvalue:.3e}")
     if problems:
-        raise InvalidStateError(f"{name} is not a valid density matrix: " + "; ".join(problems))
+        raise InvalidStateError("state is not a valid density matrix: " + "; ".join(problems))
     return rho
 
 
-def is_hermitian(op: np.ndarray, tol: float = DEFAULT_TOLERANCES.hermiticity) -> bool:
+def is_hermitian(op: np.ndarray) -> bool:
     op = np.asarray(op, dtype=complex)
-    return bool(np.max(np.abs(op - dagger(op))) <= tol)
+    return bool(np.max(np.abs(op - dagger(op))) <= HERMITICITY_TOL)
 
 
 # Diagonal Pade [m/m] approximants of e^A: per degree m, the largest |A|_1 at

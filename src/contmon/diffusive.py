@@ -59,7 +59,6 @@ from .jump import (
 from .master_equation import OpenSystemModel, _generator_terms, _sandwich
 
 __all__ = [
-    "DiffusiveRecord",
     "homodyne_sme_step",
     "homodyne_kraus_step",
     "heterodyne_sme_step",
@@ -75,22 +74,6 @@ __all__ = [
     "diffusive_kernel",
     "diffusive_kernel_step",
 ]
-
-
-@dataclass(frozen=True)
-class DiffusiveRecord:
-    """Measurement record of one diffusive trajectory: per-step photocurrent
-    increments (one column per channel) and the underlying Wiener increments."""
-
-    grid_dy: np.ndarray
-    grid_dw: np.ndarray
-    dt: float
-    master_seed: int | None = None
-    trajectory_index: int | None = None
-
-    @property
-    def n_channels(self) -> int:
-        return 1 if self.grid_dy.ndim == 1 else self.grid_dy.shape[-1]
 
 
 def homodyne_sme_step(rho: np.ndarray, model: OpenSystemModel, dt: float, dw):

@@ -356,6 +356,7 @@ def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     law = "uniform" if kind.clicks or spec.noise == "two_point" else "normal"
     noise = _noise_matrix(spec.master_seed, lo, hi, n_steps * per_step, law)
     acc = np.zeros(stats_shape(scenario.kind, n_steps, len(spec.observables)))
+    track = spec.track_min_eigenvalue and not kind.pure
     min_eig, violations, states_out, records = np.inf, 0, None, None
 
     # the observables are read by their coordinates on a coordinate block and
@@ -397,7 +398,7 @@ def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
         state, rec_row = advance(state, x if per_step > 1 else x[:, 0])
         if records is not None:
             records[:, k] = rec_row
-        if spec.track_min_eigenvalue and not kind.pure:
+        if track:
             arr = state
             if kind.linear:
                 w = _traces(state)
@@ -411,8 +412,10 @@ def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
         observe(k + 1)
         if states_out is not None:
             states_out[:, k + 1] = as_states(state)
-    return dict(stats=acc, min_eig=min_eig, violations=violations, states=states_out,
-                records=records)
+    out = dict(stats=acc, states=states_out, records=records)
+    if track:  # only a block that checked carries the counters
+        out.update(min_eig=min_eig, violations=violations)
+    return out
 
 
 def _finite_covariances(covs):
@@ -494,7 +497,7 @@ def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
         _moments((big_w, w2, *(c[:, :n_obs] for c in cols)), x, None)
         _moments((big_w, w2, *(c[:, n_obs:] for c in cols)), x2, None)
         r[0] = r[steps]
-    return dict(stats=acc, min_eig=np.inf, violations=0, states=states_out, records=records)
+    return dict(stats=acc, states=states_out, records=records)
 
 
 def _noise_free(spec: EnsembleSpec, scenario: Scenario, values, **extra):
@@ -503,7 +506,7 @@ def _noise_free(spec: EnsembleSpec, scenario: Scenario, values, **extra):
     the values exactly and its centred sums 0."""
     acc = np.zeros(stats_shape(scenario.kind, spec.n_steps, len(spec.observables)))
     _moments(_parts(acc), np.array(values, dtype=float)[..., None], None)
-    return dict(stats=acc, min_eig=np.inf, violations=0, states=None, records=None, extra=extra)
+    return dict(stats=acc, states=None, records=None, extra=extra)
 
 
 def _me_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
@@ -621,7 +624,7 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     else:
         se *= np.sqrt(n / max(n - 1, 1))  # the sample standard deviation / sqrt(n)
 
-    track = spec.track_min_eigenvalue
+    track = "min_eig" in partials[0]
     stats = EnsembleStats(
         t=spec.t_grid,
         means=dict(zip(names, mean)),

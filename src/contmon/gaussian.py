@@ -20,7 +20,7 @@ iteration (:func:`_newton_kleinman`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class GaussianModel:
     D: np.ndarray
     B: np.ndarray
     E: np.ndarray
-    labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -131,8 +130,6 @@ class GaussianModel:
             raise ValueError("monitoring matrix B must be (2n, m)")
         if self.E.shape != self.B.shape:
             raise ValueError("monitoring matrices B and E must share a shape")
-        if not self.labels:
-            self.labels = default_labels(dim // 2)
 
     @property
     def dim(self) -> int:
@@ -141,6 +138,10 @@ class GaussianModel:
     @property
     def n_modes(self) -> int:
         return self.dim // 2
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return default_labels(self.n_modes)
 
     @property
     def n_currents(self) -> int:
@@ -230,22 +231,16 @@ def conditional_step(
     model: GaussianModel,
     dt: float,
     dw: np.ndarray,
-    drive: np.ndarray | None = None,
 ):
     """One conditional update: Euler-Maruyama first moments on the shared dw grid,
     the exact step of :func:`covariance_path` for the (deterministic)
     covariance, current dy = -sqrt(2) B^T r dt + dw.
-
-    ``drive`` is an optional F u(t) phase-space displacement rate added to the
-    first moments (the covariance is unaffected by linear driving).
     """
     dw = np.asarray(dw, dtype=float)
     if dw.shape[-1] != model.n_currents:
         raise ValueError("Wiener increment width must match the monitoring matrices")
     gain = model.E - state.cov @ model.B
     mean = state.mean + model.A @ state.mean * dt + gain @ dw / np.sqrt(2.0)
-    if drive is not None:
-        mean = mean + np.asarray(drive, dtype=float) * dt
     cov = covariance_path(model, state.cov, dt, 1)[1]
     dy = -np.sqrt(2.0) * model.B.T @ state.mean * dt + dw
     return GaussianState(mean, cov), dy
@@ -471,9 +466,8 @@ def markovian_gain(model: GaussianModel, f_mat, cov_c: np.ndarray | None = None)
     residual = float(np.max(np.abs(residual_mat)))
     if residual > SOLVER_TOL * max(1.0, float(np.max(np.abs(target)))):
         row = int(np.argmax(np.max(np.abs(residual_mat), axis=1)))
-        label = model.labels[row] if row < len(model.labels) else f"row {row}"
         raise UnreachableDirectionError(
-            f"feedback matrix cannot cancel measurement noise along {label!r} "
+            f"feedback matrix cannot cancel measurement noise along {model.labels[row]!r} "
             f"(residual {residual:.3e})"
         )
     a_closed = model.A - r_mat

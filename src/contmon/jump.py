@@ -52,7 +52,6 @@ from .core_ops import (
 from .master_equation import OpenSystemModel, StepSizeError, _sandwich, model_cache
 
 __all__ = [
-    "JumpRecord",
     "WeightedState",
     "DarkStateJumpError",
     "jump_probability",
@@ -76,29 +75,6 @@ JUMP_PROBABILITY_LIMIT = 0.1
 
 class DarkStateJumpError(RuntimeError):
     """A click was forced on a state the collapse operator annihilates."""
-
-
-@dataclass(frozen=True)
-class JumpRecord:
-    """Measurement record of one photodetection trajectory.
-
-    ``grid_dn[k]`` is the 0/1 click outcome of step k (t in [k dt, (k+1) dt)),
-    ``jump_times`` the corresponding ordered click times.
-    """
-
-    grid_dn: np.ndarray
-    dt: float
-    master_seed: int | None = None
-    trajectory_index: int | None = None
-
-    @property
-    def jump_times(self) -> np.ndarray:
-        (steps,) = np.nonzero(self.grid_dn)
-        return (steps + 1) * self.dt
-
-    @property
-    def n_jumps(self) -> int:
-        return int(np.sum(self.grid_dn))
 
 
 @dataclass(frozen=True)
@@ -238,15 +214,12 @@ def sse_jump_probability(psi: np.ndarray, model: OpenSystemModel, dt: float):
 
 def click_outcomes(p, u):
     """Click outcomes dN = [u < p] for the click probability ``p`` of the
-    coming step.  ``u`` holds the step's uniform variates, or is the generator
-    to draw them from (one per trajectory, after the step-size check)."""
+    coming step and its uniform variates ``u``."""
     pmax = float(np.max(p))
     if pmax >= JUMP_PROBABILITY_LIMIT:
         raise StepSizeError(
             f"jump probability per step {pmax:.3g} >= {JUMP_PROBABILITY_LIMIT}; reduce dt"
         )
-    if isinstance(u, np.random.Generator):
-        u = u.random(np.shape(p)) if np.ndim(p) else u.random()
     return u < p
 
 

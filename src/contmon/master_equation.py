@@ -25,14 +25,12 @@ matrices all live in it.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core_ops import (
-    DEFAULT_TOLERANCES,
     DimensionMismatchError,
-    Tolerances,
     _check_square,
     dagger,
     dissipator,
@@ -151,14 +149,13 @@ class OpenSystemModel:
     bath: BathSpec = VACUUM
     efficiency: float = 1.0
     homodyne_phase: float = 0.0
-    tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.hamiltonian, PiecewiseConstantHamiltonian):
             h = np.asarray(self.hamiltonian, dtype=complex)
             if h.ndim != 2 or h.shape[0] != h.shape[1]:
                 raise DimensionMismatchError("Hamiltonian must be a square matrix")
-            if not is_hermitian(h, self.tolerances.hermiticity):
+            if not is_hermitian(h):
                 raise ValueError("Hamiltonian must be Hermitian")
             self.hamiltonian = h
         chans = []
@@ -430,7 +427,7 @@ def integrate_me(
     Raises :class:`StepSizeError` when the per-step trace drift exceeds
     ``TRACE_DRIFT_LIMIT`` (a non-finite state fails it too).
     """
-    rho0 = ensure_density_matrix(np.asarray(rho0, dtype=complex), model.tolerances)
+    rho0 = ensure_density_matrix(np.asarray(rho0, dtype=complex))
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _check_uniform_grid(t_grid)
     if stepper not in ("rk4", "expm"):
@@ -473,11 +470,11 @@ def me_expectations(
     rho0: np.ndarray,
     t_grid: np.ndarray,
     observables,
-    stepper: str = "rk4",
 ) -> dict[str, np.ndarray]:
-    """Integrate the master equation and return real expectation values per time,
-    keyed by observable name.  ``observables`` is a sequence of (name, operator)."""
-    states = integrate_me(model, rho0, t_grid, stepper=stepper)
+    """Integrate the master equation with the ``"rk4"`` stepper and return real
+    expectation values per time, keyed by observable name.  ``observables`` is
+    a sequence of (name, operator)."""
+    states = integrate_me(model, rho0, t_grid)
     out = {}
     for name, op in observables:
         vals = np.einsum("tij,ji->t", states, np.asarray(op, dtype=complex))

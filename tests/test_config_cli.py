@@ -715,6 +715,25 @@ def test_size_rule_rejects_runs_beyond_physical_memory(tmp_path, capsys, mutate)
         build_runtime(config)
 
 
+@pytest.mark.parametrize("preset, model, rule", [
+    ("qubit_decay_jump", {"efficiency": 0.5},
+     "$.model.efficiency: rule linear_unit_efficiency"),
+    ("opo_conditional", {}, "$.unravelling.linear: linear trajectories apply"),
+], ids=["hilbert", "gaussian"])
+def test_size_rule_reports_with_the_other_rules(tmp_path, capsys, preset, model, rule):
+    # a run too large for memory still lists every cross-field rule it breaks,
+    # and run_memory after them
+    doc = get_preset(preset)
+    doc["unravelling"]["linear"] = True
+    doc["model"].update(model)
+    doc["run"]["n_traj"] = 10**13
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    first, second = err.value.errors
+    assert first.startswith(rule) and second.startswith("$.run: rule run_memory")
+    _assert_rejected(tmp_path, capsys, doc, rule)
+
+
 @pytest.mark.parametrize("preset, mutate, kind", [
     ("coherent_drive", lambda doc: None, "generalized_homodyne"),
     ("qubit_decay_jump", lambda doc: doc["unravelling"].update(linear=True), "linear_jump"),

@@ -10,11 +10,13 @@ from contmon.core_ops import (
     coords_min_eigenvalue,
     coords_trace,
     dissipator,
+    ensure_density_matrix,
     expectation,
     expm,
     from_coords,
     hermitian_basis,
     hermitize,
+    is_hermitian,
     measurement_superop,
     min_eigenvalue,
     to_coords,
@@ -217,6 +219,39 @@ def test_truncation_leak_flag():
     leaky[3, 3] = 1e-5  # population in the top Fock level beyond 1e-6
     assert validate_state(leaky).truncation_leak()
     assert ops["n"][3, 3].real == 3.0
+
+
+# per validation tolerance: its value, a state whose one defect has the size
+# x, and the message of ensure_density_matrix
+TOLERANCE_STATES = {
+    "hermiticity": (1e-10, lambda x: np.array([[0.5, x], [0.0, 0.5]], dtype=complex),
+                    "hermiticity defect"),
+    "trace": (1e-9, lambda x: np.diag([0.5 + x, 0.5]).astype(complex), "trace defect"),
+    "positivity": (1e-10, lambda x: np.diag([1.0 + x, -x]).astype(complex), "min eigenvalue"),
+}
+
+
+@pytest.mark.parametrize("side", [0.9, 1.1], ids=["inside", "outside"])
+@pytest.mark.parametrize("defect", sorted(TOLERANCE_STATES))
+def test_validation_tolerances_sit_at_their_bounds(defect, side):
+    tol, state, message = TOLERANCE_STATES[defect]
+    rho = state(side * tol)
+    inside = side < 1.0
+    assert validate_state(rho).is_physical() == inside
+    if inside:
+        ensure_density_matrix(rho)
+    else:
+        with pytest.raises(InvalidStateError, match=message):
+            ensure_density_matrix(rho)
+    if defect == "hermiticity":
+        assert is_hermitian(rho) == inside
+
+
+def test_truncation_leak_sits_at_its_bound():
+    for top, leak in ((0.9e-6, False), (1.1e-6, True)):
+        rho = np.diag([1.0 - top, 0.0, 0.0, top]).astype(complex)
+        assert validate_state(rho).truncation_leak() == leak
+        assert validate_state(rho).is_physical()
 
 
 def test_unknown_operator_set_kind():

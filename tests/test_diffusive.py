@@ -524,15 +524,6 @@ def test_squeezed_vacuum_current_rescaling(qubit_ops):
     assert dy == pytest.approx(np.exp(-r) * sig * dt + dw, abs=1e-15)
 
 
-def test_diffusive_record_bookkeeping():
-    from contmon.diffusive import DiffusiveRecord
-
-    one = DiffusiveRecord(grid_dy=np.zeros(10), grid_dw=np.zeros(10), dt=0.1)
-    assert one.n_channels == 1
-    two = DiffusiveRecord(grid_dy=np.zeros((10, 2)), grid_dw=np.zeros((10, 2)), dt=0.1)
-    assert two.n_channels == 2
-
-
 def test_generalized_requires_unit_efficiency(qubit_ops, excited):
     model = OpenSystemModel(
         np.zeros((2, 2)), [(1.0, qubit_ops["sigma_minus"])],

@@ -667,6 +667,23 @@ def test_positivity_tracking_kraus_clean(qubit_ops, decay_model, excited):
     assert stats.min_eigenvalue >= -1e-12
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "jump_sse", "me", "jump"])
+def test_positivity_counters_come_only_from_a_density_matrix_check(qubit_ops, kind):
+    # a kind that steps no density matrix checks nothing: with tracking on it
+    # reports the counters of an untracked run, not those of a clean check
+    observables = (("q", None),) if kind == "gaussian" else (("rho_ee", qubit_ops["projector_e"]),)
+    spec = qubit_spec(qubit_ops, n_traj=1 if kind == "me" else 20, t_final=0.05,
+                      observables=observables, track_min_eigenvalue=True)
+    scen = (Scenario("gaussian", opo_model(0.2, 1.0, 1.0), GaussianState.vacuum(1))
+            if kind == "gaussian" else kind_scenario(kind, qubit_ops))
+    stats = run_ensemble(spec, scen)
+    if kind == "jump":
+        assert -1.0 < stats.min_eigenvalue <= 1.0
+        assert isinstance(stats.positivity_violations, int)
+    else:
+        assert (stats.min_eigenvalue, stats.positivity_violations) == (None, None)
+
+
 def test_physicality_abort(qubit_ops, excited):
     # a deliberately unstable Euler run must abort with the offending step index
     model = OpenSystemModel(np.zeros((2, 2)), [(1.0, qubit_ops["sigma_minus"])])
