@@ -58,8 +58,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", help="output directory (defaults to the config's)")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (default: the document's run.threads; worthwhile for large "
-        "Hilbert spaces only -- results are thread-count invariant either way)",
+        help="worker threads (default: the document's run.threads; they pay for "
+        "d >= 12 Hilbert spaces and Gaussian runs of several blocks -- results are "
+        "thread-count invariant either way)",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
 
@@ -105,19 +106,13 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "run":
             config = load_config_or_manifest(args.config)
-            artifacts = run_scenario(
-                config, out_dir=args.out_dir,
-                threads=args.threads, seed=args.seed,
-            )
         else:  # preset
             doc = get_preset(args.name)
             for assignment in args.override:
                 _apply_override(doc, assignment)
             config = parse_config(json.dumps(doc))
-            artifacts = run_scenario(
-                config, out_dir=args.out_dir,
-                threads=args.threads, seed=args.seed,
-            )
+        artifacts = run_scenario(config, out_dir=args.out_dir, threads=args.threads,
+                                 seed=args.seed)
         print(f"stats:    {artifacts.stats_path}")
         print(f"manifest: {artifacts.manifest_path}")
         if artifacts.records_path:

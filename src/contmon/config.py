@@ -715,16 +715,19 @@ class RuntimeJob:
     scenario: Scenario
 
     def execute(self):
-        """Run and return (t, columns, health, stats): ``columns`` an ordered
-        dict name -> (mean array, se array), ``health`` the positivity
-        counters (None where untracked) and ``stats`` the ``EnsembleStats``."""
+        """Run and return (columns, stats): ``columns`` an ordered dict
+        name -> (mean array, se array) and ``stats`` the ``EnsembleStats``."""
         stats = run_ensemble(self.spec, self.scenario)
-        columns = _columns(self.config.data["output"]["observables"], stats, self.scenario.model)
-        health = {
-            "min_eigenvalue": stats.min_eigenvalue,
-            "positivity_violations": stats.positivity_violations,
-        }
-        return stats.t, columns, health, stats
+        names = self.config.data["output"]["observables"]
+        return _columns(names, stats, self.scenario.model), stats
+
+
+def health(stats: EnsembleStats) -> dict:
+    """The manifest's ``health`` block: the positivity counters the run
+    tracked."""
+    counters = {"min_eigenvalue": stats.min_eigenvalue,
+                "positivity_violations": stats.positivity_violations}
+    return {k: v for k, v in counters.items() if v is not None}
 
 
 def build_runtime(
@@ -780,23 +783,23 @@ def run_scenario(
     job = build_runtime(config, threads=threads, seed=seed)
     cfg = job.config.data
     t0 = time.monotonic()
-    t, columns, health, stats = job.execute()
+    columns, stats = job.execute()
     wall = time.monotonic() - t0
 
     directory = Path(out_dir) if out_dir is not None else Path(cfg["output"]["directory"])
     directory.mkdir(parents=True, exist_ok=True)
     stats_path = directory / cfg["output"]["stats_filename"]
-    payload = render_stats_csv(t, columns)
+    payload = render_stats_csv(stats.t, columns)
     stats_path.write_bytes(payload)
     digest = hashlib.sha256(payload).hexdigest()
 
     records_path = None
-    if stats.records is not None:
+    stored = {k: v for k, v in (("records", stats.records), ("states", stats.states))
+              if v is not None}
+    if stored:
         records_path = directory / "records.npz"
-        np.savez_compressed(
-            records_path, records=stats.records, dt=cfg["run"]["dt"],
-            master_seed=cfg["run"]["seed"],
-        )
+        np.savez_compressed(records_path, **stored, dt=cfg["run"]["dt"],
+                            master_seed=cfg["run"]["seed"])
 
     manifest = {
         "manifest_version": 1,
@@ -809,7 +812,7 @@ def run_scenario(
         "wall_time_s": wall,
         "stats_file": stats_path.name,
         "stats_sha256": digest,
-        "health": {k: v for k, v in health.items() if v is not None},
+        "health": health(stats),
     }
     manifest_path = directory / cfg["output"]["manifest_filename"]
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -30,21 +30,17 @@ stepping a copy of its input on the supplied increments; the kind
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core_ops import (
-    BATCH_GEMM_MAX_DIM,
-    dagger,
-    to_coords,
-    trace,
-)
+from .core_ops import dagger, to_coords, trace
 from .jump import (
     HalfForm,
     WeightedState,
     _add_scaled,
     _as_batch,
+    _cached_kernel,
     _conj_t,
     _coords_out,
     _ctx,
@@ -140,15 +136,6 @@ def linear_homodyne_kraus_step(
     return WeightedState(rho_bar)
 
 
-def _feedback_ctx(ctx, f_op):
-    f_op = np.asarray(f_op, dtype=complex)
-    key = ("fb", f_op.tobytes())
-    sub = ctx.get(key)
-    if sub is None:
-        sub = ctx[key] = {"f": f_op}
-    return sub
-
-
 def homodyne_feedback_step(
     rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray, dt: float, dw
 ):
@@ -172,14 +159,11 @@ def feedback_me_rhs(rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray) -
     It needs what the ``homodyne_feedback`` kind needs (``jump.NEEDS``)."""
     check_needs("homodyne_feedback", model, f_op)
     ctx = _ctx(model)
-    fctx = _feedback_ctx(ctx, f_op)
-    f = fctx["f"]
+    f = np.asarray(f_op, dtype=complex)
     kappa, ceff, ceff_d = ctx["kappa"], ctx["ceff"], ctx["ceff_d"]
     c, cd, cdc, h = ctx["c"], ctx["cd"], ctx["cdc"], ctx["h"]
     u = ceff @ rho + rho @ ceff_d
-    f2 = fctx.get("f2")
-    if f2 is None:
-        f2 = fctx["f2"] = f @ f
+    f2 = f @ f
     return (
         -1j * (h @ rho - rho @ h)
         + kappa * (c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc))
@@ -197,8 +181,7 @@ def lindblad_form_rhs(rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray)
     It needs what the ``homodyne_feedback`` kind needs (``jump.NEEDS``)."""
     check_needs("homodyne_feedback", model, f_op)
     ctx = _ctx(model)
-    fctx = _feedback_ctx(ctx, f_op)
-    f = fctx["f"]
+    f = np.asarray(f_op, dtype=complex)
     kappa, ceff, ceff_d, h = ctx["kappa"], ctx["ceff"], ctx["ceff_d"], ctx["h"]
     eta = model.efficiency
     h_eff = h + (np.sqrt(kappa) / 2.0) * (ceff_d @ f + f @ ceff)
@@ -209,9 +192,7 @@ def lindblad_form_rhs(rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray)
         cbar @ rho @ cbar_d - 0.5 * (cbar2 @ rho + rho @ cbar2)
     )
     if eta != 1.0:
-        f2 = fctx.get("f2")
-        if f2 is None:
-            f2 = fctx["f2"] = f @ f
+        f2 = f @ f
         out = out + ((1.0 - eta) / eta) * (f @ rho @ f - 0.5 * (f2 @ rho + rho @ f2))
     return out
 
@@ -338,17 +319,10 @@ def diffusive_kernel(
     the feedback operator of "homodyne_feedback", ``mu`` the ostensible mean
     of "linear_homodyne"."""
     check_needs(kind, model, f_op)
-    ctx = _ctx(model)
     extra = (np.asarray(f_op, dtype=complex).tobytes() if kind == "homodyne_feedback"
              else mu if kind == "linear_homodyne" else None)
-    key = ("kernel", kind, dt, extra)
-    kernel = ctx.get(key)
-    if kernel is None:
-        kernel = _compile_diffusive(ctx, model, kind, dt, f_op, mu)
-        if model.dim <= BATCH_GEMM_MAX_DIM:
-            kernel = replace(kernel, maps=_diffusive_maps(kernel, model.dim))
-        ctx[key] = kernel
-    return kernel
+    return _cached_kernel(model, (kind, dt, extra), _diffusive_maps,
+                          lambda ctx: _compile_diffusive(ctx, model, kind, dt, f_op, mu))
 
 
 def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
@@ -369,7 +343,7 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
     if kind == "homodyne_feedback":
         # -i sqrt(kappa) [F, c rho + rho c^dag] = rho R + (a rho b + h.c.) + h.c.
         # with R = i sqrt(kappa) c^dag F and a rho b = -i sqrt(kappa) F rho c^dag
-        f = _feedback_ctx(ctx, f_op)["f"]
+        f = np.asarray(f_op, dtype=complex)
         s_k = np.sqrt(kappa)
         drift = _euler_form(dt, h, dissipators + [(1.0 / eta, f, f, f @ f)],
                             right=(1j * s_k) * (ceff_d @ f), pairs=[(f, (-1j * s_k) * ceff_d)])

@@ -364,8 +364,7 @@ def riccati_steady_state(model: GaussianModel) -> np.ndarray:
         a + e @ b.T, d - e @ e.T, b @ b.T, lyapunov_solve(a, d),
         lambda x: float(np.max(np.abs(conditional_cov_rhs(model, x)))), "Riccati iteration",
     )
-    omega = symplectic_form(model.n_modes)
-    w_min = float(np.linalg.eigvalsh(cov + 1j * omega).min())
+    w_min = GaussianState(np.zeros(model.dim), cov).physicality_defect()
     if w_min < -1e-8:
         raise ConvergenceError(f"Riccati solution unphysical: min eig {w_min:.3e}")
     return cov
@@ -428,11 +427,28 @@ def excess_noise_ss(
 
         (A - F K) S + S (A - F K)^T + (E - sigma_c B)(E - sigma_c B)^T = 0.
     """
+    return _closed_loop_noise(model, f_mat, ("lqg", gain), cov_c)[1]
+
+
+def _closed_loop_noise(model, f_mat, controller, cov_c=None, unstable=None):
+    """(sigma_c, Sigma): the steady conditional covariance, ``cov_c`` when
+    given, and the steady covariance of the conditional means under
+    ``controller`` (:func:`feedback_terms`), the Lyapunov solution of
+
+        (A - R) Sigma + Sigma (A - R)^T + 2 Gamma Gamma^T = 0,
+        Gamma = (E - sigma_c B)/sqrt(2) + G.
+
+    A closed-loop drift that is not Hurwitz raises the HurwitzError of
+    :func:`lyapunov_solve`, or one that reads ``unstable`` when it is given.
+    """
+    r_mat, g_mat = feedback_terms(model, f_mat, controller)
     if cov_c is None:
         cov_c = riccati_steady_state(model)
-    noise = model.E - cov_c @ model.B
-    r_mat, _ = feedback_terms(model, f_mat, ("lqg", gain))
-    return lyapunov_solve(model.A - r_mat, noise @ noise.T)
+    a_cl = model.A - r_mat
+    if unstable and not hurwitz_report(a_cl)[0]:
+        raise HurwitzError(unstable)
+    noise = (model.E - cov_c @ model.B) / np.sqrt(2.0) + g_mat
+    return cov_c, lyapunov_solve(a_cl, 2.0 * noise @ noise.T)
 
 
 @dataclass(frozen=True)
@@ -481,18 +497,13 @@ def closed_loop_unconditional(model: GaussianModel, f_mat, gain):
     ``gain`` is a controller of :func:`feedback_terms`: ``("markovian", M)``,
     ``("lqg", K)`` or ``("none", None)``.  Returns (sigma_unc, mean_decays)
     where the flag certifies that the closed-loop drift A - R is Hurwitz so
-    the first moments vanish at steady state; Sigma solves
-    (A - R) Sigma + Sigma (A - R)^T + 2 Gamma Gamma^T = 0 with
-    Gamma = (E - sigma_c B)/sqrt(2) + G.
+    the first moments vanish at steady state (a drift that is not raises a
+    HurwitzError); Sigma is the steady covariance of the conditional means
+    (:func:`_closed_loop_noise`).
     """
-    r_mat, g_mat = feedback_terms(model, f_mat, gain)
-    cov_c = riccati_steady_state(model)
-    a_cl = model.A - r_mat
-    ok, _, _ = hurwitz_report(a_cl)
-    if not ok:
-        raise HurwitzError("closed-loop drift is not Hurwitz")
-    noise = (model.E - cov_c @ model.B) / np.sqrt(2.0) + g_mat
-    return cov_c + lyapunov_solve(a_cl, 2.0 * noise @ noise.T), ok
+    cov_c, sigma = _closed_loop_noise(model, f_mat, gain,
+                                      unstable="closed-loop drift is not Hurwitz")
+    return cov_c + sigma, True
 
 
 def opo_model(chi: float, kappa: float, eta: float = 1.0) -> GaussianModel:

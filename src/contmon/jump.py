@@ -22,9 +22,10 @@ batch (``core_ops.to_coords``) to its no-click image, its click image and
 ensemble runs every density-matrix click kind through it.  The density-matrix
 steppers (the ``*_apply`` functions and :func:`linear_jump_step`) are the
 same kernels, stepping a copy of their input for the supplied outcome; only
-:func:`jump_sse_apply`, on state vectors, has a body of its own.  Compiled
-kernels live in the per-model operator cache under ``("kernel", kind, dt,
-...)`` keys.
+:func:`jump_sse_apply`, on state vectors, has a body of its own.  The
+compiled kernels of both families live in the per-model operator cache
+under ``("kernel", kind, dt, ...)`` keys, which only :func:`_cached_kernel`
+reads and writes.
 
 Preconditions: ``NEEDS`` states, once for every Hilbert-space kind of both
 families, the conditions its step is derived under (Wiseman & Milburn,
@@ -389,15 +390,24 @@ def click_kernel(
     generator of "jump_feedback", ``beta`` the ostensible rate of
     "linear_jump"."""
     check_needs(kind, model, f_op, beta)
-    ctx = _ctx(model)
     extra = (np.asarray(f_op, dtype=complex).tobytes() if kind == "jump_feedback"
              else beta if kind == "linear_jump" else None)
-    key = ("kernel", kind, dt, extra)
+    return _cached_kernel(model, (kind, dt, extra), _click_maps,
+                          lambda ctx: _compile_click(ctx, model, kind, dt, f_op, beta))
+
+
+def _cached_kernel(model, key, lower, compile):
+    """The kernel cached under ``("kernel",) + key`` in the model's operator
+    cache, compiled by ``compile(ctx)`` on a miss and, at d <=
+    ``BATCH_GEMM_MAX_DIM``, given the coordinate ``maps`` ``lower(kernel,
+    d)``.  Every compiled kernel of both families is cached here."""
+    ctx = _ctx(model)
+    key = ("kernel",) + key
     kernel = ctx.get(key)
     if kernel is None:
-        kernel = _compile_click(ctx, model, kind, dt, f_op, beta)
+        kernel = compile(ctx)
         if model.dim <= BATCH_GEMM_MAX_DIM:
-            kernel = replace(kernel, maps=_click_maps(kernel))
+            kernel = replace(kernel, maps=lower(kernel, model.dim))
         ctx[key] = kernel
     return kernel
 
@@ -430,9 +440,9 @@ def _compile_click(ctx, model, kind, dt, f_op, beta):
                        eta * kappa * dt, rate_gain, 1.0)
 
 
-def _click_maps(kernel: ClickKernel) -> np.ndarray:
+def _click_maps(kernel: ClickKernel, d: int) -> np.ndarray:
     jump = dagger(kernel.jump_d)
-    maps = [kernel.no_click.superop(len(jump)),
+    maps = [kernel.no_click.superop(d),
             (2.0 * kernel.click_scale) * _sandwich(jump, kernel.jump_d)]
     return _kernel_matrix(maps, () if kernel.linear else (kernel.rate_row,))
 

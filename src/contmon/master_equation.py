@@ -5,12 +5,14 @@ The right-hand side covers vacuum baths (plain Lindblad form) as well as
 squeezed thermal baths and coherent driving.  :func:`integrate_me` steps the
 row-major ``vec`` of the state by one cached d^2 x d^2 matrix per (stepper,
 dt, schedule segment): ``core_ops.expm`` of the vectorized generator for
-``"expm"``, its RK4 stability polynomial I + A + A^2/2 + A^3/6 + A^4/24
-(A = dt L) for ``"rk4"``.  Above ``MAX_RK4_MATRIX_DIM`` = 12 the ``"rk4"``
-stepper takes the stage form, four calls of the compiled right-hand side per
-step: there the O(d^6) build of the matrix outweighs the steps it saves
-(at d = 12 it costs about 3 ms, as much as 14 stage steps), and above
-``MAX_SUPEROPERATOR_DIM`` no matrix is built at all.
+``"expm"``, and for ``"rk4"`` its RK4 stability polynomial
+I + A + A^2/2 + A^3/6 + A^4/24 (A = dt L), built as one ``core_ops.rk4_step``
+of y' = A y from y = I, the one RK4 of the package.  Above
+``MAX_RK4_MATRIX_DIM`` = 12 the ``"rk4"`` stepper takes the stage form, four
+calls of the compiled right-hand side per step: there the O(d^6) build of
+the matrix outweighs the steps it saves (at d = 12 it costs about 2.4 ms, as
+much as 35 stage steps), and above ``MAX_SUPEROPERATOR_DIM`` no matrix is
+built at all.
 
 The generator's terms are built in one place, :func:`_generator_terms`, which
 the compiled RK4 right-hand side, :func:`liouvillian_matrix` (both step
@@ -351,16 +353,6 @@ def model_cache(model: OpenSystemModel) -> dict:
     return _MODEL_CACHES.setdefault(model, {})
 
 
-def _rk4_matrix(a: np.ndarray) -> np.ndarray:
-    """The classical RK4 step of y' = (A / dt) y as one matrix: its stability
-    polynomial I + A + A^2/2 + A^3/6 + A^4/24, by Horner."""
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    p = eye + a / 4.0
-    for k in (3.0, 2.0, 1.0):
-        p = eye + (a @ p) / k
-    return p
-
-
 def _propagator(model: OpenSystemModel, stepper: str, dt: float, t: float) -> np.ndarray:
     """The cached one-step matrix of ``stepper`` ("rk4" or "expm") for the
     Hamiltonian segment that holds t."""
@@ -373,7 +365,8 @@ def _propagator(model: OpenSystemModel, stepper: str, dt: float, t: float) -> np
         # integrate_me reports, so numpy's floating-point warnings are muted
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             a = liouvillian_matrix(model, t) * dt
-            cache[key] = expm(a) if stepper == "expm" else _rk4_matrix(a)
+            cache[key] = (expm(a) if stepper == "expm"
+                          else rk4_step(lambda y: a @ y, np.eye(len(a), dtype=a.dtype), 1.0))
     return cache[key]
 
 
@@ -421,8 +414,8 @@ def integrate_me(
     it is the only form above ``MAX_SUPEROPERATOR_DIM``, where
     :func:`liouvillian_matrix` refuses (and ``"expm"`` with it).  Building
     the matrix costs O(d^6) once against O(d^3) per stage step: at d = 12
-    about 3 ms, which a run pays back after about 14 steps, so a shorter run
-    is slower in the matrix form.
+    about 2.4 ms, which a run pays back after about 37 steps, so a shorter
+    run is slower in the matrix form.
 
     Raises :class:`StepSizeError` when the per-step trace drift exceeds
     ``TRACE_DRIFT_LIMIT`` (a non-finite state fails it too).

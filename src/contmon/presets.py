@@ -17,7 +17,7 @@ __all__ = ["PRESETS", "list_presets", "get_preset", "preset_config"]
 
 
 def _qubit_decay(unravelling, *, n_traj=2000, t_final=3.0, seed, extra_model=None,
-                 feedback=None, output_dir, observables=("rho_ee",), run_extra=None):
+                 feedback=None, output_dir):
     cfg = {
         "schema_version": 1,
         "system": {"kind": "qubit", "initial_state": "excited"},
@@ -27,24 +27,22 @@ def _qubit_decay(unravelling, *, n_traj=2000, t_final=3.0, seed, extra_model=Non
         },
         "unravelling": unravelling,
         "run": {"dt": 1e-3, "t_final": t_final, "n_traj": n_traj, "seed": seed},
-        "output": {"directory": output_dir, "observables": list(observables)},
+        "output": {"directory": output_dir, "observables": ["rho_ee"]},
     }
     if extra_model:
         cfg["model"].update(extra_model)
     if feedback:
         cfg["feedback"] = feedback
-    if run_extra:
-        cfg["run"].update(run_extra)
     return cfg
 
 
-def _opo(feedback, *, seed, t_final, output_dir, unravelling_kind="homodyne", n_traj=2000):
+def _opo(feedback, *, seed, t_final, output_dir, unravelling_kind="homodyne"):
     cfg = {
         "schema_version": 1,
         "system": {"kind": "gaussian", "n_modes": 1},
         "model": {"opo": {"chi": 0.2, "kappa": 1.0, "eta": 1.0}},
         "unravelling": {"kind": unravelling_kind},
-        "run": {"dt": 1e-3, "t_final": t_final, "n_traj": n_traj, "seed": seed},
+        "run": {"dt": 1e-3, "t_final": t_final, "n_traj": 2000, "seed": seed},
         "output": {
             "directory": output_dir,
             "observables": ["q", "p", "cond_var_q", "cond_var_p", "unc_var_q", "unc_var_p"],

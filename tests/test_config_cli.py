@@ -23,6 +23,7 @@ from contmon.config import (
     render_stats_csv,
     run_scenario,
 )
+from contmon.ensemble import run_ensemble
 from contmon.presets import get_preset, list_presets, preset_config
 
 MINIMAL = {
@@ -216,6 +217,28 @@ def test_records_file(tmp_path):
         assert payload["records"].shape == (25, 200)
 
 
+@pytest.mark.parametrize("preset", ["qubit_decay_jump", "opo_conditional", "qubit_decay_me"])
+def test_cli_saves_stored_states(tmp_path, capsys, preset):
+    # run.store_states writes the run's states to records.npz under "states",
+    # with no "records" unless output.records asks for them; a noise-free
+    # kind stores nothing and writes no records file
+    run = {"n_traj": 8, "t_final": 0.05, "store_states": True}
+    overrides = [arg for key, value in run.items()
+                 for arg in ("--override", f"run.{key}={json.dumps(value)}")]
+    assert main(["preset", preset, "--out-dir", str(tmp_path)] + overrides) == 0
+    capsys.readouterr()
+    doc = get_preset(preset)
+    doc["run"].update(run)
+    job = build_runtime(parse_config(json.dumps(doc)))
+    states = run_ensemble(job.spec, job.scenario).states
+    if states is None:
+        assert not (tmp_path / "records.npz").exists()
+        return
+    with np.load(tmp_path / "records.npz") as payload:
+        assert "records" not in payload.files
+        np.testing.assert_array_equal(payload["states"], states)
+
+
 def test_cli_validate_and_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(MINIMAL))
@@ -261,6 +284,65 @@ def test_cli_preset_with_override(tmp_path, capsys):
     rows = (tmp_path / "stats.csv").read_text().strip().split("\n")
     assert len(rows) == 502  # header + 501 grid points
     capsys.readouterr()
+
+
+def _without_dt():
+    doc = json.loads(json.dumps(MINIMAL))
+    del doc["run"]["dt"]
+    return json.dumps(doc)
+
+
+def _with_run(**fields):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["run"].update(fields)
+    return json.dumps(doc)
+
+
+def _gaussian_model(model):
+    doc = get_preset("opo_conditional")
+    doc["model"] = model
+    return json.dumps(doc)
+
+
+_MATRICES = {"A": [[-1.0, 0.0], [0.0, -1.0]], "D": [[1.0, 0.0], [0.0, 1.0]],
+             "B": [[0.0], [0.0]], "E": [[0.0], [0.0]]}
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (_without_dt(), ["run", "{doc}"], "$.run.dt: required"),
+    ("[]", ["run", "{doc}"], "$: top level must be an object"),
+    (_with_run(t_final=1e-4), ["run", "{doc}"], "$.run.t_final: must be a finite number >= dt"),
+    (_gaussian_model({}), ["run", "{doc}"],
+     "$.model: gaussian systems need one 'opo' or 'matrices' block"),
+    (_gaussian_model({"opo": {"chi": 0.2, "kappa": 1.0}, "matrices": _MATRICES}),
+     ["run", "{doc}"], "$.model: gaussian systems need one 'opo' or 'matrices' block"),
+    # an integer literal beyond any float
+    (json.dumps(MINIMAL).replace('"dt": 0.001', '"dt": 1' + "0" * 400), ["run", "{doc}"],
+     "$.run.dt: must be a finite number"),
+    (None, ["preset", "qubit_decay_me", "--override", "run.n_traj"],
+     "override 'run.n_traj' is not of the form path=value"),
+    (None, ["preset", "qubit_decay_me", "--override", "run.dt.x=1"],
+     "override path 'run.dt.x' does not address an object"),
+], ids=["dt_missing", "top_level_list", "t_final_below_dt", "gaussian_no_model_block",
+        "gaussian_both_model_blocks", "dt_overflows", "override_without_value",
+        "override_through_a_number"])
+def test_cli_reports_document_errors_at_their_paths(tmp_path, capsys, text, argv, message):
+    config_path = tmp_path / "doc.json"
+    if text is not None:
+        config_path.write_text(text)
+        assert main(["validate", str(config_path)]) == 2
+    argv = [str(config_path) if arg == "{doc}" else arg for arg in argv]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(message) == (2 if text is not None else 1)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_list_presets(capsys):
+    assert main(["list-presets"]) == 0
+    names = capsys.readouterr().out.split()
+    assert names == list_presets() and len(names) == 12
 
 
 def test_cli_unknown_preset(capsys):

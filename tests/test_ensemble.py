@@ -10,7 +10,7 @@ from contmon import (
     integrate_me,
     me_expectations,
 )
-from contmon.core_ops import BATCH_GEMM_MAX_DIM, build_standard_ops, to_coords
+from contmon.core_ops import BATCH_GEMM_MAX_DIM, build_standard_ops, min_eigenvalue, to_coords
 from contmon.diffusive import (
     diffusive_kernel,
     diffusive_kernel_step,
@@ -682,6 +682,25 @@ def test_positivity_counters_come_only_from_a_density_matrix_check(qubit_ops, ki
         assert isinstance(stats.positivity_violations, int)
     else:
         assert (stats.min_eigenvalue, stats.positivity_violations) == (None, None)
+
+
+@pytest.mark.parametrize("kind, dim", [
+    pytest.param(kind, dim, id=f"{kind}-d{dim}")
+    for dim in (2, BATCH_GEMM_MAX_DIM + 1) for kind in ("linear_jump", "linear_homodyne")
+])
+def test_linear_positivity_tracking_matches_stored_state_oracle(qubit_ops, kind, dim):
+    # a linear kind checks each stepped state divided by its trace (w <= 0
+    # read as 1), on the coordinates at d = 2 and on the states at d = 5
+    scenario, observables = dim_case(kind, dim, qubit_ops)
+    spec = qubit_spec(qubit_ops, n_traj=40, block_size=16, t_final=0.1, store_states=True,
+                      track_min_eigenvalue=True, observables=observables)
+    stats = run_ensemble(spec, scenario)
+    states = stats.states[:, 1:]
+    w = np.einsum("ntii->nt", states).real
+    w = np.where(w <= 0.0, 1.0, w)
+    eigs = min_eigenvalue(states / w[..., None, None])
+    assert stats.min_eigenvalue == float(np.min(eigs))
+    assert stats.positivity_violations == int(np.count_nonzero(eigs < ensemble.MIN_EIG_THRESHOLD))
 
 
 def test_physicality_abort(qubit_ops, excited):

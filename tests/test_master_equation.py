@@ -243,17 +243,19 @@ def test_model_validation(qubit_ops):
 def general_bath_case(qubit_ops, case):
     """(model, rho0) of a two-channel qubit in a thermal, squeezed, driven
     bath, a boson in one, a driven d = 12 mode, a qubit under a Hamiltonian
-    schedule that switches on or off the grid points, or a boson in a
-    thermal, driven bath at d = MAX_RK4_MATRIX_DIM or one above it."""
+    schedule that switches on or off the grid points, a boson in a thermal,
+    driven bath at d = MAX_RK4_MATRIX_DIM or one above it, or one above it
+    in a thermal, squeezed, driven bath."""
     if case == "boson_d12":  # the driven d = 12 mode of the boson benchmark
         ops = build_standard_ops("boson", 12)
         model = OpenSystemModel(np.zeros((12, 12)), [(1.0, ops["a"])], bath=BathSpec(drive=0.5))
         rho0 = np.diag(np.eye(12)[3]).astype(complex)
-    elif case in ("boson_at_bound", "boson_above_bound"):
-        dim = MAX_RK4_MATRIX_DIM + (case == "boson_above_bound")
+    elif case in ("boson_at_bound", "boson_above_bound", "squeezed_above_bound"):
+        dim = MAX_RK4_MATRIX_DIM + (case != "boson_at_bound")
         ops = build_standard_ops("boson", dim)
-        model = OpenSystemModel(0.2 * ops["q"] @ ops["q"], [(1.0, ops["a"])],
-                                bath=BathSpec(n_thermal=0.3, drive=0.4))
+        bath = (BathSpec(0.3, 0.3 + 0.2j, 0.4) if case == "squeezed_above_bound"
+                else BathSpec(n_thermal=0.3, drive=0.4))
+        model = OpenSystemModel(0.2 * ops["q"] @ ops["q"], [(1.0, ops["a"])], bath=bath)
         rho0 = np.diag(np.eye(dim)[2]).astype(complex)
     elif case == "bath_qubit":  # two channels in a thermal, squeezed, driven bath
         model = OpenSystemModel(0.3 * qubit_ops["sigma_x"],
@@ -289,10 +291,12 @@ def stage_form_rk4(model, rho0, t):
 
 def test_integrate_me_rk4_is_the_rk4_of_generalized_bath_me_rhs(qubit_ops):
     # above MAX_RK4_MATRIX_DIM the compiled right-hand side steps in stage
-    # form and must keep generalized_bath_me_rhs's bits
-    model, rho0 = general_bath_case(qubit_ops, "boson_above_bound")
+    # form and must keep generalized_bath_me_rhs's bits, the squeezed bath's
+    # double commutators included
     t = grid(2.0, 1e-2)
-    np.testing.assert_array_equal(integrate_me(model, rho0, t), stage_form_rk4(model, rho0, t))
+    for case in ("boson_above_bound", "squeezed_above_bound"):
+        model, rho0 = general_bath_case(qubit_ops, case)
+        np.testing.assert_array_equal(integrate_me(model, rho0, t), stage_form_rk4(model, rho0, t))
 
 
 @pytest.mark.parametrize("case", ["bath_qubit", "bath_boson", "schedule", "schedule_off_grid",

@@ -38,7 +38,7 @@ def documents() -> dict:
 
 
 def digest(doc: dict, seed: int, threads: int, max_steps: int = MAX_STEPS) -> dict:
-    from contmon.config import build_runtime, parse_config, render_stats_csv
+    from contmon.config import build_runtime, health, parse_config, render_stats_csv
 
     doc = json.loads(json.dumps(doc))
     run = doc["run"]
@@ -46,13 +46,13 @@ def digest(doc: dict, seed: int, threads: int, max_steps: int = MAX_STEPS) -> di
                n_traj=min(run["n_traj"], MAX_TRAJ), track_min_eigenvalue=True)
     doc["output"]["records"] = True
     job = build_runtime(parse_config(json.dumps(doc)), threads=threads, seed=seed)
-    t, columns, health, stats = job.execute()
-    text = render_stats_csv(t, columns)
+    columns, stats = job.execute()
+    text = render_stats_csv(stats.t, columns)
     records = None if stats.records is None else stats.records.tobytes()
     return {
         "stats_sha256": hashlib.sha256(text).hexdigest(),
         "records_sha256": records and hashlib.sha256(records).hexdigest(),
-        "health": {k: v for k, v in health.items() if v is not None},
+        "health": health(stats),
         "csv": text.decode(),
     }
 
