@@ -2,11 +2,13 @@
 resolution that builds a run from it, and the file-writing run driver used by
 the CLI.
 
-``_resolve`` applies the field table ``_FIELDS`` (filling defaults, rejecting
-unknown keys and malformed values), then the cross-field rules and the
-``run_memory`` size rule, and builds the job, reporting the library's build
-errors at ``$.`` paths.  ``parse_config`` and ``build_runtime`` both call it,
-so ``validate`` accepts exactly the documents ``run`` can build.
+``_resolve`` applies the field table ``_FIELDS`` (filling defaults,
+rejecting unknown keys, keys of another system kind and malformed values),
+then the cross-field rules, which select the scenario kind, and the rules
+read from that kind, the ``run_memory`` size rule last (``_kind_rules``), and
+builds the job, reporting the library's build errors at ``$.`` paths.
+``parse_config`` and ``build_runtime`` both call it, so ``validate`` accepts
+exactly the documents ``run`` can build.
 
 Every job is one trajectory ensemble, an ``EnsembleSpec`` and a ``Scenario``
 of a ``KINDS`` entry: a document without an unravelling runs ``"me"`` or
@@ -168,6 +170,12 @@ def _word_or(word, reader):
     return lambda value, bound: value if value == word else reader(value, bound)
 
 
+def _refusing(word, message):
+    """A ``_choice`` reader that refuses the string ``word`` with ``message``."""
+    refusal = (lambda value: value != word, message)
+    return lambda value, choices: _bounded(_choice(value, choices), refusal)
+
+
 def _observables(value, choices):
     if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
         raise ValueError("must be a list of observable names")
@@ -255,12 +263,15 @@ _FIELDS = (
      _ALL),
     # which feedback fields a feedback kind needs is a rule of _resolve
     ("feedback", _object, None, {}, _ALL),
-    ("feedback.kind", _choice, ("none", "markovian", "lqg"), "none", _ALL),
-    ("feedback.operator", _objects, _TERM, _ABSENT, _ALL),
-    ("feedback.f", _matrix, None, _ABSENT, _ALL),
-    ("feedback.m", _word_or("optimal", _matrix), None, _ABSENT, _ALL),
-    ("feedback.p", _matrix, None, _ABSENT, _ALL),
-    ("feedback.q", _matrix, None, _ABSENT, _ALL),
+    ("feedback.kind", _choice, ("none", "markovian", "lqg"), "none", _GAUSSIAN),
+    ("feedback.kind",
+     _refusing("lqg", "rule lqg_requires_gaussian: lqg feedback needs a gaussian system"),
+     ("none", "markovian", "lqg"), "none", _HILBERT),
+    ("feedback.operator", _objects, _TERM, _ABSENT, _HILBERT),
+    ("feedback.f", _matrix, None, _ABSENT, _GAUSSIAN),
+    ("feedback.m", _word_or("optimal", _matrix), None, _ABSENT, _GAUSSIAN),
+    ("feedback.p", _matrix, None, _ABSENT, _GAUSSIAN),
+    ("feedback.q", _matrix, None, _ABSENT, _GAUSSIAN),
     ("run", _object, None, _REQUIRED, _ALL),
     ("run.dt", _number, _POSITIVE, _REQUIRED, _ALL),
     ("run.t_final", _number, _POSITIVE, _REQUIRED, _ALL),
@@ -374,11 +385,6 @@ def _build(where: str, build, *args, **kwargs):
         raise ConfigError([f"{where}: {exc}"]) from exc
 
 
-def _n_steps(run: dict) -> int:
-    # capped, so that an overflowing t_final / dt still counts as a step count
-    return int(round(min(run["t_final"] / run["dt"], 2.0**62)))
-
-
 def _column_of(name: str) -> tuple[str, str]:
     """(quantity, observable) of an output column: ("mean", name) for an
     observable the run records, ("cond", "q") for "cond_var_q" and ("unc",
@@ -410,30 +416,39 @@ def _spec_fields(cfg: dict, kind: str) -> dict:
     return fields
 
 
-def _check_memory(cfg: dict, kind: str, ctx: _Collector) -> None:
-    """Rule ``run_memory``: the run's arrays must fit in physical memory.  A
-    run that breaks it raises at once, with the errors ``ctx`` holds and this
-    one last, so that nothing of its size gets built.
+def _kind_rules(cfg: dict, kind: str, ctx: _Collector) -> None:
+    """The rules read from the selected scenario ``kind``, for every system:
+    feedback needs a kind that draws noise, and two-point noise a diffusive
+    one (a noise-free kind ignores ``run.noise``).  Last, rule ``run_memory``:
+    the run's arrays must fit in physical memory.  A run that breaks it raises
+    at once, with the errors ``ctx`` holds and this one last, so that nothing
+    of its size gets built.
 
     Counted from below, in bytes, for a run of the scenario ``kind`` as
     ``_spec_fields`` sets it up: the operator set; per block in flight the
     state and one work buffer, and the noise block; the per-step statistics
-    of every block, held until the merge; stored states and records.  A kind
-    that draws nothing holds every state of its trajectory, as the
-    integrator it runs keeps them.
+    of every block, which threaded workers may finish before the merge takes
+    them; stored states and records.  A kind that draws nothing holds every
+    state of its trajectory, as the integrator it runs keeps them.
     """
-    system, steps = cfg["system"], _n_steps(cfg["run"])
+    # a combination the rules reject names no kind: its unravelling's own
+    # kind draws, records and counts alike
+    kind = kind if kind in KINDS else cfg["unravelling"]["kind"]
+    spec = EnsembleSpec(**_spec_fields(cfg, kind))
+    draws, clicks, diffusive = KINDS[kind].draws, KINDS[kind].clicks, KINDS[kind].diffusive
+    ctx.rules((
+        (cfg["feedback"]["kind"] != "none" and not draws, "$.feedback.kind",
+         "rule feedback_needs_monitoring: feedback requires an unravelling"),
+        (cfg["run"]["noise"] == "two_point" and draws and not diffusive, "$.run.noise",
+         "rule two_point_diffusive_only: two-point noise is for diffusive unravellings"),
+    ))
+    system, steps = cfg["system"], spec.n_steps
     if system["kind"] == "gaussian":  # real mean vectors, one covariance path
         dim, entry = 2 * system["n_modes"], 8
         state, ops, path = dim, 4 * dim * dim * entry, (steps + 1) * dim * dim * entry
     else:  # complex density matrices
         dim, entry = system.get("dim", 2), 16
         state, ops, path = dim * dim, 9 * dim * dim * entry, 0
-    # a combination the rules reject names no kind: its unravelling's own
-    # kind draws, records and counts alike
-    kind = kind if kind in KINDS else cfg["unravelling"]["kind"]
-    spec = EnsembleSpec(**_spec_fields(cfg, kind))
-    draws, clicks = KINDS[kind].draws, KINDS[kind].clicks
     block = min(spec.block_size, spec.n_traj)
     blocks = -(-spec.n_traj // block)
     need = ops + path + blocks * 8 * math.prod(stats_shape(kind, steps, len(_recorded(cfg))))
@@ -464,14 +479,10 @@ def _gaussian_rules(cfg: dict, gmodel: GaussianModel, ctx: _Collector) -> None:
         (ukind in ("jump", "heterodyne"), "$.unravelling.kind",
          "rule gaussian_monitoring: gaussian systems support 'none' or 'homodyne' "
          "(monitoring is set by the B/E matrices)"),
-        (fb["kind"] != "none" and ukind == "none", "$.feedback.kind",
-         "rule feedback_needs_monitoring: add a homodyne unravelling"),
         (any(name not in fb for name in needed), "$.feedback",
          f"{fb['kind']} feedback needs matrices {', '.join(needed)}"),
         (cfg["unravelling"]["linear"], "$.unravelling.linear",
          "linear trajectories apply to Hilbert-space systems"),
-        (cfg["run"]["noise"] == "two_point", "$.run.noise",
-         "rule two_point_diffusive_only: not available for gaussian moments"),
     ))
 
 
@@ -497,12 +508,8 @@ def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> str:
         (not isinstance(level, int) or isinstance(level, bool)
          or not 0 <= level < system.get("dim", 2),
          "$.system.initial_state.fock", "must be an integer in [0, dim - 1]"),
-        (fkind == "lqg", "$.feedback.kind",
-         "rule lqg_requires_gaussian: lqg feedback needs a gaussian system"),
         (fkind == "markovian" and not fb.get("operator"), "$.feedback.operator",
          "markovian feedback needs a nonzero operator"),
-        (fkind != "none" and ukind == "none", "$.feedback.kind",
-         "rule feedback_needs_monitoring: feedback requires an unravelling"),
         (ukind != "none" and len(model["channels"]) != 1, "$.model.channels",
          "rule single_channel: an unravelling monitors exactly one collapse channel"),
         (ukind == "jump" and not bath.is_vacuum, "$.unravelling.kind",
@@ -510,8 +517,6 @@ def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> str:
          "is not supported"),
         (ukind == "jump" and fkind == "markovian" and eta != 1.0, "$.model.efficiency",
          "rule jump_feedback_unit_efficiency: photodetection feedback requires efficiency = 1"),
-        (ukind == "jump" and cfg["run"]["noise"] == "two_point", "$.run.noise",
-         "rule two_point_diffusive_only: two-point noise is for diffusive unravellings"),
         (ukind == "homodyne" and fkind == "markovian" and eta == 0.0, "$.model.efficiency",
          "rule homodyne_feedback_efficiency: homodyne feedback needs efficiency > 0"),
         (ukind == "homodyne" and bath.squeezing.imag != 0.0, "$.model.bath.squeezing",
@@ -602,7 +607,7 @@ def _resolve(doc: dict) -> RuntimeJob:
         else:
             gmodel = _build("$.model.matrices", GaussianModel, **model_cfg["matrices"])
         _gaussian_rules(cfg, gmodel, ctx)
-        _check_memory(cfg, kind, ctx)
+        _kind_rules(cfg, kind, ctx)
         ctx.raise_errors()
         f_mat = None if fkind == "none" else np.asarray(fb["f"], dtype=float)
         controller = None
@@ -629,7 +634,7 @@ def _resolve(doc: dict) -> RuntimeJob:
     bath = _build("$.model.bath: rule bath_physicality", BathSpec,
                   n_thermal=n_th, squeezing=squeezing, drive=_to_complex(bath_cfg["drive"]))
     kind = _hilbert_rules(cfg, bath, ctx)
-    _check_memory(cfg, kind, ctx)
+    _kind_rules(cfg, kind, ctx)
     dim = system.get("dim", 2)
     opset = build_standard_ops(system["kind"], dim)
     if system["kind"] == "boson":

@@ -213,20 +213,13 @@ def build_standard_ops(kind: str, dim: int | None = None) -> dict[str, np.ndarra
 
 
 def min_eigenvalue(rho: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part, batched.
-
-    Uses the closed form for 2x2 matrices (cheap enough to run every step)
-    and ``eigvalsh`` otherwise.
-    """
+    """Smallest eigenvalue of the Hermitian part, batched: the closed form of
+    :func:`coords_min_eigenvalue` for 2x2 matrices (cheap enough to run every
+    step) and ``eigvalsh`` otherwise."""
     rho = np.asarray(rho)
-    d = rho.shape[-1]
-    h = hermitize(rho)
-    if d == 2:
-        half_tr = 0.5 * (h[..., 0, 0].real + h[..., 1, 1].real)
-        half_diff = 0.5 * (h[..., 0, 0].real - h[..., 1, 1].real)
-        rad = np.sqrt(half_diff**2 + np.abs(h[..., 0, 1]) ** 2)
-        return half_tr - rad
-    return np.linalg.eigvalsh(h)[..., 0]
+    if rho.shape[-1] == 2:
+        return coords_min_eigenvalue(to_coords(rho))
+    return np.linalg.eigvalsh(hermitize(rho))[..., 0]
 
 
 # Coherence coordinates: the real components r_a = tr(G_a rho) of a state in
@@ -295,12 +288,17 @@ class StateDiagnostics:
     min_eigenvalue: float
     top_population: float
 
+    def defects(self) -> list[str]:
+        """A message for each tolerance the state breaks, in the order
+        Hermiticity, trace, positivity; a NaN breaks its tolerance."""
+        herm, tr, w_min = self.hermiticity_defect, self.trace_defect, self.min_eigenvalue
+        checks = (("hermiticity defect", herm, herm <= HERMITICITY_TOL),
+                  ("trace defect", tr, tr <= TRACE_TOL),
+                  ("min eigenvalue", w_min, w_min >= -POSITIVITY_TOL))
+        return [f"{name} {value:.3e}" for name, value, ok in checks if not ok]
+
     def is_physical(self) -> bool:
-        return (
-            self.hermiticity_defect <= HERMITICITY_TOL
-            and self.trace_defect <= TRACE_TOL
-            and self.min_eigenvalue >= -POSITIVITY_TOL
-        )
+        return not self.defects()
 
     def truncation_leak(self) -> bool:
         """True when the top Fock level holds suspicious population."""
@@ -321,14 +319,7 @@ def validate_state(rho: np.ndarray) -> StateDiagnostics:
 def ensure_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix, raising :class:`InvalidStateError` on defects."""
     rho = _check_square(rho, "state")
-    diag = validate_state(rho)
-    problems = []
-    if diag.hermiticity_defect > HERMITICITY_TOL:
-        problems.append(f"hermiticity defect {diag.hermiticity_defect:.3e}")
-    if diag.trace_defect > TRACE_TOL:
-        problems.append(f"trace defect {diag.trace_defect:.3e}")
-    if diag.min_eigenvalue < -POSITIVITY_TOL:
-        problems.append(f"min eigenvalue {diag.min_eigenvalue:.3e}")
+    problems = validate_state(rho).defects()
     if problems:
         raise InvalidStateError("state is not a valid density matrix: " + "; ".join(problems))
     return rho

@@ -197,36 +197,6 @@ def lindblad_form_rhs(rho: np.ndarray, model: OpenSystemModel, f_op: np.ndarray)
     return out
 
 
-def _generalized_channels(model: OpenSystemModel, mode: str) -> dict:
-    """The measured-channel operators of the squeezed-thermal-bath homodyne or
-    heterodyne current, for a model that meets that kind's needs."""
-    ctx = _ctx(model)
-    n, m = model.bath.n_thermal, complex(model.bath.squeezing)
-    kappa, c, cd = ctx["kappa"], ctx["c"], ctx["cd"]
-    if mode == "homodyne":
-        mr = m.real
-        big_l = 2.0 * n + 1.0 + 2.0 * mr
-        if big_l <= 0:
-            raise ValueError("current variance 2N + 1 + 2M must be positive")
-        op = (n + mr + 1.0) * c - (n + mr) * cd
-        return {
-            "opd": np.ascontiguousarray(dagger(op)),
-            "scale": np.sqrt(kappa) / np.sqrt(big_l), "root_l": np.sqrt(big_l),
-        }
-    if mode == "heterodyne":
-        op1 = (n + 1.0) * c - n * cd
-        op2 = (n + 1.0) * (1j * c) - n * (-1j * cd)
-        return {
-            "op1d": np.ascontiguousarray(dagger(op1)),
-            "op2d": np.ascontiguousarray(dagger(op2)),
-            "scale": np.sqrt(2.0 * (n + 1.0)),
-            # written sqrt(kappa)/scale; this form reduces bit-exactly to
-            # the vacuum heterodyne prefactor sqrt(kappa/2) at N = 0
-            "pref": np.sqrt(kappa / (2.0 * (n + 1.0))),
-        }
-    raise ValueError(f"unknown mode {mode!r} (use 'homodyne' or 'heterodyne')")
-
-
 def generalized_bath_homodyne_step(
     rho: np.ndarray,
     model: OpenSystemModel,
@@ -244,6 +214,8 @@ def generalized_bath_homodyne_step(
     Heterodyne (thermal bath, M = 0): two channels with scale sqrt(2(N+1)),
     ``dw`` of shape (..., 2); returns dy of the same shape.
     """
+    if mode not in ("homodyne", "heterodyne"):
+        raise ValueError(f"unknown mode {mode!r} (use 'homodyne' or 'heterodyne')")
     kernel = diffusive_kernel(model, f"generalized_{mode}", dt)
     if mode == "homodyne":
         return _diffusive_apply(kernel, rho, dw)
@@ -319,16 +291,11 @@ def diffusive_kernel(
     the feedback operator of "homodyne_feedback", ``mu`` the ostensible mean
     of "linear_homodyne"."""
     check_needs(kind, model, f_op)
-    extra = (np.asarray(f_op, dtype=complex).tobytes() if kind == "homodyne_feedback"
-             else mu if kind == "linear_homodyne" else None)
-    return _cached_kernel(model, (kind, dt, extra), _diffusive_maps,
-                          lambda ctx: _compile_diffusive(ctx, model, kind, dt, f_op, mu))
+    return _cached_kernel(model, kind, dt, f_op, mu, _diffusive_maps, _compile_diffusive)
 
 
 def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
     eta = model.efficiency
-    if kind.startswith("generalized"):
-        sub = _generalized_channels(model, kind.removeprefix("generalized_"))
     kappa, root = ctx["kappa"], ctx["root"]
     cd, herm, ceff_d = ctx["cd"], ctx["herm"], ctx["ceff_d"]
     homodyne_current = _rows((root * dt) * herm)
@@ -360,15 +327,25 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
     if kind == "linear_homodyne":
         g = np.sqrt(kappa)
         return _right_kernel(drift, [(g * phase, cd)], None, shift=g * mu, offset=g * mu * dt)
-    root_k = np.sqrt(kappa) * dt
+    # the measured operators of a squeezed thermal bath (N, M), built from the
+    # bare c (the kinds need homodyne_phase = 0)
+    n, c, root_k = model.bath.n_thermal, ctx["c"], np.sqrt(kappa) * dt
     if kind == "generalized_homodyne":
-        return _right_kernel(drift, [(sub["scale"], sub["opd"])], _rows(root_k * herm),
-                             noise_gain=sub["root_l"])
+        mr = model.bath.squeezing.real
+        big_l = 2.0 * n + 1.0 + 2.0 * mr
+        if big_l <= 0:
+            raise ValueError("current variance 2N + 1 + 2M must be positive")
+        op_d = dagger((n + mr + 1.0) * c - (n + mr) * cd)
+        return _right_kernel(drift, [(np.sqrt(kappa) / np.sqrt(big_l), op_d)],
+                             _rows(root_k * herm), noise_gain=np.sqrt(big_l))
     if kind == "generalized_heterodyne":
-        g = sub["pref"]
-        return _right_kernel(drift, [(g, sub["op1d"]), (g, sub["op2d"])],
+        # sqrt(kappa) / sqrt(2 (N + 1)) in this form reduces bit-exactly to the
+        # vacuum heterodyne prefactor sqrt(kappa / 2) at N = 0
+        g = np.sqrt(kappa / (2.0 * (n + 1.0)))
+        return _right_kernel(drift, [(g, dagger((n + 1.0) * c - n * cd)),
+                                     (g, dagger((n + 1.0) * (1j * c) - n * (-1j * cd)))],
                              _rows(root_k * herm, root_k * ctx["herm_i"]),
-                             noise_gain=sub["scale"])
+                             noise_gain=np.sqrt(2.0 * (n + 1.0)))
     raise ValueError(f"no diffusive kernel for kind {kind!r}")
 
 

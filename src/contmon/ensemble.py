@@ -63,7 +63,6 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -146,7 +145,8 @@ class EnsembleSpec:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_final / self.dt))
+        # capped, so that an overflowing t_final / dt still counts as a step count
+        return int(round(min(self.t_final / self.dt, 2.0**62)))
 
     @property
     def t_grid(self) -> np.ndarray:
@@ -226,12 +226,19 @@ def _noise_matrix(master_seed, lo, hi, count, law):
     return out
 
 
-def _to_wiener(spec: EnsembleSpec, z: np.ndarray) -> np.ndarray:
-    """Map raw variates to Wiener increments for diffusive kinds."""
-    root = np.sqrt(spec.dt)
-    if spec.noise == "two_point":
-        return np.where(z < 0.5, root, -root)
-    return z * root
+def _increments(spec: EnsembleSpec, lo, hi, count, clicks):
+    """The first ``count`` increments of trajectories lo..hi - 1, one row
+    each: uniforms for click kinds, else Wiener increments, normals times
+    sqrt(dt) or, in two-point mode, +-sqrt(dt) with probability 1/2 each
+    (+ where the uniform is below 1/2), mapped in place."""
+    two_point = spec.noise == "two_point"
+    z = _noise_matrix(spec.master_seed, lo, hi, count,
+                      "uniform" if clicks or two_point else "normal")
+    if not clicks:
+        if two_point:  # +-1/2, + where z < 1/2, then scaled by 2 sqrt(dt)
+            np.subtract(z < 0.5, 0.5, out=z)
+        z *= np.sqrt(spec.dt) * (2.0 if two_point else 1.0)
+    return z
 
 
 def _traces(state):
@@ -353,8 +360,7 @@ def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     """Step a block of Hilbert-space trajectories through its kind's kernel."""
     n_steps, kind, nblk = spec.n_steps, KINDS[scenario.kind], hi - lo
     per_step = kind.draws
-    law = "uniform" if kind.clicks or spec.noise == "two_point" else "normal"
-    noise = _noise_matrix(spec.master_seed, lo, hi, n_steps * per_step, law)
+    noise = _increments(spec, lo, hi, n_steps * per_step, kind.clicks).reshape(nblk, n_steps, -1)
     acc = np.zeros(stats_shape(scenario.kind, n_steps, len(spec.observables)))
     track = spec.track_min_eigenvalue and not kind.pure
     min_eig, violations, states_out, records = np.inf, 0, None, None
@@ -393,9 +399,7 @@ def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
 
     observe(0)
     for k in range(n_steps):
-        z = noise[:, k * per_step : (k + 1) * per_step]
-        x = z if kind.clicks else _to_wiener(spec, z)
-        state, rec_row = advance(state, x if per_step > 1 else x[:, 0])
+        state, rec_row = advance(state, noise[:, k] if per_step > 1 else noise[:, k, 0])
         if records is not None:
             records[:, k] = rec_row
         if track:
@@ -462,8 +466,7 @@ def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     model: GaussianModel = scenario.model
     n_steps, m, dim, nblk = spec.n_steps, model.n_currents, model.dim, hi - lo
     phi, gammas = shared["phi"], shared["gammas"]
-    dw = _noise_matrix(spec.master_seed, lo, hi, n_steps * m, "normal").reshape(nblk, n_steps, m)
-    dw *= np.sqrt(spec.dt)
+    dw = _increments(spec, lo, hi, n_steps * m, False).reshape(nblk, n_steps, m)
     states_out = np.empty((nblk, n_steps + 1, dim)) if spec.store_states else None
     records = np.empty((nblk, n_steps, m)) if spec.store_records else None
     chunk = max(1, CHUNK_BUFFER_BYTES // (8 * nblk * max(dim, m)))
@@ -564,6 +567,10 @@ class Kind:
     shared: Callable | None = None
     model: type = OpenSystemModel
 
+    # a Hilbert-space kind stepped on Wiener increments: the kinds that
+    # two-point noise applies to (read-only)
+    diffusive = property(lambda self: self.kernel is _diffusive_kernel)
+
 
 KINDS = {
     "jump": Kind(_click_kernel, clicks=True),
@@ -584,15 +591,27 @@ KINDS = {
 }
 
 
+def _block_results(kind: Kind, blocks, threads):
+    """Each block's result, in index order, as the caller takes it: serially
+    at one thread, else in groups of ``threads`` blocks run in parallel, so
+    that at most that many results are held at once."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        run = pool.map if threads > 1 and len(blocks) > 1 else map
+        for i in range(0, len(blocks), threads):
+            yield from run(lambda args: kind.block(*args), blocks[i:i + threads])
+
+
 def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     """Run the trajectory ensemble described by (spec, scenario).
 
     Deterministic for fixed (spec, scenario): the output is identical for any
     thread count because trajectory substreams depend only on (master_seed,
-    index) and block statistics are merged in index order.
+    index) and block statistics are merged in index order.  Stored states and
+    records are copied into one run-level array as each block arrives, so no
+    block's copy outlives its merge.
     """
     kind = KINDS[scenario.kind]
-    if spec.noise == "two_point" and (kind.clicks or kind.kernel is None):
+    if spec.noise == "two_point" and kind.draws and not kind.diffusive:
         raise ValueError("two-point noise applies to diffusive Hilbert-space unravellings only")
     if not kind.draws and (spec.n_traj != 1 or spec.store_states or spec.store_records):
         raise ValueError(f"{scenario.kind} is noise-free: it runs one trajectory and stores "
@@ -601,14 +620,18 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
 
     size, n = spec.block_size, spec.n_traj
     blocks = [(spec, scenario, lo, min(lo + size, n), shared) for lo in range(0, n, size)]
-    if spec.threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            partials = list(pool.map(lambda args: kind.block(*args), blocks))
-    else:
-        partials = [kind.block(*args) for args in blocks]
+    acc, partials = None, []
+    stored = dict.fromkeys(k for k in ("states", "records") if getattr(spec, "store_" + k))
+    for (_, _, lo, hi, _), part in zip(blocks, _block_results(kind, blocks, spec.threads)):
+        acc = part.pop("stats") if acc is None else _merge(acc, part.pop("stats"))
+        for name in stored:  # the block's copy is dropped once its rows are in
+            if stored[name] is None:
+                stored[name] = np.empty((n,) + part[name].shape[1:], dtype=part[name].dtype)
+            stored[name][lo:hi] = part.pop(name)
+        partials.append(part)
 
     names = [name for name, _ in spec.observables]
-    big_w, w2, m, s, _ = (part.T for part in _parts(reduce(_merge, [p["stats"] for p in partials])))
+    big_w, w2, m, s, _ = (part.T for part in _parts(acc))
     s = np.maximum(s, 0.0)  # a sum of squares, whatever the merges rounded
     # a fully collapsed linear ensemble (all ostensible paths annihilated) has
     # no estimate at all: NaN means, zero effective sample size
@@ -633,8 +656,7 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
         min_eigenvalue=float(min(p["min_eig"] for p in partials)) if track else None,
         positivity_violations=int(sum(p["violations"] for p in partials)) if track else None,
         ess=ess,
-        states=np.concatenate([p["states"] for p in partials]) if spec.store_states else None,
-        records=np.concatenate([p["records"] for p in partials]) if spec.store_records else None,
+        **stored,
     )
     if kind.model is GaussianModel:  # the centred sums of the x and x^2 columns, over n
         stats.extra["var_x"] = dict(zip(names, s[:len(names)] / n))

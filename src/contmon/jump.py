@@ -390,22 +390,22 @@ def click_kernel(
     generator of "jump_feedback", ``beta`` the ostensible rate of
     "linear_jump"."""
     check_needs(kind, model, f_op, beta)
-    extra = (np.asarray(f_op, dtype=complex).tobytes() if kind == "jump_feedback"
-             else beta if kind == "linear_jump" else None)
-    return _cached_kernel(model, (kind, dt, extra), _click_maps,
-                          lambda ctx: _compile_click(ctx, model, kind, dt, f_op, beta))
+    return _cached_kernel(model, kind, dt, f_op, beta, _click_maps, _compile_click)
 
 
-def _cached_kernel(model, key, lower, compile):
-    """The kernel cached under ``("kernel",) + key`` in the model's operator
-    cache, compiled by ``compile(ctx)`` on a miss and, at d <=
+def _cached_kernel(model, kind, dt, f_op, param, lower, compile):
+    """The kernel of ``kind`` cached under ``("kernel", kind, dt, F bytes or
+    None, param)`` in the model's operator cache, for the feedback operator
+    ``f_op`` and the kind's scalar ``param`` (beta or mu), compiled by
+    ``compile(ctx, model, kind, dt, f_op, param)`` on a miss and, at d <=
     ``BATCH_GEMM_MAX_DIM``, given the coordinate ``maps`` ``lower(kernel,
     d)``.  Every compiled kernel of both families is cached here."""
     ctx = _ctx(model)
-    key = ("kernel",) + key
+    f_key = None if f_op is None else np.asarray(f_op, dtype=complex).tobytes()
+    key = ("kernel", kind, dt, f_key, param)
     kernel = ctx.get(key)
     if kernel is None:
-        kernel = compile(ctx)
+        kernel = compile(ctx, model, kind, dt, f_op, param)
         if model.dim <= BATCH_GEMM_MAX_DIM:
             kernel = replace(kernel, maps=lower(kernel, model.dim))
         ctx[key] = kernel

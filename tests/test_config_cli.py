@@ -436,8 +436,7 @@ def test_noise_free_run_ignores_the_ensemble_fields(tmp_path, preset, monkeypatc
     doc["run"].update(n_traj=5000, threads=2, block_size=64, store_states=True,
                       track_min_eigenvalue=True)
     doc["output"]["records"] = True
-    if preset == "qubit_decay_me":
-        doc["run"]["noise"] = "two_point"
+    doc["run"]["noise"] = "two_point"
     kind = build_runtime(parse_config(json.dumps(doc))).scenario.kind
     blocks = []
     block = ensemble.KINDS[kind].block
@@ -710,6 +709,26 @@ def test_cli_rejects_unresolvable_operators(tmp_path, capsys, preset, mutate, pa
     doc["run"].update(t_final=0.01, n_traj=4)
     mutate(doc)
     _assert_rejected(tmp_path, capsys, doc, path)
+
+
+@pytest.mark.parametrize("preset, field, value, system", [
+    ("opo_conditional", "operator", [{"op": "q"}], "gaussian"),
+    ("opo_markovian_feedback", "operator", [{"op": "q"}], "gaussian"),
+    ("qubit_pd_feedback", "f", [[1.0, 0.0], [0.0, 1.0]], "qubit"),
+    ("qubit_homodyne_feedback", "m", "optimal", "qubit"),
+    ("qubit_homodyne_feedback", "p", [[1.0, 0.0], [0.0, 1.0]], "qubit"),
+    ("qubit_pd_feedback", "q", [[1.0, 0.0], [0.0, 1.0]], "qubit"),
+])
+def test_cli_rejects_feedback_fields_of_the_other_system_kind(tmp_path, capsys, preset, field,
+                                                                value, system):
+    # the operator F is read only for Hilbert-space systems, the matrices f, m,
+    # p and q only for Gaussian ones: given to the other kind, each used to be
+    # accepted and ignored
+    doc = get_preset(preset)
+    doc["run"].update(t_final=0.01, n_traj=4)
+    doc.setdefault("feedback", {})[field] = value
+    _assert_rejected(tmp_path, capsys, doc,
+                     f"$.feedback.{field}: not applicable to {system} systems")
 
 
 # (bath block, bath_mode) of the grid below

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from contmon.core_ops import (
     DimensionMismatchError,
     InvalidStateError,
+    StateDiagnostics,
     build_standard_ops,
     coords_min_eigenvalue,
     coords_trace,
@@ -245,6 +246,19 @@ def test_validation_tolerances_sit_at_their_bounds(defect, side):
             ensure_density_matrix(rho)
     if defect == "hermiticity":
         assert is_hermitian(rho) == inside
+
+
+def test_ensure_density_matrix_lists_every_defect_in_order():
+    # Hermiticity defect 0.1, trace defect 0.2 and, of the Hermitian part,
+    # the eigenvalue 0.6 - 0.65
+    rho = np.array([[0.6, 0.7], [0.6, 0.6]], dtype=complex)
+    with pytest.raises(InvalidStateError) as err:
+        ensure_density_matrix(rho)
+    assert str(err.value) == ("state is not a valid density matrix: hermiticity defect "
+                              "1.000e-01; trace defect 2.000e-01; min eigenvalue -5.000e-02")
+    # a NaN defect breaks its tolerance, for both readers of the defect list
+    diag = StateDiagnostics(0.0, float("nan"), 0.0, 0.0)
+    assert diag.defects() == ["trace defect nan"] and not diag.is_physical()
 
 
 def test_truncation_leak_sits_at_its_bound():

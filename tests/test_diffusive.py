@@ -433,6 +433,14 @@ def test_thermal_current_scale(qubit_ops, excited):
     assert dy == pytest.approx(np.sqrt(3.0) * dw)
 
 
+def test_generalized_bath_step_rejects_an_unknown_mode(excited):
+    model = OpenSystemModel(np.zeros((2, 2)), [(1.0, np.array([[0, 0], [1, 0]], dtype=complex))],
+                            bath=BathSpec(n_thermal=0.5))
+    with pytest.raises(ValueError, match="unknown mode 'photon' \\(use 'homodyne' or "
+                                         "'heterodyne'\\)"):
+        generalized_bath_homodyne_step(excited, model, 1e-3, 0.0, mode="photon")
+
+
 def test_generalized_two_point_average(qubit_ops):
     model = _thermal_model(qubit_ops, n=0.7, squeezing=0.3)
     rho = random_density_matrix(np.random.default_rng(17))

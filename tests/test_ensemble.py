@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -846,6 +847,48 @@ def test_two_point_mode_matches_gaussian_in_mean(qubit_ops, decay_model, excited
     stats = run_ensemble(spec, Scenario("homodyne", decay_model, excited))
     z = max_z_after(stats, "rho_ee", np.exp(-spec.t_grid))
     assert z <= 4.0, f"max |z| = {z:.2f}"
+
+
+def test_noise_free_kind_ignores_two_point_noise(qubit_ops, decay_model, excited):
+    # two-point noise applies to the diffusive kinds; a kind that draws
+    # nothing ignores the noise law, as a document without an unravelling does
+    assert sorted(k for k in KINDS if KINDS[k].diffusive) == sorted(
+        k for k in HILBERT_KINDS if not KINDS[k].clicks)
+    spec = qubit_spec(qubit_ops, n_traj=1, t_final=0.1)
+    plain = run_ensemble(spec, Scenario("me", decay_model, excited))
+    two_point = run_ensemble(dataclasses.replace(spec, noise="two_point"),
+                             Scenario("me", decay_model, excited))
+    assert two_point.means["rho_ee"].tobytes() == plain.means["rho_ee"].tobytes()
+
+
+def test_stored_outputs_are_held_once(qubit_ops, decay_model, excited):
+    # each block's stored rows are copied into one run-level array as the
+    # block arrives, and its copy dropped: the traced peak of a run that
+    # stores its states stays under 1.5 times their bytes at one thread, and
+    # under 2 times at two, where at most two blocks are held at once;
+    # holding every block until one concatenation peaked at 2.1 times
+    spec = qubit_spec(qubit_ops, n_traj=256, block_size=64, t_final=0.5, store_states=True)
+    scenario = Scenario("jump", decay_model, excited)
+    for threads, bound in ((1, 1.5), (2, 2.0)):
+        tracemalloc.start()
+        try:
+            stats = run_ensemble(dataclasses.replace(spec, threads=threads), scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.states.shape == (256, spec.n_steps + 1, 2, 2)
+        assert peak < bound * stats.states.nbytes, (threads, peak, stats.states.nbytes)
+    # states and records are the blocks' rows in index order, bit for bit,
+    # through a ragged last block and at any thread count
+    spec = dataclasses.replace(spec, n_traj=250, store_records=True)
+    blocks = [KINDS["jump"].block(spec, scenario, lo, min(lo + 64, 250), {})
+              for lo in range(0, 250, 64)]
+    for threads in (1, 2):
+        stats = run_ensemble(dataclasses.replace(spec, threads=threads), scenario)
+        for name in ("states", "records"):
+            expected = np.concatenate([block[name] for block in blocks])
+            assert getattr(stats, name).dtype == expected.dtype
+            assert getattr(stats, name).tobytes() == expected.tobytes()
 
 
 def test_two_point_rejected_for_jump(qubit_ops, decay_model, excited):
