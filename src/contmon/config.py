@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +40,8 @@ import numpy as np
 from . import __version__
 from .core_ops import build_standard_ops, is_hermitian
 from .diffusive import squeezed_vacuum_jump_operator
-from .ensemble import KINDS, EnsembleSpec, EnsembleStats, Scenario, run_ensemble, stats_shape
+from .ensemble import (KINDS, SEED_RANGE, EnsembleSpec, EnsembleStats, Scenario, run_ensemble,
+                       stats_shape)
 from .gaussian import (
     ConvergenceError,
     GaussianModel,
@@ -50,6 +52,7 @@ from .gaussian import (
     # perfbench/spans.py wraps config.unconditional_moment_rhs, so the name stays
     unconditional_moment_rhs,  # noqa: F401
 )
+from .jump import NEEDS, unmet_needs
 # perfbench/spans.py wraps config.me_expectations, so the name stays
 from .master_equation import BathSpec, OpenSystemModel, me_expectations  # noqa: F401
 
@@ -217,6 +220,9 @@ def _at_least(low):
 
 
 _POSITIVE = (lambda value: value > 0, "must be > 0")
+# beta is read for every kind, so the schema checks linear_jump's beta need on
+# every document
+_BETA = next(row for row in NEEDS["linear_jump"] if row[0] == "beta")
 _UNIT = (lambda value: 0.0 <= value <= 1.0, "efficiency out of [0, 1]")
 _TERM = (("op", _string, None, _REQUIRED, _ALL), ("coeff", _complex, None, 1.0, _ALL))
 _CHANNEL = (
@@ -258,7 +264,7 @@ _FIELDS = (
     ("unravelling.linear", _boolean, None, False, _ALL),
     ("unravelling.mu", _number, None, 0.0, _ALL),
     ("unravelling.beta", _number,
-     (_POSITIVE[0], "rule ostensible_rate_positive: beta must be > 0"), 1.0, _ALL),
+     (_POSITIVE[0], f"rule {_BETA[2]}: {_BETA[3]}"), 1.0, _ALL),
     ("unravelling.bath_mode", _choice, ("generalized", "replaced_operator"), "generalized",
      _ALL),
     # which feedback fields a feedback kind needs is a rule of _resolve
@@ -276,10 +282,7 @@ _FIELDS = (
     ("run.dt", _number, _POSITIVE, _REQUIRED, _ALL),
     ("run.t_final", _number, _POSITIVE, _REQUIRED, _ALL),
     ("run.n_traj", _integer, _at_least(1), 1000, _ALL),
-    # the Philox key word of each substream holds the seed: anything outside
-    # [0, 2**64 - 1] would wrap onto another seed's streams
-    ("run.seed", _integer,
-     (lambda seed: 0 <= seed <= 2**64 - 1, "must be an integer in [0, 2**64 - 1]"), 1234, _ALL),
+    ("run.seed", _integer, (lambda seed: 0 <= seed < 2**64, SEED_RANGE), 1234, _ALL),
     ("run.noise", _choice, ("gaussian", "two_point"), "gaussian", _ALL),
     ("run.threads", _integer, _at_least(1), 1, _ALL),
     ("run.block_size", _integer, _at_least(1), 1024, _ALL),
@@ -427,9 +430,10 @@ def _kind_rules(cfg: dict, kind: str, ctx: _Collector) -> None:
     Counted from below, in bytes, for a run of the scenario ``kind`` as
     ``_spec_fields`` sets it up: the operator set; per block in flight the
     state and one work buffer, and the noise block; the per-step statistics
-    of every block, which threaded workers may finish before the merge takes
-    them; stored states and records.  A kind that draws nothing holds every
-    state of its trajectory, as the integrator it runs keeps them.
+    of the blocks in flight and of their merge; per block its entry in
+    ``run_ensemble``'s ``blocks`` list and the result dict ``partials`` keeps;
+    stored states and records.  A kind that draws nothing holds every state
+    of its trajectory, as the integrator it runs keeps them.
     """
     # a combination the rules reject names no kind: its unravelling's own
     # kind draws, records and counts alike
@@ -451,8 +455,12 @@ def _kind_rules(cfg: dict, kind: str, ctx: _Collector) -> None:
         state, ops, path = dim * dim, 9 * dim * dim * entry, 0
     block = min(spec.block_size, spec.n_traj)
     blocks = -(-spec.n_traj // block)
-    need = ops + path + blocks * 8 * math.prod(stats_shape(kind, steps, len(_recorded(cfg))))
-    need += min(spec.threads, blocks) * block * (2 * state * entry + steps * draws * 8)
+    in_flight = min(spec.threads, blocks)
+    # per block a (spec, scenario, lo, hi, shared) tuple and an empty dict, each
+    # in a list slot; the statistics of the blocks in flight and of their merge
+    need = ops + path + blocks * (sys.getsizeof((None,) * 5) + sys.getsizeof({}) + 2 * 8)
+    need += (in_flight + 1) * 8 * math.prod(stats_shape(kind, steps, len(_recorded(cfg))))
+    need += in_flight * block * (2 * state * entry + steps * draws * 8)
     stored = (spec.store_states or not draws) * (steps + 1) * state * entry
     stored += spec.store_records * steps * draws * (1 if clicks else 8)
     need += spec.n_traj * stored
@@ -490,62 +498,35 @@ def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> str:
     """Report every cross-field rule a Hilbert-space document breaks, and
     return the scenario kind it selects ("me" without an unravelling): a
     feedback kind, else a linear one, else a generalized-bath one, else the
-    stepper's.  What the selected kind's step needs is ``jump.NEEDS``, which
-    ``Scenario`` checks when ``_resolve`` builds it."""
+    stepper's.  What the selected kind's step needs is its rows of
+    ``jump.NEEDS``, each reported here at its path under its rule, before any
+    operator is built."""
     system, model, unrav, fb = cfg["system"], cfg["model"], cfg["unravelling"], cfg["feedback"]
-    ukind, fkind, linear, eta = unrav["kind"], fb["kind"], unrav["linear"], model["efficiency"]
+    ukind, fkind, linear = unrav["kind"], fb["kind"], unrav["linear"]
     init, n_th = system["initial_state"], bath.n_thermal
     level = init["fock"] if isinstance(init, dict) else 0
     diffusive_bath = ukind in ("homodyne", "heterodyne") and not bath.is_vacuum
     # the replaced-operator homodyne runs the vacuum steppers on c~, which
     # take any phase, feedback and linear mode
     replaced = ukind == "homodyne" and unrav["bath_mode"] == "replaced_operator"
-    generalized = diffusive_bath and not replaced
     rungs = ((fkind != "none", f"{ukind}_feedback"), (linear, f"linear_{ukind}"),
-             (generalized, f"generalized_{ukind}"), (unrav["stepper"] == "kraus", f"{ukind}_kraus"))
+             (diffusive_bath and not replaced, f"generalized_{ukind}"),
+             (unrav["stepper"] == "kraus", f"{ukind}_kraus"))
     kind = "me" if ukind == "none" else next((name for taken, name in rungs if taken), ukind)
     ctx.rules((
         (not isinstance(level, int) or isinstance(level, bool)
          or not 0 <= level < system.get("dim", 2),
          "$.system.initial_state.fock", "must be an integer in [0, dim - 1]"),
-        (fkind == "markovian" and not fb.get("operator"), "$.feedback.operator",
-         "markovian feedback needs a nonzero operator"),
         (ukind != "none" and len(model["channels"]) != 1, "$.model.channels",
          "rule single_channel: an unravelling monitors exactly one collapse channel"),
-        (ukind == "jump" and not bath.is_vacuum, "$.unravelling.kind",
-         "rule jump_vacuum_bath: photon counting with thermal/squeezed/driven baths "
-         "is not supported"),
-        (ukind == "jump" and fkind == "markovian" and eta != 1.0, "$.model.efficiency",
-         "rule jump_feedback_unit_efficiency: photodetection feedback requires efficiency = 1"),
-        (ukind == "homodyne" and fkind == "markovian" and eta == 0.0, "$.model.efficiency",
-         "rule homodyne_feedback_efficiency: homodyne feedback needs efficiency > 0"),
-        (ukind == "homodyne" and bath.squeezing.imag != 0.0, "$.model.bath.squeezing",
-         "rule homodyne_real_squeezing: homodyne unravellings need a real squeezing M"),
         # c~ = mu c - nu c^dag is built from N alone, so it has M = +sqrt(N(N+1))
         (diffusive_bath and unrav["bath_mode"] == "replaced_operator"
-         and (abs(abs(bath.squeezing) ** 2 - n_th * (n_th + 1.0)) > 1e-12
-              or bath.squeezing.real < 0.0),
+         and abs(bath.squeezing - np.sqrt(n_th * (n_th + 1.0))) > 1e-12,
          "$.unravelling.bath_mode",
          "rule replaced_operator_squeezed_vacuum: operator replacement needs "
          "M = +sqrt(N(N+1))"),
-        (generalized and eta != 1.0, "$.model.efficiency",
-         "rule generalized_bath_unit_efficiency: generalized-bath diffusive unravellings "
-         "require efficiency = 1"),
-        (generalized and model["homodyne_phase"] != 0.0, "$.model.homodyne_phase",
-         "rule generalized_bath_homodyne_phase: diffusive unravellings with a "
-         "thermal/squeezed/driven bath require homodyne_phase = 0"),
-        (generalized and ukind == "heterodyne" and bath.squeezing != 0, "$.unravelling.kind",
-         "rule heterodyne_thermal_only: generalized heterodyne needs a thermal bath (M = 0)"),
-        (generalized and fkind != "none", "$.feedback.kind",
-         "rule feedback_vacuum_bath: diffusive feedback needs a vacuum bath or the "
-         "replaced-operator squeezed vacuum"),
-        (generalized and linear, "$.unravelling.linear",
-         "rule linear_vacuum_bath: linear diffusive trajectories need a vacuum bath or the "
-         "replaced-operator squeezed vacuum"),
         (linear and fkind != "none", "$.unravelling.linear",
          "rule linear_no_feedback: linear trajectories exclude feedback"),
-        (linear and eta != 1.0, "$.model.efficiency",
-         "rule linear_unit_efficiency: linear trajectories require efficiency = 1"),
         (linear and ukind not in ("jump", "homodyne"), "$.unravelling.linear",
          "rule linear_jump_or_homodyne: linear mode applies to jump or homodyne unravellings"),
         # the stepper is the last rung: a Kraus kind is selected only without
@@ -557,6 +538,11 @@ def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> str:
         (kind == "heterodyne_feedback", "$.feedback.kind",
          "rule feedback_single_current: heterodyne feedback is not supported"),
     ))
+    # feedback_hermitian checks F itself once it is built
+    for _, path, rule, message in unmet_needs(
+            kind, BathSpec() if replaced else bath, model["efficiency"], model["homodyne_phase"],
+            unrav["beta"], bool(fb.get("operator"))):
+        ctx.err(f"$.{path}", f"rule {rule}: {message.format(kind=kind)}")
     return kind
 
 

@@ -16,14 +16,15 @@ the two noise-free kinds below.
 Step dispatch: every Hilbert-space kind advances its block through the
 ``advance`` its ``Kind.kernel`` builds once per block.  A density-matrix kind
 compiles its step there (:func:`contmon.jump.click_kernel`,
-:func:`contmon.diffusive.diffusive_kernel`).  At d <= ``BATCH_GEMM_MAX_DIM``
-(4) the block holds real (d^2, B) coordinates (:mod:`contmon.core_ops`),
-converted to (B, d, d) states only to be stored or checked: a step is one
-real GEMM plus per-row scalar corrections, and so are the observables.  Above
-it a right-product kernel updates the block's states in place through work
-buffers the block owns, with one GEMM of the (B d, d) view per constant
-operator, and the observables are one GEMM of the (B, d^2) view.  The
-state-vector kind ``jump_sse`` compiles nothing and steps through
+:func:`contmon.diffusive.diffusive_kernel`), and the kernel decides the
+block's form.  When it carries coordinate ``maps`` (at d <= 4, see
+:func:`contmon.jump.click_kernel`) the block holds real (d^2, B) coordinates
+(:mod:`contmon.core_ops`), converted to (B, d, d) states only to be stored or
+checked: a step is one real GEMM plus per-row scalar corrections, and so are
+the observables.  Otherwise a right-product kernel updates the block's states
+in place through work buffers the block owns, with one GEMM of the (B d, d)
+view per constant operator, and the observables are one GEMM of the (B, d^2)
+view.  The state-vector kind ``jump_sse`` compiles nothing and steps through
 :func:`contmon.jump.jump_sse_apply`.  Every kind calls these through the
 module attributes ``jump`` and ``diffusive``.
 
@@ -68,8 +69,8 @@ from typing import Callable
 import numpy as np
 
 from . import diffusive, jump
-from .core_ops import (BATCH_GEMM_MAX_DIM, CHUNK_BUFFER_BYTES, coords_min_eigenvalue,
-                       coords_trace, dagger, from_coords, min_eigenvalue, to_coords, trace)
+from .core_ops import (CHUNK_BUFFER_BYTES, coords_min_eigenvalue, coords_trace, dagger,
+                       from_coords, min_eigenvalue, to_coords, trace)
 # perfbench/spans.py wraps ``ensemble.conditional_cov_rhs``, so the name stays
 from .gaussian import (GaussianModel, conditional_cov_rhs,  # noqa: F401
                        covariance_path, feedback_terms, unconditional_moments)
@@ -89,6 +90,9 @@ __all__ = [
 ]
 
 MIN_EIG_THRESHOLD = -1e-12
+# the Philox key word of each substream holds the seed: anything outside
+# [0, 2**64 - 1] would wrap onto another seed's streams
+SEED_RANGE = "must be an integer in [0, 2**64 - 1]"
 ESS_WARN_FRACTION = 0.01
 
 
@@ -107,13 +111,14 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     This is the public noise contract.  The ensemble does not construct these
     generators: it re-keys one Philox generator per block to the same state,
     so the noise of trajectory ``index`` equals this generator's draws."""
-    key = np.array([np.uint64(master_seed & (2**64 - 1)), np.uint64(index)], dtype=np.uint64)
+    key = np.array([master_seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
 class EnsembleSpec:
-    """Run geometry, seeding and storage policy for one trajectory ensemble."""
+    """Run geometry, seeding and storage policy for one trajectory ensemble.
+    ``master_seed`` is an integer in [0, 2**64 - 1], one Philox key word."""
 
     n_traj: int
     master_seed: int
@@ -129,6 +134,8 @@ class EnsembleSpec:
     validate_every: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed {SEED_RANGE}")
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
         for name in ("dt", "t_final"):
@@ -164,7 +171,9 @@ class Scenario:
     needs (``jump.NEEDS``) are unmet, the one its kernel would raise, and for
     a Gaussian run the one of :func:`contmon.gaussian.feedback_terms` when the
     controller does not fit the model, or one naming the initial state when
-    its mean is not (2n,) or its covariance not (2n, 2n).
+    its mean is not (2n,) or its covariance not (2n, 2n).  A configuration
+    document reports the same needs, with the same messages, as the named
+    rules of their ``NEEDS`` rows.
     """
 
     kind: str
@@ -213,7 +222,7 @@ def _noise_matrix(master_seed, lo, hi, count, law):
     the state a fresh ``Philox(key=...)`` starts in (counter 0, empty buffer),
     which costs a fraction of constructing a new generator per trajectory."""
     out = np.empty((hi - lo, count))
-    key = np.array([master_seed & (2**64 - 1), lo], dtype=np.uint64)
+    key = np.array([master_seed, lo], dtype=np.uint64)
     bits = np.random.Philox(key=key)
     state = bits.state
     state["state"]["key"] = key
@@ -342,18 +351,26 @@ def _jump_sse(sc, dt):
     return advance
 
 
+def _advance(step, kernel):
+    """advance(rho, x) through the compiled ``kernel``; ``advance.coords``
+    says whether it takes the block's coordinates, which it does exactly when
+    the kernel carries ``maps``."""
+    work = {}
+    advance = lambda rho, x: step(kernel, rho, x, work)  # noqa: E731
+    advance.coords = kernel.maps is not None
+    return advance
+
+
 def _click_kernel(sc, dt):
     kernel = jump.click_kernel(sc.model, sc.kind, dt, f_op=sc.feedback_operator,
                                beta=sc.beta_ost)
-    work = {}
-    return lambda rho, u: jump.click_kernel_step(kernel, rho, u, work)
+    return _advance(lambda *args: jump.click_kernel_step(*args), kernel)
 
 
 def _diffusive_kernel(sc, dt):
     kernel = diffusive.diffusive_kernel(sc.model, sc.kind, dt, f_op=sc.feedback_operator,
                                         mu=sc.mu)
-    work = {}
-    return lambda rho, dw: diffusive.diffusive_kernel_step(kernel, rho, dw, work)
+    return _advance(lambda *args: diffusive.diffusive_kernel_step(*args), kernel)
 
 
 def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
@@ -367,8 +384,9 @@ def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
 
     # the observables are read by their coordinates on a coordinate block and
     # by the rows vec(A^T) on a (B, d, d) block
+    advance = kind.kernel(scenario, spec.dt)
+    coords = not kind.pure and advance.coords
     state0 = np.asarray(scenario.initial_state, dtype=complex)
-    coords = not kind.pure and len(state0) <= BATCH_GEMM_MAX_DIM
     state = (np.repeat(to_coords(state0)[:, None], nblk, axis=1) if coords
              else np.broadcast_to(state0, (nblk,) + state0.shape).copy())
     as_states = from_coords if coords else np.asarray
@@ -383,7 +401,6 @@ def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
         records = np.empty((nblk, n_steps) + ((per_step,) if per_step > 1 else ()),
                            dtype=np.uint8 if kind.clicks else float)
 
-    advance = kind.kernel(scenario, spec.dt)
     # the values and weights of ``chunk`` steps, whose statistics are taken at once
     chunk = max(1, CHUNK_BUFFER_BYTES // (8 * nblk * max(len(rows), 1)))
     vals = np.empty((chunk, len(rows), nblk))
@@ -547,15 +564,17 @@ class Kind:
     ``advance(state, x)``, which advances the block and returns (state',
     record row); ``x`` is the step's uniform variates for click kinds and its
     Wiener increments otherwise, one column per draw (a vector when ``draws``
-    is 1).  A density-matrix block is its (d^2, B) coordinates up to
-    ``BATCH_GEMM_MAX_DIM`` and a C-contiguous (B, d, d) array, which
-    ``advance`` updates in place, above.  Click kinds record ``uint8``
+    is 1).  A density-matrix block is its (d^2, B) coordinates when
+    ``advance.coords`` is true, that is when the compiled kernel carries
+    ``maps``, and a C-contiguous (B, d, d) array, which ``advance`` updates in
+    place, otherwise.  Click kinds record ``uint8``
     outcomes; ``linear`` kinds carry unnormalized states with weighted
     statistics; ``pure`` kinds step state vectors and skip the positivity
     checks.  What a Hilbert-space kind's step needs of its scenario (a vacuum
-    bath, unit or nonzero efficiency, a feedback operator, a state vector,
-    beta > 0) is its entry of :data:`contmon.jump.NEEDS`, which ``Scenario``
-    checks at construction and the kernel compilers on every call.
+    bath, unit or nonzero efficiency, a zero LO phase, a real or zero
+    squeezing, a feedback operator, a state vector, beta > 0) is its entry of
+    :data:`contmon.jump.NEEDS`, which ``Scenario`` checks at construction, the
+    kernel compilers on every call and ``config`` as named document rules.
     """
 
     kernel: Callable | None

@@ -29,9 +29,12 @@ reads and writes.
 
 Preconditions: ``NEEDS`` states, once for every Hilbert-space kind of both
 families, the conditions its step is derived under (Wiseman & Milburn,
-*Quantum Measurement and Control*, ch. 4-5), and :func:`check_needs` tests
-them for the kernel compilers, the per-state steppers and
-``ensemble.Scenario``.
+*Quantum Measurement and Control*, ch. 4-5), each row with the document path
+and named rule that report it.  :func:`unmet_needs` is the one predicate over
+plain values (the bath, the efficiency, the LO phase, beta, whether an F is
+given, the initial state): :func:`check_needs` reads it for the kernel
+compilers, the per-state steppers and ``ensemble.Scenario``, and the
+configuration's rule pass for a document, before any operator is built.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ __all__ = [
     "click_kernel",
     "click_kernel_step",
     "NEEDS",
+    "unmet_needs",
     "check_needs",
 ]
 
@@ -132,59 +136,78 @@ def _ctx(model: OpenSystemModel) -> dict:
     return ctx
 
 
-# (need, message) pairs, each a condition the kind's step is derived under and
-# the message that reports it unmet
-_JUMP_VACUUM = ("vacuum_bath", "jump unravelling is defined for vacuum baths only")
-_VACUUM = ("vacuum_bath", "vacuum-bath stepper; use generalized_bath_homodyne_step")
-_FEEDBACK = ("feedback_operator",
+# NEEDS rows (need, path, rule, message): a condition the kind's step is
+# derived under, and the document field, named rule and message that report
+# it unmet
+_JUMP_VACUUM = ("vacuum_bath", "unravelling.kind", "jump_vacuum_bath",
+                "jump unravelling is defined for vacuum baths only")
+_FEEDBACK = ("feedback_operator", "feedback.operator", "feedback_operator",
              "{kind} needs a feedback_operator: the Hermitian feedback operator F")
 # the measured operators of a generalized bath are built from the bare c, so at
 # theta != 0 the record would read another quadrature than the back-action uses
 _GENERALIZED = (
-    ("unit_efficiency", "generalized-bath steppers are derived for unit efficiency"),
-    ("zero_phase", "generalized-bath steppers are derived for homodyne_phase = 0"))
+    ("unit_efficiency", "model.efficiency", "generalized_bath_unit_efficiency",
+     "generalized-bath steppers are derived for unit efficiency"),
+    ("zero_phase", "model.homodyne_phase", "generalized_bath_homodyne_phase",
+     "generalized-bath steppers are derived for homodyne_phase = 0"))
 
 NEEDS = {
     **dict.fromkeys(("jump", "jump_kraus"), (_JUMP_VACUUM,)),
-    "jump_feedback": (_JUMP_VACUUM, _FEEDBACK,
-                      ("unit_efficiency", "jump feedback requires unit efficiency")),
-    "jump_sse": (("unit_efficiency", "the SSE is defined for unit detection efficiency"),
-                 _JUMP_VACUUM,
-                 ("state_vector", "jump_sse steps state vectors: initial_state must be 1-d")),
-    "linear_jump": (_JUMP_VACUUM, ("beta", "ostensible rate beta must be > 0"),
-                    ("unit_efficiency", "linear jump trajectories assume unit efficiency")),
-    **dict.fromkeys(("homodyne", "homodyne_kraus", "heterodyne", "linear_homodyne_kraus"),
-                    (_VACUUM,)),
-    "homodyne_feedback": (_FEEDBACK, ("efficiency", "homodyne feedback needs efficiency in (0, 1]"),
-                          ("vacuum_bath", "feedback steppers are defined for vacuum baths")),
-    "linear_homodyne": (("unit_efficiency", "linear homodyne trajectories assume unit efficiency"),
-                        ("vacuum_bath", "linear trajectories are defined for vacuum baths")),
-    "generalized_homodyne": _GENERALIZED + (
-        ("real_squeezing", "homodyne current scale is defined for real squeezing M only"),),
-    "generalized_heterodyne": _GENERALIZED + (
-        ("thermal_bath", "generalized heterodyne stepping is defined for thermal baths (M = 0)"),),
+    "jump_feedback": (_JUMP_VACUUM, _FEEDBACK, ("unit_efficiency", "model.efficiency",
+                      "jump_feedback_unit_efficiency", "jump feedback requires unit efficiency")),
+    "jump_sse": (("unit_efficiency", "model.efficiency", "sse_unit_efficiency",
+                  "the SSE is defined for unit detection efficiency"), _JUMP_VACUUM,
+                 ("state_vector", "system.initial_state", "sse_state_vector",
+                  "jump_sse steps state vectors: initial_state must be 1-d")),
+    "linear_jump": (_JUMP_VACUUM, ("beta", "unravelling.beta", "ostensible_rate_positive",
+                                   "ostensible rate beta must be > 0"),
+                    ("unit_efficiency", "model.efficiency", "linear_unit_efficiency",
+                     "linear jump trajectories assume unit efficiency")),
+    # a document selects these kinds on a vacuum bath only
+    **dict.fromkeys(("homodyne", "homodyne_kraus", "heterodyne", "linear_homodyne_kraus"), (
+        ("vacuum_bath", "model.bath", "vacuum_bath_stepper",
+         "vacuum-bath stepper; use generalized_bath_homodyne_step"),)),
+    "homodyne_feedback": (_FEEDBACK,
+                          ("efficiency", "model.efficiency", "homodyne_feedback_efficiency",
+                           "homodyne feedback needs efficiency in (0, 1]"),
+                          ("vacuum_bath", "feedback.kind", "feedback_vacuum_bath",
+                           "feedback steppers are defined for vacuum baths")),
+    "linear_homodyne": (("unit_efficiency", "model.efficiency", "linear_unit_efficiency",
+                         "linear homodyne trajectories assume unit efficiency"),
+                        ("vacuum_bath", "unravelling.linear", "linear_vacuum_bath",
+                         "linear trajectories are defined for vacuum baths")),
+    "generalized_homodyne": (*_GENERALIZED, (
+        "real_squeezing", "model.bath.squeezing", "homodyne_real_squeezing",
+        "homodyne current scale is defined for real squeezing M only")),
+    "generalized_heterodyne": (*_GENERALIZED, (
+        "thermal_bath", "unravelling.kind", "heterodyne_thermal_only",
+        "generalized heterodyne stepping is defined for thermal baths (M = 0)")),
 }
 
 
+def unmet_needs(kind: str, bath, efficiency: float, homodyne_phase: float, beta: float = 1.0,
+                has_f: bool = False, state=None) -> list:
+    """The rows of ``NEEDS[kind]``, in table order, that a model of the bath
+    ``bath``, the detection ``efficiency`` and the local-oscillator phase
+    ``homodyne_phase`` leaves unmet, with the ostensible rate ``beta``, a
+    feedback operator F given or not (``has_f``) and the initial ``state``,
+    where one is given.  A kind without an entry needs nothing."""
+    met = dict(vacuum_bath=bath.is_vacuum, unit_efficiency=efficiency == 1.0,
+               efficiency=efficiency > 0.0, feedback_operator=has_f,
+               state_vector=state is None or np.ndim(state) == 1, beta=beta > 0,  # NaN fails
+               zero_phase=homodyne_phase == 0.0, thermal_bath=bath.squeezing == 0,
+               real_squeezing=complex(bath.squeezing).imag == 0.0)
+    return [row for row in NEEDS.get(kind, ()) if not met[row[0]]]
+
+
 def check_needs(kind: str, model, f_op=None, beta: float = 1.0, state=None) -> None:
-    """Raise a ValueError naming every need of ``kind`` (``NEEDS``, in table
-    order) that the model, the feedback operator ``f_op``, the ostensible
-    rate ``beta`` and the initial ``state``, where one is given, leave unmet.
-    A kind without an entry needs nothing."""
-    met = {
-        "vacuum_bath": lambda: model.bath.is_vacuum,
-        "unit_efficiency": lambda: model.efficiency == 1.0,
-        "efficiency": lambda: model.efficiency > 0.0,
-        "feedback_operator": lambda: f_op is not None and is_hermitian(f_op),
-        "state_vector": lambda: state is None or np.ndim(state) == 1,
-        "beta": lambda: beta > 0,  # NaN fails too
-        "zero_phase": lambda: model.homodyne_phase == 0.0,
-        "real_squeezing": lambda: complex(model.bath.squeezing).imag == 0.0,
-        "thermal_bath": lambda: model.bath.squeezing == 0,
-    }
-    unmet = [message.format(kind=kind) for need, message in NEEDS.get(kind, ()) if not met[need]()]
+    """Raise a ValueError naming every need of ``kind`` (:func:`unmet_needs`)
+    that the model, the Hermitian feedback operator ``f_op``, the ostensible
+    rate ``beta`` and the initial ``state``, where one is given, leave unmet."""
+    unmet = kind in NEEDS and unmet_needs(kind, model.bath, model.efficiency, model.homodyne_phase,
+                                          beta, f_op is not None and is_hermitian(f_op), state)
     if unmet:
-        raise ValueError("; ".join(unmet))
+        raise ValueError("; ".join(message.format(kind=kind) for *_, message in unmet))
 
 
 def _no_click_kraus(ctx, dt: float):

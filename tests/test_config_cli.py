@@ -964,6 +964,113 @@ def test_cli_rejects_negative_replaced_operator_squeezing(tmp_path, capsys):
                      "$.unravelling.bath_mode: rule replaced_operator_squeezed_vacuum")
 
 
+THERMAL = {"n_thermal": 0.5}
+JUMP_FEEDBACK = {"kind": "markovian", "operator": [{"op": "sigma_x", "coeff": 0.5}]}
+# (kind, need) -> the unravelling, feedback and model fields of a qubit
+# document that selects the kind and breaks that need alone
+NEED_CASES = {
+    ("jump", "vacuum_bath"): ({"kind": "jump"}, {}, {"bath": THERMAL}),
+    ("jump_kraus", "vacuum_bath"): ({"kind": "jump", "stepper": "kraus"}, {}, {"bath": THERMAL}),
+    ("jump_feedback", "vacuum_bath"): ({"kind": "jump"}, JUMP_FEEDBACK, {"bath": THERMAL}),
+    ("jump_feedback", "feedback_operator"): ({"kind": "jump"}, {"kind": "markovian"}, {}),
+    ("jump_feedback", "unit_efficiency"): ({"kind": "jump"}, JUMP_FEEDBACK, {"efficiency": 0.5}),
+    ("linear_jump", "vacuum_bath"): ({"kind": "jump", "linear": True}, {}, {"bath": THERMAL}),
+    ("linear_jump", "beta"): ({"kind": "jump", "linear": True, "beta": 0}, {}, {}),
+    ("linear_jump", "unit_efficiency"): ({"kind": "jump", "linear": True}, {},
+                                         {"efficiency": 0.5}),
+    ("homodyne_feedback", "feedback_operator"): ({"kind": "homodyne"}, {"kind": "markovian"}, {}),
+    ("homodyne_feedback", "efficiency"): ({"kind": "homodyne"}, JUMP_FEEDBACK,
+                                          {"efficiency": 0.0}),
+    ("homodyne_feedback", "vacuum_bath"): ({"kind": "homodyne"}, JUMP_FEEDBACK,
+                                           {"bath": THERMAL}),
+    ("linear_homodyne", "unit_efficiency"): ({"kind": "homodyne", "linear": True}, {},
+                                             {"efficiency": 0.5}),
+    ("linear_homodyne", "vacuum_bath"): ({"kind": "homodyne", "linear": True}, {},
+                                         {"bath": THERMAL}),
+    **{case: ({"kind": ukind}, {}, dict(bath=THERMAL, **model))
+       for ukind in ("homodyne", "heterodyne")
+       for case, model in (((f"generalized_{ukind}", "unit_efficiency"), {"efficiency": 0.5}),
+                           ((f"generalized_{ukind}", "zero_phase"), {"homodyne_phase": 0.4}))},
+    ("generalized_homodyne", "real_squeezing"): (
+        {"kind": "homodyne"}, {}, {"bath": {"n_thermal": 0.5, "squeezing": [0.0, 0.5]}}),
+    ("generalized_heterodyne", "thermal_bath"): (
+        {"kind": "heterodyne"}, {}, {"bath": {"n_thermal": 0.5, "squeezing": 0.3}}),
+}
+
+
+def _need_document(unravelling, feedback, model):
+    doc = {"schema_version": 1, "system": {"kind": "qubit"},
+           "model": {"channels": [{"rate": 1.0, "op": "sigma_minus"}], **model},
+           "unravelling": unravelling, "feedback": feedback,
+           "run": {"dt": 1e-3, "t_final": 0.01, "n_traj": 4}}
+    return {key: value for key, value in doc.items() if value != {}}
+
+
+def test_need_cases_cover_every_row_a_document_can_break():
+    # jump_sse is selected by no document, and a non-vacuum bath under a
+    # homodyne or heterodyne unravelling selects a generalized kind
+    from contmon.jump import NEEDS
+
+    rows = {(kind, row[0]) for kind, table in NEEDS.items() for row in table}
+    unreachable = {("jump_sse", need) for need in ("unit_efficiency", "vacuum_bath",
+                                                   "state_vector")}
+    unreachable |= {(kind, "vacuum_bath") for kind in ("homodyne", "homodyne_kraus", "heterodyne",
+                                                       "linear_homodyne_kraus")}
+    assert rows - unreachable == set(NEED_CASES)
+
+
+@pytest.mark.parametrize("kind, need", list(NEED_CASES),
+                         ids=[f"{kind}-{need}" for kind, need in NEED_CASES])
+def test_document_and_scenario_report_a_need_alike(kind, need):
+    # the document reports the row at its path under its rule, with the
+    # message that Scenario raises for the same values
+    from contmon.core_ops import build_standard_ops
+    from contmon.ensemble import Scenario
+    from contmon.jump import NEEDS
+    from contmon.master_equation import BathSpec, OpenSystemModel
+
+    unravelling, feedback, model = NEED_CASES[kind, need]
+    _, path, rule, message = next(row for row in NEEDS[kind] if row[0] == need)
+    message = message.format(kind=kind)
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(_need_document(unravelling, feedback, model)))
+    assert err.value.errors == [f"$.{path}: rule {rule}: {message}"]
+
+    ops = build_standard_ops("qubit")
+    bath = dict(model.get("bath", {}))
+    squeezing = bath.pop("squeezing", 0.0)
+    bath["squeezing"] = complex(*squeezing) if isinstance(squeezing, list) else squeezing
+    system = OpenSystemModel(np.zeros((2, 2)), [(1.0, ops["sigma_minus"])], bath=BathSpec(**bath),
+                             efficiency=model.get("efficiency", 1.0),
+                             homodyne_phase=model.get("homodyne_phase", 0.0))
+    f_op = 0.5 * ops["sigma_x"] if feedback.get("operator") else None
+    with pytest.raises(ValueError) as exc:
+        Scenario(kind, system, ops["projector_e"], feedback_operator=f_op,
+                 beta_ost=unravelling.get("beta", 1.0))
+    assert str(exc.value) == message
+
+
+def test_replaced_operator_bath_needs_the_squeezing_it_builds():
+    # c~ is built from N alone, so a complex M of modulus sqrt(N(N+1)) is
+    # not the bath it runs; the homodyne real-squeezing need used to report it
+    bath = {"n_thermal": 0.5, "squeezing": [0.0, np.sqrt(0.75)]}
+    doc = _need_document({"kind": "homodyne", "bath_mode": "replaced_operator"}, {},
+                         {"bath": bath})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [e.split(": operator")[0] for e in err.value.errors] == [
+        "$.unravelling.bath_mode: rule replaced_operator_squeezed_vacuum"]
+
+
+def test_size_rule_charges_the_statistics_in_flight_only():
+    # run_ensemble merges block statistics as they arrive, so 2 * 10**7
+    # trajectories in blocks of 64 over 10**4 steps need far less than the
+    # 116 GiB that charging every block's statistics gave
+    doc = get_preset("qubit_decay_jump")
+    doc["run"].update(n_traj=2 * 10**7, block_size=64, dt=1e-3, t_final=10.0)
+    assert parse_config(json.dumps(doc)).data["run"]["n_traj"] == 2 * 10**7
+
+
 # the values a mutated leaf takes: wrong types, non-finite and out-of-range
 # numbers, ragged and non-square matrices and nested objects
 LEAF_VALUES = ["abc", "", True, False, None, NAN, INF, -INF, -1, 0, 2.7,

@@ -74,6 +74,14 @@ def qubit_spec(qubit_ops, **kw):
     return EnsembleSpec(**base)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two_pow_64"])
+def test_spec_rejects_out_of_range_seed(qubit_ops, seed):
+    # the substream key word holds the seed: -1 used to run the streams of
+    # 2**64 - 1, and 2**64 those of 0
+    with pytest.raises(ValueError, match=r"master_seed must be an integer in \[0, 2\*\*64 - 1\]"):
+        qubit_spec(qubit_ops, master_seed=seed)
+
+
 def test_trajectory_rng_reproducible():
     a = trajectory_rng(5, 7).standard_normal(4)
     b = trajectory_rng(5, 7).standard_normal(4)
@@ -801,6 +809,23 @@ def test_per_state_steppers_called_above_kernel_dim(qubit_ops, kind, monkeypatch
     # the name predates the right-product kernels: above BATCH_GEMM_MAX_DIM
     # the entry points are the kernels too, and only jump_sse steps per state
     _assert_entry_points(kind, BATCH_GEMM_MAX_DIM + 1, qubit_ops, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", [k for k in HILBERT_KINDS if not KINDS[k].pure])
+def test_block_form_follows_the_kernel(qubit_ops, kind, monkeypatch):
+    # the kernel layer alone decides whether a block holds coordinates: with
+    # its bound lowered below d = 2 the qubit kernels carry no maps, and the
+    # blocks step (B, d, d) states to the same means
+    from contmon import jump
+
+    spec = qubit_spec(qubit_ops, n_traj=20, t_final=0.05, block_size=8)
+    coords = run_ensemble(spec, kind_scenario(kind, qubit_ops))
+    monkeypatch.setattr(jump, "BATCH_GEMM_MAX_DIM", 1)
+    scenario = kind_scenario(kind, qubit_ops)  # a new model, so no cached kernel
+    states = run_ensemble(spec, scenario)
+    assert KINDS[kind].kernel(scenario, spec.dt).coords is False
+    for name, mean in coords.means.items():
+        np.testing.assert_allclose(states.means[name], mean, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", [k for k in HILBERT_KINDS if not KINDS[k].pure])
