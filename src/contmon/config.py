@@ -430,10 +430,11 @@ def _kind_rules(cfg: dict, kind: str, ctx: _Collector) -> None:
     Counted from below, in bytes, for a run of the scenario ``kind`` as
     ``_spec_fields`` sets it up: the operator set; per block in flight the
     state and one work buffer, and the noise block; the per-step statistics
-    of the blocks in flight and of their merge; per block its entry in
-    ``run_ensemble``'s ``blocks`` list and the result dict ``partials`` keeps;
-    stored states and records.  A kind that draws nothing holds every state
-    of its trajectory, as the integrator it runs keeps them.
+    of the blocks in flight and, past one block, of their merge; per block its
+    entry in ``run_ensemble``'s ``blocks`` list and the result dict
+    ``partials`` keeps; stored states and records.  A kind that draws
+    nothing holds every state of its trajectory, as the integrator it runs
+    keeps them.
     """
     # a combination the rules reject names no kind: its unravelling's own
     # kind draws, records and counts alike
@@ -457,9 +458,11 @@ def _kind_rules(cfg: dict, kind: str, ctx: _Collector) -> None:
     blocks = -(-spec.n_traj // block)
     in_flight = min(spec.threads, blocks)
     # per block a (spec, scenario, lo, hi, shared) tuple and an empty dict, each
-    # in a list slot; the statistics of the blocks in flight and of their merge
+    # in a list slot; the statistics of the blocks in flight and, when there
+    # is more than one block, of their merge
     need = ops + path + blocks * (sys.getsizeof((None,) * 5) + sys.getsizeof({}) + 2 * 8)
-    need += (in_flight + 1) * 8 * math.prod(stats_shape(kind, steps, len(_recorded(cfg))))
+    need += (in_flight + (blocks > 1)) * 8 * math.prod(
+        stats_shape(kind, steps, len(_recorded(cfg))))
     need += in_flight * block * (2 * state * entry + steps * draws * 8)
     stored = (spec.store_states or not draws) * (steps + 1) * state * entry
     stored += spec.store_records * steps * draws * (1 if clicks else 8)
@@ -520,11 +523,12 @@ def _hilbert_rules(cfg: dict, bath: BathSpec, ctx: _Collector) -> str:
         (ukind != "none" and len(model["channels"]) != 1, "$.model.channels",
          "rule single_channel: an unravelling monitors exactly one collapse channel"),
         # c~ = mu c - nu c^dag is built from N alone, so it has M = +sqrt(N(N+1))
+        # and no drive
         (diffusive_bath and unrav["bath_mode"] == "replaced_operator"
-         and abs(bath.squeezing - np.sqrt(n_th * (n_th + 1.0))) > 1e-12,
+         and (abs(bath.squeezing - np.sqrt(n_th * (n_th + 1.0))) > 1e-12 or bath.drive != 0),
          "$.unravelling.bath_mode",
          "rule replaced_operator_squeezed_vacuum: operator replacement needs "
-         "M = +sqrt(N(N+1))"),
+         "M = +sqrt(N(N+1)) and no bath drive"),
         (linear and fkind != "none", "$.unravelling.linear",
          "rule linear_no_feedback: linear trajectories exclude feedback"),
         (linear and ukind not in ("jump", "homodyne"), "$.unravelling.linear",

@@ -10,8 +10,10 @@ vectorized form; block statistics are merged in index order.
 
 Variates drawn per step and trajectory: ``KINDS[kind].draws`` for each
 Hilbert-space kind (uniforms for click kinds and in two-point mode, normals
-otherwise), one normal per monitored current for Gaussian runs, and none for
-the two noise-free kinds below.
+otherwise), one normal per live current for Gaussian runs (a current whose
+increment can move the means, see :func:`_gaussian_block`), and none for the
+two noise-free kinds below.  A Gaussian run that keeps records draws its dead
+currents' increments from a second substream of each trajectory.
 
 Step dispatch: every Hilbert-space kind advances its block through the
 ``advance`` its ``Kind.kernel`` builds once per block.  A density-matrix kind
@@ -104,15 +106,19 @@ class PhysicalityError(RuntimeError):
         self.step = step
 
 
-def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
+def trajectory_rng(master_seed: int, index: int, stream: int = 0) -> np.random.Generator:
     """Independent, seekable substream for one trajectory: Philox keyed by
-    (master_seed, trajectory_index), counter 0.
+    (master_seed, trajectory_index), with the counter's top 64-bit word set to
+    ``stream`` and the rest 0.
 
-    This is the public noise contract.  The ensemble does not construct these
-    generators: it re-keys one Philox generator per block to the same state,
-    so the noise of trajectory ``index`` equals this generator's draws."""
+    This is the public noise contract.  Stream 0 is the noise every kind
+    steps on; stream 1, which starts 2**192 Philox blocks later, holds the
+    Wiener increments of a Gaussian run's dead currents, drawn only for their
+    records.  The ensemble does not construct these generators: it re-keys
+    one Philox generator per block to the same state, so the noise of
+    trajectory ``index`` equals this generator's draws."""
     key = np.array([master_seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key, counter=stream << 192))
 
 
 @dataclass
@@ -216,14 +222,15 @@ class EnsembleStats:
     extra: dict = field(default_factory=dict)
 
 
-def _noise_matrix(master_seed, lo, hi, count, law):
+def _noise_matrix(master_seed, lo, hi, count, law, stream=0):
     """Row i holds the first ``count`` variates of ``trajectory_rng(master_seed,
-    lo + i)``.  One Philox generator serves the block: each row re-keys it to
-    the state a fresh ``Philox(key=...)`` starts in (counter 0, empty buffer),
-    which costs a fraction of constructing a new generator per trajectory."""
+    lo + i, stream)``.  One Philox generator serves the block: each row re-keys
+    it to the state a fresh generator of that substream starts in (its
+    counter, an empty buffer), which costs a fraction of constructing a new
+    generator per trajectory."""
     out = np.empty((hi - lo, count))
     key = np.array([master_seed, lo], dtype=np.uint64)
-    bits = np.random.Philox(key=key)
+    bits = np.random.Philox(key=key, counter=stream << 192)
     state = bits.state
     state["state"]["key"] = key
     rng = np.random.Generator(bits)
@@ -235,14 +242,14 @@ def _noise_matrix(master_seed, lo, hi, count, law):
     return out
 
 
-def _increments(spec: EnsembleSpec, lo, hi, count, clicks):
-    """The first ``count`` increments of trajectories lo..hi - 1, one row
-    each: uniforms for click kinds, else Wiener increments, normals times
-    sqrt(dt) or, in two-point mode, +-sqrt(dt) with probability 1/2 each
-    (+ where the uniform is below 1/2), mapped in place."""
+def _increments(spec: EnsembleSpec, lo, hi, count, clicks, stream=0):
+    """The first ``count`` increments of trajectories lo..hi - 1 on their
+    substream ``stream``, one row each: uniforms for click kinds, else Wiener
+    increments, normals times sqrt(dt) or, in two-point mode, +-sqrt(dt) with
+    probability 1/2 each (+ where the uniform is below 1/2), mapped in place."""
     two_point = spec.noise == "two_point"
     z = _noise_matrix(spec.master_seed, lo, hi, count,
-                      "uniform" if clicks or two_point else "normal")
+                      "uniform" if clicks or two_point else "normal", stream)
     if not clicks:
         if two_point:  # +-1/2, + where z < 1/2, then scaled by 2 sqrt(dt)
             np.subtract(z < 0.5, 0.5, out=z)
@@ -458,6 +465,12 @@ def _gaussian_paths(spec: EnsembleSpec, scenario: Scenario):
     r_{k+1} = Phi r_k + Gamma_k dw_k, where Phi = I + dt (A - R) and
     Gamma_k = (E - sigma_k B)/sqrt(2) + G, with (R, G) the feedback terms of
     the scenario's controller (:func:`contmon.gaussian.feedback_terms`).
+
+    Current j is live when column j of E, B or G is nonzero: only then can
+    its increment move the means.  That is read from the model's structure,
+    not from the path, whose columns can vanish at a step (Gamma_0 = 0 from
+    vacuum when E = B).  ``live`` lists the live currents and ``gammas``
+    holds their columns of Gamma_k only, contiguous.
     """
     model: GaussianModel = scenario.model
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -465,27 +478,41 @@ def _gaussian_paths(spec: EnsembleSpec, scenario: Scenario):
             covariance_path(model, scenario.initial_state.cov, spec.dt, spec.n_steps))
     r_mat, g_mat = feedback_terms(model, scenario.f_mat, scenario.controller or ("none", None))
     phi = np.eye(model.dim) + spec.dt * (model.A - r_mat)
-    gammas = (model.E - covs[:-1] @ model.B) / np.sqrt(2.0) + g_mat
-    return dict(phi=phi, gammas=gammas, extra=dict(cov_path=covs))
+    live = np.flatnonzero(np.any((model.E != 0) | (model.B != 0) | (g_mat != 0), axis=0))
+    gammas = ((model.E - covs[:-1] @ model.B) / np.sqrt(2.0) + g_mat)[..., live]
+    return dict(phi=phi, gammas=gammas, live=live, extra=dict(cov_path=covs))
 
 
 def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     """Step a block of conditional means in chunks of steps.
 
+    Each trajectory draws one normal per step and live current (``live`` of
+    :func:`_gaussian_paths`), interleaved by step, from its substream 0.  A
+    dead current moves no mean, so its increments are drawn only for the
+    records, from substream 1, and the statistics never depend on whether
+    records are kept.
+
     Per chunk, the noise terms Gamma_k dw_k of every step are one batched
-    matmul, written where the states go; the recursion then adds Phi r_k, one
-    small GEMM per step; the statistics of x and x^2, the records
-    dy_k = -sqrt(2) dt B^T r_k + dw_k and the stored states are each one call
-    per chunk.  The states of a chunk are held time-major as (steps, 2n, block),
-    so each quadrature's values run over contiguous rows, and every buffer
-    holds at most ``CHUNK_BUFFER_BYTES``.
+    matmul over the live currents, written where the states go; the recursion
+    then adds Phi r_k, one small GEMM per step; the statistics of x and x^2,
+    the records dy_k = -sqrt(2) dt B^T r_k + dw_k and the stored states are
+    each one call per chunk.  The states of a chunk are held time-major as
+    (steps, 2n, block), so each quadrature's values run over contiguous rows,
+    and every buffer holds at most ``CHUNK_BUFFER_BYTES``.
     """
     model: GaussianModel = scenario.model
     n_steps, m, dim, nblk = spec.n_steps, model.n_currents, model.dim, hi - lo
-    phi, gammas = shared["phi"], shared["gammas"]
-    dw = _increments(spec, lo, hi, n_steps * m, False).reshape(nblk, n_steps, m)
+    phi, gammas, live = shared["phi"], shared["gammas"], shared["live"]
+    dw = _increments(spec, lo, hi, n_steps * len(live), False).reshape(nblk, n_steps, len(live))
     states_out = np.empty((nblk, n_steps + 1, dim)) if spec.store_states else None
-    records = np.empty((nblk, n_steps, m)) if spec.store_records else None
+    records = None
+    if spec.store_records:  # the increments, to which each chunk adds its drift
+        records = np.empty((nblk, n_steps, m))
+        records[..., live] = dw
+        dead = np.setdiff1d(np.arange(m), live)
+        if len(dead):
+            records[..., dead] = _increments(spec, lo, hi, n_steps * len(dead), False,
+                                             stream=1).reshape(nblk, n_steps, len(dead))
     chunk = max(1, CHUNK_BUFFER_BYTES // (8 * nblk * max(dim, m)))
     r = np.empty((chunk + 1, dim, nblk))
     r[0] = scenario.initial_state.mean[:, None]
@@ -504,7 +531,7 @@ def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
         for j in range(steps):
             r[j + 1] += phi @ r[j]
         if records is not None:
-            records[:, k0:k1] = (dy_scale * (model.B.T @ r[:steps]) + w).transpose(2, 0, 1)
+            records[:, k0:k1] += (dy_scale * (model.B.T @ r[:steps])).transpose(2, 0, 1)
         if states_out is not None:
             states_out[:, k0 + 1:k1 + 1] = r[1:steps + 1].transpose(2, 0, 1)
         # the columns x, then x^2, of the observed quadratures; the first

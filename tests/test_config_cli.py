@@ -239,6 +239,21 @@ def test_cli_saves_stored_states(tmp_path, capsys, preset):
         np.testing.assert_array_equal(payload["states"], states)
 
 
+def test_opo_statistics_do_not_depend_on_the_records_flag(tmp_path):
+    # the OPO's dead current moves no mean, so its increments are drawn only
+    # for the records, from each trajectory's substream 1: keeping them moves
+    # no statistic.  Blocks of 64 over 600 steps cross a chunk boundary
+    doc = get_preset("opo_conditional")
+    doc["run"].update(n_traj=150, t_final=0.6, block_size=64)
+    out = {}
+    for records in (False, True):
+        doc["output"]["records"] = records
+        out[records] = tmp_path / f"records_{records}"
+        run_scenario(parse_config(json.dumps(doc)), out_dir=out[records])
+    assert (out[True] / "records.npz").exists() and not (out[False] / "records.npz").exists()
+    assert (out[True] / "stats.csv").read_bytes() == (out[False] / "stats.csv").read_bytes()
+
+
 def test_cli_validate_and_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(MINIMAL))
@@ -1060,6 +1075,36 @@ def test_replaced_operator_bath_needs_the_squeezing_it_builds():
         parse_config(json.dumps(doc))
     assert [e.split(": operator")[0] for e in err.value.errors] == [
         "$.unravelling.bath_mode: rule replaced_operator_squeezed_vacuum"]
+
+
+@pytest.mark.parametrize("preset", ["coherent_drive", "squeezed_vacuum_homodyne"])
+def test_replaced_operator_bath_rejects_a_drive(tmp_path, capsys, preset):
+    # c~ = mu c - nu c^dag carries no drive: a driven bath under operator
+    # replacement used to run as the vacuum-bath homodyne of c~, drive dropped
+    doc = get_preset(preset)
+    doc["model"]["bath"]["drive"] = 0.5
+    doc["unravelling"]["bath_mode"] = "replaced_operator"
+    doc["run"].update(t_final=0.01, n_traj=4)
+    _assert_rejected(tmp_path, capsys, doc,
+                     "$.unravelling.bath_mode: rule replaced_operator_squeezed_vacuum")
+
+
+@pytest.mark.parametrize("n_traj, threads, gib", [
+    (64, 1, "8.19e+03"), (64, 2, "8.19e+03"), (65, 1, "1.64e+04"), (65, 2, "2.46e+04"),
+], ids=["one_block", "one_block_two_threads", "two_blocks", "two_blocks_two_threads"])
+def test_size_rule_charges_a_merge_only_past_one_block(monkeypatch, n_traj, threads, gib):
+    # a one-block run's merged statistics are its block's own, so it holds
+    # one block of them; with more blocks the merge is one more.  Statistics
+    # of 8 TiB a block make every other charge vanish at 3 digits
+    from contmon import config
+
+    monkeypatch.setattr(config, "stats_shape", lambda *args: (2**40,))
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["run"].update(n_traj=n_traj, block_size=64, threads=threads)
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors[-1].startswith(f"$.run: rule run_memory: the run needs at least "
+                                           f"{gib} GiB at once")
 
 
 def test_size_rule_charges_the_statistics_in_flight_only():

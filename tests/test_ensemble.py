@@ -95,17 +95,20 @@ def test_trajectory_rng_reproducible():
 def test_noise_matrix_rows_are_trajectory_substreams(law, method, seed):
     # the block re-keys one generator per row; each row must still be the
     # trajectory's own substream, from a nonzero first index through a ragged
-    # last block, at counts that leave part of Philox's 4-word buffer unread
-    def reference(lo, hi, count):
-        return np.array([getattr(trajectory_rng(seed, idx), method)(count)
+    # last block, at counts that leave part of Philox's 4-word buffer unread;
+    # and so on stream 1, the dead Gaussian currents' substream
+    def reference(lo, hi, count, stream):
+        return np.array([getattr(trajectory_rng(seed, idx, stream), method)(count)
                          for idx in range(lo, hi)])
 
     for lo, hi, count in ((0, 4, 1), (5, 12, 3), (64, 101, 301), (128, 129, 3)):
-        first = _noise_matrix(seed, lo, hi, count, law)
-        again = _noise_matrix(seed, lo, hi, count, law)
-        assert first.shape == (hi - lo, count) and first.dtype == np.float64
-        np.testing.assert_array_equal(first, reference(lo, hi, count))
-        np.testing.assert_array_equal(again, first)
+        for stream in (0, 1):
+            first = _noise_matrix(seed, lo, hi, count, law, stream=stream)
+            again = _noise_matrix(seed, lo, hi, count, law, stream=stream)
+            assert first.shape == (hi - lo, count) and first.dtype == np.float64
+            np.testing.assert_array_equal(first, reference(lo, hi, count, stream))
+            np.testing.assert_array_equal(again, first)
+        assert not np.any(first == _noise_matrix(seed, lo, hi, count, law))
 
 
 def test_single_trajectory_bit_for_bit_jump(qubit_ops, decay_model, excited):
@@ -176,8 +179,10 @@ def test_single_trajectory_bit_for_bit_gaussian():
         observables=(("q", None), ("p", None)),
     )
     stats = run_ensemble(spec, Scenario("gaussian", model, GaussianState.vacuum(1)))
-    rng = trajectory_rng(17, 0)
-    zs = rng.standard_normal(spec.n_steps * 2).reshape(spec.n_steps, 2)
+    # the OPO's second current is dead: the run draws only the first, and
+    # whatever the second's increments, they move no mean
+    zs = np.column_stack([trajectory_rng(17, 0, stream).standard_normal(spec.n_steps)
+                          for stream in (0, 1)])
     state = GaussianState.vacuum(1)
     manual_q = [state.mean[0]]
     for k in range(spec.n_steps):
@@ -192,21 +197,28 @@ def _gaussian_reference(spec, scenario):
     ``covariance_path``, for every step one Euler-Maruyama update of all
     trajectories with the feedback terms added separately.  The moments are
     taken over all trajectories at once and two-pass: the SE as
-    np.std(ddof=1) / sqrt(n), the spreads of x and x^2 as np.var."""
+    np.std(ddof=1) / sqrt(n), the spreads of x and x^2 as np.var.  A current
+    is live when its column of E, B or the Markovian F M is nonzero; the live
+    currents' increments are interleaved by step on each trajectory's
+    substream 0, the dead ones' on its substream 1."""
     model = scenario.model
     n, m, n_steps, dt = spec.n_traj, model.n_currents, spec.n_steps, spec.dt
     covs = covariance_path(model, scenario.initial_state.cov, dt, n_steps)
-    noise = _noise_matrix(spec.master_seed, 0, n, n_steps * m, "normal")
     comp = [model.labels.index(name) for name, _ in spec.observables]
     states = np.empty((n, n_steps + 1, model.dim))
     records = np.empty((n, n_steps, m))
     ckind, cmat = scenario.controller if scenario.controller else ("none", None)
     fk = scenario.f_mat @ np.atleast_2d(cmat) if ckind == "lqg" else None
     fm = scenario.f_mat @ np.atleast_2d(cmat) if ckind == "markovian" else None
+    moves = (model.E != 0) | (model.B != 0) | (fm is not None and fm != 0)
+    noise = np.empty((n, n_steps, m))
+    for stream, cols in enumerate((moves.any(axis=0), ~moves.any(axis=0))):
+        draws = _noise_matrix(spec.master_seed, 0, n, n_steps * cols.sum(), "normal", stream)
+        noise[..., cols] = draws.reshape(n, n_steps, cols.sum())
     means = np.broadcast_to(scenario.initial_state.mean, (n, model.dim)).copy()
     states[:, 0] = means
     for k in range(n_steps):
-        dw = noise[:, k * m:(k + 1) * m] * np.sqrt(dt)
+        dw = noise[:, k] * np.sqrt(dt)
         gain = model.E - covs[k] @ model.B
         dy = -np.sqrt(2.0) * dt * (means @ model.B) + dw
         new = means + (means @ model.A.T) * dt + (dw @ gain.T) / np.sqrt(2.0)
@@ -275,6 +287,55 @@ def test_gaussian_chunked_steps_match_per_step_loop(name, controller, steps):
         assert_agrees(stats.extra["var_x2"][label], ref["var_x2"][:, j])
     assert_agrees(stats.states, ref["states"])
     assert_agrees(stats.records, ref["records"])
+
+
+@pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
+def test_opo_dead_current_records_its_substream_1_increments(controller):
+    # the OPO's second current has zero columns in E, B and F M, so it moves
+    # no mean: its record -sqrt(2) dt (B^T r)_2 + dw_2 takes dw_2 from the
+    # trajectory's substream 1, while the first current's come from substream 0
+    model, scenario = gaussian_case("opo", controller)
+    spec = EnsembleSpec(
+        n_traj=5, master_seed=41, dt=1e-3, t_final=0.2, block_size=3,
+        observables=(("q", None),), store_states=True, store_records=True,
+    )
+    stats = run_ensemble(spec, scenario)
+    drift = -np.sqrt(2.0) * spec.dt * (stats.states[:, :-1] @ model.B)
+    for idx in range(spec.n_traj):
+        live, dead = (trajectory_rng(41, idx, stream).standard_normal(spec.n_steps)
+                      for stream in (0, 1))
+        np.testing.assert_array_equal(stats.records[idx, :, 1],
+                                      dead * np.sqrt(spec.dt) + drift[idx, :, 1])
+        np.testing.assert_allclose(stats.records[idx, :, 0],
+                                   live * np.sqrt(spec.dt) + drift[idx, :, 0], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
+def test_two_mode_gaussian_keeps_the_interleaved_layout(controller, monkeypatch):
+    # every two-mode current is live, so each trajectory draws all of them
+    # interleaved by step from its substream 0, as before dead currents were
+    # skipped, and nothing from substream 1 even when records are kept
+    model, scenario = gaussian_case("two_mode", controller)
+    spec = EnsembleSpec(
+        n_traj=70, master_seed=43, dt=1e-3, t_final=0.3, block_size=64,
+        observables=tuple((label, None) for label in model.labels),
+        store_states=True, store_records=True,
+    )
+    stats = run_ensemble(spec, scenario)
+    count = spec.n_steps * model.n_currents
+
+    def interleaved(spec, lo, hi, n, clicks, stream=0):
+        assert (n, clicks, stream) == (count, False, 0)
+        return np.sqrt(spec.dt) * np.array([trajectory_rng(spec.master_seed, idx)
+                                            .standard_normal(count) for idx in range(lo, hi)])
+
+    monkeypatch.setattr(ensemble, "_increments", interleaved)
+    old = run_ensemble(spec, scenario)
+    np.testing.assert_array_equal(stats.states, old.states)
+    np.testing.assert_array_equal(stats.records, old.records)
+    for label in model.labels:
+        np.testing.assert_array_equal(stats.means[label], old.means[label])
+        np.testing.assert_array_equal(stats.std_errs[label], old.std_errs[label])
 
 
 @pytest.mark.parametrize("controller", ["none", "markovian", "lqg"])
