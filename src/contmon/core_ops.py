@@ -123,11 +123,30 @@ def expectation(rho: np.ndarray, op: np.ndarray):
 
 
 # Largest state dimension at which the step kernels are (d^2, d^2) real maps on
-# coherence coordinates (see below): there numpy's per-call overhead dominates,
-# and one GEMM over the whole batch replaces a product per operator.  A
-# superoperator costs d times the flops of a (d, d) product, so above it the
-# kernels use right products of the C-contiguous state only (see contmon.jump).
-BATCH_GEMM_MAX_DIM = 4
+# coherence coordinates (see below): one real GEMM over the whole batch
+# replaces a complex right product per operator, with its transposing copies
+# and per-row sums.  A map costs about d times the flops of a (d, d) product,
+# so above it the kernels use right products of the C-contiguous state only
+# (see contmon.jump).  Coordinate time over right-product time for a driven,
+# decaying mode (1 BLAS thread, 1024 trajectories x 60 steps, median of 3):
+#
+#     family                        d = 5     6     8    12    16    20
+#     Euler homodyne                  0.41  0.44  0.45  0.57  0.71  0.98
+#     jump                            0.56  0.60  0.71  0.90  1.24  1.80
+#
+# 12 is the largest d at which neither family is slower.
+BATCH_GEMM_MAX_DIM = 12
+
+# Largest state dimension at which the two diffusive Kraus kinds
+# (homodyne_kraus, linear_homodyne_kraus) step coordinates; above it they keep
+# right products (see contmon.diffusive).  Their maps drift 1e-13 to 2e-13
+# (relative) from the literal sandwich over 10^3 steps at every d from 3 to 12,
+# against under 1e-14 for right products; at d = 6 the unnormalized linear
+# state grows to entries of 7.4, and its drift passes 1e-12 absolute.
+# Lowered, they took 0.84x / 0.90x / 1.01x their right-product time at
+# d = 5 / 8 / 12.  4 is the bound every kind shared before it was raised;
+# d = 5 was not checked against the literal sandwich.
+KRAUS_COORDS_MAX_DIM = 4
 
 # The most each per-chunk buffer holds: every ensemble kind's statistics, the
 # Gaussian mean steps, and the powers of a Gaussian covariance propagator.

@@ -18,14 +18,18 @@ the normalization).  :func:`diffusive_kernel` compiles a step for fixed
 GEMM of the ``(B d, d)`` view per constant operator, where each measured
 channel's product rho R_k gives both its increment term and, from its
 diagonal, its shift, and a channel that is a multiple of a sandwich operator
-reuses that sandwich's product.  At d <= 4 (``BATCH_GEMM_MAX_DIM``) the
-kernel also carries that step lowered to one real matrix of stacked maps and
+reuses that sandwich's product.  At d <= ``BATCH_GEMM_MAX_DIM`` the kernel
+also carries that step lowered to one real matrix of stacked maps and
 expectation rows on the coherence coordinates of :mod:`contmon.jump`'s
-kernels, applied to the (d^2, B) coordinates of the batch in one GEMM.
-:func:`diffusive_kernel_step` runs either form, and the ensemble runs every
-diffusive kind through it.  Each per-state stepper above is the same kernel,
-stepping a copy of its input on the supplied increments; the kind
-``linear_homodyne_kraus`` exists only for :func:`linear_homodyne_kraus_step`.
+kernels, applied to the (d^2, B) coordinates of the batch in one GEMM.  The
+Kraus kinds (``homodyne_kraus``, ``linear_homodyne_kraus``) carry it only at
+d <= ``KRAUS_COORDS_MAX_DIM``: above, their maps drift further from the
+literal sandwich than right products do, and gain no speed (see
+:mod:`contmon.core_ops`).  :func:`diffusive_kernel_step` runs either
+form, and the ensemble runs every diffusive kind through it.  Each per-state
+stepper above is the same kernel, stepping a copy of its input on the
+supplied increments; the kind ``linear_homodyne_kraus`` exists only for
+:func:`linear_homodyne_kraus_step`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_ops import dagger, to_coords, trace
+from .core_ops import KRAUS_COORDS_MAX_DIM, dagger, to_coords, trace
 from .jump import (
     HalfForm,
     WeightedState,
@@ -257,10 +261,11 @@ class DiffusiveKernel:
     rho M^dag = rho base^dag + dy rho R, W = M rho M^dag plus the sandwiches,
     halved for the linear kind.
 
-    ``maps`` (d <= ``BATCH_GEMM_MAX_DIM`` only) is this step lowered to the
-    coordinates: Euler kinds stack the map of the drift's W + W^dag, the m
-    channels' measurement maps (less ``shift`` for linear kinds) and, unless
-    the kind is linear, the m shift rows R_k + R_k^dag, so that
+    ``maps`` (d <= ``BATCH_GEMM_MAX_DIM``, and d <= ``KRAUS_COORDS_MAX_DIM``
+    for Kraus kinds, only) is this step lowered to the coordinates: Euler
+    kinds stack the map of the drift's W + W^dag, the m channels' measurement
+    maps (less ``shift`` for linear kinds) and, unless the kind is linear,
+    the m shift rows R_k + R_k^dag, so that
     r' = y0 + sum_k dw_k (y_k - s_k r).  Kraus kinds stack the maps of
     M rho M^dag = y0 + dy y1 + dy^2 y2 (with the sandwiches).  The current rows
     come last.
@@ -287,9 +292,10 @@ def diffusive_kernel(
     """The compiled step of the diffusive kind ``kind`` ("homodyne",
     "homodyne_kraus", "heterodyne", "homodyne_feedback", "generalized_homodyne",
     "generalized_heterodyne", "linear_homodyne" or "linear_homodyne_kraus"),
-    with its coordinate ``maps`` at d <= ``BATCH_GEMM_MAX_DIM``.  ``f_op`` is
-    the feedback operator of "homodyne_feedback", ``mu`` the ostensible mean
-    of "linear_homodyne"."""
+    with its coordinate ``maps`` at d <= ``BATCH_GEMM_MAX_DIM``, or d <=
+    ``KRAUS_COORDS_MAX_DIM`` for the two Kraus kinds.  ``f_op`` is the
+    feedback operator of "homodyne_feedback", ``mu`` the ostensible mean of
+    "linear_homodyne"."""
     check_needs(kind, model, f_op)
     return _cached_kernel(model, kind, dt, f_op, mu, _diffusive_maps, _compile_diffusive)
 
@@ -349,7 +355,9 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
     raise ValueError(f"no diffusive kernel for kind {kind!r}")
 
 
-def _diffusive_maps(kernel: DiffusiveKernel, d: int) -> np.ndarray:
+def _diffusive_maps(kernel: DiffusiveKernel, d: int) -> np.ndarray | None:
+    if kernel.kraus is not None and d > KRAUS_COORDS_MAX_DIM:
+        return None  # the Kraus kinds keep right products there
     form = HalfForm(kernel.r0, tuple((a_d, b) for a_d, b, _ in kernel.products if b is not None))
     drift = form.superop(d)
     rows = [] if kernel.linear else list(kernel.currents)
@@ -375,9 +383,10 @@ def diffusive_kernel_step(kernel, rho: np.ndarray, dw, work: dict | None = None)
     (rho', dy) with dy shaped like ``dw``, for ``rho`` in either form of
     :func:`contmon.jump.click_kernel_step`.
 
-    A kernel without ``maps`` (d > ``BATCH_GEMM_MAX_DIM``) advances ``rho`` in
-    place when the caller passes a ``work`` dict that it keeps for the batch,
-    where the step's buffers then live, and a copy otherwise.
+    A kernel without ``maps`` (d > ``BATCH_GEMM_MAX_DIM``, or d >
+    ``KRAUS_COORDS_MAX_DIM`` for the Kraus kinds) advances ``rho`` in place when the caller passes a ``work``
+    dict that it keeps for the batch, where the step's buffers then live, and
+    a copy otherwise.
     """
     if kernel.maps is None:
         return _right_step(kernel, *_right_work(rho, work), dw)

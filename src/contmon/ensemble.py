@@ -19,14 +19,17 @@ Step dispatch: every Hilbert-space kind advances its block through the
 ``advance`` its ``Kind.kernel`` builds once per block.  A density-matrix kind
 compiles its step there (:func:`contmon.jump.click_kernel`,
 :func:`contmon.diffusive.diffusive_kernel`), and the kernel decides the
-block's form.  When it carries coordinate ``maps`` (at d <= 4, see
-:func:`contmon.jump.click_kernel`) the block holds real (d^2, B) coordinates
-(:mod:`contmon.core_ops`), converted to (B, d, d) states only to be stored or
-checked: a step is one real GEMM plus per-row scalar corrections, and so are
-the observables.  Otherwise a right-product kernel updates the block's states
-in place through work buffers the block owns, with one GEMM of the (B d, d)
-view per constant operator, and the observables are one GEMM of the (B, d^2)
-view.  The state-vector kind ``jump_sse`` compiles nothing and steps through
+block's form.  When it carries coordinate ``maps`` (at d <=
+``core_ops.BATCH_GEMM_MAX_DIM``, or ``KRAUS_COORDS_MAX_DIM`` for the
+diffusive Kraus kinds; see :func:`contmon.jump.click_kernel` and
+:func:`contmon.diffusive.diffusive_kernel`) the block holds real (d^2, B)
+coordinates (:mod:`contmon.core_ops`), converted to (B, d, d) states only to
+be stored or checked: a step is one real GEMM plus per-row scalar
+corrections, and so are the observables.  Otherwise a right-product kernel
+updates the block's states in place through work buffers the block owns,
+with one GEMM of the (B d, d) view per constant operator, and the
+observables are one GEMM of the (B, d^2) view.  The state-vector kind
+``jump_sse`` compiles nothing and steps through
 :func:`contmon.jump.jump_sse_apply`.  Every kind calls these through the
 module attributes ``jump`` and ``diffusive``.
 

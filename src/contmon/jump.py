@@ -14,18 +14,18 @@ Click kernels: for a fixed (model, kind, dt) the density-matrix click kinds are
 linear in rho except for the scalar <c^dag c>, and :func:`click_kernel`
 compiles one step, stated once in the half form of the kernel section below:
 right products of the ``(B d, d)`` view, which allocate no (B, d, d) array
-when the caller keeps its work buffers.  At d <= 4 (``BATCH_GEMM_MAX_DIM``),
-where per-call overhead dominates, the kernel also carries that step lowered
-to a single real matrix, which takes the (d^2, B) coordinates of a state
-batch (``core_ops.to_coords``) to its no-click image, its click image and
-<c^dag c> in one GEMM.  :func:`click_kernel_step` runs either form, and the
-ensemble runs every density-matrix click kind through it.  The density-matrix
-steppers (the ``*_apply`` functions and :func:`linear_jump_step`) are the
-same kernels, stepping a copy of their input for the supplied outcome; only
-:func:`jump_sse_apply`, on state vectors, has a body of its own.  The
-compiled kernels of both families live in the per-model operator cache
-under ``("kernel", kind, dt, ...)`` keys, which only :func:`_cached_kernel`
-reads and writes.
+when the caller keeps its work buffers.  At d <= ``BATCH_GEMM_MAX_DIM``,
+where one real GEMM costs less than the right products, the kernel also
+carries that step lowered to a single real matrix, which takes the (d^2, B)
+coordinates of a state batch (``core_ops.to_coords``) to its no-click image,
+its click image and <c^dag c> in one GEMM.  :func:`click_kernel_step` runs
+either form, and the ensemble runs every density-matrix click kind through
+it.  The density-matrix steppers (the ``*_apply`` functions and
+:func:`linear_jump_step`) are the same kernels, stepping a copy of their
+input for the supplied outcome; only :func:`jump_sse_apply`, on state
+vectors, has a body of its own.  The compiled kernels of both families live
+in the per-model operator cache under ``("kernel", kind, dt, ...)`` keys,
+which only :func:`_cached_kernel` reads and writes.
 
 Preconditions: ``NEEDS`` states, once for every Hilbert-space kind of both
 families, the conditions its step is derived under (Wiseman & Milburn,
@@ -337,8 +337,9 @@ def jump_feedback_apply(
 
 # ---------------------------------------------------------------- kernels
 # A kernel states its step once, in the half form of the right-product
-# section below, and runs it there above BATCH_GEMM_MAX_DIM.  At d <=
-# BATCH_GEMM_MAX_DIM it also carries ``maps``, the same step lowered to the
+# section below, and runs it there above BATCH_GEMM_MAX_DIM; the diffusive
+# Kraus kinds run it there above KRAUS_COORDS_MAX_DIM (see contmon.core_ops).
+# Up to those bounds it also carries ``maps``, the same step lowered to the
 # coordinates: the (d^2, d^2) superoperator S of each of its terms (row-major
 # vec, so vec(A rho B) = (A kron B^T) vec(rho), and W + W^dag takes a term
 # A rho B of W to A rho B + B^dag rho A^dag) and one row vec(A^T) per
@@ -422,7 +423,8 @@ def _cached_kernel(model, kind, dt, f_op, param, lower, compile):
     ``f_op`` and the kind's scalar ``param`` (beta or mu), compiled by
     ``compile(ctx, model, kind, dt, f_op, param)`` on a miss and, at d <=
     ``BATCH_GEMM_MAX_DIM``, given the coordinate ``maps`` ``lower(kernel,
-    d)``.  Every compiled kernel of both families is cached here."""
+    d)``, which is None where a kind keeps right products.  Every compiled
+    kernel of both families is cached here."""
     ctx = _ctx(model)
     f_key = None if f_op is None else np.asarray(f_op, dtype=complex).tobytes()
     key = ("kernel", kind, dt, f_key, param)

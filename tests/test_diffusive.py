@@ -8,7 +8,7 @@ from contmon import (
     build_standard_ops,
     generalized_bath_me_rhs,
 )
-from contmon.core_ops import dagger, hermitize, trace
+from contmon.core_ops import BATCH_GEMM_MAX_DIM, dagger, hermitize, trace
 from contmon.diffusive import (
     diffusive_kernel,
     diffusive_kernel_step,
@@ -207,6 +207,16 @@ def test_kraus_steps_match_literal_sandwich(qubit_ops, eta, dim, kernel):
         gap = max(gap, np.max(np.abs(rho - rho_ref)), np.max(np.abs(dy - dy_ref)),
                   np.max(np.abs(lin.rho_bar - lin_ref)))
     assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["homodyne_kraus", "linear_homodyne_kraus"])
+def test_kraus_kernels_keep_right_products_above_d4(kind):
+    # the Kraus kinds carry coordinate maps at d = 3 but not at d = 6, where
+    # the maps drift from the literal sandwich further than right products
+    for dim, lowered in ((3, True), (6, False)):
+        ops = build_standard_ops("boson", dim)
+        model = OpenSystemModel(0.3 * ops["q"], [(1.0, ops["a"])])
+        assert (diffusive_kernel(model, kind, 1e-3).maps is not None) is lowered
 
 
 # ---------------------------------------------------------------- heterodyne
@@ -731,12 +741,13 @@ EULER_KERNEL_KINDS = {
 
 
 # per-state steppers, which wrap the kernels, at d = 2 and d = 12; the kernels
-# called directly at d = 2 and 3 (coordinates) and d = 6 (right products)
+# called directly at d = 2, 3 and 6 (coordinates) and above BATCH_GEMM_MAX_DIM
+# (right products)
 @pytest.mark.parametrize("name, dim, kernel", [
     pytest.param(name, 2, False, id=name) for name in EULER_KERNEL_KINDS
 ] + [pytest.param("feedback", 12, False, id="feedback_d12")] + [
     pytest.param(name, dim, True, id=f"{name}-d{dim}-kernel" if dim > 2 else f"{name}-kernel")
-    for dim in (2, 6, 3) for name in EULER_KERNEL_KINDS
+    for dim in (2, 6, 3, BATCH_GEMM_MAX_DIM + 1) for name in EULER_KERNEL_KINDS
 ])
 def test_euler_steps_match_literal_sme(qubit_ops, name, dim, kernel):
     model, n_draws, step, literal, kernel_kw = _euler_case(name, qubit_ops, dim)

@@ -459,6 +459,12 @@ def boson_scenario(kind, dim):
     return Scenario(kind, model, state0, feedback_operator=f_op, mu=0.2, beta_ost=0.8)
 
 
+# the dimensions of the kind-by-dimension tests: every kernel steps
+# coordinates at d = 2, every one but homodyne_kraus at d = 5, and every one
+# right products above BATCH_GEMM_MAX_DIM
+DIMS = (2, 5, BATCH_GEMM_MAX_DIM + 1)
+
+
 def dim_case(kind, dim, qubit_ops):
     """The scenario and observables of ``kind`` at d = 2 (qubit) or above (boson)."""
     if dim == 2:
@@ -468,10 +474,11 @@ def dim_case(kind, dim, qubit_ops):
 
 @pytest.mark.parametrize("kind, dim", [
     pytest.param(kind, dim, id=kind if dim == 2 else f"{kind}-d{dim}")
-    for dim in (2, BATCH_GEMM_MAX_DIM + 1) for kind in HILBERT_KINDS
+    for dim in DIMS for kind in HILBERT_KINDS
 ])
 def test_thread_count_invariance(qubit_ops, kind, dim):
-    # at d = 5 the blocks that run concurrently each step their own work buffers
+    # above BATCH_GEMM_MAX_DIM the blocks that run concurrently each step
+    # their own work buffers
     scenario, observables = dim_case(kind, dim, qubit_ops)
     kw = dict(n_traj=150, block_size=64, t_final=0.1, store_records=True, observables=observables)
     s1 = run_ensemble(qubit_spec(qubit_ops, threads=1, **kw), scenario)
@@ -498,7 +505,7 @@ def two_pass_se(kind, states, op):
 
 @pytest.mark.parametrize("kind, dim", [
     pytest.param(kind, dim, id=kind if dim == 2 else f"{kind}-d{dim}")
-    for dim in (2, BATCH_GEMM_MAX_DIM + 1) for kind in HILBERT_KINDS
+    for dim in DIMS for kind in HILBERT_KINDS
 ])
 def test_se_matches_two_pass_oracle(qubit_ops, kind, dim):
     # 150 trajectories in blocks of 64: the SE of the merged block statistics
@@ -756,11 +763,12 @@ def test_positivity_counters_come_only_from_a_density_matrix_check(qubit_ops, ki
 
 @pytest.mark.parametrize("kind, dim", [
     pytest.param(kind, dim, id=f"{kind}-d{dim}")
-    for dim in (2, BATCH_GEMM_MAX_DIM + 1) for kind in ("linear_jump", "linear_homodyne")
+    for dim in DIMS for kind in ("linear_jump", "linear_homodyne")
 ])
 def test_linear_positivity_tracking_matches_stored_state_oracle(qubit_ops, kind, dim):
     # a linear kind checks each stepped state divided by its trace (w <= 0
-    # read as 1), on the coordinates at d = 2 and on the states at d = 5
+    # read as 1), on the coordinates at d = 2 and 5 and on the states above
+    # BATCH_GEMM_MAX_DIM
     scenario, observables = dim_case(kind, dim, qubit_ops)
     spec = qubit_spec(qubit_ops, n_traj=40, block_size=16, t_final=0.1, store_states=True,
                       track_min_eigenvalue=True, observables=observables)
@@ -872,17 +880,27 @@ def test_per_state_steppers_called_above_kernel_dim(qubit_ops, kind, monkeypatch
     _assert_entry_points(kind, BATCH_GEMM_MAX_DIM + 1, qubit_ops, monkeypatch)
 
 
-@pytest.mark.parametrize("kind", [k for k in HILBERT_KINDS if not KINDS[k].pure])
-def test_block_form_follows_the_kernel(qubit_ops, kind, monkeypatch):
+def coords_at(dim):
+    """The density-matrix kinds whose kernels carry coordinate maps at d = ``dim``."""
+    return [k for k in HILBERT_KINDS
+            if not KINDS[k].pure and KINDS[k].kernel(boson_scenario(k, dim), 1e-3).coords]
+
+
+@pytest.mark.parametrize("kind, dim, bound", [
+    pytest.param(kind, dim, bound, id=kind if dim == 2 else f"{kind}-d{dim}")
+    for dim, bound in ((2, 1), (12, 4)) for kind in coords_at(dim)
+])
+def test_block_form_follows_the_kernel(qubit_ops, kind, dim, bound, monkeypatch):
     # the kernel layer alone decides whether a block holds coordinates: with
-    # its bound lowered below d = 2 the qubit kernels carry no maps, and the
-    # blocks step (B, d, d) states to the same means
+    # its bound lowered below d the kernels carry no maps, and the blocks step
+    # (B, d, d) states by right products to the same means
     from contmon import jump
 
-    spec = qubit_spec(qubit_ops, n_traj=20, t_final=0.05, block_size=8)
-    coords = run_ensemble(spec, kind_scenario(kind, qubit_ops))
-    monkeypatch.setattr(jump, "BATCH_GEMM_MAX_DIM", 1)
-    scenario = kind_scenario(kind, qubit_ops)  # a new model, so no cached kernel
+    scenario, observables = dim_case(kind, dim, qubit_ops)
+    spec = qubit_spec(qubit_ops, n_traj=20, t_final=0.05, block_size=8, observables=observables)
+    coords = run_ensemble(spec, scenario)
+    monkeypatch.setattr(jump, "BATCH_GEMM_MAX_DIM", bound)
+    scenario = dim_case(kind, dim, qubit_ops)[0]  # a new model, so no cached kernel
     states = run_ensemble(spec, scenario)
     assert KINDS[kind].kernel(scenario, spec.dt).coords is False
     for name, mean in coords.means.items():
@@ -891,11 +909,12 @@ def test_block_form_follows_the_kernel(qubit_ops, kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", [k for k in HILBERT_KINDS if not KINDS[k].pure])
 def test_right_kernel_step_allocates_no_state_sized_array(kind):
-    # a d = 12 block of B = 256 states through Kind.kernel: after the warm-up
-    # step has allocated the block's work buffers, the traced peak is the same
-    # over 5 and 50 steps, below 6 state-sized arrays, and no step allocates a
-    # state-sized temporary on top of what is already held
-    dim, n, dt = 12, 256, 1e-3
+    # a block of B = 256 states above BATCH_GEMM_MAX_DIM through Kind.kernel:
+    # after the warm-up step has allocated the block's work buffers, the
+    # traced peak is the same over 5 and 50 steps, below 6 state-sized
+    # arrays, and no step allocates a state-sized temporary on top of what is
+    # already held
+    dim, n, dt = BATCH_GEMM_MAX_DIM + 1, 256, 1e-3
     size = n * dim * dim * 16
     kind_rec = KINDS[kind]
     scenario = boson_scenario(kind, dim)
@@ -924,6 +943,40 @@ def test_right_kernel_step_allocates_no_state_sized_array(kind):
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
     assert max(peaks) < 6 * size
     assert max(rises) < size, rises
+
+
+@pytest.mark.parametrize("kind", coords_at(12))
+def test_coordinate_kernel_step_memory_is_flat(kind):
+    # a d = 12 block of B = 256 states held as (d^2, B) coordinates through
+    # Kind.kernel, compiled before tracing starts: each step allocates its
+    # images, and the traced peak is the same over 5 and 50 steps and below 4
+    # complex state-sized arrays
+    dim, n, dt = 12, 256, 1e-3
+    size = n * dim * dim * 16
+    kind_rec = KINDS[kind]
+    scenario = boson_scenario(kind, dim)
+    advance = kind_rec.kernel(scenario, dt)
+    assert advance.coords
+    state = np.repeat(to_coords(scenario.initial_state)[:, None], n, axis=1)
+    rng = np.random.default_rng(5)
+    shape = (n, kind_rec.draws) if kind_rec.draws > 1 else n
+
+    def draws():
+        return rng.random(shape) if kind_rec.clicks else rng.standard_normal(shape) * np.sqrt(dt)
+
+    tracemalloc.start()
+    try:
+        state, _ = advance(state, draws())
+        peaks = []
+        for steps in (5, 50):
+            tracemalloc.reset_peak()
+            for _ in range(steps):
+                state, _ = advance(state, draws())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    assert max(peaks) < 4 * size, [p / size for p in peaks]
 
 
 def test_two_point_mode_matches_gaussian_in_mean(qubit_ops, decay_model, excited):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contmon import OpenSystemModel, WeightedState, build_standard_ops, integrate_me
-from contmon.core_ops import dagger, hermitize, trace
+from contmon.core_ops import BATCH_GEMM_MAX_DIM, dagger, hermitize, trace
 from contmon.jump import (
     DarkStateJumpError,
     click_kernel,
@@ -235,9 +235,11 @@ def _oracle_model(qubit_ops, dim, eta=1.0):
 
 
 # per-state steppers, which wrap the kernels, and coordinate kernels called
-# directly at d = 2 (Pauli) and d = 3 (Gell-Mann); right-product kernels at d = 6
+# directly at d = 2 (Pauli), d = 3 (Gell-Mann) and d = 6; right-product kernels
+# above BATCH_GEMM_MAX_DIM
+RIGHT_DIM = BATCH_GEMM_MAX_DIM + 1
 ORACLE_PATHS = [(2, False, ""), (2, True, "-kernel"), (6, True, "-d6-kernel"),
-                (3, True, "-d3-kernel")]
+                (3, True, "-d3-kernel"), (RIGHT_DIM, True, f"-d{RIGHT_DIM}-kernel")]
 
 
 @pytest.mark.parametrize("stepper, eta, dim, kernel", [
@@ -288,7 +290,8 @@ def test_jump_steps_match_literal_products(qubit_ops, stepper, eta, dim, kernel)
 
 @pytest.mark.parametrize("path, dim", [
     pytest.param(path, dim, id=path)
-    for path, dim in (("apply", 2), ("kernel", 2), ("d6-kernel", 6), ("d3-kernel", 3))
+    for path, dim in (("apply", 2), ("kernel", 2), ("d6-kernel", 6), ("d3-kernel", 3),
+                      (f"d{RIGHT_DIM}-kernel", RIGHT_DIM))
 ])
 def test_linear_jump_step_matches_literal_products(qubit_ops, path, dim):
     model = _oracle_model(qubit_ops, dim)[0]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from contmon import BathSpec, OpenSystemModel, WeightedState, build_standard_ops
-from contmon.core_ops import dagger, trace
+from contmon.core_ops import BATCH_GEMM_MAX_DIM, dagger, trace
 from contmon.diffusive import (
     diffusive_kernel,
     diffusive_kernel_step,
@@ -89,7 +89,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("dim", [2, 6])
+@pytest.mark.parametrize("dim", [2, 6, BATCH_GEMM_MAX_DIM + 1])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stepper_wrapper_contract(name, dim):
     noise, model_kw, step = CASES[name]
