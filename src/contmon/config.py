@@ -419,7 +419,7 @@ def _spec_fields(cfg: dict, kind: str) -> dict:
     return fields
 
 
-def _kind_rules(cfg: dict, kind: str, ctx: _Collector) -> None:
+def _kind_rules(cfg: dict, kind: str, ctx: _Collector, gmodel=None) -> None:
     """The rules read from the selected scenario ``kind``, for every system:
     feedback needs a kind that draws noise, and two-point noise a diffusive
     one (a noise-free kind ignores ``run.noise``).  Last, rule ``run_memory``:
@@ -428,13 +428,18 @@ def _kind_rules(cfg: dict, kind: str, ctx: _Collector) -> None:
     of its size gets built.
 
     Counted from below, in bytes, for a run of the scenario ``kind`` as
-    ``_spec_fields`` sets it up: the operator set; per block in flight the
-    state and one work buffer, and the noise block; the per-step statistics
-    of the blocks in flight and, past one block, of their merge; per block its
-    entry in ``run_ensemble``'s ``blocks`` list and the result dict
-    ``partials`` keeps; stored states and records.  A kind that draws
-    nothing holds every state of its trajectory, as the integrator it runs
-    keeps them.
+    ``_spec_fields`` sets it up, with ``gmodel`` the model of a Gaussian run:
+    the operator set (and a Gaussian run's covariance path); per block in
+    flight what the block driver (``ensemble._stochastic_block``) holds of
+    its own, the state and one work buffer and the noise it draws up front,
+    ``draws`` increments per step and trajectory; the per-step statistics of
+    the blocks in flight and, past one block, of their merge; per block its
+    (spec, scenario, lo, hi, shared) entry in ``run_ensemble``'s ``blocks``
+    list and the result dict ``partials`` keeps; the stored states and
+    records, a record holding per step the ``draws`` outcomes of a
+    Hilbert-space kind (a byte per click, else a float) or one float per
+    current of the Gaussian model.  A kind that draws nothing holds every
+    state of its trajectory, as the integrator it runs keeps them.
     """
     # a combination the rules reject names no kind: its unravelling's own
     # kind draws, records and counts alike
@@ -449,10 +454,10 @@ def _kind_rules(cfg: dict, kind: str, ctx: _Collector) -> None:
     ))
     system, steps = cfg["system"], spec.n_steps
     if system["kind"] == "gaussian":  # real mean vectors, one covariance path
-        dim, entry = 2 * system["n_modes"], 8
+        dim, entry, record = 2 * system["n_modes"], 8, 8 * gmodel.n_currents
         state, ops, path = dim, 4 * dim * dim * entry, (steps + 1) * dim * dim * entry
     else:  # complex density matrices
-        dim, entry = system.get("dim", 2), 16
+        dim, entry, record = system.get("dim", 2), 16, draws * (1 if clicks else 8)
         state, ops, path = dim * dim, 9 * dim * dim * entry, 0
     block = min(spec.block_size, spec.n_traj)
     blocks = -(-spec.n_traj // block)
@@ -465,7 +470,7 @@ def _kind_rules(cfg: dict, kind: str, ctx: _Collector) -> None:
         stats_shape(kind, steps, len(_recorded(cfg))))
     need += in_flight * block * (2 * state * entry + steps * draws * 8)
     stored = (spec.store_states or not draws) * (steps + 1) * state * entry
-    stored += spec.store_records * steps * draws * (1 if clicks else 8)
+    stored += spec.store_records * steps * record
     need += spec.n_traj * stored
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
@@ -597,7 +602,7 @@ def _resolve(doc: dict) -> RuntimeJob:
         else:
             gmodel = _build("$.model.matrices", GaussianModel, **model_cfg["matrices"])
         _gaussian_rules(cfg, gmodel, ctx)
-        _kind_rules(cfg, kind, ctx)
+        _kind_rules(cfg, kind, ctx, gmodel)
         ctx.raise_errors()
         f_mat = None if fkind == "none" else np.asarray(fb["f"], dtype=float)
         controller = None

@@ -8,18 +8,30 @@ block draws its noise up front from one Philox generator, re-keyed to each
 trajectory's substream in turn.  Blocks of trajectories are stepped in
 vectorized form; block statistics are merged in index order.
 
+Block driver: every stochastic kind runs its blocks through one driver,
+:func:`_stochastic_block`.  The driver draws the block's noise up front, holds
+the block's statistics with its value and weight buffers and its stored
+states and records, and walks the block in chunks of steps, each buffering at
+most ``CHUNK_BUFFER_BYTES``: per chunk one call of the kind's chunk step, then
+one :func:`_moments` call for the chunk's statistics.  A kind supplies only its
+initial block state and that chunk step (:class:`_Stepping`, set up per block
+by :func:`_hilbert_start` or :func:`_gaussian_start`), which advances the
+state over the chunk's increments and writes the chunk's values (and
+weights), record rows and states.
+
 Variates drawn per step and trajectory: ``KINDS[kind].draws`` for each
 Hilbert-space kind (uniforms for click kinds and in two-point mode, normals
 otherwise), one normal per live current for Gaussian runs (a current whose
-increment can move the means, see :func:`_gaussian_block`), and none for the
+increment can move the means, see :func:`_gaussian_paths`), and none for the
 two noise-free kinds below.  A Gaussian run that keeps records draws its dead
-currents' increments from a second substream of each trajectory.
+currents' increments from a second substream of each trajectory, and the
+driver writes them into their record columns.
 
-Step dispatch: every Hilbert-space kind advances its block through the
-``advance`` its ``Kind.kernel`` builds once per block.  A density-matrix kind
-compiles its step there (:func:`contmon.jump.click_kernel`,
-:func:`contmon.diffusive.diffusive_kernel`), and the kernel decides the
-block's form.  When it carries coordinate ``maps`` (at d <=
+Step dispatch: a Hilbert-space kind's chunk step advances its block one step
+at a time through the ``advance`` its ``Kind.kernel`` builds once per block.
+A density-matrix kind compiles its step there
+(:func:`contmon.jump.click_kernel`, :func:`contmon.diffusive.diffusive_kernel`),
+and the kernel decides the block's form.  When it carries coordinate ``maps`` (at d <=
 ``core_ops.BATCH_GEMM_MAX_DIM``, or ``KRAUS_COORDS_MAX_DIM`` for the
 diffusive Kraus kinds; see :func:`contmon.jump.click_kernel` and
 :func:`contmon.diffusive.diffusive_kernel`) the block holds real (d^2, B)
@@ -37,12 +49,12 @@ Gaussian runs (``KINDS["gaussian"]``) fold the conditional-mean update into
 one affine map per step, r_{k+1} = Phi r_k + Gamma_k dw_k, built once per run
 from the exact Riccati covariance path, which every trajectory shares
 (:func:`contmon.gaussian.covariance_path`: one matrix exponential and a few
-batched products and solves per run), and step each block in chunks of steps:
-per chunk one batched matmul for the noise terms, one small GEMM per step for
-the recursion, and one vectorized call each for the statistics, the records
-and the stored states.  ``EnsembleStats.extra`` carries the covariance path
-(``cov_path``) and, per observed quadrature x, the centred moments S_x / n
-(``var_x``) and S_{x^2} / n (``var_x2``).  Both Gaussian kinds compute their
+batched products and solves per run).  Their chunk step is one batched
+matmul for the noise terms, one small GEMM per step for the recursion, and
+one vectorized call each for the values, the records and the stored states.
+``EnsembleStats.extra`` carries the covariance path (``cov_path``) and, per
+observed quadrature x, the centred moments S_x / n (``var_x``) and
+S_{x^2} / n (``var_x2``).  Both Gaussian kinds compute their
 covariance path with numpy's floating-point warnings muted and raise
 :class:`PhysicalityError` at its first non-finite step.
 
@@ -69,6 +81,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -383,70 +396,119 @@ def _diffusive_kernel(sc, dt):
     return _advance(lambda *args: diffusive.diffusive_kernel_step(*args), kernel)
 
 
-def _hilbert_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
-    """Step a block of Hilbert-space trajectories through its kind's kernel."""
-    n_steps, kind, nblk = spec.n_steps, KINDS[scenario.kind], hi - lo
-    per_step = kind.draws
-    noise = _increments(spec, lo, hi, n_steps * per_step, kind.clicks).reshape(nblk, n_steps, -1)
-    acc = np.zeros(stats_shape(scenario.kind, n_steps, len(spec.observables)))
-    track = spec.track_min_eigenvalue and not kind.pure
-    min_eig, violations, states_out, records = np.inf, 0, None, None
+@dataclass
+class _Stepping:
+    """A stochastic kind's part of one block, which the kind's ``start(spec,
+    scenario, nblk, shared)`` sets up for the driver :func:`_stochastic_block`.
 
-    # the observables are read by their coordinates on a coordinate block and
-    # by the rows vec(A^T) on a (B, d, d) block
+    ``state`` is the block state, at first the initial one.  ``step(state,
+    k0, x, values, weights, states, records)`` advances it over the chunk of
+    steps k0, k0 + 1, ... whose increments are ``x`` (B, steps, draws), and
+    returns it.  For each state the chunk reaches it writes a row of
+    ``values`` (columns, B), of ``weights`` (B,) and of ``states`` (B, rows,
+    ...), each unless None; the first chunk reports the initial state first,
+    so these hold one row more than it has steps.  ``records`` (B, steps,
+    ...), unless None, takes each step's record row.
+
+    ``draws`` increments per step and trajectory come from substream 0, and
+    a chunk buffers ``width`` floats per trajectory and step, at most
+    ``CHUNK_BUFFER_BYTES`` in all.  ``layout`` gives the (shape, dtype) of
+    one trajectory's stored state and of one step's record.  The record
+    columns ``spare`` hold increments drawn for the records alone, from
+    substream 1, written before the steps add to them.  ``health`` holds the
+    counters the steps keep, which the block result carries.
+    """
+
+    state: object
+    step: Callable
+    draws: int
+    width: int
+    layout: dict
+    spare: tuple | np.ndarray = ()
+    health: dict = field(default_factory=dict)
+
+
+def _stochastic_block(start, spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
+    """The block driver: run trajectories lo..hi - 1 of a stochastic kind
+    whose ``start`` sets up its part (:class:`_Stepping`).  The driver draws
+    the block's noise up front, holds the statistics, the value and weight
+    buffers and the stored states and records, and walks the block in chunks
+    of steps: per chunk one call of the kind's step, then one of
+    :func:`_moments`."""
+    n_steps, kind, nblk = spec.n_steps, KINDS[scenario.kind], hi - lo
+    part = start(spec, scenario, nblk, shared)
+    noise = _increments(spec, lo, hi, n_steps * part.draws, kind.clicks).reshape(
+        nblk, n_steps, part.draws)
+    acc = np.zeros(stats_shape(scenario.kind, n_steps, len(spec.observables)))
+    chunk = max(1, CHUNK_BUFFER_BYTES // (8 * nblk * max(part.width, 1)))
+    vals = np.empty((chunk + 1, (acc.shape[1] - 2) // 3, nblk))
+    wts = np.empty((chunk + 1, nblk)) if kind.linear else None
+    out = {name: np.empty((nblk, n_steps + (name == "states")) + shape, dtype=dtype)
+           for name, (shape, dtype) in part.layout.items() if getattr(spec, "store_" + name)}
+    if "records" in out and len(part.spare):
+        out["records"][..., part.spare] = _increments(
+            spec, lo, hi, n_steps * len(part.spare), False, stream=1).reshape(nblk, n_steps, -1)
+    for k0 in range(0, n_steps, chunk):
+        k1 = min(k0 + chunk, n_steps)
+        r0 = k0 + (k0 > 0)  # the first chunk also reports the initial state, row 0
+        y, w = vals[:k1 + 1 - r0], None if wts is None else wts[:k1 + 1 - r0]
+        part.state = part.step(part.state, k0, noise[:, k0:k1], y, w,
+                               out["states"][:, r0:k1 + 1] if "states" in out else None,
+                               out["records"][:, k0:k1] if "records" in out else None)
+        _moments(_parts(acc[r0:k1 + 1]), y, w)
+    return dict(stats=acc, **out, **part.health)
+
+
+def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
+    """A Hilbert-space kind's part of a block: its states advanced one step at
+    a time through the ``advance`` its ``Kind.kernel`` compiles, with the
+    positivity counters (``track_min_eigenvalue``) and ``validate_every``
+    checks after each step."""
+    kind = KINDS[scenario.kind]
     advance = kind.kernel(scenario, spec.dt)
     coords = not kind.pure and advance.coords
     state0 = np.asarray(scenario.initial_state, dtype=complex)
-    state = (np.repeat(to_coords(state0)[:, None], nblk, axis=1) if coords
-             else np.broadcast_to(state0, (nblk,) + state0.shape).copy())
-    as_states = from_coords if coords else np.asarray
+    # the observables are read by their coordinates on a coordinate block and
+    # by the rows vec(A^T) on a (B, d, d) block
     rows = [op for _, op in spec.observables]
     if not kind.pure:
         rows = np.reshape([to_coords(op) if coords else op.T for op in rows],
                           (len(rows), state0.size))
-    if spec.store_states:
-        states_out = np.empty((nblk, n_steps + 1) + state0.shape, dtype=complex)
-        states_out[:, 0] = as_states(state)
-    if spec.store_records:
-        records = np.empty((nblk, n_steps) + ((per_step,) if per_step > 1 else ()),
-                           dtype=np.uint8 if kind.clicks else float)
+    as_states = from_coords if coords else np.asarray
+    track = spec.track_min_eigenvalue and not kind.pure
+    health = dict(min_eig=np.inf, violations=0) if track else {}
 
-    # the values and weights of ``chunk`` steps, whose statistics are taken at once
-    chunk = max(1, CHUNK_BUFFER_BYTES // (8 * nblk * max(len(rows), 1)))
-    vals = np.empty((chunk, len(rows), nblk))
-    wts = np.empty((chunk, nblk)) if kind.linear else None
+    def step(state, k0, x, values, weights, states, records):
+        first = len(values) - x.shape[1]
+        # row first + j holds the state after step k0 + j; j = -1 is the initial state
+        for j in range(-first, x.shape[1]):
+            if j >= 0:
+                state, records_row = advance(state, x[:, j] if kind.draws > 1 else x[:, j, 0])
+                if records is not None:
+                    records[:, j] = records_row
+                if health:  # only a block that checks carries the counters
+                    arr = state
+                    if kind.linear:
+                        w = _traces(state)
+                        w = np.where(w <= 0.0, 1.0, w)
+                        arr = state / (w if coords else w[:, None, None])
+                    eigs = coords_min_eigenvalue(arr) if coords else min_eigenvalue(arr)
+                    health["min_eig"] = min(health["min_eig"], float(np.min(eigs)))
+                    health["violations"] += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
+                if spec.validate_every and (k0 + j + 1) % spec.validate_every == 0:
+                    _check_physical(kind, as_states(state), k0 + j)
+            values[first + j] = _hilbert_observables(kind, state, rows)
+            if weights is not None:
+                weights[first + j] = _traces(state)
+            if states is not None:
+                states[:, first + j] = as_states(state)
+        return state
 
-    def observe(k):
-        j = k % chunk
-        vals[j] = _hilbert_observables(kind, state, rows)
-        if wts is not None:
-            wts[j] = _traces(state)
-        if j == chunk - 1 or k == n_steps:
-            _moments(_parts(acc[k - j:k + 1]), vals[:j + 1], None if wts is None else wts[:j + 1])
-
-    observe(0)
-    for k in range(n_steps):
-        state, rec_row = advance(state, noise[:, k] if per_step > 1 else noise[:, k, 0])
-        if records is not None:
-            records[:, k] = rec_row
-        if track:
-            arr = state
-            if kind.linear:
-                w = _traces(state)
-                w = np.where(w <= 0.0, 1.0, w)
-                arr = state / (w if coords else w[:, None, None])
-            eigs = coords_min_eigenvalue(arr) if coords else min_eigenvalue(arr)
-            min_eig = min(min_eig, float(np.min(eigs)))
-            violations += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
-        if spec.validate_every and (k + 1) % spec.validate_every == 0:
-            _check_physical(kind, as_states(state), k)
-        observe(k + 1)
-        if states_out is not None:
-            states_out[:, k + 1] = as_states(state)
-    out = dict(stats=acc, states=states_out, records=records)
-    if track:  # only a block that checked carries the counters
-        out.update(min_eig=min_eig, violations=violations)
-    return out
+    state = (np.repeat(to_coords(state0)[:, None], nblk, axis=1) if coords
+             else np.broadcast_to(state0, (nblk,) + state0.shape).copy())
+    layout = dict(states=(state0.shape, complex), records=(
+        (kind.draws,) if kind.draws > 1 else (), np.uint8 if kind.clicks else float))
+    return _Stepping(state, step, kind.draws, len(rows), layout, health=health)
 
 
 def _finite_covariances(covs):
@@ -486,68 +548,46 @@ def _gaussian_paths(spec: EnsembleSpec, scenario: Scenario):
     return dict(phi=phi, gammas=gammas, live=live, extra=dict(cov_path=covs))
 
 
-def _gaussian_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
-    """Step a block of conditional means in chunks of steps.
+def _gaussian_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
+    """The Gaussian kind's part of a block: its conditional means, stepped on
+    one normal per step and live current (``live`` of :func:`_gaussian_paths`).
 
-    Each trajectory draws one normal per step and live current (``live`` of
-    :func:`_gaussian_paths`), interleaved by step, from its substream 0.  A
-    dead current moves no mean, so its increments are drawn only for the
-    records, from substream 1, and the statistics never depend on whether
-    records are kept.
-
-    Per chunk, the noise terms Gamma_k dw_k of every step are one batched
-    matmul over the live currents, written where the states go; the recursion
-    then adds Phi r_k, one small GEMM per step; the statistics of x and x^2,
-    the records dy_k = -sqrt(2) dt B^T r_k + dw_k and the stored states are
-    each one call per chunk.  The states of a chunk are held time-major as
-    (steps, 2n, block), so each quadrature's values run over contiguous rows,
-    and every buffer holds at most ``CHUNK_BUFFER_BYTES``.
+    The block state is the means as the columns of a (2n, B) array.  A chunk
+    steps them time-major in a (steps + 1, 2n, B) buffer, its starting means
+    first, so each quadrature's values run over contiguous rows.  Its
+    noise terms Gamma_k dw_k are one batched matmul over the live currents,
+    written where the means go; the recursion then adds Phi r_k, one small
+    GEMM per step.  The values x, then x^2, of the observed quadratures, the
+    records dy_k = -sqrt(2) dt B^T r_k + dw_k and the stored means are each
+    one call per chunk.  A dead current moves no mean, so its increments are
+    drawn only for the records (``spare``), and the statistics never depend
+    on whether records are kept.
     """
     model: GaussianModel = scenario.model
-    n_steps, m, dim, nblk = spec.n_steps, model.n_currents, model.dim, hi - lo
     phi, gammas, live = shared["phi"], shared["gammas"], shared["live"]
-    dw = _increments(spec, lo, hi, n_steps * len(live), False).reshape(nblk, n_steps, len(live))
-    states_out = np.empty((nblk, n_steps + 1, dim)) if spec.store_states else None
-    records = None
-    if spec.store_records:  # the increments, to which each chunk adds its drift
-        records = np.empty((nblk, n_steps, m))
-        records[..., live] = dw
-        dead = np.setdiff1d(np.arange(m), live)
-        if len(dead):
-            records[..., dead] = _increments(spec, lo, hi, n_steps * len(dead), False,
-                                             stream=1).reshape(nblk, n_steps, len(dead))
-    chunk = max(1, CHUNK_BUFFER_BYTES // (8 * nblk * max(dim, m)))
-    r = np.empty((chunk + 1, dim, nblk))
-    r[0] = scenario.initial_state.mean[:, None]
     comp = [model.labels.index(name) for name, _ in spec.observables]
-    n_obs = len(comp)
-    acc = np.zeros(stats_shape(scenario.kind, n_steps, n_obs))
-    x_buf, x2_buf = (np.empty((chunk + 1, n_obs, nblk)) for _ in range(2))
-    if states_out is not None:
-        states_out[:, 0] = r[0].T
-    dy_scale = -np.sqrt(2.0) * spec.dt
-    for k0 in range(0, n_steps, chunk):
-        k1 = min(k0 + chunk, n_steps)
-        steps = k1 - k0
-        w = dw[:, k0:k1].transpose(1, 2, 0)
-        np.matmul(gammas[k0:k1], w, out=r[1:steps + 1])
+
+    def step(r0, k0, x, values, weights, states, records):
+        steps, first = x.shape[1], len(values) - x.shape[1]
+        r = np.empty((steps + 1,) + r0.shape)
+        r[0] = r0
+        np.matmul(gammas[k0:k0 + steps], x.transpose(1, 2, 0), out=r[1:steps + 1])
         for j in range(steps):
             r[j + 1] += phi @ r[j]
         if records is not None:
-            records[:, k0:k1] += (dy_scale * (model.B.T @ r[:steps])).transpose(2, 0, 1)
-        if states_out is not None:
-            states_out[:, k0 + 1:k1 + 1] = r[1:steps + 1].transpose(2, 0, 1)
-        # the columns x, then x^2, of the observed quadratures; the first
-        # chunk also counts the initial means
-        i0 = 0 if k0 == 0 else 1
-        big_w, w2, *cols = _parts(acc[k0 + i0:k1 + 1])
-        x, x2 = x_buf[:steps + 1 - i0], x2_buf[:steps + 1 - i0]
-        np.take(r[i0:steps + 1], comp, axis=1, out=x, mode="clip")
-        np.multiply(x, x, out=x2)
-        _moments((big_w, w2, *(c[:, :n_obs] for c in cols)), x, None)
-        _moments((big_w, w2, *(c[:, n_obs:] for c in cols)), x2, None)
-        r[0] = r[steps]
-    return dict(stats=acc, states=states_out, records=records)
+            records[..., live] = x
+            records += (-np.sqrt(2.0) * spec.dt * (model.B.T @ r[:steps])).transpose(2, 0, 1)
+        if states is not None:
+            states[...] = r[1 - first:steps + 1].transpose(2, 0, 1)
+        for i, c in enumerate(comp):  # x, then x^2, of each observed quadrature
+            values[:, i] = r[1 - first:, c]
+            np.square(r[1 - first:, c], out=values[:, len(comp) + i])
+        return r[steps]
+
+    layout = dict(states=((model.dim,), float), records=((model.n_currents,), float))
+    return _Stepping(np.repeat(scenario.initial_state.mean[:, None], nblk, axis=1), step,
+                     len(live), max(model.dim, model.n_currents), layout,
+                     spare=np.setdiff1d(np.arange(model.n_currents), live))
 
 
 def _noise_free(spec: EnsembleSpec, scenario: Scenario, values, **extra):
@@ -556,7 +596,7 @@ def _noise_free(spec: EnsembleSpec, scenario: Scenario, values, **extra):
     the values exactly and its centred sums 0."""
     acc = np.zeros(stats_shape(scenario.kind, spec.n_steps, len(spec.observables)))
     _moments(_parts(acc), np.array(values, dtype=float)[..., None], None)
-    return dict(stats=acc, states=None, records=None, extra=extra)
+    return dict(stats=acc, extra=extra)
 
 
 def _me_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
@@ -586,10 +626,16 @@ class Kind:
 
     ``block(spec, scenario, lo, hi, shared)`` runs trajectories lo..hi - 1 of
     a ``model``, with ``shared`` what ``shared(spec, scenario)`` computed once
-    per run (the ``"extra"`` of each goes to ``EnsembleStats.extra``).  A
-    kind whose ``draws`` is 0 is noise-free: ``run_ensemble`` runs it as one
-    trajectory that stores no records or states.  For the
-    Hilbert-space kinds ``kernel(scenario, dt)`` runs once per block,
+    per run (the ``"extra"`` of each goes to ``EnsembleStats.extra``), and
+    returns a dict of the block's statistics (``"stats"``), each output it
+    stores and the counters it keeps.  A stochastic kind's block is the
+    driver :func:`_stochastic_block` bound to the function that sets up the
+    kind's part of a block, its initial state and chunk step
+    (:class:`_Stepping`): :func:`_hilbert_start` for the Hilbert-space kinds,
+    :func:`_gaussian_start` for ``"gaussian"``.  A kind whose ``draws`` is 0
+    is noise-free: ``run_ensemble`` runs it as one trajectory that stores no
+    records or states, and its block hands its values to :func:`_noise_free`.
+    For the Hilbert-space kinds ``kernel(scenario, dt)`` runs once per block,
     compiling the step of a density-matrix kind, and returns
     ``advance(state, x)``, which advances the block and returns (state',
     record row); ``x`` is the step's uniform variates for click kinds and its
@@ -612,7 +658,7 @@ class Kind:
     clicks: bool = False
     linear: bool = False
     pure: bool = False
-    block: Callable = _hilbert_block
+    block: Callable = partial(_stochastic_block, _hilbert_start)
     shared: Callable | None = None
     model: type = OpenSystemModel
 
@@ -634,7 +680,8 @@ KINDS = {
     "generalized_homodyne": Kind(_diffusive_kernel),
     "generalized_heterodyne": Kind(_diffusive_kernel, draws=2),
     "linear_homodyne": Kind(_diffusive_kernel, linear=True),
-    "gaussian": Kind(None, block=_gaussian_block, shared=_gaussian_paths, model=GaussianModel),
+    "gaussian": Kind(None, block=partial(_stochastic_block, _gaussian_start),
+                     shared=_gaussian_paths, model=GaussianModel),
     "me": Kind(None, draws=0, block=_me_block),
     "gaussian_moments": Kind(None, draws=0, block=_moments_block, model=GaussianModel),
 }

@@ -875,6 +875,23 @@ def test_size_rule_charges_the_statistics_one_block_allocates(preset, mutate, ki
     assert block["stats"].dtype == np.float64  # the 8 bytes per entry charged
 
 
+@pytest.mark.parametrize("floats", [1.5, 2.5])
+def test_size_rule_charges_every_gaussian_current_in_the_records(monkeypatch, floats):
+    # a Gaussian run records every current, two floats a step for the OPO,
+    # though it draws one normal a step: on a machine whose memory holds
+    # ``floats`` floats a step of records, those records no longer fit at 1.5
+    doc = get_preset("opo_conditional")
+    doc["run"].update(n_traj=10**6, dt=1e-3, t_final=10.0)
+    doc["output"]["records"] = True
+    have = int(floats * 8 * 10**6 * 10**4)
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": have, "SC_PAGE_SIZE": 1}.get)
+    if floats < 2:
+        with pytest.raises(ConfigError, match=r"\$\.run: rule run_memory"):
+            parse_config(json.dumps(doc))
+    else:
+        parse_config(json.dumps(doc))
+
+
 def _homodyne_preset_argv(out_dir, *extra):
     return ["preset", "qubit_homodyne", "--override", "run.n_traj=8",
             "--override", "run.t_final=0.01", "--out-dir", str(out_dir), *extra]

@@ -1173,3 +1173,63 @@ def test_traced_benchmark_spans_install_and_restore(monkeypatch):
         now = vars(module)
         assert now.keys() == old.keys()
         assert all(now[name] is value for name, value in old.items()), module.__name__
+
+
+# every stochastic kind, each with two observables: the Hilbert-space kinds
+# at d = 2 and 5, the Gaussian kind on both models under LQG
+CHUNK_CASES = [f"{kind}-d{dim}" for dim in (2, 5) for kind in HILBERT_KINDS] + [
+    f"gaussian-{name}" for name in ("opo", "two_mode")]
+
+
+def chunk_case(case, qubit_ops):
+    """(scenario, observables, floats a chunk buffers per trajectory and step)."""
+    kind, tail = case.rsplit("-", 1)
+    if kind == "gaussian":
+        model, scenario = gaussian_case(tail, "lqg")
+        return scenario, tuple((label, None) for label in model.labels[:2]), max(
+            model.dim, model.n_currents)
+    dim = int(tail[1:])
+    if dim == 2:
+        ops = (qubit_ops["projector_e"], qubit_ops["sigma_x"])
+    else:
+        ops = tuple(build_standard_ops("boson", dim)[name] for name in ("n", "q"))
+    scenario = kind_scenario(kind, qubit_ops) if dim == 2 else boson_scenario(kind, dim)
+    return scenario, (("a", ops[0]), ("b", ops[1])), 2
+
+
+def chunk_spec(observables, **kw):
+    """70 trajectories in blocks of 32 (a ragged block of 6) over 8 steps."""
+    return EnsembleSpec(n_traj=70, master_seed=61, dt=1e-3, t_final=8e-3, block_size=32,
+                        observables=observables, **kw)
+
+
+def assert_same_bytes(a, b, names=("states", "records")):
+    for name in a.means:
+        assert a.means[name].tobytes() == b.means[name].tobytes(), name
+        assert a.std_errs[name].tobytes() == b.std_errs[name].tobytes(), name
+    for name in names:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_results_do_not_depend_on_chunk_geometry(qubit_ops, case, monkeypatch):
+    # one chunk for the whole run, then chunks of 1 and of 3 steps in a full
+    # block: the statistics, states and records keep every byte
+    scenario, observables, width = chunk_case(case, qubit_ops)
+    spec = chunk_spec(observables, store_states=True, store_records=True)
+    whole = run_ensemble(spec, scenario)
+    for steps in (1, 3):
+        monkeypatch.setattr(ensemble, "CHUNK_BUFFER_BYTES", 8 * 32 * width * steps)
+        assert_same_bytes(whole, run_ensemble(spec, scenario))
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_statistics_do_not_depend_on_storage_or_health_flags(qubit_ops, case):
+    # storing states or records, tracking positivity and validating every
+    # step leave the means and SEs as they are
+    scenario, observables, _ = chunk_case(case, qubit_ops)
+    plain = run_ensemble(chunk_spec(observables), scenario)
+    flags = dict(store_states=True, store_records=True, track_min_eigenvalue=True,
+                 validate_every=1)
+    for flag in [{name: value} for name, value in flags.items()] + [flags]:
+        assert_same_bytes(plain, run_ensemble(chunk_spec(observables, **flag), scenario), ())

@@ -4,6 +4,7 @@
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,26 @@ def test_run_digests_max_steps(tmp_path, monkeypatch):
             assert run["csv"].count("\n") == 1 + steps + 1  # the header, then t = 0 ... steps
     with pytest.raises(SystemExit):
         tool.main(["--max-steps", "0", str(path)])
+
+
+def test_digests_match_the_committed_baseline(monkeypatch):
+    # every run of tools/digests_baseline.json recomputed: its stats and
+    # records keep their sha256 and its health block its values.  Those bytes
+    # hold for the numpy and BLAS kernel the baseline was made on; on another
+    # build only the 1- and 2-thread results are compared, which hold anywhere
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _load_tool()
+    baseline = json.loads(tool.BASELINE.read_text())
+    runs = {key: {f: run[f] for f in tool.FIELDS}
+            for key, run in json.loads(json.dumps(tool.digests())).items()}
+    if baseline["build"] == tool.build_key():
+        assert runs.keys() == baseline["runs"].keys()
+        moved = [key for key in runs if runs[key] != baseline["runs"][key]]
+        assert not moved, f"{len(moved)} of {len(runs)} runs moved: {', '.join(moved)}"
+    else:
+        why = (f"the baseline's digests hold for {baseline['build']} only and this build is "
+               f"{tool.build_key()}: only 1 and 2 threads are compared")
+        warnings.warn(why)
+        split = [key for key in runs if key.endswith("|threads=1")
+                 and runs[key] != runs[key[:-1] + "2"]]
+        assert not split, f"1 and 2 threads differ in {', '.join(split)}; {why}"
