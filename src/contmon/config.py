@@ -432,14 +432,17 @@ def _kind_rules(cfg: dict, kind: str, ctx: _Collector, gmodel=None) -> None:
     the operator set (and a Gaussian run's covariance path); per block in
     flight what the block driver (``ensemble._stochastic_block``) holds of
     its own, the state and one work buffer and the noise it draws up front,
-    ``draws`` increments per step and trajectory; the per-step statistics of
-    the blocks in flight and, past one block, of their merge; per block its
-    (spec, scenario, lo, hi, shared) entry in ``run_ensemble``'s ``blocks``
-    list and the result dict ``partials`` keeps; the stored states and
-    records, a record holding per step the ``draws`` outcomes of a
-    Hilbert-space kind (a byte per click, else a float) or one float per
-    current of the Gaussian model.  A kind that draws nothing holds every
-    state of its trajectory, as the integrator it runs keeps them.
+    per step and trajectory the ``draws`` increments of a Hilbert-space kind
+    and, for a Gaussian run, one per current with records, else one per
+    current whose column of E or B is nonzero (a feedback G can only add
+    live currents); the per-step statistics of the blocks in flight and,
+    past one block, of their merge; per block its (spec, scenario, lo, hi,
+    shared) entry in ``run_ensemble``'s ``blocks`` list and the result dict
+    ``partials`` keeps; the stored states and records, a record holding per
+    step the ``draws`` outcomes of a Hilbert-space kind (a byte per click,
+    else a float) or one float per current of the Gaussian model.  A kind
+    that draws nothing holds every state of its trajectory, as the
+    integrator it runs keeps them.
     """
     # a combination the rules reject names no kind: its unravelling's own
     # kind draws, records and counts alike
@@ -456,6 +459,9 @@ def _kind_rules(cfg: dict, kind: str, ctx: _Collector, gmodel=None) -> None:
     if system["kind"] == "gaussian":  # real mean vectors, one covariance path
         dim, entry, record = 2 * system["n_modes"], 8, 8 * gmodel.n_currents
         state, ops, path = dim, 4 * dim * dim * entry, (steps + 1) * dim * dim * entry
+        if draws:  # every current with records, else the currents E or B make live
+            draws = gmodel.n_currents if spec.store_records else int(
+                np.count_nonzero(np.any((gmodel.E != 0) | (gmodel.B != 0), axis=0)))
     else:  # complex density matrices
         dim, entry, record = system.get("dim", 2), 16, draws * (1 if clicks else 8)
         state, ops, path = dim * dim, 9 * dim * dim * entry, 0

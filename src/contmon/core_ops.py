@@ -232,13 +232,16 @@ def build_standard_ops(kind: str, dim: int | None = None) -> dict[str, np.ndarra
 
 
 def min_eigenvalue(rho: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part, batched: the closed form of
+    """Smallest eigenvalue of Hermitian matrices, batched: the closed form of
     :func:`coords_min_eigenvalue` for 2x2 matrices (cheap enough to run every
-    step) and ``eigvalsh`` otherwise."""
+    step) and ``eigvalsh`` otherwise, which reads the lower triangle only.
+    Every stepper's states are Hermitian to the bit; a caller that holds
+    other matrices passes their :func:`hermitize` (as :func:`validate_state`
+    does)."""
     rho = np.asarray(rho)
     if rho.shape[-1] == 2:
         return coords_min_eigenvalue(to_coords(rho))
-    return np.linalg.eigvalsh(hermitize(rho))[..., 0]
+    return np.linalg.eigvalsh(rho)[..., 0]
 
 
 # Coherence coordinates: the real components r_a = tr(G_a rho) of a state in
@@ -325,12 +328,14 @@ class StateDiagnostics:
 
 
 def validate_state(rho: np.ndarray) -> StateDiagnostics:
-    """Report Hermiticity/trace defects, minimum eigenvalue and top-level leak;
-    the caller applies thresholds to the report."""
+    """Report Hermiticity/trace defects, the minimum eigenvalue of the
+    Hermitian part (any matrix is accepted, so it hermitizes before the
+    eigensolve) and top-level leak; the caller applies thresholds to the
+    report."""
     rho = _check_square(rho, "state")
     herm_defect = float(np.max(np.abs(rho - dagger(rho))))
     tr_defect = float(np.max(np.abs(trace(rho) - 1.0)))
-    w_min = float(np.min(min_eigenvalue(rho)))
+    w_min = float(np.min(min_eigenvalue(hermitize(rho))))
     top = float(np.max(rho[..., -1, -1].real))
     return StateDiagnostics(herm_defect, tr_defect, w_min, top)
 

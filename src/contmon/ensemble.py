@@ -36,14 +36,24 @@ and the kernel decides the block's form.  When it carries coordinate ``maps`` (a
 diffusive Kraus kinds; see :func:`contmon.jump.click_kernel` and
 :func:`contmon.diffusive.diffusive_kernel`) the block holds real (d^2, B)
 coordinates (:mod:`contmon.core_ops`), converted to (B, d, d) states only to
-be stored or checked: a step is one real GEMM plus per-row scalar
-corrections, and so are the observables.  Otherwise a right-product kernel
-updates the block's states in place through work buffers the block owns,
-with one GEMM of the (B d, d) view per constant operator, and the
+be stored or passed to an eigensolver: a step is one real GEMM plus per-row
+scalar corrections, and so are the observables.  Otherwise a right-product
+kernel updates the block's states in place through work buffers the block
+owns, with one GEMM of the (B d, d) view per constant operator, and the
 observables are one GEMM of the (B, d^2) view.  The state-vector kind
 ``jump_sse`` compiles nothing and steps through
 :func:`contmon.jump.jump_sse_apply`.  Every kind calls these through the
 module attributes ``jump`` and ``diffusive``.
+
+Health checks: a density-matrix block with ``track_min_eigenvalue`` reports
+the smallest eigenvalue of every stepped state (divided by its trace for the
+linear kinds) and counts those below ``MIN_EIG_THRESHOLD``; every
+``validate_every`` steps :func:`_check_physical` aborts on breakdown.  Both
+read the block in its own form, coordinates or states, which every kernel
+keeps Hermitian to the bit, so no check hermitizes.  At d = 2 the smallest
+eigenvalue has a closed form; above, an abort check runs the eigensolver only
+on the states whose Wolkowicz-Styan bound, from tr rho and tr rho^2 alone,
+cannot place above -1 (:func:`_collapse_screen`).
 
 Gaussian runs (``KINDS["gaussian"]``) fold the conditional-mean update into
 one affine map per step, r_{k+1} = Phi r_k + Gamma_k dw_k, built once per run
@@ -78,6 +88,7 @@ SE, sqrt(S) / W (times sqrt(n / (n - 1)) for normalized kinds).
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -108,6 +119,9 @@ __all__ = [
 ]
 
 MIN_EIG_THRESHOLD = -1e-12
+# how far above -1 the Wolkowicz-Styan bound of a state must lie to clear it
+# of collapse without an eigensolve: rounding moves the bound by ~d^2 eps
+SCREEN_MARGIN = 1e-6
 # the Philox key word of each substream holds the seed: anything outside
 # [0, 2**64 - 1] would wrap onto another seed's streams
 SEED_RANGE = "must be an integer in [0, 2**64 - 1]"
@@ -337,28 +351,59 @@ def _merge(a, b):
     return a
 
 
+def _collapse_screen(state, tr):
+    """True for each state of a block at d > 2, (B, d, d) or coordinates
+    (d^2, B) with traces ``tr``, that the Wolkowicz-Styan bound cannot clear
+    of collapse (Linear Algebra Appl. 29, 471 (1980)): lambda_min >= m - s
+    sqrt(d - 1) with m = tr rho / d and s^2 = tr rho^2 / d - m^2, where tr rho^2
+    is sum r_a^2 on the orthonormal coordinates and sum |rho_ij|^2 on states.
+    A state is cleared when the bound lies above -1 by ``SCREEN_MARGIN``; a
+    finite state too large for tr rho^2 is not."""
+    with np.errstate(over="ignore"):
+        if np.iscomplexobj(state):
+            d, flat = state.shape[-1], state.reshape(len(state), -1).view(float)
+            squares = np.einsum("bi,bi->b", flat, flat)
+        else:
+            d, squares = math.isqrt(len(state)), np.einsum("ab,ab->b", state, state)
+    m = tr / d
+    s = np.sqrt(np.maximum(squares / d - m * m, 0.0))
+    return m - s * np.sqrt(d - 1.0) <= -1.0 + SCREEN_MARGIN
+
+
 def _check_physical(kind, state, step):
     """Abort-level checks: integration breakdown, not the (expected, reported)
-    small positivity dips of Euler stepping at finite dt."""
-    arr = np.asarray(state)
-    if not np.all(np.isfinite(arr)):
+    small positivity dips of Euler stepping at finite dt.  A block of
+    coordinates is checked as it is: its entries finite, its traces from its
+    populations, and no Hermiticity test, as real coordinates are Hermitian
+    by construction.  At d > 2 only the states :func:`_collapse_screen`
+    cannot clear go to the eigensolver; d = 2 takes its closed form."""
+    if not np.all(np.isfinite(state)):
         raise PhysicalityError(step, "non-finite state entries")
-    if kind.pure or arr.ndim < 3:
+    if kind.pure:
         return
-    # one state-sized temporary, freed before the eigenvalue check
-    defect = dagger(arr)
-    np.subtract(arr, defect, out=defect)
-    herm = float(np.max(np.abs(defect)))
-    del defect
-    if herm > 1e-8:
-        raise PhysicalityError(step, f"hermiticity defect {herm:.3e}")
-    if not kind.linear:
-        tr_defect = float(np.max(np.abs(trace(arr) - 1.0)))
-        if tr_defect > 1e-8:
-            raise PhysicalityError(step, f"trace defect {tr_defect:.3e}")
-        w_min = float(np.min(min_eigenvalue(arr)))
-        if w_min < -1.0:
-            raise PhysicalityError(step, f"state collapsed, min eigenvalue {w_min:.3e}")
+    coords = not np.iscomplexobj(state)
+    if not coords:
+        # one state-sized temporary, freed before the eigenvalue check
+        defect = dagger(state)
+        np.subtract(state, defect, out=defect)
+        herm = float(np.max(np.abs(defect)))
+        del defect
+        if herm > 1e-8:
+            raise PhysicalityError(step, f"hermiticity defect {herm:.3e}")
+    if kind.linear:
+        return
+    tr = _traces(state)
+    tr_defect = float(np.max(np.abs(tr - 1.0)))
+    if tr_defect > 1e-8:
+        raise PhysicalityError(step, f"trace defect {tr_defect:.3e}")
+    if (math.isqrt(len(state)) if coords else state.shape[-1]) > 2:
+        rows = np.flatnonzero(_collapse_screen(state, tr))
+        if not len(rows):
+            return
+        state = state[:, rows] if coords else state[rows]
+    w_min = float(np.min(coords_min_eigenvalue(state) if coords else min_eigenvalue(state)))
+    if w_min < -1.0:
+        raise PhysicalityError(step, f"state collapsed, min eigenvalue {w_min:.3e}")
 
 
 # The steppers are looked up through the module attributes ``jump`` and
@@ -496,7 +541,7 @@ def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
                     health["min_eig"] = min(health["min_eig"], float(np.min(eigs)))
                     health["violations"] += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
                 if spec.validate_every and (k0 + j + 1) % spec.validate_every == 0:
-                    _check_physical(kind, as_states(state), k0 + j)
+                    _check_physical(kind, state, k0 + j)
             values[first + j] = _hilbert_observables(kind, state, rows)
             if weights is not None:
                 weights[first + j] = _traces(state)
@@ -555,13 +600,13 @@ def _gaussian_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
     The block state is the means as the columns of a (2n, B) array.  A chunk
     steps them time-major in a (steps + 1, 2n, B) buffer, its starting means
     first, so each quadrature's values run over contiguous rows.  Its
-    noise terms Gamma_k dw_k are one batched matmul over the live currents,
-    written where the means go; the recursion then adds Phi r_k, one small
-    GEMM per step.  The values x, then x^2, of the observed quadratures, the
-    records dy_k = -sqrt(2) dt B^T r_k + dw_k and the stored means are each
-    one call per chunk.  A dead current moves no mean, so its increments are
-    drawn only for the records (``spare``), and the statistics never depend
-    on whether records are kept.
+    noise terms Gamma_k dw_k are one batched matmul over the live currents
+    (a broadcast multiply for one), written where the means go; the
+    recursion then adds Phi r_k, one small GEMM per step.  The values x, then
+    x^2, of the observed quadratures, the records dy_k = -sqrt(2) dt B^T r_k +
+    dw_k and the stored means are each one call per chunk.  A dead current
+    moves no mean, so its increments are drawn only for the records
+    (``spare``), and the statistics never depend on whether records are kept.
     """
     model: GaussianModel = scenario.model
     phi, gammas, live = shared["phi"], shared["gammas"], shared["live"]
@@ -571,7 +616,10 @@ def _gaussian_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
         steps, first = x.shape[1], len(values) - x.shape[1]
         r = np.empty((steps + 1,) + r0.shape)
         r[0] = r0
-        np.matmul(gammas[k0:k0 + steps], x.transpose(1, 2, 0), out=r[1:steps + 1])
+        if len(live) == 1:  # a product of one term, exact as a broadcast multiply
+            np.multiply(gammas[k0:k0 + steps], x[:, :, 0].T[:, None, :], out=r[1:steps + 1])
+        else:
+            np.matmul(gammas[k0:k0 + steps], x.transpose(1, 2, 0), out=r[1:steps + 1])
         for j in range(steps):
             r[j + 1] += phi @ r[j]
         if records is not None:

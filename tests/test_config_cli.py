@@ -26,6 +26,8 @@ from contmon.config import (
 from contmon.ensemble import run_ensemble
 from contmon.presets import get_preset, list_presets, preset_config
 
+from conftest import two_mode_model
+
 MINIMAL = {
     "schema_version": 1,
     "system": {"kind": "qubit"},
@@ -890,6 +892,28 @@ def test_size_rule_charges_every_gaussian_current_in_the_records(monkeypatch, fl
             parse_config(json.dumps(doc))
     else:
         parse_config(json.dumps(doc))
+
+
+def test_size_rule_charges_the_noise_of_every_live_gaussian_current(monkeypatch):
+    # without records a Gaussian block draws one normal a step per live
+    # current: one for the OPO, two for a two-mode model whose currents both
+    # move the means.  Noise dominates these runs (one block of 1024
+    # trajectories x 10^6 steps, 8 KiB a step per live current), so a memory
+    # of 12000 bytes a step holds the OPO's noise but not the two-mode model's
+    model = two_mode_model()
+    two_mode = json.loads(json.dumps(TWO_MODE_GAUSSIAN))
+    two_mode["model"] = {"matrices": {name: getattr(model, name).tolist()
+                                      for name in ("A", "D", "B", "E")}}
+    two_mode["output"] = {"observables": []}
+    opo = get_preset("opo_conditional")
+    for doc in (two_mode, opo):
+        doc["run"].update(n_traj=1024, block_size=1024, dt=1e-3, t_final=1000.0)
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 12000 * 10**6, "SC_PAGE_SIZE": 1}.get)
+    with pytest.raises(ConfigError, match=r"\$\.run: rule run_memory"):
+        parse_config(json.dumps(two_mode))
+    parse_config(json.dumps(opo))
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 20000 * 10**6, "SC_PAGE_SIZE": 1}.get)
+    parse_config(json.dumps(two_mode))
 
 
 def _homodyne_preset_argv(out_dir, *extra):

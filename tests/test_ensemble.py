@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contmon import (
     GaussianState,
@@ -11,7 +13,8 @@ from contmon import (
     integrate_me,
     me_expectations,
 )
-from contmon.core_ops import BATCH_GEMM_MAX_DIM, build_standard_ops, min_eigenvalue, to_coords
+from contmon.core_ops import (BATCH_GEMM_MAX_DIM, build_standard_ops, from_coords, hermitize,
+                              min_eigenvalue, to_coords)
 from contmon.diffusive import (
     diffusive_kernel,
     diffusive_kernel_step,
@@ -49,7 +52,7 @@ from contmon.jump import (
 )
 from contmon.master_equation import BathSpec
 
-from conftest import two_mode_model
+from conftest import random_density_matrix, two_mode_model
 
 
 # the kinds that step density matrices or state vectors: every KINDS entry
@@ -791,6 +794,75 @@ def test_physicality_abort(qubit_ops, excited):
     with pytest.raises(PhysicalityError) as err:
         run_ensemble(spec, Scenario("homodyne", model, excited))
     assert err.value.step >= 0
+
+
+@pytest.mark.parametrize("kind, dim", [
+    pytest.param(kind, dim, id=f"{kind}-d{dim}")
+    for dim in (2, 5, BATCH_GEMM_MAX_DIM, BATCH_GEMM_MAX_DIM + 1)
+    for kind in HILBERT_KINDS if not KINDS[kind].pure
+])
+def test_every_kernel_steps_exactly_hermitian_states(qubit_ops, kind, dim):
+    # min_eigenvalue hands its input to eigvalsh, which reads the lower
+    # triangle only, so it needs the states every kernel produces Hermitian to
+    # the bit: on coordinates (the Kraus kinds step right products above 4)
+    # and on right products above BATCH_GEMM_MAX_DIM
+    scenario, observables = dim_case(kind, dim, qubit_ops)
+    spec = qubit_spec(qubit_ops, n_traj=16, t_final=0.05, store_states=True,
+                      observables=observables)
+    states = run_ensemble(spec, scenario).states
+    np.testing.assert_array_equal(states, np.conj(np.swapaxes(states, -1, -2)))
+    herm = hermitize(states)
+    reference = min_eigenvalue(herm) if dim == 2 else np.linalg.eigvalsh(herm)[..., 0]
+    np.testing.assert_array_equal(min_eigenvalue(states), reference)
+
+
+@pytest.mark.parametrize("dim", [2, 5, BATCH_GEMM_MAX_DIM])
+def test_physicality_checks_agree_on_coordinates_and_states(dim):
+    # a block of coordinates is checked as it is, and must abort where its
+    # (B, d, d) states abort, with the same message up to the value
+    rng = np.random.default_rng(40 + dim)
+    r = to_coords(np.array([random_density_matrix(rng, dim) for _ in range(8)]))
+    kind = KINDS["homodyne"]
+    for block in (r, from_coords(r)):
+        ensemble._check_physical(kind, block, 7)
+    if dim > 2:  # physical states clear the screen, and need no eigensolve
+        assert not ensemble._collapse_screen(r, ensemble._traces(r)).any()
+    spectrum = np.r_[-1.5, 2.5, np.zeros(dim - 2)]  # trace 1, lambda_min -1.5
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    collapsed = to_coords(hermitize((u * spectrum) @ u.conj().T))
+    defects = {"non-finite state entries": ((1, 3), np.nan),
+               "trace defect": ((0, 3), r[0, 3] + 1e-6),
+               "state collapsed": ((slice(None), 3), collapsed)}
+    for prefix, (entry, value) in defects.items():
+        bad = r.copy()
+        bad[entry] = value
+        messages = []
+        for block in (bad, from_coords(bad)):
+            with pytest.raises(PhysicalityError) as err:
+                ensemble._check_physical(kind, block, 7)
+            assert err.value.step == 7
+            messages.append(str(err.value))
+        assert messages[0].startswith(f"physicality violation at step 7: {prefix}")
+        assert messages[0].rsplit(" ", 1)[0] == messages[1].rsplit(" ", 1)[0]
+
+
+@settings(max_examples=200)
+@given(dim=st.integers(3, 13), seed=st.integers(0, 2**32 - 1),
+       offset=st.floats(-1e-9, 1e-9), spread=st.sampled_from([0.0, 1e-6, 0.1, 1.0]))
+def test_collapse_screen_never_clears_a_collapsed_state(dim, seed, offset, spread):
+    # trace-1 Hermitian matrices with lambda_min within 1e-9 of -1; spread 0
+    # puts the other eigenvalues level, where the Wolkowicz-Styan bound is
+    # lambda_min itself and only rounding separates them
+    rng = np.random.default_rng(seed)
+    low = -1.0 + offset
+    rest = 1.0 + spread * rng.uniform(-1.0, 1.0, dim - 1)
+    spectrum = np.r_[low, (1.0 - low) * rest / rest.sum()]
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    rho = hermitize((u * spectrum) @ u.conj().T)[None]
+    r = to_coords(rho)
+    if np.linalg.eigvalsh(rho)[0, 0] < -1.0:
+        assert ensemble._collapse_screen(rho, ensemble._traces(rho))[0]
+        assert ensemble._collapse_screen(r, ensemble._traces(r))[0]
 
 
 @pytest.mark.parametrize("kind", HILBERT_KINDS)

@@ -52,6 +52,23 @@ def test_run_digests_gate(tmp_path, capsys, monkeypatch):
     assert f"qubit_decay_jump|seed=7: 1 and 2 threads differ in {changed}" in out
 
 
+def test_compare_checks_thread_identity_on_every_field(tmp_path, capsys, monkeypatch):
+    # a run whose 1- and 2-thread results differ only in their records
+    # fails the comparison, which names it and the field
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _load_tool()
+    run = {"stats_sha256": "s", "records_sha256": "r", "health": {"min_eigenvalue": -1e-3}}
+    path = tmp_path / "digests.json"
+    path.write_text(json.dumps({"doc|seed=7|threads=1": run, "doc|seed=7|threads=2": run,
+                                "split|seed=7|threads=1": run,
+                                "split|seed=7|threads=2": dict(run, records_sha256="other")}))
+    capsys.readouterr()
+    assert tool.compare(str(path), str(path)) == 1
+    out = capsys.readouterr().out
+    assert out == (f"0 of 4 shared runs moved\n"
+                   f"split|seed=7: 1 and 2 threads differ in {path} (records_sha256)\n")
+
+
 def test_run_digests_max_steps(tmp_path, monkeypatch):
     # --max-steps caps every run's steps in place of the default 120
     monkeypatch.setattr(sys, "path", list(sys.path))

@@ -7,7 +7,8 @@ threads.  The JSON output holds, per run, the sha256 of its stats table and
 records, its health block and its stats CSV text.  ``--compare`` prints the runs that moved between two
 outputs, with each run's largest mean move (relative to max(1, |mean|)) and
 largest SE move (absolute, and relative to the larger of the two SEs), and
-exits 1 when a run's 1-thread and 2-thread results differ in the second.
+exits 1 when a run's 1-thread and 2-thread results differ in the second: in
+its stats, its records or its health block.
 
 ``--baseline`` writes a baseline in place of the full output: the build it
 ran on (``build_key``), and per run its two digests and health block, but not
@@ -141,8 +142,11 @@ def compare(path_a: str, path_b: str) -> int:
     print(f"{len(moved)} of {len(keys)} shared runs moved")
     status = 0
     for key in (k for k in sorted(b) if k.endswith("|threads=1")):
-        if b[key]["stats_sha256"] != b.get(key[:-1] + "2", b[key])["stats_sha256"]:
-            print(f"{key[:-len('|threads=1')]}: 1 and 2 threads differ in {path_b}")
+        other = b.get(key[:-1] + "2", b[key])
+        differ = [f for f in FIELDS if b[key][f] != other[f]]
+        if differ:
+            print(f"{key[:-len('|threads=1')]}: 1 and 2 threads differ in {path_b} "
+                  f"({', '.join(differ)})")
             status = 1
     return status
 
