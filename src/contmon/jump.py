@@ -16,16 +16,17 @@ compiles one step, stated once in the half form of the kernel section below:
 right products of the ``(B d, d)`` view, which allocate no (B, d, d) array
 when the caller keeps its work buffers.  At d <= ``BATCH_GEMM_MAX_DIM``,
 where one real GEMM costs less than the right products, the kernel also
-carries that step lowered to a single real matrix, which takes the (d^2, B)
-coordinates of a state batch (``core_ops.to_coords``) to its no-click image,
-its click image and <c^dag c> in one GEMM.  :func:`click_kernel_step` runs
-either form, and the ensemble runs every density-matrix click kind through
-it.  The density-matrix steppers (the ``*_apply`` functions and
-:func:`linear_jump_step`) are the same kernels, stepping a copy of their
-input for the supplied outcome; only :func:`jump_sse_apply`, on state
-vectors, has a body of its own.  The compiled kernels of both families live
-in the per-model operator cache under ``("kernel", kind, dt, ...)`` keys,
-which only :func:`_cached_kernel` reads and writes.
+carries that step lowered to real matrices on the (d^2, B) coordinates of a
+state batch (``core_ops.to_coords``): one GEMM takes the batch to its
+no-click images and <c^dag c>, and a second takes the clicked states alone
+to their click images.  :func:`click_kernel_step` runs either form, and the
+ensemble runs every density-matrix click kind through it.  The density-matrix
+steppers (the ``*_apply`` functions and :func:`linear_jump_step`) are the
+same kernels, stepping a copy of their input for the supplied outcome; only
+:func:`jump_sse_apply`, on state vectors, has a body of its own.  The
+compiled kernels of both families live in the per-model operator cache under
+``("kernel", kind, dt, ...)`` keys, which only :func:`_cached_kernel` reads
+and writes.
 
 Preconditions: ``NEEDS`` states, once for every Hilbert-space kind of both
 families, the conditions its step is derived under (Wiseman & Milburn,
@@ -238,12 +239,12 @@ def sse_jump_probability(psi: np.ndarray, model: OpenSystemModel, dt: float):
 
 def click_outcomes(p, u):
     """Click outcomes dN = [u < p] for the click probability ``p`` of the
-    coming step and its uniform variates ``u``."""
+    coming step and its uniform variates ``u``; a NaN probability fails the
+    step-size check too."""
     pmax = float(np.max(p))
-    if pmax >= JUMP_PROBABILITY_LIMIT:
-        raise StepSizeError(
-            f"jump probability per step {pmax:.3g} >= {JUMP_PROBABILITY_LIMIT}; reduce dt"
-        )
+    if not pmax < JUMP_PROBABILITY_LIMIT:
+        raise StepSizeError(f"jump probability per step {pmax:.3g} is not below "
+                            f"{JUMP_PROBABILITY_LIMIT}; reduce dt")
     return u < p
 
 
@@ -387,9 +388,11 @@ class ClickKernel:
     rate row and are not renormalized.
 
     ``maps`` (d <= ``BATCH_GEMM_MAX_DIM`` only) is this step lowered to the
-    coordinates: the map of the no-click W + W^dag, that of the click's, and
-    the rate row unless the kind is linear.  The no-click image there is
-    y0 + 2 ``rate_gain`` <c^dag c> r.
+    coordinates, in two parts: a head of d^2 + 1 rows, the map of the
+    no-click W + W^dag and the rate row (d^2 rows, without the rate row, for
+    linear kinds), then the d^2 rows of the click's map.  The head is applied
+    to every state, the click rows to the clicked states only.  The no-click
+    image there is y0 + 2 ``rate_gain`` <c^dag c> r.
     """
 
     no_click: HalfForm
@@ -466,10 +469,9 @@ def _compile_click(ctx, model, kind, dt, f_op, beta):
 
 
 def _click_maps(kernel: ClickKernel, d: int) -> np.ndarray:
-    jump = dagger(kernel.jump_d)
-    maps = [kernel.no_click.superop(d),
-            (2.0 * kernel.click_scale) * _sandwich(jump, kernel.jump_d)]
-    return _kernel_matrix(maps, () if kernel.linear else (kernel.rate_row,))
+    head = _kernel_matrix([kernel.no_click.superop(d)], () if kernel.linear else (kernel.rate_row,))
+    click = (2.0 * kernel.click_scale) * _sandwich(dagger(kernel.jump_d), kernel.jump_d)
+    return np.vstack([head, _kernel_matrix([click])])
 
 
 def click_kernel_step(kernel, rho: np.ndarray, u, work: dict | None = None):
@@ -491,31 +493,38 @@ def click_kernel_step(kernel, rho: np.ndarray, u, work: dict | None = None):
 def _click_read(kernel, rho, work):
     """The first half of a click step: (carry, rate), the step's <c^dag c> per
     state (None for linear kinds) and what :func:`_click_update` continues
-    from."""
+    from.  In coordinates this is one GEMM of the head of ``maps`` against
+    the batch, (d^2 + 1) x d^2: the no-click image and the rate row (d^2 x
+    d^2, the image alone, for linear kinds)."""
     if kernel.maps is None:
         rho, bufs = _right_work(rho, work)
         rate = None if kernel.linear else (rho.reshape(len(rho), -1) @ kernel.rate_row).real
         return (rho, bufs), rate
     batch = rho.ndim == 3
     x = to_coords(rho) if batch else rho
-    y = kernel.maps @ x
-    return (x, y, batch), None if kernel.linear else y[2 * len(x)]
+    n = len(x)
+    y = kernel.maps[: len(kernel.maps) - n] @ x
+    return (x, y, batch), None if kernel.linear else y[n]
 
 
 def _click_update(kernel, carry, rate, dn):
     """The second half of a click step: the states after the outcomes ``dn``;
-    raises on a click from a dark state."""
-    if rate is not None and dn.any() and np.any(rate[dn] < DARK_STATE_RATE):
+    raises on a click from a dark state.  In coordinates the no-click image
+    of :func:`_click_read` is finished in place, and the clicked columns are
+    overwritten by one GEMM of the click rows of ``maps`` against those
+    columns alone."""
+    rows = dn.ravel().nonzero()[0]  # np.flatnonzero, without its dispatch cost at d = 2
+    if rate is not None and len(rows) and np.any(rate[rows] < DARK_STATE_RATE):
         raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
     if kernel.maps is None:
-        return _click_right_update(kernel, *carry, rate, dn)
+        return _click_right_update(kernel, *carry, rate, rows)
     x, y, batch = carry
     n = len(x)
     z = y[:n]
     if kernel.rate_gain:
         z += (2.0 * kernel.rate_gain * rate) * x
-    if dn.any():
-        np.copyto(z, y[n : 2 * n], where=dn)
+    if len(rows):
+        z[:, rows] = kernel.maps[-n:] @ x[:, rows]
     return _coords_out(z, kernel.linear, batch)
 
 
@@ -647,14 +656,13 @@ def _half_finish(w, out, spare, renormalize):
     return out
 
 
-def _click_right_update(kernel: ClickKernel, rho, bufs, rate, dn):
+def _click_right_update(kernel: ClickKernel, rho, bufs, rate, rows):
     w, p, q = bufs
     kernel.no_click.apply(rho, w, p, q)
     if kernel.rate_gain:
         _add_scaled(w, rho, kernel.rate_gain * rate, p)
-    if dn.any():
-        # the click sandwich of the clicked rows, in the leading rows of p and q
-        rows = np.flatnonzero(dn)
+    if len(rows):
+        # the click sandwich of the clicked ``rows``, in the leading rows of p and q
         sub_p, sub_q = p[: len(rows)], q[: len(rows)]
         np.take(rho, rows, axis=0, out=sub_p)
         _gemm(_conj_t(_gemm(sub_p, kernel.jump_d, sub_q), sub_p), kernel.jump_d, sub_q)

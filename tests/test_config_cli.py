@@ -402,6 +402,25 @@ def test_cli_master_equation_blow_up_exits_through_the_drift_check(tmp_path, cap
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_cli_jump_blow_up_exits_through_the_step_size_check(tmp_path, capsys):
+    # a Hamiltonian of 1e200 overflows the coordinate step into NaN states,
+    # whose NaN click probability must fail the step-size check rather than
+    # read as "no click", with no validate_every check to catch the states
+    doc = get_preset("qubit_decay_jump")
+    doc["model"]["hamiltonian"] = [{"op": "sigma_x", "coeff": 1e200}]
+    doc["run"].update(dt=0.01, n_traj=64, validate_every=0)
+    doc["output"]["directory"] = str(tmp_path / "out")
+    config_path = tmp_path / "blows_up.json"
+    config_path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        assert main(["run", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert "physicality violation" in err and "nan is not below" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "stats.csv").exists()
+
+
 def _opo_blow_up(unravelling, n_traj):
     def mutate(doc):
         doc["model"]["opo"].update(chi=5.0, kappa=1.0)

@@ -1022,7 +1022,8 @@ def test_coordinate_kernel_step_memory_is_flat(kind):
     # a d = 12 block of B = 256 states held as (d^2, B) coordinates through
     # Kind.kernel, compiled before tracing starts: each step allocates its
     # images, and the traced peak is the same over 5 and 50 steps and below 4
-    # complex state-sized arrays
+    # complex state-sized arrays, or 2 for a click kind, whose step images the
+    # batch by its no-click map and rate row alone (d^2 + 1 rows)
     dim, n, dt = 12, 256, 1e-3
     size = n * dim * dim * 16
     kind_rec = KINDS[kind]
@@ -1048,7 +1049,7 @@ def test_coordinate_kernel_step_memory_is_flat(kind):
     finally:
         tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
-    assert max(peaks) < 4 * size, [p / size for p in peaks]
+    assert max(peaks) < (2 if kind_rec.clicks else 4) * size, [p / size for p in peaks]
 
 
 def test_two_point_mode_matches_gaussian_in_mean(qubit_ops, decay_model, excited):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contmon import OpenSystemModel, WeightedState, build_standard_ops, integrate_me
-from contmon.core_ops import BATCH_GEMM_MAX_DIM, dagger, hermitize, trace
+from contmon.core_ops import BATCH_GEMM_MAX_DIM, dagger, from_coords, hermitize, to_coords, trace
 from contmon.jump import (
     DarkStateJumpError,
     click_kernel,
@@ -17,6 +17,7 @@ from contmon.jump import (
     linear_jump_step,
 )
 from contmon.ensemble import trajectory_rng
+from contmon.master_equation import StepSizeError
 
 from conftest import random_density_matrix
 
@@ -235,11 +236,13 @@ def _oracle_model(qubit_ops, dim, eta=1.0):
 
 
 # per-state steppers, which wrap the kernels, and coordinate kernels called
-# directly at d = 2 (Pauli), d = 3 (Gell-Mann) and d = 6; right-product kernels
-# above BATCH_GEMM_MAX_DIM
+# directly at d = 2 (Pauli), d = 3 (Gell-Mann), d = 6 and BATCH_GEMM_MAX_DIM;
+# right-product kernels above it
 RIGHT_DIM = BATCH_GEMM_MAX_DIM + 1
 ORACLE_PATHS = [(2, False, ""), (2, True, "-kernel"), (6, True, "-d6-kernel"),
-                (3, True, "-d3-kernel"), (RIGHT_DIM, True, f"-d{RIGHT_DIM}-kernel")]
+                (3, True, "-d3-kernel"),
+                (BATCH_GEMM_MAX_DIM, True, f"-d{BATCH_GEMM_MAX_DIM}-kernel"),
+                (RIGHT_DIM, True, f"-d{RIGHT_DIM}-kernel")]
 
 
 @pytest.mark.parametrize("stepper, eta, dim, kernel", [
@@ -291,6 +294,7 @@ def test_jump_steps_match_literal_products(qubit_ops, stepper, eta, dim, kernel)
 @pytest.mark.parametrize("path, dim", [
     pytest.param(path, dim, id=path)
     for path, dim in (("apply", 2), ("kernel", 2), ("d6-kernel", 6), ("d3-kernel", 3),
+                      (f"d{BATCH_GEMM_MAX_DIM}-kernel", BATCH_GEMM_MAX_DIM),
                       (f"d{RIGHT_DIM}-kernel", RIGHT_DIM))
 ])
 def test_linear_jump_step_matches_literal_products(qubit_ops, path, dim):
@@ -321,6 +325,31 @@ def test_linear_jump_step_matches_literal_products(qubit_ops, path, dim):
         clicks += int(dn.sum())
     assert clicks > 0
     assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("u, clicked", [(0.0, True), (1.0, False)], ids=["all-click", "no-click"])
+def test_coordinate_click_step_at_the_edge_widths(qubit_ops, u, clicked):
+    # a coordinate batch at BATCH_GEMM_MAX_DIM where every state clicks or none
+    # does: the click map's GEMM runs on all columns or on none
+    dim, dt, n_traj = BATCH_GEMM_MAX_DIM, 1e-3, 8
+    model = _oracle_model(qubit_ops, dim)[0]
+    compiled = click_kernel(model, "jump", dt)
+    assert compiled.maps is not None
+    rng = np.random.default_rng(8)
+    rho = np.stack([random_density_matrix(rng, dim) for _ in range(n_traj)])
+    dn_ref = np.full(n_traj, clicked)
+    for _ in range(2):
+        r, dn = click_kernel_step(compiled, to_coords(rho), np.full(n_traj, u))
+        np.testing.assert_array_equal(dn, dn_ref)
+        rho_ref = _literal_sme_apply(rho, model, dt, dn_ref)
+        assert float(np.max(np.abs(from_coords(r) - rho_ref))) <= 1e-13
+        rho = rho_ref
+
+
+def test_click_outcomes_rejects_a_nan_probability():
+    p = np.array([1e-3, np.nan, 1e-3])
+    with pytest.raises(StepSizeError, match="nan is not below 0.1"):
+        click_outcomes(p, np.full(3, 0.5))
 
 
 def test_dark_state_click_raises(decay_model, ground):
