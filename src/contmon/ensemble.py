@@ -27,9 +27,9 @@ two noise-free kinds below.  A Gaussian run that keeps records draws its dead
 currents' increments from a second substream of each trajectory, and the
 driver writes them into their record columns.
 
-Step dispatch: a Hilbert-space kind's chunk step advances its block one step
-at a time through the ``advance`` its ``Kind.kernel`` builds once per block.
-A density-matrix kind compiles its step there
+Step dispatch: a Hilbert-space kind's chunk step advances its block of
+density matrices one step at a time through the ``advance`` its
+``Kind.kernel`` builds once per block.  Each kind compiles its step there
 (:func:`contmon.jump.click_kernel`, :func:`contmon.diffusive.diffusive_kernel`),
 and the kernel decides the block's form.  When it carries coordinate ``maps`` (at d <=
 ``core_ops.BATCH_GEMM_MAX_DIM``, or ``KRAUS_COORDS_MAX_DIM`` for the
@@ -40,10 +40,8 @@ be stored or passed to an eigensolver: a step is one real GEMM plus per-row
 scalar corrections, and so are the observables.  Otherwise a right-product
 kernel updates the block's states in place through work buffers the block
 owns, with one GEMM of the (B d, d) view per constant operator, and the
-observables are one GEMM of the (B, d^2) view.  The state-vector kind
-``jump_sse`` compiles nothing and steps through
-:func:`contmon.jump.jump_sse_apply`.  Every kind calls these through the
-module attributes ``jump`` and ``diffusive``.
+observables are one GEMM of the (B, d^2) view.  Every kind calls these
+through the module attributes ``jump`` and ``diffusive``.
 
 Health checks: a density-matrix block with ``track_min_eigenvalue`` reports
 the smallest eigenvalue of every stepped state (divided by its trace for the
@@ -206,8 +204,9 @@ class Scenario:
     raises the ValueError of :func:`contmon.jump.check_needs` when the kind's
     needs (``jump.NEEDS``) are unmet, the one its kernel would raise, and for
     a Gaussian run the one of :func:`contmon.gaussian.feedback_terms` when the
-    controller does not fit the model, or one naming the initial state when
-    its mean is not (2n,) or its covariance not (2n, 2n).  A configuration
+    controller does not fit the model.  It raises one naming the initial state
+    when a Gaussian mean is not (2n,) or its covariance not (2n, 2n), and when
+    a Hilbert-space state is not the model's (d, d).  A configuration
     document reports the same needs, with the same messages, as the named
     rules of their ``NEEDS`` rows.
     """
@@ -226,14 +225,17 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not isinstance(self.model, KINDS[self.kind].model):
             raise ValueError(f"{self.kind} scenario needs a {KINDS[self.kind].model.__name__}")
-        check_needs(self.kind, self.model, self.feedback_operator, self.beta_ost, self.initial_state)
+        check_needs(self.kind, self.model, self.feedback_operator, self.beta_ost)
+        dim = self.model.dim
         if isinstance(self.model, GaussianModel):
-            dim = self.model.dim
             mean, cov = (np.shape(getattr(self.initial_state, x, None)) for x in ("mean", "cov"))
             if (mean, cov) != ((dim,), (dim, dim)):
                 raise ValueError(f"gaussian initial state needs mean ({dim},) and covariance "
                                  f"({dim}, {dim}) for this model; got {mean} and {cov}")
             feedback_terms(self.model, self.f_mat, self.controller or ("none", None))
+        elif np.shape(self.initial_state) != (dim, dim):
+            raise ValueError(f"initial state needs the density matrix shape ({dim}, {dim}) for "
+                             f"this model; got {np.shape(self.initial_state)}")
 
 
 @dataclass
@@ -292,13 +294,10 @@ def _traces(state):
     return trace(state).real if np.iscomplexobj(state) else coords_trace(state)
 
 
-def _hilbert_observables(kind, state, rows):
+def _hilbert_observables(state, rows):
     """Each observable's values over the block, read by its row in ``rows``;
     for linear kinds the weighted traces tr(rho_bar A) = tr(rho_bar) <A>: no
     division, so zero-weight paths (clicks from a dark state) stay harmless."""
-    if kind.pure:
-        vals = [np.einsum("bi,ij,bj->b", np.conj(state), op, state).real for op in rows]
-        return np.reshape(vals, (len(rows), len(state)))
     if np.iscomplexobj(state):
         return (rows @ state.reshape(len(state), -1).T).real
     return rows @ state
@@ -379,8 +378,6 @@ def _check_physical(kind, state, step):
     cannot clear go to the eigensolver; d = 2 takes its closed form."""
     if not np.all(np.isfinite(state)):
         raise PhysicalityError(step, "non-finite state entries")
-    if kind.pure:
-        return
     coords = not np.iscomplexobj(state)
     if not coords:
         # one state-sized temporary, freed before the eigenvalue check
@@ -410,13 +407,6 @@ def _check_physical(kind, state, step):
 # ``diffusive`` at call time, so a stand-in module set there sees every call.
 # Each compiled kernel gets its own ``work`` dict, so the buffers of blocks
 # that run on different threads are never shared.
-
-
-def _jump_sse(sc, dt):
-    def advance(psi, u):
-        dn = jump.click_outcomes(jump.sse_jump_probability(psi, sc.model, dt), u)
-        return jump.jump_sse_apply(psi, sc.model, dt, dn), dn
-    return advance
 
 
 def _advance(step, kernel):
@@ -511,17 +501,14 @@ def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
     checks after each step."""
     kind = KINDS[scenario.kind]
     advance = kind.kernel(scenario, spec.dt)
-    coords = not kind.pure and advance.coords
+    coords = advance.coords
     state0 = np.asarray(scenario.initial_state, dtype=complex)
     # the observables are read by their coordinates on a coordinate block and
     # by the rows vec(A^T) on a (B, d, d) block
-    rows = [op for _, op in spec.observables]
-    if not kind.pure:
-        rows = np.reshape([to_coords(op) if coords else op.T for op in rows],
-                          (len(rows), state0.size))
+    rows = np.reshape([to_coords(op) if coords else op.T for _, op in spec.observables],
+                      (len(spec.observables), state0.size))
     as_states = from_coords if coords else np.asarray
-    track = spec.track_min_eigenvalue and not kind.pure
-    health = dict(min_eig=np.inf, violations=0) if track else {}
+    health = dict(min_eig=np.inf, violations=0) if spec.track_min_eigenvalue else {}
 
     def step(state, k0, x, values, weights, states, records):
         first = len(values) - x.shape[1]
@@ -542,7 +529,7 @@ def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
                     health["violations"] += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
                 if spec.validate_every and (k0 + j + 1) % spec.validate_every == 0:
                     _check_physical(kind, state, k0 + j)
-            values[first + j] = _hilbert_observables(kind, state, rows)
+            values[first + j] = _hilbert_observables(state, rows)
             if weights is not None:
                 weights[first + j] = _traces(state)
             if states is not None:
@@ -683,8 +670,8 @@ class Kind:
     :func:`_gaussian_start` for ``"gaussian"``.  A kind whose ``draws`` is 0
     is noise-free: ``run_ensemble`` runs it as one trajectory that stores no
     records or states, and its block hands its values to :func:`_noise_free`.
-    For the Hilbert-space kinds ``kernel(scenario, dt)`` runs once per block,
-    compiling the step of a density-matrix kind, and returns
+    For the Hilbert-space kinds, which all step density matrices,
+    ``kernel(scenario, dt)`` runs once per block, compiles the step, and returns
     ``advance(state, x)``, which advances the block and returns (state',
     record row); ``x`` is the step's uniform variates for click kinds and its
     Wiener increments otherwise, one column per draw (a vector when ``draws``
@@ -693,10 +680,9 @@ class Kind:
     ``maps``, and a C-contiguous (B, d, d) array, which ``advance`` updates in
     place, otherwise.  Click kinds record ``uint8``
     outcomes; ``linear`` kinds carry unnormalized states with weighted
-    statistics; ``pure`` kinds step state vectors and skip the positivity
-    checks.  What a Hilbert-space kind's step needs of its scenario (a vacuum
-    bath, unit or nonzero efficiency, a zero LO phase, a real or zero
-    squeezing, a feedback operator, a state vector, beta > 0) is its entry of
+    statistics.  What a Hilbert-space kind's step needs of its scenario (a
+    vacuum bath, unit or nonzero efficiency, a zero LO phase, a real or zero
+    squeezing, a feedback operator, beta > 0) is its entry of
     :data:`contmon.jump.NEEDS`, which ``Scenario`` checks at construction, the
     kernel compilers on every call and ``config`` as named document rules.
     """
@@ -705,7 +691,6 @@ class Kind:
     draws: int = 1
     clicks: bool = False
     linear: bool = False
-    pure: bool = False
     block: Callable = partial(_stochastic_block, _hilbert_start)
     shared: Callable | None = None
     model: type = OpenSystemModel
@@ -719,7 +704,6 @@ KINDS = {
     "jump": Kind(_click_kernel, clicks=True),
     "jump_kraus": Kind(_click_kernel, clicks=True),
     "jump_feedback": Kind(_click_kernel, clicks=True),
-    "jump_sse": Kind(_jump_sse, clicks=True, pure=True),
     "linear_jump": Kind(_click_kernel, clicks=True, linear=True),
     "homodyne": Kind(_diffusive_kernel),
     "homodyne_kraus": Kind(_diffusive_kernel),
@@ -827,7 +811,8 @@ class ComparisonReport:
 
 def compare_to_me(stats: EnsembleStats, reference: dict, threshold: float = 4.0) -> ComparisonReport:
     """Per-time z-scores |mean - reference| / SE for each observable present in
-    ``reference``; zero-SE points pass only on exact agreement."""
+    ``reference``; zero-SE points pass only on exact agreement, and a NaN
+    z-score (from a NaN mean or SE) counts as infinite, so it fails."""
     z_scores = {}
     worst = (0.0, "", 0)
     for name, ref in reference.items():
@@ -840,6 +825,7 @@ def compare_to_me(stats: EnsembleStats, reference: dict, threshold: float = 4.0)
         se = stats.std_errs[name]
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(diff == 0.0, 0.0, diff / se)
+        z[np.isnan(z)] = np.inf
         z_scores[name] = z
         idx = int(np.argmax(z))
         if z[idx] > worst[0]:

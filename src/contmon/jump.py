@@ -23,18 +23,18 @@ to their click images.  :func:`click_kernel_step` runs either form, and the
 ensemble runs every density-matrix click kind through it.  The density-matrix
 steppers (the ``*_apply`` functions and :func:`linear_jump_step`) are the
 same kernels, stepping a copy of their input for the supplied outcome; only
-:func:`jump_sse_apply`, on state vectors, has a body of its own.  The
-compiled kernels of both families live in the per-model operator cache under
-``("kernel", kind, dt, ...)`` keys, which only :func:`_cached_kernel` reads
-and writes.
+:func:`jump_sse_apply`, the per-state SSE on state vectors, has a body of its
+own, and no ensemble kind steps it.  The compiled kernels of both families
+live in the per-model operator cache under ``("kernel", kind, dt, ...)``
+keys, which only :func:`_cached_kernel` reads and writes.
 
 Preconditions: ``NEEDS`` states, once for every Hilbert-space kind of both
-families, the conditions its step is derived under (Wiseman & Milburn,
-*Quantum Measurement and Control*, ch. 4-5), each row with the document path
-and named rule that report it.  :func:`unmet_needs` is the one predicate over
-plain values (the bath, the efficiency, the LO phase, beta, whether an F is
-given, the initial state): :func:`check_needs` reads it for the kernel
-compilers, the per-state steppers and ``ensemble.Scenario``, and the
+families and for the per-state SSE, the conditions its step is derived under
+(Wiseman & Milburn, *Quantum Measurement and Control*, ch. 4-5), each row
+with the document path and named rule that report it.  :func:`unmet_needs`
+is the one predicate over plain values (the bath, the efficiency, the LO
+phase, beta, whether an F is given): :func:`check_needs` reads it for the
+kernel compilers, the per-state steppers and ``ensemble.Scenario``, and the
 configuration's rule pass for a document, before any operator is built.
 """
 
@@ -60,7 +60,6 @@ __all__ = [
     "WeightedState",
     "DarkStateJumpError",
     "jump_probability",
-    "sse_jump_probability",
     "click_outcomes",
     "jump_sme_apply",
     "jump_sse_apply",
@@ -157,9 +156,7 @@ NEEDS = {
     "jump_feedback": (_JUMP_VACUUM, _FEEDBACK, ("unit_efficiency", "model.efficiency",
                       "jump_feedback_unit_efficiency", "jump feedback requires unit efficiency")),
     "jump_sse": (("unit_efficiency", "model.efficiency", "sse_unit_efficiency",
-                  "the SSE is defined for unit detection efficiency"), _JUMP_VACUUM,
-                 ("state_vector", "system.initial_state", "sse_state_vector",
-                  "jump_sse steps state vectors: initial_state must be 1-d")),
+                  "the SSE is defined for unit detection efficiency"), _JUMP_VACUUM),
     "linear_jump": (_JUMP_VACUUM, ("beta", "unravelling.beta", "ostensible_rate_positive",
                                    "ostensible rate beta must be > 0"),
                     ("unit_efficiency", "model.efficiency", "linear_unit_efficiency",
@@ -187,26 +184,25 @@ NEEDS = {
 
 
 def unmet_needs(kind: str, bath, efficiency: float, homodyne_phase: float, beta: float = 1.0,
-                has_f: bool = False, state=None) -> list:
+                has_f: bool = False) -> list:
     """The rows of ``NEEDS[kind]``, in table order, that a model of the bath
     ``bath``, the detection ``efficiency`` and the local-oscillator phase
-    ``homodyne_phase`` leaves unmet, with the ostensible rate ``beta``, a
-    feedback operator F given or not (``has_f``) and the initial ``state``,
-    where one is given.  A kind without an entry needs nothing."""
+    ``homodyne_phase`` leaves unmet, with the ostensible rate ``beta`` and a
+    feedback operator F given or not (``has_f``).  A kind without an entry
+    needs nothing."""
     met = dict(vacuum_bath=bath.is_vacuum, unit_efficiency=efficiency == 1.0,
-               efficiency=efficiency > 0.0, feedback_operator=has_f,
-               state_vector=state is None or np.ndim(state) == 1, beta=beta > 0,  # NaN fails
+               efficiency=efficiency > 0.0, feedback_operator=has_f, beta=beta > 0,  # NaN fails
                zero_phase=homodyne_phase == 0.0, thermal_bath=bath.squeezing == 0,
                real_squeezing=complex(bath.squeezing).imag == 0.0)
     return [row for row in NEEDS.get(kind, ()) if not met[row[0]]]
 
 
-def check_needs(kind: str, model, f_op=None, beta: float = 1.0, state=None) -> None:
+def check_needs(kind: str, model, f_op=None, beta: float = 1.0) -> None:
     """Raise a ValueError naming every need of ``kind`` (:func:`unmet_needs`)
-    that the model, the Hermitian feedback operator ``f_op``, the ostensible
-    rate ``beta`` and the initial ``state``, where one is given, leave unmet."""
+    that the model, the Hermitian feedback operator ``f_op`` and the
+    ostensible rate ``beta`` leave unmet."""
     unmet = kind in NEEDS and unmet_needs(kind, model.bath, model.efficiency, model.homodyne_phase,
-                                          beta, f_op is not None and is_hermitian(f_op), state)
+                                          beta, f_op is not None and is_hermitian(f_op))
     if unmet:
         raise ValueError("; ".join(message.format(kind=kind) for *_, message in unmet))
 
@@ -226,14 +222,6 @@ def jump_probability(rho: np.ndarray, model: OpenSystemModel, dt: float):
     check_needs("jump", model)
     ctx = _ctx(model)
     ex = np.einsum("...ij,ji->...", rho, ctx["cdc"]).real
-    return model.efficiency * ctx["kappa"] * ex * dt
-
-
-def sse_jump_probability(psi: np.ndarray, model: OpenSystemModel, dt: float):
-    """Click probability eta kappa <psi|c^dag c|psi> dt of a pure state."""
-    check_needs("jump", model)
-    ctx = _ctx(model)
-    ex = np.einsum("...i,ij,...j->...", np.conj(psi), ctx["cdc"], psi).real
     return model.efficiency * ctx["kappa"] * ex * dt
 
 

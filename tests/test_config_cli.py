@@ -801,6 +801,7 @@ def test_validate_run_parity_over_the_hilbert_document_grid():
     # compiles, so run cannot fail on a kind's needs; every rejection names
     # its rules
     from contmon.ensemble import KINDS
+    from contmon.master_equation import OpenSystemModel
 
     accepted = {}
     for case in itertools.product(("jump", "homodyne", "heterodyne"), ("none", "markovian"),
@@ -828,6 +829,10 @@ def test_validate_run_parity_over_the_hilbert_document_grid():
         KINDS[kind].kernel(job.scenario, job.spec.dt)
         accepted[case] = kind
     assert accepted == GRID_ACCEPTED
+    # and every ensemble kind that steps an OpenSystemModel is one a document
+    # selects, so none is reachable from the Python API alone
+    assert set(accepted.values()) | {"me"} == {
+        k for k, v in KINDS.items() if v.model is OpenSystemModel}
 
 
 @pytest.mark.parametrize("mutate", [
@@ -1082,13 +1087,12 @@ def _need_document(unravelling, feedback, model):
 
 
 def test_need_cases_cover_every_row_a_document_can_break():
-    # jump_sse is selected by no document, and a non-vacuum bath under a
-    # homodyne or heterodyne unravelling selects a generalized kind
+    # the per-state SSE is selected by no document, and a non-vacuum bath
+    # under a homodyne or heterodyne unravelling selects a generalized kind
     from contmon.jump import NEEDS
 
     rows = {(kind, row[0]) for kind, table in NEEDS.items() for row in table}
-    unreachable = {("jump_sse", need) for need in ("unit_efficiency", "vacuum_bath",
-                                                   "state_vector")}
+    unreachable = {("jump_sse", need) for need in ("unit_efficiency", "vacuum_bath")}
     unreachable |= {(kind, "vacuum_bath") for kind in ("homodyne", "homodyne_kraus", "heterodyne",
                                                        "linear_homodyne_kraus")}
     assert rows - unreachable == set(NEED_CASES)

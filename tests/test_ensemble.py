@@ -26,6 +26,7 @@ from contmon.config import _columns
 from contmon.ensemble import (
     KINDS,
     EnsembleSpec,
+    EnsembleStats,
     PhysicalityError,
     Scenario,
     compare_to_me,
@@ -55,8 +56,8 @@ from contmon.master_equation import BathSpec
 from conftest import random_density_matrix, two_mode_model
 
 
-# the kinds that step density matrices or state vectors: every KINDS entry
-# with a kernel, which leaves out the Gaussian kinds and the master equation
+# the kinds that step density matrices: every KINDS entry with a kernel,
+# which leaves out the Gaussian kinds and the master equation
 HILBERT_KINDS = sorted(k for k in KINDS if KINDS[k].kernel is not None)
 
 
@@ -436,15 +437,12 @@ def test_gaussian_thread_count_invariance(name, controller):
 
 
 def kind_scenario(kind, qubit_ops):
-    """A driven decaying qubit set up for ``kind``: a thermal bath for the
-    generalized kinds, a feedback operator for the feedback kinds, |e> as a
-    state vector for the SSE."""
+    """A driven decaying qubit set up for ``kind``, from |e>: a thermal bath
+    for the generalized kinds, a feedback operator for the feedback kinds."""
     bath = BathSpec(n_thermal=0.5) if kind.startswith("generalized") else BathSpec()
     model = OpenSystemModel(0.3 * qubit_ops["sigma_x"], [(1.0, qubit_ops["sigma_minus"])],
                             bath=bath)
-    state0 = np.array([1.0, 0.0], dtype=complex)
-    if kind != "jump_sse":
-        state0 = np.outer(state0, state0)
+    state0 = np.diag([1.0, 0.0]).astype(complex)
     f_op = 0.4 * qubit_ops["sigma_x"] if kind.endswith("feedback") else None
     return Scenario(kind, model, state0, feedback_operator=f_op, mu=0.2, beta_ost=0.8)
 
@@ -455,9 +453,7 @@ def boson_scenario(kind, dim):
     ops = build_standard_ops("boson", dim)
     bath = BathSpec(n_thermal=0.5) if kind.startswith("generalized") else BathSpec()
     model = OpenSystemModel(0.3 * ops["q"], [(1.0, ops["a"])], bath=bath)
-    state0 = np.eye(dim, dtype=complex)[1]
-    if kind != "jump_sse":
-        state0 = np.outer(state0, state0)
+    state0 = np.diag(np.eye(dim)[1]).astype(complex)
     f_op = 0.4 * ops["q"] if kind.endswith("feedback") else None
     return Scenario(kind, model, state0, feedback_operator=f_op, mu=0.2, beta_ost=0.8)
 
@@ -495,10 +491,7 @@ def two_pass_se(kind, states, op):
     """The SE oracle from stored states, two-pass: np.std(ddof=1) / sqrt(n) of
     the values y = tr(rho A) for normalized kinds, and sqrt(sum (y - m w)^2) / W
     with w = tr rho_bar, W = sum w and m = sum y / W for linear kinds."""
-    if KINDS[kind].pure:
-        y = np.einsum("nti,ij,ntj->nt", np.conj(states), op, states).real
-    else:
-        y = np.einsum("ntij,ji->nt", states, op).real
+    y = np.einsum("ntij,ji->nt", states, op).real
     if not KINDS[kind].linear:
         return np.std(y, axis=0, ddof=1) / np.sqrt(len(y))
     w = np.einsum("ntii->nt", states).real
@@ -560,6 +553,20 @@ def test_compare_to_me_identical_and_shifted(qubit_ops, decay_model, excited):
     assert report.argmax_time_index == k
 
 
+@pytest.mark.parametrize("mean, se", [([1.0, np.nan, 0.5], [0.1, 0.1, 0.1]),
+                                      ([1.0, 0.8, 0.5], [0.1, np.nan, 0.1])],
+                         ids=["nan_mean", "nan_se"])
+def test_compare_to_me_fails_on_nan(mean, se):
+    # argmax lands on a NaN, which compares below every bound, so a NaN z
+    # must count as infinite: run_ensemble writes NaN means on purpose for a
+    # fully collapsed linear ensemble
+    stats = EnsembleStats(np.arange(3.0), {"a": np.array(mean)}, {"a": np.array(se)}, 10)
+    report = compare_to_me(stats, {"a": [1.0, 0.9, 0.5]})
+    assert not report.passed
+    assert (report.max_abs_z, report.argmax_observable, report.argmax_time_index) == (
+        np.inf, "a", 1)
+
+
 def test_jump_and_homodyne_agree_through_me(qubit_ops, decay_model, excited):
     spec = qubit_spec(qubit_ops, n_traj=2000, t_final=1.0, master_seed=3)
     ref = np.exp(-spec.t_grid)
@@ -582,13 +589,22 @@ def test_heterodyne_ensemble_vs_me(qubit_ops, excited):
 
 
 def test_sse_ensemble_matches_me(qubit_ops, decay_model):
-    spec = EnsembleSpec(
-        n_traj=2000, master_seed=12, dt=1e-3, t_final=1.0,
-        observables=(("rho_ee", qubit_ops["projector_e"]),),
-    )
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    stats = run_ensemble(spec, Scenario("jump_sse", decay_model, psi0))
-    report = compare_to_me(stats, {"rho_ee": np.exp(-spec.t_grid)}, threshold=4.0)
+    # the per-state SSE stepped on a batch of 2000 copies of |e>, on the
+    # uniforms an ensemble of seed 12 draws: row i is trajectory_rng(12, i)
+    n_traj, dt, n_steps = 2000, 1e-3, 1000
+    u = _noise_matrix(12, 0, n_traj, n_steps, "uniform")
+    proj = qubit_ops["projector_e"]  # c^dag c of the unit-rate decay
+    psi = np.tile(np.array([1.0, 0.0], dtype=complex), (n_traj, 1))
+    values = np.empty((n_steps + 1, n_traj))
+    for k in range(n_steps + 1):
+        values[k] = np.einsum("bi,ij,bj->b", np.conj(psi), proj, psi).real
+        if k < n_steps:
+            dn = click_outcomes(values[k] * dt, u[:, k])
+            psi = jump_sse_apply(psi, decay_model, dt, dn)
+    t = np.arange(n_steps + 1) * dt
+    stats = EnsembleStats(t, {"rho_ee": values.mean(axis=1)},
+                          {"rho_ee": values.std(axis=1, ddof=1) / np.sqrt(n_traj)}, n_traj)
+    report = compare_to_me(stats, {"rho_ee": np.exp(-t)}, threshold=4.0)
     assert report.passed, f"max |z| = {report.max_abs_z:.2f}"
 
 
@@ -747,7 +763,7 @@ def test_positivity_tracking_kraus_clean(qubit_ops, decay_model, excited):
     assert stats.min_eigenvalue >= -1e-12
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "jump_sse", "me", "jump"])
+@pytest.mark.parametrize("kind", ["gaussian", "me", "jump"])
 def test_positivity_counters_come_only_from_a_density_matrix_check(qubit_ops, kind):
     # a kind that steps no density matrix checks nothing: with tracking on it
     # reports the counters of an untracked run, not those of a clean check
@@ -799,7 +815,7 @@ def test_physicality_abort(qubit_ops, excited):
 @pytest.mark.parametrize("kind, dim", [
     pytest.param(kind, dim, id=f"{kind}-d{dim}")
     for dim in (2, 5, BATCH_GEMM_MAX_DIM, BATCH_GEMM_MAX_DIM + 1)
-    for kind in HILBERT_KINDS if not KINDS[kind].pure
+    for kind in HILBERT_KINDS
 ])
 def test_every_kernel_steps_exactly_hermitian_states(qubit_ops, kind, dim):
     # min_eigenvalue hands its input to eigvalsh, which reads the lower
@@ -882,16 +898,12 @@ def test_records_storage(qubit_ops, kind):
 
 
 # the ensemble-layer entry points of each kind, at every dimension: the kernel
-# is compiled once per block and stepped once per step and block; jump_sse
-# steps state vectors through its per-state entry points
+# is compiled once per block and stepped once per step and block
 CLICK_KERNEL = {"click_kernel": "block", "click_kernel_step": "step"}
 DIFFUSIVE_KERNEL = {"diffusive_kernel": "block", "diffusive_kernel_step": "step"}
 KERNEL_ENTRY_POINTS = {
     kind: CLICK_KERNEL if KINDS[kind].clicks else DIFFUSIVE_KERNEL for kind in HILBERT_KINDS
 }
-KERNEL_ENTRY_POINTS["jump_sse"] = dict.fromkeys(
-    ("sse_jump_probability", "click_outcomes", "jump_sse_apply"), "step"
-)
 
 
 class CountingModule:
@@ -948,14 +960,13 @@ def test_steppers_called_through_module_attributes(qubit_ops, kind, monkeypatch)
 @pytest.mark.parametrize("kind", HILBERT_KINDS)
 def test_per_state_steppers_called_above_kernel_dim(qubit_ops, kind, monkeypatch):
     # the name predates the right-product kernels: above BATCH_GEMM_MAX_DIM
-    # the entry points are the kernels too, and only jump_sse steps per state
+    # the entry points are the kernels too
     _assert_entry_points(kind, BATCH_GEMM_MAX_DIM + 1, qubit_ops, monkeypatch)
 
 
 def coords_at(dim):
     """The density-matrix kinds whose kernels carry coordinate maps at d = ``dim``."""
-    return [k for k in HILBERT_KINDS
-            if not KINDS[k].pure and KINDS[k].kernel(boson_scenario(k, dim), 1e-3).coords]
+    return [k for k in HILBERT_KINDS if KINDS[k].kernel(boson_scenario(k, dim), 1e-3).coords]
 
 
 @pytest.mark.parametrize("kind, dim, bound", [
@@ -979,7 +990,7 @@ def test_block_form_follows_the_kernel(qubit_ops, kind, dim, bound, monkeypatch)
         np.testing.assert_allclose(states.means[name], mean, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", [k for k in HILBERT_KINDS if not KINDS[k].pure])
+@pytest.mark.parametrize("kind", HILBERT_KINDS)
 def test_right_kernel_step_allocates_no_state_sized_array(kind):
     # a block of B = 256 states above BATCH_GEMM_MAX_DIM through Kind.kernel:
     # after the warm-up step has allocated the block's work buffers, the
@@ -1141,15 +1152,18 @@ def test_feedback_scenario_needs_operator(qubit_ops, excited, kind, efficiency):
         Scenario(kind, model, excited)
 
 
-def test_sse_scenario_needs_state_vector(decay_model, excited):
-    # a density matrix and a batch of one state vector are both 2-d
-    for state in (excited, np.array([[1.0, 0.0]], dtype=complex)):
-        with pytest.raises(ValueError, match="initial_state must be 1-d"):
-            Scenario("jump_sse", decay_model, state)
+@pytest.mark.parametrize("kind", ["jump", "homodyne", "me"])
+def test_scenario_rejects_a_hilbert_state_of_the_wrong_shape(decay_model, kind):
+    # a state vector, a batch of one and a qutrit state fail at construction,
+    # not inside run_ensemble with a numpy reshape error
+    for state in (np.array([1.0, 0.0]), np.array([[1.0, 0.0]]), np.eye(3) / 3):
+        with pytest.raises(ValueError) as err:
+            Scenario(kind, decay_model, state.astype(complex))
+        assert str(err.value) == ("initial state needs the density matrix shape (2, 2) for this "
+                                  f"model; got {state.shape}")
 
 
 @pytest.mark.parametrize("kind, model_kwargs, beta, message", [
-    ("jump_sse", dict(efficiency=0.5), 1.0, "the SSE is defined for unit detection efficiency"),
     ("jump", dict(bath=BathSpec(n_thermal=0.5)), 1.0,
      "jump unravelling is defined for vacuum baths only"),
     ("homodyne", dict(bath=BathSpec(n_thermal=0.5)), 1.0,
@@ -1158,22 +1172,19 @@ def test_sse_scenario_needs_state_vector(decay_model, excited):
      "linear trajectories are defined for vacuum baths"),
     ("linear_jump", {}, -1.0, "ostensible rate beta must be > 0"),
     ("homodyne_feedback", dict(efficiency=0.0), 1.0, "homodyne feedback needs efficiency in (0, 1]"),
-], ids=["jump_sse_eta_0.5", "jump_thermal", "homodyne_thermal", "linear_homodyne_thermal",
+], ids=["jump_thermal", "homodyne_thermal", "linear_homodyne_thermal",
         "linear_jump_beta_-1", "homodyne_feedback_eta_0"])
 def test_scenario_rejects_unmet_needs_at_construction(qubit_ops, kind, model_kwargs, beta, message):
     # each of these used to build and fail only inside run_ensemble; the
     # scenario now raises the message of the kind's kernel or stepper
     model = OpenSystemModel(np.zeros((2, 2)), [(1.0, qubit_ops["sigma_minus"])], **model_kwargs)
     f_op = qubit_ops["sigma_x"] if kind.endswith("_feedback") else None
-    psi = np.array([1.0, 0.0], dtype=complex)
-    state = psi if kind == "jump_sse" else np.outer(psi, psi)
     with pytest.raises(ValueError) as err:
-        Scenario(kind, model, state, feedback_operator=f_op, beta_ost=beta)
+        Scenario(kind, model, np.diag([1.0, 0.0]).astype(complex), feedback_operator=f_op,
+                 beta_ost=beta)
     assert str(err.value) == message
     with pytest.raises(ValueError) as err:
-        if kind == "jump_sse":
-            jump_sse_apply(psi, model, 1e-3, False)
-        elif KINDS[kind].clicks:
+        if KINDS[kind].clicks:
             click_kernel(model, kind, 1e-3, f_op=f_op, beta=beta)
         else:
             diffusive_kernel(model, kind, 1e-3, f_op=f_op)
