@@ -58,9 +58,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", help="output directory (defaults to the config's)")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (default: the document's run.threads; they pay for "
-        "d >= 12 Hilbert spaces and Gaussian runs of several blocks -- results are "
-        "thread-count invariant either way)",
+        help="worker threads (default: the document's run.threads; they pay for d >= 12 "
+        "density matrices and Gaussian runs of several blocks, not for qubits or pure "
+        "Kraus runs -- results are thread-count invariant either way)",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
 

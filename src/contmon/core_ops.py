@@ -145,7 +145,10 @@ BATCH_GEMM_MAX_DIM = 12
 # state grows to entries of 7.4, and its drift passes 1e-12 absolute.
 # Lowered, they took 0.84x / 0.90x / 1.01x their right-product time at
 # d = 5 / 8 / 12.  4 is the bound every kind shared before it was raised;
-# d = 5 was not checked against the literal sandwich.
+# d = 5 was not checked against the literal sandwich.  A homodyne_kraus run
+# from a pure state at unit efficiency steps state vectors at every d and
+# never reaches this bound: only mixed starts, efficiencies below 1 and the
+# linear kind do.
 KRAUS_COORDS_MAX_DIM = 4
 
 # The most each per-chunk buffer holds: every ensemble kind's statistics, the

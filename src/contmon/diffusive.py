@@ -25,8 +25,12 @@ kernels, applied to the (d^2, B) coordinates of the batch in one GEMM.  The
 Kraus kinds (``homodyne_kraus``, ``linear_homodyne_kraus``) carry it only at
 d <= ``KRAUS_COORDS_MAX_DIM``: above, their maps drift further from the
 literal sandwich than right products do, and gain no speed (see
-:mod:`contmon.core_ops`).  :func:`diffusive_kernel_step` runs either
-form, and the ensemble runs every diffusive kind through it.  Each per-state
+:mod:`contmon.core_ops`).  At unit efficiency ``homodyne_kraus`` also
+carries ``vector``, its step on state vectors, psi -> M psi / |M psi| with
+M = M0 + dy sqrt(eta kappa) c_eff: one real GEMM on a (2d, B) block of
+[Re psi; Im psi] columns, which the ensemble runs from a pure start.
+:func:`diffusive_kernel_step` runs every form, and the ensemble runs every
+diffusive kind through it.  Each per-state
 stepper above is the same kernel, stepping a copy of its input on the
 supplied increments; the kind ``linear_homodyne_kraus`` exists only for
 :func:`linear_homodyne_kraus_step`.
@@ -48,11 +52,13 @@ from .jump import (
     _conj_t,
     _coords_out,
     _ctx,
+    _dots,
     _gemm,
     _half_finish,
     _half_map,
     _kernel_matrix,
     _no_click_kraus,
+    _real,
     _right_work,
     check_needs,
 )
@@ -269,6 +275,14 @@ class DiffusiveKernel:
     r' = y0 + sum_k dw_k (y_k - s_k r).  Kraus kinds stack the maps of
     M rho M^dag = y0 + dy y1 + dy^2 y2 (with the sandwiches).  The current rows
     come last.
+
+    ``vector`` (``homodyne_kraus`` at unit efficiency only, where a pure
+    state stays pure) is the step on state vectors: the real blocks of M0,
+    sqrt(eta kappa) c_eff and the current operator sqrt(eta kappa) dt
+    (c_eff + c_eff^dag), stacked, so one GEMM gives M0 psi, R psi and, by a
+    column sum of products with psi, the current; then psi' = (M0 psi +
+    dy R psi) / |...|.  A kernel without ``maps`` steps a real block given to
+    it as a vector block.
     """
 
     r0: np.ndarray | None
@@ -280,6 +294,7 @@ class DiffusiveKernel:
     offset: float = 0.0
     kraus: tuple | None = None
     maps: np.ndarray | None = None
+    vector: np.ndarray | None = None
 
     @property
     def linear(self) -> bool:
@@ -309,7 +324,8 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
         undetected = [] if eta == 1.0 else [(cd, ((1.0 - eta) * kappa * dt) * cd)]
         kraus = (_no_click_kraus(ctx, dt)[1], np.ascontiguousarray(root * ceff_d))
         currents = None if kind == "linear_homodyne_kraus" else homodyne_current
-        return _right_kernel(HalfForm.build(None, undetected), [], currents, kraus=kraus)
+        return _right_kernel(HalfForm.build(None, undetected), [], currents, kraus=kraus,
+                             vector=_real(dagger(kraus[0]), root * ctx["ceff"], (root * dt) * herm))
     # every Euler kind's drift is the generator of the one monitored channel
     [(dissipators, commutators)], h_drive = _generator_terms(model)
     h = ctx["h"] if h_drive is None else ctx["h"] + h_drive
@@ -384,10 +400,17 @@ def diffusive_kernel_step(kernel, rho: np.ndarray, dw, work: dict | None = None)
     :func:`contmon.jump.click_kernel_step`.
 
     A kernel without ``maps`` (d > ``BATCH_GEMM_MAX_DIM``, or d >
-    ``KRAUS_COORDS_MAX_DIM`` for the Kraus kinds) advances ``rho`` in place when the caller passes a ``work``
-    dict that it keeps for the batch, where the step's buffers then live, and
-    a copy otherwise.
+    ``KRAUS_COORDS_MAX_DIM`` for the Kraus kinds) advances ``rho`` in place
+    when the caller passes a ``work`` dict that it keeps for the batch, where
+    the step's buffers then live, and a copy otherwise.  Given a real (2d, B)
+    block, such a kernel steps it as state vectors by its ``vector``.
     """
+    if kernel.maps is None and rho.dtype == float:  # a vector block
+        n = len(rho)
+        y = kernel.vector @ rho  # M0 psi, R psi and the current operator on psi
+        dy = _dots(rho, y[2 * n:]) + dw
+        z = y[:n] + dy * y[n:2 * n]
+        return z / np.sqrt(_dots(z)), dy
     if kernel.maps is None:
         return _right_step(kernel, *_right_work(rho, work), dw)
     batch = rho.ndim == 3

@@ -27,21 +27,29 @@ two noise-free kinds below.  A Gaussian run that keeps records draws its dead
 currents' increments from a second substream of each trajectory, and the
 driver writes them into their record columns.
 
-Step dispatch: a Hilbert-space kind's chunk step advances its block of
-density matrices one step at a time through the ``advance`` its
-``Kind.kernel`` builds once per block.  Each kind compiles its step there
-(:func:`contmon.jump.click_kernel`, :func:`contmon.diffusive.diffusive_kernel`),
-and the kernel decides the block's form.  When it carries coordinate ``maps`` (at d <=
-``core_ops.BATCH_GEMM_MAX_DIM``, or ``KRAUS_COORDS_MAX_DIM`` for the
-diffusive Kraus kinds; see :func:`contmon.jump.click_kernel` and
+Step dispatch: a Hilbert-space kind's chunk step advances its block one
+step at a time through the ``advance`` its ``Kind.kernel`` builds once per
+block.  Each kind compiles its step there (:func:`contmon.jump.click_kernel`,
+:func:`contmon.diffusive.diffusive_kernel`), and the kernel and the initial
+state decide the block's form.  A Kraus kind (``jump_kraus``,
+``homodyne_kraus``) whose kernel carries ``vector`` (unit efficiency and a
+vacuum bath, where a pure state stays pure) steps state vectors when its
+initial state is rank one (:func:`_state_vector`): the block is a real
+(2d, B) array of [Re psi; Im psi] columns, a step is one real GEMM of the
+kernel's stacked real blocks plus column sums, the observables are psi^T A_r
+psi for the real blocks A_r, and stored states are psi psi^dag.  Every other
+block holds density matrices.  When the kernel carries coordinate ``maps``
+(at d <= ``core_ops.BATCH_GEMM_MAX_DIM``, or ``KRAUS_COORDS_MAX_DIM`` for
+the diffusive Kraus kinds; see :func:`contmon.jump.click_kernel` and
 :func:`contmon.diffusive.diffusive_kernel`) the block holds real (d^2, B)
 coordinates (:mod:`contmon.core_ops`), converted to (B, d, d) states only to
 be stored or passed to an eigensolver: a step is one real GEMM plus per-row
 scalar corrections, and so are the observables.  Otherwise a right-product
 kernel updates the block's states in place through work buffers the block
 owns, with one GEMM of the (B d, d) view per constant operator, and the
-observables are one GEMM of the (B, d^2) view.  Every kind calls these
-through the module attributes ``jump`` and ``diffusive``.
+observables are one GEMM of the (B, d^2) view.  Every kind calls these, the
+vector step included, through the module attributes ``jump`` and
+``diffusive``.
 
 Health checks: a density-matrix block with ``track_min_eigenvalue`` reports
 the smallest eigenvalue of every stepped state (divided by its trace for the
@@ -51,7 +59,10 @@ read the block in its own form, coordinates or states, which every kernel
 keeps Hermitian to the bit, so no check hermitizes.  At d = 2 the smallest
 eigenvalue has a closed form; above, an abort check runs the eigensolver only
 on the states whose Wolkowicz-Styan bound, from tr rho and tr rho^2 alone,
-cannot place above -1 (:func:`_collapse_screen`).
+cannot place above -1 (:func:`_collapse_screen`).  A vector block reports
+smallest eigenvalue 0 and no violation, exactly: psi psi^dag has rank one and
+d >= 2.  Its abort check reads finite entries and unit norms, the traces of
+its states.
 
 Gaussian runs (``KINDS["gaussian"]``) fold the conditional-mean update into
 one affine map per step, r_{k+1} = Phi r_k + Gamma_k dw_k, built once per run
@@ -89,7 +100,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -97,11 +108,11 @@ import numpy as np
 
 from . import diffusive, jump
 from .core_ops import (CHUNK_BUFFER_BYTES, coords_min_eigenvalue, coords_trace, dagger,
-                       from_coords, min_eigenvalue, to_coords, trace)
+                       from_coords, hermitize, min_eigenvalue, to_coords, trace)
 # perfbench/spans.py wraps ``ensemble.conditional_cov_rhs``, so the name stays
 from .gaussian import (GaussianModel, conditional_cov_rhs,  # noqa: F401
                        covariance_path, feedback_terms, unconditional_moments)
-from .jump import check_needs
+from .jump import _dots, _real, check_needs
 from .master_equation import OpenSystemModel, me_expectations
 
 __all__ = [
@@ -294,10 +305,14 @@ def _traces(state):
     return trace(state).real if np.iscomplexobj(state) else coords_trace(state)
 
 
-def _hilbert_observables(state, rows):
+def _hilbert_observables(state, rows, vector=False):
     """Each observable's values over the block, read by its row in ``rows``;
     for linear kinds the weighted traces tr(rho_bar A) = tr(rho_bar) <A>: no
-    division, so zero-weight paths (clicks from a dark state) stay harmless."""
+    division, so zero-weight paths (clicks from a dark state) stay harmless.
+    On a vector block ``rows`` holds the real block A_r of each A, and
+    <A> = psi^T A_r psi."""
+    if vector:
+        return np.einsum("oib,ib->ob", rows @ state, state)
     if np.iscomplexobj(state):
         return (rows @ state.reshape(len(state), -1).T).real
     return rows @ state
@@ -369,13 +384,15 @@ def _collapse_screen(state, tr):
     return m - s * np.sqrt(d - 1.0) <= -1.0 + SCREEN_MARGIN
 
 
-def _check_physical(kind, state, step):
+def _check_physical(kind, state, step, vector=False):
     """Abort-level checks: integration breakdown, not the (expected, reported)
     small positivity dips of Euler stepping at finite dt.  A block of
     coordinates is checked as it is: its entries finite, its traces from its
     populations, and no Hermiticity test, as real coordinates are Hermitian
     by construction.  At d > 2 only the states :func:`_collapse_screen`
-    cannot clear go to the eigensolver; d = 2 takes its closed form."""
+    cannot clear go to the eigensolver; d = 2 takes its closed form.  A
+    ``vector`` block is checked for finite entries and unit norms, the
+    traces of its states psi psi^dag, which are positive by construction."""
     if not np.all(np.isfinite(state)):
         raise PhysicalityError(step, "non-finite state entries")
     coords = not np.iscomplexobj(state)
@@ -389,10 +406,12 @@ def _check_physical(kind, state, step):
             raise PhysicalityError(step, f"hermiticity defect {herm:.3e}")
     if kind.linear:
         return
-    tr = _traces(state)
+    tr = _dots(state) if vector else _traces(state)
     tr_defect = float(np.max(np.abs(tr - 1.0)))
     if tr_defect > 1e-8:
         raise PhysicalityError(step, f"trace defect {tr_defect:.3e}")
+    if vector:
+        return
     if (math.isqrt(len(state)) if coords else state.shape[-1]) > 2:
         rows = np.flatnonzero(_collapse_screen(state, tr))
         if not len(rows):
@@ -409,26 +428,48 @@ def _check_physical(kind, state, step):
 # that run on different threads are never shared.
 
 
-def _advance(step, kernel):
-    """advance(rho, x) through the compiled ``kernel``; ``advance.coords``
-    says whether it takes the block's coordinates, which it does exactly when
-    the kernel carries ``maps``."""
+def _state_vector(rho):
+    """[Re psi; Im psi] for psi = rho[:, j] / sqrt(rho_jj), j the largest
+    diagonal entry, when rho = psi psi^dag exactly; None otherwise."""
+    j = np.argmax(np.diagonal(rho).real)
+    psi = np.asarray(rho)[:, j] / np.sqrt(np.diagonal(rho)[j].real)
+    return np.r_[psi.real, psi.imag] if np.array_equal(np.outer(psi, psi.conj()), rho) else None
+
+
+def _vector_states(v):
+    """The states psi psi^dag, (B, d, d), of a (2d, B) vector block,
+    hermitized: a complex product rounded by FMA leaves psi_i psi_i^* with an
+    imaginary part."""
+    psi = (v[:len(v) // 2] + 1j * v[len(v) // 2:]).T
+    return hermitize(psi[:, :, None] * psi[:, None, :].conj())
+
+
+def _advance(step, kernel, rho0):
+    """advance(rho, x) through the compiled ``kernel``.  ``advance.vector``
+    says whether it takes a vector block, which it does when the kernel
+    carries ``vector`` and the initial state ``rho0`` is rank one
+    (:func:`_state_vector`); it steps that block through the kernel with its
+    ``maps`` taken off.  ``advance.coords`` says whether it takes the
+    block's coordinates, which it does exactly when the kernel it steps
+    carries ``maps``."""
     work = {}
+    vector = kernel.vector is not None and _state_vector(rho0) is not None
+    kernel = replace(kernel, maps=None) if vector else kernel
     advance = lambda rho, x: step(kernel, rho, x, work)  # noqa: E731
-    advance.coords = kernel.maps is not None
+    advance.coords, advance.vector = kernel.maps is not None, vector
     return advance
 
 
 def _click_kernel(sc, dt):
     kernel = jump.click_kernel(sc.model, sc.kind, dt, f_op=sc.feedback_operator,
                                beta=sc.beta_ost)
-    return _advance(lambda *args: jump.click_kernel_step(*args), kernel)
+    return _advance(lambda *a: jump.click_kernel_step(*a), kernel, sc.initial_state)
 
 
 def _diffusive_kernel(sc, dt):
     kernel = diffusive.diffusive_kernel(sc.model, sc.kind, dt, f_op=sc.feedback_operator,
                                         mu=sc.mu)
-    return _advance(lambda *args: diffusive.diffusive_kernel_step(*args), kernel)
+    return _advance(lambda *a: diffusive.diffusive_kernel_step(*a), kernel, sc.initial_state)
 
 
 @dataclass
@@ -498,17 +539,21 @@ def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
     """A Hilbert-space kind's part of a block: its states advanced one step at
     a time through the ``advance`` its ``Kind.kernel`` compiles, with the
     positivity counters (``track_min_eigenvalue``) and ``validate_every``
-    checks after each step."""
+    checks after each step.  A vector block reports min eigenvalue 0 and no
+    violation without a check: psi psi^dag has rank one, and d >= 2."""
     kind = KINDS[scenario.kind]
     advance = kind.kernel(scenario, spec.dt)
-    coords = advance.coords
+    coords, vector = advance.coords, advance.vector
     state0 = np.asarray(scenario.initial_state, dtype=complex)
-    # the observables are read by their coordinates on a coordinate block and
-    # by the rows vec(A^T) on a (B, d, d) block
-    rows = np.reshape([to_coords(op) if coords else op.T for _, op in spec.observables],
-                      (len(spec.observables), state0.size))
-    as_states = from_coords if coords else np.asarray
-    health = dict(min_eig=np.inf, violations=0) if spec.track_min_eigenvalue else {}
+    # the observables are read by their real blocks on a vector block, by
+    # their coordinates on a coordinate block and by the rows vec(A^T) on a
+    # (B, d, d) block
+    form = _real if vector else to_coords if coords else np.transpose
+    rows = np.reshape([form(op) for _, op in spec.observables], (len(spec.observables),) + (
+        (2 * len(state0),) * 2 if vector else (state0.size,)))
+    as_states = _vector_states if vector else from_coords if coords else np.asarray
+    health = (dict(min_eig=0.0 if vector else np.inf, violations=0)
+              if spec.track_min_eigenvalue else {})
 
     def step(state, k0, x, values, weights, states, records):
         first = len(values) - x.shape[1]
@@ -518,7 +563,7 @@ def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
                 state, records_row = advance(state, x[:, j] if kind.draws > 1 else x[:, j, 0])
                 if records is not None:
                     records[:, j] = records_row
-                if health:  # only a block that checks carries the counters
+                if health and not vector:  # only a block that checks carries the counters
                     arr = state
                     if kind.linear:
                         w = _traces(state)
@@ -528,16 +573,16 @@ def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
                     health["min_eig"] = min(health["min_eig"], float(np.min(eigs)))
                     health["violations"] += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
                 if spec.validate_every and (k0 + j + 1) % spec.validate_every == 0:
-                    _check_physical(kind, state, k0 + j)
-            values[first + j] = _hilbert_observables(state, rows)
+                    _check_physical(kind, state, k0 + j, vector)
+            values[first + j] = _hilbert_observables(state, rows, vector)
             if weights is not None:
                 weights[first + j] = _traces(state)
             if states is not None:
                 states[:, first + j] = as_states(state)
         return state
 
-    state = (np.repeat(to_coords(state0)[:, None], nblk, axis=1) if coords
-             else np.broadcast_to(state0, (nblk,) + state0.shape).copy())
+    state = (np.repeat((_state_vector(state0) if vector else to_coords(state0))[:, None], nblk, 1)
+             if vector or coords else np.broadcast_to(state0, (nblk,) + state0.shape).copy())
     layout = dict(states=(state0.shape, complex), records=(
         (kind.draws,) if kind.draws > 1 else (), np.uint8 if kind.clicks else float))
     return _Stepping(state, step, kind.draws, len(rows), layout, health=health)
@@ -670,12 +715,14 @@ class Kind:
     :func:`_gaussian_start` for ``"gaussian"``.  A kind whose ``draws`` is 0
     is noise-free: ``run_ensemble`` runs it as one trajectory that stores no
     records or states, and its block hands its values to :func:`_noise_free`.
-    For the Hilbert-space kinds, which all step density matrices,
-    ``kernel(scenario, dt)`` runs once per block, compiles the step, and returns
-    ``advance(state, x)``, which advances the block and returns (state',
-    record row); ``x`` is the step's uniform variates for click kinds and its
-    Wiener increments otherwise, one column per draw (a vector when ``draws``
-    is 1).  A density-matrix block is its (d^2, B) coordinates when
+    For the Hilbert-space kinds ``kernel(scenario, dt)`` runs once per block,
+    compiles the step, and returns ``advance(state, x)``, which advances the
+    block and returns (state', record row); ``x`` is the step's uniform
+    variates for click kinds and its Wiener increments otherwise, one column
+    per draw (a vector when ``draws`` is 1).  The block is a real (2d, B)
+    array of state vectors when ``advance.vector`` is true, that is when the
+    kernel of a Kraus kind carries ``vector`` and the initial state is rank
+    one.  A density-matrix block is its (d^2, B) coordinates when
     ``advance.coords`` is true, that is when the compiled kernel carries
     ``maps``, and a C-contiguous (B, d, d) array, which ``advance`` updates in
     place, otherwise.  Click kinds record ``uint8``

@@ -19,14 +19,17 @@ where one real GEMM costs less than the right products, the kernel also
 carries that step lowered to real matrices on the (d^2, B) coordinates of a
 state batch (``core_ops.to_coords``): one GEMM takes the batch to its
 no-click images and <c^dag c>, and a second takes the clicked states alone
-to their click images.  :func:`click_kernel_step` runs either form, and the
-ensemble runs every density-matrix click kind through it.  The density-matrix
-steppers (the ``*_apply`` functions and :func:`linear_jump_step`) are the
-same kernels, stepping a copy of their input for the supplied outcome; only
-:func:`jump_sse_apply`, the per-state SSE on state vectors, has a body of its
-own, and no ensemble kind steps it.  The compiled kernels of both families
-live in the per-model operator cache under ``("kernel", kind, dt, ...)``
-keys, which only :func:`_cached_kernel` reads and writes.
+to their click images.  At unit efficiency, where a pure state stays pure,
+the ``jump_kraus`` kernel also carries ``vector``, its step on state
+vectors: psi -> M0 psi / |M0 psi| or c psi / |c psi|, one real GEMM on a
+(2d, B) block of [Re psi; Im psi] columns.  :func:`click_kernel_step` runs
+every form, and the ensemble runs every click kind through it.  The
+density-matrix steppers (the ``*_apply`` functions and
+:func:`linear_jump_step`) are the same kernels, stepping a copy of their
+input for the supplied outcome, and :func:`jump_sse_apply`, the per-state
+SSE, is the vector step of ``jump_kraus``.  The compiled kernels of both
+families live in the per-model operator cache under ``("kernel", kind, dt,
+...)`` keys, which only :func:`_cached_kernel` reads and writes.
 
 Preconditions: ``NEEDS`` states, once for every Hilbert-space kind of both
 families and for the per-state SSE, the conditions its step is derived under
@@ -35,7 +38,9 @@ with the document path and named rule that report it.  :func:`unmet_needs`
 is the one predicate over plain values (the bath, the efficiency, the LO
 phase, beta, whether an F is given): :func:`check_needs` reads it for the
 kernel compilers, the per-state steppers and ``ensemble.Scenario``, and the
-configuration's rule pass for a document, before any operator is built.
+configuration's rule pass for a document, before any operator is built.  The
+SSE's needs, unit efficiency and a vacuum bath, are also where a Kraus
+kernel keeps its ``vector`` form (:func:`_cached_kernel`).
 """
 
 from __future__ import annotations
@@ -130,7 +135,6 @@ def _ctx(model: OpenSystemModel) -> dict:
             "herm_i": 1j * ceff + dagger(1j * ceff),
             "root": np.sqrt(model.efficiency * kappa),
             "h": h,
-            "h_zero": not np.any(h),
             "eye": np.eye(model.dim, dtype=complex),
         })
     return ctx
@@ -247,33 +251,19 @@ def jump_sme_apply(rho: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np
 
 
 def jump_sse_apply(psi: np.ndarray, model: OpenSystemModel, dt: float, dn) -> np.ndarray:
-    """Stochastic Schroedinger equation update (perfect detection only).
+    """Stochastic Schroedinger equation update (perfect detection only): the
+    per-state form of the vector step of the ``jump_kraus`` kernel, for the
+    given outcome.
 
-    No click: psi += (-i H + (kappa/2)(<c^dag c> - c^dag c)) psi dt, renormalized.
+    No click: psi -> M0 psi / ||M0 psi|| with M0 = 1 - iH dt - (kappa/2) c^dag c dt.
     Click: psi -> c psi / ||c psi||.
     """
     check_needs("jump_sse", model)
-    ctx = _ctx(model)
-    kappa, c, cdc, h = ctx["kappa"], ctx["c"], ctx["cdc"], ctx["h"]
-    psi = np.asarray(psi, dtype=complex)
-    dn = np.asarray(dn, dtype=bool)
-
-    cdc_psi = psi @ cdc.T
-    ex = np.einsum("...i,...i->...", np.conj(psi), cdc_psi).real
-    drift = (kappa / 2.0) * (np.asarray(ex)[..., None] * psi - cdc_psi)
-    if not ctx["h_zero"]:
-        drift = drift - 1j * (psi @ h.T)
-    no_click = psi + drift * dt
-    no_click = no_click / np.linalg.norm(no_click, axis=-1, keepdims=True)
-
-    if not np.any(dn):
-        return no_click
-    if np.any(dn & (np.asarray(ex) < DARK_STATE_RATE)):
-        raise DarkStateJumpError("cannot jump from a dark state")
-    jumped = psi @ c.T
-    norm = np.linalg.norm(jumped, axis=-1, keepdims=True)
-    jumped = jumped / np.where(norm < np.sqrt(DARK_STATE_RATE), 1.0, norm)
-    return np.where(dn[..., None], jumped, no_click)
+    kernel = replace(click_kernel(model, "jump_kraus", dt), maps=None)
+    batch, shape = _as_batch(np.asarray(psi)[..., None], np.shape(dn))  # (B, d, 1)
+    y, rate = _click_read(kernel, np.vstack([batch.real[..., 0].T, batch.imag[..., 0].T]), None)
+    re, im = np.split(_click_update(kernel, y, rate, np.broadcast_to(dn, shape).ravel()), 2)
+    return (re + 1j * im).T.reshape(shape + re.shape[:1])
 
 
 def linear_jump_step(
@@ -338,7 +328,11 @@ def jump_feedback_apply(
 # one real GEMM of the matrix against the (d^2, B) coordinates, so that every
 # image and every expectation is a contiguous row over the batch and the
 # per-trajectory scalars broadcast along it.  A complex (B, d, d) batch is
-# converted at entry and exit.
+# converted at entry and exit.  The Kraus kinds' ``vector`` acts on state
+# vectors the same way: a Kraus step takes psi psi^dag to M psi (M psi)^dag,
+# so with psi as the real column [Re psi; Im psi] each operator M is one real
+# 2d x 2d block, and a step is one GEMM of the stacked blocks against the
+# (2d, B) block, plus column sums for the rates or currents and the norms.
 
 
 def _half_map(a, b):
@@ -354,6 +348,17 @@ def _kernel_matrix(maps, rows=()):
     mat = np.vstack([u.conj().T @ s @ u for s in maps] + [np.reshape(r, (1, n)) @ u for r in rows])
     assert np.max(np.abs(mat.imag)) <= 1e-14 * max(1.0, np.max(np.abs(mat.real)))
     return np.ascontiguousarray(mat.real)
+
+
+def _real(*ops):
+    """The real 2d x 2d blocks [[Re A, -Im A], [Im A, Re A]] of the (d, d)
+    operators ``ops``, stacked: each takes [Re psi; Im psi] to [Re A psi; Im A psi]."""
+    return np.vstack([np.block([[a.real, -a.imag], [a.imag, a.real]]) for a in ops])
+
+
+def _dots(a, b=None):
+    """The dot product of each column of ``a`` with itself, or with that of ``b``."""
+    return np.einsum("ib,ib->b", a, a if b is None else b)
 
 
 def _coords_out(z, linear, batch):
@@ -381,6 +386,12 @@ class ClickKernel:
     linear kinds), then the d^2 rows of the click's map.  The head is applied
     to every state, the click rows to the clicked states only.  The no-click
     image there is y0 + 2 ``rate_gain`` <c^dag c> r.
+
+    ``vector`` (``jump_kraus`` at unit efficiency only, where a pure state
+    stays pure) is the step on state vectors psi: the real blocks
+    (:func:`_real`) of M0 and c, stacked, which take a real (2d, B) vector
+    block to M0 psi and c psi in one GEMM, with <c^dag c> = |c psi|^2.  A
+    kernel without ``maps`` steps a real block given to it as a vector block.
     """
 
     no_click: HalfForm
@@ -390,6 +401,7 @@ class ClickKernel:
     rate_gain: float
     click_scale: float
     maps: np.ndarray | None = None
+    vector: np.ndarray | None = None
 
     @property
     def linear(self) -> bool:
@@ -414,14 +426,20 @@ def _cached_kernel(model, kind, dt, f_op, param, lower, compile):
     ``f_op`` and the kind's scalar ``param`` (beta or mu), compiled by
     ``compile(ctx, model, kind, dt, f_op, param)`` on a miss and, at d <=
     ``BATCH_GEMM_MAX_DIM``, given the coordinate ``maps`` ``lower(kernel,
-    d)``, which is None where a kind keeps right products.  Every compiled
-    kernel of both families is cached here."""
+    d)``, which is None where a kind keeps right products.  A compiled
+    ``vector`` is kept only for a normalized kind where a Kraus step keeps a
+    pure state pure: where the model meets the needs of the SSE, unit
+    efficiency and a vacuum bath.  Every compiled kernel of both families is
+    cached here."""
     ctx = _ctx(model)
     f_key = None if f_op is None else np.asarray(f_op, dtype=complex).tobytes()
     key = ("kernel", kind, dt, f_key, param)
     kernel = ctx.get(key)
     if kernel is None:
         kernel = compile(ctx, model, kind, dt, f_op, param)
+        if kernel.linear or unmet_needs("jump_sse", model.bath, model.efficiency,
+                                        model.homodyne_phase):
+            kernel = replace(kernel, vector=None)
         if model.dim <= BATCH_GEMM_MAX_DIM:
             kernel = replace(kernel, maps=lower(kernel, model.dim))
         ctx[key] = kernel
@@ -452,8 +470,9 @@ def _compile_click(ctx, model, kind, dt, f_op, beta):
     if kind == "linear_jump":
         return ClickKernel(no_click, jd, None, eta * kappa * beta * dt, 0.0, 0.5 / beta)
     rate_gain = 0.0 if kind == "jump_kraus" else 0.5 * eta * kappa * dt
+    vector = _real(_no_click_kraus(ctx, dt)[0], ctx["c"]) if kind == "jump_kraus" else None
     return ClickKernel(no_click, jd, np.ascontiguousarray(cdc.T.ravel()),
-                       eta * kappa * dt, rate_gain, 1.0)
+                       eta * kappa * dt, rate_gain, 1.0, vector=vector)
 
 
 def _click_maps(kernel: ClickKernel, d: int) -> np.ndarray:
@@ -471,7 +490,9 @@ def click_kernel_step(kernel, rho: np.ndarray, u, work: dict | None = None):
 
     A kernel without ``maps`` (d > ``BATCH_GEMM_MAX_DIM``) advances ``rho`` in
     place when the caller passes a ``work`` dict that it keeps for the batch,
-    where the step's buffers then live, and a copy otherwise.
+    where the step's buffers then live, and a copy otherwise.  Given a real
+    (2d, B) block, such a kernel steps it as state vectors by its ``vector``;
+    the ensemble passes a vector block with ``maps`` taken off the kernel.
     """
     carry, rate = _click_read(kernel, rho, work)
     dn = u < kernel.p_click if kernel.linear else click_outcomes(kernel.p_click * rate, u)
@@ -483,7 +504,11 @@ def _click_read(kernel, rho, work):
     state (None for linear kinds) and what :func:`_click_update` continues
     from.  In coordinates this is one GEMM of the head of ``maps`` against
     the batch, (d^2 + 1) x d^2: the no-click image and the rate row (d^2 x
-    d^2, the image alone, for linear kinds)."""
+    d^2, the image alone, for linear kinds).  On a vector block it is one
+    GEMM of ``vector``, (4d x 2d), and the rate |c psi|^2."""
+    if kernel.maps is None and rho.dtype == float:
+        y = kernel.vector @ rho
+        return y, _dots(y[len(rho):])
     if kernel.maps is None:
         rho, bufs = _right_work(rho, work)
         rate = None if kernel.linear else (rho.reshape(len(rho), -1) @ kernel.rate_row).real
@@ -500,10 +525,15 @@ def _click_update(kernel, carry, rate, dn):
     raises on a click from a dark state.  In coordinates the no-click image
     of :func:`_click_read` is finished in place, and the clicked columns are
     overwritten by one GEMM of the click rows of ``maps`` against those
-    columns alone."""
+    columns alone.  On a vector block the clicked columns take c psi, and
+    every column is divided by its norm."""
     rows = dn.ravel().nonzero()[0]  # np.flatnonzero, without its dispatch cost at d = 2
     if rate is not None and len(rows) and np.any(rate[rows] < DARK_STATE_RATE):
         raise DarkStateJumpError("cannot jump from a dark state (<c^dag c> ~ 0)")
+    if not isinstance(carry, tuple):  # the images of a vector block
+        n = len(carry) // 2
+        carry[:n, rows] = carry[n:, rows]  # c psi in the clicked columns, M0 psi elsewhere
+        return carry[:n] / np.sqrt(_dots(carry[:n]))
     if kernel.maps is None:
         return _click_right_update(kernel, *carry, rate, rows)
     x, y, batch = carry

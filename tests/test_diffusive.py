@@ -212,11 +212,14 @@ def test_kraus_steps_match_literal_sandwich(qubit_ops, eta, dim, kernel):
 @pytest.mark.parametrize("kind", ["homodyne_kraus", "linear_homodyne_kraus"])
 def test_kraus_kernels_keep_right_products_above_d4(kind):
     # the Kraus kinds carry coordinate maps at d = 3 but not at d = 6, where
-    # the maps drift from the literal sandwich further than right products
+    # the maps drift from the literal sandwich further than right products;
+    # below unit efficiency no state stays pure, and no kernel carries a
+    # vector form
     for dim, lowered in ((3, True), (6, False)):
         ops = build_standard_ops("boson", dim)
-        model = OpenSystemModel(0.3 * ops["q"], [(1.0, ops["a"])])
-        assert (diffusive_kernel(model, kind, 1e-3).maps is not None) is lowered
+        model = OpenSystemModel(0.3 * ops["q"], [(1.0, ops["a"])], efficiency=0.9)
+        kernel = diffusive_kernel(model, kind, 1e-3)
+        assert (kernel.maps is not None) is lowered and kernel.vector is None
 
 
 # ---------------------------------------------------------------- heterodyne

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,7 @@ from contmon.gaussian import (
     riccati_steady_state,
 )
 from contmon.jump import (
+    DarkStateJumpError,
     click_kernel,
     click_kernel_step,
     click_outcomes,
@@ -51,7 +53,7 @@ from contmon.jump import (
     jump_sme_apply,
     jump_sse_apply,
 )
-from contmon.master_equation import BathSpec
+from contmon.master_equation import BathSpec, StepSizeError
 
 from conftest import random_density_matrix, two_mode_model
 
@@ -458,9 +460,18 @@ def boson_scenario(kind, dim):
     return Scenario(kind, model, state0, feedback_operator=f_op, mu=0.2, beta_ost=0.8)
 
 
-# the dimensions of the kind-by-dimension tests: every kernel steps
-# coordinates at d = 2, every one but homodyne_kraus at d = 5, and every one
-# right products above BATCH_GEMM_MAX_DIM
+def mixed(scenario):
+    """``scenario`` started from 0.9 times its initial state plus 0.1 I / d:
+    a mixed start, which no kind steps as state vectors."""
+    d = scenario.model.dim
+    return dataclasses.replace(
+        scenario, initial_state=0.9 * scenario.initial_state + 0.1 * np.eye(d) / d)
+
+
+# the dimensions of the kind-by-dimension tests: from their pure starts at
+# unit efficiency the two Kraus kinds step state vectors at every d; every
+# other kernel steps coordinates at d = 2 and 5, and right products above
+# BATCH_GEMM_MAX_DIM
 DIMS = (2, 5, BATCH_GEMM_MAX_DIM + 1)
 
 
@@ -965,8 +976,9 @@ def test_per_state_steppers_called_above_kernel_dim(qubit_ops, kind, monkeypatch
 
 
 def coords_at(dim):
-    """The density-matrix kinds whose kernels carry coordinate maps at d = ``dim``."""
-    return [k for k in HILBERT_KINDS if KINDS[k].kernel(boson_scenario(k, dim), 1e-3).coords]
+    """The kinds whose blocks step coordinates at d = ``dim`` from a mixed start."""
+    return [k for k in HILBERT_KINDS
+            if KINDS[k].kernel(mixed(boson_scenario(k, dim)), 1e-3).coords]
 
 
 @pytest.mark.parametrize("kind, dim, bound", [
@@ -976,18 +988,145 @@ def coords_at(dim):
 def test_block_form_follows_the_kernel(qubit_ops, kind, dim, bound, monkeypatch):
     # the kernel layer alone decides whether a block holds coordinates: with
     # its bound lowered below d the kernels carry no maps, and the blocks step
-    # (B, d, d) states by right products to the same means
+    # (B, d, d) states by right products to the same means.  A mixed start
+    # keeps the Kraus kinds on density matrices
     from contmon import jump
 
     scenario, observables = dim_case(kind, dim, qubit_ops)
+    scenario = mixed(scenario)
     spec = qubit_spec(qubit_ops, n_traj=20, t_final=0.05, block_size=8, observables=observables)
     coords = run_ensemble(spec, scenario)
     monkeypatch.setattr(jump, "BATCH_GEMM_MAX_DIM", bound)
-    scenario = dim_case(kind, dim, qubit_ops)[0]  # a new model, so no cached kernel
+    scenario = mixed(dim_case(kind, dim, qubit_ops)[0])  # a new model, so no cached kernel
     states = run_ensemble(spec, scenario)
     assert KINDS[kind].kernel(scenario, spec.dt).coords is False
     for name, mean in coords.means.items():
         np.testing.assert_allclose(states.means[name], mean, rtol=0.0, atol=1e-12)
+
+
+KRAUS_KINDS = ("homodyne_kraus", "jump_kraus")
+# (kind, d, coordinates): the Kraus kernels in coordinates wherever they carry
+# maps (jump_kraus up to BATCH_GEMM_MAX_DIM, homodyne_kraus up to
+# KRAUS_COORDS_MAX_DIM) and in right products at every d
+VECTOR_ORACLE_CASES = [(kind, dim, lowered) for kind in KRAUS_KINDS
+                       for dim in (2, 5, BATCH_GEMM_MAX_DIM, BATCH_GEMM_MAX_DIM + 1)
+                       for lowered in (True, False)
+                       if not lowered or dim <= (BATCH_GEMM_MAX_DIM if kind == "jump_kraus" else 4)]
+
+
+@pytest.mark.parametrize("kind, dim, lowered", [
+    pytest.param(*case, id=f"{case[0]}-d{case[1]}-{'coords' if case[2] else 'right'}")
+    for case in VECTOR_ORACLE_CASES
+])
+def test_vector_step_matches_the_density_kernel(kind, dim, lowered, monkeypatch):
+    # the literal oracle of the vector form: over 10^3 steps on shared noise,
+    # psi psi^dag of a vector block stays within 1e-12 of the density-matrix
+    # Kraus kernel of the same model, in coordinates and in right products
+    # (BATCH_GEMM_MAX_DIM lowered below d), and the records agree
+    from contmon import jump
+
+    if not lowered:
+        monkeypatch.setattr(jump, "BATCH_GEMM_MAX_DIM", 1)
+    ops = build_standard_ops("qubit") if dim == 2 else build_standard_ops("boson", dim)
+    h, c = (ops["sigma_x"], ops["sigma_minus"]) if dim == 2 else (ops["q"], ops["a"])
+    model = OpenSystemModel(0.3 * h, [(1.0, c)])
+    # the advances are built from a basis state, which the rank-one test
+    # takes exactly; both blocks then start from the same random pure states
+    scenario = Scenario(kind, model, np.diag(np.eye(dim)[1]).astype(complex))
+    n, dt = 8, 1e-3
+    vector, density = (KINDS[kind].kernel(sc, dt) for sc in (scenario, mixed(scenario)))
+    assert vector.vector and not vector.coords
+    assert not density.vector and density.coords is lowered
+    rng = np.random.default_rng(dim)
+    psi0 = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+    v = np.vstack([psi0.real.T, psi0.imag.T])
+    rho = psi0[:, :, None] * psi0[:, None, :].conj()
+    rho = to_coords(rho) if lowered else hermitize(rho)
+    clicks, gap = 0, 0.0
+    for _ in range(1000):
+        x = rng.random(n) if KINDS[kind].clicks else rng.standard_normal(n) * np.sqrt(dt)
+        v, out = vector(v, x)
+        rho, out_rho = density(rho, x)
+        states = from_coords(rho) if lowered else rho
+        gap = max(gap, np.max(np.abs(ensemble._vector_states(v) - states)),
+                  np.max(np.abs(np.subtract(out, out_rho, dtype=float))))
+        clicks += int(np.sum(out)) if KINDS[kind].clicks else 0
+    assert gap <= 1e-12
+    assert clicks > 0 or not KINDS[kind].clicks
+
+
+@pytest.mark.parametrize("kind", HILBERT_KINDS)
+def test_vector_form_needs_a_pure_start_and_unit_efficiency(qubit_ops, kind):
+    # only the Kraus kinds step state vectors, from a rank-one start at unit
+    # efficiency; a mixed start or efficiency 0.999 keeps density matrices
+    scenario = kind_scenario(kind, qubit_ops)
+    assert KINDS[kind].kernel(scenario, 1e-3).vector is (kind in KRAUS_KINDS)
+    if kind in KRAUS_KINDS:
+        mixed_start = dataclasses.replace(
+            scenario, initial_state=np.diag([0.9, 0.1]).astype(complex))
+        lossy = dataclasses.replace(
+            scenario, model=dataclasses.replace(scenario.model, efficiency=0.999))
+        for sc in (mixed_start, lossy):
+            advance = KINDS[kind].kernel(sc, 1e-3)
+            assert not advance.vector and advance.coords
+
+
+@pytest.mark.parametrize("unravelling", ["jump", "homodyne"])
+@pytest.mark.parametrize("system", [
+    {"kind": "qubit", "initial_state": "excited"}, {"kind": "qubit", "initial_state": "ground"},
+    {"kind": "qubit", "initial_state": "plus_x"},
+    {"kind": "boson", "dim": 6, "initial_state": "vacuum"},
+    {"kind": "boson", "dim": 6, "initial_state": {"fock": 3}},
+], ids=["excited", "ground", "plus_x", "vacuum", "fock3"])
+def test_every_document_start_is_a_state_vector(system, unravelling):
+    # a Kraus document at unit efficiency steps vectors from every start a
+    # document can name: each is psi psi^dag exactly
+    from contmon.config import build_runtime, parse_config
+
+    op = "sigma_minus" if system["kind"] == "qubit" else "a"
+    doc = {"schema_version": 1, "system": system,
+           "model": {"channels": [{"rate": 1.0, "op": op}]},
+           "unravelling": {"kind": unravelling, "stepper": "kraus"},
+           "run": {"dt": 1e-3, "t_final": 0.01, "n_traj": 4}}
+    scenario = build_runtime(parse_config(json.dumps(doc))).scenario
+    assert KINDS[scenario.kind].kernel(scenario, 1e-3).vector
+    psi = ensemble._state_vector(scenario.initial_state)
+    np.testing.assert_array_equal(ensemble._vector_states(psi[:, None])[0],
+                                  scenario.initial_state)
+
+
+@pytest.mark.parametrize("kind", KRAUS_KINDS)
+def test_vector_block_health(qubit_ops, kind):
+    # a vector block reports min eigenvalue 0 and no violation: psi psi^dag
+    # has rank one; its validate_every checks pass on a clean run
+    spec = qubit_spec(qubit_ops, n_traj=50, t_final=0.1, track_min_eigenvalue=True,
+                      validate_every=1)
+    stats = run_ensemble(spec, kind_scenario(kind, qubit_ops))
+    assert (stats.min_eigenvalue, stats.positivity_violations) == (0.0, 0)
+
+
+def test_physicality_checks_of_a_vector_block():
+    # a vector block's abort checks: finite entries and unit norms, the
+    # traces of its states, with the messages of the density-matrix checks
+    kind = KINDS["homodyne_kraus"]
+    v = np.repeat(np.array([0.6, 0.0, 0.0, 0.8])[:, None], 3, axis=1)
+    ensemble._check_physical(kind, v, 7, vector=True)
+    for prefix, value in (("non-finite state entries", np.nan), ("trace defect", 0.8 + 1e-6)):
+        bad = v.copy()
+        bad[3, 1] = value
+        with pytest.raises(PhysicalityError, match=f"at step 7: {prefix}"):
+            ensemble._check_physical(kind, bad, 7, vector=True)
+
+
+def test_vector_click_from_a_dark_state_and_on_a_nan_rate(decay_model):
+    # a vector click step keeps the click checks of click_outcomes
+    kernel = dataclasses.replace(click_kernel(decay_model, "jump_kraus", 1e-3), maps=None)
+    ground = np.array([[0.0], [1.0], [0.0], [0.0]])  # |g> as [Re psi; Im psi]
+    with pytest.raises(DarkStateJumpError):
+        click_kernel_step(kernel, ground, np.array([-1.0]))  # u < p = 0: a forced click
+    with pytest.raises(StepSizeError):
+        click_kernel_step(kernel, np.full((4, 1), np.nan), np.array([0.5]))
 
 
 @pytest.mark.parametrize("kind", HILBERT_KINDS)
@@ -996,11 +1135,12 @@ def test_right_kernel_step_allocates_no_state_sized_array(kind):
     # after the warm-up step has allocated the block's work buffers, the
     # traced peak is the same over 5 and 50 steps, below 6 state-sized
     # arrays, and no step allocates a state-sized temporary on top of what is
-    # already held
+    # already held; from a mixed start, which keeps the Kraus kinds on
+    # density matrices
     dim, n, dt = BATCH_GEMM_MAX_DIM + 1, 256, 1e-3
     size = n * dim * dim * 16
     kind_rec = KINDS[kind]
-    scenario = boson_scenario(kind, dim)
+    scenario = mixed(boson_scenario(kind, dim))
     state = np.broadcast_to(scenario.initial_state, (n, dim, dim)).copy()
     rng = np.random.default_rng(5)
 
@@ -1034,11 +1174,12 @@ def test_coordinate_kernel_step_memory_is_flat(kind):
     # Kind.kernel, compiled before tracing starts: each step allocates its
     # images, and the traced peak is the same over 5 and 50 steps and below 4
     # complex state-sized arrays, or 2 for a click kind, whose step images the
-    # batch by its no-click map and rate row alone (d^2 + 1 rows)
+    # batch by its no-click map and rate row alone (d^2 + 1 rows); from a
+    # mixed start, which keeps the Kraus kinds on density matrices
     dim, n, dt = 12, 256, 1e-3
     size = n * dim * dim * 16
     kind_rec = KINDS[kind]
-    scenario = boson_scenario(kind, dim)
+    scenario = mixed(boson_scenario(kind, dim))
     advance = kind_rec.kernel(scenario, dt)
     assert advance.coords
     state = np.repeat(to_coords(scenario.initial_state)[:, None], n, axis=1)
