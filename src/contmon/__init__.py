@@ -31,7 +31,6 @@ from .master_equation import (
     VACUUM,
     BathSpec,
     OpenSystemModel,
-    PiecewiseConstantHamiltonian,
     coherent_drive_hamiltonian,
     generalized_bath_me_rhs,
     integrate_me,

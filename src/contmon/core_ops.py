@@ -128,13 +128,16 @@ def expectation(rho: np.ndarray, op: np.ndarray):
 # and per-row sums.  A map costs about d times the flops of a (d, d) product,
 # so above it the kernels use right products of the C-contiguous state only
 # (see contmon.jump).  Coordinate time over right-product time for a driven,
-# decaying mode (1 BLAS thread, 1024 trajectories x 60 steps, median of 3):
+# decaying mode (the boson-d12 documents coherent_drive and fock3_jump with
+# dim varied, 1 BLAS thread, 1024 trajectories x 60 steps, median of 3; a
+# second set read within 0.13 of these):
 #
 #     family                        d = 5     6     8    12    16    20
-#     Euler homodyne                  0.41  0.44  0.45  0.57  0.71  0.98
-#     jump                            0.56  0.60  0.71  0.90  1.24  1.80
+#     Euler homodyne                  0.40  0.38  0.42  0.57  0.66  1.07
+#     jump                            0.50  0.48  0.52  0.67  0.88  1.16
 #
-# 12 is the largest d at which neither family is slower.
+# Neither family is slower up to d = 16.  The bound stays at 12, the largest
+# d a benchmark workload runs, so a higher bound would go unmeasured.
 BATCH_GEMM_MAX_DIM = 12
 
 # Largest state dimension at which the two diffusive Kraus kinds

@@ -327,8 +327,7 @@ def _compile_diffusive(ctx, model, kind, dt, f_op, mu):
         return _right_kernel(HalfForm.build(None, undetected), [], currents, kraus=kraus,
                              vector=_real(dagger(kraus[0]), root * ctx["ceff"], (root * dt) * herm))
     # every Euler kind's drift is the generator of the one monitored channel
-    [(dissipators, commutators)], h_drive = _generator_terms(model)
-    h = ctx["h"] if h_drive is None else ctx["h"] + h_drive
+    [(dissipators, commutators)], h = _generator_terms(model)
     if kind == "homodyne_feedback":
         # -i sqrt(kappa) [F, c rho + rho c^dag] = rho R + (a rho b + h.c.) + h.c.
         # with R = i sqrt(kappa) c^dag F and a rho b = -i sqrt(kappa) F rho c^dag

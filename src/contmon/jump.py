@@ -119,7 +119,6 @@ def _ctx(model: OpenSystemModel) -> dict:
     ctx = model_cache(model)
     if "c" not in ctx:
         kappa, c = model.single_channel()
-        h = model.constant_hamiltonian()
         theta = model.homodyne_phase
         ceff = c if theta == 0.0 else c * np.exp(1j * theta)
         cd = np.ascontiguousarray(dagger(c))
@@ -134,7 +133,7 @@ def _ctx(model: OpenSystemModel) -> dict:
             "herm": ceff + ceff_d,
             "herm_i": 1j * ceff + dagger(1j * ceff),
             "root": np.sqrt(model.efficiency * kappa),
-            "h": h,
+            "h": model.hamiltonian,
             "eye": np.eye(model.dim, dtype=complex),
         })
     return ctx

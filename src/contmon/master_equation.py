@@ -2,12 +2,15 @@
 and the exponential propagator / semigroup structure.
 
 The right-hand side covers vacuum baths (plain Lindblad form) as well as
-squeezed thermal baths and coherent driving.  :func:`integrate_me` steps the
-row-major ``vec`` of the state by one cached d^2 x d^2 matrix per (stepper,
-dt, schedule segment): ``core_ops.expm`` of the vectorized generator for
-``"expm"``, and for ``"rk4"`` its RK4 stability polynomial
-I + A + A^2/2 + A^3/6 + A^4/24 (A = dt L), built as one ``core_ops.rk4_step``
-of y' = A y from y = I, the one RK4 of the package.  Above
+squeezed thermal baths and coherent driving.  Each model has one constant
+generator: the Hamiltonian is a (d, d) Hermitian array, and time dependence
+under feedback enters only through the measured current, which the
+trajectory steppers handle.  :func:`integrate_me` steps the row-major ``vec``
+of the state by one cached d^2 x d^2 matrix per (stepper, dt):
+``core_ops.expm`` of the vectorized generator for ``"expm"``, and for
+``"rk4"`` its RK4 stability polynomial I + A + A^2/2 + A^3/6 + A^4/24
+(A = dt L), built as one ``core_ops.rk4_step`` of y' = A y from y = I, the
+one RK4 of the package.  Above
 ``MAX_RK4_MATRIX_DIM`` = 12 the ``"rk4"`` stepper takes the stage form, four
 calls of the compiled right-hand side per step: there the O(d^6) build of
 the matrix outweighs the steps it saves (at d = 12 it costs about 2.4 ms, as
@@ -33,6 +36,8 @@ import numpy as np
 
 from .core_ops import (
     DimensionMismatchError,
+    InvalidStateError,
+    _check_same_dim,
     _check_square,
     dagger,
     dissipator,
@@ -41,12 +46,12 @@ from .core_ops import (
     is_hermitian,
     rk4_step,
     trace,
+    validate_state,
 )
 
 __all__ = [
     "BathSpec",
     "VACUUM",
-    "PiecewiseConstantHamiltonian",
     "OpenSystemModel",
     "StepSizeError",
     "liouvillian_apply",
@@ -101,41 +106,6 @@ class BathSpec:
 VACUUM = BathSpec()
 
 
-class PiecewiseConstantHamiltonian:
-    """Hamiltonian schedule: ``pieces`` is a sequence of (t_end, H) with strictly
-    increasing end times; H_k applies on [t_{k-1}, t_k).  The final t_end may be
-    ``inf``.  This is the only supported form of time dependence."""
-
-    def __init__(self, pieces):
-        if not pieces:
-            raise ValueError("schedule needs at least one piece")
-        t_ends = [float(t) for t, _ in pieces]
-        if any(b <= a for a, b in zip(t_ends, t_ends[1:])):
-            raise ValueError("schedule end times must be strictly increasing")
-        ops = []
-        for _, h in pieces:
-            h = np.asarray(h, dtype=complex)
-            if not is_hermitian(h):
-                raise ValueError("every Hamiltonian piece must be Hermitian")
-            ops.append(h)
-        dims = {h.shape for h in ops}
-        if len(dims) != 1:
-            raise DimensionMismatchError("schedule pieces have inconsistent shapes")
-        self.t_ends = np.array(t_ends)
-        self.operators = ops
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def segment(self, t: float) -> int:
-        """Index of the piece that applies at t (the last piece past its end)."""
-        return min(int(np.searchsorted(self.t_ends, t, side="right")), len(self.operators) - 1)
-
-    def at(self, t: float) -> np.ndarray:
-        return self.operators[self.segment(t)]
-
-
 @dataclass(eq=False)
 class OpenSystemModel:
     """Hamiltonian + weighted collapse channels + bath statistics + detection.
@@ -143,50 +113,41 @@ class OpenSystemModel:
     ``channels`` is a sequence of (rate kappa_i >= 0, collapse operator c_i).
     ``efficiency`` is the detected fraction of the output field, ``homodyne_phase``
     the local-oscillator phase (enters as c -> c e^{i theta} at the stepper
-    boundary).  Instances are treated as immutable.
+    boundary).  Rates, collapse operators and the phase must be finite.
+    Instances are treated as immutable.
     """
 
-    hamiltonian: np.ndarray | PiecewiseConstantHamiltonian
+    hamiltonian: np.ndarray
     channels: tuple = ()
     bath: BathSpec = VACUUM
     efficiency: float = 1.0
     homodyne_phase: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.hamiltonian, PiecewiseConstantHamiltonian):
-            h = np.asarray(self.hamiltonian, dtype=complex)
-            if h.ndim != 2 or h.shape[0] != h.shape[1]:
-                raise DimensionMismatchError("Hamiltonian must be a square matrix")
-            if not is_hermitian(h):
-                raise ValueError("Hamiltonian must be Hermitian")
-            self.hamiltonian = h
+        h = np.asarray(self.hamiltonian, dtype=complex)
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise DimensionMismatchError("Hamiltonian must be a square matrix")
+        if not is_hermitian(h):
+            raise ValueError("Hamiltonian must be Hermitian")
+        self.hamiltonian = h
         chans = []
         for kappa, c in self.channels:
-            if kappa < 0:
-                raise ValueError("channel rates must be >= 0")
-            c = np.asarray(c, dtype=complex)
-            if c.shape != (self.dim, self.dim):
+            # a NaN rate fails the comparison too
+            if not 0 <= kappa < np.inf:
+                raise ValueError("channel rates must be finite and >= 0")
+            c = _check_square(c, "collapse operator")
+            if c.shape != h.shape:
                 raise DimensionMismatchError("collapse operator dimension mismatch")
             chans.append((float(kappa), c))
         self.channels = tuple(chans)
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
+        if not np.isfinite(self.homodyne_phase):
+            raise ValueError("homodyne_phase must be finite")
 
     @property
     def dim(self) -> int:
-        if isinstance(self.hamiltonian, PiecewiseConstantHamiltonian):
-            return self.hamiltonian.dim
         return self.hamiltonian.shape[0]
-
-    def hamiltonian_at(self, t: float) -> np.ndarray:
-        if isinstance(self.hamiltonian, PiecewiseConstantHamiltonian):
-            return self.hamiltonian.at(t)
-        return self.hamiltonian
-
-    def constant_hamiltonian(self) -> np.ndarray:
-        if isinstance(self.hamiltonian, PiecewiseConstantHamiltonian):
-            raise TypeError("this operation requires a time-independent Hamiltonian")
-        return self.hamiltonian
 
     def single_channel(self) -> tuple[float, np.ndarray]:
         if len(self.channels) != 1:
@@ -210,7 +171,7 @@ def _double_commutator(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a @ ax - ax @ a
 
 
-def liouvillian_apply(model: OpenSystemModel, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
+def liouvillian_apply(model: OpenSystemModel, rho: np.ndarray) -> np.ndarray:
     """Vacuum-bath Lindblad right-hand side -i[H, rho] + sum_i kappa_i D[c_i] rho."""
     if not model.bath.is_vacuum:
         raise ValueError("liouvillian_apply assumes a vacuum bath; use generalized_bath_me_rhs")
@@ -218,12 +179,12 @@ def liouvillian_apply(model: OpenSystemModel, rho: np.ndarray, t: float = 0.0) -
     out = np.zeros_like(rho)
     for kappa, c in model.channels:
         out = out + kappa * dissipator(c, rho)
-    h = model.hamiltonian_at(t)
+    h = model.hamiltonian
     out = out + (-1j) * (h @ rho - rho @ h)
     return out
 
 
-def generalized_bath_me_rhs(model: OpenSystemModel, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
+def generalized_bath_me_rhs(model: OpenSystemModel, rho: np.ndarray) -> np.ndarray:
     """Unconditional right-hand side for a squeezed thermal bath with coherent
     driving:
 
@@ -250,29 +211,26 @@ def generalized_bath_me_rhs(model: OpenSystemModel, rho: np.ndarray, t: float = 
         if bath.drive != 0:
             term = coherent_drive_hamiltonian(c, kappa, bath.drive)
             h_drive = term if h_drive is None else h_drive + term
-    h = model.hamiltonian_at(t)
-    if h_drive is not None:
-        h = h + h_drive
+    h = model.hamiltonian if h_drive is None else model.hamiltonian + h_drive
     out = out + (-1j) * (h @ rho - rho @ h)
     return out
 
 
 def _generator_terms(model: OpenSystemModel):
     """The terms of :func:`generalized_bath_me_rhs`'s generator, with every
-    operator built once and each collapse operator checked once.
+    operator built once.
 
-    Returns ``(channels, h_drive)``.  ``channels`` holds one pair
+    Returns ``(channels, h)``.  ``channels`` holds one pair
     ``(dissipators, commutators)`` per channel, in the order the terms are
     summed: the dissipators (coeff, a, a^dag, a^dag a) of kappa (N+1) D[c]
     and kappa N D[c^dag], and the double commutators (coeff, a, a^2) of
     (kappa M/2) [c^dag, [c^dag, .]] and (kappa M*/2) [c, [c, .]].
-    ``h_drive`` is the summed drive Hamiltonian (None without a drive).
+    ``h`` is the Hamiltonian plus the summed drive Hamiltonian.
     """
     bath = model.bath
     n, m = bath.n_thermal, complex(bath.squeezing)
     channels, h_drive = [], None
     for kappa, c in model.channels:
-        c = _check_square(c)
         cd = dagger(c)
         dissipators = [(kappa * (n + 1.0), c, cd, cd @ c)]
         if n != 0.0:
@@ -284,20 +242,19 @@ def _generator_terms(model: OpenSystemModel):
         if bath.drive != 0:
             term = coherent_drive_hamiltonian(c, kappa, bath.drive)
             h_drive = term if h_drive is None else h_drive + term
-    return channels, h_drive
+    return channels, (model.hamiltonian if h_drive is None else model.hamiltonian + h_drive)
 
 
 def _compiled_me_rhs(model: OpenSystemModel):
     """:func:`generalized_bath_me_rhs` on the terms of :func:`_generator_terms`.
 
-    Returns ``(rhs, h_drive)``: ``rhs(rho, h)`` evaluates the right-hand side for
-    the Hamiltonian ``h``, which must already include the drive ``h_drive``.
+    Returns ``rhs(rho)``, with the Hamiltonian and the drive folded in.
     The terms are summed in the order of :func:`generalized_bath_me_rhs`, so
     both give the same bits; ``rhs`` checks nothing.
     """
-    channels, h_drive = _generator_terms(model)
+    channels, h = _generator_terms(model)
 
-    def rhs(rho, h):
+    def rhs(rho):
         out = np.zeros_like(rho)
         for dissipators, commutators in channels:
             for coeff, a, ad, ada in dissipators:
@@ -306,7 +263,7 @@ def _compiled_me_rhs(model: OpenSystemModel):
                 out = out + coeff * _double_commutator(a, rho)
         return out + (-1j) * (h @ rho - rho @ h)
 
-    return rhs, h_drive
+    return rhs
 
 
 def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -315,7 +272,7 @@ def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b.T)
 
 
-def liouvillian_matrix(model: OpenSystemModel, t: float = 0.0) -> np.ndarray:
+def liouvillian_matrix(model: OpenSystemModel) -> np.ndarray:
     """Dense superoperator matrix L with vec(L rho) = L @ vec(rho) (row-major vec).
 
     Refuses dimensions beyond ``MAX_SUPEROPERATOR_DIM`` (the dim^2 x dim^2
@@ -327,16 +284,13 @@ def liouvillian_matrix(model: OpenSystemModel, t: float = 0.0) -> np.ndarray:
             f"superoperator matrix refused for dim {d} > {MAX_SUPEROPERATOR_DIM}"
         )
     eye = np.eye(d, dtype=complex)
-    channels, h_drive = _generator_terms(model)
+    channels, h = _generator_terms(model)
     lmat = np.zeros((d * d, d * d), dtype=complex)
     for dissipators, commutators in channels:
         for coeff, a, ad, ada in dissipators:
             lmat += coeff * (_sandwich(a, ad) - 0.5 * (_sandwich(ada, eye) + _sandwich(eye, ada)))
         for coeff, a, a2 in commutators:
             lmat += coeff * (_sandwich(a2, eye) - 2.0 * _sandwich(a, a) + _sandwich(eye, a2))
-    h = model.hamiltonian_at(t)
-    if h_drive is not None:
-        h = h + h_drive
     lmat += -1j * (_sandwich(h, eye) - _sandwich(eye, h))
     return lmat
 
@@ -349,22 +303,20 @@ def model_cache(model: OpenSystemModel) -> dict:
     with it.  The jump and diffusive steppers keep their operator products and
     compiled kernels here (see ``contmon.jump._ctx``), and
     :func:`integrate_me` its step matrices under
-    ``("propagator", stepper, dt, segment)``."""
+    ``("propagator", stepper, dt)``."""
     return _MODEL_CACHES.setdefault(model, {})
 
 
-def _propagator(model: OpenSystemModel, stepper: str, dt: float, t: float) -> np.ndarray:
-    """The cached one-step matrix of ``stepper`` ("rk4" or "expm") for the
-    Hamiltonian segment that holds t."""
-    h = model.hamiltonian
-    seg = h.segment(t) if isinstance(h, PiecewiseConstantHamiltonian) else 0
+def _propagator(model: OpenSystemModel, stepper: str, dt: float) -> np.ndarray:
+    """The cached one-step matrix of ``stepper`` ("rk4" or "expm") at step
+    size dt."""
     cache = model_cache(model)
-    key = ("propagator", stepper, float(dt), seg)
+    key = ("propagator", stepper, float(dt))
     if key not in cache:
         # a matrix that overflows holds inf or NaN, which the drift check of
         # integrate_me reports, so numpy's floating-point warnings are muted
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            a = liouvillian_matrix(model, t) * dt
+            a = liouvillian_matrix(model) * dt
             cache[key] = (expm(a) if stepper == "expm"
                           else rk4_step(lambda y: a @ y, np.eye(len(a), dtype=a.dtype), 1.0))
     return cache[key]
@@ -381,15 +333,6 @@ def _check_uniform_grid(t_grid: np.ndarray) -> float:
     return float(dt)
 
 
-def _segment_aligned(model: OpenSystemModel, t_grid: np.ndarray) -> bool:
-    if not isinstance(model.hamiltonian, PiecewiseConstantHamiltonian):
-        return True
-    ends = model.hamiltonian.t_ends
-    finite = ends[np.isfinite(ends)]
-    inside = finite[(finite > t_grid[0]) & (finite < t_grid[-1])]
-    return all(np.any(np.isclose(t_grid, b, atol=1e-12)) for b in inside)
-
-
 TRACE_DRIFT_LIMIT = 1e-8
 
 
@@ -401,13 +344,13 @@ def integrate_me(
 ) -> np.ndarray:
     """Integrate the unconditional master equation on a uniform grid.
 
-    ``stepper`` is ``"rk4"`` (fixed-step, supports piecewise-constant
-    Hamiltonian schedules, sampled at each step's start) or ``"expm"`` (exact
-    exponential propagator of the vectorized generator; schedule breakpoints
-    must coincide with grid points).
+    ``stepper`` is ``"rk4"`` (fixed-step) or ``"expm"`` (exact exponential
+    propagator of the vectorized generator).  The generator is constant: a
+    Hamiltonian that switches is integrated piece by piece, each piece from
+    the last state of the one before.
 
-    Both apply one cached d^2 x d^2 step matrix per (stepper, dt, schedule
-    segment) to the row-major ``vec`` of the state: ``core_ops.expm`` of
+    Both apply one cached d^2 x d^2 step matrix per (stepper, dt) to the
+    row-major ``vec`` of the state: ``core_ops.expm`` of
     ``dt`` times :func:`liouvillian_matrix`, or that matrix's RK4 stability
     polynomial.  Above ``MAX_RK4_MATRIX_DIM`` = 12 ``"rk4"`` takes the
     stage form instead, four calls of the compiled right-hand side per step;
@@ -418,34 +361,31 @@ def integrate_me(
     run is slower in the matrix form.
 
     Raises :class:`StepSizeError` when the per-step trace drift exceeds
-    ``TRACE_DRIFT_LIMIT`` (a non-finite state fails it too).
+    ``TRACE_DRIFT_LIMIT`` (a non-finite state fails it too), and
+    ``DimensionMismatchError`` when rho0 and the model differ in dimension.
     """
     rho0 = ensure_density_matrix(np.asarray(rho0, dtype=complex))
+    _check_same_dim(rho0, model.hamiltonian)
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _check_uniform_grid(t_grid)
     if stepper not in ("rk4", "expm"):
         raise ValueError(f"unknown stepper {stepper!r} (use 'rk4' or 'expm')")
-    if stepper == "expm" and not _segment_aligned(model, t_grid):
-        raise ValueError("expm stepper needs Hamiltonian schedule breakpoints on grid points")
     if stepper == "rk4" and model.dim > MAX_RK4_MATRIX_DIM:
-        rhs, h_drive = _compiled_me_rhs(model)
+        rhs = _compiled_me_rhs(model)
 
-        def step(rho, t):
-            # H is piecewise constant: sample it at the step start for every
-            # stage (exact when schedule breakpoints sit on grid points)
-            h = model.hamiltonian_at(t)
-            if h_drive is not None:
-                h = h + h_drive
-            return rk4_step(lambda r: rhs(r, h), rho, dt)
+        def step(rho):
+            return rk4_step(rhs, rho, dt)
     else:
-        def step(rho, t):
-            return (_propagator(model, stepper, dt, t) @ rho.reshape(-1)).reshape(rho.shape)
+        prop = _propagator(model, stepper, dt)
+
+        def step(rho):
+            return (prop @ rho.reshape(-1)).reshape(rho.shape)
 
     out = np.empty((t_grid.size,) + rho0.shape, dtype=complex)
     out[0] = rho = rho0
     tr = trace(rho0)
-    for i, t in enumerate(t_grid[:-1]):
-        new = step(rho, t)
+    for i in range(t_grid.size - 1):
+        new = step(rho)
         new_tr = trace(new)
         drift = abs(new_tr - tr)
         # not (drift <= limit): a NaN drift fails too
@@ -470,18 +410,26 @@ def me_expectations(
     states = integrate_me(model, rho0, t_grid)
     out = {}
     for name, op in observables:
-        vals = np.einsum("tij,ji->t", states, np.asarray(op, dtype=complex))
-        out[name] = vals.real
+        op = np.asarray(op, dtype=complex)
+        _check_same_dim(states, op)
+        out[name] = np.einsum("tij,ji->t", states, op).real
     return out
 
 
 def steady_state(model: OpenSystemModel) -> np.ndarray:
-    """Steady state of the generator: the (unique, for our models) eigenvector of
-    L with eigenvalue closest to zero, reshaped and normalized."""
+    """Steady state of the generator: the eigenvector of L with eigenvalue
+    closest to zero, reshaped and normalized.  Raises
+    :class:`~contmon.core_ops.InvalidStateError` when that is no density
+    matrix, as when the kernel of L is degenerate and the solver returns a
+    mixture of steady states with trace near zero."""
     lmat = liouvillian_matrix(model)
     vals, vecs = np.linalg.eig(lmat)
     idx = int(np.argmin(np.abs(vals)))
     d = model.dim
     rho = vecs[:, idx].reshape(d, d)
     rho = 0.5 * (rho + dagger(rho))
-    return rho / trace(rho).real
+    rho = rho / trace(rho).real
+    problems = validate_state(rho).defects()
+    if problems:
+        raise InvalidStateError("no unique steady state: " + "; ".join(problems))
+    return rho

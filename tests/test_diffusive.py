@@ -177,7 +177,7 @@ def test_kraus_steps_match_literal_sandwich(qubit_ops, eta, dim, kernel):
         h0, c0 = 0.3 * ops["q"], ops["a"]
     model = OpenSystemModel(h0, [(1.0, c0)], efficiency=eta, homodyne_phase=0.4)
     kappa, c = model.single_channel()
-    h = model.constant_hamiltonian()
+    h = model.hamiltonian
     ceff = c * np.exp(1j * model.homodyne_phase)
     root = np.sqrt(eta * kappa)
     dt, n_traj = 1e-3, 8
@@ -627,7 +627,7 @@ def _euler_case(name, qubit_ops, dim=2):
         }[name]
         model = OpenSystemModel(h0, [(1.0, c0)], bath=bath)
     kappa, c = model.single_channel()
-    h = model.constant_hamiltonian()
+    h = model.hamiltonian
     eta = model.efficiency
     ceff = c * np.exp(1j * model.homodyne_phase)
     root = np.sqrt(eta * kappa)

@@ -197,7 +197,7 @@ def _literal_sme_apply(rho, model, dt, dn, jump_op=None):
     """jump_sme_apply (or, with jump_op = e^{-iF} c, jump_feedback_apply) with
     the literal products cdc @ rho + rho @ cdc."""
     kappa, c = model.single_channel()
-    h, eta = model.constant_hamiltonian(), model.efficiency
+    h, eta = model.hamiltonian, model.efficiency
     cd = dagger(c)
     cdc = cd @ c
     rate = np.einsum("bij,ji->b", rho, cdc).real
@@ -213,7 +213,7 @@ def _literal_sme_apply(rho, model, dt, dn, jump_op=None):
 
 def _literal_kraus_apply(rho, model, dt, dn):
     kappa, c = model.single_channel()
-    h, eta = model.constant_hamiltonian(), model.efficiency
+    h, eta = model.hamiltonian, model.efficiency
     m0 = np.eye(model.dim) - 1j * h * dt - 0.5 * kappa * (dagger(c) @ c) * dt
     numer = hermitize(m0 @ rho @ dagger(m0) + (1.0 - eta) * kappa * dt * (c @ rho @ dagger(c)))
     no_click = numer / trace(numer).real[:, None, None]
@@ -300,7 +300,7 @@ def test_jump_steps_match_literal_products(qubit_ops, stepper, eta, dim, kernel)
 def test_linear_jump_step_matches_literal_products(qubit_ops, path, dim):
     model = _oracle_model(qubit_ops, dim)[0]
     kappa, c = model.single_channel()
-    h, cd = model.constant_hamiltonian(), dagger(c)
+    h, cd = model.hamiltonian, dagger(c)
     cdc = cd @ c
     beta, dt, n_traj = 1.0, 1e-3, 16
     compiled = click_kernel(model, "linear_jump", dt, beta=beta)

@@ -4,16 +4,21 @@ import pytest
 from contmon import (
     BathSpec,
     OpenSystemModel,
-    PiecewiseConstantHamiltonian,
     coherent_drive_hamiltonian,
     generalized_bath_me_rhs,
     integrate_me,
     liouvillian_apply,
     liouvillian_matrix,
+    me_expectations,
     steady_state,
 )
 from contmon import core_ops, master_equation
-from contmon.core_ops import InvalidStateError, build_standard_ops, rk4_step
+from contmon.core_ops import (
+    DimensionMismatchError,
+    InvalidStateError,
+    build_standard_ops,
+    rk4_step,
+)
 from contmon.master_equation import (
     MAX_RK4_MATRIX_DIM,
     MAX_SUPEROPERATOR_DIM,
@@ -212,25 +217,6 @@ def test_nan_trace_drift_raises(qubit_ops, decay_model, excited, form, monkeypat
         integrate_me(model, rho0, grid(0.1, 1e-2), stepper=form.removesuffix("_stage"))
 
 
-def test_piecewise_hamiltonian_schedule(qubit_ops, excited):
-    # two constant segments must agree with integrating each piece separately
-    h1, h2 = 0.8 * qubit_ops["sigma_x"], -0.3 * qubit_ops["sigma_z"]
-    schedule = PiecewiseConstantHamiltonian([(0.5, h1), (np.inf, h2)])
-    model = OpenSystemModel(schedule, [(0.4, qubit_ops["sigma_minus"])])
-    dt = 1e-3
-    full = integrate_me(model, excited, grid(1.0, dt))
-    m1 = OpenSystemModel(h1, [(0.4, qubit_ops["sigma_minus"])])
-    m2 = OpenSystemModel(h2, [(0.4, qubit_ops["sigma_minus"])])
-    first = integrate_me(m1, excited, grid(0.5, dt))
-    second = integrate_me(m2, first[-1], grid(0.5, dt))
-    np.testing.assert_allclose(full[-1], second[-1], atol=1e-9)
-
-    expm_full = integrate_me(model, excited, grid(1.0, 1e-2), stepper="expm")
-    np.testing.assert_allclose(expm_full[-1], second[-1], atol=1e-6)
-    with pytest.raises(ValueError, match="breakpoints"):
-        integrate_me(model, excited, grid(1.0, 0.3), stepper="expm")
-
-
 def test_model_validation(qubit_ops):
     with pytest.raises(ValueError, match="Hermitian"):
         OpenSystemModel(np.array([[0, 1], [0, 0]], dtype=complex), [])
@@ -242,10 +228,9 @@ def test_model_validation(qubit_ops):
 
 def general_bath_case(qubit_ops, case):
     """(model, rho0) of a two-channel qubit in a thermal, squeezed, driven
-    bath, a boson in one, a driven d = 12 mode, a qubit under a Hamiltonian
-    schedule that switches on or off the grid points, a boson in a thermal,
-    driven bath at d = MAX_RK4_MATRIX_DIM or one above it, or one above it
-    in a thermal, squeezed, driven bath."""
+    bath, a boson in one, a driven d = 12 mode, a boson in a thermal, driven
+    bath at d = MAX_RK4_MATRIX_DIM or one above it, or one above it in a
+    thermal, squeezed, driven bath."""
     if case == "boson_d12":  # the driven d = 12 mode of the boson benchmark
         ops = build_standard_ops("boson", 12)
         model = OpenSystemModel(np.zeros((12, 12)), [(1.0, ops["a"])], bath=BathSpec(drive=0.5))
@@ -262,30 +247,20 @@ def general_bath_case(qubit_ops, case):
                                 [(1.0, qubit_ops["sigma_minus"]), (0.4, qubit_ops["sigma_z"])],
                                 bath=BathSpec(0.5, 0.4 + 0.3j, 0.3 + 0.2j))
         rho0 = np.diag([1.0, 0.0]).astype(complex)
-    elif case == "bath_boson":
+    else:  # a boson in a thermal, squeezed, driven bath
         ops = build_standard_ops("boson", 5)
         model = OpenSystemModel(0.2 * ops["q"] @ ops["q"], [(1.0, ops["a"])],
                                 bath=BathSpec(0.3, 0.2j, 0.4))
         rho0 = np.diag([0.0, 0.0, 1.0, 0.0, 0.0]).astype(complex)
-    else:  # a piecewise-constant Hamiltonian that switches on a grid point or between two
-        switch = 0.5005 if case == "schedule_off_grid" else 0.5
-        schedule = PiecewiseConstantHamiltonian(
-            [(switch, 0.3 * qubit_ops["sigma_x"]), (np.inf, 0.7 * qubit_ops["sigma_y"])]
-        )
-        model = OpenSystemModel(schedule, [(1.0, qubit_ops["sigma_minus"])],
-                                bath=BathSpec(0.2, -0.3, 0.1))
-        rho0 = np.diag([1.0, 0.0]).astype(complex)
     return model, rho0
 
 
 def stage_form_rk4(model, rho0, t):
-    """The classical RK4 of generalized_bath_me_rhs, four stages per step, with H
-    sampled at each step's start."""
+    """The classical RK4 of generalized_bath_me_rhs, four stages per step."""
     dt = t[1] - t[0]
     states = [rho0]
-    for time in t[:-1]:
-        states.append(rk4_step(lambda r: generalized_bath_me_rhs(model, r, time),
-                               states[-1], dt))
+    for _ in t[:-1]:
+        states.append(rk4_step(lambda r: generalized_bath_me_rhs(model, r), states[-1], dt))
     return np.array(states)
 
 
@@ -299,12 +274,11 @@ def test_integrate_me_rk4_is_the_rk4_of_generalized_bath_me_rhs(qubit_ops):
         np.testing.assert_array_equal(integrate_me(model, rho0, t), stage_form_rk4(model, rho0, t))
 
 
-@pytest.mark.parametrize("case", ["bath_qubit", "bath_boson", "schedule", "schedule_off_grid",
-                                  "boson_d12", "boson_at_bound", "boson_above_bound"])
+@pytest.mark.parametrize("case", ["bath_qubit", "bath_boson", "boson_d12", "boson_at_bound",
+                                  "boson_above_bound"])
 def test_rk4_matrix_agrees_with_the_stage_form(qubit_ops, case):
     # the cached step matrix is the RK4 stability polynomial of dt L, so it
-    # reorders the stage form's arithmetic but not its result; an off-grid
-    # switch samples H at the step start in both, with no alignment error
+    # reorders the stage form's arithmetic but not its result
     model, rho0 = general_bath_case(qubit_ops, case)
     t = grid(2.0, 1e-3)
     got, ref = integrate_me(model, rho0, t), stage_form_rk4(model, rho0, t)
@@ -314,26 +288,25 @@ def test_rk4_matrix_agrees_with_the_stage_form(qubit_ops, case):
 
 
 @pytest.mark.parametrize("dt", [1e-6, 1e-2, 0.5])
-@pytest.mark.parametrize("case", ["boson_d12", "bath_qubit", "bath_boson", "schedule"])
+@pytest.mark.parametrize("case", ["boson_d12", "bath_qubit", "bath_boson"])
 def test_expm_propagator_matches_scipy(qubit_ops, case, dt):
     from scipy.linalg import expm as scipy_expm
 
     model, _ = general_bath_case(qubit_ops, case)
-    lmat = liouvillian_matrix(model, 0.2) * dt
+    lmat = liouvillian_matrix(model) * dt
     got, ref = core_ops.expm(lmat), scipy_expm(lmat)
     assert np.linalg.norm(got - ref, 1) <= 1e-12 * np.linalg.norm(ref, 1)
 
 
-@pytest.mark.parametrize("case", ["bath_qubit", "bath_boson", "schedule"])
+@pytest.mark.parametrize("case", ["bath_qubit", "bath_boson"])
 def test_liouvillian_matrix_is_generalized_bath_me_rhs(qubit_ops, case):
-    # the superoperator of the expm stepper and steady_state, on a general bath;
-    # the schedule switches at t = 0.5, so the two times read both pieces
+    # the superoperator of the expm stepper and steady_state, on a general bath
     model, rho0 = general_bath_case(qubit_ops, case)
     rng = np.random.default_rng(17)
-    for t in (0.2, 0.9):
+    for _ in range(2):
         rho = random_density_matrix(rng, model.dim)
-        got = liouvillian_matrix(model, t) @ rho.ravel()
-        assert np.max(np.abs(got - generalized_bath_me_rhs(model, rho, t).ravel())) <= 1e-13
+        got = liouvillian_matrix(model) @ rho.ravel()
+        assert np.max(np.abs(got - generalized_bath_me_rhs(model, rho).ravel())) <= 1e-13
     if case == "bath_qubit":
         t = grid(2.0, 1e-2)
         np.testing.assert_allclose(integrate_me(model, rho0, t, stepper="expm"),
@@ -341,8 +314,8 @@ def test_liouvillian_matrix_is_generalized_bath_me_rhs(qubit_ops, case):
 
 
 def test_integrate_me_checks_operators_once(decay_model, excited, monkeypatch):
-    # the operators and the initial state are checked at entry and when the
-    # step matrix is built, not per step
+    # the initial state is checked at entry and the operators when the model
+    # is built, not per step
     calls = []
     original = core_ops._check_square
 
@@ -362,8 +335,59 @@ def test_integrate_me_checks_operators_once(decay_model, excited, monkeypatch):
 
 
 def test_integrate_me_rejects_non_finite_operators(qubit_ops, excited):
+    # the model refuses the operator when it is built, so no integration
+    # reaches it
     channel = qubit_ops["sigma_minus"].copy()
     channel[1, 0] = np.nan
-    model = OpenSystemModel(np.zeros((2, 2)), [(1.0, channel)])
     with pytest.raises(InvalidStateError, match="non-finite"):
+        model = OpenSystemModel(np.zeros((2, 2)), [(1.0, channel)])
         integrate_me(model, excited, grid(0.1, 1e-2))
+
+
+@pytest.mark.parametrize("rate, entry, phase, message", [
+    (np.nan, 0.0, 0.0, "channel rates must be finite"),
+    (np.inf, 0.0, 0.0, "channel rates must be finite"),
+    (1.0, np.nan, 0.0, "collapse operator contains non-finite entries"),
+    (1.0, complex(0.0, np.inf), 0.0, "collapse operator contains non-finite entries"),
+    (1.0, 0.0, np.nan, "homodyne_phase must be finite"),
+    (1.0, 0.0, -np.inf, "homodyne_phase must be finite"),
+], ids=["nan_rate", "inf_rate", "nan_operator", "inf_operator", "nan_phase", "inf_phase"])
+def test_model_rejects_non_finite_fields(qubit_ops, rate, entry, phase, message):
+    # nan < 0 is False, so these used to be accepted, and a homodyne or jump
+    # ensemble on the model then died with a bare AssertionError
+    channel = qubit_ops["sigma_minus"].copy()
+    channel[1, 1] += entry
+    with pytest.raises(ValueError, match=message):
+        OpenSystemModel(np.zeros((2, 2)), [(rate, channel)], homodyne_phase=phase)
+
+
+@pytest.mark.parametrize("case, stepper", [("qubit", "rk4"), ("qubit", "expm"),
+                                           ("boson_above_bound", "rk4")])
+def test_dimension_mismatch_names_both_dimensions(qubit_ops, case, stepper):
+    # numpy's matmul and einsum errors used to leak out of both steppers, the
+    # stage form and me_expectations
+    model = (OpenSystemModel(np.zeros((2, 2)), [(1.0, qubit_ops["sigma_minus"])])
+             if case == "qubit" else general_bath_case(qubit_ops, case)[0])
+    d = model.dim
+    with pytest.raises(DimensionMismatchError, match=f"dimension mismatch: 3 vs {d}"):
+        integrate_me(model, np.eye(3, dtype=complex) / 3, grid(0.1, 1e-2), stepper=stepper)
+    start = np.diag(np.eye(d)[0]).astype(complex)
+    with pytest.raises(DimensionMismatchError, match=f"dimension mismatch: {d} vs 3"):
+        me_expectations(model, start, grid(0.1, 1e-2), [("n", np.eye(3))])
+
+
+def test_steady_state_refuses_a_degenerate_kernel(qubit_ops):
+    # a Hamiltonian alone leaves a two-dimensional kernel, from which the
+    # eigensolver returned a mixture of trace near zero: normalized, it had
+    # entries of 4e7 and a minimum eigenvalue of -4e7
+    with pytest.raises(InvalidStateError, match="no unique steady state: min eigenvalue"):
+        steady_state(OpenSystemModel(qubit_ops["sigma_x"], []))
+
+
+@pytest.mark.parametrize("dim", [2, 5, 12])
+@pytest.mark.parametrize("bath", [BathSpec(), BathSpec(0.5, 0.3, 0.2)], ids=["vacuum", "bath"])
+def test_steady_state_of_a_damped_mode_is_a_state(dim, bath):
+    ops = build_standard_ops("boson", dim)
+    model = OpenSystemModel(0.2 * ops["q"] @ ops["q"], [(1.0, ops["a"])], bath=bath)
+    rho = steady_state(model)
+    assert np.max(np.abs(liouvillian_matrix(model) @ rho.ravel())) <= 1e-10

@@ -2,17 +2,24 @@
 
 A code line holds a token of code.  Blank lines, comment-only lines and
 docstrings (the leading string of a module, class or function) do not count.
+``--against REF`` prints each module's count at the git ref REF beside the
+working tree's count and their difference; a module missing on one side
+counts 0 there.
 
     python tools/code_lines.py
+    python tools/code_lines.py --against HEAD^
 """
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "contmon"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "contmon"
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENDMARKER}
 
@@ -34,12 +41,45 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def main() -> int:
-    counts = {path.stem: code_lines(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    width = max(map(len, counts))
-    for name, count in counts.items():
-        print(f"{name:<{width}} {count:5d}")
-    print(f"{'total':<{width}} {sum(counts.values()):5d}")
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def counts_at(ref: str | None = None) -> dict:
+    """Each module's code lines in the working tree, or at the git ref ``ref``."""
+    if ref is None:
+        return {path.stem: code_lines(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    rel = SRC.relative_to(ROOT).as_posix()
+    paths = _git("ls-tree", "--name-only", ref, f"{rel}/").split()
+    return {Path(p).stem: code_lines(_git("show", f"{ref}:{p}")) for p in paths
+            if p.endswith(".py")}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REF", help="git ref to compare the working tree with")
+    args = parser.parse_args(argv)
+    tree = counts_at()
+    if args.against is None:
+        rows = list(tree.items())
+        rows.append(("total", sum(tree.values())))
+        width = max(len(name) for name, _ in rows)
+        for name, count in rows:
+            print(f"{name:<{width}} {count:5d}")
+        return 0
+    try:
+        base = counts_at(args.against)
+    except subprocess.CalledProcessError as err:
+        print(f"git: {err.stderr.strip()}", file=sys.stderr)
+        return 1
+    names = sorted(set(base) | set(tree))
+    rows = [(name, base.get(name, 0), tree.get(name, 0)) for name in names]
+    rows.append(("total", sum(base.values()), sum(tree.values())))
+    width, col = max(len(name) for name in names + ["module"]), max(7, len(args.against))
+    print(f"{'module':<{width}} {args.against:>{col}} {'tree':>7} {'diff':>7}")
+    for name, old, new in rows:
+        print(f"{name:<{width}} {old:{col}d} {new:7d} {new - old:+7d}")
     return 0
 
 
