@@ -437,12 +437,13 @@ def _kind_rules(cfg: dict, kind: str, ctx: _Collector, gmodel=None) -> None:
     current whose column of E or B is nonzero (a feedback G can only add
     live currents); the per-step statistics of the blocks in flight and,
     past one block, of their merge; per block its (spec, scenario, lo, hi,
-    shared) entry in ``run_ensemble``'s ``blocks`` list and the result dict
-    ``partials`` keeps; the stored states and records, a record holding per
-    step the ``draws`` outcomes of a Hilbert-space kind (a byte per click,
-    else a float) or one float per current of the Gaussian model.  A kind
-    that draws nothing holds every state of its trajectory, as the
-    integrator it runs keeps them.
+    shared, stored) entry in ``run_ensemble``'s ``blocks`` list, and no
+    result, as a block returns statistics and counters that are folded in as
+    it arrives; the stored states and records, once, in the run's arrays
+    that the blocks write in place, a record holding per step the ``draws``
+    outcomes of a Hilbert-space kind (a byte per click, else a float) or one
+    float per current of the Gaussian model.  A kind that draws nothing holds
+    every state of its trajectory, as the integrator it runs keeps them.
     """
     # a combination the rules reject names no kind: its unravelling's own
     # kind draws, records and counts alike
@@ -468,10 +469,10 @@ def _kind_rules(cfg: dict, kind: str, ctx: _Collector, gmodel=None) -> None:
     block = min(spec.block_size, spec.n_traj)
     blocks = -(-spec.n_traj // block)
     in_flight = min(spec.threads, blocks)
-    # per block a (spec, scenario, lo, hi, shared) tuple and an empty dict, each
-    # in a list slot; the statistics of the blocks in flight and, when there
-    # is more than one block, of their merge
-    need = ops + path + blocks * (sys.getsizeof((None,) * 5) + sys.getsizeof({}) + 2 * 8)
+    # per block a (spec, scenario, lo, hi, shared, stored) tuple in a list
+    # slot; the statistics of the blocks in flight and, when there is more
+    # than one block, of their merge
+    need = ops + path + blocks * (sys.getsizeof((None,) * 6) + 8)
     need += (in_flight + (blocks > 1)) * 8 * math.prod(
         stats_shape(kind, steps, len(_recorded(cfg))))
     need += in_flight * block * (2 * state * entry + steps * draws * 8)

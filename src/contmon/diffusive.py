@@ -415,21 +415,23 @@ def diffusive_kernel_step(kernel, rho: np.ndarray, dw, work: dict | None = None)
     batch = rho.ndim == 3
     x = to_coords(rho) if batch else rho
     n = len(x)
-    y = kernel.maps @ x
+    # the state's image apart from the other rows, so that the state
+    # returned keeps no larger array alive
+    z = kernel.maps[:n] @ x
+    y = kernel.maps[n:] @ x
     m = kernel.n_channels
     w = np.reshape(dw, (-1, m)).T
-    ex = y[(1 + m if kernel.kraus is None else 3) * n :]
+    ex = y[(m if kernel.kraus is None else 2) * n :]
     if kernel.linear:
         dy = kernel.offset + w
     else:
         dy = ex[-m:] + kernel.noise_gain * w
-    z = y[:n]
     if kernel.kraus is not None:
         s = dy[0]
-        z += s * (y[n : 2 * n] + s * y[2 * n : 3 * n])
+        z += s * (y[:n] + s * y[n : 2 * n])
     else:
         for k in range(m):
-            z += w[k] * y[(k + 1) * n : (k + 2) * n]
+            z += w[k] * y[k * n : (k + 1) * n]
         if not kernel.linear:
             z -= (w * ex[:m]).sum(axis=0) * x
     return _coords_out(z, kernel.linear, batch), dy.T.reshape(np.shape(dw))

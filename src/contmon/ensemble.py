@@ -10,14 +10,17 @@ vectorized form; block statistics are merged in index order.
 
 Block driver: every stochastic kind runs its blocks through one driver,
 :func:`_stochastic_block`.  The driver draws the block's noise up front, holds
-the block's statistics with its value and weight buffers and its stored
-states and records, and walks the block in chunks of steps, each buffering at
-most ``CHUNK_BUFFER_BYTES``: per chunk one call of the kind's chunk step, then
-one :func:`_moments` call for the chunk's statistics.  A kind supplies only its
-initial block state and that chunk step (:class:`_Stepping`, set up per block
-by :func:`_hilbert_start` or :func:`_gaussian_start`), which advances the
-state over the chunk's increments and writes the chunk's values (and
-weights), record rows and states.
+the block's statistics with its value and weight buffers, and walks the
+block in chunks of steps, each buffering at most ``CHUNK_BUFFER_BYTES``: per
+chunk one call of the kind's chunk step, then one :func:`_moments` call for
+the chunk's statistics.  A kind supplies only its initial block state and
+that chunk step (:class:`_Stepping`, set up per block by
+:func:`_hilbert_start` or :func:`_gaussian_start`), which advances the state
+over the chunk's increments and writes the chunk's values (and weights),
+record rows and states.  Stored states and records exist once:
+:func:`run_ensemble` allocates the run's arrays before the first block, and
+each block writes its rows into them in place.  A block returns only its
+statistics and counters, which ``run_ensemble`` folds in as they arrive.
 
 Variates drawn per step and trajectory: ``KINDS[kind].draws`` for each
 Hilbert-space kind (uniforms for click kinds and in two-point mode, normals
@@ -43,13 +46,13 @@ block holds density matrices.  When the kernel carries coordinate ``maps``
 the diffusive Kraus kinds; see :func:`contmon.jump.click_kernel` and
 :func:`contmon.diffusive.diffusive_kernel`) the block holds real (d^2, B)
 coordinates (:mod:`contmon.core_ops`), converted to (B, d, d) states only to
-be stored or passed to an eigensolver: a step is one real GEMM plus per-row
-scalar corrections, and so are the observables.  Otherwise a right-product
-kernel updates the block's states in place through work buffers the block
-owns, with one GEMM of the (B d, d) view per constant operator, and the
-observables are one GEMM of the (B, d^2) view.  Every kind calls these, the
-vector step included, through the module attributes ``jump`` and
-``diffusive``.
+be stored or passed to an eigensolver: a step is a real GEMM of the kernel's
+stacked maps, split by rows, plus per-row scalar corrections, and the
+observables are one GEMM.  Otherwise a right-product kernel updates the
+block's states in place through work buffers the block owns, with one GEMM
+of the (B d, d) view per constant operator, and the observables are one GEMM
+of the (B, d^2) view.  Every kind calls these, the vector step included,
+through the module attributes ``jump`` and ``diffusive``.
 
 Health checks: a density-matrix block with ``track_min_eigenvalue`` reports
 the smallest eigenvalue of every stepped state (divided by its trace for the
@@ -484,33 +487,35 @@ class _Stepping:
     ``values`` (columns, B), of ``weights`` (B,) and of ``states`` (B, rows,
     ...), each unless None; the first chunk reports the initial state first,
     so these hold one row more than it has steps.  ``records`` (B, steps,
-    ...), unless None, takes each step's record row.
+    ...), unless None, takes each step's record row.  ``states`` and
+    ``records`` are views of the run's arrays, the block's rows and the
+    chunk's steps.
 
     ``draws`` increments per step and trajectory come from substream 0, and
     a chunk buffers ``width`` floats per trajectory and step, at most
-    ``CHUNK_BUFFER_BYTES`` in all.  ``layout`` gives the (shape, dtype) of
-    one trajectory's stored state and of one step's record.  The record
-    columns ``spare`` hold increments drawn for the records alone, from
-    substream 1, written before the steps add to them.  ``health`` holds the
-    counters the steps keep, which the block result carries.
+    ``CHUNK_BUFFER_BYTES`` in all.  The record columns ``spare`` hold
+    increments drawn for the records alone, from substream 1, written before
+    the steps add to them.  ``health`` holds the counters the steps keep,
+    which the block result carries.
     """
 
     state: object
     step: Callable
     draws: int
     width: int
-    layout: dict
     spare: tuple | np.ndarray = ()
     health: dict = field(default_factory=dict)
 
 
-def _stochastic_block(start, spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
+def _stochastic_block(start, spec: EnsembleSpec, scenario: Scenario, lo, hi, shared,
+                      stored):
     """The block driver: run trajectories lo..hi - 1 of a stochastic kind
-    whose ``start`` sets up its part (:class:`_Stepping`).  The driver draws
-    the block's noise up front, holds the statistics, the value and weight
-    buffers and the stored states and records, and walks the block in chunks
-    of steps: per chunk one call of the kind's step, then one of
-    :func:`_moments`."""
+    whose ``start`` sets up its part (:class:`_Stepping`), writing their
+    rows of the run's arrays ``stored`` in place.  The driver draws the
+    block's noise up front, holds the statistics and the value and weight
+    buffers, and walks the block in chunks of steps: per chunk one call of
+    the kind's step, then one of :func:`_moments`.  It returns the
+    statistics and the step's counters."""
     n_steps, kind, nblk = spec.n_steps, KINDS[scenario.kind], hi - lo
     part = start(spec, scenario, nblk, shared)
     noise = _increments(spec, lo, hi, n_steps * part.draws, kind.clicks).reshape(
@@ -519,8 +524,7 @@ def _stochastic_block(start, spec: EnsembleSpec, scenario: Scenario, lo, hi, sha
     chunk = max(1, CHUNK_BUFFER_BYTES // (8 * nblk * max(part.width, 1)))
     vals = np.empty((chunk + 1, (acc.shape[1] - 2) // 3, nblk))
     wts = np.empty((chunk + 1, nblk)) if kind.linear else None
-    out = {name: np.empty((nblk, n_steps + (name == "states")) + shape, dtype=dtype)
-           for name, (shape, dtype) in part.layout.items() if getattr(spec, "store_" + name)}
+    out = {name: rows[lo:hi] for name, rows in stored.items()}
     if "records" in out and len(part.spare):
         out["records"][..., part.spare] = _increments(
             spec, lo, hi, n_steps * len(part.spare), False, stream=1).reshape(nblk, n_steps, -1)
@@ -532,7 +536,7 @@ def _stochastic_block(start, spec: EnsembleSpec, scenario: Scenario, lo, hi, sha
                                out["states"][:, r0:k1 + 1] if "states" in out else None,
                                out["records"][:, k0:k1] if "records" in out else None)
         _moments(_parts(acc[r0:k1 + 1]), y, w)
-    return dict(stats=acc, **out, **part.health)
+    return dict(stats=acc, **part.health)
 
 
 def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
@@ -583,9 +587,7 @@ def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
 
     state = (np.repeat((_state_vector(state0) if vector else to_coords(state0))[:, None], nblk, 1)
              if vector or coords else np.broadcast_to(state0, (nblk,) + state0.shape).copy())
-    layout = dict(states=(state0.shape, complex), records=(
-        (kind.draws,) if kind.draws > 1 else (), np.uint8 if kind.clicks else float))
-    return _Stepping(state, step, kind.draws, len(rows), layout, health=health)
+    return _Stepping(state, step, kind.draws, len(rows), health=health)
 
 
 def _finite_covariances(covs):
@@ -664,9 +666,8 @@ def _gaussian_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
             np.square(r[1 - first:, c], out=values[:, len(comp) + i])
         return r[steps]
 
-    layout = dict(states=((model.dim,), float), records=((model.n_currents,), float))
     return _Stepping(np.repeat(scenario.initial_state.mean[:, None], nblk, axis=1), step,
-                     len(live), max(model.dim, model.n_currents), layout,
+                     len(live), max(model.dim, model.n_currents),
                      spare=np.setdiff1d(np.arange(model.n_currents), live))
 
 
@@ -679,7 +680,7 @@ def _noise_free(spec: EnsembleSpec, scenario: Scenario, values, **extra):
     return dict(stats=acc, extra=extra)
 
 
-def _me_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
+def _me_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared, stored):
     """The unconditional master equation: the expectations of
     :func:`contmon.master_equation.me_expectations` as one trajectory."""
     expect = me_expectations(scenario.model, scenario.initial_state, spec.t_grid, spec.observables)
@@ -687,7 +688,7 @@ def _me_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
     return _noise_free(spec, scenario, values.T)
 
 
-def _moments_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
+def _moments_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared, stored):
     """The unmonitored Gaussian moments of
     :func:`contmon.gaussian.unconditional_moments` as one trajectory: the
     columns x, then x^2, of the observed quadratures' means, and the
@@ -704,11 +705,14 @@ def _moments_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared):
 class Kind:
     """What the ensemble layer needs to know about one scenario kind.
 
-    ``block(spec, scenario, lo, hi, shared)`` runs trajectories lo..hi - 1 of
-    a ``model``, with ``shared`` what ``shared(spec, scenario)`` computed once
-    per run (the ``"extra"`` of each goes to ``EnsembleStats.extra``), and
-    returns a dict of the block's statistics (``"stats"``), each output it
-    stores and the counters it keeps.  A stochastic kind's block is the
+    ``block(spec, scenario, lo, hi, shared, stored)`` runs trajectories
+    lo..hi - 1 of a ``model``, with ``shared`` what ``shared(spec,
+    scenario)`` computed once per run (the ``"extra"`` of each goes to
+    ``EnsembleStats.extra``).  It writes its rows lo..hi - 1 of the run's
+    stored states and records, the arrays of the dict ``stored`` that
+    ``run_ensemble`` allocates, in place, and returns a dict of its
+    statistics (``"stats"``) and the counters it keeps, nothing else: no
+    block result holds a stored output.  A stochastic kind's block is the
     driver :func:`_stochastic_block` bound to the function that sets up the
     kind's part of a block, its initial state and chunk step
     (:class:`_Stepping`): :func:`_hilbert_start` for the Hilbert-space kinds,
@@ -782,8 +786,8 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     Deterministic for fixed (spec, scenario): the output is identical for any
     thread count because trajectory substreams depend only on (master_seed,
     index) and block statistics are merged in index order.  Stored states and
-    records are copied into one run-level array as each block arrives, so no
-    block's copy outlives its merge.
+    records are allocated once for the run and written in place by each
+    block; a block's statistics and counters are folded in as it arrives.
     """
     kind = KINDS[scenario.kind]
     if spec.noise == "two_point" and kind.draws and not kind.diffusive:
@@ -793,17 +797,26 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
                          "no records or states")
     shared = kind.shared(spec, scenario) if kind.shared else {}
 
-    size, n = spec.block_size, spec.n_traj
-    blocks = [(spec, scenario, lo, min(lo + size, n), shared) for lo in range(0, n, size)]
-    acc, partials = None, []
-    stored = dict.fromkeys(k for k in ("states", "records") if getattr(spec, "store_" + k))
-    for (_, _, lo, hi, _), part in zip(blocks, _block_results(kind, blocks, spec.threads)):
-        acc = part.pop("stats") if acc is None else _merge(acc, part.pop("stats"))
-        for name in stored:  # the block's copy is dropped once its rows are in
-            if stored[name] is None:
-                stored[name] = np.empty((n,) + part[name].shape[1:], dtype=part[name].dtype)
-            stored[name][lo:hi] = part.pop(name)
-        partials.append(part)
+    # the run's stored outputs, allocated once and written in place by the
+    # blocks: (d, d) density matrices or a Gaussian run's means, and per step
+    # the kind's ``draws`` outcomes (a byte each) or increments, or one float
+    # per current of a Gaussian model
+    size, n, steps, dim = spec.block_size, spec.n_traj, spec.n_steps, scenario.model.dim
+    gaussian, stored = kind.model is GaussianModel, {}
+    if spec.store_states:
+        stored["states"] = np.empty((n, steps + 1) + (dim,) * (2 - gaussian),
+                                    float if gaussian else complex)
+    if spec.store_records:
+        row = (scenario.model.n_currents,) if gaussian else (kind.draws,) * (kind.draws > 1)
+        stored["records"] = np.empty((n, steps) + row, np.uint8 if kind.clicks else float)
+    blocks = [(spec, scenario, lo, min(lo + size, n), shared, stored) for lo in range(0, n, size)]
+    acc, health, extra = None, {}, dict(shared.get("extra", {}))
+    for part in _block_results(kind, blocks, spec.threads):
+        acc = part["stats"] if acc is None else _merge(acc, part["stats"])
+        if "min_eig" in part:  # the counters of a block that tracks positivity
+            health["min_eig"] = min(health.get("min_eig", np.inf), part["min_eig"])
+            health["violations"] = health.get("violations", 0) + part["violations"]
+        extra.update(part.get("extra", {}))
 
     names = [name for name, _ in spec.observables]
     big_w, w2, m, s, _ = (part.T for part in _parts(acc))
@@ -822,22 +835,20 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     else:
         se *= np.sqrt(n / max(n - 1, 1))  # the sample standard deviation / sqrt(n)
 
-    track = "min_eig" in partials[0]
     stats = EnsembleStats(
         t=spec.t_grid,
         means=dict(zip(names, mean)),
         std_errs=dict(zip(names, se)),
         n_traj=n,
-        min_eigenvalue=float(min(p["min_eig"] for p in partials)) if track else None,
-        positivity_violations=int(sum(p["violations"] for p in partials)) if track else None,
+        min_eigenvalue=health.get("min_eig"),
+        positivity_violations=health.get("violations"),
         ess=ess,
+        extra=extra,
         **stored,
     )
-    if kind.model is GaussianModel:  # the centred sums of the x and x^2 columns, over n
+    if gaussian:  # the centred sums of the x and x^2 columns, over n
         stats.extra["var_x"] = dict(zip(names, s[:len(names)] / n))
         stats.extra["var_x2"] = dict(zip(names, s[len(names):] / n))
-    for result in [shared, *partials]:
-        stats.extra.update(result.get("extra", {}))
     return stats
 
 

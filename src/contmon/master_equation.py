@@ -113,7 +113,8 @@ class OpenSystemModel:
     ``channels`` is a sequence of (rate kappa_i >= 0, collapse operator c_i).
     ``efficiency`` is the detected fraction of the output field, ``homodyne_phase``
     the local-oscillator phase (enters as c -> c e^{i theta} at the stepper
-    boundary).  Rates, collapse operators and the phase must be finite.
+    boundary).  The Hamiltonian, rates, collapse operators and the phase must
+    be finite.
     Instances are treated as immutable.
     """
 
@@ -124,8 +125,8 @@ class OpenSystemModel:
     homodyne_phase: float = 0.0
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        h = _check_square(self.hamiltonian, "Hamiltonian")  # finite before Hermitian
+        if h.ndim != 2:
             raise DimensionMismatchError("Hamiltonian must be a square matrix")
         if not is_hermitian(h):
             raise ValueError("Hamiltonian must be Hermitian")

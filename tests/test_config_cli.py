@@ -896,7 +896,7 @@ def test_size_rule_charges_the_statistics_one_block_allocates(preset, mutate, ki
     assert job.scenario.kind == kind
     rec = ensemble.KINDS[kind]
     shared = rec.shared(job.spec, job.scenario) if rec.shared else {}
-    block = rec.block(job.spec, job.scenario, 0, 64, shared)
+    block = rec.block(job.spec, job.scenario, 0, 64, shared, {})
     assert charged and set(charged) == {block["stats"].shape}
     assert block["stats"].dtype == np.float64  # the 8 bytes per entry charged
 

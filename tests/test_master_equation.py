@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -344,21 +346,28 @@ def test_integrate_me_rejects_non_finite_operators(qubit_ops, excited):
         integrate_me(model, excited, grid(0.1, 1e-2))
 
 
-@pytest.mark.parametrize("rate, entry, phase, message", [
-    (np.nan, 0.0, 0.0, "channel rates must be finite"),
-    (np.inf, 0.0, 0.0, "channel rates must be finite"),
-    (1.0, np.nan, 0.0, "collapse operator contains non-finite entries"),
-    (1.0, complex(0.0, np.inf), 0.0, "collapse operator contains non-finite entries"),
-    (1.0, 0.0, np.nan, "homodyne_phase must be finite"),
-    (1.0, 0.0, -np.inf, "homodyne_phase must be finite"),
-], ids=["nan_rate", "inf_rate", "nan_operator", "inf_operator", "nan_phase", "inf_phase"])
-def test_model_rejects_non_finite_fields(qubit_ops, rate, entry, phase, message):
+@pytest.mark.parametrize("h_entry, rate, entry, phase, message", [
+    (0.0, np.nan, 0.0, 0.0, "channel rates must be finite"),
+    (0.0, np.inf, 0.0, 0.0, "channel rates must be finite"),
+    (0.0, 1.0, np.nan, 0.0, "collapse operator contains non-finite entries"),
+    (0.0, 1.0, complex(0.0, np.inf), 0.0, "collapse operator contains non-finite entries"),
+    (0.0, 1.0, 0.0, np.nan, "homodyne_phase must be finite"),
+    (0.0, 1.0, 0.0, -np.inf, "homodyne_phase must be finite"),
+    (np.nan, 1.0, 0.0, 0.0, "Hamiltonian contains non-finite entries"),
+    (np.inf, 1.0, 0.0, 0.0, "Hamiltonian contains non-finite entries"),
+], ids=["nan_rate", "inf_rate", "nan_operator", "inf_operator", "nan_phase", "inf_phase",
+        "nan_hamiltonian", "inf_hamiltonian"])
+def test_model_rejects_non_finite_fields(qubit_ops, h_entry, rate, entry, phase, message):
     # nan < 0 is False, so these used to be accepted, and a homodyne or jump
-    # ensemble on the model then died with a bare AssertionError
+    # ensemble on the model then died with a bare AssertionError.  A NaN in
+    # the Hamiltonian was reported as non-Hermitian, and an inf one leaked a
+    # RuntimeWarning from the Hermiticity check
     channel = qubit_ops["sigma_minus"].copy()
     channel[1, 1] += entry
-    with pytest.raises(ValueError, match=message):
-        OpenSystemModel(np.zeros((2, 2)), [(rate, channel)], homodyne_phase=phase)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            OpenSystemModel(np.diag([h_entry, 0.0]), [(rate, channel)], homodyne_phase=phase)
 
 
 @pytest.mark.parametrize("case, stepper", [("qubit", "rk4"), ("qubit", "expm"),

@@ -2,13 +2,15 @@
 
 Each preset and ``perfbench/workloads.py`` document runs with at most 120
 steps (``--max-steps N`` sets another cap) and 150 trajectories in blocks of
-64, records and min-eigenvalue tracking on, at seeds 7 and 11 with 1 and 2
-threads.  The JSON output holds, per run, the sha256 of its stats table and
-records, its health block and its stats CSV text.  ``--compare`` prints the runs that moved between two
-outputs, with each run's largest mean move (relative to max(1, |mean|)) and
-largest SE move (absolute, and relative to the larger of the two SEs), and
-exits 1 when a run's 1-thread and 2-thread results differ in the second: in
-its stats, its records or its health block.
+64, stored states, records and min-eigenvalue tracking on, at seeds 7 and 11
+with 1 and 2 threads.  The JSON output holds, per run, the sha256 of its
+stats table, records and stored states (None where a noise-free run keeps
+none), its health block and its stats CSV text.  ``--compare`` prints the
+runs that moved between two outputs, with each run's largest mean move
+(relative to max(1, |mean|)) and largest SE move (absolute, and relative to
+the larger of the two SEs), and exits 1 when a run's 1-thread and 2-thread
+results differ in the second: in its stats, its records, its states or its
+health block.
 
 ``--baseline`` writes a baseline in place of the full output: the build it
 ran on (``build_key``), and per run its two digests and health block, but not
@@ -36,7 +38,8 @@ import numpy as np
 SEEDS, THREADS = (7, 11), (1, 2)
 MAX_STEPS, MAX_TRAJ, BLOCK = 120, 150, 64
 BASELINE = Path(__file__).resolve().parent / "digests_baseline.json"
-FIELDS = ("stats_sha256", "records_sha256", "health")  # what a baseline keeps of a run
+# what a baseline keeps of a run
+FIELDS = ("stats_sha256", "records_sha256", "states_sha256", "health")
 # the configuration string of the OpenBLAS numpy loaded, under the names its
 # builds export; it names the kernel chosen at run time, where the build
 # string numpy reports names the one it was compiled for
@@ -61,15 +64,19 @@ def digest(doc: dict, seed: int, threads: int, max_steps: int = MAX_STEPS) -> di
     doc = json.loads(json.dumps(doc))
     run = doc["run"]
     run.update(t_final=min(run["t_final"], max_steps * run["dt"]), block_size=BLOCK,
-               n_traj=min(run["n_traj"], MAX_TRAJ), track_min_eigenvalue=True)
+               n_traj=min(run["n_traj"], MAX_TRAJ), track_min_eigenvalue=True,
+               store_states=True)
     doc["output"]["records"] = True
     job = build_runtime(parse_config(json.dumps(doc)), threads=threads, seed=seed)
     columns, stats = job.execute()
     text = render_stats_csv(stats.t, columns)
-    records = None if stats.records is None else stats.records.tobytes()
+    # hashed in place: a copy of a d = 12 run's states would double its memory
+    sha = [None if out is None else hashlib.sha256(out).hexdigest()
+           for out in (stats.records, stats.states)]
     return {
         "stats_sha256": hashlib.sha256(text).hexdigest(),
-        "records_sha256": records and hashlib.sha256(records).hexdigest(),
+        "records_sha256": sha[0],
+        "states_sha256": sha[1],
         "health": health(stats),
         "csv": text.decode(),
     }
@@ -135,10 +142,11 @@ def compare(path_a: str, path_b: str) -> int:
                          for d, s in zip(se, scale))
             moves = f"mean rel {mean:.3g}, se abs {se_abs:.3g}, se rel {se_rel:.3g}, "
         ha, hb = a[key]["health"], b[key]["health"]
-        records = "same" if a[key]["records_sha256"] == b[key]["records_sha256"] else "differ"
+        records, states = ("same" if a[key][f] == b[key][f] else "differ"
+                           for f in ("records_sha256", "states_sha256"))
         health = "; ".join(f"{h} {ha.get(h)} -> {hb.get(h)}" for h in sorted(ha.keys() | hb.keys())
                            if ha.get(h) != hb.get(h))
-        print(f"{key}: {moves}records {records}; {health or 'health same'}")
+        print(f"{key}: {moves}records {records}, states {states}; {health or 'health same'}")
     print(f"{len(moved)} of {len(keys)} shared runs moved")
     status = 0
     for key in (k for k in sorted(b) if k.endswith("|threads=1")):
