@@ -121,6 +121,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # a document that is not UTF-8 text, or a document or --override
+        # value whose JSON nests past the interpreter's recursion limit
+        print(f"configuration error: not a readable JSON document ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_CONFIG

@@ -54,18 +54,22 @@ of the (B d, d) view per constant operator, and the observables are one GEMM
 of the (B, d^2) view.  Every kind calls these, the vector step included,
 through the module attributes ``jump`` and ``diffusive``.
 
-Health checks: a density-matrix block with ``track_min_eigenvalue`` reports
-the smallest eigenvalue of every stepped state (divided by its trace for the
-linear kinds) and counts those below ``MIN_EIG_THRESHOLD``; every
-``validate_every`` steps :func:`_check_physical` aborts on breakdown.  Both
-read the block in its own form, coordinates or states, which every kernel
-keeps Hermitian to the bit, so no check hermitizes.  At d = 2 the smallest
-eigenvalue has a closed form; above, an abort check runs the eigensolver only
-on the states whose Wolkowicz-Styan bound, from tr rho and tr rho^2 alone,
-cannot place above -1 (:func:`_collapse_screen`).  A vector block reports
-smallest eigenvalue 0 and no violation, exactly: psi psi^dag has rank one and
-d >= 2.  Its abort check reads finite entries and unit norms, the traces of
-its states.
+Health checks: one function, :func:`_health`, runs once after each step
+that tracks or checks.  A density-matrix block with ``track_min_eigenvalue``
+reports the smallest eigenvalue of every stepped state (divided by its trace
+for the linear kinds) and counts those below ``MIN_EIG_THRESHOLD``; every
+``validate_every`` steps, and after the last step, the pass aborts on
+breakdown.  It reads the block in its own form, vectors, coordinates or
+states, which every kernel keeps Hermitian to the bit, so nothing hermitizes;
+it reads each trace once and runs at most one eigensolve.  At d = 2 the
+smallest eigenvalue has a closed form; above, the eigensolver needs finite
+entries, so a tracked or checked block is read for them first and aborts
+with "non-finite state entries".  The collapse check (below -1) reuses the
+tracked eigenvalues, or else runs the eigensolver only on the states whose
+Wolkowicz-Styan bound, from tr rho and tr rho^2 alone, cannot place above -1
+(:func:`_collapse_screen`).  A vector block reports smallest eigenvalue 0 and
+no violation, exactly: psi psi^dag has rank one and d >= 2.  Its abort check
+reads finite entries and unit norms, the traces of its states.
 
 Gaussian runs (``KINDS["gaussian"]``) fold the conditional-mean update into
 one affine map per step, r_{k+1} = Phi r_k + Gamma_k dw_k, built once per run
@@ -110,7 +114,7 @@ from typing import Callable
 import numpy as np
 
 from . import diffusive, jump
-from .core_ops import (CHUNK_BUFFER_BYTES, coords_min_eigenvalue, coords_trace, dagger,
+from .core_ops import (CHUNK_BUFFER_BYTES, coords_min_eigenvalue, coords_trace,
                        from_coords, hermitize, min_eigenvalue, to_coords, trace)
 # perfbench/spans.py wraps ``ensemble.conditional_cov_rhs``, so the name stays
 from .gaussian import (GaussianModel, conditional_cov_rhs,  # noqa: F401
@@ -387,40 +391,48 @@ def _collapse_screen(state, tr):
     return m - s * np.sqrt(d - 1.0) <= -1.0 + SCREEN_MARGIN
 
 
-def _check_physical(kind, state, step, vector=False):
-    """Abort-level checks: integration breakdown, not the (expected, reported)
-    small positivity dips of Euler stepping at finite dt.  A block of
-    coordinates is checked as it is: its entries finite, its traces from its
-    populations, and no Hermiticity test, as real coordinates are Hermitian
-    by construction.  At d > 2 only the states :func:`_collapse_screen`
-    cannot clear go to the eigensolver; d = 2 takes its closed form.  A
-    ``vector`` block is checked for finite entries and unit norms, the
-    traces of its states psi psi^dag, which are positive by construction."""
-    if not np.all(np.isfinite(state)):
+def _health(kind, state, step, counters, check, vector, big):
+    """One health pass over a Hilbert-space block after step ``step``, read
+    in the block's own form: state vectors (``vector``), coordinates or
+    (B, d, d) states, which every kernel keeps Hermitian to the bit.
+
+    ``counters``, unless None, take the smallest eigenvalue of every state,
+    divided by its trace for the linear kinds (w <= 0 read as 1), and the
+    count of those below ``MIN_EIG_THRESHOLD``.  ``check`` aborts on
+    integration breakdown, not on the (expected, reported) small dips of
+    Euler stepping at finite dt: non-finite entries and, unless the kind is
+    linear, a trace (a vector's norm) off 1 by more than 1e-8 and a state
+    below -1.  ``big`` says d > 2, where the smallest eigenvalue takes an
+    eigensolve, which needs finite entries; d = 2 has a closed form.  Each
+    trace is read once, and at most one eigensolve runs: the collapse check
+    reuses the counters' eigenvalues, or else solves only for the states
+    :func:`_collapse_screen` cannot clear."""
+    if (check or big and counters is not None) and not np.all(np.isfinite(state)):
         raise PhysicalityError(step, "non-finite state entries")
     coords = not np.iscomplexobj(state)
-    if not coords:
-        # one state-sized temporary, freed before the eigenvalue check
-        defect = dagger(state)
-        np.subtract(state, defect, out=defect)
-        herm = float(np.max(np.abs(defect)))
-        del defect
-        if herm > 1e-8:
-            raise PhysicalityError(step, f"hermiticity defect {herm:.3e}")
-    if kind.linear:
+    eig = coords_min_eigenvalue if coords else min_eigenvalue
+    # a linear kind's tracking divides by the traces; a normalized kind's check reads them
+    if (counters is not None) if kind.linear else check:
+        tr = _dots(state) if vector else _traces(state)
+    eigs = None
+    if counters is not None:
+        w = np.where(tr <= 0.0, 1.0, tr) if kind.linear else None
+        eigs = eig(state if w is None else state / (w if coords else w[:, None, None]))
+        counters["min_eig"] = min(counters["min_eig"], float(np.min(eigs)))
+        counters["violations"] += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
+    if not check or kind.linear:
         return
-    tr = _dots(state) if vector else _traces(state)
     tr_defect = float(np.max(np.abs(tr - 1.0)))
     if tr_defect > 1e-8:
         raise PhysicalityError(step, f"trace defect {tr_defect:.3e}")
     if vector:
         return
-    if (math.isqrt(len(state)) if coords else state.shape[-1]) > 2:
+    if eigs is None and big:
         rows = np.flatnonzero(_collapse_screen(state, tr))
         if not len(rows):
             return
         state = state[:, rows] if coords else state[rows]
-    w_min = float(np.min(coords_min_eigenvalue(state) if coords else min_eigenvalue(state)))
+    w_min = float(np.min(eig(state) if eigs is None else eigs))
     if w_min < -1.0:
         raise PhysicalityError(step, f"state collapsed, min eigenvalue {w_min:.3e}")
 
@@ -541,10 +553,11 @@ def _stochastic_block(start, spec: EnsembleSpec, scenario: Scenario, lo, hi, sha
 
 def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
     """A Hilbert-space kind's part of a block: its states advanced one step at
-    a time through the ``advance`` its ``Kind.kernel`` compiles, with the
-    positivity counters (``track_min_eigenvalue``) and ``validate_every``
-    checks after each step.  A vector block reports min eigenvalue 0 and no
-    violation without a check: psi psi^dag has rank one, and d >= 2."""
+    a time through the ``advance`` its ``Kind.kernel`` compiles, with one
+    :func:`_health` pass after each step that tracks positivity
+    (``track_min_eigenvalue``) or checks (every ``validate_every`` steps and
+    after the last).  A vector block reports min eigenvalue 0 and no
+    violation without a pass: psi psi^dag has rank one, and d >= 2."""
     kind = KINDS[scenario.kind]
     advance = kind.kernel(scenario, spec.dt)
     coords, vector = advance.coords, advance.vector
@@ -558,6 +571,8 @@ def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
     as_states = _vector_states if vector else from_coords if coords else np.asarray
     health = (dict(min_eig=0.0 if vector else np.inf, violations=0)
               if spec.track_min_eigenvalue else {})
+    counters = health if health and not vector else None
+    every, last, big = spec.validate_every, spec.n_steps, len(state0) > 2
 
     def step(state, k0, x, values, weights, states, records):
         first = len(values) - x.shape[1]
@@ -567,17 +582,9 @@ def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
                 state, records_row = advance(state, x[:, j] if kind.draws > 1 else x[:, j, 0])
                 if records is not None:
                     records[:, j] = records_row
-                if health and not vector:  # only a block that checks carries the counters
-                    arr = state
-                    if kind.linear:
-                        w = _traces(state)
-                        w = np.where(w <= 0.0, 1.0, w)
-                        arr = state / (w if coords else w[:, None, None])
-                    eigs = coords_min_eigenvalue(arr) if coords else min_eigenvalue(arr)
-                    health["min_eig"] = min(health["min_eig"], float(np.min(eigs)))
-                    health["violations"] += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
-                if spec.validate_every and (k0 + j + 1) % spec.validate_every == 0:
-                    _check_physical(kind, state, k0 + j, vector)
+                check = every and ((k0 + j + 1) % every == 0 or k0 + j + 1 == last)
+                if check or counters is not None:
+                    _health(kind, state, k0 + j, counters, check, vector, big)
             values[first + j] = _hilbert_observables(state, rows, vector)
             if weights is not None:
                 weights[first + j] = _traces(state)

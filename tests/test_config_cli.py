@@ -271,6 +271,19 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
     assert main(["validate", str(garbage)]) == 2
     assert main(["run", str(garbage), "--out-dir", str(tmp_path / "out")]) == 2
     assert "$: not valid JSON" in capsys.readouterr().err
+    # not UTF-8, and nested past the recursion limit: each used to end in a
+    # traceback with exit 1 (UnicodeDecodeError, RecursionError)
+    deep = "[" * 100000 + "]" * 100000
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{bad")
+    (tmp_path / "deep.json").write_text(deep)
+    for name in ("not_utf8.json", "deep.json"):
+        assert main(["validate", str(tmp_path / name)]) == 2
+        assert main(["run", str(tmp_path / name), "--out-dir", str(tmp_path / "out")]) == 2
+    assert main(["preset", "qubit_decay_me", "--override", f"run.dt={deep}",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5 and all(line.startswith("configuration error: ") for line in err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_and_rerun(tmp_path, capsys):
@@ -376,6 +389,50 @@ def test_cli_physicality_exit_code(tmp_path, capsys):
     config_path.write_text(json.dumps(doc))
     assert main(["run", str(config_path)]) == 3
     capsys.readouterr()
+
+
+def _boson_blow_up(tmp_path, dim, **run):
+    """An Euler homodyne run of a Fock state 2 at d = ``dim``, dt 0.1 and 40
+    steps, whose states turn non-finite at step 16."""
+    doc = {"schema_version": 1,
+           "system": {"kind": "boson", "dim": dim, "initial_state": {"fock": 2}},
+           "model": {"channels": [{"rate": 1.0, "op": "a"}]},
+           "unravelling": {"kind": "homodyne"},
+           "run": dict(dict(dt=0.1, t_final=4.0, n_traj=64, seed=3), **run),
+           "output": {"directory": str(tmp_path / "out"), "observables": ["n", "q"]}}
+    config_path = tmp_path / "blows_up.json"
+    config_path.write_text(json.dumps(doc))
+    return config_path
+
+
+def _run_blow_up(config_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        return main(["run", str(config_path)])
+
+
+def test_cli_blow_up_between_checks_exits_through_the_last_step_check(tmp_path, capsys):
+    # 40 steps end before the first check of every 50: the check after the
+    # last step stops the run, where it used to write NaN rows and exit 0
+    assert _run_blow_up(_boson_blow_up(tmp_path, 3)) == 3
+    err = capsys.readouterr().err
+    assert "at step 39: non-finite state entries" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "stats.csv").exists()
+    # validate_every 0 still turns every check off
+    assert _run_blow_up(_boson_blow_up(tmp_path, 3, validate_every=0)) == 0
+    assert "nan" in (tmp_path / "out" / "stats.csv").read_text()
+    capsys.readouterr()
+
+
+def test_cli_tracked_blow_up_exits_before_the_eigensolver(tmp_path, capsys):
+    # a tracked run above d = 2 reads the states for non-finite entries before
+    # its eigensolve, which used to raise LinAlgError on them, checks or not
+    assert _run_blow_up(_boson_blow_up(tmp_path, 5, track_min_eigenvalue=True,
+                                       validate_every=0)) == 3
+    err = capsys.readouterr().err
+    assert "at step 16: non-finite state entries" in err
+    assert "Traceback" not in err and "LinAlgError" not in err
+    assert not (tmp_path / "out" / "stats.csv").exists()
 
 
 @pytest.mark.parametrize("mutate", [

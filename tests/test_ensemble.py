@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -851,7 +852,7 @@ def test_physicality_checks_agree_on_coordinates_and_states(dim):
     r = to_coords(np.array([random_density_matrix(rng, dim) for _ in range(8)]))
     kind = KINDS["homodyne"]
     for block in (r, from_coords(r)):
-        ensemble._check_physical(kind, block, 7)
+        ensemble._health(kind, block, 7, None, True, False, dim > 2)
     if dim > 2:  # physical states clear the screen, and need no eigensolve
         assert not ensemble._collapse_screen(r, ensemble._traces(r)).any()
     spectrum = np.r_[-1.5, 2.5, np.zeros(dim - 2)]  # trace 1, lambda_min -1.5
@@ -864,13 +865,29 @@ def test_physicality_checks_agree_on_coordinates_and_states(dim):
         bad = r.copy()
         bad[entry] = value
         messages = []
-        for block in (bad, from_coords(bad)):
+        # screened, and with the tracked eigenvalues reused
+        for block, counters in itertools.product((bad, from_coords(bad)),
+                                                 (None, dict(min_eig=np.inf, violations=0))):
             with pytest.raises(PhysicalityError) as err:
-                ensemble._check_physical(kind, block, 7)
+                ensemble._health(kind, block, 7, counters, True, False, dim > 2)
             assert err.value.step == 7
             messages.append(str(err.value))
         assert messages[0].startswith(f"physicality violation at step 7: {prefix}")
-        assert messages[0].rsplit(" ", 1)[0] == messages[1].rsplit(" ", 1)[0]
+        assert len({message.rsplit(" ", 1)[0] for message in messages}) == 1
+
+
+@pytest.mark.parametrize("dim", [5, BATCH_GEMM_MAX_DIM])
+def test_tracking_reads_finite_entries_before_an_eigensolve(dim):
+    # a pass that tracks without checking still aborts on non-finite entries
+    # above d = 2, where the eigensolver would raise LinAlgError on them
+    rng = np.random.default_rng(50 + dim)
+    r = to_coords(np.array([random_density_matrix(rng, dim) for _ in range(4)]))
+    r[1, 2] = np.nan
+    for block in (r, from_coords(r)):
+        counters = dict(min_eig=np.inf, violations=0)
+        with pytest.raises(PhysicalityError, match="at step 7: non-finite state entries"):
+            ensemble._health(KINDS["linear_homodyne"], block, 7, counters, False, False, True)
+        assert counters == dict(min_eig=np.inf, violations=0)
 
 
 @settings(max_examples=200)
@@ -1111,12 +1128,12 @@ def test_physicality_checks_of_a_vector_block():
     # traces of its states, with the messages of the density-matrix checks
     kind = KINDS["homodyne_kraus"]
     v = np.repeat(np.array([0.6, 0.0, 0.0, 0.8])[:, None], 3, axis=1)
-    ensemble._check_physical(kind, v, 7, vector=True)
+    ensemble._health(kind, v, 7, None, True, True, False)
     for prefix, value in (("non-finite state entries", np.nan), ("trace defect", 0.8 + 1e-6)):
         bad = v.copy()
         bad[3, 1] = value
         with pytest.raises(PhysicalityError, match=f"at step 7: {prefix}"):
-            ensemble._check_physical(kind, bad, 7, vector=True)
+            ensemble._health(kind, bad, 7, None, True, True, False)
 
 
 def test_vector_click_from_a_dark_state_and_on_a_nan_rate(decay_model):
