@@ -129,8 +129,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PhysicalityError, StepSizeError) as exc:
-        print(f"physicality violation: {exc}", file=sys.stderr)
+    except (PhysicalityError, StepSizeError) as exc:  # a PhysicalityError names itself
+        print(exc if isinstance(exc, PhysicalityError) else f"physicality violation: {exc}",
+              file=sys.stderr)
         return EXIT_PHYSICALITY
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -731,9 +731,15 @@ class RuntimeJob:
 
 def health(stats: EnsembleStats) -> dict:
     """The manifest's ``health`` block: the positivity counters the run
-    tracked."""
+    tracked and, when a mean is not finite, ``first_nonfinite_step``: the
+    first step after which one is not, numbered as the exit-3 messages
+    number steps (row k + 1 of the stats table follows step k).  A run with
+    its checks off reports here where its statistics stopped meaning
+    anything."""
+    finite = np.isfinite(np.vstack([stats.t, *stats.means.values()])).all(axis=0)
     counters = {"min_eigenvalue": stats.min_eigenvalue,
-                "positivity_violations": stats.positivity_violations}
+                "positivity_violations": stats.positivity_violations,
+                "first_nonfinite_step": None if finite.all() else int(np.argmin(finite)) - 1}
     return {k: v for k, v in counters.items() if v is not None}
 
 

@@ -54,6 +54,17 @@ of the (B d, d) view per constant operator, and the observables are one GEMM
 of the (B, d^2) view.  Every kind calls these, the vector step included,
 through the module attributes ``jump`` and ``diffusive``.
 
+Failure: a run with its checks on returns finite statistics or raises one
+error, a :class:`PhysicalityError` that names its step or the
+``StepSizeError`` of a click probability, of any click kind, at or above
+``jump.JUMP_PROBABILITY_LIMIT``.  numpy's floating-point warnings stay off
+wherever a run computes, its setup, its blocks on any thread and its
+reduction (``_fp_policy``), so a non-finite number ends a run through these
+checks and prints nothing else.  With ``validate_every`` 0 the checks are
+off and a run returns whatever its arithmetic gave, NaN included, unless it
+tracks positivity (below) or is Gaussian, whose covariance path is always
+checked.
+
 Health checks: one function, :func:`_health`, runs once after each step
 that tracks or checks.  A density-matrix block with ``track_min_eigenvalue``
 reports the smallest eigenvalue of every stepped state (divided by its trace
@@ -61,15 +72,19 @@ for the linear kinds) and counts those below ``MIN_EIG_THRESHOLD``; every
 ``validate_every`` steps, and after the last step, the pass aborts on
 breakdown.  It reads the block in its own form, vectors, coordinates or
 states, which every kernel keeps Hermitian to the bit, so nothing hermitizes;
-it reads each trace once and runs at most one eigensolve.  At d = 2 the
-smallest eigenvalue has a closed form; above, the eigensolver needs finite
-entries, so a tracked or checked block is read for them first and aborts
-with "non-finite state entries".  The collapse check (below -1) reuses the
-tracked eigenvalues, or else runs the eigensolver only on the states whose
-Wolkowicz-Styan bound, from tr rho and tr rho^2 alone, cannot place above -1
-(:func:`_collapse_screen`).  A vector block reports smallest eigenvalue 0 and
-no violation, exactly: psi psi^dag has rank one and d >= 2.  Its abort check
-reads finite entries and unit norms, the traces of its states.
+it reads each trace once and runs at most one eigensolve.  Every pass aborts
+on non-finite entries, "non-finite state entries", at every d: at d = 2 the
+tracked smallest eigenvalues have a closed form that any non-finite entry
+makes non-finite, so their minimum reads them; otherwise the block is read
+for them first, as the eigensolver needs.  The collapse check (below -1)
+reuses the tracked eigenvalues, or else runs the eigensolver only on the
+states whose Wolkowicz-Styan bound, from tr rho and tr rho^2 alone, cannot
+place above -1 (:func:`_collapse_screen`).  A vector block reports smallest
+eigenvalue 0 and no violation, exactly: psi psi^dag has rank one and d >= 2.
+Its abort check reads finite entries and unit norms, the traces of its
+states.  The linear kinds have no trace to check; with checks on, their
+ensemble aborts at the first step whose total weight is 0 or not finite,
+where the weighted means have no estimate.
 
 Gaussian runs (``KINDS["gaussian"]``) fold the conditional-mean update into
 one affine map per step, r_{k+1} = Phi r_k + Gamma_k dw_k, built once per run
@@ -80,9 +95,9 @@ matmul for the noise terms, one small GEMM per step for the recursion, and
 one vectorized call each for the values, the records and the stored states.
 ``EnsembleStats.extra`` carries the covariance path (``cov_path``) and, per
 observed quadrature x, the centred moments S_x / n (``var_x``) and
-S_{x^2} / n (``var_x2``).  Both Gaussian kinds compute their
-covariance path with numpy's floating-point warnings muted and raise
-:class:`PhysicalityError` at its first non-finite step.
+S_{x^2} / n (``var_x2``).  Both Gaussian kinds raise
+:class:`PhysicalityError` at the first non-finite step of their covariance
+path, checks or not.
 
 Noise-free kinds: the unconditional master equation and the unmonitored
 Gaussian moments are the average of their conditional equations, so a run
@@ -142,10 +157,17 @@ SCREEN_MARGIN = 1e-6
 # [0, 2**64 - 1] would wrap onto another seed's streams
 SEED_RANGE = "must be an integer in [0, 2**64 - 1]"
 ESS_WARN_FRACTION = 0.01
+# The run's floating-point policy: no numpy floating-point warning anywhere a
+# run computes (module docstring, "Failure").  numpy keeps this state per
+# thread and a pool's threads start without it, so it wraps the run and each
+# block's callable.  As a decorator it keeps its token per call (numpy >= 2),
+# so nested and concurrent calls each enter a fresh state.
+_fp_policy = np.errstate(all="ignore")
 
 
 class PhysicalityError(RuntimeError):
-    """A mid-run state violated its physicality bounds; carries the step index."""
+    """A run broke down mid-run: a state left its physicality bounds or a
+    linear ensemble lost its weight.  Carries the step index."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"physicality violation at step {step}: {message}")
@@ -380,12 +402,11 @@ def _collapse_screen(state, tr):
     is sum r_a^2 on the orthonormal coordinates and sum |rho_ij|^2 on states.
     A state is cleared when the bound lies above -1 by ``SCREEN_MARGIN``; a
     finite state too large for tr rho^2 is not."""
-    with np.errstate(over="ignore"):
-        if np.iscomplexobj(state):
-            d, flat = state.shape[-1], state.reshape(len(state), -1).view(float)
-            squares = np.einsum("bi,bi->b", flat, flat)
-        else:
-            d, squares = math.isqrt(len(state)), np.einsum("ab,ab->b", state, state)
+    if np.iscomplexobj(state):
+        d, flat = state.shape[-1], state.reshape(len(state), -1).view(float)
+        squares = np.einsum("bi,bi->b", flat, flat)
+    else:
+        d, squares = math.isqrt(len(state)), np.einsum("ab,ab->b", state, state)
     m = tr / d
     s = np.sqrt(np.maximum(squares / d - m * m, 0.0))
     return m - s * np.sqrt(d - 1.0) <= -1.0 + SCREEN_MARGIN
@@ -400,14 +421,16 @@ def _health(kind, state, step, counters, check, vector, big):
     divided by its trace for the linear kinds (w <= 0 read as 1), and the
     count of those below ``MIN_EIG_THRESHOLD``.  ``check`` aborts on
     integration breakdown, not on the (expected, reported) small dips of
-    Euler stepping at finite dt: non-finite entries and, unless the kind is
-    linear, a trace (a vector's norm) off 1 by more than 1e-8 and a state
-    below -1.  ``big`` says d > 2, where the smallest eigenvalue takes an
-    eigensolve, which needs finite entries; d = 2 has a closed form.  Each
-    trace is read once, and at most one eigensolve runs: the collapse check
-    reuses the counters' eigenvalues, or else solves only for the states
-    :func:`_collapse_screen` cannot clear."""
-    if (check or big and counters is not None) and not np.all(np.isfinite(state)):
+    Euler stepping at finite dt: unless the kind is linear, a trace (a
+    vector's norm) off 1 by more than 1e-8 and a state below -1.  Every pass
+    aborts on non-finite entries.  ``big`` says d > 2, where the smallest
+    eigenvalue takes an eigensolve, which needs finite entries, so the
+    block is read for them first; at d = 2 the counters' closed form turns
+    any non-finite entry into a non-finite minimum, which is read instead.
+    Each trace is read once, and at most one eigensolve runs: the collapse
+    check reuses the counters' eigenvalues, or else solves only for the
+    states :func:`_collapse_screen` cannot clear."""
+    if (big or counters is None) and not np.all(np.isfinite(state)):
         raise PhysicalityError(step, "non-finite state entries")
     coords = not np.iscomplexobj(state)
     eig = coords_min_eigenvalue if coords else min_eigenvalue
@@ -418,7 +441,10 @@ def _health(kind, state, step, counters, check, vector, big):
     if counters is not None:
         w = np.where(tr <= 0.0, 1.0, tr) if kind.linear else None
         eigs = eig(state if w is None else state / (w if coords else w[:, None, None]))
-        counters["min_eig"] = min(counters["min_eig"], float(np.min(eigs)))
+        low = float(np.min(eigs))  # NaN or -inf from a non-finite entry at d = 2
+        if not math.isfinite(low):
+            raise PhysicalityError(step, "non-finite state entries")
+        counters["min_eig"] = min(counters["min_eig"], low)
         counters["violations"] += int(np.count_nonzero(eigs < MIN_EIG_THRESHOLD))
     if not check or kind.linear:
         return
@@ -599,9 +625,9 @@ def _hilbert_start(spec: EnsembleSpec, scenario: Scenario, nblk, shared):
 
 def _finite_covariances(covs):
     """``covs``, a Gaussian run's covariance path, or a PhysicalityError at
-    its first non-finite step.  Both Gaussian kinds compute that path with
-    numpy's floating-point warnings muted and check it here: when a Gaussian
-    run overflows, its covariances turn non-finite before any mean does."""
+    its first non-finite step.  Both Gaussian kinds check that path here:
+    when a Gaussian run overflows, its covariances turn non-finite before any
+    mean does."""
     bad = ~np.isfinite(covs).reshape(len(covs), -1).all(axis=1)
     if bad.any():
         raise PhysicalityError(int(np.argmax(bad)), "non-finite covariance matrix")
@@ -624,9 +650,8 @@ def _gaussian_paths(spec: EnsembleSpec, scenario: Scenario):
     holds their columns of Gamma_k only, contiguous.
     """
     model: GaussianModel = scenario.model
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        covs = _finite_covariances(
-            covariance_path(model, scenario.initial_state.cov, spec.dt, spec.n_steps))
+    covs = _finite_covariances(
+        covariance_path(model, scenario.initial_state.cov, spec.dt, spec.n_steps))
     r_mat, g_mat = feedback_terms(model, scenario.f_mat, scenario.controller or ("none", None))
     phi = np.eye(model.dim) + spec.dt * (model.A - r_mat)
     live = np.flatnonzero(np.any((model.E != 0) | (model.B != 0) | (g_mat != 0), axis=0))
@@ -701,9 +726,8 @@ def _moments_block(spec: EnsembleSpec, scenario: Scenario, lo, hi, shared, store
     columns x, then x^2, of the observed quadratures' means, and the
     covariance path as ``cov_path``."""
     model: GaussianModel = scenario.model
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        means, covs = unconditional_moments(model, scenario.initial_state, spec.dt, spec.n_steps)
-        covs = _finite_covariances(covs)
+    means, covs = unconditional_moments(model, scenario.initial_state, spec.dt, spec.n_steps)
+    covs = _finite_covariances(covs)
     x = means[:, [model.labels.index(name) for name, _ in spec.observables]]
     return _noise_free(spec, scenario, np.hstack([x, x * x]), cov_path=covs)
 
@@ -780,13 +804,15 @@ KINDS = {
 def _block_results(kind: Kind, blocks, threads):
     """Each block's result, in index order, as the caller takes it: serially
     at one thread, else in groups of ``threads`` blocks run in parallel, so
-    that at most that many results are held at once."""
+    that at most that many results are held at once.  Each block runs under
+    the run's floating-point policy, on whichever thread it runs."""
     with ThreadPoolExecutor(max_workers=threads) as pool:
         run = pool.map if threads > 1 and len(blocks) > 1 else map
         for i in range(0, len(blocks), threads):
-            yield from run(lambda args: kind.block(*args), blocks[i:i + threads])
+            yield from run(_fp_policy(lambda args: kind.block(*args)), blocks[i:i + threads])
 
 
+@_fp_policy
 def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     """Run the trajectory ensemble described by (spec, scenario).
 
@@ -795,6 +821,9 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     index) and block statistics are merged in index order.  Stored states and
     records are allocated once for the run and written in place by each
     block; a block's statistics and counters are folded in as it arrives.
+    With checks on (``validate_every``), a linear ensemble whose total
+    weight is 0 or not finite after some step raises PhysicalityError naming
+    it; otherwise its means there are NaN.
     """
     kind = KINDS[scenario.kind]
     if spec.noise == "two_point" and kind.draws and not kind.diffusive:
@@ -835,6 +864,10 @@ def run_ensemble(spec: EnsembleSpec, scenario: Scenario) -> EnsembleStats:
     se = np.sqrt(s) / safe_w
     ess = None
     if kind.linear:
+        lost = np.flatnonzero(~np.isfinite(big_w[0]) | (big_w[0] == 0.0))
+        if spec.validate_every and len(lost):  # row k holds the state after step k - 1
+            raise PhysicalityError(int(lost[0]) - 1, "ensemble weight vanished"
+                                   if big_w[0, lost[0]] == 0.0 else "non-finite ensemble weight")
         ess = np.where(w2[0] > 0.0, big_w[0]**2 / np.where(w2[0] > 0.0, w2[0], 1.0), 0.0)
         if np.min(ess) < ESS_WARN_FRACTION * n:
             warnings.warn(f"effective sample size dropped to {np.min(ess):.1f} "
@@ -874,6 +907,7 @@ class ComparisonReport:
         return self.max_abs_z <= self.threshold
 
 
+@_fp_policy
 def compare_to_me(stats: EnsembleStats, reference: dict, threshold: float = 4.0) -> ComparisonReport:
     """Per-time z-scores |mean - reference| / SE for each observable present in
     ``reference``; zero-SE points pass only on exact agreement, and a NaN
@@ -887,9 +921,7 @@ def compare_to_me(stats: EnsembleStats, reference: dict, threshold: float = 4.0)
         if ref.shape != stats.means[name].shape:
             raise ValueError(f"grid mismatch for {name!r}")
         diff = np.abs(stats.means[name] - ref)
-        se = stats.std_errs[name]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(diff == 0.0, 0.0, diff / se)
+        z = np.where(diff == 0.0, 0.0, diff / stats.std_errs[name])
         z[np.isnan(z)] = np.inf
         z_scores[name] = z
         idx = int(np.argmax(z))

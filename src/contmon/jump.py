@@ -230,9 +230,9 @@ def jump_probability(rho: np.ndarray, model: OpenSystemModel, dt: float):
 
 def click_outcomes(p, u):
     """Click outcomes dN = [u < p] for the click probability ``p`` of the
-    coming step and its uniform variates ``u``; a NaN probability fails the
-    step-size check too."""
-    pmax = float(np.max(p))
+    coming step, one float or one per state, and its uniform variates ``u``;
+    a NaN probability fails the step-size check too."""
+    pmax = p if isinstance(p, float) else float(np.max(p))
     if not pmax < JUMP_PROBABILITY_LIMIT:
         raise StepSizeError(f"jump probability per step {pmax:.3g} is not below "
                             f"{JUMP_PROBABILITY_LIMIT}; reduce dt")
@@ -494,7 +494,7 @@ def click_kernel_step(kernel, rho: np.ndarray, u, work: dict | None = None):
     the ensemble passes a vector block with ``maps`` taken off the kernel.
     """
     carry, rate = _click_read(kernel, rho, work)
-    dn = u < kernel.p_click if kernel.linear else click_outcomes(kernel.p_click * rate, u)
+    dn = click_outcomes(kernel.p_click if kernel.linear else kernel.p_click * rate, u)
     return _click_update(kernel, carry, rate, dn), dn
 
 

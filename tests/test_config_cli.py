@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import itertools
 import json
 import os
@@ -405,29 +406,38 @@ def _boson_blow_up(tmp_path, dim, **run):
     return config_path
 
 
-def _run_blow_up(config_path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
-        return main(["run", str(config_path)])
+def _run_quietly(config_path):
+    """The CLI's exit code for ``run CONFIG``, which must raise no
+    RuntimeWarning: a run keeps numpy's floating-point warnings off and ends
+    through its checks alone."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # as the CLI's own process would print them
+        code = main(["run", str(config_path)])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return code
 
 
 def test_cli_blow_up_between_checks_exits_through_the_last_step_check(tmp_path, capsys):
     # 40 steps end before the first check of every 50: the check after the
     # last step stops the run, where it used to write NaN rows and exit 0
-    assert _run_blow_up(_boson_blow_up(tmp_path, 3)) == 3
+    assert _run_quietly(_boson_blow_up(tmp_path, 3)) == 3
     err = capsys.readouterr().err
     assert "at step 39: non-finite state entries" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "stats.csv").exists()
-    # validate_every 0 still turns every check off
-    assert _run_blow_up(_boson_blow_up(tmp_path, 3, validate_every=0)) == 0
-    assert "nan" in (tmp_path / "out" / "stats.csv").read_text()
+    # validate_every 0 still turns every check off, and the manifest names
+    # the step after which the means stop being finite
+    assert _run_quietly(_boson_blow_up(tmp_path, 3, validate_every=0)) == 0
+    rows = np.loadtxt(tmp_path / "out" / "stats.csv", delimiter=",", skiprows=1)
+    first = int(np.argmin(np.isfinite(rows).all(axis=1)))
+    health = json.loads((tmp_path / "out" / "manifest.json").read_text())["health"]
+    assert health == {"first_nonfinite_step": first - 1} and first > 1
     capsys.readouterr()
 
 
 def test_cli_tracked_blow_up_exits_before_the_eigensolver(tmp_path, capsys):
     # a tracked run above d = 2 reads the states for non-finite entries before
     # its eigensolve, which used to raise LinAlgError on them, checks or not
-    assert _run_blow_up(_boson_blow_up(tmp_path, 5, track_min_eigenvalue=True,
+    assert _run_quietly(_boson_blow_up(tmp_path, 5, track_min_eigenvalue=True,
                                        validate_every=0)) == 3
     err = capsys.readouterr().err
     assert "at step 16: non-finite state entries" in err
@@ -469,13 +479,118 @@ def test_cli_jump_blow_up_exits_through_the_step_size_check(tmp_path, capsys):
     doc["output"]["directory"] = str(tmp_path / "out")
     config_path = tmp_path / "blows_up.json"
     config_path.write_text(json.dumps(doc))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
-        assert main(["run", str(config_path)]) == 3
+    assert _run_quietly(config_path) == 3
     err = capsys.readouterr().err
     assert "physicality violation" in err and "nan is not below" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "stats.csv").exists()
+
+
+def _document(tmp_path, doc, **run):
+    """``doc`` with ``run`` as its run block, written to a file whose
+    outputs go to tmp_path / "out"."""
+    doc = dict(json.loads(json.dumps(doc)), run=run)
+    doc["output"] = dict(doc.get("output", {}), directory=str(tmp_path / "out"))
+    config_path = tmp_path / "doc.json"
+    config_path.write_text(json.dumps(doc))
+    return config_path
+
+
+LINEAR_DECAY = {"schema_version": 1, "system": {"kind": "qubit", "initial_state": "excited"},
+                "model": {"channels": [{"rate": 1.0, "op": "sigma_minus"}]},
+                "unravelling": {"kind": "jump", "linear": True},
+                "output": {"observables": ["rho_ee"]}}
+
+
+def test_cli_linear_jump_exits_through_the_step_size_check(tmp_path, capsys):
+    # the linear kinds' ostensible click probability eta kappa beta dt meets
+    # the same limit as kappa dt <c^dag c>; at dt 0.3 it used to exit 0 with
+    # 22 of 41 rows NaN
+    assert _run_quietly(_document(tmp_path, LINEAR_DECAY, dt=0.3, t_final=12.0, n_traj=64,
+                                  seed=5)) == 3
+    assert capsys.readouterr().err == ("physicality violation: jump probability per step 0.3 "
+                                       "is not below 0.1; reduce dt\n")
+    assert not (tmp_path / "out" / "stats.csv").exists()
+
+
+def test_cli_linear_ensemble_whose_weight_vanishes(tmp_path, capsys):
+    # an ostensible rate 8 times the true one annihilates every weight by step
+    # 70: with checks on the run exits 3 there, where it used to write 2930
+    # NaN rows of 3001; with checks off it writes them, warns of the
+    # effective sample size and names the step in its health block
+    doc = dict(LINEAR_DECAY, unravelling=dict(LINEAR_DECAY["unravelling"], beta=8.0))
+    run = dict(dt=0.01, t_final=30.0, n_traj=64, seed=5)
+    assert _run_quietly(_document(tmp_path, doc, **run)) == 3
+    assert capsys.readouterr().err == "physicality violation at step 70: ensemble weight vanished\n"
+    with pytest.warns(RuntimeWarning, match="effective sample size dropped to 0.0"):
+        assert main(["run", str(_document(tmp_path, doc, validate_every=0, **run))]) == 0
+    health = json.loads((tmp_path / "out" / "manifest.json").read_text())["health"]
+    assert health == {"first_nonfinite_step": 70}
+    capsys.readouterr()
+
+
+def test_cli_tracked_qubit_blow_up_exits_through_the_tracked_minimum(tmp_path, capsys):
+    # at d = 2 the tracked closed-form minimum reads non-finite entries, so a
+    # tracked qubit run ends as a tracked run above d = 2 does, checks or not;
+    # it used to exit 0 with 188 of 201 rows NaN
+    doc = dict(MINIMAL, unravelling={"kind": "homodyne"})
+    assert _run_quietly(_document(tmp_path, doc, dt=0.2, t_final=40.0, n_traj=64, seed=71,
+                                  validate_every=0, track_min_eigenvalue=True)) == 3
+    assert capsys.readouterr().err == "physicality violation at step 12: non-finite state entries\n"
+    assert not (tmp_path / "out" / "stats.csv").exists()
+
+
+def test_cli_threaded_blow_up_prints_one_line(tmp_path):
+    # a pool's threads start without numpy's floating-point state, so each
+    # block sets the run's policy itself: the CLI's own process prints the
+    # violation and nothing else
+    config_path = _boson_blow_up(tmp_path, 3, threads=2, block_size=32)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-m", "contmon.cli", "run", str(config_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3
+    assert out.stderr == "physicality violation at step 39: non-finite state entries\n"
+
+
+def _large_dt_documents():
+    """Every stochastic Hilbert-space document of the presets and the
+    benchmark workloads, by name."""
+    spec = importlib.util.spec_from_file_location(
+        "run_digests", Path(__file__).resolve().parents[1] / "tools" / "run_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = list(sys.path)
+    try:
+        docs = tool.documents()  # prepends perfbench to sys.path
+    finally:
+        sys.path[:] = path
+    return {name: doc for name, doc in docs.items() if doc["system"]["kind"] != "gaussian"
+            and doc.get("unravelling", {}).get("kind", "none") != "none"}
+
+
+@pytest.mark.parametrize("scale", [10, 30, 100, 300])
+def test_cli_large_dt_runs_end_cleanly(tmp_path, capsys, scale):
+    # every stochastic Hilbert-space document at dt times ``scale``, 40 steps
+    # of 64 trajectories: with checks on a run exits 0 with finite
+    # statistics, or 3 with one line; with checks off an exit-0 run whose
+    # statistics are not finite names the step where they stopped being so
+    docs = _large_dt_documents()
+    assert len(docs) >= 22  # 22 documents at 4 scales: 88 runs with checks on
+    for name, doc in docs.items():
+        dt = doc["run"]["dt"] * scale
+        for every in (50, 0):
+            run = dict(doc["run"], dt=dt, t_final=40 * dt, n_traj=64, validate_every=every)
+            code = _run_quietly(_document(tmp_path, doc, **run))
+            err = capsys.readouterr().err
+            assert (code, len(err.splitlines())) in ((0, 0), (2, 1), (3, 1)), (name, err)
+            if code:
+                continue
+            rows = np.loadtxt(tmp_path / "out" / "stats.csv", delimiter=",", skiprows=1)
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            assert every == 0 or not len(bad), name
+            health = json.loads((tmp_path / "out" / "manifest.json").read_text())["health"]
+            assert health.get("first_nonfinite_step") == (bad[0] - 1 if len(bad) else None)
+            (tmp_path / "out" / "stats.csv").unlink()
 
 
 def _opo_blow_up(unravelling, n_traj):

@@ -655,6 +655,23 @@ def test_ess_warning_on_weight_collapse(qubit_ops, decay_model, excited):
     assert stats.ess.min() < 0.01 * spec.n_traj
 
 
+def test_checked_linear_ensemble_aborts_where_its_weight_vanishes(qubit_ops, decay_model,
+                                                                  excited):
+    # with checks on, a linear ensemble whose every ostensible path is
+    # annihilated raises at the first step of zero total weight, where its
+    # means have no estimate; with checks off it returns NaN means there
+    spec = EnsembleSpec(n_traj=16, master_seed=5, dt=1e-2, t_final=3.0,
+                        observables=(("rho_ee", qubit_ops["projector_e"]),))
+    scenario = Scenario("linear_jump", decay_model, excited, beta_ost=8.0)
+    with pytest.warns(RuntimeWarning, match="effective sample size"):
+        stats = run_ensemble(spec, scenario)
+    lost = np.flatnonzero(np.isnan(stats.means["rho_ee"]))
+    assert len(lost) and np.isfinite(stats.means["rho_ee"][:lost[0]]).all()
+    with pytest.raises(PhysicalityError, match="ensemble weight vanished") as err:
+        run_ensemble(dataclasses.replace(spec, validate_every=50, block_size=5), scenario)
+    assert err.value.step == lost[0] - 1
+
+
 def test_homodyne_feedback_ensemble_vs_feedback_me(qubit_ops, excited):
     # Monte Carlo vs deterministic oracle: the trajectory average solves the
     # unconditional feedback master equation
@@ -876,17 +893,24 @@ def test_physicality_checks_agree_on_coordinates_and_states(dim):
         assert len({message.rsplit(" ", 1)[0] for message in messages}) == 1
 
 
-@pytest.mark.parametrize("dim", [5, BATCH_GEMM_MAX_DIM])
+@pytest.mark.parametrize("dim", [2, 5, BATCH_GEMM_MAX_DIM])
 def test_tracking_reads_finite_entries_before_an_eigensolve(dim):
     # a pass that tracks without checking still aborts on non-finite entries
-    # above d = 2, where the eigensolver would raise LinAlgError on them
+    # at every d: above d = 2 before the eigensolver, which would raise
+    # LinAlgError on them, and at d = 2 through the closed-form minimum.  A
+    # run computes under its floating-point policy, which the test sets too
     rng = np.random.default_rng(50 + dim)
     r = to_coords(np.array([random_density_matrix(rng, dim) for _ in range(4)]))
-    r[1, 2] = np.nan
-    for block in (r, from_coords(r)):
+    cases = itertools.product((np.nan, np.inf, -np.inf), ((0, 2), (1, 2), (-1, 2)),
+                              (False, True), ("linear_homodyne", "homodyne"))
+    for value, entry, states, kind in cases:
+        bad = r.copy()
+        bad[entry] = value
         counters = dict(min_eig=np.inf, violations=0)
-        with pytest.raises(PhysicalityError, match="at step 7: non-finite state entries"):
-            ensemble._health(KINDS["linear_homodyne"], block, 7, counters, False, False, True)
+        with np.errstate(all="ignore"), pytest.raises(
+                PhysicalityError, match="at step 7: non-finite state entries"):
+            ensemble._health(KINDS[kind], from_coords(bad) if states else bad, 7, counters,
+                             False, False, dim > 2)
         assert counters == dict(min_eig=np.inf, violations=0)
 
 

@@ -352,6 +352,19 @@ def test_click_outcomes_rejects_a_nan_probability():
         click_outcomes(p, np.full(3, 0.5))
 
 
+@pytest.mark.parametrize("kind, beta", [("jump", 1.0), ("linear_jump", 1.0), ("linear_jump", 8.0)])
+def test_every_click_kind_meets_the_step_size_limit(decay_model, excited, kind, beta):
+    # the linear kinds' constant ostensible probability eta kappa beta dt goes
+    # through the same check as kappa dt <c^dag c>: from |e> both are the rate
+    # times dt, so dt = 0.1 / beta reaches the limit and just below it does not
+    rho = np.repeat(to_coords(excited)[:, None], 4, axis=1)
+    u = np.full(4, 0.5)
+    click_kernel_step(click_kernel(decay_model, kind, 0.099 / beta, beta=beta), rho, u)
+    kernel = click_kernel(decay_model, kind, 0.1 / beta, beta=beta)
+    with pytest.raises(StepSizeError, match="is not below 0.1"):
+        click_kernel_step(kernel, rho, u)
+
+
 def test_dark_state_click_raises(decay_model, ground):
     with pytest.raises(DarkStateJumpError):
         jump_sme_apply(ground, decay_model, 1e-3, True)
